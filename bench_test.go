@@ -153,8 +153,8 @@ func BenchmarkAblationPreAggregation(b *testing.B) {
 // streamingPipelinePlan is a pipeline-heavy physical plan in the shape
 // REWR produces for Fig 4 chains: a Filter feeding the probe side of a
 // TemporalJoin whose output streams through a Project. Under the
-// materializing executor every operator allocates its full intermediate;
-// under the streaming engine only the final result is materialized.
+// reference evaluator every operator allocates its full intermediate;
+// under the executor only the final result is materialized.
 func streamingPipelinePlan() engine.Plan {
 	return engine.ProjectP{
 		Exprs: []algebra.NamedExpr{
@@ -173,18 +173,18 @@ func streamingPipelinePlan() engine.Plan {
 	}
 }
 
-// BenchmarkStreamingPipeline compares the pull-based streaming iterator
-// engine (ExecStream) against the operator-at-a-time materializing
-// executor (Exec) on the Filter→Join→Project pipeline; the allocation
-// report shows the B/op reduction from never materializing the filter
-// and join intermediates.
+// BenchmarkStreamingPipeline compares the pull-based executor at one
+// worker (parallel.Exec) against the node-at-a-time reference evaluator
+// (DB.Exec) on the Filter→Join→Project pipeline; the allocation report
+// shows the B/op reduction from never materializing the filter and join
+// intermediates.
 func BenchmarkStreamingPipeline(b *testing.B) {
 	db := dataset.Employees(benchEmployees)
 	plan := streamingPipelinePlan()
 	b.Run("engine=stream", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			it, err := db.ExecStream(plan)
+			it, err := parallel.Exec(context.Background(), db, plan, parallel.Options{Workers: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -210,8 +210,7 @@ func BenchmarkStreamingPipeline(b *testing.B) {
 }
 
 // BenchmarkAblationStreaming runs full REWR workload queries through the
-// harness under the streaming engine (Seq) and the materializing
-// ablation baseline (Seq-mat).
+// harness under the Seq approach.
 func BenchmarkAblationStreaming(b *testing.B) {
 	db := dataset.Employees(benchEmployees)
 	for _, id := range []string{"join-1", "join-3"} {
@@ -221,9 +220,6 @@ func BenchmarkAblationStreaming(b *testing.B) {
 		}
 		b.Run("q="+id+"/engine=stream", func(b *testing.B) {
 			benchWorkload(b, db, wq, harness.Seq)
-		})
-		b.Run("q="+id+"/engine=materialize", func(b *testing.B) {
-			benchWorkload(b, db, wq, harness.SeqMat)
 		})
 	}
 }
@@ -283,7 +279,7 @@ func BenchmarkAblationPushdown(b *testing.B) {
 	}{{"pushdown", true}, {"plain", false}} {
 		b.Run("mode="+mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := rewrite.Run(db, q, rewrite.Options{Pushdown: mode.pushdown}); err != nil {
+				if _, err := rewrite.Run(db, q, rewrite.Options{Planner: rewrite.PlannerKnobs{Pushdown: mode.pushdown}}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -291,9 +287,9 @@ func BenchmarkAblationPushdown(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelPipeline measures the parallel exchange executor on
-// the Filter→Join→Project pipeline at several worker counts, against
-// the sequential streaming engine as the 1-worker baseline. Speedup
+// BenchmarkParallelPipeline measures the executor on the
+// Filter→Join→Project pipeline at several worker counts, one worker
+// (a single fragment, no exchange) being the baseline. Speedup
 // tracks the available cores (GOMAXPROCS).
 func BenchmarkParallelPipeline(b *testing.B) {
 	db := dataset.Employees(benchEmployees)

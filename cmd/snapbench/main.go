@@ -9,12 +9,9 @@
 //	snapbench -exp table3emp  Table 3 (Employee): Seq vs Nat runtimes
 //	snapbench -exp table3tpc  Table 3 (TPC-BiH): Seq vs Nat at two scales
 //	snapbench -exp ablation   §9 ablations (E7, E8, E9)
-//	snapbench -exp scaling    parallel exchange executor speedup at 1/2/4/8 workers
 //	snapbench -exp sweep      streaming vs materializing vs partitioned sweep operators
 //	snapbench -exp parstream  parallel streaming sweeps (ordered exchange) vs parallel blocking
 //	snapbench -exp diff       streaming merge-based difference vs the blocking fused diff sweep
-//	snapbench -exp obs        EXPLAIN ANALYZE collector overhead, off vs on
-//	snapbench -exp batch      batch-at-a-time (NextBatch) drive vs the per-row Volcano ablation
 //	snapbench -exp chaos      resource-governor overhead, ungoverned vs governed (limits never trip)
 //	snapbench -exp opt        cost-aware planner knob ablation (pushdown/pruning/pre-sizing/adaptive workers)
 //	snapbench -exp all        everything above
@@ -22,8 +19,8 @@
 // -quick shrinks datasets for a fast smoke run; -runs sets the number of
 // repetitions per measurement (the median is reported); -json writes the
 // per-experiment median runtimes as machine-readable JSON to the given
-// path (e.g. BENCH_2026-07.json) so the performance trajectory can be
-// tracked across PRs.
+// path. The repository's benchmark — end-to-end and per-layer metrics
+// with a committed baseline — is the spine: bash bench/run.sh.
 package main
 
 import (
@@ -52,7 +49,7 @@ type config struct {
 func parseFlags(args []string, out io.Writer) (config, error) {
 	fs := flag.NewFlagSet("snapbench", flag.ContinueOnError)
 	fs.SetOutput(out)
-	exp := fs.String("exp", "all", "experiment: fig1|table1|fig5|table2|table3emp|table3tpc|ablation|scaling|sweep|parstream|diff|obs|batch|chaos|opt|all")
+	exp := fs.String("exp", "all", "experiment: fig1|table1|fig5|table2|table3emp|table3tpc|ablation|sweep|parstream|diff|chaos|opt|all")
 	quick := fs.Bool("quick", false, "use small datasets (smoke run)")
 	runs := fs.Int("runs", 0, "repetitions per measurement (0 = scale default)")
 	jsonPath := fs.String("json", "", "write per-experiment medians as JSON to this path")
@@ -86,12 +83,9 @@ func experiments(w io.Writer, sc harness.Scale, rep *harness.Report) []experimen
 		{"table3emp", func() error { return harness.Table3Employees(w, sc, rep) }},
 		{"table3tpc", func() error { return harness.Table3TPC(w, sc, rep) }},
 		{"ablation", func() error { return harness.Ablations(w, sc, rep) }},
-		{"scaling", func() error { return harness.Scaling(w, sc, rep) }},
 		{"sweep", func() error { return harness.Sweep(w, sc, rep) }},
 		{"parstream", func() error { return harness.ParStream(w, sc, rep) }},
 		{"diff", func() error { return harness.Diff(w, sc, rep) }},
-		{"obs", func() error { return harness.Obs(w, sc, rep) }},
-		{"batch", func() error { return harness.Batch(w, sc, rep) }},
 		{"chaos", func() error { return harness.Chaos(w, sc, rep) }},
 		{"opt", func() error { return harness.Opt(w, sc, rep) }},
 	}

@@ -53,7 +53,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 		t.Fatalf("missing diagnostic: %s", errb.String())
 	}
 	// The diagnostic must list the valid experiment names.
-	for _, name := range []string{"sweep", "diff", "obs", "all"} {
+	for _, name := range []string{"sweep", "diff", "opt", "all"} {
 		if !strings.Contains(errb.String(), name) {
 			t.Fatalf("diagnostic does not list %q: %s", name, errb.String())
 		}
@@ -67,7 +67,7 @@ func TestExperimentRegistryCoversDocumentedIDs(t *testing.T) {
 	for _, e := range exps {
 		ids[e.Name] = true
 	}
-	for _, want := range []string{"fig1", "table1", "fig5", "table2", "table3emp", "table3tpc", "ablation", "scaling", "sweep", "parstream", "diff", "obs", "batch", "chaos", "opt"} {
+	for _, want := range []string{"fig1", "table1", "fig5", "table2", "table3emp", "table3tpc", "ablation", "sweep", "parstream", "diff", "chaos", "opt"} {
 		if !ids[want] {
 			t.Fatalf("experiment %q missing from registry", want)
 		}
@@ -231,65 +231,6 @@ func TestRunDiffJSONSchema(t *testing.T) {
 	for _, r := range rows {
 		if r != rows[0] {
 			t.Fatalf("diff variants disagree on output cardinality: %v", rows)
-		}
-	}
-}
-
-// The batch experiment backs the batch-vs-per-row acceptance numbers
-// and the CI smoke; pin its -json metric naming (paired perrow/batch
-// entries with a speedup extra) so downstream parsing does not silently
-// break.
-func TestRunBatchJSONSchema(t *testing.T) {
-	sc := harness.Quick
-	sc.Fig5Sizes = []int{200} // keep the test fast
-	sc.Runs = 1
-	rep := harness.NewReport(sc)
-	var out bytes.Buffer
-	if err := harness.Batch(&out, sc, rep); err != nil {
-		t.Fatal(err)
-	}
-	names := make(map[string]bool)
-	for _, m := range rep.Metrics {
-		if m.Experiment != "batch" {
-			t.Fatalf("metric experiment = %q, want batch", m.Experiment)
-		}
-		if m.Name == "" || m.Seconds < 0 {
-			t.Fatalf("malformed metric: %+v", m)
-		}
-		if m.Rows <= 0 {
-			t.Fatalf("batch metrics must carry output cardinality: %+v", m)
-		}
-		if strings.Contains(m.Name, "/batch/") {
-			if _, ok := m.Extra["speedup"]; !ok {
-				t.Fatalf("batch-drive metric must carry the speedup extra: %+v", m)
-			}
-		}
-		names[m.Name] = true
-	}
-	w := harness.DefaultWorkers
-	for _, want := range []string{
-		"filter-project/perrow/rows=200",
-		"filter-project/batch/rows=200",
-		"coalesce-streaming/perrow/rows=200",
-		"coalesce-streaming/batch/rows=200",
-		"agg-streaming/batch/rows=200",
-		"diff-streaming/batch/rows=200",
-		fmt.Sprintf("coalesce-parallel-x%d/perrow/rows=200", w),
-		fmt.Sprintf("coalesce-parallel-x%d/batch/rows=200", w),
-	} {
-		if !names[want] {
-			t.Fatalf("metric %q missing; got %v", want, names)
-		}
-	}
-	// The two drives of one variant compute the same multiset, so the
-	// perrow/batch pair must agree on output cardinality.
-	cards := make(map[string]int64)
-	for _, m := range rep.Metrics {
-		base := strings.Replace(strings.Replace(m.Name, "/perrow/", "/", 1), "/batch/", "/", 1)
-		if prev, ok := cards[base]; ok && prev != m.Rows {
-			t.Fatalf("drives of %s disagree on cardinality: %d vs %d", base, prev, m.Rows)
-		} else {
-			cards[base] = m.Rows
 		}
 	}
 }

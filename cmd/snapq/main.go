@@ -10,7 +10,7 @@
 //	snapq -data employees -query agg-1 -approach seq-par -explain   # plan + placement annotations
 //	snapq -data employees -query agg-1 -approach seq-par -analyze   # EXPLAIN ANALYZE: runtime counters
 //	snapq -data employees -query agg-1 -approach par-stream -analyze -trace trace.json
-//	snapq -data employees -query join-1 -approach seq-par  # parallel exchange executor
+//	snapq -data employees -query join-1 -approach seq-par  # DefaultWorkers fragments + exchanges
 //	snapq -data employees -query join-1 -approach seq-stream  # forced streaming sweeps
 //	snapq -data employees -query agg-1 -approach par-stream  # parallel streaming sweeps (ordered exchange)
 //	snapq -data employees -query join-1 -stream -limit 0   # stream rows as they arrive
@@ -74,7 +74,7 @@ func parseFlags(args []string, out io.Writer) (config, error) {
 	fs.StringVar(&cfg.Domain, "domain", "0,1000000", "with -data csv: time domain min,max")
 	fs.StringVar(&cfg.SQL, "sql", "", "snapshot SQL to run (SEQ VT optional)")
 	fs.StringVar(&cfg.QueryID, "query", "", "run a named workload query (join-1..diff-2, Q1..Q19)")
-	fs.StringVar(&cfg.Approach, "approach", "seq", "seq|seq-naive|seq-mat|seq-par|seq-stream|par-stream|nat-ip|nat-align")
+	fs.StringVar(&cfg.Approach, "approach", "seq", "seq|seq-naive|seq-par|seq-stream|par-stream|nat-ip|nat-align")
 	fs.IntVar(&cfg.Limit, "limit", 50, "maximum rows to print (0 = all)")
 	fs.BoolVar(&cfg.Explain, "explain", false, "print the rewritten plan and its annotated EXPLAIN tree instead of executing")
 	fs.BoolVar(&cfg.Analyze, "analyze", false, "execute and print EXPLAIN ANALYZE: per-operator rows, timings, sweep state and exchange metrics")
@@ -257,8 +257,6 @@ func parseApproach(s string) (harness.Approach, error) {
 		return harness.NatIP, nil
 	case "nat-align":
 		return harness.NatAlign, nil
-	case "seq-mat":
-		return harness.SeqMat, nil
 	case "seq-par":
 		return harness.SeqPar, nil
 	case "seq-stream":
@@ -266,7 +264,7 @@ func parseApproach(s string) (harness.Approach, error) {
 	case "par-stream":
 		return harness.SeqParStream, nil
 	default:
-		return 0, fmt.Errorf("unknown approach %q (valid: seq, seq-naive, seq-mat, seq-par, seq-stream, par-stream, nat-ip, nat-align)", s)
+		return 0, fmt.Errorf("unknown approach %q (valid: seq, seq-naive, seq-par, seq-stream, par-stream, nat-ip, nat-align)", s)
 	}
 }
 
@@ -286,8 +284,8 @@ func parseWindow(s string) (interval.Interval, error) {
 // explainQuery prints the static EXPLAIN of the query under the given
 // approach: the compact rewritten plan, then the annotated operator
 // tree — sweep modes, sort properties, estimated cardinalities, and the
-// fragment/exchange placement the parallel executor would choose at the
-// approach's worker count — and, when the planner made any, the
+// fragment/exchange placement the executor chooses at the approach's
+// worker count — and, when the planner made any, the
 // physical decisions with their reasons (build side, pre-sizing,
 // pruning, worker count).
 func explainQuery(db *engine.DB, q algebra.Query, ap harness.Approach, plan func(rewrite.Options) rewrite.Options, w io.Writer) error {
@@ -302,13 +300,11 @@ func explainQuery(db *engine.DB, q algebra.Query, ap harness.Approach, plan func
 	}
 	fmt.Fprintln(w, p)
 	fmt.Fprintln(w)
-	n := db.ExplainPlan(p)
 	workers := max(opt.Parallelism, 1)
 	if dec.Workers > 0 {
 		workers = min(workers, dec.Workers)
 	}
-	parallel.AnnotatePlacement(db, p, n, workers)
-	fmt.Fprint(w, n.Render())
+	fmt.Fprint(w, parallel.Explain(db, p, workers).Render())
 	if len(dec.Notes) > 0 {
 		fmt.Fprintln(w, "\nplanner decisions:")
 		for _, note := range dec.Notes {
@@ -367,9 +363,8 @@ func analyzeQuery(db *engine.DB, q algebra.Query, ap harness.Approach, plan func
 }
 
 // streamOptions maps a seq-family approach to rewrite options for the
-// streaming pipeline (the cursor, explain and analyze paths); the
-// native baselines and the materializing executor have no pipeline
-// form.
+// executor (the cursor, explain and analyze paths); the native
+// baselines have no pipeline form.
 func streamOptions(ap harness.Approach) (rewrite.Options, error) {
 	switch ap {
 	case harness.Seq:

@@ -50,7 +50,6 @@ func TestParseApproach(t *testing.T) {
 	cases := map[string]harness.Approach{
 		"seq":        harness.Seq,
 		"seq-naive":  harness.SeqNaive,
-		"seq-mat":    harness.SeqMat,
 		"seq-par":    harness.SeqPar,
 		"seq-stream": harness.SeqStream,
 		"par-stream": harness.SeqParStream,
@@ -85,7 +84,7 @@ func TestParseApproach(t *testing.T) {
 // ordered repartition) must print the identical sorted result.
 func TestDiffApproachesAgree(t *testing.T) {
 	outputs := map[string]string{}
-	for _, ap := range []string{"seq", "seq-mat", "seq-stream", "par-stream"} {
+	for _, ap := range []string{"seq", "seq-naive", "seq-stream", "par-stream"} {
 		var out, errb bytes.Buffer
 		code := run([]string{"-data", "employees", "-scale", "0.1", "-query", "diff-1", "-approach", ap, "-limit", "0"}, &out, &errb)
 		if code != 0 {
@@ -127,7 +126,7 @@ func TestStreamOptions(t *testing.T) {
 // text through the full run path.
 func TestRunFactoryQueryAcrossApproaches(t *testing.T) {
 	var want string
-	for _, ap := range []string{"seq", "seq-mat", "seq-par", "seq-stream", "par-stream"} {
+	for _, ap := range []string{"seq", "seq-naive", "seq-par", "seq-stream", "par-stream"} {
 		var out, errb bytes.Buffer
 		code := run([]string{
 			"-data", "factory", "-approach", ap,

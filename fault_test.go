@@ -57,7 +57,7 @@ func TestSeqCancelMidStream(t *testing.T) {
 	}
 }
 
-// The row limit ends the query with ErrRowLimit on both executors, and
+// The row limit ends the query with ErrRowLimit at either width, and
 // after the failure Scan reports the stream error (database/sql
 // semantics) while Values returns nil.
 func TestQueryLimitsRowLimit(t *testing.T) {
@@ -116,8 +116,8 @@ func TestQueryLimitsMemBudget(t *testing.T) {
 	}
 }
 
-// An expired per-query deadline surfaces as context.DeadlineExceeded on
-// both executors.
+// An expired per-query deadline surfaces as context.DeadlineExceeded at
+// either width.
 func TestQueryLimitsDeadline(t *testing.T) {
 	for _, par := range []int{0, 4} {
 		db := bigFaultDB(t).
@@ -144,5 +144,16 @@ func TestQueryLimitsMaterializedPath(t *testing.T) {
 	_, err := db.Query(`SELECT x FROM t`)
 	if !errors.Is(err, snapk.ErrRowLimit) {
 		t.Fatalf("Query err = %v, want ErrRowLimit", err)
+	}
+}
+
+// SeqNaive runs on the same governed executor as Seq, so QueryWith must
+// hand it the database's limits too (regression: its options were built
+// without them).
+func TestQueryLimitsNaive(t *testing.T) {
+	db := bigFaultDB(t).SetQueryLimits(snapk.QueryLimits{RowLimit: 10})
+	_, err := db.QueryWith(`SELECT x FROM t`, snapk.SeqNaive)
+	if !errors.Is(err, snapk.ErrRowLimit) {
+		t.Fatalf("QueryWith(SeqNaive) err = %v, want ErrRowLimit", err)
 	}
 }

@@ -39,6 +39,18 @@ func TemporalAggregate(in *Table, groupBy []string, aggs []algebra.AggSpec, preA
 	return out, nil
 }
 
+// AggregateShape resolves an aggregation spec against an input data
+// schema without running it: the indices of the grouping columns and
+// the output period schema, or the error the operator would report for
+// an unknown column.
+func AggregateShape(data tuple.Schema, groupBy []string, aggs []algebra.AggSpec) (groupIdx []int, out tuple.Schema, err error) {
+	prep, err := prepareAggregate(data, groupBy, aggs)
+	if err != nil {
+		return nil, tuple.Schema{}, err
+	}
+	return prep.groupIdx, prep.schema, nil
+}
+
 // aggPrep is the compiled form of an aggregation spec: resolved group
 // and argument column indices plus the output period schema. It is
 // shared by the blocking sweep, the naive split implementation and the

@@ -173,24 +173,6 @@ func (a *rowAdapter) Err() error {
 	return nil
 }
 
-// PerRow hides the batch capability of it: the returned iterator
-// implements RowIter only, so batch-capable consumers (Materialize, the
-// cursor, exchange drains) fall back to per-row pulls. This is the
-// compatibility ablation of the batch-vs-per-row study — wrap the root
-// with it to measure exactly the per-row Volcano tax the batch hop
-// removes.
-func PerRow(it RowIter) RowIter { return &perRowIter{in: it} }
-
-type perRowIter struct{ in RowIter }
-
-func (it *perRowIter) Schema() tuple.Schema      { return it.in.Schema() }
-func (it *perRowIter) Next() (tuple.Tuple, bool) { return it.in.Next() }
-func (it *perRowIter) Close()                    { it.in.Close() }
-
-// Err delegates the terminal error: PerRow hides batch capability, not
-// the error contract.
-func (it *perRowIter) Err() error { return IterErr(it.in) }
-
 // batchCursor is the in-operator read side of the batch protocol: a
 // converted operator reads its child through one of these, and the
 // cursor pulls per batch once enableBatch has run (per row before).

@@ -1,6 +1,6 @@
 // Edge tests of the batch protocol itself: ragged final batches, empty
 // inputs, size-1 batches, zero-capacity consumer batches, the two
-// adapter directions, and the per-row ablation wrapper. The operator
+// adapter directions, and per-row drive of the executor root. The operator
 // equivalence grids (rewrite package) cover semantics; these pin the
 // mechanics of the NextBatch contract at every boundary case.
 package engine_test
@@ -67,11 +67,7 @@ func sortedRowKeys(rows []tuple.Tuple) []string {
 
 func scanIter(t *testing.T, db *engine.DB) engine.RowIter {
 	t.Helper()
-	it, err := db.ExecStream(engine.ScanP{Name: "t"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return it
+	return execSeq(t, db, engine.ScanP{Name: "t"}, nil)
 }
 
 // A 10-row scan drained with capacity 4 must deliver 4+4+2 — the ragged
@@ -102,10 +98,7 @@ func TestNextBatchEmptyInput(t *testing.T) {
 		engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "t"}}, Streaming: true},
 	}
 	for _, p := range plans {
-		it, err := db.ExecStream(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		it := execSeq(t, db, p, nil)
 		lens, rows := drainBatches(t, it.(engine.BatchIter), 8)
 		if len(lens) != 0 || len(rows) != 0 {
 			t.Fatalf("plan %T: empty input delivered %v batches", p, lens)
@@ -177,10 +170,11 @@ func TestAdapterRoundTrip(t *testing.T) {
 	db := batchDB(17)
 	it := scanIter(t, db)
 	defer it.Close()
-	// PerRow hides batch capability entirely.
-	pr := engine.PerRow(it)
+	// Embedding the interface exposes RowIter's method set only, hiding
+	// the root's batch capability.
+	var pr engine.RowIter = struct{ engine.RowIter }{it}
 	if _, ok := pr.(engine.BatchIter); ok {
-		t.Fatal("PerRow must hide NextBatch")
+		t.Fatal("the embedded form must hide NextBatch")
 	}
 	// AsBatchIter over the per-row form, then a row adapter back.
 	back := engine.NewRowAdapter(engine.AsBatchIter(pr, 5), 5)
@@ -196,8 +190,8 @@ func TestAdapterRoundTrip(t *testing.T) {
 	}
 }
 
-// Batch drive of the streaming sweeps must match their per-row drive
-// as a multiset (the sweeps' end-of-input flush walks a map, so tail
+// Batch drive of the streaming sweeps must match per-row drive of the
+// same root (its Next) as a multiset (the sweeps' end-of-input flush walks a map, so tail
 // order is unspecified) at awkward batch sizes — 1 and a non-divisor
 // of the internal queue lengths.
 func TestSweepBatchDriveMatchesPerRow(t *testing.T) {
@@ -211,18 +205,15 @@ func TestSweepBatchDriveMatchesPerRow(t *testing.T) {
 		},
 	}
 	for _, p := range plans {
-		ref, err := db.ExecStream(p)
-		if err != nil {
-			t.Fatal(err)
+		ref := execSeq(t, db, p, nil)
+		var want []tuple.Tuple
+		for row, ok := ref.Next(); ok; row, ok = ref.Next() {
+			want = append(want, row)
 		}
-		want := engine.Materialize(engine.PerRow(ref))
 		ref.Close()
-		wantKeys := sortedRowKeys(want.Rows)
+		wantKeys := sortedRowKeys(want)
 		for _, size := range []int{1, 7} {
-			it, err := db.ExecStream(p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			it := execSeq(t, db, p, nil)
 			_, rows := drainBatches(t, it.(engine.BatchIter), size)
 			it.Close()
 			gotKeys := sortedRowKeys(rows)

@@ -403,7 +403,7 @@ func TestTemporalAggregateErrors(t *testing.T) {
 
 func TestDBExecPlan(t *testing.T) {
 	db := exampleDB()
-	plan := CoalesceP{Impl: CoalesceNative, In: AggP{
+	plan := CoalesceP{In: AggP{
 		Aggs:   []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}},
 		PreAgg: true,
 		In:     FilterP{Pred: algebra.Eq(algebra.Col("skill"), algebra.StrC("SP")), In: ScanP{Name: "works"}},

@@ -11,10 +11,10 @@ import (
 // plan walker producing a tree isomorphic to the physical plan (one
 // ExplainNode per plan node, children in input order), annotated with
 // everything the planner decided — sweep mode, sort property, estimated
-// rows, operator strategy. Parallel fragment/exchange placement is
-// filled in by parallel.AnnotatePlacement, which mirrors the executor's
-// build() branching over the same tree; the runtime counters of EXPLAIN
-// ANALYZE live in obs.go.
+// rows, operator strategy. Fragment/exchange placement is filled in by
+// parallel.Explain from the same placement functions the executor's
+// build() switches on; the runtime counters of EXPLAIN ANALYZE live in
+// obs.go.
 
 // ExplainNode is one operator of an EXPLAIN tree.
 type ExplainNode struct {
@@ -33,16 +33,16 @@ type ExplainNode struct {
 	// EstRows is the statically known output cardinality, -1 when the
 	// planner cannot bound it.
 	EstRows int64
-	// Placement describes parallel execution placement ("morsel scan ×4",
+	// Placement describes execution placement ("morsel scan ×4",
 	// "sequential", "fragments ×4 via ordered-partition"); filled by
-	// parallel.AnnotatePlacement, empty for purely sequential EXPLAIN.
+	// parallel.Explain, empty on a bare ExplainPlan tree.
 	Placement string
 	Children  []*ExplainNode
 }
 
 // ExplainPlan renders p as an annotated EXPLAIN tree. The tree is
-// isomorphic to the plan (one node per plan node, children in L,R /
-// input order), which parallel.AnnotatePlacement relies on.
+// isomorphic to the plan (one node per plan node, children in Inputs
+// order), which parallel.Explain relies on.
 func (db *DB) ExplainPlan(p Plan) *ExplainNode {
 	n := &ExplainNode{
 		Ordered: db.BeginOrdered(p),
@@ -53,25 +53,20 @@ func (db *DB) ExplainPlan(p Plan) *ExplainNode {
 		n.Op, n.Detail = "Scan", t.Name
 	case FilterP:
 		n.Op, n.Detail = "Filter", t.Pred.String()
-		n.Children = []*ExplainNode{db.ExplainPlan(t.In)}
 	case ProjectP:
 		parts := make([]string, len(t.Exprs))
 		for i, ne := range t.Exprs {
 			parts[i] = ne.Name
 		}
 		n.Op, n.Detail = "Project", strings.Join(parts, ",")
-		n.Children = []*ExplainNode{db.ExplainPlan(t.In)}
 	case JoinP:
 		n.Op = "Join"
 		n.Detail = db.explainJoinDetail(t)
-		n.Children = []*ExplainNode{db.ExplainPlan(t.L), db.ExplainPlan(t.R)}
 	case UnionP:
 		n.Op = "UnionAll"
-		n.Children = []*ExplainNode{db.ExplainPlan(t.L), db.ExplainPlan(t.R)}
 	case DiffP:
 		n.Op = "Diff"
 		n.Mode = sweepMode(t.Streaming, t.L, t.R)
-		n.Children = []*ExplainNode{db.ExplainPlan(t.L), db.ExplainPlan(t.R)}
 	case AggP:
 		n.Op = "Agg"
 		n.Detail = fmt.Sprintf("group_by=%v", t.GroupBy)
@@ -79,22 +74,21 @@ func (db *DB) ExplainPlan(p Plan) *ExplainNode {
 			n.Detail += " pre-agg"
 		}
 		n.Mode = sweepMode(t.Streaming && t.PreAgg, t.In)
-		n.Children = []*ExplainNode{db.ExplainPlan(t.In)}
 	case CoalesceP:
 		n.Op = "Coalesce"
 		n.Mode = sweepMode(t.Streaming, t.In)
-		n.Children = []*ExplainNode{db.ExplainPlan(t.In)}
 	case SortP:
 		n.Op, n.Detail = "Sort", "endpoint enforcer"
-		n.Children = []*ExplainNode{db.ExplainPlan(t.In)}
 	case WindowP:
 		n.Op, n.Detail = "Window", t.T.String()
 		if t.Prune {
 			n.Detail += " prune"
 		}
-		n.Children = []*ExplainNode{db.ExplainPlan(t.In)}
 	default:
 		n.Op = fmt.Sprintf("%T", p)
+	}
+	for _, in := range Inputs(p) {
+		n.Children = append(n.Children, db.ExplainPlan(in))
 	}
 	return n
 }
@@ -114,41 +108,31 @@ func sweepMode(streaming bool, inputs ...Plan) string {
 	return "streaming"
 }
 
-// explainJoinDetail reports the join strategy the executors will pick:
-// hash join with its build side, or the interval-overlap sweep fallback
-// when the predicate has no equality conjunct. Schema errors (unknown
-// table, unknown column) degrade to the bare predicate — EXPLAIN never
-// fails on a plan the executor would reject with a better error.
+// explainJoinDetail reports the join strategy the executor will pick
+// (JoinStrategy). Schema errors (unknown table, unknown column) degrade
+// to the bare predicate — EXPLAIN never fails on a plan the executor
+// would reject with a better error.
 func (db *DB) explainJoinDetail(t JoinP) string {
-	lData, lErr := db.PlanDataSchema(t.L)
-	rData, rErr := db.PlanDataSchema(t.R)
-	if lErr != nil || rErr != nil {
-		return t.Pred.String()
-	}
-	prep, err := PrepareJoin(lData, rData, t.Pred)
+	prep, err := db.PlanJoinPrep(t)
 	if err != nil {
 		return t.Pred.String()
 	}
-	strategy := "overlap-sweep"
-	if prep.HasEquiKey() {
-		// A planner-pinned build side wins over the executors' own
-		// estimate-based pick — EXPLAIN reports what will actually run.
-		var buildLeft bool
-		switch t.Build {
-		case BuildLeftSide:
-			buildLeft = true
-		case BuildRightSide:
-			buildLeft = false
-		default:
-			buildLeft = BuildLeftSmaller(db.EstimateRows(t.L), db.EstimateRows(t.R))
-		}
-		if buildLeft {
-			strategy = "hash build=left"
-		} else {
-			strategy = "hash build=right"
-		}
+	return fmt.Sprintf("%s, on %s", JoinStrategyName(db.JoinStrategy(t, prep)), t.Pred)
+}
+
+// PlanJoinPrep analyses a join node's predicate over the statically
+// derived data schemas of its inputs — the form of PrepareJoin for
+// callers that report or plan a join without executing its inputs.
+func (db *DB) PlanJoinPrep(t JoinP) (*JoinPrep, error) {
+	lData, err := db.PlanDataSchema(t.L)
+	if err != nil {
+		return nil, err
 	}
-	return fmt.Sprintf("%s, on %s", strategy, t.Pred)
+	rData, err := db.PlanDataSchema(t.R)
+	if err != nil {
+		return nil, err
+	}
+	return PrepareJoin(lData, rData, t.Pred)
 }
 
 // PlanDataSchema derives the data schema (period attributes excluded)
@@ -185,13 +169,11 @@ func (db *DB) PlanDataSchema(p Plan) (tuple.Schema, error) {
 		if err != nil {
 			return tuple.Schema{}, err
 		}
-		// Aggregating an empty relation resolves the output schema with
-		// the same column rules the executor applies.
-		out, err := TemporalAggregate(&Table{Schema: PeriodSchema(in)}, t.GroupBy, t.Aggs, t.PreAgg, db.dom)
+		_, out, err := AggregateShape(in, t.GroupBy, t.Aggs)
 		if err != nil {
 			return tuple.Schema{}, err
 		}
-		return out.DataSchema(), nil
+		return tuple.Schema{Cols: out.Cols[:out.Arity()-2]}, nil
 	case CoalesceP:
 		return db.PlanDataSchema(t.In)
 	case SortP:

@@ -2,10 +2,9 @@ package engine
 
 // This file is the per-query fault domain of the engine: the
 // error-carrying iterator protocol (ErrIter), the error-aware drain
-// (MaterializeErr), the periodic context-check wrapper that gives the
-// sequential pipeline a cancellation story, and the per-query resource
-// governor (deadline, row limit, memory budget over the state the
-// observability layer already accounts for).
+// (MaterializeErr) and the per-query resource governor (deadline, row
+// limit, memory budget over the state the observability layer already
+// accounts for).
 //
 // The protocol mirrors how BatchIter extends RowIter: ErrIter is an
 // extension interface, probed with a type assertion exactly once — at
@@ -32,7 +31,6 @@ package engine
 // errpropagate snaplint analyzer enforces the same rule statically.
 
 import (
-	"context"
 	"errors"
 	"sync/atomic"
 	"time"
@@ -219,82 +217,17 @@ func ApproxRowBytes(arity int) int64 {
 	return 48 + 16*int64(arity)
 }
 
-// ctxCheckEvery is the default row interval between context probes of
-// NewCtxIter's per-row path: frequent enough that a canceled sequential
-// query stops within a morsel's worth of rows, rare enough that the
-// probe stays invisible next to the virtual-call tax it amortizes over.
-const ctxCheckEvery = 256
-
-// NewCtxIter wraps in with a periodic context check: the sequential
-// pipeline's cancellation story. Batch drives probe ctx once per
-// NextBatch; per-row drives probe once every `every` rows (values < 1
-// select the default), so the per-row ablation keeps its cost profile.
-// On cancellation the stream ends and Err reports ctx.Err(); otherwise
-// Err delegates to the input. Batch capability of in is preserved.
-func NewCtxIter(ctx context.Context, in RowIter, every int) RowIter {
-	if every < 1 {
-		every = ctxCheckEvery
-	}
-	ci := ctxIter{ctx: ctx, in: in, every: every}
-	if bi, ok := in.(BatchIter); ok {
-		return &ctxBatchIter{ctxIter: ci, bin: bi}
-	}
-	return &ci
-}
-
-type ctxIter struct {
-	ctx   context.Context
-	in    RowIter
-	every int
-	n     int
-	err   error
-}
-
-func (it *ctxIter) Schema() tuple.Schema { return it.in.Schema() }
-
-func (it *ctxIter) Next() (tuple.Tuple, bool) {
-	if it.err != nil {
-		return nil, false
-	}
-	it.n++
-	if it.n >= it.every {
-		it.n = 0
-		if err := it.ctx.Err(); err != nil {
-			it.err = err
-			return nil, false
-		}
-	}
-	return it.in.Next()
-}
-
-func (it *ctxIter) Close() { it.in.Close() }
-
-// Err reports the observed cancellation, or the input's own error.
-func (it *ctxIter) Err() error { return FirstErr(it.err, IterErr(it.in)) }
-
-type ctxBatchIter struct {
-	ctxIter
-	bin BatchIter
-}
-
-func (it *ctxBatchIter) NextBatch(b *RowBatch) bool {
-	if it.err != nil {
-		b.Reset()
-		return false
-	}
-	if err := it.ctx.Err(); err != nil {
-		it.err = err
-		b.Reset()
-		return false
-	}
-	return it.bin.NextBatch(b)
-}
+// stateCheckEvery is the row interval between budget polls of
+// GovernState's per-row path: frequent enough that a query over budget
+// stops within a morsel's worth of rows, rare enough that the poll stays
+// invisible next to the virtual-call tax it amortizes over.
+const stateCheckEvery = 256
 
 // GovernState wraps a sweep iterator with memory-budget accounting of
 // its peak state: the same open-interval/active-group count the
 // observability layer reports as max_state, priced at unitBytes per
 // unit. The charge is polled amortized — once per NextBatch, once per
-// ctxCheckEvery rows under per-row drive — and released on Close. When
+// stateCheckEvery rows under per-row drive — and released on Close. When
 // in does not expose StateSizer (or gov is nil) the input is returned
 // unchanged.
 func GovernState(in RowIter, gov *Governor, unitBytes int64) RowIter {
@@ -342,7 +275,7 @@ func (it *govStateIter) Next() (tuple.Tuple, bool) {
 		return nil, false
 	}
 	it.n++
-	if it.n >= ctxCheckEvery {
+	if it.n >= stateCheckEvery {
 		it.n = 0
 		if err := it.charge(); err != nil {
 			it.err = err

@@ -16,12 +16,12 @@ import (
 // This file is the EXPLAIN ANALYZE side of the execution-observability
 // layer: per-operator runtime counters (OpStats), the per-query
 // Collector that owns them, the instrumented iterator wrapper (ObsIter)
-// both executors insert around every operator when a collector is
+// the executor inserts around every operator when a collector is
 // attached, and the Chrome-trace exporter. Everything here is strictly
 // pay-for-use: with no collector attached, NewObsIter returns its input
-// unchanged and the executors' only cost is a nil check per plan node at
-// build time — the per-row hot path is untouched (the snapbench obs
-// experiment measures exactly this).
+// unchanged and the executor's only cost is a nil check per plan node at
+// build time — the per-row hot path is untouched (the spine's
+// engine.collector_overhead_rel measures exactly this).
 
 // OpStats holds the runtime counters of one operator, exchange or
 // fragment. Counter fields are updated through atomics: fragment
@@ -55,7 +55,7 @@ type OpStats struct {
 }
 
 // Child creates and attaches a child node. It is nil-safe: a nil
-// receiver (no collection) returns nil, so the executors can thread
+// receiver (no collection) returns nil, so the executor can thread
 // stats unconditionally.
 func (st *OpStats) Child(label, detail string) *OpStats {
 	if st == nil {
@@ -155,13 +155,13 @@ func (st *OpStats) PartRows() []int64 {
 }
 
 // Collector owns the per-query OpStats tree of one EXPLAIN ANALYZE run.
-// Attach one via rewrite.Options.Collect (or pass OpStats parents to
-// ExecStreamObs / parallel.Options directly); after draining the query,
+// Attach one via rewrite.Options.Collect (or pass an OpStats parent as
+// parallel.Options.Stats directly); after draining the query,
 // Render gives the annotated operator tree and WriteTrace the
 // Chrome-trace spans.
 type Collector struct {
 	epoch time.Time
-	// Root is the virtual query node; the executors attach the operator
+	// Root is the virtual query node; the executor attaches the operator
 	// tree beneath it.
 	Root *OpStats
 }

@@ -44,10 +44,7 @@ func TestObsNilSafety(t *testing.T) {
 	st.Span()()
 
 	db := obsDB()
-	it, err := db.ExecStream(engine.ScanP{Name: "t"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := execSeq(t, db, engine.ScanP{Name: "t"}, nil)
 	defer it.Close()
 	if engine.NewObsIter(it, nil) != it {
 		t.Fatal("NewObsIter without a stats node must be the identity")
@@ -61,10 +58,7 @@ func TestAnalyzeCountsStateAndTrace(t *testing.T) {
 	db := obsDB()
 	col := engine.NewCollector()
 	plan := engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "t"}}, Streaming: true}
-	it, err := db.ExecStreamObs(plan, col.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := execSeq(t, db, plan, col.Root)
 	res := engine.Materialize(it)
 	it.Close()
 
@@ -138,41 +132,13 @@ func TestAnalyzeCountsStateAndTrace(t *testing.T) {
 	}
 }
 
-// The per-row ablation (engine.PerRow) must restore the classic Volcano
-// accounting: one Next call per row plus the exhausting call, and no
-// batch counter.
-func TestAnalyzePerRowAblationCounts(t *testing.T) {
-	db := obsDB()
-	col := engine.NewCollector()
-	plan := engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "t"}}, Streaming: true}
-	it, err := db.ExecStreamObs(plan, col.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := engine.Materialize(engine.PerRow(it))
-	it.Close()
-	root := col.RootOp()
-	if root.Rows() != int64(res.Len()) {
-		t.Fatalf("root rows=%d, materialized %d", root.Rows(), res.Len())
-	}
-	if root.Nexts() != root.Rows()+1 {
-		t.Fatalf("per-row drain must count rows+1 Next calls, got rows=%d nexts=%d", root.Rows(), root.Nexts())
-	}
-	if root.Batches() != 0 {
-		t.Fatalf("per-row drain must not count batches, got %d", root.Batches())
-	}
-}
-
 // Closing an analyzed iterator before exhaustion must still snapshot the
 // sweep state and keep the counters consistent.
 func TestAnalyzeEarlyCloseSnapshotsState(t *testing.T) {
 	db := obsDB()
 	col := engine.NewCollector()
 	plan := engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "t"}}, Streaming: true}
-	it, err := db.ExecStreamObs(plan, col.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := execSeq(t, db, plan, col.Root)
 	for i := 0; i < 5; i++ {
 		if _, ok := it.Next(); !ok {
 			t.Fatal("stream ended before the early close")

@@ -75,7 +75,7 @@ type equiKey struct {
 
 // extractEquiKeys pulls conjuncts of the form leftCol = rightCol out of
 // pred; residual returns the remaining predicate (TRUE if none).
-func extractEquiKeys(pred algebra.Expr, lSchema, joined tuple.Schema, lArity int) (keys []equiKey, residual algebra.Expr) {
+func extractEquiKeys(pred algebra.Expr, joined tuple.Schema, lArity int) (keys []equiKey, residual algebra.Expr) {
 	var rest []algebra.Expr
 	var walk func(e algebra.Expr)
 	walk = func(e algebra.Expr) {
@@ -106,7 +106,6 @@ func extractEquiKeys(pred algebra.Expr, lSchema, joined tuple.Schema, lArity int
 		rest = append(rest, e)
 	}
 	walk(pred)
-	_ = lSchema
 	return keys, algebra.And(rest...)
 }
 
@@ -118,10 +117,10 @@ func extractEquiKeys(pred algebra.Expr, lSchema, joined tuple.Schema, lArity int
 // predicates. Predicates without any equality conjunct run as an
 // endpoint-sorted interval-overlap sweep (see overlapjoin.go) instead of
 // a degenerate single-bucket hash join. Both physical strategies are
-// shared with the streaming executor (stream.go); this entry point
-// merely materializes the joint stream.
+// the executor's own iterators (stream.go); this entry point merely
+// materializes the joint stream.
 func TemporalJoin(l, r *Table, pred algebra.Expr) (*Table, error) {
-	it, err := newJoinIter(NewTableIter(l), NewTableIter(r), pred)
+	it, err := NewJoinIter(NewTableIter(l), NewTableIter(r), pred)
 	if err != nil {
 		return nil, err
 	}

@@ -62,79 +62,78 @@ func (x *exchange) release() {
 }
 
 // pullFunc returns the per-row read function of src for an exchange
-// producer: when the batch hop is enabled and src is batch-capable, the
-// child chain is pulled one batch at a time behind a row adapter (the
-// producer's own loop stays per-row — hash routing is inherently
-// per-row — but every deeper operator boundary amortizes). The adapter
-// owns no resources beyond src, which the producer closes itself.
+// producer: a batch-capable child chain is pulled one batch at a time
+// behind a row adapter (the producer's own loop stays per-row — hash
+// routing is inherently per-row — but every deeper operator boundary
+// amortizes). The adapter owns no resources beyond src, which the
+// producer closes itself.
 func (e *executor) pullFunc(src engine.RowIter) func() (tuple.Tuple, bool) {
-	if bi, ok := src.(engine.BatchIter); ok && e.batchSize > 0 {
-		return engine.NewRowAdapter(bi, e.batchSize).Next
+	if bi, ok := src.(engine.BatchIter); ok {
+		return engine.NewRowAdapter(bi, e.morsel).Next
 	}
 	return src.Next
 }
 
-// morselTableIter is the partitioned scan source: workers claim morsels
+// morselTableIter is the scan source: fragments claim morsels
 // (contiguous row ranges) of a shared table through an atomic cursor, so
 // fragment load balances even when per-row costs are skewed. One iterator
-// per worker; the counter is shared across all of them.
+// per fragment; the counter is shared across all of them. Each claim
+// probes the execution context: a single-fragment pipeline runs entirely
+// on the consumer's goroutine, so this probe (amortized per morsel of
+// rows) is its only mid-stream cancellation point — blocking drains
+// above it (sort enforcers, hash-join builds, blocking sweeps) end early
+// with the context's error instead of running to completion.
 type morselTableIter struct {
+	ctx    context.Context
 	t      *engine.Table
 	ctr    *atomic.Int64
 	size   int
 	i, end int // current claimed morsel [i, end)
+	err    error
 }
 
 func (it *morselTableIter) Schema() tuple.Schema { return it.t.Schema }
 
-func (it *morselTableIter) Next() (tuple.Tuple, bool) {
-	for {
-		if it.i < it.end {
-			row := it.t.Rows[it.i]
-			it.i++
-			return row, true
-		}
-		start := int(it.ctr.Add(int64(it.size))) - it.size
-		if start >= len(it.t.Rows) {
-			return nil, false
-		}
-		end := start + it.size
-		if end > len(it.t.Rows) {
-			end = len(it.t.Rows)
-		}
-		it.i, it.end = start, end
+// claim takes the next morsel off the shared cursor; false at the end
+// of the table or on cancellation.
+func (it *morselTableIter) claim() bool {
+	if it.err = it.ctx.Err(); it.err != nil {
+		return false
 	}
+	start := int(it.ctr.Add(int64(it.size))) - it.size
+	if start >= len(it.t.Rows) {
+		return false
+	}
+	it.i, it.end = start, min(start+it.size, len(it.t.Rows))
+	return true
+}
+
+func (it *morselTableIter) Next() (tuple.Tuple, bool) {
+	if it.i >= it.end && !it.claim() {
+		return nil, false
+	}
+	row := it.t.Rows[it.i]
+	it.i++
+	return row, true
 }
 
 // NextBatch hands out the remainder of the claimed morsel (up to the
-// consumer's capacity) as one slice append — the partitioned sibling of
-// tableIter.NextBatch.
+// consumer's capacity) as one slice append.
 func (it *morselTableIter) NextBatch(b *engine.RowBatch) bool {
 	b.Reset()
-	limit := capOf(b)
-	for {
-		if it.i < it.end {
-			n := it.end - it.i
-			if n > limit {
-				n = limit
-			}
-			b.Rows = append(b.Rows, it.t.Rows[it.i:it.i+n]...)
-			it.i += n
-			return true
-		}
-		start := int(it.ctr.Add(int64(it.size))) - it.size
-		if start >= len(it.t.Rows) {
-			return false
-		}
-		end := start + it.size
-		if end > len(it.t.Rows) {
-			end = len(it.t.Rows)
-		}
-		it.i, it.end = start, end
+	if it.i >= it.end && !it.claim() {
+		return false
 	}
+	n := min(it.end-it.i, capOf(b))
+	b.Rows = append(b.Rows, it.t.Rows[it.i:it.i+n]...)
+	it.i += n
+	return true
 }
 
 func (it *morselTableIter) Close() {}
+
+// Err reports the cancellation that ended the scan early.
+func (it *morselTableIter) Err() error { return it.err }
 
 // chanIter is the receiving end of a repartition exchange: one of W
 // worker-side iterators pulling batches from a shared channel fed by a
@@ -250,12 +249,14 @@ func (e *executor) startMerge(parts []engine.RowIter, parent *engine.OpStats) en
 		producers.Add(1)
 		e.wg.Add(1)
 		go func() {
-			// LIFO: part.Close and producers.Done run first, so a panic in
-			// either is still caught by recoverPanic before wg.Done releases
-			// the executor's reaper.
+			// LIFO: part.Close runs first, so a panic in it is still caught;
+			// recoverPanic records a failure BEFORE producers.Done lets the
+			// channel close — a consumer that sees end of stream must
+			// already see the error, or a contained panic reads as a clean,
+			// truncated result.
 			defer e.wg.Done()
-			defer e.recoverPanic("exchange:merge producer")
 			defer producers.Done()
+			defer e.recoverPanic("exchange:merge producer")
 			defer part.Close()
 			e.drainInto(x.ctx, part, ch, st, false)
 		}()
@@ -303,11 +304,11 @@ func (e *executor) send(ctx context.Context, ch chan<- batch, b batch, st *engin
 }
 
 // drainInto pumps it into ch in morsel-sized batches until exhaustion or
-// cancellation of the exchange context. With the batch hop enabled and a
-// batch-capable input, the operator chain fills each transport batch
-// directly through NextBatch — one virtual call per batch instead of one
-// per row — and the slice is handed over wholesale (a fresh slice per
-// send, because the consumer adopts it). With st non-nil the producer's
+// cancellation of the exchange context. A batch-capable input's operator
+// chain fills each transport batch directly through NextBatch — one
+// virtual call per batch instead of one per row — and the slice is
+// handed over wholesale (a fresh slice per send, because the consumer
+// adopts it). With st non-nil the producer's
 // blocked time is recorded (and each batch sent, when countBatch says
 // the consumer side is not already counting them).
 // A drain that ends because its input FAILED (rather than ended
@@ -318,7 +319,7 @@ func (e *executor) send(ctx context.Context, ch chan<- batch, b batch, st *engin
 // error. No trailing partial batch is sent on a failed drain — the rows
 // of a failed stream are not results.
 func (e *executor) drainInto(ctx context.Context, it engine.RowIter, ch chan<- batch, st *engine.OpStats, countBatch bool) {
-	if bi, ok := it.(engine.BatchIter); ok && e.batchSize > 0 {
+	if bi, ok := it.(engine.BatchIter); ok {
 		for {
 			// One cancellation probe per batch: NextBatch can spin for a
 			// while on selective operators, and the send below only
@@ -326,7 +327,7 @@ func (e *executor) drainInto(ctx context.Context, it engine.RowIter, ch chan<- b
 			if ctx.Err() != nil {
 				return
 			}
-			rb := engine.RowBatch{Rows: make([]tuple.Tuple, 0, e.batchSize)}
+			rb := engine.RowBatch{Rows: make([]tuple.Tuple, 0, e.morsel)}
 			if !bi.NextBatch(&rb) {
 				e.fail(engine.IterErr(it))
 				return
@@ -387,8 +388,8 @@ func (e *executor) hashPartition(srcs []engine.RowIter, keyIdx []int, parent *en
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
+			defer producers.Done() // after recoverPanic: see startMerge
 			defer e.recoverPanic("exchange:partition producer")
-			defer producers.Done()
 			defer src.Close()
 			bufs := make([]batch, e.workers)
 			for i := range bufs {
@@ -741,8 +742,8 @@ func (e *executor) startOrderedMerge(parts []engine.RowIter, parent *engine.OpSt
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
+			defer close(ch) // after recoverPanic: see startMerge
 			defer e.recoverPanic("exchange:ordered-merge producer")
-			defer close(ch)
 			defer part.Close()
 			e.drainInto(x.ctx, part, ch, st, false)
 		}()
@@ -780,13 +781,13 @@ func (e *executor) hashPartitionOrdered(srcs []engine.RowIter, keyIdx []int, par
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
-			defer e.recoverPanic("exchange:ordered-partition producer")
-			defer src.Close()
-			defer func() {
+			defer func() { // after recoverPanic: see startMerge
 				for _, q := range queues[si] {
 					q.closeQ()
 				}
 			}()
+			defer e.recoverPanic("exchange:ordered-partition producer")
+			defer src.Close()
 			bufs := make([]batch, e.workers)
 			for i := range bufs {
 				bufs[i] = make(batch, 0, e.morsel)
@@ -874,8 +875,8 @@ func (e *executor) repartition(src engine.RowIter, parent *engine.OpStats) []eng
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
+		defer close(ch) // after recoverPanic: see startMerge
 		defer e.recoverPanic("exchange:repartition producer")
-		defer close(ch)
 		defer src.Close()
 		e.drainInto(x.ctx, src, ch, st, true)
 	}()

@@ -53,37 +53,33 @@ func waitProducers(t *testing.T, e *executor) {
 // newTestExecutor builds an executor whose context is never canceled, so
 // the only thing that can unblock a stranded producer is the exchange
 // lifecycle itself.
-func newTestExecutor(workers, batchSize int) *executor {
-	return &executor{ctx: context.Background(), workers: workers, morsel: 8, batchSize: batchSize}
+func newTestExecutor(workers int) *executor {
+	return &executor{ctx: context.Background(), workers: workers, morsel: 8}
 }
 
 // Closing a merge-exchange iterator early must reap its producers even
 // though the execution context stays live.
 func TestMergeIterCloseUnblocksProducers(t *testing.T) {
-	for _, batchSize := range []int{0, 8} {
-		e := newTestExecutor(2, batchSize)
-		it := e.startMerge([]engine.RowIter{&sliceIter{n: 100000}, &sliceIter{n: 100000}}, nil)
-		if _, ok := it.Next(); !ok {
-			t.Fatal("empty merge")
-		}
-		it.Close()
-		it.Close() // idempotent: must not over-release the refcount
-		waitProducers(t, e)
+	e := newTestExecutor(2)
+	it := e.startMerge([]engine.RowIter{&sliceIter{n: 100000}, &sliceIter{n: 100000}}, nil)
+	if _, ok := it.Next(); !ok {
+		t.Fatal("empty merge")
 	}
+	it.Close()
+	it.Close() // idempotent: must not over-release the refcount
+	waitProducers(t, e)
 }
 
 // The ordered merge exchange has the same lifecycle obligation.
 func TestOrderedMergeIterCloseUnblocksProducers(t *testing.T) {
-	for _, batchSize := range []int{0, 8} {
-		e := newTestExecutor(2, batchSize)
-		it := e.startOrderedMerge([]engine.RowIter{&sliceIter{n: 100000}, &sliceIter{n: 100000}}, nil)
-		if _, ok := it.Next(); !ok {
-			t.Fatal("empty ordered merge")
-		}
-		it.Close()
-		it.Close()
-		waitProducers(t, e)
+	e := newTestExecutor(2)
+	it := e.startOrderedMerge([]engine.RowIter{&sliceIter{n: 100000}, &sliceIter{n: 100000}}, nil)
+	if _, ok := it.Next(); !ok {
+		t.Fatal("empty ordered merge")
 	}
+	it.Close()
+	it.Close()
+	waitProducers(t, e)
 }
 
 // Closing every partition-side iterator of a repartition exchange must
@@ -92,7 +88,7 @@ func TestOrderedMergeIterCloseUnblocksProducers(t *testing.T) {
 // counts consumers, not "first Close wins".
 func TestPartitionIterCloseRefcount(t *testing.T) {
 	// All consumers closed early: the distributor must exit.
-	e := newTestExecutor(4, 8)
+	e := newTestExecutor(4)
 	parts := e.repartition(&sliceIter{n: 100000}, nil)
 	if _, ok := parts[0].Next(); !ok {
 		t.Fatal("empty repartition")
@@ -105,7 +101,7 @@ func TestPartitionIterCloseRefcount(t *testing.T) {
 
 	// One consumer closed early: the survivor must still observe the
 	// whole remaining stream, proving the early Close did not cancel.
-	e = newTestExecutor(2, 8)
+	e = newTestExecutor(2)
 	const n = 1000
 	parts = e.repartition(&sliceIter{n: n}, nil)
 	parts[0].Close()
@@ -129,7 +125,7 @@ func TestPartitionIterCloseRefcount(t *testing.T) {
 // wait was only recorded on a successful send, under-reporting
 // backpressure precisely when the channel was most congested.
 func TestSendRecordsWaitOnCancelArm(t *testing.T) {
-	e := newTestExecutor(1, 0)
+	e := newTestExecutor(1)
 	col := engine.NewCollector()
 	st := col.Root.Child("Exchange:test", "")
 	ctx, cancel := context.WithCancel(context.Background())

@@ -6,156 +6,157 @@ import (
 	"snapk/internal/engine"
 )
 
-// AnnotatePlacement fills the Placement fields of an EXPLAIN tree with
-// the fragment and exchange decisions Exec's build() would make for p at
-// the given worker count: morsel-partitioned scans, replicated fragment
-// pipelines, the exchange kind feeding each sweep (order-preserving or
-// not), and the sequential materialization boundaries. It is a static
-// mirror of build()'s branching over the isomorphic tree that
-// engine.ExplainPlan produces — when build() changes a placement
-// decision, change the matching case here (the explain shape tests
-// compare the two). workers follows the same convention as
-// Options.Workers (values below 1 mean GOMAXPROCS; callers should
-// resolve that first for stable output).
-func AnnotatePlacement(db *engine.DB, p engine.Plan, n *engine.ExplainNode, workers int) {
-	annotatePlacement(db, p, n, workers)
+// This file holds the two placement decisions of the executor as pure
+// functions — place (how wide a node runs, and whether its output keeps
+// the begin order) and exchangeFor (which exchange connects two widths)
+// — so that build() switches on them and EXPLAIN prints them: the
+// placement a user reads is by construction the placement that runs.
+
+// shape is the physical form of a stream: how many fragment iterators
+// carry it, and whether each of them is begin-ordered.
+type shape struct {
+	frags   int
+	ordered bool
 }
 
-// annotatePlacement mirrors build(): it returns whether the stream is
-// partitioned into fragments and whether it carries the begin order —
-// the two physical properties build() tracks in pstream.
-func annotatePlacement(db *engine.DB, p engine.Plan, n *engine.ExplainNode, workers int) (parted, ordered bool) {
-	child := func(i int) *engine.ExplainNode {
-		if i < len(n.Children) {
-			return n.Children[i]
-		}
-		return &engine.ExplainNode{} // defensive: tree not isomorphic
-	}
-	switch t := p.(type) {
+// place decides the shape of plan node p's output at the given worker
+// count from the shapes of its inputs (for a scan, in[0] describes the
+// stored table: ordered iff it is begin-sorted). hashJoin is
+// engine.DB.JoinStrategy's answer for a JoinP and ignored otherwise.
+func place(p engine.Plan, workers int, hashJoin bool, in ...shape) shape {
+	switch n := p.(type) {
 	case engine.ScanP:
-		ordered = db.ScanBeginSorted(t.Name)
-		if workers <= 1 {
-			n.Placement = "sequential scan"
-			return false, ordered
-		}
-		n.Placement = fmt.Sprintf("morsel scan ×%d", workers)
-		return true, ordered
-	case engine.FilterP:
-		parted, ordered = annotatePlacement(db, t.In, child(0), workers)
-		n.Placement = fragmentsOrSequential(parted, workers)
-		return parted, ordered
-	case engine.ProjectP:
-		parted, ordered = annotatePlacement(db, t.In, child(0), workers)
-		n.Placement = fragmentsOrSequential(parted, workers)
-		return parted, ordered
-	case engine.JoinP:
-		annotatePlacement(db, t.L, child(0), workers)
-		annotatePlacement(db, t.R, child(1), workers)
-		if !joinHasEquiKey(db, t) {
-			n.Placement = "sequential overlap sweep over merged inputs"
-			return false, false
-		}
-		if workers <= 1 {
-			n.Placement = "sequential probe, build drained via merge"
-			return false, false
-		}
-		n.Placement = fmt.Sprintf("shared build, probe fragments ×%d", workers)
-		return true, false
+		// Morsels are claimed in increasing row order, so every fragment
+		// is an order-preserving subsequence of the stored order.
+		return shape{frags: workers, ordered: in[0].ordered}
+	case engine.FilterP, engine.ProjectP, engine.WindowP:
+		// Per-row operators run inside their input's fragments and carry
+		// (or monotonically clip) the period attributes.
+		return in[0]
 	case engine.UnionP:
-		lp, _ := annotatePlacement(db, t.L, child(0), workers)
-		rp, _ := annotatePlacement(db, t.R, child(1), workers)
-		if !lp && !rp {
-			n.Placement = "sequential"
-			return false, false
+		// Fragment i concatenates l_i and r_i.
+		return shape{frags: max(in[0].frags, in[1].frags)}
+	case engine.JoinP:
+		if hashJoin {
+			return shape{frags: workers} // probe fragments over one shared build
 		}
-		n.Placement = fmt.Sprintf("paired fragments ×%d", workers)
-		return true, false
-	case engine.DiffP:
-		annotatePlacement(db, t.L, child(0), workers)
-		annotatePlacement(db, t.R, child(1), workers)
-		if workers > 1 {
-			if t.Streaming {
-				n.Placement = fmt.Sprintf("fragments ×%d via ordered-partition ×2", workers)
-			} else {
-				n.Placement = fmt.Sprintf("fragments ×%d via hash-partition ×2", workers)
-			}
-			return true, false
-		}
-		if t.Streaming {
-			n.Placement = "sequential sweep over ordered inputs"
-		} else {
-			n.Placement = "sequential sweep, inputs materialized"
-		}
-		return false, false
+		return shape{frags: 1} // one overlap sweep over the merged inputs
 	case engine.AggP:
-		annotatePlacement(db, t.In, child(0), workers)
-		streaming := t.Streaming && t.PreAgg
-		if workers > 1 && len(t.GroupBy) > 0 {
+		if len(n.GroupBy) == 0 {
+			return shape{frags: 1} // a single group cannot be partitioned
+		}
+		return shape{frags: workers}
+	case engine.CoalesceP, engine.DiffP:
+		return shape{frags: workers}
+	case engine.SortP:
+		return shape{frags: 1, ordered: true}
+	default:
+		return shape{frags: 1}
+	}
+}
+
+// exchangeKind names the exchange between a stream and its consumer.
+type exchangeKind uint8
+
+const (
+	exNone        exchangeKind = iota
+	exMerge                    // W fragments → 1 (order-preserving when the stream is ordered)
+	exRepartition              // 1 fragment → W, round-robin by batch
+	exHash                     // → W by key hash (order-preserving under a streaming sweep)
+)
+
+// exchangeFor decides which exchange carries a stream of have fragments
+// to an operator running want fragments wide. keyed operators (the
+// sweeps) need value-equivalent rows in one fragment, so any width above
+// one repartitions by key hash even when the widths agree.
+func exchangeFor(have, want int, keyed bool) exchangeKind {
+	switch {
+	case keyed && want > 1:
+		return exHash
+	case have > want:
+		return exMerge
+	case have < want:
+		return exRepartition
+	default:
+		return exNone
+	}
+}
+
+// Explain renders p as db.ExplainPlan does and fills every node's
+// Placement with the fragment and exchange decisions Exec makes for p
+// at the given worker count (Options.Workers; callers resolve values
+// below 1 first for stable output).
+func Explain(db *engine.DB, p engine.Plan, workers int) *engine.ExplainNode {
+	n := db.ExplainPlan(p)
+	explainPlacement(db, p, n, workers)
+	return n
+}
+
+func explainPlacement(db *engine.DB, p engine.Plan, n *engine.ExplainNode, workers int) shape {
+	var in []shape
+	if scan, ok := p.(engine.ScanP); ok {
+		in = []shape{{ordered: db.ScanBeginSorted(scan.Name)}}
+	}
+	for i, c := range engine.Inputs(p) {
+		in = append(in, explainPlacement(db, c, n.Children[i], workers))
+	}
+	hash := false
+	if j, ok := p.(engine.JoinP); ok {
+		// A schema error reports the overlap sweep, like explain's join
+		// detail: placement never fails on a plan the executor would
+		// reject with a better error.
+		if prep, err := db.PlanJoinPrep(j); err == nil {
+			hash, _ = db.JoinStrategy(j, prep)
+		}
+	}
+	out := place(p, workers, hash, in...)
+	n.Placement = describe(p, hash, in, out)
+	return out
+}
+
+// describe is the display form of one node's placement.
+func describe(p engine.Plan, hashJoin bool, in []shape, out shape) string {
+	wide := func(one, many string) string {
+		if out.frags == 1 {
+			return one
+		}
+		return fmt.Sprintf(many, out.frags)
+	}
+	// sweep describes a sweep over inputs ("input" or "inputs").
+	sweep := func(streaming bool, inputs, times string) string {
+		if exchangeFor(in[0].frags, out.frags, true) == exHash {
+			kind := "hash-partition"
 			if streaming {
-				n.Placement = fmt.Sprintf("fragments ×%d via ordered-partition", workers)
-			} else {
-				n.Placement = fmt.Sprintf("fragments ×%d via hash-partition", workers)
+				kind = "ordered-partition"
 			}
-			return true, false
+			return fmt.Sprintf("fragments ×%d via %s%s", out.frags, kind, times)
 		}
 		if streaming {
-			n.Placement = "sequential sweep over ordered input"
-		} else {
-			n.Placement = "sequential sweep, input materialized"
+			return "sequential sweep over ordered " + inputs
 		}
-		return false, false
+		return "sequential sweep, " + inputs + " materialized"
+	}
+	switch n := p.(type) {
+	case engine.ScanP:
+		return wide("sequential scan", "morsel scan ×%d")
+	case engine.FilterP, engine.ProjectP, engine.WindowP:
+		return wide("sequential", "fragments ×%d")
+	case engine.UnionP:
+		return wide("sequential", "paired fragments ×%d")
+	case engine.JoinP:
+		if !hashJoin {
+			return "sequential overlap sweep over merged inputs"
+		}
+		return wide("sequential probe, build drained via merge", "shared build, probe fragments ×%d")
+	case engine.DiffP:
+		return sweep(n.Streaming, "inputs", " ×2")
+	case engine.AggP:
+		return sweep(n.Streaming && n.PreAgg, "input", "")
 	case engine.CoalesceP:
-		annotatePlacement(db, t.In, child(0), workers)
-		if workers > 1 {
-			if t.Streaming {
-				n.Placement = fmt.Sprintf("fragments ×%d via ordered-partition", workers)
-			} else {
-				n.Placement = fmt.Sprintf("fragments ×%d via hash-partition", workers)
-			}
-			return true, false
-		}
-		if t.Streaming {
-			n.Placement = "sequential sweep over ordered input"
-		} else {
-			n.Placement = "sequential sweep, input materialized"
-		}
-		return false, false
+		return sweep(n.Streaming, "input", "")
 	case engine.SortP:
-		annotatePlacement(db, t.In, child(0), workers)
-		n.Placement = "sequential materialization boundary"
-		return false, true
-	case engine.WindowP:
-		// Window wraps its input fragments in place (mapStream), so it
-		// inherits the child's partitioning; clipping preserves begin
-		// order. On the pruned path the child is still a scan — its
-		// morsel/sequential annotation stays accurate, the prune only
-		// shrinks the row range the morsel counters divide.
-		parted, ordered = annotatePlacement(db, t.In, child(0), workers)
-		n.Placement = fragmentsOrSequential(parted, workers)
-		return parted, ordered
+		return "sequential materialization boundary"
 	default:
-		return false, false
+		return ""
 	}
-}
-
-func fragmentsOrSequential(parted bool, workers int) string {
-	if parted {
-		return fmt.Sprintf("fragments ×%d", workers)
-	}
-	return "sequential"
-}
-
-// joinHasEquiKey reports whether buildJoin would pick the partitioned
-// hash-join path (an equality conjunct exists) rather than the
-// sequential overlap-sweep fallback. Schema errors report false, like
-// explain's join detail: placement annotation never fails on a plan the
-// executor would reject with a better error.
-func joinHasEquiKey(db *engine.DB, t engine.JoinP) bool {
-	lData, lErr := db.PlanDataSchema(t.L)
-	rData, rErr := db.PlanDataSchema(t.R)
-	if lErr != nil || rErr != nil {
-		return false
-	}
-	prep, err := engine.PrepareJoin(lData, rData, t.Pred)
-	return err == nil && prep.HasEquiKey()
 }

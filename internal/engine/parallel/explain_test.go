@@ -1,10 +1,9 @@
-// Drift test between the static placement annotations and the executor:
-// AnnotatePlacement mirrors build()'s branching by hand, so this file
-// executes the same plans with a collector attached and cross-checks
-// every "fragments ×N"-style prediction against whether the measured
-// stats tree actually grew per-worker fragment nodes. When build()
-// changes a placement decision without the mirror following, this test
-// is the tripwire.
+// EXPLAIN's placement and the executed plan come from the same two
+// functions (place and exchangeFor, explain.go): this file executes
+// plans with a collector attached and checks that what parallel.Explain
+// printed for each node — its width and the exchange feeding it — is
+// what the measured stats tree shows ran: that many per-worker fragment
+// nodes, and an exchange node of that kind.
 package parallel_test
 
 import (
@@ -18,7 +17,7 @@ import (
 	"snapk/internal/krel"
 )
 
-// placementPlans is the plan set the drift test sweeps: one per
+// placementPlans is the plan set the placement test sweeps: one per
 // placement-relevant build() case.
 func placementPlans() []engine.Plan {
 	scanL := engine.ScanP{Name: "l"}
@@ -60,44 +59,66 @@ func opStatsChildren(st *engine.OpStats) []*engine.OpStats {
 	return out
 }
 
-func hasFragmentChildren(st *engine.OpStats) bool {
+// countChildren counts a stats node's children whose label has the
+// given prefix.
+func countChildren(st *engine.OpStats, prefix string) int {
+	n := 0
 	for _, c := range st.Children() {
-		if c.Label == "fragment" {
-			return true
+		if strings.HasPrefix(c.Label, prefix) {
+			n++
 		}
 	}
-	return false
+	return n
 }
 
-// checkPlacementDrift walks the explain and stats trees in lockstep and
-// asserts that each node's predicted placement matches the executed
-// fragmentation.
-func checkPlacementDrift(t *testing.T, n *engine.ExplainNode, st *engine.OpStats, workers int) {
+// checkPlacementExecuted walks the explain and stats trees in lockstep
+// and asserts that each node's printed placement is what executed.
+func checkPlacementExecuted(t *testing.T, n *engine.ExplainNode, st *engine.OpStats, workers int) {
 	t.Helper()
 	if got := explainOpLabel(n.Op); got != st.Label {
 		t.Fatalf("explain/stats trees diverged: explain op %q vs stats label %q", n.Op, st.Label)
 	}
-	predictedParted := strings.Contains(n.Placement, "fragments ×") ||
-		strings.Contains(n.Placement, "morsel scan ×")
-	if got := hasFragmentChildren(st); got != predictedParted {
-		t.Fatalf("%s: placement %q predicts parted=%v, but executed fragments=%v (workers=%d)",
-			n.Op, n.Placement, predictedParted, got, workers)
+	if n.Placement == "" {
+		t.Fatalf("%s: placement not annotated", n.Op)
+	}
+	// A printed width ×N is N fragment nodes; a sequential placement
+	// records onto the operator node itself.
+	wantFrags := 0
+	if strings.Contains(n.Placement, "×") {
+		wantFrags = workers
+	}
+	if got := countChildren(st, "fragment"); got != wantFrags {
+		t.Fatalf("%s: placement %q, but %d fragment nodes executed (workers=%d)", n.Op, n.Placement, got, workers)
+	}
+	for via, label := range map[string]string{
+		"via ordered-partition": "Exchange:ordered-partition",
+		"via hash-partition":    "Exchange:partition",
+	} {
+		want := 0
+		if strings.Contains(n.Placement, via) {
+			want = len(n.Children) // one repartition per input
+		}
+		if got := countChildren(st, label); got != want {
+			t.Fatalf("%s: placement %q, but %d %s nodes executed", n.Op, n.Placement, got, label)
+		}
+	}
+	if workers == 1 && countChildren(st, "Exchange:") != 0 {
+		t.Fatalf("%s: an exchange executed at one worker", n.Op)
 	}
 	ops := opStatsChildren(st)
 	if len(ops) != len(n.Children) {
 		t.Fatalf("%s: explain has %d children, stats tree has %d operator children", n.Op, len(n.Children), len(ops))
 	}
 	for i := range n.Children {
-		checkPlacementDrift(t, n.Children[i], ops[i], workers)
+		checkPlacementExecuted(t, n.Children[i], ops[i], workers)
 	}
 }
 
-func TestAnnotatePlacementMatchesExecution(t *testing.T) {
+func TestExplainPlacementIsExecutedPlacement(t *testing.T) {
 	db := bigPipelineDB(800)
 	for _, workers := range []int{1, 4} {
 		for _, p := range placementPlans() {
-			n := db.ExplainPlan(p)
-			parallel.AnnotatePlacement(db, p, n, workers)
+			n := parallel.Explain(db, p, workers)
 			col := engine.NewCollector()
 			it, err := parallel.Exec(context.Background(), db, p,
 				parallel.Options{Workers: workers, MorselSize: 16, Stats: col.Root.Child("result", "")})
@@ -110,10 +131,7 @@ func TestAnnotatePlacementMatchesExecution(t *testing.T) {
 			if len(ops) != 1 {
 				t.Fatalf("workers=%d plan %v: expected one root operator node, got %d", workers, p, len(ops))
 			}
-			checkPlacementDrift(t, n, ops[0], workers)
-			if n.Placement == "" {
-				t.Fatalf("workers=%d plan %v: root placement not annotated", workers, p)
-			}
+			checkPlacementExecuted(t, n, ops[0], workers)
 		}
 	}
 }

@@ -79,6 +79,36 @@ func TestInjectedPanicInFragmentContained(t *testing.T) {
 	waitForGoroutines(t, base)
 }
 
+// When the panicking fragment is the LAST producer of an exchange to
+// exit, its exit is what ends the consumer's stream: the panic must be
+// recorded before that end of stream becomes observable, or the
+// contained panic reads as a clean, truncated result (regression: the
+// producers signaled completion before recovering). Every fragment
+// panics on its first pull here, so whichever exits last races the
+// consumer on every iteration.
+func TestInjectedPanicNeverReadsAsCleanEnd(t *testing.T) {
+	db := bigPipelineDB(64)
+	plans := []engine.Plan{
+		engine.ScanP{Name: "l"},                                        // merge / ordered merge
+		engine.CoalesceP{In: engine.ScanP{Name: "l"}},                  // hash partition
+		engine.CoalesceP{In: engine.ScanP{Name: "l"}, Streaming: true}, // ordered partition
+	}
+	for i := 0; i < 300; i++ {
+		for _, p := range plans {
+			it, err := parallel.Exec(context.Background(), db, p,
+				parallel.Options{Workers: 2, MorselSize: 16, Inject: panicInjector("scan:l", 1)})
+			if err != nil {
+				continue // a producer panicked before Exec returned: surfaced
+			}
+			streamErr := drainAll(it)
+			it.Close()
+			if streamErr == nil {
+				t.Fatalf("iteration %d, plan %s: fragment panics read as a clean end of stream", i, p)
+			}
+		}
+	}
+}
+
 // A panic unwinding out of the root pull (the consumer goroutine — here
 // injected on the merge-exchange output) is the consumer-side boundary:
 // guardedNext must convert it into the query error.

@@ -103,22 +103,16 @@ func FuzzParStreamSweep(f *testing.F) {
 			t.Fatalf("ordered merge lost rows: %d of %d", merged.Len(), tbl.Len())
 		}
 
-		// Parallel streaming coalesce vs the sequential blocking sweep,
-		// across the batch-hop settings: morsel-tied (0), per-row
-		// ablation (-1) and a batch size mismatching the morsel (3).
+		// Parallel streaming coalesce vs the blocking sweep.
 		want := engine.Coalesce(tbl, engine.CoalesceNative)
-		for _, bs := range []int{0, -1, 3} {
-			bopt := opt
-			bopt.BatchSize = bs
-			it, err := parallel.Exec(ctx, db, engine.CoalesceP{In: engine.ScanP{Name: "t"}, Streaming: true}, bopt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := engine.Materialize(it)
-			it.Close()
-			if !fuzzSameCounts(fuzzMultiset(want), fuzzMultiset(got)) {
-				t.Fatalf("parallel streaming coalesce (BatchSize %d) diverges from blocking oracle\ninput:\n%s\nwant:\n%s\ngot:\n%s", bs, tbl, want, got)
-			}
+		it, err := parallel.Exec(ctx, db, engine.CoalesceP{In: engine.ScanP{Name: "t"}, Streaming: true}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := engine.Materialize(it)
+		it.Close()
+		if !fuzzSameCounts(fuzzMultiset(want), fuzzMultiset(got)) {
+			t.Fatalf("parallel streaming coalesce diverges from blocking oracle\ninput:\n%s\nwant:\n%s\ngot:\n%s", tbl, want, got)
 		}
 
 		// Parallel streaming difference (pairwise ordered repartition,

@@ -9,7 +9,7 @@ import (
 )
 
 // errAfterIter yields n rows and then ends with err — a minimal
-// error-carrying input for exercising the lazy sweep iterators'
+// error-carrying input for exercising the lazy sweep iterator's
 // failure path (which replaced the old mustValidated panic sites).
 type errAfterIter struct {
 	schema tuple.Schema
@@ -46,9 +46,9 @@ func TestLazySweepPropagatesDrainError(t *testing.T) {
 	in := &errAfterIter{schema: periodSchema2(), rows: []tuple.Tuple{
 		{tuple.Int(1), tuple.Int(0), tuple.Int(10)},
 	}, err: boom}
-	it := newLazySweepIter(in, periodSchema2(), func(tb *engine.Table) (*engine.Table, error) {
-		return tb, nil
-	})
+	it := newLazySweepIter(periodSchema2(), func(ts ...*engine.Table) (*engine.Table, error) {
+		return ts[0], nil
+	}, in)
 	defer it.Close()
 	if _, ok := it.Next(); ok {
 		t.Fatal("lazy sweep over a failed partition must yield no rows")
@@ -65,9 +65,9 @@ func TestLazySweepPropagatesDrainError(t *testing.T) {
 func TestLazySweepPropagatesFnError(t *testing.T) {
 	boom := errors.New("sweep bug")
 	in := &errAfterIter{schema: periodSchema2()}
-	it := newLazySweepIter(in, periodSchema2(), func(tb *engine.Table) (*engine.Table, error) {
+	it := newLazySweepIter(periodSchema2(), func(...*engine.Table) (*engine.Table, error) {
 		return nil, boom
-	})
+	}, in)
 	defer it.Close()
 	if _, ok := it.Next(); ok {
 		t.Fatal("lazy sweep with a failing fn must yield no rows")
@@ -83,9 +83,9 @@ func TestLazyDiffPropagatesDrainError(t *testing.T) {
 	boom := errors.New("right side boom")
 	l := &errAfterIter{schema: periodSchema2()}
 	r := &errAfterIter{schema: periodSchema2(), err: boom}
-	it := newLazyDiffIter(l, r, periodSchema2(), func(lt, rt *engine.Table) (*engine.Table, error) {
-		return engine.TemporalDiff(lt, rt)
-	})
+	it := newLazySweepIter(periodSchema2(), func(ts ...*engine.Table) (*engine.Table, error) {
+		return engine.TemporalDiff(ts[0], ts[1])
+	}, l, r)
 	defer it.Close()
 	if _, ok := it.Next(); ok {
 		t.Fatal("lazy diff over a failed partition must yield no rows")

@@ -133,7 +133,7 @@ func TestParallelStreamingSweepEquivalence(t *testing.T) {
 
 // The full par-stream grid over random databases and queries: the
 // REWR plans of every sweep mode × parallelism × sortedness
-// combination must agree with the materializing executor. This is the
+// combination must agree with the reference evaluator. This is the
 // qgen equivalence suite's coverage of the new executor path (the
 // rewrite-level commuting diagram covers the logical model; this one
 // stresses the exchanges with a tiny morsel size).

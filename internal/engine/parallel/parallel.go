@@ -1,7 +1,11 @@
-// Package parallel is the multi-core execution subsystem of the engine:
-// it evaluates a physical plan as a set of concurrently running pipeline
-// fragments connected by exchange operators (partition / merge over
-// bounded row-batch channels), in the morsel-driven style.
+// Package parallel is the engine's executor and the one lowering from
+// an engine.Plan to iterators: every query runs through Exec, and
+// EXPLAIN prints the placement decisions build() makes (explain.go).
+// A plan is evaluated as pipeline fragments connected by exchange
+// operators (partition / merge over bounded row-batch channels), in the
+// morsel-driven style; sequential execution is the same code at one
+// worker, where every stream is a single fragment and no goroutine,
+// channel or exchange is created at all.
 //
 // The plan is split at exchange boundaries: table scans are partitioned
 // into morsels claimed by W workers through a shared atomic cursor, and
@@ -10,13 +14,13 @@
 // fragment, so an entire Filter→Probe→Project chain runs W-wide without
 // synchronization until the final merge. The hash-join build side is
 // drained once into an immutable shared table (engine.JoinBuild) that
-// all probe fragments read concurrently, built on whichever input the
-// stored-table cardinality estimates prove smaller. The sweep operators
-// (split-based aggregation, difference, coalesce) are parallelized by a
+// all probe fragments read concurrently, built on the side
+// engine.DB.JoinStrategy picks. The sweep operators (split-based
+// aggregation, difference, coalesce) are parallelized by a
 // hash-partition exchange on their group key: value-equivalent groups
 // never straddle partitions, so each worker runs an independent sweep
 // over its partition and the merged output is multiset-identical to
-// sequential execution.
+// one-worker execution.
 //
 // Interval-endpoint order is a first-class physical property of the
 // executor (pstream.ordered): begin-sorted scans yield begin-sorted
@@ -25,18 +29,18 @@
 // ordered k-way merge (orderedMergeIter, driven by the shared
 // engine.CompareEndpoints comparator) for the merge hop, and an ordered
 // repartition (hashPartitionOrdered) that partitions straight from the
-// sorted fragments, before any order-destroying merge. When the planner
-// guaranteed the order (CoalesceP/AggP.Streaming), each worker runs the
-// STREAMING sweep over its begin-sorted partition with O(open
-// intervals + active groups) state instead of materializing it, and
-// global aggregation streams over the ordered merge of all fragments.
-// The materializing per-partition sweeps remain as the blocking
-// ablation. Only the endpoint sort enforcer is a sequential
-// materialization boundary.
+// sorted fragments, before any order-destroying merge. Each sweep has
+// two physical forms, selected by the planner from observed
+// sortedness: when it guaranteed the order (CoalesceP/AggP/DiffP
+// .Streaming) each fragment runs the STREAMING sweep over its
+// begin-sorted partition with O(open intervals + active groups) state;
+// otherwise each fragment materializes its partition on first pull and
+// runs the blocking sweep (lazySweepIter). Global aggregation streams
+// over the ordered merge of all fragments.
 //
 // Because period relations are multisets, the nondeterministic arrival
 // order at an unordered merge exchange is semantically invisible: the
-// result is multiset-identical to sequential execution (enforced by the
+// result is multiset-identical at every worker count (enforced by the
 // qgen equivalence suite and the parallel fuzz differential).
 //
 // Cancellation: Exec threads a context.Context through iterator
@@ -66,25 +70,17 @@ import (
 	"snapk/internal/tuple"
 )
 
-// Options configures parallel plan execution.
+// Options configures plan execution.
 type Options struct {
-	// Workers is the number of fragment goroutines per exchange. Values
-	// below 1 default to GOMAXPROCS. Workers == 1 degenerates to the
-	// sequential streaming engine (plus context cancellation).
+	// Workers is the number of fragments per partitioned operator (and
+	// of producer goroutines per exchange). Values below 1 default to
+	// GOMAXPROCS. Workers == 1 is sequential execution: every stream is
+	// one fragment pulled on the consumer's goroutine.
 	Workers int
-	// MorselSize is the number of rows per scan morsel and per exchange
-	// batch; 0 selects the default (256).
+	// MorselSize is the number of rows per scan morsel, per exchange
+	// batch and per batch pulled through the operator chain; 0 selects
+	// the default (256).
 	MorselSize int
-	// BatchSize is the row capacity of the batch-at-a-time hop: with it
-	// enabled, exchange producers fill transport batches through
-	// NextBatch (one virtual call per batch per operator boundary),
-	// consumer-side iterators adopt them wholesale as engine.RowBatch
-	// row slices, and the root iterator returned by Exec implements
-	// engine.BatchIter. 0 ties the batch size to MorselSize — one knob
-	// governs scan morsels, exchange batches and operator batches.
-	// Negative values disable the batch protocol entirely: the per-row
-	// Volcano compatibility path, kept as the ablation baseline.
-	BatchSize int
 	// Stats, when non-nil, is the EXPLAIN ANALYZE parent node: the
 	// executor attaches one OpStats child per operator and exchange
 	// (with per-fragment children for partitioned operators) beneath it
@@ -120,13 +116,13 @@ type executor struct {
 	db      *engine.DB
 	workers int
 	morsel  int
-	// batchSize is the resolved batch-hop row capacity; 0 means the
-	// batch protocol is disabled (the per-row ablation).
-	batchSize int
-	wg        sync.WaitGroup
+	wg      sync.WaitGroup
 	// qerr holds the first error that failed the query; set through
-	// fail, read per root Next through errOf (one atomic load).
-	qerr     atomic.Pointer[error]
+	// fail, read per root pull through errOf (one atomic load).
+	qerr atomic.Pointer[error]
+	// closed is set by the root's Close before it cancels the context:
+	// whatever a fragment observes after that is teardown, not failure.
+	closed   atomic.Bool
 	gov      *engine.Governor
 	injectFn engine.IterWrapper
 }
@@ -134,9 +130,11 @@ type executor struct {
 // fail records err as the query's terminal error (first one wins) and
 // cancels the execution context, tearing down every sibling fragment
 // through the refcounted exchange lifecycle. Safe from any goroutine;
-// nil is a no-op.
+// nil is a no-op, and so is any error reported after the root was
+// closed — a cancellation observed because Close canceled the context
+// is not an error at all.
 func (e *executor) fail(err error) {
-	if err == nil {
+	if err == nil || e.closed.Load() {
 		return
 	}
 	e.qerr.CompareAndSwap(nil, &err)
@@ -153,7 +151,7 @@ func (e *executor) errOf() error {
 
 // recoverPanic is the fragment-goroutine panic boundary: deferred at
 // the top of every producer goroutine (and, via the root iterator's
-// guarded Next, at the consumer boundary), it converts a panic into a
+// guarded pulls, at the consumer boundary), it converts a panic into a
 // query error instead of crashing the process. The stack is folded into
 // the error so a contained panic stays diagnosable through Rows.Err.
 func (e *executor) recoverPanic(site string) {
@@ -171,21 +169,6 @@ func (e *executor) inject(site string, it engine.RowIter) engine.RowIter {
 	return e.injectFn(site, it)
 }
 
-// injectStream applies the inject hook to every physical iterator of s.
-func (e *executor) injectStream(site string, s *pstream) *pstream {
-	if e.injectFn == nil {
-		return s
-	}
-	if s.seq != nil {
-		s.seq = e.injectFn(site, s.seq)
-		return s
-	}
-	for i := range s.parts {
-		s.parts[i] = e.injectFn(fmt.Sprintf("%s:%d", site, i), s.parts[i])
-	}
-	return s
-}
-
 // govern wraps a sweep iterator with memory-budget accounting of its
 // peak state (identity when no governor or the iterator exposes no
 // state). unit pricing uses the stream's row arity.
@@ -196,26 +179,28 @@ func (e *executor) govern(it engine.RowIter) engine.RowIter {
 	return engine.GovernState(it, e.gov, engine.ApproxRowBytes(it.Schema().Arity()))
 }
 
-// pstream is a stream in one of two physical forms: a single sequential
-// iterator, or W per-worker fragment iterators awaiting a merge.
-// ordered carries the interval-endpoint sort property through the
-// physical plan: when set, the sequential iterator — or EVERY fragment
-// individually — yields rows in ascending begin order, so exchanges can
+// pstream is a stream in its one physical form: a list of fragment
+// iterators whose concatenation (in any interleaving) is the stream. A
+// partitioned stream has one fragment per worker; a single-fragment
+// stream is pulled directly, with no exchange in between — which is
+// every stream at one worker. ordered carries the interval-endpoint sort
+// property through the physical plan: when set, EVERY fragment
+// individually yields rows in ascending begin order, so exchanges can
 // preserve the order (ordered merge, ordered repartition) instead of
 // destroying it, and the streaming sweeps stay streaming end to end.
 type pstream struct {
-	seq     engine.RowIter   // exactly one of seq / parts is set
-	parts   []engine.RowIter // one fragment per worker
+	parts   []engine.RowIter
 	schema  tuple.Schema
 	ordered bool
 }
 
-func (s *pstream) close() {
-	if s.seq != nil {
-		s.seq.Close()
-	}
-	for _, p := range s.parts {
-		p.Close()
+func (s *pstream) shape() shape { return shape{frags: len(s.parts), ordered: s.ordered} }
+
+func (s *pstream) close() { closeAll(s.parts) }
+
+func closeAll(its []engine.RowIter) {
+	for _, it := range its {
+		it.Close()
 	}
 }
 
@@ -224,21 +209,11 @@ func (s *pstream) dataSchema() tuple.Schema {
 	return tuple.Schema{Cols: s.schema.Cols[:s.schema.Arity()-2]}
 }
 
-// sources returns the physical iterators of the stream — its fragments
-// when partitioned, the single sequential iterator otherwise — for
-// exchanges that can consume either form directly.
-func (s *pstream) sources() []engine.RowIter {
-	if s.parts != nil {
-		return s.parts
-	}
-	return []engine.RowIter{s.seq}
-}
-
-// Exec evaluates p on db with opt.Workers parallel fragments and returns
-// a single merged row stream. The caller must Close the returned
-// iterator; Close (or cancellation of ctx) stops and reaps every
-// fragment goroutine. With Workers <= 1 execution is sequential and only
-// the cancellation wrapper is added.
+// Exec evaluates p on db with opt.Workers fragments per partitioned
+// operator and returns a single row stream. The returned iterator also
+// implements engine.BatchIter and engine.ErrIter. The caller must Close
+// it; Close (or cancellation of ctx) stops and reaps every fragment
+// goroutine.
 func Exec(ctx context.Context, db *engine.DB, p engine.Plan, opt Options) (engine.RowIter, error) {
 	workers := opt.Workers
 	if workers < 1 {
@@ -247,13 +222,6 @@ func Exec(ctx context.Context, db *engine.DB, p engine.Plan, opt Options) (engin
 	morsel := opt.MorselSize
 	if morsel <= 0 {
 		morsel = DefaultMorselSize
-	}
-	batchSize := opt.BatchSize
-	if batchSize == 0 {
-		batchSize = morsel
-	}
-	if batchSize < 0 {
-		batchSize = 0 // per-row ablation: batch protocol disabled
 	}
 	var ectx context.Context
 	var cancel context.CancelFunc
@@ -266,7 +234,7 @@ func Exec(ctx context.Context, db *engine.DB, p engine.Plan, opt Options) (engin
 		ectx, cancel = context.WithCancel(ctx)
 	}
 	e := &executor{ctx: ectx, cancel: cancel, db: db, workers: workers, morsel: morsel,
-		batchSize: batchSize, gov: opt.Gov, injectFn: opt.Inject}
+		gov: opt.Gov, injectFn: opt.Inject}
 	s, err := e.buildSafe(p, opt.Stats)
 	if err != nil {
 		cancel()
@@ -276,16 +244,13 @@ func Exec(ctx context.Context, db *engine.DB, p engine.Plan, opt Options) (engin
 	// The outermost ObsIter counts rows on the parent node itself, so its
 	// row count is exactly what the root cursor observes.
 	root := engine.NewObsIter(engine.CheckNoAlias("parallel exec root", e.merge(s, opt.Stats)), opt.Stats)
-	if bi, ok := root.(engine.BatchIter); ok && e.batchSize > 0 {
-		return &execBatchIter{execIter: execIter{ctx: ectx, cancel: cancel, e: e, it: root}, bit: bi}, nil
-	}
-	return &execIter{ctx: ectx, cancel: cancel, e: e, it: root}, nil
+	return &execIter{e: e, it: root, bit: engine.AsBatchIter(root, morsel)}, nil
 }
 
 // buildSafe is the plan-build phase behind the panic boundary: a panic
-// while compiling the plan (eager hash-join builds and sort enforcers
-// drain whole subplans here) becomes a returned error, and the caller's
-// cancel-and-reap path tears down whatever fragments already started.
+// while compiling the plan (eager hash-join builds drain whole subplans
+// here) becomes a returned error, and the caller's cancel-and-reap path
+// tears down whatever fragments already started.
 func (e *executor) buildSafe(p engine.Plan, parent *engine.OpStats) (s *pstream, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -307,13 +272,14 @@ func (e *executor) buildSafe(p engine.Plan, parent *engine.OpStats) (s *pstream,
 }
 
 // execIter is the root iterator returned by Exec: it owns the execution
-// context and reaps all fragment goroutines on Close.
+// context and reaps all fragment goroutines on Close. it and bit are
+// the same stream in its two protocols, so the cursor (or any other
+// consumer) drives the whole pipeline through NextBatch, one virtual
+// call per batch end to end, while per-row consumers keep working.
 type execIter struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	e      *executor
-	it     engine.RowIter
-	closed atomic.Bool
+	e   *executor
+	it  engine.RowIter
+	bit engine.BatchIter
 }
 
 func (it *execIter) Schema() tuple.Schema { return it.it.Schema() }
@@ -322,16 +288,13 @@ func (it *execIter) Schema() tuple.Schema { return it.it.Schema() }
 // already-failed, and context state. A context error observed while the
 // iterator is still open is recorded as the query error — cancellation
 // and deadline expiry surface through Err, not as a silent end of
-// stream; an error observed because Close canceled the context is not
-// an error at all.
+// stream (fail drops it when Close canceled the context).
 func (it *execIter) gate() bool {
-	if it.closed.Load() || it.e.errOf() != nil {
+	if it.e.closed.Load() || it.e.errOf() != nil {
 		return false
 	}
-	if err := it.ctx.Err(); err != nil {
-		if !it.closed.Load() {
-			it.e.fail(err)
-		}
+	if err := it.e.ctx.Err(); err != nil {
+		it.e.fail(err)
 		return false
 	}
 	return true
@@ -341,46 +304,56 @@ func (it *execIter) Next() (tuple.Tuple, bool) {
 	if !it.gate() {
 		return nil, false
 	}
-	row, ok := it.guardedNext()
-	if !ok {
-		it.latchEOS()
-		return nil, false
-	}
-	if err := it.e.gov.CountRows(1); err != nil {
-		it.e.fail(err)
+	var row tuple.Tuple
+	ok := it.guarded(func() bool {
+		var ok bool
+		row, ok = it.it.Next()
+		return ok
+	})
+	if !ok || !it.count(1) {
 		return nil, false
 	}
 	return row, true
 }
 
-// latchEOS records why a pull came back empty. gate checks the context
-// before each pull, but a cancellation (or chain error) that lands while
-// the pull is blocked inside an exchange surfaces as a clean end of
-// stream from a drained channel — and the consumer, seeing EOS, never
-// pulls again, so gate never re-runs. Without this post-check that is a
-// silent truncation. The closed re-check keeps Close's own cancel from
-// reading as a query error (Close sets closed before canceling).
-func (it *execIter) latchEOS() {
-	if err := engine.IterErr(it.it); err != nil {
-		it.e.fail(err)
-		return
+func (it *execIter) NextBatch(b *engine.RowBatch) bool {
+	if it.gate() && it.guarded(func() bool { return it.bit.NextBatch(b) }) && it.count(b.Len()) {
+		return true
 	}
-	if err := it.ctx.Err(); err != nil && !it.closed.Load() {
-		it.e.fail(err)
-	}
+	b.Reset()
+	return false
 }
 
-// guardedNext is the consumer-side panic boundary: a panic unwinding
-// out of the root pull (any operator on the sequential path runs on
-// this goroutine) becomes the query error.
-func (it *execIter) guardedNext() (row tuple.Tuple, ok bool) {
+// guarded runs one root pull behind the consumer-side panic boundary —
+// a panic unwinding out of it (every operator of a single-fragment
+// pipeline runs on this goroutine) becomes the query error — and
+// records why a pull came back empty. gate checks the context before
+// each pull, but a cancellation (or chain error) that lands while the
+// pull is blocked inside an exchange surfaces as a clean end of stream
+// from a drained channel — and the consumer, seeing EOS, never pulls
+// again, so gate never re-runs. Without this post-check that is a
+// silent truncation.
+func (it *execIter) guarded(pull func() bool) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			it.e.fail(fmt.Errorf("parallel: panic in query root: %v\n%s", r, debug.Stack()))
-			row, ok = nil, false
+			ok = false
 		}
 	}()
-	return it.it.Next()
+	if pull() {
+		return true
+	}
+	it.e.fail(engine.FirstErr(engine.IterErr(it.it), it.e.ctx.Err()))
+	return false
+}
+
+// count charges n emitted rows against the governor's row limit.
+func (it *execIter) count(n int) bool {
+	if err := it.e.gov.CountRows(int64(n)); err != nil {
+		it.e.fail(err)
+		return false
+	}
+	return true
 }
 
 // Err reports the query's terminal error: the executor's central slot
@@ -397,113 +370,79 @@ func (it *execIter) Err() error {
 // blocks until every fragment goroutine has exited. It is idempotent
 // and safe to call concurrently with Next.
 func (it *execIter) Close() {
-	if it.closed.Swap(true) {
+	if it.e.closed.Swap(true) {
 		return
 	}
-	it.cancel()
+	it.e.cancel()
 	it.it.Close()
 	it.e.wg.Wait()
 }
 
-// execBatchIter is the batch-capable root returned when the batch hop
-// is enabled and the merged stream is batch-capable: the cursor (or any
-// other consumer) drives the whole pipeline through NextBatch, one
-// virtual call per batch end to end.
-type execBatchIter struct {
-	execIter
-	bit engine.BatchIter
-}
-
-func (it *execBatchIter) NextBatch(b *engine.RowBatch) bool {
-	if !it.gate() {
-		b.Reset()
-		return false
-	}
-	ok := it.guardedNextBatch(b)
-	if !ok {
-		it.latchEOS()
-		return false
-	}
-	if err := it.e.gov.CountRows(int64(b.Len())); err != nil {
-		it.e.fail(err)
-		b.Reset()
-		return false
-	}
-	return true
-}
-
-// guardedNextBatch is the batch form of the consumer-side panic
-// boundary.
-func (it *execBatchIter) guardedNextBatch(b *engine.RowBatch) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			it.e.fail(fmt.Errorf("parallel: panic in query root: %v\n%s", r, debug.Stack()))
-			b.Reset()
-			ok = false
+// exchange carries s to an operator that runs want fragments wide,
+// inserting the exchange exchangeFor picks (none when the widths already
+// agree — always, at one worker). keyIdx non-nil asks for value-
+// equivalent rows to meet in one fragment (the sweeps' group key);
+// streaming additionally asks the hash repartition to keep every
+// partition begin-sorted. A merge keeps the sort property whenever the
+// stream carries it: sortedness survives the merge hop. This is
+// deliberate even at the root, where no operator consumes the order:
+// the cursor API then emits begin-ordered rows for ordered plans
+// (clients see deterministic stream order), and the sort enforcer
+// receives pre-sorted input. The price is a per-row heap compare on
+// sorted scan-only plans; if that ever shows up in profiles, thread a
+// need-order flag from the consumer instead.
+func (e *executor) exchange(s *pstream, want int, keyIdx []int, streaming bool, parent *engine.OpStats) []engine.RowIter {
+	switch exchangeFor(len(s.parts), want, keyIdx != nil) {
+	case exMerge:
+		if s.ordered {
+			return []engine.RowIter{e.startOrderedMerge(s.parts, parent)}
 		}
-	}()
-	return it.bit.NextBatch(b)
-}
-
-// merge collapses a stream to a single iterator, inserting a merge
-// exchange over partitioned fragments. When the stream carries the sort
-// property, the order-preserving merge keeps it: sortedness survives
-// the merge hop. This is deliberate even at the root, where no operator
-// consumes the order: the cursor API then emits begin-ordered rows for
-// ordered plans (clients see deterministic stream order), and the SortP
-// materialization boundary receives pre-sorted input. The price is a
-// per-row heap compare on sorted scan-only plans; if that ever shows up
-// in profiles, thread a need-order flag from the consumer instead.
-func (e *executor) merge(s *pstream, parent *engine.OpStats) engine.RowIter {
-	it := s.seq
-	switch {
-	case it != nil:
-	case s.ordered:
-		it = e.startOrderedMerge(s.parts, parent)
+		return []engine.RowIter{e.startMerge(s.parts, parent)}
+	case exRepartition:
+		return e.repartition(s.parts[0], parent)
+	case exHash:
+		if streaming {
+			return e.hashPartitionOrdered(s.parts, keyIdx, parent)
+		}
+		return e.hashPartition(s.parts, keyIdx, parent)
 	default:
-		it = e.startMerge(s.parts, parent)
-	}
-	if e.batchSize == 0 {
-		// Per-row ablation: hide batch capability so engine-internal
-		// drains (Materialize, hash-join build) stay on the classic
-		// Volcano path too, keeping the comparison honest.
-		return engine.PerRow(it)
-	}
-	return it
-}
-
-// partition converts a stream to W fragment iterators, inserting a
-// repartition exchange under sequential sources.
-func (e *executor) partition(s *pstream, parent *engine.OpStats) []engine.RowIter {
-	if s.parts != nil {
 		return s.parts
 	}
-	return e.repartition(s.seq, parent)
 }
 
-// obsStream wraps the physical iterators of s with EXPLAIN ANALYZE
-// instrumentation recording into st: the sequential form onto st
-// itself, fragments onto per-fragment children (the per-worker skew
-// view). Identity when st is nil.
-func obsStream(s *pstream, st *engine.OpStats) *pstream {
-	if st == nil {
-		return s
-	}
-	if s.seq != nil {
-		s.seq = engine.NewObsIter(s.seq, st)
-		return s
-	}
-	for i := range s.parts {
-		s.parts[i] = engine.NewObsIter(s.parts[i], st.Fragment(i))
+// merge collapses a stream to a single iterator.
+func (e *executor) merge(s *pstream, parent *engine.OpStats) engine.RowIter {
+	return e.exchange(s, 1, nil, false, parent)[0]
+}
+
+// finish applies the inject hook and the EXPLAIN ANALYZE instrumentation
+// (recording into st) to every fragment of an operator's output. A
+// single fragment records onto st itself and keeps the bare site name;
+// W fragments record onto per-fragment children (the per-worker skew
+// view) under indexed site names. site == "" skips the inject hook.
+func (e *executor) finish(site string, s *pstream, st *engine.OpStats) *pstream {
+	for i, part := range s.parts {
+		fst, fsite := st, site
+		if len(s.parts) > 1 {
+			fst = st.Fragment(i)
+		}
+		if e.injectFn != nil && site != "" {
+			if len(s.parts) > 1 {
+				fsite = fmt.Sprintf("%s:%d", site, i)
+			}
+			part = e.injectFn(fsite, part)
+		}
+		s.parts[i] = engine.NewObsIter(part, fst)
 	}
 	return s
 }
 
 // build compiles a plan node to a pstream, pushing streaming operators
-// into partitioned fragments and placing exchanges only where the plan
-// shape requires them. parent is the EXPLAIN ANALYZE attachment point
-// (nil when not collecting): each node adds its own OpStats child and
-// builds its inputs beneath it, so the stats tree mirrors the plan.
+// into partitioned fragments and placing exchanges only where place()
+// and exchangeFor() say the plan shape requires them. parent is the
+// EXPLAIN ANALYZE attachment point (nil when not collecting): each node
+// adds its own OpStats child and builds its inputs beneath it, so the
+// stats tree mirrors the plan.
 func (e *executor) build(p engine.Plan, parent *engine.OpStats) (*pstream, error) {
 	switch n := p.(type) {
 	case engine.ScanP:
@@ -511,7 +450,7 @@ func (e *executor) build(p engine.Plan, parent *engine.OpStats) (*pstream, error
 		if err != nil {
 			return nil, err
 		}
-		return e.scanStream(t, n.Name, parent.Child("Scan", n.Name)), nil
+		return e.scanStream(n, t, parent.Child("Scan", n.Name)), nil
 	case engine.WindowP:
 		st := parent.Child("Window", n.T.String())
 		var in *pstream
@@ -530,7 +469,7 @@ func (e *executor) build(p engine.Plan, parent *engine.OpStats) (*pstream, error
 			} else {
 				t = t.Prefix(hi)
 			}
-			in = e.scanStream(t, scan.Name, st.Child("Scan", scan.Name))
+			in = e.scanStream(scan, t, st.Child("Scan", scan.Name))
 		} else {
 			var err error
 			in, err = e.build(n.In, st)
@@ -538,39 +477,27 @@ func (e *executor) build(p engine.Plan, parent *engine.OpStats) (*pstream, error
 				return nil, err
 			}
 		}
-		out, err := e.mapStream(in, func(it engine.RowIter) (engine.RowIter, error) {
+		return e.mapStream("window", n, in, st, func(it engine.RowIter) (engine.RowIter, error) {
 			return engine.NewWindowIter(it, n.T), nil
 		})
-		if err != nil {
-			return nil, err
-		}
-		return obsStream(e.injectStream("window", out), st), nil
 	case engine.FilterP:
 		st := parent.Child("Filter", "")
 		in, err := e.build(n.In, st)
 		if err != nil {
 			return nil, err
 		}
-		out, err := e.mapStream(in, func(it engine.RowIter) (engine.RowIter, error) {
+		return e.mapStream("filter", n, in, st, func(it engine.RowIter) (engine.RowIter, error) {
 			return engine.NewFilterIter(it, n.Pred)
 		})
-		if err != nil {
-			return nil, err
-		}
-		return obsStream(e.injectStream("filter", out), st), nil
 	case engine.ProjectP:
 		st := parent.Child("Project", "")
 		in, err := e.build(n.In, st)
 		if err != nil {
 			return nil, err
 		}
-		out, err := e.mapStream(in, func(it engine.RowIter) (engine.RowIter, error) {
+		return e.mapStream("project", n, in, st, func(it engine.RowIter) (engine.RowIter, error) {
 			return engine.NewProjectIter(it, n.Exprs)
 		})
-		if err != nil {
-			return nil, err
-		}
-		return obsStream(e.injectStream("project", out), st), nil
 	case engine.JoinP:
 		return e.buildJoin(n, parent)
 	case engine.UnionP:
@@ -584,32 +511,22 @@ func (e *executor) build(p engine.Plan, parent *engine.OpStats) (*pstream, error
 			l.close()
 			return nil, err
 		}
-		if l.seq != nil && r.seq != nil {
-			u, err := engine.NewUnionIter(l.seq, r.seq)
-			if err != nil {
-				return nil, err
-			}
-			return obsStream(&pstream{seq: u, schema: u.Schema()}, st), nil
-		}
 		// Pair the fragments of both sides: fragment i concatenates
 		// l_i and r_i, so the union itself needs no extra exchange.
-		lp, rp := e.partition(l, st), e.partition(r, st)
-		parts := make([]engine.RowIter, len(lp))
-		for i := range parts {
+		out := place(n, e.workers, false, l.shape(), r.shape())
+		lp := e.exchange(l, out.frags, nil, false, st)
+		rp := e.exchange(r, out.frags, nil, false, st)
+		for i := range lp {
 			u, err := engine.NewUnionIter(lp[i], rp[i])
 			if err != nil {
-				for j := i + 1; j < len(lp); j++ {
-					lp[j].Close()
-					rp[j].Close()
-				}
-				for j := 0; j < i; j++ {
-					parts[j].Close()
-				}
+				closeAll(lp[:i])
+				closeAll(lp[i+1:])
+				closeAll(rp[i+1:])
 				return nil, err
 			}
-			parts[i] = u
+			lp[i] = u
 		}
-		return obsStream(&pstream{parts: parts, schema: parts[0].Schema()}, st), nil
+		return e.finish("", &pstream{parts: lp, schema: lp[0].Schema(), ordered: out.ordered}, st), nil
 	case engine.DiffP:
 		return e.buildDiff(n, parent)
 	case engine.AggP:
@@ -617,18 +534,19 @@ func (e *executor) build(p engine.Plan, parent *engine.OpStats) (*pstream, error
 	case engine.CoalesceP:
 		return e.buildCoalesce(n, parent)
 	case engine.SortP:
-		// e.table materializes into a private table, so sorting in place
-		// is safe — no stored table is mutated and no copy is needed.
 		st := parent.Child("Sort", "enforcer")
-		done := st.Span()
-		in, err := e.table(n.In, st)
+		in, err := e.build(n.In, st)
 		if err != nil {
-			done()
 			return nil, err
 		}
-		in.SortByEndpoints()
-		done()
-		return obsStream(&pstream{seq: engine.NewTableIter(in), schema: in.Schema, ordered: true}, st), nil
+		// The sweep materializes into a private table, so sorting in place
+		// is safe — no stored table is mutated and no copy is needed.
+		it := engine.CheckOrdered("sort enforcer", newLazySweepIter(in.schema, func(ts ...*engine.Table) (*engine.Table, error) {
+			ts[0].SortByEndpoints()
+			return ts[0], nil
+		}, e.merge(in, st)))
+		out := place(n, e.workers, false, in.shape())
+		return e.finish("", &pstream{parts: []engine.RowIter{it}, schema: in.schema, ordered: out.ordered}, st), nil
 	default:
 		return nil, fmt.Errorf("parallel: unknown plan node %T", p)
 	}
@@ -645,300 +563,161 @@ func dataIdx(schema tuple.Schema) []int {
 	return idx
 }
 
-// buildCoalesce compiles the coalesce operator. With multiple workers
-// the input is hash-partitioned on the full data tuple and every worker
-// coalesces its partition independently — value-equivalent groups never
-// straddle partitions, so the merged output is multiset-identical to
-// the sequential sweep. When the planner guaranteed begin-sorted input
-// (n.Streaming), the ORDER-PRESERVING repartition exchange keeps every
-// partition begin-sorted and each worker runs the streaming sweep with
-// O(open intervals) state; otherwise each worker materializes its
-// partition and runs the blocking sweep (the ablation baseline).
-func (e *executor) buildCoalesce(n engine.CoalesceP, parent *engine.OpStats) (*pstream, error) {
-	if e.workers > 1 {
-		var st *engine.OpStats
-		if n.Streaming {
-			st = parent.Child("Coalesce", "streaming")
-		} else {
-			st = parent.Child("Coalesce", "blocking")
-		}
-		in, err := e.build(n.In, st)
-		if err != nil {
-			return nil, err
-		}
-		schema := in.schema
-		if n.Streaming {
-			parts := e.hashPartitionOrdered(in.sources(), dataIdx(schema), st)
-			out := make([]engine.RowIter, len(parts))
-			for i, part := range parts {
-				out[i] = e.govern(engine.NewStreamCoalesceIter(part))
-			}
-			return obsStream(e.injectStream("coalesce", &pstream{parts: out, schema: schema}), st), nil
-		}
-		parts := e.hashPartition(in.sources(), dataIdx(schema), st)
-		out := make([]engine.RowIter, len(parts))
-		for i, part := range parts {
-			out[i] = newLazySweepIter(part, schema, func(t *engine.Table) (*engine.Table, error) {
-				return engine.Coalesce(t, n.Impl), nil
-			})
-		}
-		return obsStream(e.injectStream("coalesce", &pstream{parts: out, schema: schema}), st), nil
-	}
-	if n.Streaming {
-		st := parent.Child("Coalesce", "streaming")
-		in, err := e.build(n.In, st)
-		if err != nil {
-			return nil, err
-		}
-		it := e.govern(engine.NewStreamCoalesceIter(e.merge(in, st)))
-		return obsStream(e.injectStream("coalesce", &pstream{seq: it, schema: it.Schema()}), st), nil
-	}
-	st := parent.Child("Coalesce", "blocking")
-	in, err := e.table(n.In, st)
-	if err != nil {
-		return nil, err
-	}
-	done := st.Span()
-	out := engine.Coalesce(in, n.Impl)
-	done()
-	return obsStream(&pstream{seq: engine.NewTableIter(out), schema: out.Schema}, st), nil
-}
-
-// buildAgg compiles split-based aggregation. Grouped aggregation with
-// multiple workers hash-partitions the input on the grouping columns
-// and every worker runs an independent split/aggregate sweep — the
-// sweep never crosses group boundaries, so the merged output is
-// multiset-identical. When the planner guaranteed begin-sorted input
-// (n.Streaming, pre-aggregated only), the order-preserving repartition
-// keeps every partition begin-sorted and each worker runs the STREAMING
-// pre-aggregated sweep; otherwise the workers materialize and run the
-// blocking sweep. Global aggregation (a single group) cannot be
-// partitioned, but with the sort property it now streams over the
-// ordered merge of all fragments instead of materializing.
-func (e *executor) buildAgg(n engine.AggP, parent *engine.OpStats) (*pstream, error) {
-	dom := e.db.Domain()
-	if e.workers > 1 && len(n.GroupBy) > 0 {
-		var st *engine.OpStats
-		if n.Streaming && n.PreAgg {
-			st = parent.Child("Agg", "streaming")
-		} else {
-			st = parent.Child("Agg", blockingAggDetail(n))
-		}
-		in, err := e.build(n.In, st)
-		if err != nil {
-			return nil, err
-		}
-		inSchema := in.schema
-		data := tuple.Schema{Cols: inSchema.Cols[:inSchema.Arity()-2]}
-		keyIdx := make([]int, len(n.GroupBy))
-		for i, g := range n.GroupBy {
-			idx := data.Index(g)
-			if idx < 0 {
-				in.close()
-				return nil, fmt.Errorf("parallel: unknown group-by column %q", g)
-			}
-			keyIdx[i] = idx
-		}
-		// Resolve the output schema (and surface column errors) before
-		// spawning fragments, by aggregating an empty input once.
-		empty, err := engine.TemporalAggregate(&engine.Table{Schema: inSchema}, n.GroupBy, n.Aggs, n.PreAgg, dom)
-		if err != nil {
-			in.close()
-			return nil, err
-		}
-		if n.Streaming && n.PreAgg {
-			parts := e.hashPartitionOrdered(in.sources(), keyIdx, st)
-			out := make([]engine.RowIter, len(parts))
-			for i, part := range parts {
-				it, err := engine.NewStreamAggIter(part, n.GroupBy, n.Aggs, dom)
-				if err != nil {
-					// The constructor closed part; release the rest. The
-					// partition goroutines are reaped by Exec's cancel path.
-					for j := 0; j < i; j++ {
-						out[j].Close()
-					}
-					for j := i + 1; j < len(parts); j++ {
-						parts[j].Close()
-					}
-					return nil, err
-				}
-				out[i] = e.govern(it)
-			}
-			return obsStream(e.injectStream("agg", &pstream{parts: out, schema: empty.Schema}), st), nil
-		}
-		parts := e.hashPartition(in.sources(), keyIdx, st)
-		out := make([]engine.RowIter, len(parts))
-		for i, part := range parts {
-			// Errors were validated against an empty input above, so a
-			// failure here is either a failed partition drain or a genuine
-			// executor bug — both propagate through Err instead of yielding
-			// a silently empty partition.
-			out[i] = newLazySweepIter(part, empty.Schema, func(t *engine.Table) (*engine.Table, error) {
-				return engine.TemporalAggregate(t, n.GroupBy, n.Aggs, n.PreAgg, dom)
-			})
-		}
-		return obsStream(e.injectStream("agg", &pstream{parts: out, schema: empty.Schema}), st), nil
-	}
-	// The single-group streaming sweep needs one begin-ordered stream;
-	// the order-preserving merge exchange provides it even over
-	// multiple fragments, so the sequential-engine restriction of the
-	// blocking-only executor is gone.
-	if n.Streaming && n.PreAgg {
-		st := parent.Child("Agg", "streaming")
-		in, err := e.build(n.In, st)
-		if err != nil {
-			return nil, err
-		}
-		it, err := engine.NewStreamAggIter(e.merge(in, st), n.GroupBy, n.Aggs, dom)
-		if err != nil {
-			return nil, err
-		}
-		g := e.govern(it)
-		return obsStream(e.injectStream("agg", &pstream{seq: g, schema: g.Schema()}), st), nil
-	}
-	st := parent.Child("Agg", blockingAggDetail(n))
-	in, err := e.table(n.In, st)
-	if err != nil {
-		return nil, err
-	}
-	done := st.Span()
-	out, err := engine.TemporalAggregate(in, n.GroupBy, n.Aggs, n.PreAgg, dom)
-	done()
-	if err != nil {
-		return nil, err
-	}
-	return obsStream(&pstream{seq: engine.NewTableIter(out), schema: out.Schema}, st), nil
-}
-
-// blockingAggDetail names the blocking aggregation flavor.
-func blockingAggDetail(n engine.AggP) string {
-	if n.PreAgg {
-		return "blocking pre-agg"
+// sweepDetail names a sweep's physical form on its EXPLAIN ANALYZE node.
+func sweepDetail(streaming bool) string {
+	if streaming {
+		return "streaming"
 	}
 	return "blocking"
 }
 
-// buildDiff compiles snapshot-reducible difference. With multiple
-// workers both inputs are hash-partitioned on the full data tuple with
-// the same hash, so value-equivalent groups of both sides meet in the
-// same worker and each worker computes an independent fused diff sweep.
-// When the planner guaranteed begin-sorted children (n.Streaming), BOTH
-// sides go through the ORDER-PRESERVING repartition exchange — every
-// partition pair stays begin-sorted — and each worker runs the
-// streaming merge-based diff with O(open intervals + active groups)
-// state instead of materializing its partitions; the materializing
-// per-partition diff remains as the blocking ablation.
-func (e *executor) buildDiff(n engine.DiffP, parent *engine.OpStats) (*pstream, error) {
-	if e.workers > 1 {
-		var st *engine.OpStats
+// buildCoalesce compiles the coalesce operator. The input is
+// hash-partitioned on the full data tuple and every fragment coalesces
+// its partition independently — value-equivalent groups never straddle
+// partitions, so the merged output is multiset-identical at every
+// width. When the planner guaranteed begin-sorted input (n.Streaming),
+// the ORDER-PRESERVING repartition keeps every partition begin-sorted
+// and each fragment runs the streaming sweep with O(open intervals)
+// state; otherwise each fragment materializes its partition on first
+// pull and runs the blocking sweep.
+func (e *executor) buildCoalesce(n engine.CoalesceP, parent *engine.OpStats) (*pstream, error) {
+	st := parent.Child("Coalesce", sweepDetail(n.Streaming))
+	in, err := e.build(n.In, st)
+	if err != nil {
+		return nil, err
+	}
+	schema := in.schema
+	out := place(n, e.workers, false, in.shape())
+	parts := e.exchange(in, out.frags, dataIdx(schema), n.Streaming, st)
+	for i, part := range parts {
 		if n.Streaming {
-			st = parent.Child("Diff", "streaming")
+			parts[i] = e.govern(engine.NewStreamCoalesceIter(part))
 		} else {
-			st = parent.Child("Diff", "blocking")
+			parts[i] = newLazySweepIter(schema, func(ts ...*engine.Table) (*engine.Table, error) {
+				return engine.Coalesce(ts[0], engine.CoalesceNative), nil
+			}, part)
 		}
-		l, err := e.build(n.L, st)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.build(n.R, st)
-		if err != nil {
-			l.close()
-			return nil, err
-		}
-		if l.schema.Arity() != r.schema.Arity() {
-			l.close()
-			r.close()
-			return nil, fmt.Errorf("parallel: difference-incompatible arities %d and %d", l.schema.Arity(), r.schema.Arity())
-		}
-		schema := l.schema
-		keyIdx := dataIdx(schema)
-		if n.Streaming {
-			lp := e.hashPartitionOrdered(l.sources(), keyIdx, st)
-			rp := e.hashPartitionOrdered(r.sources(), keyIdx, st)
-			out := make([]engine.RowIter, len(lp))
-			for i := range lp {
-				it, err := engine.NewStreamDiffIter(lp[i], rp[i])
-				if err != nil {
-					// Arity compatibility was validated above, so this is
-					// an executor bug — but it still must tear down cleanly:
-					// the constructor closed lp[i]/rp[i]; release the rest
-					// (the partition goroutines are reaped by Exec's cancel
-					// path) and surface the error instead of panicking.
-					for j := 0; j < i; j++ {
-						out[j].Close()
-					}
-					for j := i + 1; j < len(lp); j++ {
-						lp[j].Close()
-						rp[j].Close()
-					}
-					return nil, err
-				}
-				out[i] = e.govern(it)
-			}
-			return obsStream(e.injectStream("diff", &pstream{parts: out, schema: schema}), st), nil
-		}
-		// Arity compatibility (checked above) is the only failure mode of
-		// TemporalDiff; a failure here still propagates through Err rather
-		// than yielding a silently empty partition.
-		diff := func(lt, rt *engine.Table) (*engine.Table, error) {
-			return engine.TemporalDiff(lt, rt)
-		}
-		lp := e.hashPartition(l.sources(), keyIdx, st)
-		rp := e.hashPartition(r.sources(), keyIdx, st)
-		out := make([]engine.RowIter, len(lp))
-		for i := range lp {
-			out[i] = newLazyDiffIter(lp[i], rp[i], schema, diff)
-		}
-		return obsStream(e.injectStream("diff", &pstream{parts: out, schema: schema}), st), nil
 	}
-	// The streaming merge sweep needs one begin-ordered stream per side;
-	// the order-preserving merge exchange provides it even over multiple
-	// fragments, so the sequential streaming diff composes with parallel
-	// children exactly like global streaming aggregation.
-	if n.Streaming {
-		st := parent.Child("Diff", "streaming")
-		l, err := e.build(n.L, st)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.build(n.R, st)
-		if err != nil {
-			l.close()
-			return nil, err
-		}
-		it, err := engine.NewStreamDiffIter(e.merge(l, st), e.merge(r, st))
-		if err != nil {
-			return nil, err
-		}
-		g := e.govern(it)
-		return obsStream(e.injectStream("diff", &pstream{seq: g, schema: g.Schema()}), st), nil
-	}
-	st := parent.Child("Diff", "blocking")
-	l, err := e.table(n.L, st)
-	if err != nil {
-		return nil, err
-	}
-	r, err := e.table(n.R, st)
-	if err != nil {
-		return nil, err
-	}
-	done := st.Span()
-	out, err := engine.TemporalDiff(l, r)
-	done()
-	if err != nil {
-		return nil, err
-	}
-	return obsStream(&pstream{seq: engine.NewTableIter(out), schema: out.Schema}, st), nil
+	return e.finish("coalesce", &pstream{parts: parts, schema: schema, ordered: out.ordered}, st), nil
 }
 
-// buildJoin compiles the temporal join: the build side is drained once
-// into a shared immutable hash table, then every probe fragment streams
-// its partition of the other input against it. Size-based build-side
-// selection builds on the left input when stored-table cardinality
-// estimates prove it smaller; the default build side stays the right
-// input. Joins without an equality conjunct fall back to the sequential
-// endpoint-sorted overlap sweep (which drains both inputs anyway),
-// still fed by parallel children.
+// buildAgg compiles split-based aggregation. Grouped aggregation
+// hash-partitions the input on the grouping columns and every fragment
+// runs an independent split/aggregate sweep — the sweep never crosses
+// group boundaries, so the merged output is multiset-identical. Global
+// aggregation (a single group) cannot be partitioned: it runs as one
+// fragment over the merge of its input, which with the sort property is
+// the ordered merge, so it still streams. When the planner guaranteed
+// begin-sorted input (n.Streaming, pre-aggregated only) each fragment
+// runs the STREAMING pre-aggregated sweep; otherwise it materializes
+// its partition on first pull and runs the blocking sweep.
+func (e *executor) buildAgg(n engine.AggP, parent *engine.OpStats) (*pstream, error) {
+	dom := e.db.Domain()
+	streaming := n.Streaming && n.PreAgg
+	detail := sweepDetail(streaming)
+	if !streaming && n.PreAgg {
+		detail = "blocking pre-agg"
+	}
+	st := parent.Child("Agg", detail)
+	in, err := e.build(n.In, st)
+	if err != nil {
+		return nil, err
+	}
+	// Resolve the partitioning key and the output schema (and surface
+	// column errors) before starting any exchange.
+	keyIdx, schema, err := engine.AggregateShape(in.dataSchema(), n.GroupBy, n.Aggs)
+	if err != nil {
+		in.close()
+		return nil, err
+	}
+	out := place(n, e.workers, false, in.shape())
+	parts := e.exchange(in, out.frags, keyIdx, streaming, st)
+	for i, part := range parts {
+		if streaming {
+			it, err := engine.NewStreamAggIter(part, n.GroupBy, n.Aggs, dom)
+			if err != nil {
+				// The constructor closed part; release the rest. Exchange
+				// goroutines are reaped by Exec's cancel path.
+				closeAll(parts[:i])
+				closeAll(parts[i+1:])
+				return nil, err
+			}
+			parts[i] = e.govern(it)
+		} else {
+			// Column errors were ruled out above, so a failure here is
+			// either a failed partition drain or a genuine executor bug —
+			// both propagate through Err instead of yielding a silently
+			// empty partition.
+			parts[i] = newLazySweepIter(schema, func(ts ...*engine.Table) (*engine.Table, error) {
+				return engine.TemporalAggregate(ts[0], n.GroupBy, n.Aggs, n.PreAgg, dom)
+			}, part)
+		}
+	}
+	return e.finish("agg", &pstream{parts: parts, schema: schema, ordered: out.ordered}, st), nil
+}
+
+// buildDiff compiles snapshot-reducible difference. Both inputs are
+// hash-partitioned on the full data tuple with the same hash, so
+// value-equivalent groups of both sides meet in the same fragment and
+// each fragment computes an independent fused diff sweep. When the
+// planner guaranteed begin-sorted children (n.Streaming), BOTH sides go
+// through the ORDER-PRESERVING repartition — every partition pair stays
+// begin-sorted — and each fragment runs the streaming merge-based diff
+// with O(open intervals + active groups) state; otherwise it
+// materializes its partition pair on first pull and runs the blocking
+// diff.
+func (e *executor) buildDiff(n engine.DiffP, parent *engine.OpStats) (*pstream, error) {
+	st := parent.Child("Diff", sweepDetail(n.Streaming))
+	l, err := e.build(n.L, st)
+	if err != nil {
+		return nil, err
+	}
+	r, err := e.build(n.R, st)
+	if err != nil {
+		l.close()
+		return nil, err
+	}
+	if l.schema.Arity() != r.schema.Arity() {
+		l.close()
+		r.close()
+		return nil, fmt.Errorf("parallel: difference-incompatible arities %d and %d", l.schema.Arity(), r.schema.Arity())
+	}
+	schema := l.schema
+	out := place(n, e.workers, false, l.shape(), r.shape())
+	lp := e.exchange(l, out.frags, dataIdx(schema), n.Streaming, st)
+	rp := e.exchange(r, out.frags, dataIdx(schema), n.Streaming, st)
+	for i := range lp {
+		if n.Streaming {
+			it, err := engine.NewStreamDiffIter(lp[i], rp[i])
+			if err != nil {
+				// Arity compatibility was validated above, so this is an
+				// executor bug — but it still must tear down cleanly: the
+				// constructor closed lp[i]/rp[i]; release the rest and
+				// surface the error instead of panicking.
+				closeAll(lp[:i])
+				closeAll(lp[i+1:])
+				closeAll(rp[i+1:])
+				return nil, err
+			}
+			lp[i] = e.govern(it)
+		} else {
+			// Arity compatibility (checked above) is the only failure mode
+			// of TemporalDiff; a failure here still propagates through Err
+			// rather than yielding a silently empty partition.
+			lp[i] = newLazySweepIter(schema, func(ts ...*engine.Table) (*engine.Table, error) {
+				return engine.TemporalDiff(ts[0], ts[1])
+			}, lp[i], rp[i])
+		}
+	}
+	return e.finish("diff", &pstream{parts: lp, schema: schema, ordered: out.ordered}, st), nil
+}
+
+// buildJoin compiles the temporal join the way engine.DB.JoinStrategy
+// says it runs. A hash join drains its build side once into a shared
+// immutable hash table, then every probe fragment streams its partition
+// of the other input against it. A join without an equality conjunct
+// runs as one endpoint-sorted overlap sweep (which drains both inputs
+// anyway) over the merged inputs.
 func (e *executor) buildJoin(n engine.JoinP, parent *engine.OpStats) (*pstream, error) {
 	st := parent.Child("Join", "")
 	l, err := e.build(n.L, st)
@@ -956,10 +735,12 @@ func (e *executor) buildJoin(n engine.JoinP, parent *engine.OpStats) (*pstream, 
 		r.close()
 		return nil, err
 	}
-	if !prep.HasEquiKey() {
-		if st != nil {
-			st.Detail = "overlap-sweep"
-		}
+	hash, buildLeft := e.db.JoinStrategy(n, prep)
+	if st != nil {
+		st.Detail = engine.JoinStrategyName(hash, buildLeft)
+	}
+	out := place(n, e.workers, hash, l.shape(), r.shape())
+	if !hash {
 		j, err := engine.NewJoinIter(e.merge(l, st), e.merge(r, st), n.Pred)
 		if err != nil {
 			return nil, err
@@ -968,43 +749,18 @@ func (e *executor) buildJoin(n engine.JoinP, parent *engine.OpStats) (*pstream, 
 			j.Close()
 			return nil, err
 		}
-		return obsStream(e.injectStream("join", &pstream{seq: j, schema: j.Schema()}), st), nil
+		return e.finish("join", &pstream{parts: []engine.RowIter{j}, schema: j.Schema(), ordered: out.ordered}, st), nil
 	}
-	// Drain the build side eagerly (as the sequential engine does); a
-	// canceled context surfaces as an error rather than a silently
-	// truncated hash table. The drain happens outside any Next, so an
-	// explicit span attributes its cost to the join node.
-	// The planner may have pinned the build side (and a pre-sizing hint)
-	// on the plan node; with BuildAuto the executor keeps its own
-	// estimate-based pick.
-	var buildLeft bool
-	switch n.Build {
-	case engine.BuildLeftSide:
-		buildLeft = true
-	case engine.BuildRightSide:
-		buildLeft = false
-	default:
-		buildLeft = engine.BuildLeftSmaller(e.db.EstimateRows(n.L), e.db.EstimateRows(n.R))
-	}
-	var jb *engine.JoinBuild
-	var probe *pstream
-	var buildArity int
-	done := st.Span()
+	build, probe := r, l
 	if buildLeft {
-		if st != nil {
-			st.Detail = "hash build=left"
-		}
-		jb = prep.BuildLeftSized(e.merge(l, st), n.BuildHint)
-		probe = r
-		buildArity = l.schema.Arity()
-	} else {
-		if st != nil {
-			st.Detail = "hash build=right"
-		}
-		jb = prep.BuildSized(e.merge(r, st), n.BuildHint)
-		probe = l
-		buildArity = r.schema.Arity()
+		build, probe = l, r
 	}
+	// Drain the build side eagerly; a canceled context surfaces as an
+	// error rather than a silently truncated hash table. The drain
+	// happens outside any pull, so an explicit span attributes its cost
+	// to the join node.
+	done := st.Span()
+	jb := prep.Build(e.merge(build, st), buildLeft, n.BuildHint)
 	done()
 	// A failed build drain means a truncated hash table: the join must
 	// not run over it. The drain error wins over the bare ctx error (it
@@ -1015,92 +771,49 @@ func (e *executor) buildJoin(n engine.JoinP, parent *engine.OpStats) (*pstream, 
 	}
 	// The materialized build side is tracked query state: charge it
 	// against the memory budget before fanning probes out.
-	if err := e.gov.ChargeMem(jb.Rows() * engine.ApproxRowBytes(buildArity)); err != nil {
+	if err := e.gov.ChargeMem(jb.Rows() * engine.ApproxRowBytes(build.schema.Arity())); err != nil {
 		probe.close()
 		return nil, err
 	}
-	if e.workers <= 1 {
-		it := jb.Probe(e.merge(probe, st))
-		return obsStream(e.injectStream("join", &pstream{seq: it, schema: it.Schema()}), st), nil
-	}
-	pp := e.partition(probe, st)
-	parts := make([]engine.RowIter, len(pp))
-	for i, part := range pp {
+	parts := e.exchange(probe, out.frags, nil, false, st)
+	for i, part := range parts {
 		parts[i] = jb.Probe(part)
 	}
-	return obsStream(e.injectStream("join", &pstream{parts: parts, schema: prep.Schema()}), st), nil
+	return e.finish("join", &pstream{parts: parts, schema: prep.Schema(), ordered: out.ordered}, st), nil
 }
 
-// scanStream builds the scan side of a pstream over a stored (or
-// pruned-prefix) table: the shared construction of the ScanP case and
-// the zone-map-pruned windowed scan. Cached table metadata makes the
-// order probe O(1) on the load paths. A begin-sorted table yields
-// begin-sorted fragments: every morsel scan claims strictly increasing
-// row ranges from the shared cursor, so each fragment is an
-// order-preserving subsequence of the stored order.
-func (e *executor) scanStream(t *engine.Table, name string, st *engine.OpStats) *pstream {
-	ordered := t.BeginSorted()
-	if e.workers <= 1 {
-		// The sequential path runs entirely on the consumer's
-		// goroutine, so this ctx probe (amortized per batch / per
-		// morsel of rows) is its only mid-stream cancellation point:
-		// blocking drains above it (sort enforcers, hash-join builds)
-		// end early when it fires instead of running to completion.
-		seq := engine.NewCtxIter(e.ctx, engine.NewTableIter(t), e.morsel)
-		return obsStream(e.injectStream("scan:"+name, &pstream{seq: seq, schema: t.Schema, ordered: ordered}), st)
-	}
+// scanStream builds the scan of a stored (or pruned-prefix) table: the
+// shared construction of the ScanP case and the zone-map-pruned windowed
+// scan. Cached table metadata makes the order probe O(1) on the load
+// paths. A begin-sorted table yields begin-sorted fragments: every
+// morsel scan claims strictly increasing row ranges from the shared
+// cursor, so each fragment is an order-preserving subsequence of the
+// stored order.
+func (e *executor) scanStream(n engine.ScanP, t *engine.Table, st *engine.OpStats) *pstream {
+	out := place(n, e.workers, false, shape{ordered: t.BeginSorted()})
 	ctr := new(atomic.Int64)
-	parts := make([]engine.RowIter, e.workers)
+	parts := make([]engine.RowIter, out.frags)
 	for i := range parts {
-		parts[i] = &morselTableIter{t: t, ctr: ctr, size: e.morsel}
+		parts[i] = &morselTableIter{ctx: e.ctx, t: t, ctr: ctr, size: e.morsel}
 	}
-	return obsStream(e.injectStream("scan:"+name, &pstream{parts: parts, schema: t.Schema, ordered: ordered}), st)
+	return e.finish("scan:"+n.Name, &pstream{parts: parts, schema: t.Schema, ordered: out.ordered}, st)
 }
 
-// mapStream wraps every fragment (or the sequential iterator) of in with
-// a streaming operator constructor. wrap takes ownership of its input on
-// error, matching the engine constructors' contract. The wrapped
-// operators (Filter, Project) are per-row and carry the period
-// attributes through unchanged, so the sort property of the input is
-// preserved.
-func (e *executor) mapStream(in *pstream, wrap func(engine.RowIter) (engine.RowIter, error)) (*pstream, error) {
-	if in.seq != nil {
-		it, err := wrap(in.seq)
-		if err != nil {
-			return nil, err
-		}
-		return &pstream{seq: it, schema: it.Schema(), ordered: in.ordered}, nil
-	}
-	out := make([]engine.RowIter, len(in.parts))
+// mapStream wraps every fragment of in with a streaming operator
+// constructor. wrap takes ownership of its input on error, matching the
+// engine constructors' contract. The wrapped operators (Filter, Project,
+// Window) are per-row and carry or monotonically clip the period
+// attributes, so place() hands the input's shape through.
+func (e *executor) mapStream(site string, n engine.Plan, in *pstream, st *engine.OpStats, wrap func(engine.RowIter) (engine.RowIter, error)) (*pstream, error) {
 	for i, part := range in.parts {
 		it, err := wrap(part)
 		if err != nil {
-			for j := 0; j < i; j++ {
-				out[j].Close()
-			}
-			for j := i + 1; j < len(in.parts); j++ {
-				in.parts[j].Close()
-			}
+			closeAll(in.parts[:i])
+			closeAll(in.parts[i+1:])
 			return nil, err
 		}
-		out[i] = it
+		in.parts[i] = it
 	}
-	return &pstream{parts: out, schema: out[0].Schema(), ordered: in.ordered}, nil
-}
-
-// table materializes a subplan — the input boundary of the blocking
-// operators. The subplan itself still runs with parallel fragments; a
-// canceled context surfaces as an error rather than a truncated table.
-func (e *executor) table(p engine.Plan, parent *engine.OpStats) (*engine.Table, error) {
-	s, err := e.build(p, parent)
-	if err != nil {
-		return nil, err
-	}
-	it := e.merge(s, parent)
-	defer it.Close()
-	t, err := engine.MaterializeErr(it)
-	if err := engine.FirstErr(err, e.errOf(), e.ctx.Err()); err != nil {
-		return nil, err
-	}
-	return t, nil
+	out := place(n, e.workers, false, in.shape())
+	return e.finish(site, &pstream{parts: in.parts, schema: in.parts[0].Schema(), ordered: out.ordered}, st), nil
 }

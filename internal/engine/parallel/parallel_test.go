@@ -45,9 +45,9 @@ func runParallel(t *testing.T, db *engine.DB, p engine.Plan, workers int) *engin
 	return engine.Materialize(it)
 }
 
-// The parallel executor must produce multiset-identical results to the
-// sequential executors on every qgen-generated REWR plan, at several
-// worker counts. The tiny morsel size forces real partitioning even on
+// The executor must produce results multiset-identical to the reference
+// evaluator on every qgen-generated REWR plan, at several worker
+// counts. The tiny morsel size forces real partitioning even on
 // the small generated tables. Run under -race this also exercises the
 // exchange operators for data races.
 func TestParallelSequentialEquivalence(t *testing.T) {
@@ -111,8 +111,8 @@ func bigPipelinePlan() engine.Plan {
 	}
 }
 
-// The join-heavy pipeline must agree across Exec, ExecStream and the
-// parallel executor on a dataset much larger than a morsel.
+// The join-heavy pipeline must agree between the reference evaluator
+// and the executor on a dataset much larger than a morsel.
 func TestParallelBigPipelineEquivalence(t *testing.T) {
 	db := bigPipelineDB(4000)
 	p := bigPipelinePlan()

@@ -5,120 +5,94 @@ import (
 	"snapk/internal/tuple"
 )
 
-// lazySweepIter runs one blocking sweep operator over one hash
-// partition, inside the worker fragment that drains it: the partition
-// is materialized on first Next (concurrently across workers, since
-// every fragment runs in its own merge-producer goroutine), the sweep
-// runs on it, and the result streams out. This is what turns the
-// blocking sweeps into W-wide parallel operators: the partitioning key
-// is the sweep's group key, so the per-partition sweeps are independent
-// and their merged outputs form exactly the sequential result multiset.
-// The ordered exchange + per-worker streaming sweeps supersede this on
-// begin-sorted input; it remains the blocking ablation baseline.
+// lazySweepIter runs one blocking operator — a blocking sweep over one
+// hash partition (or partition pair, for difference), or the sort
+// enforcer — inside the fragment that drains it: the inputs are
+// materialized on the first pull (concurrently across fragments when
+// each runs in its own merge-producer goroutine), fn runs on them, and
+// the result streams out. For the sweeps the partitioning key is the
+// group key, so the per-partition sweeps are independent and their
+// merged outputs form exactly the one-fragment result multiset. The
+// ordered exchange + per-fragment streaming sweeps supersede this on
+// begin-sorted input.
 //
-// A failed partition drain or a failing fn ends the partition's stream
-// with NO rows — a sweep over a truncated partition would be a silently
-// wrong multiset — and the error propagates through Err per the
-// error-carrying iterator protocol.
+// A failed input drain or a failing fn ends the stream with NO rows — a
+// sweep over a truncated partition would be a silently wrong multiset —
+// and the error propagates through Err per the error-carrying iterator
+// protocol.
 type lazySweepIter struct {
-	in     engine.RowIter
+	ins    []engine.RowIter
 	schema tuple.Schema
-	fn     func(*engine.Table) (*engine.Table, error)
-	out    engine.RowIter
+	fn     func(...*engine.Table) (*engine.Table, error)
+	out    engine.RowIter   // scan of fn's result, once run
+	bout   engine.BatchIter // out's batch form
 	err    error
 }
 
-// newLazySweepIter wraps one partition with a sweep function; schema is
-// the sweep's output schema.
-func newLazySweepIter(in engine.RowIter, schema tuple.Schema, fn func(*engine.Table) (*engine.Table, error)) engine.RowIter {
-	return &lazySweepIter{in: in, schema: schema, fn: fn}
+// newLazySweepIter wraps the inputs of one fragment with a blocking
+// function over their materializations; schema is fn's output schema.
+func newLazySweepIter(schema tuple.Schema, fn func(...*engine.Table) (*engine.Table, error), ins ...engine.RowIter) engine.RowIter {
+	return &lazySweepIter{ins: ins, schema: schema, fn: fn}
 }
 
 func (it *lazySweepIter) Schema() tuple.Schema { return it.schema }
 
+// run materializes the inputs and applies fn on the first pull; it
+// reports whether the result stream is available.
+func (it *lazySweepIter) run() bool {
+	if it.out != nil || it.err != nil {
+		return it.err == nil
+	}
+	ts := make([]*engine.Table, len(it.ins))
+	for i, in := range it.ins {
+		var err error
+		ts[i], err = engine.MaterializeErr(in)
+		it.err = engine.FirstErr(it.err, err)
+	}
+	// The drained inputs are released now, not at Close: in a
+	// single-fragment pipeline they are the whole upstream operator
+	// chain, hash-join build tables included, which must not stay
+	// reachable while fn runs and its result streams out.
+	closeAll(it.ins)
+	it.ins = nil
+	if it.err != nil {
+		return false
+	}
+	var t *engine.Table
+	if t, it.err = it.fn(ts...); it.err != nil {
+		return false
+	}
+	it.out = engine.NewTableIter(t)
+	it.bout = engine.AsBatchIter(it.out, 0)
+	return true
+}
+
 func (it *lazySweepIter) Next() (tuple.Tuple, bool) {
-	if it.err != nil {
+	if !it.run() {
 		return nil, false
-	}
-	if it.out == nil {
-		t, err := engine.MaterializeErr(it.in)
-		if err == nil {
-			t, err = it.fn(t)
-		}
-		if err != nil {
-			it.err = err
-			return nil, false
-		}
-		it.out = engine.NewTableIter(t)
 	}
 	return it.out.Next()
 }
 
-// Err reports the partition drain or sweep failure, else delegates to
-// the input (which may have recorded an error this iterator never
-// observed because it was closed before the first Next).
-func (it *lazySweepIter) Err() error { return engine.FirstErr(it.err, engine.IterErr(it.in)) }
-
-// Close releases the input and, when Next already materialized the
-// sweep, the result iterator too.
-func (it *lazySweepIter) Close() {
-	it.in.Close()
-	if it.out != nil {
-		it.out.Close()
+func (it *lazySweepIter) NextBatch(b *engine.RowBatch) bool {
+	if !it.run() {
+		b.Reset()
+		return false
 	}
+	return it.bout.NextBatch(b)
 }
 
-// lazyDiffIter is the two-input form of lazySweepIter for the fused
-// difference sweep: both sides of one hash partition are materialized
-// on first Next and diffed through fn. A failed drain on either side —
-// or a failing fn — ends the stream with no rows and surfaces through
-// Err.
-type lazyDiffIter struct {
-	l, r   engine.RowIter
-	schema tuple.Schema
-	fn     func(l, r *engine.Table) (*engine.Table, error)
-	out    engine.RowIter
-	err    error
-}
-
-func newLazyDiffIter(l, r engine.RowIter, schema tuple.Schema, fn func(l, r *engine.Table) (*engine.Table, error)) engine.RowIter {
-	return &lazyDiffIter{l: l, r: r, schema: schema, fn: fn}
-}
-
-func (it *lazyDiffIter) Schema() tuple.Schema { return it.schema }
-
-func (it *lazyDiffIter) Next() (tuple.Tuple, bool) {
-	if it.err != nil {
-		return nil, false
+// Err reports the input drain or fn failure; before the first pull it
+// delegates to the inputs (which may have recorded an error this
+// iterator never observed because it was closed first).
+func (it *lazySweepIter) Err() error {
+	err := it.err
+	for _, in := range it.ins {
+		err = engine.FirstErr(err, engine.IterErr(in))
 	}
-	if it.out == nil {
-		lt, lErr := engine.MaterializeErr(it.l)
-		rt, rErr := engine.MaterializeErr(it.r)
-		if err := engine.FirstErr(lErr, rErr); err != nil {
-			it.err = err
-			return nil, false
-		}
-		t, err := it.fn(lt, rt)
-		if err != nil {
-			it.err = err
-			return nil, false
-		}
-		it.out = engine.NewTableIter(t)
-	}
-	return it.out.Next()
+	return err
 }
 
-// Err reports the drain or diff failure, else delegates to the inputs.
-func (it *lazyDiffIter) Err() error {
-	return engine.FirstErr(it.err, engine.IterErr(it.l), engine.IterErr(it.r))
-}
-
-// Close releases both inputs and, when Next already materialized the
-// diff, the result iterator too.
-func (it *lazyDiffIter) Close() {
-	it.l.Close()
-	it.r.Close()
-	if it.out != nil {
-		it.out.Close()
-	}
-}
+// Close releases the inputs when no pull drained them; the result is a
+// table scan holding no resources.
+func (it *lazySweepIter) Close() { closeAll(it.ins) }

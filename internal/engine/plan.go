@@ -11,7 +11,7 @@ import (
 
 // Plan is a physical plan node over period relations. Plans are produced
 // from snapshot-semantics queries by the REWR rewriting (package rewrite)
-// and executed by DB.Exec.
+// and executed by package parallel; DB.Exec is the reference evaluator.
 type Plan interface {
 	planNode()
 	String() string
@@ -34,7 +34,7 @@ type ProjectP struct {
 }
 
 // BuildSide fixes the hash-join build side. BuildAuto (the zero value)
-// keeps the executors' own estimate-based selection; the physical
+// keeps DB.JoinStrategy's own estimate-based selection; the physical
 // planner pass (package rewrite) pins a side so the decision is made
 // once, with statistics, and EXPLAIN can report why.
 type BuildSide uint8
@@ -62,7 +62,7 @@ type JoinP struct {
 type UnionP struct{ L, R Plan }
 
 // DiffP is snapshot-reducible EXCEPT ALL via split (Fig 4). With
-// Streaming set the streaming executor runs the ℕ-monus difference as a
+// Streaming set the executor runs the ℕ-monus difference as a
 // two-input begin-sorted merge sweep with O(open intervals + active
 // groups) state instead of materializing both inputs; the planner
 // (package rewrite) only sets it when the interval-endpoint order of
@@ -74,7 +74,7 @@ type DiffP struct {
 
 // AggP is snapshot-reducible aggregation via split (Fig 4); PreAgg
 // selects the §9 pre-aggregation optimization. With Streaming set the
-// streaming executor runs the pre-aggregated sweep incrementally over
+// executor runs the pre-aggregated sweep incrementally over
 // begin-sorted input with O(active-groups) state instead of
 // materializing the input first; the planner (package rewrite) only sets
 // it when PreAgg holds and the input order is guaranteed.
@@ -87,11 +87,10 @@ type AggP struct {
 }
 
 // CoalesceP applies the coalesce operator C (Def 8.2). With Streaming
-// set the streaming executor coalesces incrementally over begin-sorted
+// set the executor coalesces incrementally over begin-sorted
 // input with O(active-groups) state; the planner only sets it when the
 // input order is guaranteed.
 type CoalesceP struct {
-	Impl      CoalesceImpl
 	Streaming bool
 	In        Plan
 }
@@ -112,7 +111,7 @@ type SortP struct{ In Plan }
 //
 // A WindowP node always clips — an invalid T yields the empty result;
 // "no window" is expressed by not inserting the node. Prune permits the
-// executors to apply the endpoint zone-map check when the node sits
+// executor to apply the endpoint zone-map check when the node sits
 // directly over a stored-table scan: a scan whose min/max endpoint
 // envelope is disjoint from T is skipped outright, and a begin-sorted
 // scan stops at the first begin ≥ T.End. It is set by the physical
@@ -172,33 +171,44 @@ func (p WindowP) String() string {
 	return fmt.Sprintf("Window[%s](%s)", p.T, p.In)
 }
 
+// Inputs returns the input plans of p in execution order (left before
+// right), nil for a scan.
+func Inputs(p Plan) []Plan {
+	switch n := p.(type) {
+	case FilterP:
+		return []Plan{n.In}
+	case ProjectP:
+		return []Plan{n.In}
+	case JoinP:
+		return []Plan{n.L, n.R}
+	case UnionP:
+		return []Plan{n.L, n.R}
+	case DiffP:
+		return []Plan{n.L, n.R}
+	case AggP:
+		return []Plan{n.In}
+	case CoalesceP:
+		return []Plan{n.In}
+	case SortP:
+		return []Plan{n.In}
+	case WindowP:
+		return []Plan{n.In}
+	default:
+		return nil
+	}
+}
+
 // CountCoalesce returns the number of coalesce operators in the plan,
 // used by the §9 ablation to report plan shape.
 func CountCoalesce(p Plan) int {
-	switch n := p.(type) {
-	case ScanP:
-		return 0
-	case FilterP:
-		return CountCoalesce(n.In)
-	case ProjectP:
-		return CountCoalesce(n.In)
-	case JoinP:
-		return CountCoalesce(n.L) + CountCoalesce(n.R)
-	case UnionP:
-		return CountCoalesce(n.L) + CountCoalesce(n.R)
-	case DiffP:
-		return CountCoalesce(n.L) + CountCoalesce(n.R)
-	case AggP:
-		return CountCoalesce(n.In)
-	case CoalesceP:
-		return 1 + CountCoalesce(n.In)
-	case SortP:
-		return CountCoalesce(n.In)
-	case WindowP:
-		return CountCoalesce(n.In)
-	default:
-		return 0
+	n := 0
+	if _, ok := p.(CoalesceP); ok {
+		n = 1
 	}
+	for _, in := range Inputs(p) {
+		n += CountCoalesce(in)
+	}
+	return n
 }
 
 // BeginOrdered reports whether the output of p is guaranteed to be
@@ -291,7 +301,11 @@ func (db *DB) RelationSchema(name string) (tuple.Schema, error) {
 	return t.DataSchema(), nil
 }
 
-// Exec evaluates a physical plan to a period relation.
+// Exec evaluates a physical plan to a period relation, one fully
+// materialized node at a time, ignoring every physical annotation
+// (Streaming, Build, Prune). It is the reference evaluator the tests
+// compare the executor (package parallel) against; nothing outside
+// tests calls it.
 func (db *DB) Exec(p Plan) (*Table, error) {
 	switch n := p.(type) {
 	case ScanP:
@@ -349,7 +363,7 @@ func (db *DB) Exec(p Plan) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Coalesce(in, n.Impl), nil
+		return Coalesce(in, CoalesceNative), nil
 	case SortP:
 		in, err := db.Exec(n.In)
 		if err != nil {

@@ -43,7 +43,7 @@ func BenchmarkJoinBuildUnsized(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		jb := prep.Build(engine.NewTableIter(build))
+		jb := prep.Build(engine.NewTableIter(build), false, 0)
 		if jb.Rows() != benchRows {
 			b.Fatalf("build retained %d rows", jb.Rows())
 		}
@@ -55,7 +55,7 @@ func BenchmarkJoinBuildPresized(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		jb := prep.BuildSized(engine.NewTableIter(build), benchRows)
+		jb := prep.Build(engine.NewTableIter(build), false, benchRows)
 		if jb.Rows() != benchRows {
 			b.Fatalf("build retained %d rows", jb.Rows())
 		}

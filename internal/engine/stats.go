@@ -319,15 +319,7 @@ func (db *DB) estimateJoin(n JoinP) int64 {
 	if l == 0 || r == 0 {
 		return 0
 	}
-	hasKey := false
-	if lData, err := db.PlanDataSchema(n.L); err == nil {
-		if rData, err := db.PlanDataSchema(n.R); err == nil {
-			if prep, err := PrepareJoin(lData, rData, n.Pred); err == nil {
-				hasKey = prep.HasEquiKey()
-			}
-		}
-	}
-	if !hasKey {
+	if prep, err := db.PlanJoinPrep(n); err != nil || !prep.HasEquiKey() {
 		// Overlap sweep: temporal selectivity only. Assume a tenth of
 		// the cross product overlaps.
 		return estScale(l*r, selEq)

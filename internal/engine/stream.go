@@ -9,7 +9,7 @@ import (
 )
 
 // RowIter is a pull-based iterator over period-encoded rows: the volcano
-// interface of the streaming executor. Schema returns the full period
+// interface of the executor. Schema returns the full period
 // schema (data columns plus BeginCol/EndCol) of the produced rows. Next
 // returns the next row and true, or nil and false when the stream is
 // exhausted. Close releases the iterator's resources and those of its
@@ -94,9 +94,10 @@ type filterIter struct {
 	pred algebra.Compiled
 }
 
-// newFilterIter takes ownership of in: on error the child is closed, so
-// the caller only ever closes the returned iterator.
-func newFilterIter(in RowIter, pred algebra.Expr) (RowIter, error) {
+// NewFilterIter wraps in with the pipelined Filter operator. It takes
+// ownership of in: on error the child is closed, so the caller only
+// ever closes the returned iterator.
+func NewFilterIter(in RowIter, pred algebra.Expr) (RowIter, error) {
 	c, err := algebra.Compile(pred, in.Schema())
 	if err != nil {
 		in.Close()
@@ -165,9 +166,10 @@ type projectIter struct {
 	schema tuple.Schema
 }
 
-// newProjectIter takes ownership of in: on error the child is closed,
-// so the caller only ever closes the returned iterator.
-func newProjectIter(in RowIter, exprs []algebra.NamedExpr) (RowIter, error) {
+// NewProjectIter wraps in with the pipelined Project operator. It takes
+// ownership of in: on error the child is closed, so the caller only
+// ever closes the returned iterator.
+func NewProjectIter(in RowIter, exprs []algebra.NamedExpr) (RowIter, error) {
 	fns := make([]algebra.Compiled, len(exprs))
 	cols := make([]string, len(exprs))
 	for i, ne := range exprs {
@@ -235,9 +237,10 @@ type unionIter struct {
 	lDone  bool      // l exhausted, now draining r
 }
 
-// newUnionIter takes ownership of both inputs: on error the children
-// are closed, so the caller only ever closes the returned iterator.
-func newUnionIter(l, r RowIter) (RowIter, error) {
+// NewUnionIter concatenates two union-compatible streams. It takes
+// ownership of both inputs: on error the children are closed, so the
+// caller only ever closes the returned iterator.
+func NewUnionIter(l, r RowIter) (RowIter, error) {
 	if l.Schema().Arity() != r.Schema().Arity() {
 		arities := [2]int{l.Schema().Arity(), r.Schema().Arity()}
 		l.Close()
@@ -333,7 +336,7 @@ type JoinPrep struct {
 // the interval-overlap sweep.
 func PrepareJoin(lData, rData tuple.Schema, pred algebra.Expr) (*JoinPrep, error) {
 	joined := lData.Concat(rData, "r.")
-	keys, residual := extractEquiKeys(pred, lData, joined, lData.Arity())
+	keys, residual := extractEquiKeys(pred, joined, lData.Arity())
 	res, err := algebra.Compile(residual, joined)
 	if err != nil {
 		return nil, err
@@ -373,30 +376,15 @@ func (b *JoinBuild) Err() error { return b.err }
 // Rows returns the number of rows retained in the build table.
 func (b *JoinBuild) Rows() int64 { return b.rows }
 
-// Build drains the right (build-side) input into a hash table on the
-// equi-key columns and closes it. It must only be called when HasEquiKey
-// reports true.
-func (p *JoinPrep) Build(r RowIter) *JoinBuild { return p.buildSide(r, false, 0) }
-
-// BuildLeft drains the LEFT input as the build side instead — the
-// size-based build-side selection path when the left input is known to
-// be smaller. The probe iterator then consumes the right input; output
-// column order is unaffected.
-func (p *JoinPrep) BuildLeft(l RowIter) *JoinBuild { return p.buildSide(l, true, 0) }
-
-// BuildSized is Build with the hash table pre-sized for roughly hint
-// build-side rows (≤ 0 = no hint). The hint is the planner's cardinality
-// estimate: a good one removes the map's incremental rehash/grow
-// allocations during the build drain, a bad one costs at most the
-// overshoot's memory. Never affects results.
-func (p *JoinPrep) BuildSized(r RowIter, hint int64) *JoinBuild { return p.buildSide(r, false, hint) }
-
-// BuildLeftSized is BuildLeft with the pre-sizing hint of BuildSized.
-func (p *JoinPrep) BuildLeftSized(l RowIter, hint int64) *JoinBuild {
-	return p.buildSide(l, true, hint)
-}
-
-func (p *JoinPrep) buildSide(in RowIter, left bool, hint int64) *JoinBuild {
+// Build drains one input into a hash table on the equi-key columns and
+// closes it: the right input by default, the LEFT one when left is set
+// (the probe iterator then consumes the other input; output column
+// order is unaffected). hint pre-sizes the table for roughly that many
+// build rows (<= 0 = no hint): a good one removes the map's incremental
+// rehash/grow allocations during the drain, a bad one costs at most the
+// overshoot's memory. Neither parameter affects results. Build must only
+// be called when HasEquiKey reports true.
+func (p *JoinPrep) Build(in RowIter, left bool, hint int64) *JoinBuild {
 	keyIdx := p.rIdx
 	if left {
 		keyIdx = p.lIdx
@@ -453,25 +441,14 @@ func (b *JoinBuild) Probe(probe RowIter) RowIter {
 	}
 }
 
-// newJoinIter builds the streaming temporal join over two input streams.
+// NewJoinIter builds the streaming temporal join over two input streams.
 // Equality conjuncts of pred become hash-join keys with the right input
 // as build side; without any equi key the join degrades to the
 // endpoint-sorted interval-overlap sweep (newOverlapJoinIter) instead of
-// a single-bucket hash table. newJoinIter takes ownership of both
+// a single-bucket hash table. NewJoinIter takes ownership of both
 // inputs: consumed or failed children are closed here, so the caller
 // only ever closes the returned iterator.
-func newJoinIter(l, r RowIter, pred algebra.Expr) (RowIter, error) {
-	return newJoinIterSided(l, r, pred, false, 0)
-}
-
-// newJoinIterBuildLeft is newJoinIter with the LEFT input as build side
-// — chosen by plan-level size-based build-side selection when the left
-// input is estimated smaller.
-func newJoinIterBuildLeft(l, r RowIter, pred algebra.Expr) (RowIter, error) {
-	return newJoinIterSided(l, r, pred, true, 0)
-}
-
-func newJoinIterSided(l, r RowIter, pred algebra.Expr, buildLeft bool, hint int64) (RowIter, error) {
+func NewJoinIter(l, r RowIter, pred algebra.Expr) (RowIter, error) {
 	lData := tuple.Schema{Cols: l.Schema().Cols[:l.Schema().Arity()-2]}
 	rData := tuple.Schema{Cols: r.Schema().Cols[:r.Schema().Arity()-2]}
 	prep, err := PrepareJoin(lData, rData, pred)
@@ -487,26 +464,48 @@ func newJoinIterSided(l, r RowIter, pred algebra.Expr, buildLeft bool, hint int6
 	// probe side stays open until the joint iterator is closed. A build
 	// over a failed stream is incomplete — surface that as a
 	// construction error rather than probing a partial table.
-	var jb *JoinBuild
-	probe := l
-	if buildLeft {
-		jb, probe = prep.BuildLeftSized(l, hint), r
-	} else {
-		jb = prep.BuildSized(r, hint)
-	}
+	jb := prep.Build(r, false, 0)
 	if err := jb.Err(); err != nil {
-		probe.Close()
+		l.Close()
 		return nil, err
 	}
-	return jb.Probe(probe), nil
+	return jb.Probe(l), nil
 }
 
-// BuildLeftSmaller decides hash-join build-side orientation from two
-// cardinality estimates (−1 = unknown): build on the left only when
-// both sides are known and the left is strictly smaller; default to the
-// right build side otherwise.
-func BuildLeftSmaller(lEst, rEst int64) bool {
-	return lEst >= 0 && rEst >= 0 && lEst < rEst
+// JoinStrategy is the one definition of how a temporal join node
+// executes; the executor switches on it and EXPLAIN and the planner
+// report it. prep is the node's analysed predicate (over the executed
+// input schemas, or PlanJoinPrep's static ones). A join with an
+// equality conjunct runs as a hash join, any other as the
+// interval-overlap sweep. The hash join builds on the side the planner
+// pinned on the node; with BuildAuto on the left input only when both
+// cardinality estimates are known and the left is strictly smaller, and
+// on the right otherwise.
+func (db *DB) JoinStrategy(n JoinP, prep *JoinPrep) (hash, buildLeft bool) {
+	if !prep.HasEquiKey() {
+		return false, false
+	}
+	switch n.Build {
+	case BuildLeftSide:
+		return true, true
+	case BuildRightSide:
+		return true, false
+	}
+	lEst, rEst := db.EstimateRows(n.L), db.EstimateRows(n.R)
+	return true, lEst >= 0 && rEst >= 0 && lEst < rEst
+}
+
+// JoinStrategyName is the display form of a JoinStrategy result, shared
+// by EXPLAIN and the EXPLAIN ANALYZE join node.
+func JoinStrategyName(hash, buildLeft bool) string {
+	switch {
+	case !hash:
+		return "overlap-sweep"
+	case buildLeft:
+		return "hash build=left"
+	default:
+		return "hash build=right"
+	}
 }
 
 func hasNullAt(row tuple.Tuple, idx []int) bool {
@@ -584,280 +583,3 @@ func (it *hashJoinIter) Close() { it.probe.Close() }
 
 // Err reports the build side's terminal error, then the probe side's.
 func (it *hashJoinIter) Err() error { return FirstErr(it.buildErr, IterErr(it.probe)) }
-
-// ExecStream evaluates a physical plan to a pull-based row stream.
-// Filter, Project, UnionAll and the probe side of the temporal join are
-// fully pipelined; the blocking operators (Split-based aggregation,
-// difference and coalesce) consume their input streams and keep their
-// endpoint-sweep internals. The caller must Close the returned iterator.
-func (db *DB) ExecStream(p Plan) (RowIter, error) {
-	return db.ExecStreamObs(p, nil)
-}
-
-// ExecStreamObs is ExecStream with EXPLAIN ANALYZE instrumentation: each
-// operator gets an OpStats child of parent and its iterator is wrapped
-// in an ObsIter recording into it. With parent == nil (the ExecStream
-// path) every Child and NewObsIter call is an identity no-op, so the
-// uninstrumented hot path is unchanged.
-func (db *DB) ExecStreamObs(p Plan, parent *OpStats) (RowIter, error) {
-	switch n := p.(type) {
-	case ScanP:
-		t, err := db.Table(n.Name)
-		if err != nil {
-			return nil, err
-		}
-		return NewObsIter(NewTableIter(t), parent.Child("Scan", n.Name)), nil
-	case FilterP:
-		st := parent.Child("Filter", "")
-		in, err := db.ExecStreamObs(n.In, st)
-		if err != nil {
-			return nil, err
-		}
-		it, err := newFilterIter(in, n.Pred)
-		if err != nil {
-			return nil, err
-		}
-		return NewObsIter(it, st), nil
-	case ProjectP:
-		st := parent.Child("Project", "")
-		in, err := db.ExecStreamObs(n.In, st)
-		if err != nil {
-			return nil, err
-		}
-		it, err := newProjectIter(in, n.Exprs)
-		if err != nil {
-			return nil, err
-		}
-		return NewObsIter(it, st), nil
-	case JoinP:
-		st := parent.Child("Join", "")
-		l, err := db.ExecStreamObs(n.L, st)
-		if err != nil {
-			return nil, err
-		}
-		r, err := db.ExecStreamObs(n.R, st)
-		if err != nil {
-			l.Close()
-			return nil, err
-		}
-		// The hash-join build side drains at construction, outside any
-		// Next: attribute it to the join node via an explicit span. The
-		// planner may have pinned the build side on the plan node; with
-		// BuildAuto the executor keeps its own estimate-based pick.
-		var buildLeft bool
-		switch n.Build {
-		case BuildLeftSide:
-			buildLeft = true
-		case BuildRightSide:
-			buildLeft = false
-		default:
-			buildLeft = BuildLeftSmaller(db.EstimateRows(n.L), db.EstimateRows(n.R))
-		}
-		if st != nil {
-			st.Detail = joinDetail(l.Schema(), r.Schema(), n.Pred, buildLeft)
-		}
-		done := st.Span()
-		it, err := newJoinIterSided(l, r, n.Pred, buildLeft, n.BuildHint)
-		done()
-		if err != nil {
-			return nil, err
-		}
-		return NewObsIter(it, st), nil
-	case UnionP:
-		st := parent.Child("Union", "")
-		l, err := db.ExecStreamObs(n.L, st)
-		if err != nil {
-			return nil, err
-		}
-		r, err := db.ExecStreamObs(n.R, st)
-		if err != nil {
-			l.Close()
-			return nil, err
-		}
-		it, err := newUnionIter(l, r)
-		if err != nil {
-			return nil, err
-		}
-		return NewObsIter(it, st), nil
-	case DiffP:
-		if n.Streaming {
-			st := parent.Child("Diff", "streaming")
-			l, err := db.ExecStreamObs(n.L, st)
-			if err != nil {
-				return nil, err
-			}
-			r, err := db.ExecStreamObs(n.R, st)
-			if err != nil {
-				l.Close()
-				return nil, err
-			}
-			it, err := NewStreamDiffIter(l, r)
-			if err != nil {
-				return nil, err
-			}
-			// ObsIter sits inside the aliasing check so its StateSizer
-			// assertion reaches the sweep iterator directly.
-			return CheckNoAlias("streaming difference", NewObsIter(it, st)), nil
-		}
-		st := parent.Child("Diff", "blocking")
-		l, err := db.streamToTableObs(n.L, st)
-		if err != nil {
-			return nil, err
-		}
-		r, err := db.streamToTableObs(n.R, st)
-		if err != nil {
-			return nil, err
-		}
-		done := st.Span()
-		out, err := TemporalDiff(l, r)
-		done()
-		if err != nil {
-			return nil, err
-		}
-		return NewObsIter(NewTableIter(out), st), nil
-	case AggP:
-		if n.Streaming && n.PreAgg {
-			st := parent.Child("Agg", "streaming")
-			in, err := db.ExecStreamObs(n.In, st)
-			if err != nil {
-				return nil, err
-			}
-			it, err := NewStreamAggIter(in, n.GroupBy, n.Aggs, db.dom)
-			if err != nil {
-				return nil, err
-			}
-			return CheckNoAlias("streaming aggregation", NewObsIter(it, st)), nil
-		}
-		st := parent.Child("Agg", aggDetail(n))
-		in, err := db.streamToTableObs(n.In, st)
-		if err != nil {
-			return nil, err
-		}
-		done := st.Span()
-		out, err := TemporalAggregate(in, n.GroupBy, n.Aggs, n.PreAgg, db.dom)
-		done()
-		if err != nil {
-			return nil, err
-		}
-		return NewObsIter(NewTableIter(out), st), nil
-	case CoalesceP:
-		if n.Streaming {
-			st := parent.Child("Coalesce", "streaming")
-			in, err := db.ExecStreamObs(n.In, st)
-			if err != nil {
-				return nil, err
-			}
-			return CheckNoAlias("streaming coalesce", NewObsIter(NewStreamCoalesceIter(in), st)), nil
-		}
-		st := parent.Child("Coalesce", "blocking")
-		in, err := db.streamToTableObs(n.In, st)
-		if err != nil {
-			return nil, err
-		}
-		done := st.Span()
-		out := Coalesce(in, n.Impl)
-		done()
-		return NewObsIter(NewTableIter(out), st), nil
-	case SortP:
-		st := parent.Child("Sort", "enforcer")
-		in, err := db.ExecStreamObs(n.In, st)
-		if err != nil {
-			return nil, err
-		}
-		// sortIter drains and sorts inside its first Next, so the ObsIter
-		// timing captures the enforcement cost without an explicit span.
-		return NewObsIter(NewSortIter(in), st), nil
-	case WindowP:
-		st := parent.Child("Window", n.T.String())
-		// The zone-map prune applies when the window sits directly over a
-		// stored-table scan: skip the scan entirely when the endpoint
-		// envelope is disjoint from T, and stop a begin-sorted scan at the
-		// first row with begin ≥ T.End.
-		if scan, ok := n.In.(ScanP); ok && n.Prune {
-			t, err := db.Table(scan.Name)
-			if err != nil {
-				return nil, err
-			}
-			hi, skip := PruneWindowScan(t, n.T)
-			if skip {
-				t = &Table{Schema: t.Schema}
-			} else {
-				t = t.Prefix(hi)
-			}
-			scanIt := NewObsIter(NewTableIter(t), st.Child("Scan", scan.Name))
-			return NewObsIter(NewWindowIter(scanIt, n.T), st), nil
-		}
-		in, err := db.ExecStreamObs(n.In, st)
-		if err != nil {
-			return nil, err
-		}
-		return NewObsIter(NewWindowIter(in, n.T), st), nil
-	default:
-		return nil, fmt.Errorf("engine: unknown plan node %T", p)
-	}
-}
-
-// joinDetail summarizes the join strategy for EXPLAIN ANALYZE: hash join
-// with its build side, or the interval-overlap sweep fallback.
-func joinDetail(lSchema, rSchema tuple.Schema, pred algebra.Expr, buildLeft bool) string {
-	lData := tuple.Schema{Cols: lSchema.Cols[:lSchema.Arity()-2]}
-	rData := tuple.Schema{Cols: rSchema.Cols[:rSchema.Arity()-2]}
-	prep, err := PrepareJoin(lData, rData, pred)
-	if err != nil || !prep.HasEquiKey() {
-		return "overlap-sweep"
-	}
-	if buildLeft {
-		return "hash build=left"
-	}
-	return "hash build=right"
-}
-
-// aggDetail names the blocking aggregation flavor.
-func aggDetail(n AggP) string {
-	if n.PreAgg {
-		return "blocking pre-agg"
-	}
-	return "blocking"
-}
-
-// NewFilterIter wraps in with the pipelined Filter operator. It takes
-// ownership of in: on error the child is closed.
-func NewFilterIter(in RowIter, pred algebra.Expr) (RowIter, error) {
-	return newFilterIter(in, pred)
-}
-
-// NewProjectIter wraps in with the pipelined Project operator. It takes
-// ownership of in: on error the child is closed.
-func NewProjectIter(in RowIter, exprs []algebra.NamedExpr) (RowIter, error) {
-	return newProjectIter(in, exprs)
-}
-
-// NewUnionIter concatenates two union-compatible streams, taking
-// ownership of both.
-func NewUnionIter(l, r RowIter) (RowIter, error) {
-	return newUnionIter(l, r)
-}
-
-// NewJoinIter builds the streaming temporal join over two input streams,
-// taking ownership of both. It is the exported form of the JoinP case of
-// ExecStream, used by the parallel executor for its sequential fallback.
-func NewJoinIter(l, r RowIter, pred algebra.Expr) (RowIter, error) {
-	return newJoinIter(l, r, pred)
-}
-
-// streamToTable materializes the streaming evaluation of a subplan —
-// the input boundary of the blocking operators.
-func (db *DB) streamToTable(p Plan) (*Table, error) {
-	return db.streamToTableObs(p, nil)
-}
-
-// streamToTableObs is streamToTable with the subplan's operator stats
-// attached under parent (nil disables collection).
-func (db *DB) streamToTableObs(p Plan, parent *OpStats) (*Table, error) {
-	it, err := db.ExecStreamObs(p, parent)
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	return MaterializeErr(it)
-}

@@ -12,9 +12,9 @@ import (
 // physical iterator chosen for the predicate.
 func joinIterFor(t *testing.T, l, r *Table, pred algebra.Expr) RowIter {
 	t.Helper()
-	it, err := newJoinIter(NewTableIter(l), NewTableIter(r), pred)
+	it, err := NewJoinIter(NewTableIter(l), NewTableIter(r), pred)
 	if err != nil {
-		t.Fatalf("newJoinIter: %v", err)
+		t.Fatalf("NewJoinIter: %v", err)
 	}
 	return it
 }
@@ -164,24 +164,4 @@ func TestCoalesceZeroDeltaInteriorPointKeepsSegmentOpen(t *testing.T) {
 	want2 := NewTable(tuple.NewSchema("name"))
 	want2.Append(tuple.Tuple{str("Ann")}, interval.New(0, 10), 2)
 	assertSameRows(t, Coalesce(in, CoalesceNative), want2)
-}
-
-// The same Def 8.2 semantics must hold when coalesce runs as a blocking
-// operator inside the streaming executor.
-func TestCoalesceUnderStreamingExecutor(t *testing.T) {
-	db := NewDB(dom)
-	tbl := db.CreateTable("sal", tuple.NewSchema("name"))
-	tbl.Append(tuple.Tuple{str("Ann")}, interval.New(0, 5), 1)
-	tbl.Append(tuple.Tuple{str("Ann")}, interval.New(5, 10), 1)
-	tbl.Append(tuple.Tuple{str("Joe")}, interval.New(1, 4), 2)
-	it, err := db.ExecStream(CoalesceP{In: ScanP{Name: "sal"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	got := Materialize(it)
-	want := NewTable(tuple.NewSchema("name"))
-	want.Append(tuple.Tuple{str("Ann")}, interval.New(0, 10), 1)
-	want.Append(tuple.Tuple{str("Joe")}, interval.New(1, 4), 2)
-	assertSameRows(t, got, want)
 }

@@ -1,9 +1,9 @@
-// Property-style equivalence suite for the streaming executor: every
+// Property-style equivalence suite for the executor: every
 // qgen-generated plan must produce multiset-identical results through
-// DB.Exec (operator-at-a-time materialization) and DB.ExecStream (the
-// pipelined iterator engine), in both REWR plan modes. The file lives in
-// package engine_test so it can drive the engine through the rewrite
-// front door without an import cycle.
+// DB.Exec (the node-at-a-time reference evaluator) and parallel.Exec
+// (the pipelined executor, at one and at four workers), in both REWR
+// plan modes. The file lives in package engine_test so it can drive the
+// engine through the rewrite front door without an import cycle.
 package engine_test
 
 import (
@@ -41,19 +41,28 @@ func sameMultiset(a, b []string) bool {
 	return true
 }
 
-// runStream evaluates p through the streaming executor and materializes
-// the result.
+// execSeq builds p on the executor at one worker: every stream a single
+// fragment on the caller's goroutine. stats is the optional EXPLAIN
+// ANALYZE parent.
+func execSeq(t *testing.T, db *engine.DB, p engine.Plan, stats *engine.OpStats) engine.RowIter {
+	t.Helper()
+	it, err := parallel.Exec(context.Background(), db, p, parallel.Options{Workers: 1, Stats: stats})
+	if err != nil {
+		t.Fatalf("parallel.Exec(%s): %v", p, err)
+	}
+	return it
+}
+
+// runStream evaluates p through the executor at one worker and
+// materializes the result.
 func runStream(t *testing.T, db *engine.DB, p engine.Plan) *engine.Table {
 	t.Helper()
-	it, err := db.ExecStream(p)
-	if err != nil {
-		t.Fatalf("ExecStream(%s): %v", p, err)
-	}
+	it := execSeq(t, db, p, nil)
 	defer it.Close()
 	return engine.Materialize(it)
 }
 
-// runParallel evaluates p through the parallel exchange executor and
+// runParallel evaluates p through the executor at four workers and
 // materializes the result. The tiny morsel size forces real partitioning
 // even on qgen's small tables.
 func runParallel(t *testing.T, db *engine.DB, p engine.Plan) *engine.Table {
@@ -66,14 +75,13 @@ func runParallel(t *testing.T, db *engine.DB, p engine.Plan) *engine.Table {
 	return engine.Materialize(it)
 }
 
-// All executors and sweep variants must produce multiset-identical
-// results on every generated plan: Exec (the SeqMaterialized ablation)
-// on the blocking-sweep plan is the reference; ExecStream and the
-// parallel exchange executor are checked against it for every sweep
-// mode (auto, forced streaming with sort enforcers, forced blocking),
-// over both the generated database and a deliberately pre-sorted copy
-// (begin-sorted stored tables trigger the planner's automatic streaming
-// sweeps).
+// Every worker count and sweep variant must produce multiset-identical
+// results on every generated plan: DB.Exec on the blocking-sweep plan
+// is the reference; the executor at one and at four workers is checked
+// against it for every sweep mode (auto, forced streaming with sort
+// enforcers, forced blocking), over both the generated database and a
+// deliberately pre-sorted copy (begin-sorted stored tables trigger the
+// planner's automatic streaming sweeps).
 func TestStreamMaterializeEquivalence(t *testing.T) {
 	sweeps := []struct {
 		name string
@@ -112,12 +120,12 @@ func TestStreamMaterializeEquivalence(t *testing.T) {
 					}
 					str := runStream(t, db, p)
 					if !sameMultiset(want, sortedKeys(str)) {
-						t.Fatalf("seed %d %s mode %d sweep %s: streaming result diverges from materializing reference\nplan: %s\nreference:\n%s\nstreamed:\n%s",
+						t.Fatalf("seed %d %s mode %d sweep %s: one-worker result diverges from the reference evaluator\nplan: %s\nreference:\n%s\nstreamed:\n%s",
 							seed, variant.name, mode, sw.name, p, mat, str)
 					}
 					par := runParallel(t, db, p)
 					if !sameMultiset(want, sortedKeys(par)) {
-						t.Fatalf("seed %d %s mode %d sweep %s: parallel result diverges from materializing reference\nplan: %s\nreference:\n%s\nparallel:\n%s",
+						t.Fatalf("seed %d %s mode %d sweep %s: four-worker result diverges from the reference evaluator\nplan: %s\nreference:\n%s\nparallel:\n%s",
 							seed, variant.name, mode, sw.name, p, mat, par)
 					}
 				}
@@ -158,7 +166,7 @@ func nestedLoopJoin(l, r *engine.Table, pred algebra.Expr) []string {
 }
 
 // The no-equi-key join — pure overlap, or inequality-only predicates —
-// must agree with the nested-loop oracle through both executors. This is
+// must agree with the nested-loop oracle through both evaluators. This is
 // the case the old single-bucket hash fallback served; it now runs as
 // the endpoint-sorted sweep.
 func TestNoEquiKeyJoinEquivalence(t *testing.T) {

@@ -22,74 +22,6 @@ import (
 // iterators verify it and panic on violation, which turns a planner bug
 // into a loud failure instead of silently wrong results.
 
-// sortIter is the interval-endpoint sort enforcer: it drains its input
-// on first use, sorts the rows by (begin, end) with the shared endpoint
-// comparator, and re-emits them.
-type sortIter struct {
-	in     RowIter
-	rows   []tuple.Tuple
-	i      int
-	loaded bool
-	err    error
-}
-
-// NewSortIter wraps in with the endpoint sort enforcer, taking
-// ownership of it.
-func NewSortIter(in RowIter) RowIter {
-	return CheckOrdered("sort enforcer", &sortIter{in: in})
-}
-
-func (it *sortIter) Schema() tuple.Schema { return it.in.Schema() }
-
-// load drains and sorts the input on first use. A drain terminated by
-// an error yields NO rows: emitting a sorted prefix of a failed stream
-// would be silent truncation, so the sort surfaces the error and
-// nothing else.
-func (it *sortIter) load() {
-	it.rows, it.err = drainRowsErr(it.in)
-	if it.err != nil {
-		it.rows = nil
-	}
-	SortRowsByEndpoints(it.rows)
-	it.loaded = true
-}
-
-func (it *sortIter) Next() (tuple.Tuple, bool) {
-	if !it.loaded {
-		it.load()
-	}
-	if it.i >= len(it.rows) {
-		return nil, false
-	}
-	row := it.rows[it.i]
-	it.i++
-	return row, true
-}
-
-// NextBatch re-emits the sorted rows chunk-at-a-time; the drain on
-// first use already reads the child batch-at-a-time via drainRowsErr.
-func (it *sortIter) NextBatch(b *RowBatch) bool {
-	if !it.loaded {
-		it.load()
-	}
-	b.Reset()
-	n := len(it.rows) - it.i
-	if n <= 0 {
-		return false
-	}
-	if c := batchCapOf(b); n > c {
-		n = c
-	}
-	b.Rows = append(b.Rows, it.rows[it.i:it.i+n]...)
-	it.i += n
-	return true
-}
-
-func (it *sortIter) Close() { it.in.Close() }
-
-// Err reports the drain error captured at load time, else the input's.
-func (it *sortIter) Err() error { return FirstErr(it.err, IterErr(it.in)) }
-
 // minHeap is the one binary min-heap behind both streaming sweeps —
 // pending interval ends, pending row exits and the group expiry
 // registries — so the sift logic cannot drift between them. Elements

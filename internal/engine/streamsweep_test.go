@@ -203,20 +203,6 @@ func TestCompareEndpointsExtremeTimes(t *testing.T) {
 	}
 }
 
-// The sort enforcer establishes the order the streaming sweeps need.
-func TestSortIterEstablishesOrder(t *testing.T) {
-	in := sweepTable([3]int64{1, 5, 9}, [3]int64{2, 0, 4}, [3]int64{1, 2, 3})
-	it := NewSortIter(NewTableIter(in))
-	defer it.Close()
-	out := Materialize(it)
-	if !RowsBeginSorted(out.Rows) {
-		t.Fatalf("sort enforcer output not begin-sorted: %s", out)
-	}
-	if out.Len() != in.Len() {
-		t.Fatalf("sort enforcer changed cardinality: %d != %d", out.Len(), in.Len())
-	}
-}
-
 // Streaming grouped aggregation must split at every endpoint and skip
 // gaps, exactly like the blocking pre-aggregated sweep.
 func TestStreamAggMatchesBlockingGrouped(t *testing.T) {
@@ -308,17 +294,18 @@ func TestBuildLeftProbeRightJoin(t *testing.T) {
 	r.Append(tuple.Tuple{tuple.Int(1), tuple.Int(30)}, interval.New(6, 9), 1)
 	pred := algebra.Eq(algebra.Col("a"), algebra.Col("b"))
 
-	std, err := newJoinIter(NewTableIter(l), NewTableIter(r), pred)
+	std, err := NewJoinIter(NewTableIter(l), NewTableIter(r), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Materialize(std)
 	std.Close()
 
-	swp, err := newJoinIterBuildLeft(NewTableIter(l), NewTableIter(r), pred)
+	prep, err := PrepareJoin(l.DataSchema(), r.DataSchema(), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
+	swp := prep.Build(NewTableIter(l), true, 0).Probe(NewTableIter(r))
 	defer swp.Close()
 	got := Materialize(swp)
 	assertSameTable(t, got, want)

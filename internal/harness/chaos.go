@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"snapk/internal/algebra"
 	"snapk/internal/engine"
 	"snapk/internal/engine/parallel"
 )
@@ -14,6 +15,28 @@ import (
 // measurement for the fault-domain study is governor overhead within
 // noise at the 50k-row input.
 const chaosSizeCap = 50000
+
+// governedVariants are the hot pipelines the governor is priced on: the
+// pure filter/project chain (where per-row bookkeeping is most
+// visible), the three streaming sweeps, and the exchange transport.
+func governedVariants() []sweepVariant {
+	cheap := func(scan engine.Plan) engine.Plan {
+		// salaries are 40000..49000, so about half the rows survive —
+		// the filter does real work without starving the pipeline above.
+		return engine.FilterP{Pred: algebra.Lt(algebra.Col("salary"), algebra.IntC(45000)), In: scan}
+	}
+	return []sweepVariant{
+		{name: "filter-project", plan: func(s engine.Plan) engine.Plan {
+			return engine.ProjectP{Exprs: []algebra.NamedExpr{{Name: "emp_no", E: algebra.Col("emp_no")}}, In: cheap(s)}
+		}},
+		{name: "coalesce-streaming", plan: coalescePlan(true)},
+		{name: "agg-streaming", plan: aggPlan(true)},
+		{name: "diff-streaming", plan: func(s engine.Plan) engine.Plan {
+			return engine.DiffP{L: s, R: cheap(s), Streaming: true}
+		}},
+		{name: fmt.Sprintf("coalesce-parallel-x%d", DefaultWorkers), plan: coalescePlan(false), par: DefaultWorkers},
+	}
+}
 
 // Chaos measures the steady-state cost of the per-query fault domain:
 // the resource governor (root row counting, operator-state and
@@ -37,7 +60,7 @@ func Chaos(w io.Writer, sc Scale, rep *Report) error {
 			continue
 		}
 		_, sortedDB := sweepInputs(n)
-		for _, v := range batchVariants() {
+		for _, v := range governedVariants() {
 			off, _, rowsOff, err := runGovernedVariant(sortedDB, v, sc.Runs, engine.Limits{})
 			if err != nil {
 				return fmt.Errorf("chaos %s (ungoverned): %w", v.name, err)
@@ -66,10 +89,11 @@ func Chaos(w io.Writer, sc Scale, rep *Report) error {
 // Limits value runs ungoverned on the nil-governor fast path) and
 // returns its median runtime, median allocations and output
 // cardinality. The governor is per query, so each run gets a fresh one.
-func runGovernedVariant(db *engine.DB, v batchVariant, runs int, lim engine.Limits) (d time.Duration, allocs float64, rows int, err error) {
+func runGovernedVariant(db *engine.DB, v sweepVariant, runs int, lim engine.Limits) (d time.Duration, allocs float64, rows int, err error) {
+	plan := v.plan(engine.ScanP{Name: "sal"})
 	d, allocs, err = MedianAllocs(runs, func() error {
 		rows = 0
-		it, err := parallel.Exec(context.Background(), db, v.plan, parallel.Options{
+		it, err := parallel.Exec(context.Background(), db, plan, parallel.Options{
 			Workers: max(v.par, 1),
 			Gov:     engine.NewGovernor(lim),
 		})

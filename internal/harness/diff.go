@@ -24,7 +24,7 @@ type diffVariant struct {
 	sorted    bool // run over the begin-sorted copies of the inputs
 	streaming bool // DiffP.Streaming: the merge sweep instead of the blocking diff
 	enforce   bool // wrap both children in the SortP enforcer (forced streaming over unsorted input)
-	par       int  // exchange workers; 0 = sequential streaming engine
+	par       int  // workers; 0 = one fragment, no exchange
 }
 
 // plan builds the difference plan l − r in the variant's physical form.
@@ -40,7 +40,7 @@ func (v diffVariant) plan() engine.Plan {
 // blocking fused sweep (materialize both inputs, per-group delta maps)
 // against the streaming merge-based sweep (begin-sorted two-input
 // merge, O(open intervals + active groups) state), sequential and at
-// DefaultWorkers on the parallel executor (pairwise order-preserving
+// DefaultWorkers fragments (pairwise order-preserving
 // repartition, per-worker streaming diffs). On sorted input the
 // streaming variants should run at or under the blocking ones: they
 // skip both materializations and the per-group endpoint sorting. The
@@ -115,13 +115,7 @@ func runDiffVariant(db, sortedDB *engine.DB, v diffVariant, runs int) (d time.Du
 	}
 	plan := v.plan()
 	d, allocs, err = MedianAllocs(runs, func() error {
-		var it engine.RowIter
-		var err error
-		if v.par > 1 {
-			it, err = parallel.Exec(context.Background(), target, plan, parallel.Options{Workers: v.par})
-		} else {
-			it, err = target.ExecStream(plan)
-		}
+		it, err := parallel.Exec(context.Background(), target, plan, parallel.Options{Workers: max(v.par, 1)})
 		if err != nil {
 			return err
 		}

@@ -344,11 +344,11 @@ func Ablations(w io.Writer, sc Scale, rep *Report) error {
 		if err != nil {
 			return err
 		}
-		dOpt, err := Median(sc.Runs, func() error { _, err := db.Exec(pOpt); return err })
+		dOpt, err := Median(sc.Runs, func() error { _, err := Run(db, q, Seq); return err })
 		if err != nil {
 			return err
 		}
-		dNaive, err := Median(sc.Runs, func() error { _, err := db.Exec(pNaive); return err })
+		dNaive, err := Median(sc.Runs, func() error { _, err := Run(db, q, SeqNaive); return err })
 		if err != nil {
 			return err
 		}

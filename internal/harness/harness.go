@@ -28,29 +28,26 @@ import (
 type Approach int
 
 // The approaches compared by Table 3, plus the ablation approaches:
-// SeqMat — Seq executed on the operator-at-a-time materializing
-// executor instead of the streaming iterator engine (the pipelining
-// ablation); SeqPar — Seq on the parallel exchange executor with
-// DefaultWorkers fragments (hash-partitioned parallel sweeps);
+// SeqPar — Seq with DefaultWorkers fragments per partitioned operator
+// (hash-partitioned parallel sweeps);
 // SeqStream — Seq with the sweep operators forced to their streaming
 // form (sort-enforced where the input order is not already available),
 // the streaming-sweep ablation; and SeqParStream — forced streaming
-// sweeps ON the parallel executor: the order-preserving exchange keeps
-// every partition begin-sorted so the per-worker sweeps stream.
+// sweeps at DefaultWorkers fragments: the order-preserving exchange
+// keeps every partition begin-sorted so the per-fragment sweeps stream.
 const (
 	Seq Approach = iota
 	SeqNaive
 	NatIP
 	NatAlign
-	SeqMat
 	SeqPar
 	SeqStream
 	SeqParStream
 )
 
-// DefaultWorkers is the exchange worker count used by SeqPar: every
-// available CPU, but at least 2 so the parallel subsystem is actually
-// exercised on single-core machines.
+// DefaultWorkers is the worker count used by SeqPar: every available
+// CPU, but at least 2 so exchanges are actually exercised on
+// single-core machines.
 var DefaultWorkers = max(2, runtime.NumCPU())
 
 // String returns the label used in experiment tables.
@@ -64,8 +61,6 @@ func (a Approach) String() string {
 		return "Nat-ip"
 	case NatAlign:
 		return "Nat-align"
-	case SeqMat:
-		return "Seq-mat"
 	case SeqPar:
 		return "Seq-par"
 	case SeqStream:
@@ -78,17 +73,15 @@ func (a Approach) String() string {
 }
 
 // Run evaluates q over db under the given approach and returns the
-// result table. Seq and SeqNaive run on the streaming iterator engine;
-// SeqMat is the materializing ablation baseline; SeqPar runs the plan on
-// the parallel exchange executor.
+// result table. Every Seq-family approach runs on the one executor
+// (internal/engine/parallel); they differ in plan mode, sweep form and
+// worker count.
 func Run(db *engine.DB, q algebra.Query, ap Approach) (*engine.Table, error) {
 	switch ap {
 	case Seq:
 		return rewrite.Run(db, q, rewrite.Options{Mode: rewrite.ModeOptimized})
 	case SeqNaive:
 		return rewrite.Run(db, q, rewrite.Options{Mode: rewrite.ModeNaive})
-	case SeqMat:
-		return rewrite.Run(db, q, rewrite.Options{Mode: rewrite.ModeOptimized, Materialize: true})
 	case SeqPar:
 		return rewrite.Run(db, q, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: DefaultWorkers})
 	case SeqStream:

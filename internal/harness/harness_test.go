@@ -192,35 +192,6 @@ func TestFormatDuration(t *testing.T) {
 	}
 }
 
-func TestScalingRunsAndReports(t *testing.T) {
-	var b strings.Builder
-	rep := NewReport(tiny)
-	if err := Scaling(&b, tiny, rep); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, frag := range []string{"workers", "speedup", "1", "8"} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("Scaling output missing %q:\n%s", frag, out)
-		}
-	}
-	if len(rep.Metrics) != len(ScalingWorkers) {
-		t.Fatalf("report has %d metrics, want %d", len(rep.Metrics), len(ScalingWorkers))
-	}
-	for _, m := range rep.Metrics {
-		if m.Experiment != "scaling" || m.Seconds <= 0 || m.Extra["speedup"] <= 0 || m.Extra["rows"] <= 0 {
-			t.Errorf("bad metric %+v", m)
-		}
-	}
-	// Every worker count must see the identical result cardinality.
-	rows := rep.Metrics[0].Extra["rows"]
-	for _, m := range rep.Metrics[1:] {
-		if m.Extra["rows"] != rows {
-			t.Errorf("row count varies across worker counts: %v vs %v", m.Extra["rows"], rows)
-		}
-	}
-}
-
 func TestReportJSONRoundTrip(t *testing.T) {
 	rep := NewReport(tiny)
 	rep.Add("scaling", "join-pipeline/workers=2", 1500*time.Millisecond, map[string]float64{"speedup": 1.8})

@@ -15,7 +15,7 @@ const parStreamSizeCap = 50000
 // sweeps (ordered repartition, per-worker streaming coalesce /
 // pre-aggregated split) against the parallel BLOCKING baseline
 // (unordered repartition, per-worker materializing sweeps), both at
-// DefaultWorkers over begin-sorted input, plus the sequential streaming
+// DefaultWorkers over begin-sorted input, plus the one-worker streaming
 // sweep as the no-exchange reference. On sorted input the parallel
 // streaming variants should run at or under the parallel blocking
 // ones: they skip the per-partition materialization and per-group

@@ -19,7 +19,7 @@ type sweepVariant struct {
 	name   string
 	sorted bool // run over the begin-sorted copy of the input
 	plan   func(scan engine.Plan) engine.Plan
-	par    int // exchange workers; 0 = sequential streaming engine
+	par    int // workers; 0 = one fragment, no exchange
 }
 
 // coalescePlan wraps a scan in the coalesce operator in its streaming
@@ -116,13 +116,7 @@ func runSweepVariant(db, sortedDB *engine.DB, v sweepVariant, runs int) (d time.
 	}
 	plan := v.plan(engine.ScanP{Name: "sal"})
 	d, allocs, err = MedianAllocs(runs, func() error {
-		var it engine.RowIter
-		var err error
-		if v.par > 1 {
-			it, err = parallel.Exec(context.Background(), target, plan, parallel.Options{Workers: v.par})
-		} else {
-			it, err = target.ExecStream(plan)
-		}
+		it, err := parallel.Exec(context.Background(), target, plan, parallel.Options{Workers: max(v.par, 1)})
 		if err != nil {
 			return err
 		}

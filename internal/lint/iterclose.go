@@ -19,7 +19,7 @@ import (
 // method call or a reassignment (argument position, return value,
 // composite literal, channel send) counts as an ownership transfer, so
 // the analyzer never second-guesses constructor chains like
-// newFilterIter(in) that document "closing the result closes in".
+// NewFilterIter(in) that document "closing the result closes in".
 var IterClose = &Analyzer{
 	Name: "iterclose",
 	Doc:  "row iterators obtained from a call must be closed, returned, or handed off",

@@ -46,8 +46,8 @@ func checkStatsSane(t *testing.T, st *engine.OpStats, q algebra.Query) {
 }
 
 // TestAnalyzeRowCountsMatchCursor pins the EXPLAIN ANALYZE acceptance
-// criterion over the qgen grid (executor × sweep × parallelism ×
-// sortedness): the root operator's measured row count must equal the
+// criterion over the qgen grid (sweep × parallelism × sortedness): the
+// root operator's measured row count must equal the
 // number of rows the cursor actually pulled, exactly, for every
 // configuration — the stats tree observes the same stream the client
 // does.

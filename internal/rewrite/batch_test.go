@@ -1,8 +1,8 @@
-// Batch-vs-per-row differential over the qgen grid: the batch-at-a-time
-// hop is a pure execution-strategy change, so driving the same plan
-// through NextBatch (at several capacities, including the degenerate
-// size 1) must produce exactly the per-row ablation's row multiset for
-// every executor × sweep × parallelism × sortedness configuration.
+// Batch-vs-row drive differential over the qgen grid: the query root
+// speaks both protocols, so driving the same plan through NextBatch (at
+// several capacities, including the degenerate size 1) must produce
+// exactly the row multiset its Next delivers, for every sweep ×
+// parallelism × sortedness configuration.
 package rewrite_test
 
 import (
@@ -17,12 +17,10 @@ import (
 )
 
 // drainKeys streams q under opt and returns the result rows as a sorted
-// multiset of row strings. With batchSize > 0 the root is required to be
-// batch-capable and is driven through NextBatch with that capacity;
-// batchSize < 0 selects the per-row ablation and drives through Next.
+// multiset of row strings. With batchSize > 0 the root is driven through
+// NextBatch with that capacity; otherwise through Next.
 func drainKeys(t *testing.T, db *engine.DB, q algebra.Query, opt rewrite.Options, batchSize int) []string {
 	t.Helper()
-	opt.BatchSize = batchSize
 	it, err := rewrite.Stream(context.Background(), db, q, opt)
 	if err != nil {
 		t.Fatalf("stream: %v (%s)", err, q)
@@ -32,7 +30,7 @@ func drainKeys(t *testing.T, db *engine.DB, q algebra.Query, opt rewrite.Options
 	if batchSize > 0 {
 		bi, ok := it.(engine.BatchIter)
 		if !ok {
-			t.Fatalf("BatchSize=%d root is not batch-capable (%T, opt %+v, query %s)", batchSize, it, opt, q)
+			t.Fatalf("root is not batch-capable (%T, opt %+v, query %s)", it, opt, q)
 		}
 		b := engine.NewRowBatch(batchSize)
 		for bi.NextBatch(b) {
@@ -43,9 +41,6 @@ func drainKeys(t *testing.T, db *engine.DB, q algebra.Query, opt rewrite.Options
 			}
 		}
 	} else {
-		if _, ok := it.(engine.BatchIter); ok && batchSize < 0 {
-			t.Fatalf("BatchSize=%d (per-row ablation) must hide batch capability, got %T (%s)", batchSize, it, q)
-		}
 		for {
 			row, ok := it.Next()
 			if !ok {
@@ -73,10 +68,10 @@ func sameKeys(a, b []string) bool {
 	return true
 }
 
-// TestBatchPerRowDifferential runs every generated (database, query)
-// pair over the physical grid, once per-row (BatchSize -1) and once per
+// TestBatchRowDriveDifferential runs every generated (database, query)
+// pair over the physical grid, once through the root's Next and once per
 // batch capacity {1, 7, 256}, and requires identical result multisets.
-func TestBatchPerRowDifferential(t *testing.T) {
+func TestBatchRowDriveDifferential(t *testing.T) {
 	g := qgen.New(911)
 	var opts []rewrite.Options
 	for _, par := range []int{0, 2, 4} {
@@ -94,11 +89,11 @@ func TestBatchPerRowDifferential(t *testing.T) {
 			}
 			edb := s.ToEngineDB()
 			for _, opt := range opts {
-				want := drainKeys(t, edb, q, opt, -1)
+				want := drainKeys(t, edb, q, opt, 0)
 				for _, bs := range []int{1, 7, 256} {
 					got := drainKeys(t, edb, q, opt, bs)
 					if !sameKeys(want, got) {
-						t.Fatalf("iteration %d, sorted %v, opt %+v, batch %d: batch drive diverges from per-row (%d vs %d rows)\nquery: %s",
+						t.Fatalf("iteration %d, sorted %v, opt %+v, batch %d: batch drive diverges from row drive (%d vs %d rows)\nquery: %s",
 							i, sorted, opt, bs, len(got), len(want), q)
 					}
 				}

@@ -1,7 +1,7 @@
 // Resource-governor tests at the rewrite layer: each limit (row count,
 // memory budget, deadline) must terminate the query with its typed
-// error through the error-carrying iterator protocol, on both the
-// sequential and the parallel executor.
+// error through the error-carrying iterator protocol, at one worker
+// and at four.
 package rewrite_test
 
 import (
@@ -34,9 +34,9 @@ func drainGoverned(t *testing.T, db *engine.DB, q algebra.Query, opt rewrite.Opt
 	}
 }
 
-// The row limit is exact under per-row drive: the governor counts at
-// the root, so exactly RowLimit rows come out before ErrRowLimit —
-// sequential and parallel alike.
+// The row limit is exact under per-row drive (the root's Next): the
+// governor counts at the root, so exactly RowLimit rows come out before
+// ErrRowLimit — at one worker and at four alike.
 func TestRowLimitExactPerRow(t *testing.T) {
 	db := analyzeLeakDB()
 	q := algebra.Rel{Name: "big"}
@@ -44,7 +44,6 @@ func TestRowLimitExactPerRow(t *testing.T) {
 		n, err := drainGoverned(t, db, q, rewrite.Options{
 			Mode:        rewrite.ModeOptimized,
 			Parallelism: par,
-			BatchSize:   -1,
 			Limits:      engine.Limits{RowLimit: 7},
 		})
 		if !errors.Is(err, engine.ErrRowLimit) {
@@ -100,7 +99,7 @@ func TestMemBudgetTripsStreamingSweep(t *testing.T) {
 }
 
 // An already-expired deadline surfaces as context.DeadlineExceeded —
-// either refusing to build or ending the stream — on both executors.
+// either refusing to build or ending the stream — at either width.
 func TestDeadlineSurfaces(t *testing.T) {
 	db := analyzeLeakDB()
 	q := algebra.Rel{Name: "big"}

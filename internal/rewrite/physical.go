@@ -19,7 +19,7 @@ import (
 //   - Hash-table pre-sizing (PreSize): the build-side estimate becomes
 //     the map's initial capacity.
 //   - Zone-map pruning (Prune): windows sitting directly over a stored
-//     scan are marked prunable, letting the executors skip or cut the
+//     scan are marked prunable, letting the executor skip or cut the
 //     scan by the table's endpoint envelope.
 //
 // Worker-count adaptation (AdaptiveWorkers) is decided here too but
@@ -79,10 +79,13 @@ func (rw *rewriter) applyPhysical(p engine.Plan, dec *Decisions) engine.Plan {
 // planJoin pins the hash-join build side (and, under PreSize, the build
 // table's capacity hint) from the cardinality estimates. Joins without
 // an equality conjunct run as the overlap sweep and take no physical
-// annotations; unknown estimates leave the executor's own fallback
-// (BuildAuto) in place.
+// annotations; unknown estimates leave engine.DB.JoinStrategy's own
+// fallback (BuildAuto) in place.
 func (rw *rewriter) planJoin(n *engine.JoinP, dec *Decisions) {
-	if !rw.joinHasEquiKey(*n) {
+	// Schema errors skip the join like a missing equi key: the physical
+	// pass never fails on a plan the executor would reject with a better
+	// error.
+	if prep, err := rw.db.PlanJoinPrep(*n); err != nil || !prep.HasEquiKey() {
 		return
 	}
 	lEst, rEst := rw.db.EstimateRows(n.L), rw.db.EstimateRows(n.R)
@@ -103,20 +106,6 @@ func (rw *rewriter) planJoin(n *engine.JoinP, dec *Decisions) {
 		n.BuildHint = buildEst
 		dec.note("presize=%d (build-side est)", buildEst)
 	}
-}
-
-// joinHasEquiKey mirrors the executors' strategy probe: whether the
-// join predicate has an equality conjunct usable as a hash key. Schema
-// errors report false — the physical pass never fails on a plan the
-// executor would reject with a better error.
-func (rw *rewriter) joinHasEquiKey(n engine.JoinP) bool {
-	lData, lErr := rw.db.PlanDataSchema(n.L)
-	rData, rErr := rw.db.PlanDataSchema(n.R)
-	if lErr != nil || rErr != nil {
-		return false
-	}
-	prep, err := engine.PrepareJoin(lData, rData, n.Pred)
-	return err == nil && prep.HasEquiKey()
 }
 
 // adaptiveWorkers narrows the requested parallelism when the estimated

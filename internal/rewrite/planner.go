@@ -42,7 +42,7 @@ type PlannerKnobs struct {
 	// Prune permits the zone-map check on windowed scans: a stored table
 	// whose endpoint envelope is disjoint from the window is skipped
 	// outright, and a begin-sorted scan stops at the first row that
-	// cannot overlap it — before the parallel executor's morsel split.
+	// cannot overlap it — before the executor's morsel split.
 	Prune bool
 	// PreSize pre-sizes hash-join build tables from the estimated
 	// build-side cardinality, removing incremental map growth during the
@@ -88,10 +88,10 @@ func PlanQuery(q algebra.Query, cat algebra.Catalog, opt Options) (engine.Plan, 
 	dec := &Decisions{}
 
 	// Phase 1: logical rewrite. The algebraic select pushdown runs first
-	// when enabled (legacy Options.Pushdown or the planner's knob): its
-	// rules are bag-algebra identities, so the rewritten plan computes
-	// the same unique encoding.
-	if opt.Pushdown || opt.Planner.Pushdown {
+	// when the planner's knob enables it: its rules are bag-algebra
+	// identities, so the rewritten plan computes the same unique
+	// encoding.
+	if opt.Planner.Pushdown {
 		oq, err := algebra.Optimize(q, cat)
 		if err != nil {
 			return nil, nil, err
@@ -103,7 +103,7 @@ func PlanQuery(q algebra.Query, cat algebra.Catalog, opt Options) (engine.Plan, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if opt.Mode == ModeOptimized && !opt.SkipFinalCoalesce {
+	if opt.Mode == ModeOptimized {
 		p = rw.coalesceOp(p)
 	}
 

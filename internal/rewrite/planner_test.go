@@ -1,8 +1,8 @@
 package rewrite_test
 
 // Tests for the phased planner: the windowed differential grid (every
-// executor × sweep × parallelism × sortedness × pushdown configuration
-// must equal the clip-at-root oracle), the pushdown plan shapes, the
+// sweep × parallelism × sortedness × pushdown configuration must equal
+// the clip-at-root oracle), the pushdown plan shapes, the
 // knobs-off identity, and the recorded physical decisions.
 
 import (
@@ -22,7 +22,7 @@ import (
 // Options.Window set must equal clipping the unwindowed logical result —
 // τ_T applied at the root is the semantics; every pushdown/physical
 // configuration must reproduce it exactly. The grid is
-// executor × sweep × parallelism × sortedness × planner knobs.
+// sweep × parallelism × sortedness × planner knobs.
 func TestWindowGridEquivalence(t *testing.T) {
 	g := qgen.New(509)
 	// qgen's domain is [0, 16): a middle slice, the whole domain, a point
@@ -42,7 +42,6 @@ func TestWindowGridEquivalence(t *testing.T) {
 	opts = append(opts,
 		rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepStreaming, Planner: rewrite.AllKnobs()},
 		rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepBlocking, Planner: rewrite.AllKnobs()},
-		rewrite.Options{Mode: rewrite.ModeOptimized, Materialize: true, Planner: rewrite.AllKnobs()},
 		rewrite.Options{Mode: rewrite.ModeOptimized, Planner: rewrite.PlannerKnobs{Pushdown: true}},
 		rewrite.Options{Mode: rewrite.ModeOptimized, Planner: rewrite.PlannerKnobs{Prune: true}, Parallelism: 2},
 	)

@@ -1,7 +1,7 @@
 // Package rewrite implements REWR (Fig 4 of Dignös et al., PVLDB 2019):
 // the reduction of a snapshot-semantics query over ℕᵀ-relations to a
 // non-temporal multiset plan over the PERIODENC encoding, executed by
-// package engine.
+// package parallel — the engine's one executor, at every worker count.
 //
 // Two plan modes reproduce the §9 optimization study:
 //
@@ -56,24 +56,13 @@ const (
 	SweepBlocking
 )
 
-// Options configures the rewriting.
+// Options configures the rewriting and the execution of its plan.
 type Options struct {
 	Mode Mode
-	// CoalesceImpl selects the physical coalescing implementation.
-	CoalesceImpl engine.CoalesceImpl
 	// Sweep selects streaming vs materializing sweep operators; see
 	// SweepMode. Streaming aggregation only applies to the
 	// pre-aggregated split of ModeOptimized.
 	Sweep SweepMode
-	// SkipFinalCoalesce omits the outermost coalesce; the result is then
-	// snapshot-equivalent but not the unique encoding. Used only by
-	// benchmarks that want to isolate operator cost.
-	SkipFinalCoalesce bool
-	// Pushdown applies the algebraic selection-pushdown optimizer before
-	// rewriting. Because pushdown rules are bag-algebra identities and
-	// REWR is snapshot-reducible, the optimized plan computes the same
-	// unique encoding.
-	Pushdown bool
 	// Window restricts the query to the time window [Begin, End): the
 	// timeslice τ_T, applied with clip semantics (row validity intervals
 	// are intersected with the window; rows not overlapping it are
@@ -88,46 +77,28 @@ type Options struct {
 	// the logical rewrite, leaving plans byte-identical to the rule-only
 	// rewriter's output. See PlannerKnobs.
 	Planner PlannerKnobs
-	// Materialize executes the plan on the node-at-a-time materializing
-	// executor (engine.DB.Exec) instead of the default streaming iterator
-	// engine (engine.DB.ExecStream). Kept as the ablation baseline for
-	// the pipelining study; results are multiset-identical.
-	Materialize bool
-	// Parallelism is the number of worker goroutines per exchange when
-	// the plan runs on the parallel execution subsystem
-	// (internal/engine/parallel). Values <= 1 select the sequential
-	// streaming engine. Ignored when Materialize is set. Results are
+	// Parallelism is the number of fragments per partitioned operator
+	// (internal/engine/parallel). Values <= 1 run every stream as one
+	// fragment on the caller's goroutine, with no exchange. Results are
 	// multiset-identical at every worker count.
 	Parallelism int
-	// BatchSize is the row capacity of the batch-at-a-time iterator hop
-	// (engine.BatchIter): converted operators amortize the virtual
-	// Next-call tax over BatchSize rows, and parallel exchanges hand
-	// their transport batches through wholesale. Zero — the default —
-	// ties the batch size to the exchange morsel size; a negative value
-	// disables the batch protocol entirely (the per-row ablation,
-	// restoring classic Volcano pull). Results are multiset-identical at
-	// every setting.
-	BatchSize int
 	// Collect, when non-nil, enables EXPLAIN ANALYZE: Stream attaches the
 	// executed plan's per-operator/per-fragment statistics tree under the
 	// collector (one "result" node whose row count is exactly what the
 	// cursor observes, with the operator tree beneath it). Nil — the
 	// default — compiles every instrumentation hook to an identity no-op,
-	// so the hot path is unchanged. Ignored by the materializing executor,
-	// which has no iterators to instrument.
+	// so the hot path is unchanged.
 	Collect *engine.Collector
 	// Limits configures the per-query resource governor: wall-clock
 	// deadline, emitted-row limit and tracked-state memory budget. The
 	// zero value (the default) disables governing entirely. A tripped
 	// limit ends the stream and surfaces the governor's typed error
 	// (engine.ErrRowLimit, engine.ErrMemBudget,
-	// context.DeadlineExceeded) through the iterator's Err. Ignored by
-	// the materializing executor.
+	// context.DeadlineExceeded) through the iterator's Err.
 	Limits engine.Limits
 	// Inject, when non-nil, wraps the iterator built at each operator
 	// and exchange boundary — the chaos fault-injection hook
-	// (internal/chaos). Production queries leave it nil. Ignored by the
-	// materializing executor.
+	// (internal/chaos). Production queries leave it nil.
 	Inject engine.IterWrapper
 }
 
@@ -177,7 +148,7 @@ func (rw *rewriter) beginOrdered(p engine.Plan) bool {
 // under opt.Sweep: it reports whether the sweep streams, and wraps p in
 // the endpoint sort enforcer when streaming is forced without a
 // guaranteed input order. The decision is independent of
-// opt.Parallelism: the parallel executor's order-preserving exchanges
+// opt.Parallelism: the executor's order-preserving exchanges
 // (ordered repartition + ordered merge) carry the begin order into
 // every partition, so streaming sweeps and parallelism compose — each
 // worker runs the streaming sweep over its begin-sorted partition.
@@ -235,7 +206,7 @@ func (rw *rewriter) sweepInput2(l, r engine.Plan) (engine.Plan, engine.Plan, boo
 // by opt.Sweep.
 func (rw *rewriter) coalesceOp(p engine.Plan) engine.Plan {
 	in, stream := rw.sweepInput(p)
-	return engine.CoalesceP{Impl: rw.opt.CoalesceImpl, In: in, Streaming: stream}
+	return engine.CoalesceP{In: in, Streaming: stream}
 }
 
 // maybeCoalesce wraps p in a coalesce operator in naive mode, mirroring
@@ -322,19 +293,9 @@ func (rw *rewriter) rewr(q algebra.Query) (engine.Plan, error) {
 }
 
 // Run is the one-call middleware entry point: rewrite q and execute it on
-// db, returning the coalesced period-encoded result. By default the plan
-// runs on the streaming iterator engine, so Filter/Project/Union/join
-// pipelines never materialize intermediates; Options.Materialize selects
-// the operator-at-a-time executor instead and Options.Parallelism > 1
-// the parallel exchange executor.
+// db, returning the coalesced period-encoded result — Stream, drained
+// into a table.
 func Run(db *engine.DB, q algebra.Query, opt Options) (*engine.Table, error) {
-	if opt.Materialize {
-		p, err := Rewrite(q, db, opt)
-		if err != nil {
-			return nil, err
-		}
-		return db.Exec(p)
-	}
 	it, err := Stream(context.Background(), db, q, opt)
 	if err != nil {
 		return nil, err
@@ -349,10 +310,11 @@ func Run(db *engine.DB, q algebra.Query, opt Options) (*engine.Table, error) {
 
 // Stream rewrites q and returns a pull-based row stream over the
 // period-encoded result, without materializing it: the streaming cursor
-// entry point behind snapk.DB.QueryRows. With Options.Parallelism > 1
-// the plan runs on the parallel exchange executor; either way ctx
-// cancellation tears the pipeline (and any fragment goroutines) down.
-// The returned iterator carries the error-carrying protocol: a consumer
+// entry point behind snapk.DB.QueryRows. The plan runs on
+// parallel.Exec with Options.Parallelism fragments per partitioned
+// operator; ctx cancellation tears the pipeline (and any fragment
+// goroutines) down. The returned iterator implements engine.BatchIter
+// and carries the error-carrying protocol: a consumer
 // that drains it to end-of-stream must check engine.IterErr before
 // trusting the result (the snapdebug build asserts exactly this at the
 // root). The caller must Close the returned iterator.
@@ -374,14 +336,11 @@ func Stream(ctx context.Context, db *engine.DB, q algebra.Query, opt Options) (e
 	if dec.Workers > 0 {
 		workers = min(workers, dec.Workers)
 	}
-	// The parallel executor also serves Parallelism <= 1: it degenerates
-	// to the sequential streaming engine wrapped with ctx cancellation.
 	it, err := parallel.Exec(ctx, db, p, parallel.Options{
-		Workers:   workers,
-		BatchSize: opt.BatchSize,
-		Stats:     st,
-		Gov:       engine.NewGovernor(opt.Limits),
-		Inject:    opt.Inject,
+		Workers: workers,
+		Stats:   st,
+		Gov:     engine.NewGovernor(opt.Limits),
+		Inject:  opt.Inject,
 	})
 	if err != nil {
 		return nil, err

@@ -97,18 +97,17 @@ func TestFigure1cSkillreqRewritten(t *testing.T) {
 // TestTheorem81CommutingDiagram is the implementation-layer half of the
 // Figure 2 diagram: for random databases and queries, executing REWR(Q)
 // over PERIODENC(R) and decoding equals evaluating Q in the logical model
-// — in both plan modes, with both coalesce implementations.
+// — in both plan modes.
 func TestTheorem81CommutingDiagram(t *testing.T) {
 	g := qgen.New(131)
-	// The full physical grid: every executor (sequential streaming,
-	// parallel ×2/×4, operator-at-a-time materializing) × every sweep
-	// mode (auto, forced streaming behind the sort enforcer or the
-	// order-preserving exchange, blocking ablation) must close the same
-	// diagram — Sweep and Parallelism compose freely. The loop below
+	// The full physical grid: every worker count (one fragment, ×2, ×4)
+	// × every sweep mode (auto, forced streaming behind the sort enforcer
+	// or the order-preserving exchange, forced blocking) must close the
+	// same diagram — Sweep and Parallelism compose freely. The loop below
 	// additionally runs each (database, query) pair over unsorted AND
 	// begin-sorted stored tables, and each sweep × parallelism cell with
 	// the cost-aware planner knobs off AND all on, so the grid is
-	// executor × sweep × parallelism × sortedness × planner.
+	// sweep × parallelism × sortedness × planner.
 	var opts []rewrite.Options
 	for _, par := range []int{0, 2, 4} {
 		for _, sw := range []rewrite.SweepMode{rewrite.SweepAuto, rewrite.SweepStreaming, rewrite.SweepBlocking} {
@@ -118,9 +117,7 @@ func TestTheorem81CommutingDiagram(t *testing.T) {
 		}
 	}
 	opts = append(opts,
-		rewrite.Options{Mode: rewrite.ModeOptimized, CoalesceImpl: engine.CoalesceAnalytic},
-		rewrite.Options{Mode: rewrite.ModeOptimized, Materialize: true},
-		rewrite.Options{Mode: rewrite.ModeNaive, CoalesceImpl: engine.CoalesceNative},
+		rewrite.Options{Mode: rewrite.ModeNaive},
 		rewrite.Options{Mode: rewrite.ModeNaive, Sweep: rewrite.SweepStreaming},
 		rewrite.Options{Mode: rewrite.ModeNaive, Sweep: rewrite.SweepStreaming, Parallelism: 4},
 	)
@@ -158,8 +155,7 @@ func TestTheorem81CommutingDiagram(t *testing.T) {
 // so each iteration exercises the DiffP physical forms — blocking,
 // streaming behind sort enforcers, auto-streaming over begin-sorted
 // stored tables, and the parallel pairwise-partitioned variants — over
-// executor × sweep × parallelism × sortedness, against the logical
-// model.
+// sweep × parallelism × sortedness, against the logical model.
 func TestDiffGridEquivalence(t *testing.T) {
 	g := qgen.New(421)
 	var opts []rewrite.Options
@@ -171,7 +167,6 @@ func TestDiffGridEquivalence(t *testing.T) {
 		}
 	}
 	opts = append(opts,
-		rewrite.Options{Mode: rewrite.ModeOptimized, Materialize: true},
 		rewrite.Options{Mode: rewrite.ModeNaive, Sweep: rewrite.SweepStreaming},
 		rewrite.Options{Mode: rewrite.ModeNaive, Sweep: rewrite.SweepStreaming, Parallelism: 4},
 	)
@@ -224,15 +219,20 @@ func TestDiffSweepPlanning(t *testing.T) {
 	}
 	diffOf := func(sw rewrite.SweepMode, l, r string) engine.DiffP {
 		t.Helper()
-		p, err := rewrite.Rewrite(q(l, r), db, rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: sw, SkipFinalCoalesce: true})
+		p, err := rewrite.Rewrite(q(l, r), db, rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: sw})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dp, ok := p.(engine.DiffP)
-		if !ok {
-			t.Fatalf("plan root is %T, want DiffP: %s", p, p)
+		// The difference sits under the final coalesce (and, when that
+		// streams by force, its sort enforcer).
+		for n := p; ; n = engine.Inputs(n)[0] {
+			if dp, ok := n.(engine.DiffP); ok {
+				return dp
+			}
+			if len(engine.Inputs(n)) == 0 {
+				t.Fatalf("no DiffP on the plan's spine: %s", p)
+			}
 		}
-		return dp
 	}
 
 	// Forced streaming over unsorted children: enforcers on BOTH inputs.
@@ -324,13 +324,6 @@ func TestCoalescePlacement(t *testing.T) {
 	if got := engine.CountCoalesce(naive); got != 2 {
 		t.Fatalf("naive plan has %d coalesce operators, want 2:\n%s", got, naive)
 	}
-	skip, err := rewrite.Rewrite(q, db, rewrite.Options{SkipFinalCoalesce: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := engine.CountCoalesce(skip); got != 0 {
-		t.Fatalf("skip-final plan has %d coalesce operators, want 0", got)
-	}
 }
 
 func TestRewriteErrors(t *testing.T) {
@@ -401,7 +394,7 @@ func TestPushdownEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pushed, err := rewrite.Run(edb, q, rewrite.Options{Pushdown: true})
+		pushed, err := rewrite.Run(edb, q, rewrite.Options{Planner: rewrite.PlannerKnobs{Pushdown: true}})
 		if err != nil {
 			t.Fatalf("pushdown run: %v (%s)", err, q)
 		}
@@ -434,7 +427,7 @@ func TestPushdownConstantFalseOverGlobalAgg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pushed, err := rewrite.Run(db, q, rewrite.Options{Pushdown: true})
+	pushed, err := rewrite.Run(db, q, rewrite.Options{Planner: rewrite.PlannerKnobs{Pushdown: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +459,7 @@ func TestPushdownReducesIntermediates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pushed, err := rewrite.Run(db, q, rewrite.Options{Pushdown: true})
+	pushed, err := rewrite.Run(db, q, rewrite.Options{Planner: rewrite.PlannerKnobs{Pushdown: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,11 +33,6 @@ const (
 	// NativeAlignment emulates the PG-Nat temporal alignment kernel
 	// approach. Exhibits the AG bug and set-semantics difference.
 	NativeAlignment
-	// SeqMaterialized is Seq executed on the operator-at-a-time
-	// materializing executor instead of the default streaming iterator
-	// engine. Results are identical to Seq; it exists as the ablation
-	// baseline for the pipelining study.
-	SeqMaterialized
 )
 
 // String returns the display name used in experiment output.
@@ -51,8 +46,6 @@ func (a Approach) String() string {
 		return "Nat-ip"
 	case NativeAlignment:
 		return "Nat-align"
-	case SeqMaterialized:
-		return "Seq-mat"
 	default:
 		return fmt.Sprintf("Approach(%d)", int(a))
 	}
@@ -191,16 +184,21 @@ func (db *DB) QueryWith(sql string, ap Approach) (*Result, error) {
 	return db.evalAlgebra(q, ap)
 }
 
+// seqOptions are the rewrite options of every Seq-family evaluation
+// (Query, QueryWith, QueryRows): the database's configured parallelism
+// and query limits under the given coalesce/split mode.
+func (db *DB) seqOptions(mode rewrite.Mode) rewrite.Options {
+	return rewrite.Options{Mode: mode, Parallelism: db.parallelism, Limits: db.limits}
+}
+
 func (db *DB) evalAlgebra(q algebra.Query, ap Approach) (*Result, error) {
 	var tbl *engine.Table
 	var err error
 	switch ap {
 	case Seq:
-		tbl, err = rewrite.Run(db.eng, q, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: db.parallelism, Limits: db.limits})
+		tbl, err = rewrite.Run(db.eng, q, db.seqOptions(rewrite.ModeOptimized))
 	case SeqNaive:
-		tbl, err = rewrite.Run(db.eng, q, rewrite.Options{Mode: rewrite.ModeNaive})
-	case SeqMaterialized:
-		tbl, err = rewrite.Run(db.eng, q, rewrite.Options{Mode: rewrite.ModeOptimized, Materialize: true})
+		tbl, err = rewrite.Run(db.eng, q, db.seqOptions(rewrite.ModeNaive))
 	case NativeIntervalPreservation:
 		tbl, err = baseline.Eval(db.eng, q, baseline.IntervalPreservation)
 	case NativeAlignment:

@@ -34,10 +34,10 @@ type Rows struct {
 	// increment per row, never a per-row atomic on the cursor hot path.
 	emitted int64
 	flushed bool
-	// Batch drain: when the pipeline root is batch-capable, the cursor
-	// pulls engine.DefaultBatchSize rows per NextBatch call and hands
-	// them out one at a time, so the whole operator chain pays one
-	// virtual call per batch instead of one per row. Row tuples are
+	// Batch drain: the cursor pulls engine.DefaultBatchSize rows per
+	// NextBatch call on the pipeline root (bit is it in its batch form)
+	// and hands them out one at a time, so the whole operator chain pays
+	// one virtual call per batch instead of one per row. Row tuples are
 	// immutable once yielded, so the current row staying live across a
 	// refill is safe; only the batch's row slice is reused.
 	bit engine.BatchIter
@@ -57,25 +57,18 @@ func (db *DB) QueryRows(ctx context.Context, sql string) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	it, err := rewrite.Stream(ctx, db.eng, q, rewrite.Options{
-		Mode:        rewrite.ModeOptimized,
-		Parallelism: db.parallelism,
-		Limits:      db.limits,
-	})
+	it, err := rewrite.Stream(ctx, db.eng, q, db.seqOptions(rewrite.ModeOptimized))
 	if err != nil {
 		return nil, err
 	}
 	sch := it.Schema()
-	r := &Rows{
+	return &Rows{
 		ctx:  ctx,
 		it:   it,
 		cols: append([]string{}, sch.Cols[:sch.Arity()-2]...),
-	}
-	if bit, ok := it.(engine.BatchIter); ok {
-		r.bit = bit
-		r.b = *engine.NewRowBatch(engine.DefaultBatchSize)
-	}
-	return r, nil
+		bit:  engine.AsBatchIter(it, 0),
+		b:    *engine.NewRowBatch(engine.DefaultBatchSize),
+	}, nil
 }
 
 // Columns returns the data column names of the result (the validity
@@ -107,13 +100,9 @@ func (r *Rows) Next() bool {
 	return true
 }
 
-// next pulls the next result row, refilling the cursor batch when
-// the pipeline is batch-capable and falling back to per-row pull when
-// it is not.
+// next pulls the next result row, refilling the cursor batch when it
+// is used up.
 func (r *Rows) next() (tuple.Tuple, bool) {
-	if r.bit == nil {
-		return r.it.Next()
-	}
 	if r.bi >= r.b.Len() {
 		if !r.bit.NextBatch(&r.b) {
 			return nil, false

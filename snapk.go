@@ -19,11 +19,13 @@
 // internal/period, the logical model), and the REWR rewriting over SQL
 // period relations executed by an embedded multiset engine
 // (internal/rewrite and internal/engine, the implementation). Rewritten
-// plans run on a pull-based streaming iterator engine: selection,
-// projection, union and the probe side of the temporal join are
-// pipelined and never materialize intermediates, while the blocking
-// sweep operators (split, aggregation, difference, coalesce) consume
-// their input streams at a materialization boundary.
+// plans run on one pull-based, batch-at-a-time executor
+// (internal/engine/parallel), as W fragments connected by exchanges —
+// one fragment and no exchange by default: selection, projection, union
+// and the probe side of the temporal join are pipelined and never
+// materialize intermediates; the sweep operators (aggregation,
+// difference, coalesce) stream over begin-sorted input and otherwise
+// consume their input at a materialization boundary.
 //
 // Quick start:
 //
@@ -47,11 +49,12 @@ import (
 // a finite integer time domain [Min, Max).
 type DB struct {
 	eng *engine.DB
-	// parallelism is the worker count used by Seq query evaluation and
-	// QueryRows; <= 1 means sequential.
+	// parallelism is the fragment count used by Seq-family query
+	// evaluation and QueryRows; <= 1 means one fragment, no exchange.
 	parallelism int
 	// limits is the per-query resource-governor configuration applied to
-	// Seq query evaluation and QueryRows; the zero value disables it.
+	// Seq-family query evaluation and QueryRows; the zero value disables
+	// it.
 	limits QueryLimits
 }
 
@@ -81,18 +84,20 @@ func New(minTime, maxTime int64) *DB {
 	return &DB{eng: engine.NewDB(interval.NewDomain(minTime, maxTime))}
 }
 
-// SetParallelism sets the number of worker goroutines per exchange used
-// by Seq query evaluation (Query, QueryWith and QueryRows): n > 1 runs
-// rewritten plans on the parallel execution subsystem, n <= 1 (the
-// default) on the sequential streaming engine. Results are
-// multiset-identical at every setting. It returns db for chaining.
+// SetParallelism sets the number of fragments per partitioned operator
+// used by Seq and SeqNaive query evaluation (Query, QueryWith and
+// QueryRows). There is one executor: n > 1 runs each partitioned
+// operator as n fragments connected by exchanges, n <= 1 (the default)
+// runs the same plan as one fragment on the caller's goroutine, with no
+// exchange. Results are multiset-identical at every setting. It returns
+// db for chaining.
 func (db *DB) SetParallelism(n int) *DB {
 	db.parallelism = n
 	return db
 }
 
 // SetQueryLimits installs per-query resource limits enforced on every
-// subsequent Seq evaluation (Query, QueryWith) and streaming cursor
+// subsequent Seq or SeqNaive evaluation (Query, QueryWith) and streaming cursor
 // (QueryRows): a tripped limit fails that query — Query returns the
 // governor's typed error, a cursor ends its stream and reports it
 // through Rows.Err — without affecting the database or other queries.
