@@ -13,7 +13,7 @@
 //	snapbench -exp parstream  parallel streaming sweeps (ordered exchange) vs parallel blocking
 //	snapbench -exp diff       streaming merge-based difference vs the blocking fused diff sweep
 //	snapbench -exp chaos      resource-governor overhead, ungoverned vs governed (limits never trip)
-//	snapbench -exp opt        cost-aware planner knob ablation (pushdown/pruning/pre-sizing/adaptive workers)
+//	snapbench -exp opt        cost-aware planner knob ablation (window pushdown/pruning/pre-sizing/adaptive workers)
 //	snapbench -exp all        everything above
 //
 // -quick shrinks datasets for a fast smoke run; -runs sets the number of

@@ -335,7 +335,7 @@ func TestRunOptJSONSchema(t *testing.T) {
 		names[m.Name] = true
 	}
 	for _, workload := range []string{"coalesce", "join", "small-par"} {
-		for _, cfg := range []string{"all-off", "all-on", "no-pushdown", "no-prune", "no-presize", "no-adaptive"} {
+		for _, cfg := range []string{"all-off", "all-on", "no-window-pushdown", "no-prune", "no-presize", "no-adaptive"} {
 			want := fmt.Sprintf("%s/%s/rows=200", workload, cfg)
 			if !names[want] {
 				t.Fatalf("metric %q missing; got %v", want, names)

@@ -82,7 +82,7 @@ func parseFlags(args []string, out io.Writer) (config, error) {
 	fs.BoolVar(&cfg.Stream, "stream", false, "print rows as the pipeline produces them instead of materializing and sorting (seq approaches only)")
 	fs.StringVar(&cfg.Out, "out", "", "write the result as CSV to this file instead of printing")
 	fs.StringVar(&cfg.Window, "window", "", "restrict the query to the time window begin,end (timeslice: row intervals are clipped)")
-	fs.BoolVar(&cfg.Opt, "opt", false, "enable the cost-aware planner (pushdown, zone-map pruning, hash pre-sizing, adaptive workers)")
+	fs.BoolVar(&cfg.Opt, "opt", false, "enable the cost-aware planner knobs (window pushdown, zone-map pruning, hash pre-sizing, adaptive workers); selection and column placement always run")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}

@@ -128,6 +128,13 @@ func And(es ...Expr) Expr {
 	return out
 }
 
+// IsTrue reports whether e is the literal TRUE — the predicate of a
+// comma join, which contributes nothing to a conjunction.
+func IsTrue(e Expr) bool {
+	c, ok := e.(Const)
+	return ok && c.Val == tuple.Bool(true)
+}
+
 // Or returns the disjunction of the given expressions (false if empty).
 func Or(es ...Expr) Expr {
 	if len(es) == 0 {

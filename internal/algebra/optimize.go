@@ -1,25 +1,39 @@
 package algebra
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// Optimize rewrites q into a snapshot-equivalent query with selections
-// pushed toward the base relations: cascading selections are merged, and
-// selection predicates distribute over union and difference, move through
-// projections by expression substitution, into the applicable side of a
-// join (conjunct by conjunct), and below aggregations when they only
-// constrain grouping columns.
+// Optimize is the stats-free logical pass every snapshot query takes
+// before REWR. It returns a snapshot-equivalent query with the same
+// output schema, rewritten by three rules:
 //
-// All transformations are bag-algebra identities and therefore — by
-// snapshot-reducibility — also snapshot-semantics identities; the
-// differential tests in rewrite verify Optimize(q) ≡ q on random
-// databases against the per-snapshot oracle. Because our engine
-// materializes every operator's output, pushdown reduces intermediate
-// sizes directly.
+//  1. σ-pushdown: cascading selections merge, and selection predicates
+//     distribute over union and difference, move through projections by
+//     expression substitution, into the applicable side of a join
+//     (conjunct by conjunct), and below aggregations when they only
+//     constrain grouping columns.
+//  2. σ→⋈ absorption: conjuncts that read both sides of a join are
+//     ANDed into the join predicate, so the engine turns cross-side
+//     equalities into hash keys and evaluates the rest per candidate
+//     pair instead of filtering a materialized join.
+//  3. Join-input pruning (prune.go): projections feeding a join keep
+//     only the columns some ancestor names.
+//
+// All three are bag-algebra identities and therefore — by
+// snapshot-reducibility — snapshot-semantics identities; the
+// differential tests in rewrite check the optimized plans against the
+// per-snapshot oracle (package snapshot), which never runs this pass.
 func Optimize(q Query, cat Catalog) (Query, error) {
 	if _, err := OutSchema(q, cat); err != nil {
 		return nil, err
 	}
-	return optimize(q, cat)
+	q, err := optimize(q, cat)
+	if err != nil {
+		return nil, err
+	}
+	return prune(q, nil, false, cat)
 }
 
 func optimize(q Query, cat Catalog) (Query, error) {
@@ -112,11 +126,14 @@ func pushSelect(pred Expr, in Query, cat Catalog) (Query, error) {
 	case Project:
 		// σp(Π_E(x)) = Π_E(σ(p[E])(x)): substitute output columns by
 		// their defining expressions.
-		subst := make(map[string]Expr, len(n.Exprs))
-		for _, ne := range n.Exprs {
-			subst[ne.Name] = ne.E
-		}
-		rewritten, ok := substitute(pred, subst)
+		rewritten, ok := substitute(pred, func(name string) (Expr, bool) {
+			for _, ne := range n.Exprs {
+				if ne.Name == name {
+					return ne.E, true
+				}
+			}
+			return nil, false
+		})
 		if !ok {
 			return Select{Pred: pred, In: n}, nil
 		}
@@ -166,45 +183,35 @@ func pushSelect(pred Expr, in Query, cat Catalog) (Query, error) {
 }
 
 // pushSelectJoin routes each conjunct of pred to the join side whose
-// schema covers all of its columns, keeping the remainder above the join.
+// schema covers all of its columns and absorbs the remainder — the
+// conjuncts over both sides — into the join predicate.
 func pushSelectJoin(pred Expr, j Join, cat Catalog) (Query, error) {
-	ls, err := OutSchema(j.L, cat)
+	ls, err := outSchema(j.L, cat, false)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := OutSchema(j.R, cat)
+	rs, err := outSchema(j.R, cat, false)
 	if err != nil {
 		return nil, err
 	}
 	joined := ls.Concat(rs, "r.")
-	// Map join-output column names back to right-side column names.
-	rightName := make(map[string]string, rs.Arity())
-	for i, c := range rs.Cols {
-		rightName[joined.Cols[ls.Arity()+i]] = c
+	inLeft := func(name string) bool { return slices.Contains(ls.Cols, name) }
+	// rightCol maps a join-output column name back to the right input's
+	// own name for it (a collision reads "r.c" above the join, "c" below).
+	rightCol := func(name string) (Expr, bool) {
+		i := slices.Index(joined.Cols[ls.Arity():], name)
+		if i < 0 {
+			return nil, false
+		}
+		return Col(rs.Cols[i]), true
 	}
-	leftSet := map[string]bool{}
-	for _, c := range ls.Cols {
-		leftSet[c] = true
-	}
-	// A column name may exist on the left AND map to the right (it is
-	// then the left column in the joined schema).
 	var toL, toR, rest []Expr
 	for _, c := range conjuncts(pred) {
-		switch {
-		case allCols(c, func(name string) bool { return leftSet[name] }):
+		if allCols(c, inLeft) {
 			toL = append(toL, c)
-		case allCols(c, func(name string) bool { _, ok := rightName[name]; return ok && !leftSet[name] }):
-			subst := make(map[string]Expr, len(rightName))
-			for out, orig := range rightName {
-				subst[out] = Col(orig)
-			}
-			rc, ok := substitute(c, subst)
-			if !ok {
-				rest = append(rest, c)
-				continue
-			}
+		} else if rc, ok := substitute(c, rightCol); ok {
 			toR = append(toR, rc)
-		default:
+		} else {
 			rest = append(rest, c)
 		}
 	}
@@ -224,11 +231,11 @@ func pushSelectJoin(pred Expr, j Join, cat Catalog) (Query, error) {
 		}
 		r = pushed
 	}
-	var out Query = Join{L: l, R: r, Pred: j.Pred}
-	if len(rest) > 0 {
-		out = Select{Pred: And(rest...), In: out}
+	// What reads both sides joins the join predicate: σθ(L ⋈φ R) = L ⋈(φ∧θ) R.
+	if !IsTrue(j.Pred) {
+		rest = append([]Expr{j.Pred}, rest...)
 	}
-	return out, nil
+	return Join{L: l, R: r, Pred: And(rest...)}, nil
 }
 
 // conjuncts flattens a predicate's top-level AND tree.
@@ -257,13 +264,12 @@ func allCols(e Expr, ok func(string) bool) bool {
 	}
 }
 
-// substitute replaces column references by the mapped expressions; it
-// fails (ok=false) if a referenced column has no mapping.
-func substitute(e Expr, m map[string]Expr) (Expr, bool) {
+// substitute replaces column references by the expressions m maps them
+// to; it fails (ok=false) if a referenced column has no mapping.
+func substitute(e Expr, m func(name string) (Expr, bool)) (Expr, bool) {
 	switch n := e.(type) {
 	case ColRef:
-		r, ok := m[n.Name]
-		return r, ok
+		return m(n.Name)
 	case Const:
 		return n, true
 	case Not:
@@ -291,36 +297,4 @@ func substitute(e Expr, m map[string]Expr) (Expr, bool) {
 	default:
 		return nil, false
 	}
-}
-
-// CountSelectsBelowJoins reports how many Select nodes sit strictly below
-// a Join in q — a structural measure of pushdown effectiveness used by
-// tests and the ablation output.
-func CountSelectsBelowJoins(q Query) int {
-	count := 0
-	var walk func(n Query, belowJoin bool)
-	walk = func(n Query, belowJoin bool) {
-		switch x := n.(type) {
-		case Select:
-			if belowJoin {
-				count++
-			}
-			walk(x.In, belowJoin)
-		case Project:
-			walk(x.In, belowJoin)
-		case Join:
-			walk(x.L, true)
-			walk(x.R, true)
-		case Union:
-			walk(x.L, belowJoin)
-			walk(x.R, belowJoin)
-		case Diff:
-			walk(x.L, belowJoin)
-			walk(x.R, belowJoin)
-		case Agg:
-			walk(x.In, belowJoin)
-		}
-	}
-	walk(q, false)
-	return count
 }

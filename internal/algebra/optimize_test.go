@@ -52,7 +52,7 @@ func TestOptimizePushesThroughJoin(t *testing.T) {
 	if _, stillAbove := opt.(Select); stillAbove {
 		t.Fatalf("selection not fully pushed: %s", opt)
 	}
-	if got := CountSelectsBelowJoins(opt); got != 2 {
+	if got := countSelectsBelowJoins(opt); got != 2 {
 		t.Fatalf("selects below joins = %d, want 2: %s", got, opt)
 	}
 	// Schema must be unchanged.
@@ -182,16 +182,182 @@ func TestOptimizeErrors(t *testing.T) {
 	}
 }
 
-func TestCountSelectsBelowJoins(t *testing.T) {
-	q := Join{
-		L:    Select{Pred: BoolC(true), In: Rel{Name: "works"}},
-		R:    Rel{Name: "assign"},
-		Pred: BoolC(true),
+// TestAbsorbCrossSideConjuncts: conjuncts over both join sides join the
+// join predicate — no Select survives above the join — and a comma
+// join's literal TRUE disappears from the conjunction.
+func TestAbsorbCrossSideConjuncts(t *testing.T) {
+	cross := []Expr{Eq(Col("name"), Col("mach")), Or(Eq(Col("skill"), StrC("SP")), Lt(Col("name"), Col("mach")))}
+	for _, on := range []Expr{BoolC(true), Eq(Col("skill"), Col("r.skill"))} {
+		q := Select{
+			Pred: And(append(cross[:2:2], Ne(Col("name"), StrC("Joe")))...),
+			In:   Join{L: Rel{Name: "works"}, R: Rel{Name: "assign"}, Pred: on},
+		}
+		opt, err := Optimize(q, optCat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, ok := opt.(Join)
+		if !ok {
+			t.Fatalf("cross-side conjuncts left above the join: %s", opt)
+		}
+		want := And(cross...)
+		if !IsTrue(on) {
+			want = And(append([]Expr{on}, cross...)...)
+		}
+		if j.Pred.String() != want.String() {
+			t.Fatalf("join predicate = %s, want %s", j.Pred, want)
+		}
+		if got := countSelectsBelowJoins(opt); got != 1 {
+			t.Fatalf("single-side conjunct not pushed: %s", opt)
+		}
 	}
-	if got := CountSelectsBelowJoins(q); got != 1 {
-		t.Fatalf("count = %d", got)
+}
+
+// pruneCat has wide tables so pruning has something to drop.
+var pruneCat = MapCatalog{
+	"t": tuple.NewSchema("k", "a", "b", "c"),
+	"u": tuple.NewSchema("k", "a", "d"),
+}
+
+// alias is the rename projection the SQL frontend puts over an aliased
+// FROM item.
+func alias(name, table string, cols ...string) Project {
+	exprs := make([]NamedExpr, len(cols))
+	for i, c := range cols {
+		exprs[i] = NamedExpr{Name: name + "." + c, E: Col(c)}
 	}
-	if got := CountSelectsBelowJoins(Select{Pred: BoolC(true), In: Rel{Name: "works"}}); got != 0 {
-		t.Fatalf("count above joins = %d", got)
+	return Project{Exprs: exprs, In: Rel{Name: table}}
+}
+
+func projectNames(t *testing.T, q Query) []string {
+	t.Helper()
+	p, ok := q.(Project)
+	if !ok {
+		t.Fatalf("not a projection: %s", q)
 	}
+	names := make([]string, len(p.Exprs))
+	for i, ne := range p.Exprs {
+		names[i] = ne.Name
+	}
+	return names
+}
+
+// TestPruneColsNarrowsJoinInputs: the projections feeding a join keep
+// what the projection above, the join predicate and an absorbed
+// selection name, and nothing else; the query's schema is unchanged.
+func TestPruneColsNarrowsJoinInputs(t *testing.T) {
+	q := Project{
+		Exprs: []NamedExpr{{Name: "out", E: Col("x.a")}},
+		In: Select{
+			Pred: Lt(Col("x.b"), Col("y.d")),
+			In: Join{
+				L:    alias("x", "t", "k", "a", "b", "c"),
+				R:    alias("y", "u", "k", "a", "d"),
+				Pred: Eq(Col("x.k"), Col("y.k")),
+			},
+		},
+	}
+	opt, err := Optimize(q, pruneCat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, ok := opt.(Project).In.(Join)
+	if !ok {
+		t.Fatalf("optimized = %s", opt)
+	}
+	if got := strings.Join(projectNames(t, j.L), ","); got != "x.k,x.a,x.b" {
+		t.Fatalf("left input columns = %s", got)
+	}
+	if got := strings.Join(projectNames(t, j.R), ","); got != "y.k,y.d" {
+		t.Fatalf("right input columns = %s", got)
+	}
+	s, err := OutSchema(opt, pruneCat)
+	if err != nil || !s.Equal(tuple.NewSchema("out")) {
+		t.Fatalf("schema = %v, %v", s, err)
+	}
+}
+
+// TestPruneColsKeepsCollisionNames: a self-join's right columns are
+// named r.<col> because they collide with the left ones; when r.a is
+// needed the left a stays, so the collision resolves as before.
+func TestPruneColsKeepsCollisionNames(t *testing.T) {
+	side := func() Query { return ProjectCols(Rel{Name: "t"}, "k", "a", "b") }
+	q := Project{
+		Exprs: []NamedExpr{{Name: "out", E: Col("r.a")}},
+		In:    Join{L: side(), R: side(), Pred: Eq(Col("k"), Col("r.k"))},
+	}
+	opt, err := Optimize(q, pruneCat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := opt.(Project).In.(Join)
+	if got := strings.Join(projectNames(t, j.L), ","); got != "k,a" {
+		t.Fatalf("left input columns = %s (a must stay: r.a is named after it)", got)
+	}
+	if got := strings.Join(projectNames(t, j.R), ","); got != "k,a" {
+		t.Fatalf("right input columns = %s", got)
+	}
+	if _, err := OutSchema(opt, pruneCat); err != nil {
+		t.Fatalf("pruned query no longer type-checks: %v", err)
+	}
+}
+
+// TestPruneColsBypass: nothing is narrowed where no join consumes the
+// row, under the positional operators, or below a count(*) (which keeps
+// one column per join input).
+func TestPruneColsBypass(t *testing.T) {
+	single := Project{Exprs: []NamedExpr{{Name: "out", E: Col("x.a")}}, In: alias("x", "t", "k", "a", "b", "c")}
+	wide := Join{L: alias("x", "t", "k", "a"), R: alias("y", "u", "k", "d"), Pred: Eq(Col("x.k"), Col("y.k"))}
+	for _, q := range []Query{single, Union{L: wide, R: wide}, Diff{L: wide, R: wide}} {
+		opt, err := Optimize(q, pruneCat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opt.String() != q.String() {
+			t.Fatalf("pruned where nothing may be:\n%s\nfrom\n%s", opt, q)
+		}
+	}
+	cnt := Agg{
+		Aggs: []AggSpec{{Fn: krel.CountStar, As: "cnt"}},
+		In:   Join{L: alias("x", "t", "k", "a"), R: alias("y", "u", "k", "d"), Pred: BoolC(true)},
+	}
+	opt, err := Optimize(cnt, pruneCat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := opt.(Agg).In.(Join)
+	if l, r := projectNames(t, j.L), projectNames(t, j.R); len(l) != 1 || len(r) != 1 {
+		t.Fatalf("count(*) join inputs = %v, %v; want one column each", l, r)
+	}
+}
+
+// countSelectsBelowJoins reports how many Select nodes sit strictly below
+// a Join in q — a structural measure of pushdown effectiveness.
+func countSelectsBelowJoins(q Query) int {
+	count := 0
+	var walk func(n Query, belowJoin bool)
+	walk = func(n Query, belowJoin bool) {
+		switch x := n.(type) {
+		case Select:
+			if belowJoin {
+				count++
+			}
+			walk(x.In, belowJoin)
+		case Project:
+			walk(x.In, belowJoin)
+		case Join:
+			walk(x.L, true)
+			walk(x.R, true)
+		case Union:
+			walk(x.L, belowJoin)
+			walk(x.R, belowJoin)
+		case Diff:
+			walk(x.L, belowJoin)
+			walk(x.R, belowJoin)
+		case Agg:
+			walk(x.In, belowJoin)
+		}
+	}
+	walk(q, false)
+	return count
 }

@@ -134,43 +134,60 @@ func (c MapCatalog) RelationSchema(name string) (tuple.Schema, error) {
 // its result schema from this single implementation so all three model
 // layers agree on output shape.
 func OutSchema(q Query, cat Catalog) (tuple.Schema, error) {
+	return outSchema(q, cat, true)
+}
+
+// outSchema is OutSchema with validation optional: the logical pass
+// validates a query once and then asks for the schemas of its subtrees
+// many times. Without validation no expression is compiled and the walk
+// stops at the first node that names its own columns.
+func outSchema(q Query, cat Catalog, validate bool) (tuple.Schema, error) {
 	switch n := q.(type) {
 	case Rel:
 		return cat.RelationSchema(n.Name)
 	case Select:
-		s, err := OutSchema(n.In, cat)
+		s, err := outSchema(n.In, cat, validate)
 		if err != nil {
 			return tuple.Schema{}, err
 		}
-		if _, err := Compile(n.Pred, s); err != nil {
-			return tuple.Schema{}, err
+		if validate {
+			if _, err := Compile(n.Pred, s); err != nil {
+				return tuple.Schema{}, err
+			}
 		}
 		return s, nil
 	case Project:
-		s, err := OutSchema(n.In, cat)
+		cols := make([]string, len(n.Exprs))
+		for i, ne := range n.Exprs {
+			cols[i] = ne.Name
+		}
+		if !validate {
+			return tuple.Schema{Cols: cols}, nil
+		}
+		s, err := outSchema(n.In, cat, true)
 		if err != nil {
 			return tuple.Schema{}, err
 		}
-		cols := make([]string, len(n.Exprs))
-		for i, ne := range n.Exprs {
+		for _, ne := range n.Exprs {
 			if _, err := Compile(ne.E, s); err != nil {
 				return tuple.Schema{}, err
 			}
-			cols[i] = ne.Name
 		}
 		return tuple.NewSchema(cols...), nil
 	case Join:
-		ls, err := OutSchema(n.L, cat)
+		ls, err := outSchema(n.L, cat, validate)
 		if err != nil {
 			return tuple.Schema{}, err
 		}
-		rs, err := OutSchema(n.R, cat)
+		rs, err := outSchema(n.R, cat, validate)
 		if err != nil {
 			return tuple.Schema{}, err
 		}
 		out := ls.Concat(rs, "r.")
-		if _, err := Compile(n.Pred, out); err != nil {
-			return tuple.Schema{}, err
+		if validate {
+			if _, err := Compile(n.Pred, out); err != nil {
+				return tuple.Schema{}, err
+			}
 		}
 		return out, nil
 	case Union, Diff:
@@ -181,11 +198,11 @@ func OutSchema(q Query, cat Catalog) (tuple.Schema, error) {
 			d := n.(Diff)
 			l, r = d.L, d.R
 		}
-		ls, err := OutSchema(l, cat)
-		if err != nil {
-			return tuple.Schema{}, err
+		ls, err := outSchema(l, cat, validate)
+		if err != nil || !validate {
+			return ls, err
 		}
-		rs, err := OutSchema(r, cat)
+		rs, err := outSchema(r, cat, true)
 		if err != nil {
 			return tuple.Schema{}, err
 		}
@@ -194,22 +211,27 @@ func OutSchema(q Query, cat Catalog) (tuple.Schema, error) {
 		}
 		return ls, nil
 	case Agg:
-		s, err := OutSchema(n.In, cat)
+		cols := make([]string, 0, len(n.GroupBy)+len(n.Aggs))
+		cols = append(cols, n.GroupBy...)
+		for _, a := range n.Aggs {
+			cols = append(cols, a.As)
+		}
+		if !validate {
+			return tuple.Schema{Cols: cols}, nil
+		}
+		s, err := outSchema(n.In, cat, true)
 		if err != nil {
 			return tuple.Schema{}, err
 		}
-		cols := make([]string, 0, len(n.GroupBy)+len(n.Aggs))
 		for _, g := range n.GroupBy {
 			if s.Index(g) < 0 {
 				return tuple.Schema{}, fmt.Errorf("algebra: unknown group-by column %q", g)
 			}
-			cols = append(cols, g)
 		}
 		for _, a := range n.Aggs {
 			if a.Fn != krel.CountStar && s.Index(a.Arg) < 0 {
 				return tuple.Schema{}, fmt.Errorf("algebra: unknown aggregation column %q", a.Arg)
 			}
-			cols = append(cols, a.As)
 		}
 		return tuple.NewSchema(cols...), nil
 	default:

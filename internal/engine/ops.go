@@ -74,11 +74,15 @@ type equiKey struct {
 }
 
 // extractEquiKeys pulls conjuncts of the form leftCol = rightCol out of
-// pred; residual returns the remaining predicate (TRUE if none).
+// pred; residual is the conjunction of the remaining ones, nil when
+// nothing but literal TRUEs (a comma join's predicate) remains.
 func extractEquiKeys(pred algebra.Expr, joined tuple.Schema, lArity int) (keys []equiKey, residual algebra.Expr) {
 	var rest []algebra.Expr
 	var walk func(e algebra.Expr)
 	walk = func(e algebra.Expr) {
+		if algebra.IsTrue(e) {
+			return
+		}
 		if b, ok := e.(algebra.BinOp); ok {
 			if b.Op == algebra.OpAnd {
 				walk(b.L)
@@ -106,6 +110,9 @@ func extractEquiKeys(pred algebra.Expr, joined tuple.Schema, lArity int) (keys [
 		rest = append(rest, e)
 	}
 	walk(pred)
+	if len(rest) == 0 {
+		return keys, nil
+	}
 	return keys, algebra.And(rest...)
 }
 

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"snapk/internal/algebra"
-	"snapk/internal/tuple"
-)
+import "snapk/internal/tuple"
 
 // overlapJoinIter is the temporal join fallback for predicates without
 // any equality conjunct. The previous implementation collapsed all build
@@ -20,8 +17,7 @@ import (
 type overlapJoinIter struct {
 	schema tuple.Schema
 	l, r   []tuple.Tuple // sorted ascending by interval begin
-	lA, rA int
-	res    algebra.Compiled
+	pairs  pairComposer
 	i, j   int  // sweep cursors into l and r
 	k      int  // forward-scan cursor into the non-reference input
 	refL   bool // current reference row is l[i] (else r[j])
@@ -29,12 +25,10 @@ type overlapJoinIter struct {
 }
 
 // newOverlapJoinIter drains both inputs, sorts them by interval begin
-// and returns the lazy sweep iterator. joined is the concatenated data
-// schema; res the compiled residual predicate over it. Both inputs are
-// fully consumed and closed here; the sweep holds no child resources.
-func newOverlapJoinIter(l, r RowIter, joined tuple.Schema, res algebra.Compiled) (RowIter, error) {
-	lA := l.Schema().Arity() - 2
-	rA := r.Schema().Arity() - 2
+// and returns the lazy sweep iterator; prep is the join predicate
+// analysed over the inputs' data schemas. Both inputs are fully consumed
+// and closed here; the sweep holds no child resources.
+func newOverlapJoinIter(l, r RowIter, prep *JoinPrep) (RowIter, error) {
 	lRows, lErr := drainRowsErr(l)
 	rRows, rErr := drainRowsErr(r)
 	l.Close()
@@ -47,12 +41,10 @@ func newOverlapJoinIter(l, r RowIter, joined tuple.Schema, res algebra.Compiled)
 	SortRowsByEndpoints(lRows)
 	SortRowsByEndpoints(rRows)
 	return &overlapJoinIter{
-		schema: PeriodSchema(joined),
+		schema: prep.Schema(),
 		l:      lRows,
 		r:      rRows,
-		lA:     lA,
-		rA:     rA,
-		res:    res,
+		pairs:  prep.composer(),
 	}, nil
 }
 
@@ -82,23 +74,6 @@ func drainRowsErr(it RowIter) ([]tuple.Tuple, error) {
 
 func (it *overlapJoinIter) Schema() tuple.Schema { return it.schema }
 
-// emit composes the output row for one overlapping pair, or reports
-// false if the residual predicate rejects it.
-func (it *overlapJoinIter) emit(lrow, rrow tuple.Tuple) (tuple.Tuple, bool) {
-	iv, ok := rowInterval(lrow).Intersect(rowInterval(rrow))
-	if !ok {
-		return nil, false
-	}
-	data := make(tuple.Tuple, 0, it.lA+it.rA+2)
-	data = append(data, lrow[:it.lA]...)
-	data = append(data, rrow[:it.rA]...)
-	if !algebra.Truthy(it.res(data)) {
-		return nil, false
-	}
-	data = append(data, tuple.Int(iv.Begin), tuple.Int(iv.End))
-	return data, true
-}
-
 func (it *overlapJoinIter) Next() (tuple.Tuple, bool) {
 	for {
 		if it.active {
@@ -111,7 +86,7 @@ func (it *overlapJoinIter) Next() (tuple.Tuple, bool) {
 						break
 					}
 					it.k++
-					if out, ok := it.emit(lrow, rrow); ok {
+					if out, ok := it.pairs.compose(lrow, rrow); ok {
 						return out, true
 					}
 				}
@@ -126,7 +101,7 @@ func (it *overlapJoinIter) Next() (tuple.Tuple, bool) {
 						break
 					}
 					it.k++
-					if out, ok := it.emit(lrow, rrow); ok {
+					if out, ok := it.pairs.compose(lrow, rrow); ok {
 						return out, true
 					}
 				}

@@ -300,14 +300,12 @@ type hashJoinIter struct {
 	cur      batchCursor
 	build    map[string]*joinBucket
 	probeIdx []int
-	res      algebra.Compiled
-	lA, rA   int
+	pairs    pairComposer
 	swapped  bool
 	buildErr error  // terminal error of the (eagerly drained) build side
 	scratch  []byte // reusable probe-key buffer: no string allocation per probe row
 	// probe state: current probe row and its pending bucket suffix.
 	prow   tuple.Tuple
-	piv    interval.Interval
 	bucket []tuple.Tuple
 	bi     int
 }
@@ -320,14 +318,57 @@ type joinBucket struct{ rows []tuple.Tuple }
 
 // JoinPrep is the compiled form of a temporal join predicate: extracted
 // equi-key columns plus the compiled residual over the concatenated data
-// schema. It separates predicate analysis from execution so the build
-// phase can run once while several probe iterators (one per parallel
-// fragment) share its output.
+// schema (nil when the equi keys are the whole predicate). It separates
+// predicate analysis from execution so the build phase can run once
+// while several probe iterators (one per parallel fragment) share its
+// output.
 type JoinPrep struct {
 	joined     tuple.Schema
 	res        algebra.Compiled
 	lIdx, rIdx []int
 	lA, rA     int
+}
+
+// pairComposer turns candidate (left, right) row pairs into join output
+// rows: the overlaps() condition of Fig 4, then the residual predicate,
+// then the concatenated row with the intersected period. The residual
+// runs on a reusable scratch row, so only surviving pairs allocate — one
+// exactly-sized row each. A composer is single-goroutine state: every
+// join iterator owns its own.
+type pairComposer struct {
+	lA, rA  int
+	res     algebra.Compiled // nil: no residual
+	scratch tuple.Tuple      // lA+rA data columns; never leaves compose
+}
+
+func (p *JoinPrep) composer() pairComposer {
+	c := pairComposer{lA: p.lA, rA: p.rA, res: p.res}
+	if c.res != nil {
+		c.scratch = make(tuple.Tuple, p.lA+p.rA)
+	}
+	return c
+}
+
+// compose returns the output row of one candidate pair, or false when
+// the periods do not overlap or the residual rejects the pair.
+func (c *pairComposer) compose(lrow, rrow tuple.Tuple) (tuple.Tuple, bool) {
+	iv, ok := rowInterval(lrow).Intersect(rowInterval(rrow))
+	if !ok {
+		return nil, false
+	}
+	if c.res != nil {
+		copy(c.scratch, lrow[:c.lA])
+		copy(c.scratch[c.lA:], rrow[:c.rA])
+		if !algebra.Truthy(c.res(c.scratch)) {
+			return nil, false
+		}
+	}
+	out := make(tuple.Tuple, c.lA+c.rA+2)
+	copy(out, lrow[:c.lA])
+	copy(out[c.lA:], rrow[:c.rA])
+	out[c.lA+c.rA] = tuple.Int(iv.Begin)
+	out[c.lA+c.rA+1] = tuple.Int(iv.End)
+	return out, true
 }
 
 // PrepareJoin analyses pred over the two data schemas (period attributes
@@ -337,11 +378,14 @@ type JoinPrep struct {
 func PrepareJoin(lData, rData tuple.Schema, pred algebra.Expr) (*JoinPrep, error) {
 	joined := lData.Concat(rData, "r.")
 	keys, residual := extractEquiKeys(pred, joined, lData.Arity())
-	res, err := algebra.Compile(residual, joined)
-	if err != nil {
-		return nil, err
+	p := &JoinPrep{joined: joined, lA: lData.Arity(), rA: rData.Arity()}
+	if residual != nil {
+		res, err := algebra.Compile(residual, joined)
+		if err != nil {
+			return nil, err
+		}
+		p.res = res
 	}
-	p := &JoinPrep{joined: joined, res: res, lA: lData.Arity(), rA: rData.Arity()}
 	for _, k := range keys {
 		p.lIdx = append(p.lIdx, k.l)
 		p.rIdx = append(p.rIdx, k.r)
@@ -433,9 +477,7 @@ func (b *JoinBuild) Probe(probe RowIter) RowIter {
 		cur:      batchCursor{in: probe},
 		build:    b.build,
 		probeIdx: probeIdx,
-		res:      b.prep.res,
-		lA:       b.prep.lA,
-		rA:       b.prep.rA,
+		pairs:    b.prep.composer(),
 		swapped:  b.left,
 		buildErr: b.err,
 	}
@@ -458,7 +500,7 @@ func NewJoinIter(l, r RowIter, pred algebra.Expr) (RowIter, error) {
 		return nil, err
 	}
 	if !prep.HasEquiKey() {
-		return newOverlapJoinIter(l, r, prep.joined, prep.res)
+		return newOverlapJoinIter(l, r, prep)
 	}
 	// The build side is fully drained and released by the build; the
 	// probe side stays open until the joint iterator is closed. A build
@@ -541,23 +583,15 @@ func (it *hashJoinIter) Next() (tuple.Tuple, bool) {
 		for it.bi < len(it.bucket) {
 			brow := it.bucket[it.bi]
 			it.bi++
-			iv, ok := it.piv.Intersect(rowInterval(brow)) // the overlaps() condition of Fig 4
-			if !ok {
-				continue
-			}
-			data := make(tuple.Tuple, 0, it.lA+it.rA+2)
+			// Output rows are composed in left-then-right column order
+			// whichever side was built.
+			lrow, rrow := it.prow, brow
 			if it.swapped {
-				data = append(data, brow[:it.lA]...)
-				data = append(data, it.prow[:it.rA]...)
-			} else {
-				data = append(data, it.prow[:it.lA]...)
-				data = append(data, brow[:it.rA]...)
+				lrow, rrow = brow, it.prow
 			}
-			if !algebra.Truthy(it.res(data)) {
-				continue
+			if out, ok := it.pairs.compose(lrow, rrow); ok {
+				return out, true
 			}
-			data = append(data, tuple.Int(iv.Begin), tuple.Int(iv.End))
-			return data, true
 		}
 		prow, ok := it.cur.next()
 		if !ok {
@@ -568,7 +602,6 @@ func (it *hashJoinIter) Next() (tuple.Tuple, bool) {
 		}
 		//lint:ignore rowretain probe row is held read-only and replaced by the next probe Next
 		it.prow = prow
-		it.piv = rowInterval(prow)
 		it.scratch = prow.AppendKey(it.scratch[:0], it.probeIdx)
 		if b := it.build[string(it.scratch)]; b != nil {
 			it.bucket = b.rows

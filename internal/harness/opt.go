@@ -33,18 +33,19 @@ type optConfig struct {
 
 // optConfigs is the ablation grid: all-off, all-on, and all-on with
 // each knob individually removed, so every knob's contribution is
-// isolated as (no-X vs all-on).
+// isolated as (no-X vs all-on). Selection and column placement is not in
+// the grid: it runs on every plan.
 func optConfigs() []optConfig {
 	all := rewrite.AllKnobs()
-	noPushdown, noPrune, noPresize, noAdaptive := all, all, all, all
-	noPushdown.Pushdown = false
+	noWindowPushdown, noPrune, noPresize, noAdaptive := all, all, all, all
+	noWindowPushdown.Pushdown = false
 	noPrune.Prune = false
 	noPresize.PreSize = false
 	noAdaptive.AdaptiveWorkers = false
 	return []optConfig{
 		{"all-off", rewrite.PlannerKnobs{}},
 		{"all-on", all},
-		{"no-pushdown", noPushdown},
+		{"no-window-pushdown", noWindowPushdown},
 		{"no-prune", noPrune},
 		{"no-presize", noPresize},
 		{"no-adaptive", noAdaptive},

@@ -186,6 +186,113 @@ func (g *Gen) GenPositiveQuery() algebra.Query {
 	return g.genPositive(g.MaxDepth, false)
 }
 
+// GenJoinQuery generates a query built around a selection over a join —
+// the shapes the logical pass (algebra.Optimize) rewrites: cross-side
+// equalities (hash keys once absorbed) and inequalities (residuals) in
+// the WHERE, OR-of-ANDs residuals (TPC-H Q19's shape), NULL join keys
+// (genValue), alias-renamed inputs and bare ones whose schemas collide
+// (the "r." prefix, self-joins included), three-way joins, count(*) over
+// a join, and selections over an aggregation, union or difference above
+// joins.
+func (g *Gen) GenJoinQuery() algebra.Query {
+	switch g.R.Intn(5) {
+	case 0:
+		sel, _, _ := g.joinSelect()
+		return algebra.Agg{Aggs: []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}}, In: sel}
+	case 1:
+		sel, la, rb := g.joinSelect()
+		agg := algebra.Agg{
+			GroupBy: []string{la},
+			Aggs:    []algebra.AggSpec{{Fn: krel.Sum, Arg: rb, As: "v"}, {Fn: krel.CountStar, As: "cnt"}},
+			In:      sel,
+		}
+		return algebra.Select{
+			Pred: algebra.And(algebra.Le(algebra.Col(la), g.smallInt()), algebra.Ge(algebra.Col("v"), g.smallInt())),
+			In:   agg,
+		}
+	case 2:
+		return algebra.Select{Pred: g.genPred(), In: algebra.Union{L: g.joinCore(), R: g.joinCore()}}
+	case 3:
+		return algebra.Select{Pred: g.genPred(), In: algebra.Diff{L: g.joinCore(), R: g.joinCore()}}
+	default:
+		return g.joinCore()
+	}
+}
+
+func (g *Gen) smallInt() algebra.Expr { return algebra.IntC(int64(g.R.Intn(4))) }
+
+// joinInput is one join input: a base table, bare or behind the rename
+// projection the SQL frontend puts over an aliased FROM item, sometimes
+// under a selection of its own.
+func (g *Gen) joinInput(alias string) algebra.Query {
+	in := g.baseRel()
+	if g.R.Intn(3) == 0 {
+		in = algebra.Select{Pred: g.genPred(), In: in}
+	}
+	if alias == "" {
+		if g.R.Intn(2) == 0 {
+			return algebra.ProjectCols(in, "a", "b")
+		}
+		return in
+	}
+	return algebra.Project{
+		Exprs: []algebra.NamedExpr{
+			{Name: alias + ".a", E: algebra.Col("a")},
+			{Name: alias + ".b", E: algebra.Col("b")},
+		},
+		In: in,
+	}
+}
+
+// joinSelect generates σ_where(L ⋈_on R), sometimes joined to a third
+// input, and returns it with the output names of the left input's a and
+// the right input's b.
+func (g *Gen) joinSelect() (q algebra.Query, la, rb string) {
+	// Aliased inputs keep apart as x.*, y.*; bare ones collide, so the
+	// join names the right side's columns r.a, r.b.
+	aliased := g.R.Intn(2) == 0
+	la, lb, ra, rb := "a", "b", "r.a", "r.b"
+	l, r := g.joinInput(""), g.joinInput("")
+	if aliased {
+		la, lb, ra, rb = "x.a", "x.b", "y.a", "y.b"
+		l, r = g.joinInput("x"), g.joinInput("y")
+	}
+	col := algebra.Col
+	ons := []algebra.Expr{
+		algebra.BoolC(true),
+		algebra.Eq(col(la), col(ra)),
+		algebra.And(algebra.Eq(col(la), col(ra)), algebra.Lt(col(lb), col(rb))),
+	}
+	q = algebra.Join{L: l, R: r, Pred: ons[g.R.Intn(len(ons))]}
+	if aliased && g.R.Intn(3) == 0 {
+		// A third input (only aliased: bare, its a would collide with both
+		// a and r.a, and the engine rejects a schema that repeats a name).
+		q = algebra.Join{L: q, R: g.joinInput("z"), Pred: algebra.Eq(col(lb), col("z.b"))}
+	}
+	conjuncts := []algebra.Expr{
+		algebra.Eq(col(lb), col(rb)),
+		algebra.Lt(col(la), col(rb)),
+		algebra.Ne(col(lb), col(ra)),
+		algebra.Le(col(la), g.smallInt()),
+		algebra.Gt(col(rb), g.smallInt()),
+		algebra.Or(
+			algebra.And(algebra.Eq(col(la), g.smallInt()), algebra.Ge(col(rb), g.smallInt())),
+			algebra.And(algebra.Eq(col(lb), g.smallInt()), algebra.Le(col(ra), g.smallInt())),
+		),
+	}
+	g.R.Shuffle(len(conjuncts), func(i, j int) { conjuncts[i], conjuncts[j] = conjuncts[j], conjuncts[i] })
+	return algebra.Select{Pred: algebra.And(conjuncts[:1+g.R.Intn(3)]...), In: q}, la, rb
+}
+
+// joinCore is joinSelect projected back to schema (a, b).
+func (g *Gen) joinCore() algebra.Query {
+	sel, la, rb := g.joinSelect()
+	return algebra.Project{
+		Exprs: []algebra.NamedExpr{{Name: "a", E: algebra.Col(la)}, {Name: "b", E: algebra.Col(rb)}},
+		In:    sel,
+	}
+}
+
 // genPositive generates a query with output schema (a, b); with allowDiff
 // it may contain difference (the full RA of Section 7.1).
 func (g *Gen) genPositive(depth int, allowDiff bool) algebra.Query {
@@ -240,7 +347,7 @@ func (g *Gen) baseRel() algebra.Query {
 
 func (g *Gen) genPred() algebra.Expr {
 	col := []string{"a", "b"}[g.R.Intn(2)]
-	val := algebra.IntC(int64(g.R.Intn(4)))
+	val := g.smallInt()
 	switch g.R.Intn(4) {
 	case 0:
 		return algebra.Eq(algebra.Col(col), val)

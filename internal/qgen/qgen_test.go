@@ -105,6 +105,12 @@ func TestGeneratedQueriesTypeCheck(t *testing.T) {
 			t.Fatalf("query %s does not type-check: %v", q, err)
 		}
 	}
+	for i := 0; i < 200; i++ {
+		q := g.GenJoinQuery()
+		if _, err := algebra.OutSchema(q, edb); err != nil {
+			t.Fatalf("join query %s does not type-check: %v", q, err)
+		}
+	}
 	for i := 0; i < 100; i++ {
 		q := g.GenPositiveQuery()
 		if _, err := algebra.OutSchema(q, edb); err != nil {

@@ -7,8 +7,8 @@ import (
 // This file is the planner's physical pass: the stats-driven choices
 // made after the plan shape is fixed. It runs only when at least one
 // PlannerKnobs flag is set and the catalog is an engine database (the
-// statistics live on stored tables), so the knobs-off plan is
-// byte-identical to the rule-only rewriter's output.
+// statistics live on stored tables), so the knobs-off plan carries no
+// physical annotation.
 //
 // Decisions made here:
 //

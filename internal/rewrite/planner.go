@@ -11,9 +11,10 @@ import (
 // This file is the planner entry point: the phased replacement for the
 // rule-only rewriter. PlanQuery runs four explicit phases —
 //
-//	1. logical rewrite   — the REWR reduction (rewrite.go), preceded by
-//	                       the algebraic select pushdown when enabled
-//	2. pushdown          — moves the time window τ_T below the REWR
+//	1. logical rewrite   — the stats-free logical pass (algebra.Optimize:
+//	                       σ-pushdown, σ→⋈ absorption, join-input
+//	                       pruning), then the REWR reduction (rewrite.go)
+//	2. window placement  — moves the time window τ_T below the REWR
 //	                       operators where the temporal algebra allows
 //	                       (pushdown.go documents the per-rule legality
 //	                       conditions)
@@ -25,19 +26,19 @@ import (
 //	                       pre-sizing, zone-map scan pruning, adaptive
 //	                       worker count (physical.go)
 //
-// Every phase beyond the logical rewrite is gated by a PlannerKnobs
-// flag, so each optimization is independently ablatable and the
-// all-knobs-off plan is byte-identical to the rule-only rewriter's
-// output.
+// Phase 1 is unconditional: every query path plans through it, and the
+// per-snapshot oracle (package snapshot, behind DB.QueryAt) never does,
+// so each reducibility check verifies it. Phases 2–4 are gated by
+// PlannerKnobs flags, so each is independently ablatable.
 
 // PlannerKnobs enables the cost-aware planner phases individually —
 // the ablation switches of the `snapbench -exp opt` study. The zero
 // value disables them all.
 type PlannerKnobs struct {
-	// Pushdown moves the time window (Options.Window) below the REWR
-	// operators toward the scans, and applies the algebraic selection
-	// pushdown (algebra.Optimize) before the rewrite — the plan-level
-	// and query-level halves of the same phase.
+	// Pushdown moves the time window (Options.Window) from the plan
+	// root below the REWR operators toward the scans. Off, the window
+	// clips once at the root. (Selection and column placement is not a
+	// knob: it is phase 1.)
 	Pushdown bool
 	// Prune permits the zone-map check on windowed scans: a stored table
 	// whose endpoint envelope is disjoint from the window is skipped
@@ -81,23 +82,22 @@ func (d *Decisions) note(format string, args ...any) {
 // need cat to be an *engine.DB (otherwise they are skipped — there are
 // no stored rows to measure).
 func PlanQuery(q algebra.Query, cat algebra.Catalog, opt Options) (engine.Plan, *Decisions, error) {
-	if _, err := algebra.OutSchema(q, cat); err != nil {
+	// Phase 1a: logical placement. Its rules are bag-algebra identities,
+	// so the rewritten plan computes the same unique encoding.
+	q, err := algebra.Optimize(q, cat)
+	if err != nil {
 		return nil, nil, err
 	}
+	return planQuery(q, cat, opt)
+}
+
+// planQuery plans q as written: PlanQuery after the logical pass, which
+// has validated q against cat.
+func planQuery(q algebra.Query, cat algebra.Catalog, opt Options) (engine.Plan, *Decisions, error) {
 	obs.Default.QueriesRun.Add(1)
 	dec := &Decisions{}
 
-	// Phase 1: logical rewrite. The algebraic select pushdown runs first
-	// when the planner's knob enables it: its rules are bag-algebra
-	// identities, so the rewritten plan computes the same unique
-	// encoding.
-	if opt.Planner.Pushdown {
-		oq, err := algebra.Optimize(q, cat)
-		if err != nil {
-			return nil, nil, err
-		}
-		q = oq
-	}
+	// Phase 1b: the REWR reduction.
 	rw := newRewriter(cat, opt)
 	p, err := rw.rewr(q)
 	if err != nil {
@@ -119,8 +119,7 @@ func PlanQuery(q algebra.Query, cat algebra.Catalog, opt Options) (engine.Plan, 
 	}
 
 	// Phases 3+4: statistics (lazily computed and cached on the stored
-	// tables) feed the physical pass. Gated on any knob being set so the
-	// knobs-off plan stays byte-identical to the rule-only rewriter's.
+	// tables) feed the physical pass, which runs only when a knob is set.
 	if opt.Planner != (PlannerKnobs{}) && rw.db != nil {
 		p = rw.applyPhysical(p, dec)
 		rw.adaptiveWorkers(p, dec)

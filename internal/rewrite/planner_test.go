@@ -182,8 +182,8 @@ func TestWindowPushdownPlanShape(t *testing.T) {
 }
 
 // TestPlannerKnobsOffIdentity: with the zero PlannerKnobs and no window,
-// PlanQuery must produce exactly the rule-only rewriter's plan — no
-// window nodes, no build-side pins, no hints, no worker override.
+// PlanQuery must produce exactly the logical rewrite's plan — no window
+// nodes, no build-side pins, no hints, no worker override.
 func TestPlannerKnobsOffIdentity(t *testing.T) {
 	db := exampleDB()
 	join := algebra.Join{
@@ -199,7 +199,7 @@ func TestPlannerKnobsOffIdentity(t *testing.T) {
 		}
 		p, dec := planFor(t, db, q, opt)
 		if !reflect.DeepEqual(p, base) {
-			t.Fatalf("knobs-off plan differs from the rule-only rewrite:\n%s\nvs\n%s", p, base)
+			t.Fatalf("knobs-off plan differs from the logical rewrite:\n%s\nvs\n%s", p, base)
 		}
 		if countWindows(p) != 0 {
 			t.Fatalf("no window requested but the plan has one:\n%s", p)

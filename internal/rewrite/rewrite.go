@@ -71,11 +71,12 @@ type Options struct {
 	// the plan root; with it the pushdown phase moves it toward the scans
 	// under the legality rules documented in pushdown.go.
 	Window interval.Interval
-	// Planner enables the phased cost-aware planner's knobs (pushdown,
-	// zone-map pruning, hash pre-sizing, adaptive worker count), each
-	// independently ablatable. The zero value disables every phase beyond
-	// the logical rewrite, leaving plans byte-identical to the rule-only
-	// rewriter's output. See PlannerKnobs.
+	// Planner enables the phased cost-aware planner's knobs (window
+	// pushdown, zone-map pruning, hash pre-sizing, adaptive worker
+	// count), each independently ablatable. The zero value disables every
+	// phase beyond the logical rewrite — which always includes selection
+	// and column placement — so the plan carries no physical annotation.
+	// See PlannerKnobs.
 	Planner PlannerKnobs
 	// Parallelism is the number of fragments per partitioned operator
 	// (internal/engine/parallel). Values <= 1 run every stream as one

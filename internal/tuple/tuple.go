@@ -6,6 +6,7 @@ package tuple
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -145,21 +146,63 @@ func Compare(a, b Value) int {
 	case a.kind == KindNull || b.kind == KindNull:
 		return cmpInt(int64(boolToInt(a.kind != KindNull)), int64(boolToInt(b.kind != KindNull)))
 	case an && bn:
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
+		return compareNumeric(a, b)
 	case a.kind != b.kind:
 		return cmpInt(int64(a.kind), int64(b.kind))
 	case a.kind == KindString:
 		return strings.Compare(a.s, b.s)
 	default: // bools
 		return cmpInt(a.i, b.i)
+	}
+}
+
+// compareNumeric orders two numeric values exactly: integers as
+// integers, and an integer against a float without rounding the integer
+// to float64 first — beyond 2⁵³ that conversion would call distinct
+// numbers equal, while AppendKey (which hash joins and grouping use)
+// keeps them apart.
+func compareNumeric(a, b Value) int {
+	switch {
+	case a.kind == KindInt && b.kind == KindInt:
+		return cmpInt(a.i, b.i)
+	case a.kind == KindInt:
+		return cmpIntFloat(a.i, b.f)
+	case b.kind == KindInt:
+		return -cmpIntFloat(b.i, a.f)
+	case a.f < b.f:
+		return -1
+	case a.f > b.f:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// two63 is 2⁶³ as a float64: the first float above every int64.
+const two63 = 9223372036854775808.0
+
+// cmpIntFloat compares i with f exactly. NaN compares equal to
+// everything, as it does between two floats.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case f != f:
+		return 0
+	case f >= two63:
+		return -1
+	case f < -two63:
+		return 1
+	}
+	t := math.Trunc(f) // in int64 range, so the conversion is exact
+	if c := cmpInt(i, int64(t)); c != 0 {
+		return c
+	}
+	switch {
+	case f > t:
+		return -1
+	case f < t:
+		return 1
+	default:
+		return 0
 	}
 }
 
@@ -227,8 +270,9 @@ func (t Tuple) AppendKey(b []byte, idx []int) []byte {
 			b = append(b, 'i')
 			b = strconv.AppendInt(b, v.i, 10)
 		case KindFloat:
-			// Encode integral floats like ints so Equal ⇒ same Key.
-			if f := v.f; f == math.Trunc(f) && !math.IsInf(f, 0) && math.Abs(f) < 1e15 {
+			// Encode every float that equals an int64 as that integer,
+			// so Equal ⇒ same Key (−0.0 keys as 0).
+			if f := v.f; f == math.Trunc(f) && f >= -two63 && f < two63 {
 				b = append(b, 'i')
 				b = strconv.AppendInt(b, int64(f), 10)
 			} else {
@@ -339,18 +383,16 @@ func (s Schema) Equal(other Schema) bool {
 // Concat returns the concatenation of two schemas, renaming collisions on
 // the right side with the given prefix (e.g. "r.").
 func (s Schema) Concat(other Schema, rightPrefix string) Schema {
-	cols := make([]string, 0, len(s.Cols)+len(other.Cols))
-	cols = append(cols, s.Cols...)
-	seen := make(map[string]struct{}, len(cols))
-	for _, c := range cols {
-		seen[c] = struct{}{}
-	}
+	cols := make([]string, len(s.Cols), len(s.Cols)+len(other.Cols))
+	copy(cols, s.Cols)
+	// A linear scan, not a set: schemas are tens of columns wide and the
+	// planner concatenates them per join, so the map would be most of
+	// the cost.
 	for _, c := range other.Cols {
 		name := c
-		if _, dup := seen[name]; dup {
+		if slices.Contains(cols, name) {
 			name = rightPrefix + c
 		}
-		seen[name] = struct{}{}
 		cols = append(cols, name)
 	}
 	return Schema{Cols: cols}

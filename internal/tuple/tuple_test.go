@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -89,6 +90,38 @@ func TestCompare(t *testing.T) {
 	for _, c := range cases {
 		if got := Compare(c.a, c.b); got != c.want {
 			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// TestCompareNumericIsExact: integers compare as integers and an
+// integer against a float without rounding through float64, so beyond
+// 2⁵³ distinct numbers stay distinct — as their keys are.
+func TestCompareNumericIsExact(t *testing.T) {
+	const two53 = int64(1) << 53
+	cases := []struct {
+		a, b Value
+		want int
+	}{
+		{Int(two53), Int(two53 + 1), -1},
+		{Int(two53 + 1), Float(float64(two53)), 1},
+		{Float(float64(two53)), Int(two53 + 1), -1},
+		{Int(two53), Float(float64(two53)), 0},
+		{Int(1e15), Float(1e15), 0},
+		{Int(math.MaxInt64), Float(9223372036854775808.0), -1},
+		{Int(math.MinInt64), Float(-9223372036854775808.0), 0},
+		{Int(-3), Float(-3.5), 1},
+		{Int(3), Float(3.5), -1},
+		{Int(0), Float(math.Copysign(0, -1)), 0},
+		{Int(5), Float(math.Inf(1)), -1},
+		{Int(5), Float(math.Inf(-1)), 1},
+	}
+	for _, c := range cases {
+		if got := Compare(c.a, c.b); got != c.want {
+			t.Errorf("Compare(%v %s, %v %s) = %d, want %d", c.a, c.a.Kind(), c.b, c.b.Kind(), got, c.want)
+		}
+		if sameKey := (Tuple{c.a}).Key() == (Tuple{c.b}).Key(); sameKey != (c.want == 0) {
+			t.Errorf("%v %s / %v %s: same key = %v, Compare = %d", c.a, c.a.Kind(), c.b, c.b.Kind(), sameKey, c.want)
 		}
 	}
 }

@@ -185,8 +185,9 @@ func (db *DB) QueryWith(sql string, ap Approach) (*Result, error) {
 }
 
 // seqOptions are the rewrite options of every Seq-family evaluation
-// (Query, QueryWith, QueryRows): the database's configured parallelism
-// and query limits under the given coalesce/split mode.
+// (Query, QueryWith, QueryRows) and of Explain: the database's
+// configured parallelism and query limits under the given
+// coalesce/split mode.
 func (db *DB) seqOptions(mode rewrite.Mode) rewrite.Options {
 	return rewrite.Options{Mode: mode, Parallelism: db.parallelism, Limits: db.limits}
 }
@@ -226,14 +227,15 @@ func tableToResult(t *engine.Table) *Result {
 	return res
 }
 
-// Explain returns the physical plan the middleware would execute for the
-// given snapshot query under the Seq approach.
+// Explain returns the physical plan Query executes for the given
+// snapshot query: planned with the same options, so selections and
+// columns sit where the logical pass placed them.
 func (db *DB) Explain(sql string) (string, error) {
 	q, err := sqlfe.ParseAndTranslate(sql, db.eng)
 	if err != nil {
 		return "", err
 	}
-	p, err := rewrite.Rewrite(q, db.eng, rewrite.Options{Mode: rewrite.ModeOptimized})
+	p, err := rewrite.Rewrite(q, db.eng, db.seqOptions(rewrite.ModeOptimized))
 	if err != nil {
 		return "", err
 	}
