@@ -155,8 +155,13 @@ func TestRunExplainPrintsPlan(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	if !strings.Contains(out.String(), "Coalesce") || !strings.Contains(out.String(), "TAgg") {
+	if !strings.Contains(out.String(), "TAgg") {
 		t.Fatalf("explain output lacks plan operators:\n%s", out.String())
+	}
+	// The aggregation emits the unique encoding itself: no final
+	// coalesce is planned above it.
+	if strings.Contains(out.String(), "Coalesce") {
+		t.Fatalf("explain output plans a coalesce above the aggregation:\n%s", out.String())
 	}
 	// The annotated tree: sweep modes, sequential placement, registry.
 	for _, want := range []string{"sweep=", "{sequential", "process: queries="} {
@@ -301,10 +306,15 @@ func TestRunAnalyzeWithTrace(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	for _, want := range []string{"EXPLAIN ANALYZE", "Coalesce", "rows=", "(7 rows)", "process: queries=1"} {
+	for _, want := range []string{"EXPLAIN ANALYZE", "Agg [streaming]", "rows=", "(7 rows)", "process: queries=1"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("analyze output lacks %q:\n%s", want, out.String())
 		}
+	}
+	// Figure 1b's seven rows come straight from the aggregation's fused
+	// emission, with no coalesce operator executed above it.
+	if strings.Contains(out.String(), "Coalesce") {
+		t.Fatalf("analyze output ran a coalesce above the aggregation:\n%s", out.String())
 	}
 	data, err := os.ReadFile(trace)
 	if err != nil {

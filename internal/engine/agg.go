@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -22,9 +25,10 @@ import (
 // With preAgg (the §9 optimization) the split is fused with the
 // aggregation into one endpoint sweep per group using incremental
 // accumulators, so the sort runs over group endpoints instead of
-// materialized split rows. With preAgg false, the operator materializes
+// materialized split rows, and the result is already the unique
+// coalesced encoding. With preAgg false, the operator materializes
 // Split (Def 8.3) output and hash-aggregates it — the naive plan used as
-// the ablation baseline.
+// the ablation baseline, one row per elementary segment.
 func TemporalAggregate(in *Table, groupBy []string, aggs []algebra.AggSpec, preAgg bool, dom interval.Domain) (*Table, error) {
 	prep, err := prepareAggregate(in.DataSchema(), groupBy, aggs)
 	if err != nil {
@@ -89,11 +93,14 @@ func prepareAggregate(data tuple.Schema, groupBy []string, aggs []algebra.AggSpe
 }
 
 // aggregateSweep is the pre-aggregated implementation: one endpoint sweep
-// per group with incremental accumulators.
+// per group with incremental accumulators. Adjacent segments with equal
+// aggregate values leave as one row (aggSegment), so the output is the
+// unique coalesced encoding.
 func aggregateSweep(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpec, argIdx []int, dom interval.Domain) {
+	// rowEvent is one endpoint of the input row in.Rows[row].
 	type rowEvent struct {
 		t     interval.Time
-		row   tuple.Tuple
+		row   int
 		enter bool
 	}
 	type grp struct {
@@ -106,7 +113,7 @@ func aggregateSweep(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpe
 	// the key string only materialized) once per distinct group, not per
 	// row.
 	var scratch []byte
-	for _, row := range in.Rows {
+	for i, row := range in.Rows {
 		scratch = row.AppendKey(scratch[:0], groupIdx)
 		acc, ok := groups[string(scratch)]
 		if !ok {
@@ -115,19 +122,29 @@ func aggregateSweep(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpe
 		}
 		iv := in.Interval(row)
 		acc.events = append(acc.events,
-			rowEvent{t: iv.Begin, row: row, enter: true},
-			rowEvent{t: iv.End, row: row, enter: false})
+			rowEvent{t: iv.Begin, row: i, enter: true},
+			rowEvent{t: iv.End, row: i, enter: false})
 	}
 	if global && len(groups) == 0 {
 		groups[""] = &grp{group: tuple.Tuple{}}
 	}
 	for _, g := range groups {
-		sort.SliceStable(g.events, func(i, j int) bool { return g.events[i].t < g.events[j].t })
+		// Among equal times, input row order is the order the events were
+		// appended in (a row's begin precedes its end), so same-instant
+		// updates — and with them float sums — apply in input order on
+		// every run.
+		slices.SortFunc(g.events, func(a, b rowEvent) int {
+			if c := cmp.Compare(a.t, b.t); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.row, b.row)
+		})
 		sweepers := make([]*aggSweeper, len(aggs))
 		for i, a := range aggs {
 			sweepers[i] = newAggSweeper(a.Fn)
 		}
 		var alive int64
+		var held tuple.Tuple // the group's last output row
 		emit := func(seg interval.Interval) {
 			if !seg.Valid() {
 				return
@@ -135,14 +152,10 @@ func aggregateSweep(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpe
 			if alive == 0 && !global {
 				return
 			}
-			// One exact-capacity allocation per output row.
-			row := make(tuple.Tuple, 0, len(g.group)+len(sweepers)+2)
-			row = append(row, g.group...)
-			for _, sw := range sweepers {
-				row = append(row, sw.result())
+			if row := aggSegment(held, g.group, sweepers, seg); row != nil {
+				out.Rows = append(out.Rows, row)
+				held = row
 			}
-			row = append(row, tuple.Int(seg.Begin), tuple.Int(seg.End))
-			out.Rows = append(out.Rows, row)
 		}
 		segStart := dom.Min
 		i := 0
@@ -159,10 +172,11 @@ func aggregateSweep(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpe
 				} else {
 					alive--
 				}
+				row := in.Rows[ev.row]
 				for j, sw := range sweepers {
 					var arg tuple.Value
 					if argIdx[j] >= 0 {
-						arg = ev.row[argIdx[j]]
+						arg = row[argIdx[j]]
 					}
 					sw.update(arg, ev.enter)
 				}
@@ -174,6 +188,65 @@ func aggregateSweep(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpe
 			emit(interval.Interval{Begin: segStart, End: dom.Max})
 		}
 	}
+}
+
+// aggSegment is the fused coalesce of both pre-aggregated sweeps. held
+// is the group's previous output row, still invisible to any consumer,
+// or nil. When held ends where seg begins and carries the aggregate
+// values the sweepers report now — equal under sameKey, the rule
+// Coalesce groups rows by — held is extended to cover seg and nil is
+// returned; otherwise the new output row for seg is. A group's
+// segments are disjoint and carry multiplicity 1, so merging exactly
+// the adjacent equal ones yields the unique coalesced encoding (Def
+// 8.2).
+func aggSegment(held, group tuple.Tuple, sweepers []*aggSweeper, seg interval.Interval) tuple.Tuple {
+	if held != nil && rowInterval(held).End == seg.Begin && sameResults(held[len(group):], sweepers) {
+		held[len(held)-1] = tuple.Int(seg.End)
+		return nil
+	}
+	// One exact-capacity allocation per output row.
+	row := make(tuple.Tuple, 0, len(group)+len(sweepers)+2)
+	row = append(row, group...)
+	for _, sw := range sweepers {
+		row = append(row, sw.result())
+	}
+	return append(row, tuple.Int(seg.Begin), tuple.Int(seg.End))
+}
+
+// sameResults reports whether vals starts with the sweepers' current
+// results, value by value under sameKey.
+func sameResults(vals tuple.Tuple, sweepers []*aggSweeper) bool {
+	for i, sw := range sweepers {
+		if !sameKey(vals[i], sw.result()) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameKey reports whether AppendKey encodes a and b alike — the value
+// equality Coalesce groups by — without encoding either. It is not
+// tuple.Equal: Compare calls NaN equal to every number, while the key
+// separates NaN from numbers and spells every NaN the same.
+func sameKey(a, b tuple.Value) bool {
+	if a == b {
+		return true // one kind and payload; also 0.0 == −0.0, both keyed 0
+	}
+	switch ak, bk := a.Kind(), b.Kind(); {
+	case ak == tuple.KindFloat && bk == tuple.KindFloat:
+		return math.IsNaN(a.AsFloat()) && math.IsNaN(b.AsFloat())
+	case ak == tuple.KindInt && bk == tuple.KindFloat:
+		return floatKeysAsInt(b.AsFloat(), a.AsInt())
+	case ak == tuple.KindFloat && bk == tuple.KindInt:
+		return floatKeysAsInt(a.AsFloat(), b.AsInt())
+	}
+	return false
+}
+
+// floatKeysAsInt reports whether AppendKey spells f as the integer i:
+// it keys every float that equals an int64 as that integer.
+func floatKeysAsInt(f float64, i int64) bool {
+	return f == math.Trunc(f) && f >= -0x1p63 && f < 0x1p63 && int64(f) == i
 }
 
 // aggregateNaive materializes the split (Def 8.3) and hash-aggregates.

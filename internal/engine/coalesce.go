@@ -90,7 +90,7 @@ func Coalesce(in *Table, impl CoalesceImpl) *Table {
 				continue // no annotation change at t: keep the segment open
 			}
 			if cur > 0 {
-				emitRows(out, g.data, interval.New(segStart, t), cur)
+				out.Rows = appendSegment(out.Rows, g.data, interval.New(segStart, t), cur)
 			}
 			cur += delta
 			segStart = t
@@ -102,17 +102,23 @@ func Coalesce(in *Table, impl CoalesceImpl) *Table {
 	return out
 }
 
-func emitRows(out *Table, data tuple.Tuple, iv interval.Interval, mult int64) {
-	row := make(tuple.Tuple, 0, len(data)+2)
-	row = append(row, data...)
-	row = append(row, tuple.Int(iv.Begin), tuple.Int(iv.End))
-	// Each duplicate gets its own backing slice: emitted siblings must
-	// not alias, or an in-place mutation of one output row silently
-	// corrupts the others.
-	out.Rows = append(out.Rows, row)
-	for i := int64(1); i < mult; i++ {
-		out.Rows = append(out.Rows, row.Clone())
+// appendSegment appends mult copies of the row (data, iv) to rows — the
+// one emission step of every sweep that writes ℕ multiplicities as
+// duplicate rows. The copies share one slab allocation, cut with
+// 3-index slices: each row's capacity ends where its sibling begins, so
+// an append to one copy reallocates instead of writing into the next,
+// and emitted siblings never alias.
+func appendSegment(rows []tuple.Tuple, data tuple.Tuple, iv interval.Interval, mult int64) []tuple.Tuple {
+	w := len(data) + 2
+	slab := make(tuple.Tuple, int(mult)*w)
+	for i := 0; i < len(slab); i += w {
+		row := slab[i : i+w : i+w]
+		copy(row, data)
+		row[w-2] = tuple.Int(iv.Begin)
+		row[w-1] = tuple.Int(iv.End)
+		rows = append(rows, row)
 	}
+	return rows
 }
 
 // IsCoalesced reports whether the table already is its own coalesced

@@ -473,3 +473,40 @@ func TestPlanStringAndCountCoalesce(t *testing.T) {
 		t.Error("AggP naive String broken")
 	}
 }
+
+// TestCoalescedPlanRules pins which plan shapes Coalesced vouches for;
+// the rewrite package's qgen grid checks the claim against execution.
+func TestCoalescedPlanRules(t *testing.T) {
+	scan := ScanP{Name: "t"}
+	// agg outputs the data columns (g, cnt).
+	agg := AggP{GroupBy: []string{"g"}, Aggs: []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}}, PreAgg: true, In: scan}
+	col := algebra.Col
+	project := func(in Plan, exprs ...algebra.NamedExpr) ProjectP { return ProjectP{Exprs: exprs, In: in} }
+	diff := DiffP{L: project(scan, algebra.NamedExpr{Name: "a", E: col("a")}), R: scan}
+	for _, c := range []struct {
+		name string
+		p    Plan
+		want bool
+	}{
+		{"coalesce", CoalesceP{In: scan}, true},
+		{"diff", DiffP{L: scan, R: scan}, true},
+		{"pre-agg", agg, true},
+		{"naive agg", AggP{GroupBy: agg.GroupBy, Aggs: agg.Aggs, In: scan}, false},
+		{"filter over agg", FilterP{Pred: algebra.BoolC(true), In: agg}, true},
+		{"window over diff", WindowP{T: interval.New(2, 4), In: diff}, true},
+		{"renaming over agg", project(agg, algebra.NamedExpr{Name: "x", E: col("cnt")}, algebra.NamedExpr{Name: "y", E: col("g")}), true},
+		{"renaming over diff", project(diff, algebra.NamedExpr{Name: "b", E: col("a")}), true},
+		{"dropping a column", project(agg, algebra.NamedExpr{Name: "cnt", E: col("cnt")}), false},
+		{"repeating a column", project(agg, algebra.NamedExpr{Name: "x", E: col("g")}, algebra.NamedExpr{Name: "y", E: col("g")}), false},
+		{"computed column", project(agg, algebra.NamedExpr{Name: "g", E: col("g")}, algebra.NamedExpr{Name: "c", E: algebra.Add(col("cnt"), algebra.IntC(1))}), false},
+		{"period column", project(agg, algebra.NamedExpr{Name: "g", E: col("g")}, algebra.NamedExpr{Name: "b", E: col(BeginCol)}), false},
+		{"renaming over unknown columns", project(DiffP{L: scan, R: scan}, algebra.NamedExpr{Name: "a", E: col("a")}), false},
+		{"scan", scan, false},
+		{"join", JoinP{L: agg, R: agg, Pred: algebra.BoolC(true)}, false},
+		{"union", UnionP{L: agg, R: agg}, false},
+	} {
+		if got := Coalesced(c.p); got != c.want {
+			t.Errorf("%s: Coalesced(%s) = %v, want %v", c.name, c.p, got, c.want)
+		}
+	}
+}

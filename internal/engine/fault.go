@@ -109,8 +109,9 @@ var (
 	// configured row limit.
 	ErrRowLimit = errors.New("engine: query row limit exceeded")
 	// ErrMemBudget terminates a query whose tracked operator state
-	// (sweep open intervals and active groups, hash-join build side,
-	// ordered-exchange queue depth) exceeded the configured budget.
+	// (sweep open intervals and active groups, the inputs a blocking
+	// sweep or sort materializes, hash-join build side, ordered-exchange
+	// queue depth) exceeded the configured budget.
 	ErrMemBudget = errors.New("engine: query memory budget exceeded")
 )
 
@@ -127,7 +128,8 @@ type Limits struct {
 	RowLimit int64
 	// MemBudget bounds the bytes of tracked operator state — streaming
 	// sweep state (the max_state accounting EXPLAIN ANALYZE reports),
-	// hash-join build sides, and ordered-exchange queue depth —
+	// the partitions blocking sweeps and sorts materialize, hash-join
+	// build sides, and ordered-exchange queue depth —
 	// charged through ApproxRowBytes estimates. Exceeding it ends the
 	// query with ErrMemBudget. Zero disables.
 	MemBudget int64
@@ -217,19 +219,14 @@ func ApproxRowBytes(arity int) int64 {
 	return 48 + 16*int64(arity)
 }
 
-// stateCheckEvery is the row interval between budget polls of
-// GovernState's per-row path: frequent enough that a query over budget
-// stops within a morsel's worth of rows, rare enough that the poll stays
-// invisible next to the virtual-call tax it amortizes over.
-const stateCheckEvery = 256
-
 // GovernState wraps a sweep iterator with memory-budget accounting of
 // its peak state: the same open-interval/active-group count the
 // observability layer reports as max_state, priced at unitBytes per
-// unit. The charge is polled amortized — once per NextBatch, once per
-// stateCheckEvery rows under per-row drive — and released on Close. When
-// in does not expose StateSizer (or gov is nil) the input is returned
-// unchanged.
+// unit. The charge is topped up after every pull from in — the state
+// only grows while in works, and a sweep may do all of its work in the
+// one pull that returns its few output rows, or in the one that reports
+// end of stream — and released on Close. When in does not expose
+// StateSizer (or gov is nil) the input is returned unchanged.
 func GovernState(in RowIter, gov *Governor, unitBytes int64) RowIter {
 	sz, ok := in.(StateSizer)
 	if !ok || gov == nil {
@@ -248,7 +245,6 @@ type govStateIter struct {
 	gov     *Governor
 	unit    int64
 	charged int64 // state units charged so far (monotone: MaxState is a peak)
-	n       int
 	err     error
 	closed  bool
 }
@@ -274,15 +270,11 @@ func (it *govStateIter) Next() (tuple.Tuple, bool) {
 	if it.err != nil {
 		return nil, false
 	}
-	it.n++
-	if it.n >= stateCheckEvery {
-		it.n = 0
-		if err := it.charge(); err != nil {
-			it.err = err
-			return nil, false
-		}
+	row, ok := it.in.Next()
+	if it.err = it.charge(); it.err != nil {
+		return nil, false
 	}
-	return it.in.Next()
+	return row, ok
 }
 
 func (it *govStateIter) Close() {
@@ -305,10 +297,10 @@ func (it *govStateBatchIter) NextBatch(b *RowBatch) bool {
 		b.Reset()
 		return false
 	}
-	if err := it.charge(); err != nil {
-		it.err = err
+	ok := it.bin.NextBatch(b)
+	if it.err = it.charge(); it.err != nil {
 		b.Reset()
 		return false
 	}
-	return it.bin.NextBatch(b)
+	return ok
 }

@@ -131,10 +131,11 @@ func monusTimePointCounts(l, r *engine.Table) map[string]int {
 // FuzzStreamDiff differences the streaming merge-based temporal
 // difference against the blocking TemporalDiff oracle on arbitrary
 // interval-multiset pairs — the multisets must be identical row for
-// row, including the segment boundaries at zero-net-delta endpoints —
-// and checks both against the naive per-time-point monus oracle. The
-// seeds cover merge-order stress (same-instant begins on both sides)
-// and monus truncation (right side exceeding the left).
+// row — checks both against the naive per-time-point monus oracle, and
+// checks that both emit the unique coalesced encoding (no split at a
+// zero-net-delta endpoint, none among negative counts). The seeds cover
+// merge-order stress (same-instant begins on both sides) and monus
+// truncation (right side exceeding the left).
 func FuzzStreamDiff(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 9})
@@ -154,6 +155,9 @@ func FuzzStreamDiff(f *testing.F) {
 		if wantPts, gotPts := monusTimePointCounts(l, r), timePointCounts(want); !sameCounts(wantPts, gotPts) {
 			t.Fatalf("blocking diff violates the per-time-point monus oracle\nleft:\n%s\nright:\n%s\noutput:\n%s", l, r, want)
 		}
+		if !engine.IsCoalesced(want, engine.CoalesceNative) {
+			t.Fatalf("blocking diff output is not coalesced\nleft:\n%s\nright:\n%s\noutput:\n%s", l, r, want)
+		}
 
 		ls, rs := l.Clone(), r.Clone()
 		ls.SortByEndpoints()
@@ -169,6 +173,9 @@ func FuzzStreamDiff(f *testing.F) {
 		it.Close()
 		if !sameCounts(multisetKeys(want), multisetKeys(got)) {
 			t.Fatalf("streaming diff diverges from blocking sweep\nleft:\n%s\nright:\n%s\nblocking:\n%s\nstreaming:\n%s", l, r, want, got)
+		}
+		if !engine.IsCoalesced(got, engine.CoalesceNative) {
+			t.Fatalf("streaming diff output is not coalesced\nleft:\n%s\nright:\n%s\noutput:\n%s", l, r, got)
 		}
 
 		// Batch drive at a deliberately awkward capacity: the NextBatch
@@ -247,6 +254,9 @@ func FuzzCoalesce(f *testing.F) {
 		gotAgg := engine.Materialize(engine.CheckNoAlias("streaming aggregation", it))
 		if !sameCounts(multisetKeys(wantAgg), multisetKeys(gotAgg)) {
 			t.Fatalf("streaming aggregation diverges from blocking sweep\ninput:\n%s\nblocking:\n%s\nstreaming:\n%s", tbl, wantAgg, gotAgg)
+		}
+		if !engine.IsCoalesced(wantAgg, engine.CoalesceNative) {
+			t.Fatalf("pre-aggregated output is not coalesced\ninput:\n%s\noutput:\n%s", tbl, wantAgg)
 		}
 	})
 }

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"snapk/internal/algebra"
 	"snapk/internal/interval"
@@ -186,16 +188,23 @@ func Split(r1, r2 *Table, groupIdx []int) *Table {
 // TemporalDiff implements snapshot-reducible EXCEPT ALL: the REWR pattern
 // N_SCH(Q1)(R1,R2) − N_SCH(Q2)(R2,R1) (Fig 4), fused into one endpoint
 // sweep per value-equivalent row group with pre-aggregated counts (the §9
-// optimization applied to difference). For every elementary segment the
-// output multiplicity is max(0, |left| − |right|) — the ℕ monus.
+// optimization applied to difference). The output multiplicity at every
+// time point is max(0, |left| − |right|) — the ℕ monus — and a segment
+// closes only where that multiplicity changes, so the output is already
+// the unique coalesced encoding (Def 8.2): a Coalesce above it is the
+// identity.
 func TemporalDiff(l, r *Table) (*Table, error) {
 	if l.Schema.Arity() != r.Schema.Arity() {
 		return nil, fmt.Errorf("engine: difference-incompatible arities %d and %d", l.Schema.Arity(), r.Schema.Arity())
 	}
 	n := l.DataArity()
+	type event struct {
+		t     interval.Time
+		delta int64 // +1 left begin / right end, −1 left end / right begin
+	}
 	type grp struct {
 		data   tuple.Tuple
-		deltas map[interval.Time]int64 // +left −right multiplicity change
+		events []event
 	}
 	groups := make(map[string]*grp)
 	// Groups are emitted in first-seen order, not map order: repeated
@@ -210,47 +219,49 @@ func TemporalDiff(l, r *Table) (*Table, error) {
 			scratch = data.AppendKey(scratch[:0], nil)
 			g, ok := groups[string(scratch)]
 			if !ok {
-				g = &grp{data: data, deltas: make(map[interval.Time]int64)}
+				g = &grp{data: data}
 				groups[string(scratch)] = g
 				order = append(order, g)
 			}
 			iv := t.Interval(row)
-			g.deltas[iv.Begin] += sign
-			g.deltas[iv.End] -= sign
+			g.events = append(g.events, event{iv.Begin, sign}, event{iv.End, -sign})
 		}
 	}
 	add(l, 1)
 	add(r, -1)
-	out := &Table{Schema: l.Schema}
+	// sweep calls emit for every maximal segment of constant nonzero
+	// monus multiplicity of g. Same-instant events fold into one change,
+	// so an interval ending exactly where another begins never splits.
+	sweep := func(g *grp, emit func(iv interval.Interval, mult int64)) {
+		var cur, emitting int64
+		var segStart interval.Time
+		for i := 0; i < len(g.events); {
+			t := g.events[i].t
+			for ; i < len(g.events) && g.events[i].t == t; i++ {
+				cur += g.events[i].delta
+			}
+			next := max(cur, 0) // ℕ monus truncates
+			if next == emitting {
+				continue
+			}
+			if emitting > 0 {
+				emit(interval.New(segStart, t), emitting)
+			}
+			emitting, segStart = next, t
+		}
+	}
+	// Count first, then emit into an exactly sized row slice: the output
+	// of a large difference would otherwise be copied on every doubling.
+	total := 0
 	for _, g := range order {
-		times := make([]interval.Time, 0, len(g.deltas))
-		for t := range g.deltas {
-			times = append(times, t)
-		}
-		times = interval.DedupTimes(times)
-		var cur int64
-		segStart := interval.Time(0)
-		emitting := int64(0)
-		for _, t := range times {
-			if emitting > 0 && t > segStart {
-				seg := interval.New(segStart, t)
-				nr := g.data.Clone()
-				nr = append(nr, tuple.Int(seg.Begin), tuple.Int(seg.End))
-				// Each duplicate gets its own backing slice: emitted
-				// siblings must not alias, or an in-place mutation of one
-				// output row silently corrupts the others.
-				out.Rows = append(out.Rows, nr)
-				for i := int64(1); i < emitting; i++ {
-					out.Rows = append(out.Rows, nr.Clone())
-				}
-			}
-			cur += g.deltas[t]
-			emitting = cur
-			if emitting < 0 {
-				emitting = 0 // ℕ monus truncates
-			}
-			segStart = t
-		}
+		slices.SortFunc(g.events, func(a, b event) int { return cmp.Compare(a.t, b.t) })
+		sweep(g, func(_ interval.Interval, mult int64) { total += int(mult) })
+	}
+	out := &Table{Schema: l.Schema, Rows: make([]tuple.Tuple, 0, total)}
+	for _, g := range order {
+		sweep(g, func(iv interval.Interval, mult int64) {
+			out.Rows = appendSegment(out.Rows, g.data, iv, mult)
+		})
 	}
 	return out, nil
 }

@@ -46,7 +46,7 @@ func TestLazySweepPropagatesDrainError(t *testing.T) {
 	in := &errAfterIter{schema: periodSchema2(), rows: []tuple.Tuple{
 		{tuple.Int(1), tuple.Int(0), tuple.Int(10)},
 	}, err: boom}
-	it := newLazySweepIter(periodSchema2(), func(ts ...*engine.Table) (*engine.Table, error) {
+	it := newLazySweepIter(nil, periodSchema2(), func(ts ...*engine.Table) (*engine.Table, error) {
 		return ts[0], nil
 	}, in)
 	defer it.Close()
@@ -65,7 +65,7 @@ func TestLazySweepPropagatesDrainError(t *testing.T) {
 func TestLazySweepPropagatesFnError(t *testing.T) {
 	boom := errors.New("sweep bug")
 	in := &errAfterIter{schema: periodSchema2()}
-	it := newLazySweepIter(periodSchema2(), func(...*engine.Table) (*engine.Table, error) {
+	it := newLazySweepIter(nil, periodSchema2(), func(...*engine.Table) (*engine.Table, error) {
 		return nil, boom
 	}, in)
 	defer it.Close()
@@ -83,7 +83,7 @@ func TestLazyDiffPropagatesDrainError(t *testing.T) {
 	boom := errors.New("right side boom")
 	l := &errAfterIter{schema: periodSchema2()}
 	r := &errAfterIter{schema: periodSchema2(), err: boom}
-	it := newLazySweepIter(periodSchema2(), func(ts ...*engine.Table) (*engine.Table, error) {
+	it := newLazySweepIter(nil, periodSchema2(), func(ts ...*engine.Table) (*engine.Table, error) {
 		return engine.TemporalDiff(ts[0], ts[1])
 	}, l, r)
 	defer it.Close()

@@ -20,7 +20,9 @@
 // hash-partition exchange on their group key: value-equivalent groups
 // never straddle partitions, so each worker runs an independent sweep
 // over its partition and the merged output is multiset-identical to
-// one-worker execution.
+// one-worker execution — and, since all rows of a group come from one
+// sweep, still the unique coalesced encoding wherever the sweep emits
+// it (engine.Coalesced).
 //
 // Interval-endpoint order is a first-class physical property of the
 // executor (pstream.ordered): begin-sorted scans yield begin-sorted
@@ -89,9 +91,11 @@ type Options struct {
 	// so the uninstrumented hot path is unchanged.
 	Stats *engine.OpStats
 	// Gov, when non-nil, is the per-query resource governor: the root
-	// iterator charges emitted rows against its row limit, sweeps and
-	// the hash-join build charge their tracked state against its memory
-	// budget, and the ordered-repartition queues charge their depth.
+	// iterator charges emitted rows against its row limit, sweeps (the
+	// blocking ones and the sort enforcer by their materialized inputs)
+	// and the hash-join build charge their tracked state against its
+	// memory budget, and the ordered-repartition queues charge their
+	// depth.
 	// Tripping a limit fails the query with the governor's typed error.
 	// Nil (the default) disables all charging.
 	Gov *engine.Governor
@@ -541,7 +545,7 @@ func (e *executor) build(p engine.Plan, parent *engine.OpStats) (*pstream, error
 		}
 		// The sweep materializes into a private table, so sorting in place
 		// is safe — no stored table is mutated and no copy is needed.
-		it := engine.CheckOrdered("sort enforcer", newLazySweepIter(in.schema, func(ts ...*engine.Table) (*engine.Table, error) {
+		it := engine.CheckOrdered("sort enforcer", newLazySweepIter(e.gov, in.schema, func(ts ...*engine.Table) (*engine.Table, error) {
 			ts[0].SortByEndpoints()
 			return ts[0], nil
 		}, e.merge(in, st)))
@@ -593,7 +597,7 @@ func (e *executor) buildCoalesce(n engine.CoalesceP, parent *engine.OpStats) (*p
 		if n.Streaming {
 			parts[i] = e.govern(engine.NewStreamCoalesceIter(part))
 		} else {
-			parts[i] = newLazySweepIter(schema, func(ts ...*engine.Table) (*engine.Table, error) {
+			parts[i] = newLazySweepIter(e.gov, schema, func(ts ...*engine.Table) (*engine.Table, error) {
 				return engine.Coalesce(ts[0], engine.CoalesceNative), nil
 			}, part)
 		}
@@ -648,7 +652,7 @@ func (e *executor) buildAgg(n engine.AggP, parent *engine.OpStats) (*pstream, er
 			// either a failed partition drain or a genuine executor bug —
 			// both propagate through Err instead of yielding a silently
 			// empty partition.
-			parts[i] = newLazySweepIter(schema, func(ts ...*engine.Table) (*engine.Table, error) {
+			parts[i] = newLazySweepIter(e.gov, schema, func(ts ...*engine.Table) (*engine.Table, error) {
 				return engine.TemporalAggregate(ts[0], n.GroupBy, n.Aggs, n.PreAgg, dom)
 			}, part)
 		}
@@ -704,7 +708,7 @@ func (e *executor) buildDiff(n engine.DiffP, parent *engine.OpStats) (*pstream, 
 			// Arity compatibility (checked above) is the only failure mode
 			// of TemporalDiff; a failure here still propagates through Err
 			// rather than yielding a silently empty partition.
-			lp[i] = newLazySweepIter(schema, func(ts ...*engine.Table) (*engine.Table, error) {
+			lp[i] = newLazySweepIter(e.gov, schema, func(ts ...*engine.Table) (*engine.Table, error) {
 				return engine.TemporalDiff(ts[0], ts[1])
 			}, lp[i], rp[i])
 		}

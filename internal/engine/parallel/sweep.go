@@ -19,20 +19,24 @@ import (
 // A failed input drain or a failing fn ends the stream with NO rows — a
 // sweep over a truncated partition would be a silently wrong multiset —
 // and the error propagates through Err per the error-carrying iterator
-// protocol.
+// protocol. The materialized inputs are query state: they are charged
+// to the memory budget when drained and released on Close.
 type lazySweepIter struct {
-	ins    []engine.RowIter
-	schema tuple.Schema
-	fn     func(...*engine.Table) (*engine.Table, error)
-	out    engine.RowIter   // scan of fn's result, once run
-	bout   engine.BatchIter // out's batch form
-	err    error
+	ins     []engine.RowIter
+	schema  tuple.Schema
+	fn      func(...*engine.Table) (*engine.Table, error)
+	gov     *engine.Governor
+	charged int64            // bytes of materialized input charged to gov
+	out     engine.RowIter   // scan of fn's result, once run
+	bout    engine.BatchIter // out's batch form
+	err     error
 }
 
 // newLazySweepIter wraps the inputs of one fragment with a blocking
-// function over their materializations; schema is fn's output schema.
-func newLazySweepIter(schema tuple.Schema, fn func(...*engine.Table) (*engine.Table, error), ins ...engine.RowIter) engine.RowIter {
-	return &lazySweepIter{ins: ins, schema: schema, fn: fn}
+// function over their materializations; schema is fn's output schema
+// and gov (nil for none) the budget the inputs are charged to.
+func newLazySweepIter(gov *engine.Governor, schema tuple.Schema, fn func(...*engine.Table) (*engine.Table, error), ins ...engine.RowIter) engine.RowIter {
+	return &lazySweepIter{ins: ins, schema: schema, fn: fn, gov: gov}
 }
 
 func (it *lazySweepIter) Schema() tuple.Schema { return it.schema }
@@ -56,6 +60,12 @@ func (it *lazySweepIter) run() bool {
 	closeAll(it.ins)
 	it.ins = nil
 	if it.err != nil {
+		return false
+	}
+	for _, t := range ts {
+		it.charged += int64(t.Len()) * engine.ApproxRowBytes(t.Schema.Arity())
+	}
+	if it.err = it.gov.ChargeMem(it.charged); it.err != nil {
 		return false
 	}
 	var t *engine.Table
@@ -93,6 +103,11 @@ func (it *lazySweepIter) Err() error {
 	return err
 }
 
-// Close releases the inputs when no pull drained them; the result is a
-// table scan holding no resources.
-func (it *lazySweepIter) Close() { closeAll(it.ins) }
+// Close releases the inputs when no pull drained them, and the budget
+// charged for them when one did; the result is a table scan holding no
+// other resources.
+func (it *lazySweepIter) Close() {
+	closeAll(it.ins)
+	it.gov.ReleaseMem(it.charged)
+	it.charged = 0
+}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"snapk/internal/algebra"
@@ -61,8 +62,9 @@ type JoinP struct {
 // UnionP is UNION ALL.
 type UnionP struct{ L, R Plan }
 
-// DiffP is snapshot-reducible EXCEPT ALL via split (Fig 4). With
-// Streaming set the executor runs the ℕ-monus difference as a
+// DiffP is snapshot-reducible EXCEPT ALL via split (Fig 4). Both
+// physical forms emit the unique coalesced encoding (see Coalesced).
+// With Streaming set the executor runs the ℕ-monus difference as a
 // two-input begin-sorted merge sweep with O(open intervals + active
 // groups) state instead of materializing both inputs; the planner
 // (package rewrite) only sets it when the interval-endpoint order of
@@ -73,7 +75,9 @@ type DiffP struct {
 }
 
 // AggP is snapshot-reducible aggregation via split (Fig 4); PreAgg
-// selects the §9 pre-aggregation optimization. With Streaming set the
+// selects the §9 pre-aggregation optimization, whose sweeps emit the
+// unique coalesced encoding (the naive materialized split emits one row
+// per elementary segment; see Coalesced). With Streaming set the
 // executor runs the pre-aggregated sweep incrementally over
 // begin-sorted input with O(active-groups) state instead of
 // materializing the input first; the planner (package rewrite) only sets
@@ -86,7 +90,9 @@ type AggP struct {
 	In        Plan
 }
 
-// CoalesceP applies the coalesce operator C (Def 8.2). With Streaming
+// CoalesceP applies the coalesce operator C (Def 8.2). It is the
+// identity on an input that already is the unique encoding, so the
+// planner places it only where Coalesced reports false. With Streaming
 // set the executor coalesces incrementally over begin-sorted
 // input with O(active-groups) state; the planner only sets it when the
 // input order is guaranteed.
@@ -252,6 +258,77 @@ func BeginOrderedWith(p Plan, scanSorted func(string) bool) bool {
 		return true
 	default:
 		return false
+	}
+}
+
+// Coalesced reports whether the output of p is guaranteed to be the
+// unique coalesced encoding (Def 8.2), so a CoalesceP above it would be
+// the identity. The coalesce, the difference (both forms close a
+// segment only where the monus changes) and pre-aggregated aggregation
+// (both forms merge adjacent equal segments of a group) emit it. A
+// filter keeps or drops every copy of a row alike and never moves an
+// endpoint, and a window only shrinks or drops intervals, so both keep
+// it. A projection keeps it when it is a bijective renaming — a
+// distinct bare column reference per input column — since then
+// distinct value groups stay distinct; any other projection can merge
+// groups. Everything else — scans, joins, unions, the naive split —
+// makes no such guarantee.
+func Coalesced(p Plan) bool {
+	switch n := p.(type) {
+	case CoalesceP, DiffP:
+		return true
+	case AggP:
+		return n.PreAgg
+	case FilterP, WindowP:
+		return Coalesced(Inputs(p)[0])
+	case ProjectP:
+		return Coalesced(n.In) && renames(n.Exprs, dataCols(n.In))
+	default:
+		return false
+	}
+}
+
+// renames reports whether exprs reference every column of cols exactly
+// once, as bare column references.
+func renames(exprs []algebra.NamedExpr, cols []string) bool {
+	if cols == nil || len(exprs) != len(cols) {
+		return false
+	}
+	seen := make([]bool, len(cols))
+	for _, ne := range exprs {
+		c, ok := ne.E.(algebra.ColRef)
+		if !ok {
+			return false
+		}
+		i := slices.Index(cols, c.Name)
+		if i < 0 || seen[i] {
+			return false
+		}
+		seen[i] = true
+	}
+	return true
+}
+
+// dataCols returns the data column names of p's output where the plan
+// alone determines them, nil where they depend on a stored table.
+func dataCols(p Plan) []string {
+	switch n := p.(type) {
+	case ProjectP:
+		cols := make([]string, len(n.Exprs))
+		for i, ne := range n.Exprs {
+			cols[i] = ne.Name
+		}
+		return cols
+	case AggP:
+		cols := slices.Clone(n.GroupBy)
+		for _, a := range n.Aggs {
+			cols = append(cols, a.As)
+		}
+		return cols
+	case FilterP, WindowP, CoalesceP, SortP, DiffP, UnionP:
+		return dataCols(Inputs(p)[0]) // the (left) input's columns
+	default:
+		return nil
 	}
 }
 

@@ -19,7 +19,9 @@ import (
 // instead of materializing either input. Once the merged sweep position
 // passes a time point, no later row of either side can contribute an
 // event before it, so segments up to that point are final and groups
-// whose intervals are all closed are evicted.
+// whose intervals are all closed are evicted. Like the blocking form it
+// closes a segment only where the monus multiplicity changes, so its
+// output is already the unique coalesced encoding (Def 8.2).
 //
 // As in streamsweep.go, the input-order precondition is the planner's
 // responsibility (package rewrite inserts SortP enforcers on BOTH
@@ -30,22 +32,19 @@ import (
 // streaming difference: the pending interval ends not yet passed by the
 // sweep (each carrying the signed multiplicity delta to apply), the
 // committed left-minus-right count through the last committed event,
-// and the uncommitted delta accumulated at curT. Unlike coalescing,
-// difference splits its output at EVERY endpoint of the group — even
-// when the net delta at that instant is zero — because the blocking
-// TemporalDiff emits one row per elementary segment and the streaming
-// form must produce the identical multiset; curEvent records that an
-// endpoint occurred at curT so the commit splits there regardless of
-// the delta.
+// and the uncommitted delta accumulated at curT. It is coalesceGroup
+// with a signed count: deltas at one instant fold into one event, and
+// an event closes the open segment only when it changes the monus
+// max(0, count) — an endpoint that leaves the monus unchanged (a
+// zero-net instant, or a change among negative counts) does not split.
 type diffGroup struct {
 	key      string
 	data     tuple.Tuple
 	ends     minHeap[int64] // pending end events; payload = signed delta to apply
-	count    int64          // committed left − right multiplicity through segStart
-	segStart interval.Time
+	count    int64          // committed left − right multiplicity
+	segStart interval.Time  // where the monus last changed
 	curT     interval.Time
 	curDelta int64
-	curEvent bool
 	seq      int // first-seen order, for a deterministic end-of-input flush
 	// reg/regT: the group's single live registration in the iterator's
 	// expiry heap (the global-sweep eviction machinery).
@@ -56,34 +55,35 @@ type diffGroup struct {
 // nextTime reports when the group next needs the sweep's attention;
 // ok=false means fully closed and committed: evictable. Every begin
 // delta has a matching end delta in the ends heap, so a group with no
-// pending end, no uncommitted event and a zero count can never emit
+// pending end, no uncommitted delta and a zero count can never emit
 // again.
 func (g *diffGroup) nextTime() (interval.Time, bool) {
 	if g.ends.len() > 0 {
 		return g.ends.min(), true
 	}
-	if g.curEvent || g.curDelta != 0 || g.count != 0 {
-		return g.curT, true // pending uncommitted event with no open end left
+	if g.curDelta != 0 || g.count != 0 {
+		return g.curT, true // pending uncommitted delta with no open end left
 	}
 	return 0, false
 }
 
-// commit applies the pending event at curT: it closes the segment
-// [segStart, curT) — emitting it with the ℕ-monus multiplicity
-// max(0, count) — and folds the accumulated delta into the count. A
-// zero-delta event still moves segStart: difference output segments
-// break at every endpoint of the group, exactly as in TemporalDiff.
+// commit folds the delta accumulated at curT into the count. When that
+// changes the monus max(0, count), the segment [segStart, curT) is
+// finished — emitted with its multiplicity if positive — and the next
+// one starts at curT; otherwise the open segment simply continues.
 func (g *diffGroup) commit(emit func(data tuple.Tuple, iv interval.Interval, mult int64)) {
-	if !g.curEvent {
+	if g.curDelta == 0 {
 		return
 	}
-	if g.count > 0 && g.curT > g.segStart {
-		emit(g.data, interval.New(g.segStart, g.curT), g.count)
+	next := g.count + g.curDelta
+	if max(next, 0) != max(g.count, 0) {
+		if g.count > 0 && g.curT > g.segStart {
+			emit(g.data, interval.New(g.segStart, g.curT), g.count)
+		}
+		g.segStart = g.curT
 	}
-	g.count += g.curDelta
+	g.count = next
 	g.curDelta = 0
-	g.curEvent = false
-	g.segStart = g.curT
 }
 
 // advance moves the group's sweep position to t, committing every
@@ -99,7 +99,6 @@ func (g *diffGroup) advance(t interval.Time, emit func(tuple.Tuple, interval.Int
 		}
 		for g.ends.len() > 0 && g.ends.min() == et {
 			g.curDelta += g.ends.pop().v
-			g.curEvent = true
 		}
 	}
 	if t > g.curT {
@@ -109,8 +108,8 @@ func (g *diffGroup) advance(t interval.Time, emit func(tuple.Tuple, interval.Int
 }
 
 // flush drains every remaining pending end at end of input — with no
-// time bound, so arbitrarily late interval ends still split and emit —
-// and commits the final segment.
+// time bound, so arbitrarily late interval ends are still emitted — and
+// commits the final segment.
 func (g *diffGroup) flush(emit func(tuple.Tuple, interval.Interval, int64)) {
 	for g.ends.len() > 0 {
 		et := g.ends.min()
@@ -120,7 +119,6 @@ func (g *diffGroup) flush(emit func(tuple.Tuple, interval.Interval, int64)) {
 		}
 		for g.ends.len() > 0 && g.ends.min() == et {
 			g.curDelta += g.ends.pop().v
-			g.curEvent = true
 		}
 	}
 	g.commit(emit)
@@ -130,8 +128,8 @@ func (g *diffGroup) flush(emit func(tuple.Tuple, interval.Interval, int64)) {
 // begin-sorted inputs. It merges the two streams by ascending interval
 // begin (+1 events from the left input, −1 from the right), sweeps each
 // value-equivalent group's endpoints in time order, and emits every
-// elementary segment with multiplicity max(0, |left| − |right|) — the
-// same multiset the blocking TemporalDiff produces, without
+// maximal segment of constant multiplicity max(0, |left| − |right|) —
+// the same multiset the blocking TemporalDiff produces, without
 // materializing either input. The expiry heap wakes each group when the
 // merged sweep position passes its next event; fully closed groups are
 // evicted from the state map.
@@ -216,16 +214,9 @@ func (it *streamDiffIter) retire(b interval.Time) {
 	}
 }
 
-// enqueue appends mult copies of (data, iv), each with its own backing
-// slice so emitted siblings never alias.
+// enqueue appends mult copies of (data, iv) to the output queue.
 func (it *streamDiffIter) enqueue(data tuple.Tuple, iv interval.Interval, mult int64) {
-	row := make(tuple.Tuple, 0, len(data)+2)
-	row = append(row, data...)
-	row = append(row, tuple.Int(iv.Begin), tuple.Int(iv.End))
-	it.queue = append(it.queue, row)
-	for i := int64(1); i < mult; i++ {
-		it.queue = append(it.queue, row.Clone())
-	}
+	it.queue = appendSegment(it.queue, data, iv, mult)
 }
 
 // fill runs the merged sweep until the output queue holds at least one
@@ -300,7 +291,6 @@ func (it *streamDiffIter) fill() bool {
 		}
 		g.advance(iv.Begin, it.enqueue)
 		g.curDelta += sign
-		g.curEvent = true
 		g.ends.push(iv.End, -sign)
 		if n := len(it.groups); n > it.maxGroups {
 			it.maxGroups = n

@@ -249,16 +249,9 @@ func (it *streamCoalesceIter) retire(b interval.Time) {
 
 func (it *streamCoalesceIter) Schema() tuple.Schema { return it.in.Schema() }
 
-// enqueue appends mult copies of (data, iv), each with its own backing
-// slice so emitted siblings never alias.
+// enqueue appends mult copies of (data, iv) to the output queue.
 func (it *streamCoalesceIter) enqueue(data tuple.Tuple, iv interval.Interval, mult int64) {
-	row := make(tuple.Tuple, 0, len(data)+2)
-	row = append(row, data...)
-	row = append(row, tuple.Int(iv.Begin), tuple.Int(iv.End))
-	it.queue = append(it.queue, row)
-	for i := int64(1); i < mult; i++ {
-		it.queue = append(it.queue, row.Clone())
-	}
+	it.queue = appendSegment(it.queue, data, iv, mult)
 }
 
 // fill runs the sweep until the output queue holds at least one emitted
@@ -354,9 +347,10 @@ func (it *streamCoalesceIter) Close() { it.in.Close() }
 func (it *streamCoalesceIter) Err() error { return IterErr(it.in) }
 
 // aggGroup is the per-group state of the streaming pre-aggregated
-// split: incremental accumulators plus the rows whose intervals are
-// still open at the sweep position (pending row exits keyed by
-// interval end).
+// split: incremental accumulators, the rows whose intervals are still
+// open at the sweep position (pending row exits keyed by interval end),
+// and the group's last output row, held back so an adjacent segment
+// with equal aggregates can extend it (aggSegment).
 type aggGroup struct {
 	key      string
 	group    tuple.Tuple
@@ -365,6 +359,7 @@ type aggGroup struct {
 	alive    int64
 	segStart interval.Time
 	started  bool
+	held     tuple.Tuple
 	// reg/regT: the group's single live registration in the iterator's
 	// expiry heap (grouped aggregation only; the global group never
 	// registers, since its gap rows need a continuous segStart).
@@ -374,10 +369,12 @@ type aggGroup struct {
 
 // streamAggIter is the streaming form of the §9 pre-aggregated split:
 // one incremental endpoint sweep per group over begin-sorted input,
-// emitting a result row per elementary segment, without materializing
-// the input. Segment boundaries fall on every endpoint of the group
-// (the split semantics N_G, Def 8.3), exactly as in the blocking
-// aggregateSweep.
+// without materializing the input. Aggregates are evaluated at every
+// endpoint of the group (the split semantics N_G, Def 8.3), exactly as
+// in the blocking aggregateSweep, and adjacent segments with equal
+// results leave as one row, so the output is the unique coalesced
+// encoding. A group's held row is released on a different value, on a
+// gap, when the group is evicted, and at end of input.
 type streamAggIter struct {
 	in      RowIter
 	cur     batchCursor
@@ -458,11 +455,21 @@ func (it *streamAggIter) track(g *aggGroup) {
 		return
 	}
 	if g.pending.len() == 0 {
+		it.release(g)
 		delete(it.groups, g.key)
 		return
 	}
 	g.reg, g.regT = true, g.pending.min()
 	it.expiry.push(g.regT, g)
+}
+
+// release enqueues g's held output row, if any: nothing can extend it
+// any more.
+func (it *streamAggIter) release(g *aggGroup) {
+	if g.held != nil {
+		it.queue = append(it.queue, g.held)
+		g.held = nil
+	}
 }
 
 // retire drains every group whose registered exit lies strictly before
@@ -487,9 +494,10 @@ func (it *streamAggIter) retire(b interval.Time) {
 
 func (it *streamAggIter) Schema() tuple.Schema { return it.prep.schema }
 
-// boundary closes the segment [segStart, t) of g, emitting a result row
-// with the current accumulator values. Empty segments of grouped
-// aggregation (alive == 0) produce nothing; global aggregation emits
+// boundary closes the segment [segStart, t) of g: it extends g's held
+// row with the current accumulator values, or releases the held row and
+// holds a new one. Empty segments of grouped aggregation (alive == 0)
+// produce nothing and release the held row; global aggregation emits
 // neutral rows over gaps.
 func (it *streamAggIter) boundary(g *aggGroup, t interval.Time) {
 	if !g.started {
@@ -501,15 +509,12 @@ func (it *streamAggIter) boundary(g *aggGroup, t interval.Time) {
 		return
 	}
 	if g.alive > 0 || it.global {
-		// One exact-capacity allocation per output row: Clone-then-append
-		// reallocated the backing array twice per segment.
-		row := make(tuple.Tuple, 0, len(g.group)+len(g.sweepers)+2)
-		row = append(row, g.group...)
-		for _, sw := range g.sweepers {
-			row = append(row, sw.result())
+		if row := aggSegment(g.held, g.group, g.sweepers, interval.Interval{Begin: g.segStart, End: t}); row != nil {
+			it.release(g)
+			g.held = row
 		}
-		row = append(row, tuple.Int(g.segStart), tuple.Int(t))
-		it.queue = append(it.queue, row)
+	} else {
+		it.release(g)
 	}
 	g.segStart = t
 }
@@ -569,6 +574,7 @@ func (it *streamAggIter) fill() bool {
 				if it.global {
 					it.boundary(g, it.dom.Max)
 				}
+				it.release(g)
 			}
 			it.drained = true
 			continue

@@ -203,8 +203,9 @@ func TestCompareEndpointsExtremeTimes(t *testing.T) {
 	}
 }
 
-// Streaming grouped aggregation must split at every endpoint and skip
-// gaps, exactly like the blocking pre-aggregated sweep.
+// Streaming grouped aggregation must evaluate at every endpoint, merge
+// adjacent equal segments and skip gaps, exactly like the blocking
+// pre-aggregated sweep.
 func TestStreamAggMatchesBlockingGrouped(t *testing.T) {
 	dom := interval.NewDomain(0, 24)
 	in := NewTable(tuple.NewSchema("g", "x"))

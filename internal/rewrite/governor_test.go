@@ -98,6 +98,28 @@ func TestMemBudgetTripsStreamingSweep(t *testing.T) {
 	}
 }
 
+// A blocking sweep materializes its partitions on the first pull; a
+// one-byte budget must trip on those materialized inputs with
+// ErrMemBudget — at one worker (one partition pair) and at two (one per
+// worker) — and the unlimited query must still complete.
+func TestMemBudgetTripsBlockingDiff(t *testing.T) {
+	db := analyzeLeakDB()
+	q := algebra.Diff{
+		L: algebra.Rel{Name: "big"},
+		R: algebra.Select{Pred: algebra.Lt(algebra.Col("v"), algebra.IntC(100)), In: algebra.Rel{Name: "big"}},
+	}
+	for _, par := range []int{1, 2} {
+		opt := rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepBlocking, Parallelism: par}
+		if _, err := drainGoverned(t, db, q, opt); err != nil {
+			t.Fatalf("par=%d: ungoverned blocking diff failed: %v", par, err)
+		}
+		opt.Limits = engine.Limits{MemBudget: 1}
+		if _, err := drainGoverned(t, db, q, opt); !errors.Is(err, engine.ErrMemBudget) {
+			t.Fatalf("par=%d: err = %v, want ErrMemBudget", par, err)
+		}
+	}
+}
+
 // An already-expired deadline surfaces as context.DeadlineExceeded —
 // either refusing to build or ending the stream — at either width.
 func TestDeadlineSurfaces(t *testing.T) {

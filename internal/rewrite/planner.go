@@ -103,7 +103,9 @@ func planQuery(q algebra.Query, cat algebra.Catalog, opt Options) (engine.Plan, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if opt.Mode == ModeOptimized {
+	// The one coalesce of ModeOptimized — elided where the root already
+	// emits the unique encoding, whose coalesce is the identity.
+	if opt.Mode == ModeOptimized && !engine.Coalesced(p) {
 		p = rw.coalesceOp(p)
 	}
 

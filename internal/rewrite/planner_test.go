@@ -146,18 +146,15 @@ func TestWindowPushdownPlanShape(t *testing.T) {
 
 	// Data-only filters let the window through (Qonduty's selection reads
 	// only `skill`); the global aggregate keeps a window above AND pushes
-	// a copy below — gap rows span the whole domain.
+	// a copy below — gap rows span the whole domain. The aggregate emits
+	// the unique encoding, so no coalesce sits above that window.
 	p, _ = planFor(t, db, qOnduty(), on)
 	if got := countWindows(p); got != 2 {
 		t.Fatalf("global-agg plan has %d windows, want above+below = 2:\n%s", got, p)
 	}
-	co, ok = p.(engine.CoalesceP)
+	above, ok := p.(engine.WindowP)
 	if !ok {
-		t.Fatalf("plan root is %T, want CoalesceP: %s", p, p)
-	}
-	above, ok := co.In.(engine.WindowP)
-	if !ok {
-		t.Fatalf("global aggregate lacks the window above it: %s", p)
+		t.Fatalf("plan root is %T, want the window above the global aggregate: %s", p, p)
 	}
 	agg, ok := above.In.(engine.AggP)
 	if !ok || len(agg.GroupBy) != 0 {

@@ -39,11 +39,10 @@ import (
 //   - Diff: τ_T(L − R) ≡ τ_T(L) − τ_T(R). At every snapshot t ∈ T the
 //     ℕ-monus is computed from the same row multiplicities (clipping
 //     never changes which rows are live at t ∈ T), and snapshots
-//     outside T are dropped on both sides. The two sides may produce
-//     different period encodings of that same temporal relation — the
-//     difference splits intervals at its inputs' endpoints — which is
-//     why REWR's final coalesce (or the snapshot-equivalence contract
-//     of SkipFinalCoalesce) is what the rule relies on.
+//     outside T are dropped on both sides. Both sides are the unique
+//     coalesced encoding of that same temporal relation — the
+//     difference emits it, and clipping preserves it (see Coalesce
+//     below) — so they are equal row for row.
 //   - Agg, grouped: like Diff — group membership at each t ∈ T is
 //     unchanged by clipping, so the window pushes through plainly.
 //   - Agg, global (empty GROUP BY): the aggregate emits rows over the

@@ -5,10 +5,13 @@
 //
 // Two plan modes reproduce the §9 optimization study:
 //
-//   - ModeOptimized (the paper's middleware): coalesce is applied exactly
+//   - ModeOptimized (the paper's middleware): coalesce is applied at most
 //     once, as the final operator — justified by Lemma 6.1, which lets
-//     C_K be pulled out of +KP, ·KP and the monus; aggregation and
-//     difference use pre-aggregation intertwined with the split.
+//     C_K be pulled out of +KP, ·KP and the monus — and elided when the
+//     root already emits the unique encoding (engine.Coalesced): the
+//     difference and the pre-aggregated aggregation, which use
+//     pre-aggregation intertwined with the split, close a segment only
+//     where their output changes.
 //   - ModeNaive (the strawman of §9's "preliminary experiments"):
 //     coalesce after every rewritten operator, and split materialized
 //     before aggregation without pre-aggregation.
@@ -30,7 +33,8 @@ import (
 type Mode int
 
 const (
-	// ModeOptimized applies a single final coalesce and pre-aggregation.
+	// ModeOptimized applies at most one final coalesce and
+	// pre-aggregation.
 	ModeOptimized Mode = iota
 	// ModeNaive coalesces after every operator and materializes splits.
 	ModeNaive

@@ -1,10 +1,12 @@
 package rewrite_test
 
 import (
+	"context"
 	"testing"
 
 	"snapk/internal/algebra"
 	"snapk/internal/engine"
+	"snapk/internal/engine/parallel"
 	"snapk/internal/interval"
 	"snapk/internal/krel"
 	"snapk/internal/period"
@@ -223,8 +225,9 @@ func TestDiffSweepPlanning(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The difference sits under the final coalesce (and, when that
-		// streams by force, its sort enforcer).
+		// Find the difference on the plan's left spine (it is the root
+		// today: it emits the unique encoding, so no coalesce is planned
+		// above it).
 		for n := p; ; n = engine.Inputs(n)[0] {
 			if dp, ok := n.(engine.DiffP); ok {
 				return dp
@@ -270,9 +273,10 @@ func TestDiffSweepPlanning(t *testing.T) {
 	}
 }
 
-// TestUniqueEncodingOfResults: in optimized mode the final coalesce makes
-// the result the unique encoding — the exact PERIODENC image of the
-// logical result.
+// TestUniqueEncodingOfResults: in optimized mode the final coalesce —
+// or the difference or aggregation root that makes it unnecessary —
+// makes the result the unique encoding, the exact PERIODENC image of
+// the logical result.
 func TestUniqueEncodingOfResults(t *testing.T) {
 	g := qgen.New(7)
 	for i := 0; i < 50; i++ {
@@ -304,25 +308,124 @@ func TestUniqueEncodingOfResults(t *testing.T) {
 }
 
 // TestCoalescePlacement checks the §9 optimization structurally: the
-// optimized plan contains exactly one coalesce, the naive plan one per
+// optimized plan contains at most one coalesce — none over a difference
+// or aggregation root, which already emit the unique encoding, and one
+// over a join, union or scan root — and the naive plan one per
 // rewritten operator.
 func TestCoalescePlacement(t *testing.T) {
 	db := exampleDB()
-	q := qOnduty()
-	opt, err := rewrite.Rewrite(q, db, rewrite.Options{Mode: rewrite.ModeOptimized})
-	if err != nil {
-		t.Fatal(err)
+	join := algebra.Join{
+		L:    algebra.Rel{Name: "works"},
+		R:    algebra.Rel{Name: "assign"},
+		Pred: algebra.Eq(algebra.Col("skill"), algebra.Col("r.skill")),
 	}
-	if got := engine.CountCoalesce(opt); got != 1 {
-		t.Fatalf("optimized plan has %d coalesce operators, want 1:\n%s", got, opt)
+	union := algebra.Union{
+		L: algebra.ProjectCols(algebra.Rel{Name: "assign"}, "skill"),
+		R: algebra.ProjectCols(algebra.Rel{Name: "works"}, "skill"),
 	}
-	naive, err := rewrite.Rewrite(q, db, rewrite.Options{Mode: rewrite.ModeNaive})
+	grouped := algebra.Agg{
+		GroupBy: []string{"skill"},
+		Aggs:    []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}},
+		In:      algebra.Rel{Name: "works"},
+	}
+	for _, c := range []struct {
+		name string
+		q    algebra.Query
+		want int
+	}{
+		{"global agg", qOnduty(), 0},
+		{"grouped agg", grouped, 0},
+		{"diff", qSkillreq(), 0},
+		{"join", join, 1},
+		{"union", union, 1},
+		{"scan", algebra.Rel{Name: "works"}, 1},
+	} {
+		opt, err := rewrite.Rewrite(c.q, db, rewrite.Options{Mode: rewrite.ModeOptimized})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := engine.CountCoalesce(opt); got != c.want {
+			t.Fatalf("%s: optimized plan has %d coalesce operators, want %d:\n%s", c.name, got, c.want, opt)
+		}
+	}
+	naive, err := rewrite.Rewrite(qOnduty(), db, rewrite.Options{Mode: rewrite.ModeNaive})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Qonduty = Agg(Select(Rel)): two rewritten operators ⇒ two coalesces.
 	if got := engine.CountCoalesce(naive); got != 2 {
 		t.Fatalf("naive plan has %d coalesce operators, want 2:\n%s", got, naive)
+	}
+}
+
+// TestCoalescedPlansEmitUniqueEncoding checks engine.Coalesced against
+// execution, since the planner drops the final coalesce exactly where it
+// holds: over qgen databases and queries, in both plan modes, every
+// sweep mode and at one and two workers, every subplan it calls
+// coalesced must run to output that engine.IsCoalesced accepts — which
+// pins its projection rule on the renamings, permutations, duplicated
+// and computed columns qgen generates — and every plan must equal the
+// snapshot oracle.
+func TestCoalescedPlansEmitUniqueEncoding(t *testing.T) {
+	g := qgen.New(2207)
+	run := func(db *engine.DB, p engine.Plan, workers int) *engine.Table {
+		t.Helper()
+		it, err := parallel.Exec(context.Background(), db, p, parallel.Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("exec %s: %v", p, err)
+		}
+		defer it.Close()
+		got, err := engine.MaterializeErr(it)
+		if err != nil {
+			t.Fatalf("exec %s: %v", p, err)
+		}
+		return got
+	}
+	var walk func(p engine.Plan, visit func(engine.Plan))
+	walk = func(p engine.Plan, visit func(engine.Plan)) {
+		visit(p)
+		for _, in := range engine.Inputs(p) {
+			walk(in, visit)
+		}
+	}
+	for i := 0; i < 120; i++ {
+		spec := g.GenDB()
+		if i%2 == 1 {
+			spec = spec.SortedByBegin()
+		}
+		q := []func() algebra.Query{g.GenQuery, g.GenDiffQuery, g.GenJoinQuery}[i%3]()
+		want, err := spec.ToSnapshotDB().Eval(q)
+		if err != nil {
+			t.Fatalf("oracle eval: %v (%s)", err, q)
+		}
+		edb := spec.ToEngineDB()
+		qalg := telement.NewMAlgebra[int64](semiring.N, spec.Dom)
+		for _, mode := range []rewrite.Mode{rewrite.ModeOptimized, rewrite.ModeNaive} {
+			for _, sw := range []rewrite.SweepMode{rewrite.SweepAuto, rewrite.SweepStreaming, rewrite.SweepBlocking} {
+				for _, w := range []int{1, 2} {
+					p, err := rewrite.Rewrite(q, edb, rewrite.Options{Mode: mode, Sweep: sw, Parallelism: w})
+					if err != nil {
+						t.Fatalf("rewrite: %v (%s)", err, q)
+					}
+					if mode == rewrite.ModeOptimized && !engine.Coalesced(p) {
+						t.Fatalf("iteration %d: the optimized root is not coalesced: %s", i, p)
+					}
+					walk(p, func(s engine.Plan) {
+						if !engine.Coalesced(s) {
+							return
+						}
+						if got := run(edb, s, w); !engine.IsCoalesced(got, engine.CoalesceNative) {
+							t.Fatalf("iteration %d, mode %d, sweep %d, workers %d: Coalesced(%s) holds but its output is not coalesced:\n%s",
+								i, mode, sw, w, s, got)
+						}
+					})
+					if got := run(edb, p, w); !period.Dec(got.ToPeriodRelation(qalg), spec.Dom).Equal(want) {
+						t.Fatalf("iteration %d, mode %d, sweep %d, workers %d: plan disagrees with the snapshot oracle\nquery: %s\nplan:  %s\ngot:\n%s",
+							i, mode, sw, w, q, p, got)
+					}
+				}
+			}
+		}
 	}
 }
 
