@@ -333,13 +333,11 @@ func analyzeQuery(db *engine.DB, q algebra.Query, ap harness.Approach, plan func
 		return err
 	}
 	rows := 0
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-		rows++
+	b := engine.NewRowBatch(engine.DefaultBatchSize)
+	for it.NextBatch(b) {
+		rows += b.Len()
 	}
-	streamErr := engine.IterErr(it)
+	streamErr := it.Err()
 	it.Close()
 	if streamErr != nil {
 		return streamErr
@@ -392,20 +390,19 @@ func streamRows(db *engine.DB, q algebra.Query, opt rewrite.Options, limit int, 
 	defer it.Close()
 	fmt.Fprintf(w, "%s\n", it.Schema())
 	n := 0
-	for {
-		row, ok := it.Next()
-		if !ok {
-			break
+	b := engine.NewRowBatch(engine.DefaultBatchSize)
+	for it.NextBatch(b) {
+		for _, row := range b.Rows {
+			if limit > 0 && n >= limit {
+				fmt.Fprintln(w, "... (more rows; raise -limit)")
+				return nil
+			}
+			fmt.Fprintf(w, "%v\n", row)
+			n++
 		}
-		if limit > 0 && n >= limit {
-			fmt.Fprintln(w, "... (more rows; raise -limit)")
-			return nil
-		}
-		fmt.Fprintf(w, "%v\n", row)
-		n++
 	}
 	// A truncated stream must not print as a complete result.
-	if err := engine.IterErr(it); err != nil {
+	if err := it.Err(); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "(%d rows)\n", n)

@@ -57,11 +57,11 @@ func TestSeqCancelMidStream(t *testing.T) {
 	}
 }
 
-// The row limit ends the query with ErrRowLimit at either width, and
-// after the failure Scan reports the stream error (database/sql
-// semantics) while Values returns nil.
+// The row limit delivers exactly RowLimit rows, then ends the query
+// with ErrRowLimit at every width, and after the failure Scan reports
+// the stream error (database/sql semantics) while Values returns nil.
 func TestQueryLimitsRowLimit(t *testing.T) {
-	for _, par := range []int{0, 4} {
+	for _, par := range []int{0, 1, 4} {
 		db := bigFaultDB(t).
 			SetParallelism(par).
 			SetQueryLimits(snapk.QueryLimits{RowLimit: 10})
@@ -76,8 +76,8 @@ func TestQueryLimitsRowLimit(t *testing.T) {
 		if !errors.Is(rows.Err(), snapk.ErrRowLimit) {
 			t.Fatalf("par=%d: Err = %v, want ErrRowLimit", par, rows.Err())
 		}
-		if n >= 4000 {
-			t.Fatalf("par=%d: limit did not stop the stream", par)
+		if n != 10 {
+			t.Fatalf("par=%d: %d rows delivered, want exactly the limit of 10", par, n)
 		}
 		var x int64
 		if err := rows.Scan(&x); !errors.Is(err, snapk.ErrRowLimit) {

@@ -13,8 +13,7 @@
 // reproducible from its seed alone.
 //
 // The injected faults honor the engine's iterator contracts: a fault
-// iterator preserves batch capability (wrapping a BatchIter yields a
-// BatchIter), delivers an order-preserving prefix of its input (so
+// iterator delivers an order-preserving prefix of its input (so
 // CheckOrdered stays valid), delegates Close, and carries injected
 // errors through Err per the error-carrying protocol. What the chaos
 // grid then asserts is the fault domain's job: no panic escapes the
@@ -170,17 +169,15 @@ func (inj *Injector) Wrap(site string, it engine.RowIter) engine.RowIter {
 	case faultCancel:
 		inj.armedCancels.Add(1)
 	}
-	fi := faultIter{inj: inj, site: site, in: it, mode: mode, faultRow: faultRow,
+	return &faultIter{inj: inj, site: site, in: it, mode: mode, faultRow: faultRow,
 		delay: time.Duration(splitmix64(h+1)%uint64(inj.cfg.MaxDelay)) + 1}
-	if bi, ok := it.(engine.BatchIter); ok {
-		return &faultBatchIter{faultIter: fi, bin: bi}
-	}
-	return &fi
 }
 
 // faultIter injects one fault at faultRow rows into its input's stream.
 // It preserves the input's row order (it only ever truncates) and
-// carries injected errors through Err.
+// carries injected errors through Err; a firing error fault truncates
+// the batch at the fault row, so the error lands exactly after that
+// many rows.
 type faultIter struct {
 	inj      *Injector
 	site     string
@@ -214,34 +211,12 @@ func (it *faultIter) fire() bool {
 	return false
 }
 
-func (it *faultIter) Next() (tuple.Tuple, bool) {
-	if it.err != nil {
-		return nil, false
-	}
-	if !it.fired && it.n >= it.faultRow && it.fire() {
-		return nil, false
-	}
-	row, ok := it.in.Next()
-	if ok {
-		it.n++
-	}
-	return row, ok
-}
-
 // Err reports the injected error, else the input's own.
-func (it *faultIter) Err() error { return engine.FirstErr(it.err, engine.IterErr(it.in)) }
+func (it *faultIter) Err() error { return engine.FirstErr(it.err, it.in.Err()) }
 
 func (it *faultIter) Close() { it.in.Close() }
 
-// faultBatchIter preserves batch capability across the injection
-// boundary; a firing error fault truncates the batch at the fault row,
-// so the error lands exactly where the per-row form would put it.
-type faultBatchIter struct {
-	faultIter
-	bin engine.BatchIter
-}
-
-func (it *faultBatchIter) NextBatch(b *engine.RowBatch) bool {
+func (it *faultIter) NextBatch(b *engine.RowBatch) bool {
 	if it.err != nil {
 		b.Reset()
 		return false
@@ -250,7 +225,7 @@ func (it *faultBatchIter) NextBatch(b *engine.RowBatch) bool {
 		b.Reset()
 		return false
 	}
-	ok := it.bin.NextBatch(b)
+	ok := it.in.NextBatch(b)
 	if !ok {
 		return false
 	}

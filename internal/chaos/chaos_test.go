@@ -50,17 +50,16 @@ func recognized(err error) bool {
 func drainKeys(t *testing.T, it engine.RowIter) ([]string, error) {
 	t.Helper()
 	var keys []string
-	for {
-		row, ok := it.Next()
-		if !ok {
-			break
+	b := engine.NewRowBatch(engine.DefaultBatchSize)
+	for it.NextBatch(b) {
+		for _, row := range b.Rows {
+			keys = append(keys, row.String())
 		}
-		keys = append(keys, row.String())
 	}
-	err := engine.IterErr(it)
+	err := it.Err()
 	// Err must be stable: the root reports the same terminal error on
 	// every call ("surfaces exactly once" means one error, not one read).
-	if again := engine.IterErr(it); (err == nil) != (again == nil) {
+	if again := it.Err(); (err == nil) != (again == nil) {
 		t.Fatalf("unstable root Err: first %v, then %v", err, again)
 	}
 	sort.Strings(keys)
@@ -146,11 +145,8 @@ func TestChaosDeterminism(t *testing.T) {
 	a, b := chaos.New(cfg), chaos.New(cfg)
 	sites := []string{"scan:r0", "filter", "exchange:merge", "agg", "exchange:partition:3"}
 	for _, site := range sites {
-		ia := a.Wrap(site, engine.NewTableIter(&engine.Table{}))
-		ib := b.Wrap(site, engine.NewTableIter(&engine.Table{}))
-		_, wrappedA := ia.(engine.ErrIter)
-		_, wrappedB := ib.(engine.ErrIter)
-		if wrappedA != wrappedB {
+		inA, inB := engine.NewTableIter(&engine.Table{}), engine.NewTableIter(&engine.Table{})
+		if wrappedA, wrappedB := a.Wrap(site, inA) != inA, b.Wrap(site, inB) != inB; wrappedA != wrappedB {
 			t.Fatalf("site %s: divergent wrap decision", site)
 		}
 	}

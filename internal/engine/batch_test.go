@@ -1,16 +1,18 @@
 // Edge tests of the batch protocol itself: ragged final batches, empty
-// inputs, size-1 batches, zero-capacity consumer batches, the two
-// adapter directions, and per-row drive of the executor root. The operator
-// equivalence grids (rewrite package) cover semantics; these pin the
-// mechanics of the NextBatch contract at every boundary case.
+// inputs, size-1 batches, zero-capacity consumer batches, and batch-size
+// independence of the sweeps. The operator equivalence grids (rewrite
+// package) cover semantics; these pin the mechanics of the NextBatch
+// contract at every boundary case.
 package engine_test
 
 import (
+	"context"
 	"sort"
 	"testing"
 
 	"snapk/internal/algebra"
 	"snapk/internal/engine"
+	"snapk/internal/engine/parallel"
 	"snapk/internal/interval"
 	"snapk/internal/tuple"
 )
@@ -29,7 +31,7 @@ func batchDB(n int) *engine.DB {
 // drainBatches drains bi with a capacity-cap batch, asserting the
 // NextBatch contract (true iff at least one row) and the cap bound at
 // every step, and returns the delivered batch lengths plus all rows.
-func drainBatches(t *testing.T, bi engine.BatchIter, cap_ int) ([]int, []tuple.Tuple) {
+func drainBatches(t *testing.T, bi engine.RowIter, cap_ int) ([]int, []tuple.Tuple) {
 	t.Helper()
 	b := engine.NewRowBatch(cap_)
 	var lens []int
@@ -76,14 +78,14 @@ func TestNextBatchRaggedAndSizeOne(t *testing.T) {
 	db := batchDB(10)
 	it := scanIter(t, db)
 	defer it.Close()
-	lens, rows := drainBatches(t, it.(engine.BatchIter), 4)
+	lens, rows := drainBatches(t, it, 4)
 	if len(rows) != 10 || len(lens) != 3 || lens[0] != 4 || lens[1] != 4 || lens[2] != 2 {
 		t.Fatalf("capacity-4 drain of 10 rows: lens=%v rows=%d, want [4 4 2]/10", lens, len(rows))
 	}
 
 	it2 := scanIter(t, db)
 	defer it2.Close()
-	lens2, rows2 := drainBatches(t, it2.(engine.BatchIter), 1)
+	lens2, rows2 := drainBatches(t, it2, 1)
 	if len(rows2) != 10 || len(lens2) != 10 {
 		t.Fatalf("size-1 drain of 10 rows: %d batches, %d rows", len(lens2), len(rows2))
 	}
@@ -99,7 +101,7 @@ func TestNextBatchEmptyInput(t *testing.T) {
 	}
 	for _, p := range plans {
 		it := execSeq(t, db, p, nil)
-		lens, rows := drainBatches(t, it.(engine.BatchIter), 8)
+		lens, rows := drainBatches(t, it, 8)
 		if len(lens) != 0 || len(rows) != 0 {
 			t.Fatalf("plan %T: empty input delivered %v batches", p, lens)
 		}
@@ -114,9 +116,8 @@ func TestNextBatchZeroCapacityBatch(t *testing.T) {
 	it := scanIter(t, db)
 	defer it.Close()
 	var b engine.RowBatch
-	bi := it.(engine.BatchIter)
 	total := 0
-	for bi.NextBatch(&b) {
+	for it.NextBatch(&b) {
 		if b.Len() > engine.DefaultBatchSize {
 			t.Fatalf("zero-capacity batch overfilled: %d rows", b.Len())
 		}
@@ -127,73 +128,13 @@ func TestNextBatchZeroCapacityBatch(t *testing.T) {
 	}
 }
 
-// Mixed drive: per-row pulls interleaved with NextBatch calls on the
-// same iterator must deliver every row exactly once.
-func TestNextBatchMixedWithPerRowPulls(t *testing.T) {
-	db := batchDB(20)
-	it := scanIter(t, db)
-	defer it.Close()
-	bi := it.(engine.BatchIter)
-	seen := make(map[int64]bool)
-	record := func(rows ...tuple.Tuple) {
-		for _, row := range rows {
-			v := row[0].AsInt()
-			if seen[v] {
-				t.Fatalf("row %d delivered twice", v)
-			}
-			seen[v] = true
-		}
-	}
-	b := engine.NewRowBatch(3)
-	for i := 0; ; i++ {
-		if i%2 == 0 {
-			row, ok := it.Next()
-			if !ok {
-				break
-			}
-			record(row)
-		} else {
-			if !bi.NextBatch(b) {
-				break
-			}
-			record(b.Rows...)
-		}
-	}
-	if len(seen) != 20 {
-		t.Fatalf("mixed drive delivered %d distinct rows, want 20", len(seen))
-	}
-}
-
-// The two adapters must round-trip: per-row → batch → per-row preserves
-// the stream, including through a deliberately batch-only source.
-func TestAdapterRoundTrip(t *testing.T) {
-	db := batchDB(17)
-	it := scanIter(t, db)
-	defer it.Close()
-	// Embedding the interface exposes RowIter's method set only, hiding
-	// the root's batch capability.
-	var pr engine.RowIter = struct{ engine.RowIter }{it}
-	if _, ok := pr.(engine.BatchIter); ok {
-		t.Fatal("the embedded form must hide NextBatch")
-	}
-	// AsBatchIter over the per-row form, then a row adapter back.
-	back := engine.NewRowAdapter(engine.AsBatchIter(pr, 5), 5)
-	n := 0
-	for {
-		if _, ok := back.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 17 {
-		t.Fatalf("adapter round-trip delivered %d rows, want 17", n)
-	}
-}
-
-// Batch drive of the streaming sweeps must match per-row drive of the
-// same root (its Next) as a multiset (the sweeps' end-of-input flush walks a map, so tail
-// order is unspecified) at awkward batch sizes — 1 and a non-divisor
-// of the internal queue lengths.
+// Batch drive of the streaming sweeps and of the overlap-join sweep
+// must not depend on the batch size: every capacity delivers the same
+// multiset as capacity 1 (the sweeps' end-of-input flush walks a map,
+// so tail order is unspecified), at one worker and at two. Capacity 7
+// is a non-divisor of the internal queue lengths; 256 is the default.
+// The morsel size follows the capacity, so exchange producers pull
+// their fragments at it too (and no transport batch overfills it).
 func TestSweepBatchDriveMatchesPerRow(t *testing.T) {
 	db := batchDB(137)
 	plans := []engine.Plan{
@@ -203,26 +144,37 @@ func TestSweepBatchDriveMatchesPerRow(t *testing.T) {
 			R:         engine.SortP{In: engine.FilterP{Pred: algebra.Lt(algebra.Col("v"), algebra.IntC(40)), In: engine.ScanP{Name: "t"}}},
 			Streaming: true,
 		},
+		// No equi-key: the join runs as the interval-overlap sweep.
+		engine.JoinP{L: engine.ScanP{Name: "t"}, R: engine.ScanP{Name: "t"}, Pred: algebra.Lt(algebra.Col("v"), algebra.Col("r.v"))},
 	}
 	for _, p := range plans {
-		ref := execSeq(t, db, p, nil)
-		var want []tuple.Tuple
-		for row, ok := ref.Next(); ok; row, ok = ref.Next() {
-			want = append(want, row)
-		}
-		ref.Close()
-		wantKeys := sortedRowKeys(want)
-		for _, size := range []int{1, 7} {
-			it := execSeq(t, db, p, nil)
-			_, rows := drainBatches(t, it.(engine.BatchIter), size)
-			it.Close()
-			gotKeys := sortedRowKeys(rows)
-			if len(gotKeys) != len(wantKeys) {
-				t.Fatalf("plan %T size %d: batch drive delivered %d rows, per-row %d", p, size, len(gotKeys), len(wantKeys))
+		for _, w := range []int{1, 2} {
+			exec := func(size int) engine.RowIter {
+				it, err := parallel.Exec(context.Background(), db, p, parallel.Options{Workers: w, MorselSize: size})
+				if err != nil {
+					t.Fatalf("parallel.Exec(%s): %v", p, err)
+				}
+				return it
 			}
-			for i := range gotKeys {
-				if gotKeys[i] != wantKeys[i] {
-					t.Fatalf("plan %T size %d: multiset differs at %d: %s vs %s", p, size, i, gotKeys[i], wantKeys[i])
+			ref := exec(1)
+			_, want := drainBatches(t, ref, 1)
+			ref.Close()
+			if len(want) == 0 {
+				t.Fatalf("plan %T W=%d: empty reference", p, w)
+			}
+			wantKeys := sortedRowKeys(want)
+			for _, size := range []int{7, 256} {
+				it := exec(size)
+				_, rows := drainBatches(t, it, size)
+				it.Close()
+				gotKeys := sortedRowKeys(rows)
+				if len(gotKeys) != len(wantKeys) {
+					t.Fatalf("plan %T W=%d size %d: delivered %d rows, capacity 1 %d", p, w, size, len(gotKeys), len(wantKeys))
+				}
+				for i := range gotKeys {
+					if gotKeys[i] != wantKeys[i] {
+						t.Fatalf("plan %T W=%d size %d: multiset differs at %d: %s vs %s", p, w, size, i, gotKeys[i], wantKeys[i])
+					}
 				}
 			}
 		}

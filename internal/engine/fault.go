@@ -1,20 +1,18 @@
 package engine
 
 // This file is the per-query fault domain of the engine: the
-// error-carrying iterator protocol (ErrIter), the error-aware drain
-// (MaterializeErr) and the per-query resource governor (deadline, row
-// limit, memory budget over the state the observability layer already
-// accounts for).
+// error-carrying half of the iterator protocol (RowIter.Err), the
+// error-aware drain (MaterializeErr) and the per-query resource
+// governor (deadline, row limit, memory budget over the state the
+// observability layer already accounts for).
 //
-// The protocol mirrors how BatchIter extends RowIter: ErrIter is an
-// extension interface, probed with a type assertion exactly once — at
-// end of stream — so the per-row hot path pays nothing. The contract
-// is:
+// Err is consulted once, at end of stream, so the hot path pays
+// nothing for it. The contract is:
 //
-//   - Next (or NextBatch) returning false means the stream ENDED; it
-//     does not say why. A consumer that cares whether the end was
-//     natural must follow the exhausted drain with an Err check
-//     (IterErr on the iterator it drained, or Rows.Err on the cursor).
+//   - NextBatch returning false means the stream ENDED; it does not say
+//     why. A consumer that cares whether the end was natural must
+//     follow the exhausted drain with an Err check (Err on the
+//     iterator it drained, or Rows.Err on the cursor).
 //   - Err returns nil after a natural end of stream, and the first
 //     error that terminated the stream early otherwise: a failed
 //     operator, an injected chaos fault, a contained panic, a tripped
@@ -38,24 +36,9 @@ import (
 	"snapk/internal/tuple"
 )
 
-// ErrIter is the error-reporting extension of RowIter, mirroring how
-// BatchIter extends it: iterators that can end early report the reason
-// through Err. Err must return nil while the stream is still live and
-// after a natural end, and the terminating error after an early end.
-// It must be safe to call after Close.
-type ErrIter interface {
-	Err() error
-}
-
-// IterErr returns the terminal error carried by it, or nil when it
-// does not implement ErrIter or ended naturally. This is the standard
-// post-drain check of the error-carrying iterator protocol.
-func IterErr(it RowIter) error {
-	if e, ok := it.(ErrIter); ok {
-		return e.Err()
-	}
-	return nil
-}
+// IterErr returns it.Err(). Kept for bench/spine; delete with
+// ROADMAP 6.
+func IterErr(it RowIter) error { return it.Err() }
 
 // FirstErr returns the first non-nil error of errs.
 func FirstErr(errs ...error) error {
@@ -73,24 +56,14 @@ func FirstErr(errs ...error) error {
 // silently pass for a complete one.
 func MaterializeErr(it RowIter) (*Table, error) {
 	t := &Table{Schema: it.Schema()}
-	if bi, ok := it.(BatchIter); ok {
-		b := NewRowBatch(DefaultBatchSize)
-		for bi.NextBatch(b) {
-			// Materialization is the ownership hand-off point: the batch's
-			// row slice is copied out before the producer reuses it, and
-			// engine producers never reuse yielded row backing arrays.
-			t.Rows = append(t.Rows, b.Rows...)
-		}
-		return t, IterErr(it)
+	b := NewRowBatch(DefaultBatchSize)
+	for it.NextBatch(b) {
+		// Materialization is the ownership hand-off point: the batch's
+		// row slice is copied out before the producer reuses it, and
+		// engine producers never reuse yielded row backing arrays.
+		t.Rows = append(t.Rows, b.Rows...)
 	}
-	for {
-		row, ok := it.Next()
-		if !ok {
-			return t, IterErr(it)
-		}
-		//lint:ignore rowretain materialization is the ownership hand-off point; engine producers never reuse yielded backing arrays
-		t.Rows = append(t.Rows, row)
-	}
+	return t, it.Err()
 }
 
 // IterWrapper is an iterator-wrapping hook: given a stable site name
@@ -167,16 +140,17 @@ func (g *Governor) Timeout() time.Duration {
 	return g.lim.Timeout
 }
 
-// CountRows records n rows emitted through the query root and returns
-// ErrRowLimit once the total exceeds the configured limit.
-func (g *Governor) CountRows(n int64) error {
+// CountRows records a batch of n rows emitted through the query root.
+// It returns how many of them fit under the row limit — n, unless the
+// batch crosses it — and ErrRowLimit once the total exceeds the limit.
+func (g *Governor) CountRows(n int64) (int64, error) {
 	if g == nil || g.lim.RowLimit <= 0 {
-		return nil
+		return n, nil
 	}
-	if g.rows.Add(n) > g.lim.RowLimit {
-		return ErrRowLimit
+	if over := g.rows.Add(n) - g.lim.RowLimit; over > 0 {
+		return max(n-over, 0), ErrRowLimit
 	}
-	return nil
+	return n, nil
 }
 
 // ChargeMem charges n bytes of tracked operator state and returns
@@ -232,11 +206,7 @@ func GovernState(in RowIter, gov *Governor, unitBytes int64) RowIter {
 	if !ok || gov == nil {
 		return in
 	}
-	gi := govStateIter{in: in, sizer: sz, gov: gov, unit: unitBytes}
-	if bi, ok := in.(BatchIter); ok {
-		return &govStateBatchIter{govStateIter: gi, bin: bi}
-	}
-	return &gi
+	return &govStateIter{in: in, sizer: sz, gov: gov, unit: unitBytes}
 }
 
 type govStateIter struct {
@@ -266,15 +236,17 @@ func (it *govStateIter) charge() error {
 	return nil
 }
 
-func (it *govStateIter) Next() (tuple.Tuple, bool) {
+func (it *govStateIter) NextBatch(b *RowBatch) bool {
 	if it.err != nil {
-		return nil, false
+		b.Reset()
+		return false
 	}
-	row, ok := it.in.Next()
+	ok := it.in.NextBatch(b)
 	if it.err = it.charge(); it.err != nil {
-		return nil, false
+		b.Reset()
+		return false
 	}
-	return row, ok
+	return ok
 }
 
 func (it *govStateIter) Close() {
@@ -285,22 +257,4 @@ func (it *govStateIter) Close() {
 	it.in.Close()
 }
 
-func (it *govStateIter) Err() error { return FirstErr(it.err, IterErr(it.in)) }
-
-type govStateBatchIter struct {
-	govStateIter
-	bin BatchIter
-}
-
-func (it *govStateBatchIter) NextBatch(b *RowBatch) bool {
-	if it.err != nil {
-		b.Reset()
-		return false
-	}
-	ok := it.bin.NextBatch(b)
-	if it.err = it.charge(); it.err != nil {
-		b.Reset()
-		return false
-	}
-	return ok
-}
+func (it *govStateIter) Err() error { return FirstErr(it.err, it.in.Err()) }

@@ -187,7 +187,7 @@ func FuzzStreamDiff(f *testing.F) {
 			t.Fatal(err)
 		}
 		bit = engine.CheckNoAlias("streaming difference (batch)", bit)
-		batched := engine.Materialize(engine.NewRowAdapter(bit.(engine.BatchIter), 3))
+		batched := materializeCap(t, bit, 3)
 		bit.Close()
 		if !sameCounts(multisetKeys(want), multisetKeys(batched)) {
 			t.Fatalf("batch-driven streaming diff diverges\nleft:\n%s\nright:\n%s\nwant:\n%s\ngot:\n%s", l, r, want, batched)
@@ -234,7 +234,7 @@ func FuzzCoalesce(f *testing.F) {
 		// Batch drive of the same sweep at an awkward capacity must match.
 		bcoal := engine.CheckNoAlias("streaming coalesce (batch)",
 			engine.NewStreamCoalesceIter(engine.NewTableIter(sorted)))
-		batched := engine.Materialize(engine.NewRowAdapter(bcoal.(engine.BatchIter), 3))
+		batched := materializeCap(t, bcoal, 3)
 		bcoal.Close()
 		if !sameCounts(multisetKeys(blocking), multisetKeys(batched)) {
 			t.Fatalf("batch-driven streaming coalesce diverges\ninput:\n%s\nwant:\n%s\ngot:\n%s", tbl, blocking, batched)
@@ -259,4 +259,18 @@ func FuzzCoalesce(f *testing.F) {
 			t.Fatalf("pre-aggregated output is not coalesced\ninput:\n%s\noutput:\n%s", tbl, wantAgg)
 		}
 	})
+}
+
+// materializeCap drains it with batches of the given capacity.
+func materializeCap(t *testing.T, it engine.RowIter, capacity int) *engine.Table {
+	t.Helper()
+	out := &engine.Table{Schema: it.Schema()}
+	b := engine.NewRowBatch(capacity)
+	for it.NextBatch(b) {
+		out.Rows = append(out.Rows, b.Rows...)
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

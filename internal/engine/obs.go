@@ -20,7 +20,7 @@ import (
 // attached, and the Chrome-trace exporter. Everything here is strictly
 // pay-for-use: with no collector attached, NewObsIter returns its input
 // unchanged and the executor's only cost is a nil check per plan node at
-// build time — the per-row hot path is untouched (the spine's
+// build time — the batch hot path is untouched (the spine's
 // engine.collector_overhead_rel measures exactly this).
 
 // OpStats holds the runtime counters of one operator, exchange or
@@ -29,13 +29,13 @@ import (
 // node's counters may be written concurrently (per-partition row counts
 // of a repartition exchange) while the race detector watches.
 type OpStats struct {
-	rows    atomic.Int64 // rows yielded by Next
-	nexts   atomic.Int64 // Next calls (rows + the exhausting call)
-	timeNs  atomic.Int64 // cumulative wall time inside Next
+	rows    atomic.Int64 // rows delivered by NextBatch
+	nexts   atomic.Int64 // NextBatch calls (batches + the exhausting call)
+	timeNs  atomic.Int64 // cumulative wall time inside NextBatch
 	startNs atomic.Int64 // first activity, ns offset from the collector epoch
 	endNs   atomic.Int64 // last activity (exhaustion or Close)
 	state   atomic.Int64 // peak sweep state (StateSizer operators only)
-	batches atomic.Int64 // exchange: batches sent by producers
+	batches atomic.Int64 // batches delivered (exchange: sent by producers)
 	waitNs  atomic.Int64 // exchange: producer time blocked on a full channel
 
 	// Label names the operator ("StreamCoalesce", "exchange:merge");
@@ -112,7 +112,7 @@ func (st *OpStats) AddWait(ns int64) {
 
 // Span marks the start of a blocking computation attributed to st (a
 // materializing sweep or an eager hash-join build, which run at plan
-// build time, outside any Next) and returns a func recording its
+// build time, outside any NextBatch) and returns a func recording its
 // duration. Nil-safe.
 func (st *OpStats) Span() func() {
 	if st == nil {
@@ -196,10 +196,12 @@ type StateSizer interface {
 }
 
 // ObsIter is the instrumented iterator wrapper of EXPLAIN ANALYZE: it
-// forwards rows unchanged while counting rows out, Next calls and
-// cumulative time, and snapshots the wrapped iterator's peak sweep
-// state at end of stream. Construct through NewObsIter, which is an
-// identity no-op without a stats node.
+// forwards batches unchanged while counting rows out, batches,
+// NextBatch calls and cumulative time — one update per batch, so the
+// instrumentation overhead amortizes exactly like the execution it
+// measures — and snapshots the wrapped iterator's peak sweep state at
+// end of stream. Construct through NewObsIter, which is an identity
+// no-op without a stats node.
 type ObsIter struct {
 	in RowIter
 	st *OpStats
@@ -207,69 +209,20 @@ type ObsIter struct {
 
 // NewObsIter wraps in with per-operator instrumentation recording into
 // st. With st == nil it returns in unchanged — the collector-off hot
-// path pays nothing. A batch-capable input gets a batch-capable
-// wrapper, so instrumentation never severs the NextBatch chain: batch
-// operators report rows AND batches, with the root row count still
-// exactly the rows the cursor observes.
+// path pays nothing. The root row count is exactly the rows the cursor
+// observes.
 func NewObsIter(in RowIter, st *OpStats) RowIter {
 	if st == nil {
 		return in
-	}
-	if bi, ok := in.(BatchIter); ok {
-		return &obsBatchIter{ObsIter: ObsIter{in: in, st: st}, bin: bi}
 	}
 	return &ObsIter{in: in, st: st}
 }
 
 func (it *ObsIter) Schema() tuple.Schema { return it.in.Schema() }
 
-func (it *ObsIter) Next() (tuple.Tuple, bool) {
+func (it *ObsIter) NextBatch(b *RowBatch) bool {
 	t0 := it.st.c.now()
-	row, ok := it.in.Next()
-	t1 := it.st.c.now()
-	it.st.timeNs.Add(t1 - t0)
-	it.st.nexts.Add(1)
-	it.st.startNs.CompareAndSwap(0, t0)
-	if ok {
-		it.st.rows.Add(1)
-	} else {
-		it.st.endNs.Store(t1)
-		it.recordState()
-	}
-	return row, ok
-}
-
-func (it *ObsIter) Close() {
-	it.st.endNs.CompareAndSwap(0, it.st.c.now())
-	it.recordState()
-	it.in.Close()
-}
-
-// Err delegates the terminal error: instrumentation never severs the
-// error-carrying protocol.
-func (it *ObsIter) Err() error { return IterErr(it.in) }
-
-func (it *ObsIter) recordState() {
-	if s, ok := it.in.(StateSizer); ok {
-		if v := s.MaxState(); v > it.st.state.Load() {
-			it.st.state.Store(v)
-		}
-	}
-}
-
-// obsBatchIter is the batch-capable form of ObsIter: one timing/count
-// update per NextBatch call (rows += batch length, batches += 1), so
-// the instrumentation overhead amortizes exactly like the execution it
-// measures. Per-row Next calls keep flowing through the embedded
-// ObsIter, so mixed drivers stay consistent.
-type obsBatchIter struct {
-	ObsIter
-	bin BatchIter
-}
-
-func (it *obsBatchIter) NextBatch(b *RowBatch) bool {
-	t0 := it.st.c.now()
-	ok := it.bin.NextBatch(b)
+	ok := it.in.NextBatch(b)
 	t1 := it.st.c.now()
 	it.st.timeNs.Add(t1 - t0)
 	it.st.nexts.Add(1)
@@ -282,6 +235,24 @@ func (it *obsBatchIter) NextBatch(b *RowBatch) bool {
 		it.recordState()
 	}
 	return ok
+}
+
+func (it *ObsIter) Close() {
+	it.st.endNs.CompareAndSwap(0, it.st.c.now())
+	it.recordState()
+	it.in.Close()
+}
+
+// Err delegates the terminal error: instrumentation never severs the
+// error-carrying protocol.
+func (it *ObsIter) Err() error { return it.in.Err() }
+
+func (it *ObsIter) recordState() {
+	if s, ok := it.in.(StateSizer); ok {
+		if v := s.MaxState(); v > it.st.state.Load() {
+			it.st.state.Store(v)
+		}
+	}
 }
 
 // Render returns the EXPLAIN ANALYZE operator tree: one line per

@@ -139,8 +139,9 @@ func TestAnalyzeEarlyCloseSnapshotsState(t *testing.T) {
 	col := engine.NewCollector()
 	plan := engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "t"}}, Streaming: true}
 	it := execSeq(t, db, plan, col.Root)
+	b := engine.NewRowBatch(1)
 	for i := 0; i < 5; i++ {
-		if _, ok := it.Next(); !ok {
+		if !it.NextBatch(b) {
 			t.Fatal("stream ended before the early close")
 		}
 	}

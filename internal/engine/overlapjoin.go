@@ -53,75 +53,64 @@ func newOverlapJoinIter(l, r RowIter, prep *JoinPrep) (RowIter, error) {
 // it.
 func drainRowsErr(it RowIter) ([]tuple.Tuple, error) {
 	var rows []tuple.Tuple
-	if bi, ok := it.(BatchIter); ok {
-		// Batch drain into a private slice: the batch's row slice is
-		// copied out before the producer reuses it.
-		b := NewRowBatch(DefaultBatchSize)
-		for bi.NextBatch(b) {
-			rows = append(rows, b.Rows...)
-		}
-		return rows, IterErr(it)
+	// The batch's row slice is copied out before the producer reuses it.
+	b := NewRowBatch(DefaultBatchSize)
+	for it.NextBatch(b) {
+		rows = append(rows, b.Rows...)
 	}
-	for {
-		row, ok := it.Next()
-		if !ok {
-			return rows, IterErr(it)
-		}
-		//lint:ignore rowretain blocking drain into a private slice; the rows are only ever read (engine producers never reuse yielded backing arrays)
-		rows = append(rows, row)
-	}
+	return rows, it.Err()
 }
 
 func (it *overlapJoinIter) Schema() tuple.Schema { return it.schema }
 
-func (it *overlapJoinIter) Next() (tuple.Tuple, bool) {
-	for {
-		if it.active {
-			if it.refL {
-				lrow := it.l[it.i]
-				end := rowInterval(lrow).End
-				for it.k < len(it.r) {
-					rrow := it.r[it.k]
-					if rowInterval(rrow).Begin >= end {
-						break
-					}
-					it.k++
-					if out, ok := it.pairs.compose(lrow, rrow); ok {
-						return out, true
-					}
-				}
-				it.active = false
-				it.i++
-			} else {
-				rrow := it.r[it.j]
-				end := rowInterval(rrow).End
-				for it.k < len(it.l) {
-					lrow := it.l[it.k]
-					if rowInterval(lrow).Begin >= end {
-						break
-					}
-					it.k++
-					if out, ok := it.pairs.compose(lrow, rrow); ok {
-						return out, true
-					}
-				}
-				it.active = false
-				it.j++
+// NextBatch runs the sweep until out is full or both inputs are swept.
+// A forward scan cut short by a full batch resumes on the next call.
+func (it *overlapJoinIter) NextBatch(out *RowBatch) bool {
+	out.Reset()
+	limit := out.Cap()
+	for out.Len() < limit {
+		if !it.active {
+			if it.i >= len(it.l) || it.j >= len(it.r) {
+				break
 			}
-			continue
+			it.refL = rowInterval(it.l[it.i]).Begin <= rowInterval(it.r[it.j]).Begin
+			if it.refL {
+				it.k = it.j
+			} else {
+				it.k = it.i
+			}
+			it.active = true
 		}
-		if it.i >= len(it.l) || it.j >= len(it.r) {
-			return nil, false
+		ref, other := it.r[it.j], it.l
+		if it.refL {
+			ref, other = it.l[it.i], it.r
 		}
-		if rowInterval(it.l[it.i]).Begin <= rowInterval(it.r[it.j]).Begin {
-			it.refL = true
-			it.k = it.j
+		end := rowInterval(ref).End
+		for out.Len() < limit && it.k < len(other) && rowInterval(other[it.k]).Begin < end {
+			lrow, rrow := other[it.k], ref
+			if it.refL {
+				lrow, rrow = ref, other[it.k]
+			}
+			it.k++
+			if row, ok := it.pairs.compose(lrow, rrow); ok {
+				out.Append(row)
+			}
+		}
+		if it.k < len(other) && rowInterval(other[it.k]).Begin < end {
+			continue // batch full mid-scan
+		}
+		it.active = false
+		if it.refL {
+			it.i++
 		} else {
-			it.refL = false
-			it.k = it.i
+			it.j++
 		}
-		it.active = true
 	}
+	return out.Len() > 0
 }
+
+// Err reports no error: both inputs were drained and checked at
+// construction.
+func (it *overlapJoinIter) Err() error { return nil }
 
 func (it *overlapJoinIter) Close() {}

@@ -20,15 +20,6 @@ import (
 // batch pass-through of the vectorized hop.
 type batch []tuple.Tuple
 
-// capOf returns the effective row capacity of a consumer-supplied
-// batch (DefaultBatchSize for a zero-capacity one).
-func capOf(b *engine.RowBatch) int {
-	if c := b.Cap(); c > 0 {
-		return c
-	}
-	return engine.DefaultBatchSize
-}
-
 // exchange owns the producer-side lifecycle of one exchange: a context
 // derived from the execution context, canceled once EVERY consumer-side
 // iterator of the exchange has been closed. This is what lets an
@@ -59,19 +50,6 @@ func (x *exchange) release() {
 	if x.refs.Add(-1) == 0 {
 		x.cancel()
 	}
-}
-
-// pullFunc returns the per-row read function of src for an exchange
-// producer: a batch-capable child chain is pulled one batch at a time
-// behind a row adapter (the producer's own loop stays per-row — hash
-// routing is inherently per-row — but every deeper operator boundary
-// amortizes). The adapter owns no resources beyond src, which the
-// producer closes itself.
-func (e *executor) pullFunc(src engine.RowIter) func() (tuple.Tuple, bool) {
-	if bi, ok := src.(engine.BatchIter); ok {
-		return engine.NewRowAdapter(bi, e.morsel).Next
-	}
-	return src.Next
 }
 
 // morselTableIter is the scan source: fragments claim morsels
@@ -108,15 +86,6 @@ func (it *morselTableIter) claim() bool {
 	return true
 }
 
-func (it *morselTableIter) Next() (tuple.Tuple, bool) {
-	if it.i >= it.end && !it.claim() {
-		return nil, false
-	}
-	row := it.t.Rows[it.i]
-	it.i++
-	return row, true
-}
-
 // NextBatch hands out the remainder of the claimed morsel (up to the
 // consumer's capacity) as one slice append.
 func (it *morselTableIter) NextBatch(b *engine.RowBatch) bool {
@@ -124,7 +93,7 @@ func (it *morselTableIter) NextBatch(b *engine.RowBatch) bool {
 	if it.i >= it.end && !it.claim() {
 		return false
 	}
-	n := min(it.end-it.i, capOf(b))
+	n := min(it.end-it.i, b.Cap())
 	b.Rows = append(b.Rows, it.t.Rows[it.i:it.i+n]...)
 	it.i += n
 	return true
@@ -139,7 +108,8 @@ func (it *morselTableIter) Err() error { return it.err }
 // worker-side iterators pulling batches from a shared channel fed by a
 // distributor goroutine. The batch-draining loop is chanCursor's, so
 // the ctx-aware receive cannot drift between the RowIter form and the
-// ordered-merge rowSource form.
+// ordered-merge rowSource form. It ends without an error of its own:
+// producer failures reach the executor's central error slot.
 type chanIter struct {
 	x      *exchange
 	schema tuple.Schema
@@ -149,13 +119,13 @@ type chanIter struct {
 
 func (it *chanIter) Schema() tuple.Schema { return it.schema }
 
-func (it *chanIter) Next() (tuple.Tuple, bool) { return it.cur.next(it.x.ctx) }
-
-// NextBatch adopts a whole transport batch when the cursor is at a
-// batch boundary — the zero-copy pass-through.
+// NextBatch adopts a whole transport batch — the zero-copy
+// pass-through.
 func (it *chanIter) NextBatch(b *engine.RowBatch) bool {
 	return it.cur.nextBatch(it.x.ctx, b)
 }
+
+func (it *chanIter) Err() error { return nil }
 
 // Close releases this consumer's reference on the exchange; the last
 // partition closed cancels the producers (see exchange).
@@ -172,46 +142,21 @@ func (it *chanIter) Close() {
 // is nondeterministic, which is sound because period relations are
 // multisets. Goroutine lifetime is owned by the executor: cancellation
 // of the execution context stops every producer, and the channel is
-// closed once all of them have exited.
+// closed once all of them have exited. Like chanIter it ends without an
+// error of its own.
 type mergeIter struct {
 	x      *exchange
 	schema tuple.Schema
 	ch     <-chan batch
-	cur    batch
-	i      int
 	closed bool
 }
 
 func (it *mergeIter) Schema() tuple.Schema { return it.schema }
 
-func (it *mergeIter) Next() (tuple.Tuple, bool) {
-	if it.x.ctx.Err() != nil {
-		return nil, false
-	}
-	for {
-		if it.i < len(it.cur) {
-			row := it.cur[it.i]
-			it.i++
-			return row, true
-		}
-		b, ok := <-it.ch
-		if !ok {
-			return nil, false
-		}
-		it.cur, it.i = b, 0
-	}
-}
-
 // NextBatch adopts one transport batch wholesale (transport batches are
-// freshly allocated per send, so the hand-off is zero-copy); a partial
-// batch left behind by per-row pulls is copied out first.
+// freshly allocated per send, so the hand-off is zero-copy).
 func (it *mergeIter) NextBatch(b *engine.RowBatch) bool {
 	b.Reset()
-	if it.i < len(it.cur) {
-		b.Rows = append(b.Rows, it.cur[it.i:]...)
-		it.cur, it.i = nil, 0
-		return true
-	}
 	if it.x.ctx.Err() != nil {
 		return false
 	}
@@ -222,6 +167,8 @@ func (it *mergeIter) NextBatch(b *engine.RowBatch) bool {
 	b.Rows = nb
 	return true
 }
+
+func (it *mergeIter) Err() error { return nil }
 
 // Close releases the merge's single consumer reference, canceling the
 // producers — closing a merged iterator before exhaustion no longer
@@ -304,9 +251,8 @@ func (e *executor) send(ctx context.Context, ch chan<- batch, b batch, st *engin
 }
 
 // drainInto pumps it into ch in morsel-sized batches until exhaustion or
-// cancellation of the exchange context. A batch-capable input's operator
-// chain fills each transport batch directly through NextBatch — one
-// virtual call per batch instead of one per row — and the slice is
+// cancellation of the exchange context. The input's operator chain fills
+// each transport batch directly through NextBatch, and the slice is
 // handed over wholesale (a fresh slice per send, because the consumer
 // adopts it). With st non-nil the producer's
 // blocked time is recorded (and each batch sent, when countBatch says
@@ -316,47 +262,22 @@ func (e *executor) send(ctx context.Context, ch chan<- batch, b batch, st *engin
 // central error slot, per the error-carrying iterator protocol:
 // exchange consumers only ever observe a clean end-of-stream, so the
 // producer side is where a truncation must be converted into a query
-// error. No trailing partial batch is sent on a failed drain — the rows
-// of a failed stream are not results.
+// error. A failed drain ends on the failing pull, so no rows of a
+// failed stream are sent after it.
 func (e *executor) drainInto(ctx context.Context, it engine.RowIter, ch chan<- batch, st *engine.OpStats, countBatch bool) {
-	if bi, ok := it.(engine.BatchIter); ok {
-		for {
-			// One cancellation probe per batch: NextBatch can spin for a
-			// while on selective operators, and the send below only
-			// observes cancellation when it actually blocks.
-			if ctx.Err() != nil {
-				return
-			}
-			rb := engine.RowBatch{Rows: make([]tuple.Tuple, 0, e.morsel)}
-			if !bi.NextBatch(&rb) {
-				e.fail(engine.IterErr(it))
-				return
-			}
-			if !e.send(ctx, ch, batch(rb.Rows), st, countBatch) {
-				return
-			}
-		}
-	}
-	b := make(batch, 0, e.morsel)
 	for {
-		row, ok := it.Next()
-		if !ok {
-			if err := engine.IterErr(it); err != nil {
-				e.fail(err)
-				return
-			}
+		// One cancellation probe per batch: NextBatch can spin for a
+		// while on selective operators, and the send below only
+		// observes cancellation when it actually blocks.
+		if ctx.Err() != nil {
+			return
 		}
-		if ok {
-			//lint:ignore rowretain batching for transport only; rows are forwarded downstream unmodified
-			b = append(b, row)
+		rb := engine.RowBatch{Rows: make([]tuple.Tuple, 0, e.morsel)}
+		if !it.NextBatch(&rb) {
+			e.fail(it.Err())
+			return
 		}
-		if (!ok || len(b) == e.morsel) && len(b) > 0 {
-			if !e.send(ctx, ch, b, st, countBatch) {
-				return
-			}
-			b = make(batch, 0, e.morsel)
-		}
-		if !ok {
+		if !e.send(ctx, ch, batch(rb.Rows), st, countBatch) {
 			return
 		}
 	}
@@ -407,26 +328,24 @@ func (e *executor) hashPartition(srcs []engine.RowIter, keyIdx []int, parent *en
 				return true
 			}
 			var scratch []byte
-			next := e.pullFunc(src)
-			for {
-				row, ok := next()
-				if !ok {
-					// A failed source means the partitions are missing rows:
-					// report it centrally and skip the trailing flush (the
-					// buffered rows of a failed stream are not results).
-					if err := engine.IterErr(src); err != nil {
-						e.fail(err)
+			in := engine.NewRowBatch(e.morsel)
+			for src.NextBatch(in) {
+				for _, row := range in.Rows {
+					scratch = row.AppendKey(scratch[:0], keyIdx)
+					i := int(keyHash(scratch) % uint32(e.workers))
+					//lint:ignore rowretain partition buffering for transport; rows are forwarded downstream unmodified
+					bufs[i] = append(bufs[i], row)
+					if len(bufs[i]) == e.morsel && !flush(i) {
 						return
 					}
-					break
 				}
-				scratch = row.AppendKey(scratch[:0], keyIdx)
-				i := int(keyHash(scratch) % uint32(e.workers))
-				//lint:ignore rowretain partition buffering for transport; rows are forwarded downstream unmodified
-				bufs[i] = append(bufs[i], row)
-				if len(bufs[i]) == e.morsel && !flush(i) {
-					return
-				}
+			}
+			// A failed source means the partitions are missing rows:
+			// report it centrally and skip the trailing flush (the
+			// buffered rows of a failed stream are not results).
+			if err := src.Err(); err != nil {
+				e.fail(err)
+				return
 			}
 			for i := range bufs {
 				if !flush(i) {
@@ -498,15 +417,11 @@ func (c *chanCursor) next(ctx context.Context) (tuple.Tuple, bool) {
 }
 
 // nextBatch adopts one transport batch wholesale into out (zero-copy —
-// transport batches are freshly allocated per send); a partial batch
-// left behind by per-row pulls is copied out first.
+// transport batches are freshly allocated per send). A cursor is driven
+// either per row (an ordered-merge source) or per batch (a chanIter),
+// never both.
 func (c *chanCursor) nextBatch(ctx context.Context, out *engine.RowBatch) bool {
 	out.Reset()
-	if c.i < len(c.cur) {
-		out.Rows = append(out.Rows, c.cur[c.i:]...)
-		c.cur, c.i = nil, 0
-		return true
-	}
 	select {
 	case <-ctx.Done():
 		return false
@@ -611,7 +526,8 @@ func (c *queueCursor) next(ctx context.Context) (tuple.Tuple, bool) {
 // begin-sorted stream and downstream streaming sweeps stay streaming.
 // Each source holds at most one head row in the heap; the merge pulls a
 // replacement only from the source it popped, which is what keeps
-// per-fragment order intact.
+// per-fragment order intact. It ends without an error of its own:
+// producer failures reach the executor's central error slot.
 type orderedMergeIter struct {
 	ctx    context.Context
 	schema tuple.Schema
@@ -667,7 +583,9 @@ func (it *orderedMergeIter) siftDown(i int) {
 	}
 }
 
-func (it *orderedMergeIter) Next() (tuple.Tuple, bool) {
+// next pops the merge's next row: the k-way compare is inherently per
+// row.
+func (it *orderedMergeIter) next() (tuple.Tuple, bool) {
 	if !it.inited {
 		it.inited = true
 		for _, src := range it.srcs {
@@ -695,14 +613,13 @@ func (it *orderedMergeIter) Next() (tuple.Tuple, bool) {
 	return row, true
 }
 
-// NextBatch fills out through the per-row heap merge — the k-way
-// compare is inherently per-row, but one NextBatch call amortizes the
-// downstream virtual-call hop over the whole batch.
+// NextBatch fills out through the per-row heap merge; one NextBatch
+// call amortizes the downstream hop over the whole batch.
 func (it *orderedMergeIter) NextBatch(b *engine.RowBatch) bool {
 	b.Reset()
-	limit := capOf(b)
+	limit := b.Cap()
 	for b.Len() < limit {
-		row, ok := it.Next()
+		row, ok := it.next()
 		if !ok {
 			break
 		}
@@ -710,6 +627,8 @@ func (it *orderedMergeIter) NextBatch(b *engine.RowBatch) bool {
 	}
 	return b.Len() > 0
 }
+
+func (it *orderedMergeIter) Err() error { return nil }
 
 // Close releases the consumer reference on the owning exchange, so
 // closing an ordered-merge iterator before exhaustion unblocks its
@@ -808,39 +727,37 @@ func (e *executor) hashPartitionOrdered(srcs []engine.RowIter, keyIdx []int, par
 				return true
 			}
 			var scratch []byte
-			next := e.pullFunc(src)
-			for {
-				row, ok := next()
-				if !ok {
-					// A failed source means the partitions are missing rows:
-					// report it centrally and drop the trailing buffers.
-					if err := engine.IterErr(src); err != nil {
-						e.fail(err)
-						return
+			in := engine.NewRowBatch(e.morsel)
+			for src.NextBatch(in) {
+				for _, row := range in.Rows {
+					scratch = row.AppendKey(scratch[:0], keyIdx)
+					i := int(keyHash(scratch) % uint32(e.workers))
+					//lint:ignore rowretain partition buffering for transport; rows are forwarded downstream unmodified
+					bufs[i] = append(bufs[i], row)
+					if len(bufs[i]) == e.morsel {
+						// The cancellation probe runs once per batch, not per
+						// row: queue puts never block, so this is the only
+						// teardown point and ctx.Err is not free. (No wait
+						// time to record for the same reason — only batch
+						// counts.) The exchange context also covers
+						// all-consumers-closed, so an early Close of every
+						// partition stops this producer instead of letting it
+						// pump the whole source into the unbounded queues.
+						if x.ctx.Err() != nil {
+							return
+						}
+						if !put(i) {
+							return
+						}
+						bufs[i] = make(batch, 0, e.morsel)
 					}
-					break
 				}
-				scratch = row.AppendKey(scratch[:0], keyIdx)
-				i := int(keyHash(scratch) % uint32(e.workers))
-				//lint:ignore rowretain partition buffering for transport; rows are forwarded downstream unmodified
-				bufs[i] = append(bufs[i], row)
-				if len(bufs[i]) == e.morsel {
-					// The cancellation probe runs once per batch, not per
-					// row: queue puts never block, so this is the only
-					// teardown point and ctx.Err is not free. (No wait time
-					// to record for the same reason — only batch counts.)
-					// The exchange context also covers all-consumers-closed,
-					// so an early Close of every partition stops this
-					// producer instead of letting it pump the whole source
-					// into the unbounded queues.
-					if x.ctx.Err() != nil {
-						return
-					}
-					if !put(i) {
-						return
-					}
-					bufs[i] = make(batch, 0, e.morsel)
-				}
+			}
+			// A failed source means the partitions are missing rows:
+			// report it centrally and drop the trailing buffers.
+			if err := src.Err(); err != nil {
+				e.fail(err)
+				return
 			}
 			for i := range bufs {
 				if len(bufs[i]) > 0 && !put(i) {

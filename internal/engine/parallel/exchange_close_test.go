@@ -17,22 +17,26 @@ import (
 )
 
 // sliceIter yields n synthetic period-encoded rows with ascending begin
-// points. It is deliberately per-row only (no NextBatch), so producers
-// exercise the transport batching loop regardless of the batch knob.
+// points.
 type sliceIter struct{ i, n int }
 
 func (it *sliceIter) Schema() tuple.Schema { return tuple.NewSchema("v", "begin", "end") }
 
-func (it *sliceIter) Next() (tuple.Tuple, bool) {
-	if it.i >= it.n {
-		return nil, false
+func (it *sliceIter) NextBatch(b *engine.RowBatch) bool {
+	b.Reset()
+	for ; it.i < it.n && b.Len() < b.Cap(); it.i++ {
+		i := int64(it.i)
+		b.Append(tuple.Tuple{tuple.Int(i), tuple.Int(i), tuple.Int(i + 1)})
 	}
-	i := int64(it.i)
-	it.i++
-	return tuple.Tuple{tuple.Int(i), tuple.Int(i), tuple.Int(i + 1)}, true
+	return b.Len() > 0
 }
 
+func (it *sliceIter) Err() error { return nil }
+
 func (it *sliceIter) Close() {}
+
+// pull reports whether one NextBatch on it delivered rows.
+func pull(it engine.RowIter) bool { return it.NextBatch(engine.NewRowBatch(1)) }
 
 // waitProducers fails the test if the executor's fragment goroutines do
 // not all exit shortly after the iterator-level Close under test.
@@ -62,7 +66,7 @@ func newTestExecutor(workers int) *executor {
 func TestMergeIterCloseUnblocksProducers(t *testing.T) {
 	e := newTestExecutor(2)
 	it := e.startMerge([]engine.RowIter{&sliceIter{n: 100000}, &sliceIter{n: 100000}}, nil)
-	if _, ok := it.Next(); !ok {
+	if !pull(it) {
 		t.Fatal("empty merge")
 	}
 	it.Close()
@@ -74,7 +78,7 @@ func TestMergeIterCloseUnblocksProducers(t *testing.T) {
 func TestOrderedMergeIterCloseUnblocksProducers(t *testing.T) {
 	e := newTestExecutor(2)
 	it := e.startOrderedMerge([]engine.RowIter{&sliceIter{n: 100000}, &sliceIter{n: 100000}}, nil)
-	if _, ok := it.Next(); !ok {
+	if !pull(it) {
 		t.Fatal("empty ordered merge")
 	}
 	it.Close()
@@ -90,7 +94,7 @@ func TestPartitionIterCloseRefcount(t *testing.T) {
 	// All consumers closed early: the distributor must exit.
 	e := newTestExecutor(4)
 	parts := e.repartition(&sliceIter{n: 100000}, nil)
-	if _, ok := parts[0].Next(); !ok {
+	if !pull(parts[0]) {
 		t.Fatal("empty repartition")
 	}
 	for _, p := range parts {
@@ -105,14 +109,11 @@ func TestPartitionIterCloseRefcount(t *testing.T) {
 	const n = 1000
 	parts = e.repartition(&sliceIter{n: n}, nil)
 	parts[0].Close()
-	got := 0
-	for {
-		if _, ok := parts[1].Next(); !ok {
-			break
-		}
-		got++
+	tbl, err := engine.MaterializeErr(parts[1])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got == 0 {
+	if tbl.Len() == 0 {
 		t.Fatal("surviving partition saw no rows: closing a sibling canceled the exchange")
 	}
 	parts[1].Close()

@@ -18,9 +18,9 @@ import (
 	"snapk/internal/tuple"
 )
 
-// panicAt wraps an iterator to panic on the nth Next call. Wrapping
-// hides batch capability on purpose, so the panic unwinds through the
-// per-row pull path of whichever goroutine drives this site.
+// panicAt wraps an iterator to panic on the nth NextBatch call, so the
+// panic unwinds through the pull path of whichever goroutine drives
+// this site.
 type panicAt struct {
 	in engine.RowIter
 	n  int
@@ -28,14 +28,15 @@ type panicAt struct {
 }
 
 func (it *panicAt) Schema() tuple.Schema { return it.in.Schema() }
+func (it *panicAt) Err() error           { return it.in.Err() }
 func (it *panicAt) Close()               { it.in.Close() }
 
-func (it *panicAt) Next() (tuple.Tuple, bool) {
+func (it *panicAt) NextBatch(b *engine.RowBatch) bool {
 	it.n++
 	if it.n >= it.at {
 		panic("test: injected operator panic")
 	}
-	return it.in.Next()
+	return it.in.NextBatch(b)
 }
 
 // panicInjector arms a panic at every site matching prefix.
@@ -51,11 +52,8 @@ func panicInjector(prefix string, at int) engine.IterWrapper {
 // drainAll pulls the iterator to end-of-stream and returns its terminal
 // error.
 func drainAll(it engine.RowIter) error {
-	for {
-		if _, ok := it.Next(); !ok {
-			return engine.IterErr(it)
-		}
-	}
+	_, err := engine.MaterializeErr(it)
+	return err
 }
 
 // A panic inside a fragment goroutine (here: the scan parts drained by
@@ -111,7 +109,7 @@ func TestInjectedPanicNeverReadsAsCleanEnd(t *testing.T) {
 
 // A panic unwinding out of the root pull (the consumer goroutine — here
 // injected on the merge-exchange output) is the consumer-side boundary:
-// guardedNext must convert it into the query error.
+// guarded must convert it into the query error.
 func TestInjectedPanicAtRootContained(t *testing.T) {
 	db := bigPipelineDB(8000)
 	base := runtime.NumGoroutine()
@@ -148,7 +146,7 @@ func TestEarlyCloseUnderInjectedErrors(t *testing.T) {
 			waitForGoroutines(t, base)
 			continue
 		}
-		it.Next() // zero or one row — either way, abandon mid-flight
+		pullRow(it) // zero or one row — either way, abandon mid-flight
 		it.Close()
 		it.Close() // idempotent under injection too
 		waitForGoroutines(t, base)

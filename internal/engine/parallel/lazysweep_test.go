@@ -20,13 +20,12 @@ type errAfterIter struct {
 
 func (it *errAfterIter) Schema() tuple.Schema { return it.schema }
 
-func (it *errAfterIter) Next() (tuple.Tuple, bool) {
-	if it.i < len(it.rows) {
-		row := it.rows[it.i]
-		it.i++
-		return row, true
+func (it *errAfterIter) NextBatch(b *engine.RowBatch) bool {
+	b.Reset()
+	for ; it.i < len(it.rows) && b.Len() < b.Cap(); it.i++ {
+		b.Append(it.rows[it.i])
 	}
-	return nil, false
+	return b.Len() > 0
 }
 
 func (it *errAfterIter) Err() error { return it.err }
@@ -50,10 +49,10 @@ func TestLazySweepPropagatesDrainError(t *testing.T) {
 		return ts[0], nil
 	}, in)
 	defer it.Close()
-	if _, ok := it.Next(); ok {
+	if pull(it) {
 		t.Fatal("lazy sweep over a failed partition must yield no rows")
 	}
-	if err := engine.IterErr(it); !errors.Is(err, boom) {
+	if err := it.Err(); !errors.Is(err, boom) {
 		t.Fatalf("Err = %v, want %v", err, boom)
 	}
 }
@@ -69,10 +68,10 @@ func TestLazySweepPropagatesFnError(t *testing.T) {
 		return nil, boom
 	}, in)
 	defer it.Close()
-	if _, ok := it.Next(); ok {
+	if pull(it) {
 		t.Fatal("lazy sweep with a failing fn must yield no rows")
 	}
-	if err := engine.IterErr(it); !errors.Is(err, boom) {
+	if err := it.Err(); !errors.Is(err, boom) {
 		t.Fatalf("Err = %v, want %v", err, boom)
 	}
 }
@@ -87,10 +86,10 @@ func TestLazyDiffPropagatesDrainError(t *testing.T) {
 		return engine.TemporalDiff(ts[0], ts[1])
 	}, l, r)
 	defer it.Close()
-	if _, ok := it.Next(); ok {
+	if pull(it) {
 		t.Fatal("lazy diff over a failed partition must yield no rows")
 	}
-	if err := engine.IterErr(it); !errors.Is(err, boom) {
+	if err := it.Err(); !errors.Is(err, boom) {
 		t.Fatalf("Err = %v, want %v", err, boom)
 	}
 }

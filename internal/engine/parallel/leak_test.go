@@ -28,6 +28,10 @@ func waitForGoroutines(t *testing.T, base int) {
 		runtime.NumGoroutine(), base, buf[:n])
 }
 
+// pullRow reports whether one capacity-1 NextBatch on it delivered a
+// row.
+func pullRow(it engine.RowIter) bool { return it.NextBatch(engine.NewRowBatch(1)) }
+
 // Canceling the context mid-stream over a large parallel pipeline must
 // tear down every fragment goroutine (scan workers, distributor, merge
 // producers), and Close must be idempotent afterwards.
@@ -41,16 +45,13 @@ func TestCancelMidStreamReapsFragments(t *testing.T) {
 	}
 	// Consume a few rows so the exchange is in flight, then cancel.
 	for i := 0; i < 5; i++ {
-		if _, ok := it.Next(); !ok {
+		if !pullRow(it) {
 			t.Fatal("pipeline exhausted before cancellation; enlarge the dataset")
 		}
 	}
 	cancel()
 	// After cancellation the stream must terminate.
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
+	for pullRow(it) {
 	}
 	it.Close()
 	it.Close() // idempotent
@@ -66,7 +67,7 @@ func TestCloseMidStreamReapsFragments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := it.Next(); !ok {
+	if !pullRow(it) {
 		t.Fatal("empty pipeline")
 	}
 	it.Close()

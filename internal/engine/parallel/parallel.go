@@ -214,9 +214,7 @@ func (s *pstream) dataSchema() tuple.Schema {
 }
 
 // Exec evaluates p on db with opt.Workers fragments per partitioned
-// operator and returns a single row stream. The returned iterator also
-// implements engine.BatchIter and engine.ErrIter. The caller must Close
-// it; Close (or cancellation of ctx) stops and reaps every fragment
+// operator and returns a single row stream. The caller must Close it; Close (or cancellation of ctx) stops and reaps every fragment
 // goroutine.
 func Exec(ctx context.Context, db *engine.DB, p engine.Plan, opt Options) (engine.RowIter, error) {
 	workers := opt.Workers
@@ -248,7 +246,7 @@ func Exec(ctx context.Context, db *engine.DB, p engine.Plan, opt Options) (engin
 	// The outermost ObsIter counts rows on the parent node itself, so its
 	// row count is exactly what the root cursor observes.
 	root := engine.NewObsIter(engine.CheckNoAlias("parallel exec root", e.merge(s, opt.Stats)), opt.Stats)
-	return &execIter{e: e, it: root, bit: engine.AsBatchIter(root, morsel)}, nil
+	return &execIter{e: e, it: root}, nil
 }
 
 // buildSafe is the plan-build phase behind the panic boundary: a panic
@@ -276,20 +274,16 @@ func (e *executor) buildSafe(p engine.Plan, parent *engine.OpStats) (s *pstream,
 }
 
 // execIter is the root iterator returned by Exec: it owns the execution
-// context and reaps all fragment goroutines on Close. it and bit are
-// the same stream in its two protocols, so the cursor (or any other
-// consumer) drives the whole pipeline through NextBatch, one virtual
-// call per batch end to end, while per-row consumers keep working.
+// context and reaps all fragment goroutines on Close.
 type execIter struct {
-	e   *executor
-	it  engine.RowIter
-	bit engine.BatchIter
+	e  *executor
+	it engine.RowIter
 }
 
 func (it *execIter) Schema() tuple.Schema { return it.it.Schema() }
 
-// gate runs the pre-pull checks shared by Next and NextBatch: closed,
-// already-failed, and context state. A context error observed while the
+// gate runs the pre-pull checks: closed, already-failed, and context
+// state. A context error observed while the
 // iterator is still open is recorded as the query error — cancellation
 // and deadline expiry surface through Err, not as a silent end of
 // stream (fail drops it when Close canceled the context).
@@ -304,31 +298,15 @@ func (it *execIter) gate() bool {
 	return true
 }
 
-func (it *execIter) Next() (tuple.Tuple, bool) {
-	if !it.gate() {
-		return nil, false
-	}
-	var row tuple.Tuple
-	ok := it.guarded(func() bool {
-		var ok bool
-		row, ok = it.it.Next()
-		return ok
-	})
-	if !ok || !it.count(1) {
-		return nil, false
-	}
-	return row, true
-}
-
 func (it *execIter) NextBatch(b *engine.RowBatch) bool {
-	if it.gate() && it.guarded(func() bool { return it.bit.NextBatch(b) }) && it.count(b.Len()) {
+	if it.gate() && it.guarded(b) && it.count(b) {
 		return true
 	}
 	b.Reset()
 	return false
 }
 
-// guarded runs one root pull behind the consumer-side panic boundary —
+// guarded runs one root pull into b behind the consumer-side panic boundary —
 // a panic unwinding out of it (every operator of a single-fragment
 // pipeline runs on this goroutine) becomes the query error — and
 // records why a pull came back empty. gate checks the context before
@@ -337,27 +315,31 @@ func (it *execIter) NextBatch(b *engine.RowBatch) bool {
 // from a drained channel — and the consumer, seeing EOS, never pulls
 // again, so gate never re-runs. Without this post-check that is a
 // silent truncation.
-func (it *execIter) guarded(pull func() bool) (ok bool) {
+func (it *execIter) guarded(b *engine.RowBatch) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			it.e.fail(fmt.Errorf("parallel: panic in query root: %v\n%s", r, debug.Stack()))
 			ok = false
 		}
 	}()
-	if pull() {
+	if it.it.NextBatch(b) {
 		return true
 	}
-	it.e.fail(engine.FirstErr(engine.IterErr(it.it), it.e.ctx.Err()))
+	it.e.fail(engine.FirstErr(it.it.Err(), it.e.ctx.Err()))
 	return false
 }
 
-// count charges n emitted rows against the governor's row limit.
-func (it *execIter) count(n int) bool {
-	if err := it.e.gov.CountRows(int64(n)); err != nil {
+// count charges b's rows against the governor's row limit. A batch
+// that crosses the limit is cut to the rows still allowed, which are
+// delivered; the limit error is already recorded, so the next pull ends
+// the stream with it.
+func (it *execIter) count(b *engine.RowBatch) bool {
+	keep, err := it.e.gov.CountRows(int64(b.Len()))
+	if err != nil {
 		it.e.fail(err)
-		return false
+		b.Rows = b.Rows[:keep]
 	}
-	return true
+	return b.Len() > 0
 }
 
 // Err reports the query's terminal error: the executor's central slot
@@ -367,12 +349,12 @@ func (it *execIter) Err() error {
 	if err := it.e.errOf(); err != nil {
 		return err
 	}
-	return engine.IterErr(it.it)
+	return it.it.Err()
 }
 
 // Close cancels the execution context, closes the merged stream and
 // blocks until every fragment goroutine has exited. It is idempotent
-// and safe to call concurrently with Next.
+// and safe to call concurrently with NextBatch.
 func (it *execIter) Close() {
 	if it.e.closed.Swap(true) {
 		return

@@ -75,19 +75,15 @@ func TestSequentialIsOneFragment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bit, ok := it.(engine.BatchIter)
-	if !ok {
-		t.Fatalf("root %T does not implement engine.BatchIter", it)
-	}
 	got := &engine.Table{Schema: it.Schema()}
 	b := engine.NewRowBatch(0)
-	for bit.NextBatch(b) {
+	for it.NextBatch(b) {
 		got.Rows = append(got.Rows, b.Rows...)
 		if n := runtime.NumGoroutine(); n != before {
 			t.Fatalf("%d goroutines while draining at one worker, %d before Exec", n, before)
 		}
 	}
-	if err := engine.IterErr(it); err != nil {
+	if err := it.Err(); err != nil {
 		t.Fatal(err)
 	}
 	it.Close()
@@ -102,8 +98,9 @@ func TestSequentialIsOneFragment(t *testing.T) {
 	}
 }
 
-// Every qgen-grid plan's one-worker root speaks the batch protocol,
-// whatever operator ends up on top.
+// Every qgen-grid plan's one-worker root keeps the NextBatch contract —
+// true iff rows were delivered, never more than the capacity at one
+// worker — and ends cleanly, whatever operator ends up on top.
 func TestSequentialRootIsBatchIter(t *testing.T) {
 	for seed := int64(0); seed < 120; seed++ {
 		g := qgen.New(seed)
@@ -122,8 +119,18 @@ func TestSequentialRootIsBatchIter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: Exec(%s): %v", seed, p, err)
 			}
-			if _, ok := it.(engine.BatchIter); !ok {
-				t.Fatalf("seed %d: root %T of %s does not implement engine.BatchIter", seed, it, p)
+			b := engine.NewRowBatch(3)
+			for {
+				ok := it.NextBatch(b)
+				if ok != (b.Len() > 0) || b.Len() > 3 {
+					t.Fatalf("seed %d: root of %s broke the NextBatch contract: ok=%v with %d rows", seed, p, ok, b.Len())
+				}
+				if !ok {
+					break
+				}
+			}
+			if err := it.Err(); err != nil {
+				t.Fatalf("seed %d: %s: %v", seed, p, err)
 			}
 			it.Close()
 		}

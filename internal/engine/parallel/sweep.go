@@ -26,9 +26,8 @@ type lazySweepIter struct {
 	schema  tuple.Schema
 	fn      func(...*engine.Table) (*engine.Table, error)
 	gov     *engine.Governor
-	charged int64            // bytes of materialized input charged to gov
-	out     engine.RowIter   // scan of fn's result, once run
-	bout    engine.BatchIter // out's batch form
+	charged int64          // bytes of materialized input charged to gov
+	out     engine.RowIter // scan of fn's result, once run
 	err     error
 }
 
@@ -73,15 +72,7 @@ func (it *lazySweepIter) run() bool {
 		return false
 	}
 	it.out = engine.NewTableIter(t)
-	it.bout = engine.AsBatchIter(it.out, 0)
 	return true
-}
-
-func (it *lazySweepIter) Next() (tuple.Tuple, bool) {
-	if !it.run() {
-		return nil, false
-	}
-	return it.out.Next()
 }
 
 func (it *lazySweepIter) NextBatch(b *engine.RowBatch) bool {
@@ -89,7 +80,7 @@ func (it *lazySweepIter) NextBatch(b *engine.RowBatch) bool {
 		b.Reset()
 		return false
 	}
-	return it.bout.NextBatch(b)
+	return it.out.NextBatch(b)
 }
 
 // Err reports the input drain or fn failure; before the first pull it
@@ -98,7 +89,7 @@ func (it *lazySweepIter) NextBatch(b *engine.RowBatch) bool {
 func (it *lazySweepIter) Err() error {
 	err := it.err
 	for _, in := range it.ins {
-		err = engine.FirstErr(err, engine.IterErr(in))
+		err = engine.FirstErr(err, in.Err())
 	}
 	return err
 }

@@ -13,7 +13,7 @@ func CheckOrdered(op string, in RowIter) RowIter { return in }
 
 // CheckNoAlias is an identity function without the snapdebug build
 // tag; with it, the returned iterator asserts that yielded rows are
-// never mutated across Next calls and panics naming op on violation.
+// never mutated across NextBatch calls and panics naming op on violation.
 func CheckNoAlias(op string, in RowIter) RowIter { return in }
 
 // CheckErrChecked is an identity function without the snapdebug build

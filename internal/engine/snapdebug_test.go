@@ -14,6 +14,17 @@ func prow(a, begin, end int64) tuple.Tuple {
 	return tuple.Tuple{tuple.Int(a), tuple.Int(begin), tuple.Int(end)}
 }
 
+// drainCount drives it through capacity-1 batches to end of stream and
+// returns the rows delivered.
+func drainCount(it RowIter) int {
+	n := 0
+	b := NewRowBatch(1)
+	for it.NextBatch(b) {
+		n += b.Len()
+	}
+	return n
+}
+
 func mustPanic(t *testing.T, substrs []string, fn func()) {
 	t.Helper()
 	defer func() {
@@ -48,13 +59,7 @@ func TestCheckOrderedPanics(t *testing.T) {
 		Rows:   []tuple.Tuple{prow(1, 5, 6), prow(2, 3, 4)},
 	}
 	it := CheckOrdered("test sweep operator", NewTableIter(tbl))
-	mustPanic(t, []string{"test sweep operator", "out of begin order"}, func() {
-		for {
-			if _, ok := it.Next(); !ok {
-				return
-			}
-		}
-	})
+	mustPanic(t, []string{"test sweep operator", "out of begin order"}, func() { drainCount(it) })
 }
 
 func TestCheckOrderedAcceptsSorted(t *testing.T) {
@@ -63,13 +68,7 @@ func TestCheckOrderedAcceptsSorted(t *testing.T) {
 		Rows:   []tuple.Tuple{prow(1, 3, 9), prow(2, 3, 4), prow(3, 5, 6)},
 	}
 	it := CheckOrdered("test sweep operator", NewTableIter(tbl))
-	n := 0
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-		n++
-	}
+	n := drainCount(it)
 	it.Close()
 	if n != 3 {
 		t.Fatalf("wrapper dropped rows: got %d of 3", n)
@@ -85,16 +84,20 @@ type mutatingIter struct {
 
 func (it *mutatingIter) Schema() tuple.Schema { return PeriodSchema(tuple.NewSchema("a")) }
 
-func (it *mutatingIter) Next() (tuple.Tuple, bool) {
+func (it *mutatingIter) NextBatch(b *RowBatch) bool {
+	b.Reset()
 	if it.n >= 2 {
-		return nil, false
+		return false
 	}
 	it.n++
 	if it.n == 2 {
 		it.row[0] = tuple.Int(99)
 	}
-	return it.row, true
+	b.Append(it.row)
+	return true
 }
+
+func (it *mutatingIter) Err() error { return nil }
 
 func (it *mutatingIter) Close() {}
 
@@ -103,12 +106,8 @@ func (it *mutatingIter) Close() {}
 // naming the operator.
 func TestCheckNoAliasPanics(t *testing.T) {
 	it := CheckNoAlias("mutating test operator", &mutatingIter{row: prow(1, 0, 4)})
-	mustPanic(t, []string{"mutating test operator", "mutated a yielded row"}, func() {
-		for {
-			if _, ok := it.Next(); !ok {
-				break
-			}
-		}
+	mustPanic(t, []string{"mutating test operator", "mutated a delivered row"}, func() {
+		drainCount(it)
 		it.Close()
 	})
 }
@@ -123,15 +122,29 @@ func TestCheckNoAliasAcceptsSharedBacking(t *testing.T) {
 		Rows:   []tuple.Tuple{shared, shared},
 	}
 	it := CheckNoAlias("shared backing scan", NewTableIter(tbl))
-	n := 0
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-		n++
-	}
+	n := drainCount(it)
 	it.Close()
 	if n != 2 {
 		t.Fatalf("wrapper dropped rows: got %d of 2", n)
 	}
+}
+
+// TestCheckErrCheckedPanics drains a stream to end-of-stream through
+// CheckErrChecked and Closes it without consulting Err: the shim must
+// panic naming the drain site. Consulting Err first must not.
+func TestCheckErrCheckedPanics(t *testing.T) {
+	tbl := &Table{
+		Schema: PeriodSchema(tuple.NewSchema("a")),
+		Rows:   []tuple.Tuple{prow(1, 0, 4)},
+	}
+	it := CheckErrChecked("test drain site", NewTableIter(tbl))
+	drainCount(it)
+	mustPanic(t, []string{"test drain site", "without checking Err"}, it.Close)
+
+	it = CheckErrChecked("test drain site", NewTableIter(tbl))
+	drainCount(it)
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	it.Close()
 }

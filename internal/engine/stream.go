@@ -8,18 +8,30 @@ import (
 	"snapk/internal/tuple"
 )
 
-// RowIter is a pull-based iterator over period-encoded rows: the volcano
-// interface of the executor. Schema returns the full period
-// schema (data columns plus BeginCol/EndCol) of the produced rows. Next
-// returns the next row and true, or nil and false when the stream is
-// exhausted. Close releases the iterator's resources and those of its
-// children; it is safe to call more than once.
+// RowIter is the executor's one iterator protocol: a pull-based,
+// batch-at-a-time stream of period-encoded rows. Schema returns the
+// full period schema (data columns plus BeginCol/EndCol) of the
+// produced rows.
 //
-// Rows returned by Next are treated as immutable by all operators;
-// consumers that mutate a row must Clone it first.
+// NextBatch resets b, fills it with up to b.Cap() rows and reports
+// whether it delivered at least one; false means end of stream (b is
+// left empty). A true return with fewer rows is legal anywhere in the
+// stream — operators may emit what they have rather than block for a
+// full batch — so consumers must not treat a ragged batch as end of
+// input. See batch.go for the ownership rules of a batch.
+//
+// Err returns nil while the stream is live and after a natural end,
+// and the first error that terminated the stream early otherwise (see
+// fault.go); it is safe to call after Close. Close releases the
+// iterator's resources and those of its children; it is safe to call
+// more than once.
+//
+// Delivered rows are treated as immutable by all operators; consumers
+// that mutate a row must Clone it first.
 type RowIter interface {
 	Schema() tuple.Schema
-	Next() (tuple.Tuple, bool)
+	NextBatch(b *RowBatch) bool
+	Err() error
 	Close()
 }
 
@@ -41,28 +53,14 @@ func NewTableIter(t *Table) RowIter { return &tableIter{t: t} }
 
 func (it *tableIter) Schema() tuple.Schema { return it.t.Schema }
 
-func (it *tableIter) Next() (tuple.Tuple, bool) {
-	if it.i >= len(it.t.Rows) {
-		return nil, false
-	}
-	row := it.t.Rows[it.i]
-	it.i++
-	return row, true
-}
-
 // NextBatch hands out the next chunk of stored rows — the batch form of
 // the table scan: one bounds check and one copy of row references per
 // batch instead of a virtual call per row.
 func (it *tableIter) NextBatch(b *RowBatch) bool {
 	b.Reset()
-	n := len(it.t.Rows) - it.i
+	n := min(len(it.t.Rows)-it.i, b.Cap())
 	if n <= 0 {
 		return false
-	}
-	if c := cap(b.Rows); c > 0 && n > c {
-		n = c
-	} else if c == 0 && n > DefaultBatchSize {
-		n = DefaultBatchSize
 	}
 	b.Rows = append(b.Rows, it.t.Rows[it.i:it.i+n]...)
 	it.i += n
@@ -75,8 +73,7 @@ func (it *tableIter) Close() {}
 // fail mid-stream.
 func (it *tableIter) Err() error { return nil }
 
-// Materialize drains the iterator into a table, batch-at-a-time when
-// the iterator supports it. It does not Close it, and it DISCARDS the
+// Materialize drains the iterator into a table. It does not Close it, and it DISCARDS the
 // stream's terminal error — callers that must distinguish a truncated
 // drain from a complete one use MaterializeErr instead.
 func Materialize(it RowIter) *Table {
@@ -108,27 +105,14 @@ func NewFilterIter(in RowIter, pred algebra.Expr) (RowIter, error) {
 
 func (it *filterIter) Schema() tuple.Schema { return it.in.Schema() }
 
-func (it *filterIter) Next() (tuple.Tuple, bool) {
-	for {
-		row, ok := it.cur.next()
-		if !ok {
-			return nil, false
-		}
-		if algebra.Truthy(it.pred(row)) {
-			return row, true
-		}
-	}
-}
-
 // NextBatch filters whole child chunks with a plain range loop — per
 // row only the compiled predicate and a conditional append — and emits
 // as soon as one chunk yields any passing rows rather than blocking to
 // fill the batch (a ragged batch is legal anywhere in the stream).
 func (it *filterIter) NextBatch(out *RowBatch) bool {
 	out.Reset()
-	it.cur.enableBatch(batchCapOf(out))
 	for out.Len() == 0 {
-		rows, ok := it.cur.nextChunk()
+		rows, ok := it.cur.nextChunk(out.Cap())
 		if !ok {
 			break
 		}
@@ -144,17 +128,7 @@ func (it *filterIter) NextBatch(out *RowBatch) bool {
 func (it *filterIter) Close() { it.in.Close() }
 
 // Err delegates the terminal error to the input stream.
-func (it *filterIter) Err() error { return IterErr(it.in) }
-
-// batchCapOf returns the effective row capacity of an output batch —
-// its own capacity, or the engine default when the caller handed over
-// an empty batch with no backing yet.
-func batchCapOf(b *RowBatch) int {
-	if c := cap(b.Rows); c > 0 {
-		return c
-	}
-	return DefaultBatchSize
-}
+func (it *filterIter) Err() error { return it.in.Err() }
 
 // projectIter evaluates projection expressions row-at-a-time, carrying
 // the period attributes through unchanged — the pipelined form of
@@ -199,22 +173,13 @@ func (it *projectIter) project(row tuple.Tuple) tuple.Tuple {
 	return res
 }
 
-func (it *projectIter) Next() (tuple.Tuple, bool) {
-	row, ok := it.cur.next()
-	if !ok {
-		return nil, false
-	}
-	return it.project(row), true
-}
-
 // NextBatch projects one whole child chunk per call with a plain range
 // loop: expression evaluation still runs per row (each output row needs
 // its own backing array), but the iterator hop above and below is paid
 // once per batch.
 func (it *projectIter) NextBatch(out *RowBatch) bool {
 	out.Reset()
-	it.cur.enableBatch(batchCapOf(out))
-	rows, ok := it.cur.nextChunk()
+	rows, ok := it.cur.nextChunk(out.Cap())
 	if !ok {
 		return false
 	}
@@ -227,14 +192,13 @@ func (it *projectIter) NextBatch(out *RowBatch) bool {
 func (it *projectIter) Close() { it.in.Close() }
 
 // Err delegates the terminal error to the input stream.
-func (it *projectIter) Err() error { return IterErr(it.in) }
+func (it *projectIter) Err() error { return it.in.Err() }
 
 // unionIter concatenates two union-compatible streams — the pipelined
 // form of UnionAll.
 type unionIter struct {
-	l, r   RowIter
-	lb, rb BatchIter // batch forms of the children, bound on first NextBatch
-	lDone  bool      // l exhausted, now draining r
+	l, r  RowIter
+	lDone bool // l exhausted, now draining r
 }
 
 // NewUnionIter concatenates two union-compatible streams. It takes
@@ -252,31 +216,17 @@ func NewUnionIter(l, r RowIter) (RowIter, error) {
 
 func (it *unionIter) Schema() tuple.Schema { return it.l.Schema() }
 
-func (it *unionIter) Next() (tuple.Tuple, bool) {
-	if !it.lDone {
-		if row, ok := it.l.Next(); ok {
-			return row, true
-		}
-		it.lDone = true
-	}
-	return it.r.Next()
-}
-
 // NextBatch drains the left input batch-at-a-time, then the right: the
 // concatenation needs no per-row work at all, so whole child batches
 // pass straight through.
 func (it *unionIter) NextBatch(out *RowBatch) bool {
-	if it.lb == nil {
-		it.lb = AsBatchIter(it.l, batchCapOf(out))
-		it.rb = AsBatchIter(it.r, batchCapOf(out))
-	}
 	if !it.lDone {
-		if it.lb.NextBatch(out) {
+		if it.l.NextBatch(out) {
 			return true
 		}
 		it.lDone = true
 	}
-	return it.rb.NextBatch(out)
+	return it.r.NextBatch(out)
 }
 
 func (it *unionIter) Close() {
@@ -285,7 +235,7 @@ func (it *unionIter) Close() {
 }
 
 // Err reports the first terminal error of either input.
-func (it *unionIter) Err() error { return FirstErr(IterErr(it.l), IterErr(it.r)) }
+func (it *unionIter) Err() error { return FirstErr(it.l.Err(), it.r.Err()) }
 
 // hashJoinIter is the pipelined temporal hash join: the build side is
 // drained into a hash table on the extracted equi-key columns at
@@ -439,9 +389,8 @@ func (p *JoinPrep) Build(in RowIter, left bool, hint int64) *JoinBuild {
 	build := make(map[string]*joinBucket, hint)
 	var n int64
 	var scratch []byte
-	src := AsBatchIter(in, DefaultBatchSize)
 	batch := NewRowBatch(DefaultBatchSize)
-	for src.NextBatch(batch) {
+	for in.NextBatch(batch) {
 		for _, row := range batch.Rows {
 			// SQL comparison semantics: a NULL in any join key compares
 			// unknown, so such rows can never match.
@@ -459,7 +408,7 @@ func (p *JoinPrep) Build(in RowIter, left bool, hint int64) *JoinBuild {
 			n++
 		}
 	}
-	err := IterErr(in)
+	err := in.Err()
 	in.Close()
 	return &JoinBuild{prep: p, build: build, left: left, rows: n, err: err}
 }
@@ -566,10 +515,9 @@ func (it *hashJoinIter) Schema() tuple.Schema { return it.schema }
 // iterator hop on both sides of the probe is paid once per batch.
 func (it *hashJoinIter) NextBatch(out *RowBatch) bool {
 	out.Reset()
-	limit := batchCapOf(out)
-	it.cur.enableBatch(limit)
+	limit := out.Cap()
 	for out.Len() < limit {
-		row, ok := it.Next()
+		row, ok := it.next(limit)
 		if !ok {
 			break
 		}
@@ -578,7 +526,9 @@ func (it *hashJoinIter) NextBatch(out *RowBatch) bool {
 	return out.Len() > 0
 }
 
-func (it *hashJoinIter) Next() (tuple.Tuple, bool) {
+// next is the resumable probe loop: it returns the next output row,
+// pulling probe rows (capacity at a time) as buckets run out.
+func (it *hashJoinIter) next(capacity int) (tuple.Tuple, bool) {
 	for {
 		for it.bi < len(it.bucket) {
 			brow := it.bucket[it.bi]
@@ -593,14 +543,14 @@ func (it *hashJoinIter) Next() (tuple.Tuple, bool) {
 				return out, true
 			}
 		}
-		prow, ok := it.cur.next()
+		prow, ok := it.cur.next(capacity)
 		if !ok {
 			return nil, false
 		}
 		if hasNullAt(prow, it.probeIdx) {
 			continue
 		}
-		//lint:ignore rowretain probe row is held read-only and replaced by the next probe Next
+		//lint:ignore rowretain probe row is held read-only and replaced by the next probe row
 		it.prow = prow
 		it.scratch = prow.AppendKey(it.scratch[:0], it.probeIdx)
 		if b := it.build[string(it.scratch)]; b != nil {
@@ -615,4 +565,4 @@ func (it *hashJoinIter) Next() (tuple.Tuple, bool) {
 func (it *hashJoinIter) Close() { it.probe.Close() }
 
 // Err reports the build side's terminal error, then the probe side's.
-func (it *hashJoinIter) Err() error { return FirstErr(it.buildErr, IterErr(it.probe)) }
+func (it *hashJoinIter) Err() error { return FirstErr(it.buildErr, it.probe.Err()) }

@@ -285,7 +285,7 @@ func TestHashJoinAllocatesOnlyEmittedRows(t *testing.T) {
 	batch := NewRowBatch(DefaultBatchSize)
 	allocs := testing.AllocsPerRun(5, func() {
 		it := build.Probe(NewTableIter(l))
-		for it.(BatchIter).NextBatch(batch) {
+		for it.NextBatch(batch) {
 			t.Fatal("the residual rejects every pair")
 		}
 		it.Close()

@@ -142,7 +142,7 @@ type streamDiffIter struct {
 	nextSeq    int
 	queue      []tuple.Tuple
 	qi         int
-	// one-row lookahead per input, filled on first Next
+	// one-row lookahead per input, filled on the first pull
 	lRow, rRow tuple.Tuple
 	lOk, rOk   bool
 	primed     bool
@@ -221,11 +221,9 @@ func (it *streamDiffIter) enqueue(data tuple.Tuple, iv interval.Interval, mult i
 
 // fill runs the merged sweep until the output queue holds at least one
 // emitted row or both inputs are fully drained, reporting whether rows
-// are available — the shared production step behind both Next and
-// NextBatch. The one-row lookahead per side is pulled through the
-// per-side batch cursors, so a batch-driven chain amortizes both input
-// hops.
-func (it *streamDiffIter) fill() bool {
+// are available. The one-row lookahead per side is pulled through the
+// per-side batch cursors, capacity rows per read.
+func (it *streamDiffIter) fill(capacity int) bool {
 	for {
 		if it.qi < len(it.queue) {
 			return true
@@ -236,8 +234,8 @@ func (it *streamDiffIter) fill() bool {
 			return false
 		}
 		if !it.primed {
-			it.lRow, it.lOk = it.lcur.next()
-			it.rRow, it.rOk = it.rcur.next()
+			it.lRow, it.lOk = it.lcur.next(capacity)
+			it.rRow, it.rOk = it.rcur.next(capacity)
 			it.primed = true
 		}
 		// Merge step: take the earlier begin (ties go left — immaterial
@@ -247,13 +245,13 @@ func (it *streamDiffIter) fill() bool {
 		switch {
 		case it.lOk && (!it.rOk || rowInterval(it.lRow).Begin <= rowInterval(it.rRow).Begin):
 			row, sign = it.lRow, 1
-			it.lRow, it.lOk = it.lcur.next()
+			it.lRow, it.lOk = it.lcur.next(capacity)
 			if it.lOk && rowInterval(it.lRow).Begin < rowInterval(row).Begin {
 				panic(fmt.Sprintf("engine: streaming difference left input not begin-sorted (begin %d after %d); planner must insert a sort enforcer", rowInterval(it.lRow).Begin, rowInterval(row).Begin))
 			}
 		case it.rOk:
 			row, sign = it.rRow, -1
-			it.rRow, it.rOk = it.rcur.next()
+			it.rRow, it.rOk = it.rcur.next(capacity)
 			if it.rOk && rowInterval(it.rRow).Begin < rowInterval(row).Begin {
 				panic(fmt.Sprintf("engine: streaming difference right input not begin-sorted (begin %d after %d); planner must insert a sort enforcer", rowInterval(it.rRow).Begin, rowInterval(row).Begin))
 			}
@@ -304,24 +302,12 @@ func (it *streamDiffIter) fill() bool {
 	}
 }
 
-func (it *streamDiffIter) Next() (tuple.Tuple, bool) {
-	if !it.fill() {
-		return nil, false
-	}
-	row := it.queue[it.qi]
-	it.qi++
-	return row, true
-}
-
 // NextBatch copies emitted segments out of the sweep queue
-// chunk-at-a-time, enabling batch reads on both inputs from the first
-// call on; see streamCoalesceIter.NextBatch for the copy-out rationale.
+// chunk-at-a-time; see streamCoalesceIter.NextBatch for the copy-out rationale.
 func (it *streamDiffIter) NextBatch(out *RowBatch) bool {
 	out.Reset()
-	limit := batchCapOf(out)
-	it.lcur.enableBatch(limit)
-	it.rcur.enableBatch(limit)
-	for out.Len() < limit && it.fill() {
+	limit := out.Cap()
+	for out.Len() < limit && it.fill(limit) {
 		n := len(it.queue) - it.qi
 		if r := limit - out.Len(); n > r {
 			n = r
@@ -340,4 +326,4 @@ func (it *streamDiffIter) Close() {
 // Err reports the first terminal error of either input; see
 // streamCoalesceIter.Err for why the sweep's flushed output is only
 // valid when this reports nil.
-func (it *streamDiffIter) Err() error { return FirstErr(IterErr(it.l), IterErr(it.r)) }
+func (it *streamDiffIter) Err() error { return FirstErr(it.l.Err(), it.r.Err()) }

@@ -32,12 +32,10 @@ func TestStreamDiffPeakState(t *testing.T) {
 	defer iter.Close()
 	sd := iter.(*streamDiffIter)
 	var peakGroups, peakExpiry, peakEnds, peakQueue, rows int
-	for {
-		_, ok := iter.Next()
-		if !ok {
-			break
-		}
-		rows++
+	// Capacity-1 batches sample the sweep state after every output row.
+	b := NewRowBatch(1)
+	for iter.NextBatch(b) {
+		rows += b.Len()
 		if len(sd.groups) > peakGroups {
 			peakGroups = len(sd.groups)
 		}

@@ -89,11 +89,7 @@ func TestStreamDiffUnsortedInputPanics(t *testing.T) {
 					t.Fatalf("%s input out of order must panic", side)
 				}
 			}()
-			for {
-				if _, ok := it.Next(); !ok {
-					break
-				}
-			}
+			engine.MaterializeErr(it)
 		}()
 	}
 }
@@ -181,12 +177,10 @@ type countingIter struct {
 	n *int
 }
 
-func (it countingIter) Next() (tuple.Tuple, bool) {
-	row, ok := it.RowIter.Next()
-	if ok {
-		*it.n++
-	}
-	return row, ok
+func (it countingIter) NextBatch(b *engine.RowBatch) bool {
+	ok := it.RowIter.NextBatch(b)
+	*it.n += b.Len()
+	return ok
 }
 
 // TestStreamDiffEmitsIncrementally: the streaming difference must
@@ -209,7 +203,8 @@ func TestStreamDiffEmitsIncrementally(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	if _, ok := it.Next(); !ok {
+	// A capacity-1 pull reads the inputs one row at a time.
+	if !it.NextBatch(engine.NewRowBatch(1)) {
 		t.Fatal("difference is empty")
 	}
 	if ln+rn > 20 {

@@ -256,9 +256,8 @@ func (it *streamCoalesceIter) enqueue(data tuple.Tuple, iv interval.Interval, mu
 
 // fill runs the sweep until the output queue holds at least one emitted
 // row or the stream is fully drained, reporting whether rows are
-// available — the shared production step behind both Next (one row per
-// call) and NextBatch (the queue copied out chunk-at-a-time).
-func (it *streamCoalesceIter) fill() bool {
+// available; capacity sizes the cursor's reads of the input.
+func (it *streamCoalesceIter) fill(capacity int) bool {
 	for {
 		if it.qi < len(it.queue) {
 			return true
@@ -268,7 +267,7 @@ func (it *streamCoalesceIter) fill() bool {
 		if it.drained {
 			return false
 		}
-		row, ok := it.cur.next()
+		row, ok := it.cur.next(capacity)
 		if !ok {
 			// End of input: sweep every remaining live group past its
 			// last pending end (order is immaterial — the output is a
@@ -309,25 +308,14 @@ func (it *streamCoalesceIter) fill() bool {
 	}
 }
 
-func (it *streamCoalesceIter) Next() (tuple.Tuple, bool) {
-	if !it.fill() {
-		return nil, false
-	}
-	row := it.queue[it.qi]
-	it.qi++
-	return row, true
-}
-
 // NextBatch copies finished segments out of the sweep queue
-// chunk-at-a-time, reading the input batch-at-a-time from the first
-// call on. Copying (rather than handing out the queue slice) keeps the
+// chunk-at-a-time. Copying (rather than handing out the queue slice) keeps the
 // queue's backing array private, so its reuse on the next fill cannot
 // alias a delivered batch.
 func (it *streamCoalesceIter) NextBatch(out *RowBatch) bool {
 	out.Reset()
-	limit := batchCapOf(out)
-	it.cur.enableBatch(limit)
-	for out.Len() < limit && it.fill() {
+	limit := out.Cap()
+	for out.Len() < limit && it.fill(limit) {
 		n := len(it.queue) - it.qi
 		if r := limit - out.Len(); n > r {
 			n = r
@@ -344,7 +332,7 @@ func (it *streamCoalesceIter) Close() { it.in.Close() }
 // looks like end of input to the sweep (it flushes and emits what it
 // has); the delegated error is what tells the root consumer to discard
 // that output.
-func (it *streamCoalesceIter) Err() error { return IterErr(it.in) }
+func (it *streamCoalesceIter) Err() error { return it.in.Err() }
 
 // aggGroup is the per-group state of the streaming pre-aggregated
 // split: incremental accumulators, the rows whose intervals are still
@@ -548,9 +536,8 @@ func (it *streamAggIter) advance(g *aggGroup, t interval.Time) {
 
 // fill runs the sweep until the output queue holds at least one emitted
 // row or the stream is fully drained, reporting whether rows are
-// available — the shared production step behind both Next and
-// NextBatch.
-func (it *streamAggIter) fill() bool {
+// available; capacity sizes the cursor's reads of the input.
+func (it *streamAggIter) fill(capacity int) bool {
 	for {
 		if it.qi < len(it.queue) {
 			return true
@@ -560,7 +547,7 @@ func (it *streamAggIter) fill() bool {
 		if it.drained {
 			return false
 		}
-		row, ok := it.cur.next()
+		row, ok := it.cur.next(capacity)
 		if !ok {
 			for _, g := range it.groups {
 				// Drain the remaining exits; then global aggregation closes
@@ -612,23 +599,13 @@ func (it *streamAggIter) fill() bool {
 	}
 }
 
-func (it *streamAggIter) Next() (tuple.Tuple, bool) {
-	if !it.fill() {
-		return nil, false
-	}
-	row := it.queue[it.qi]
-	it.qi++
-	return row, true
-}
-
 // NextBatch copies finished segments out of the sweep queue
 // chunk-at-a-time; see streamCoalesceIter.NextBatch for the copy-out
 // rationale.
 func (it *streamAggIter) NextBatch(out *RowBatch) bool {
 	out.Reset()
-	limit := batchCapOf(out)
-	it.cur.enableBatch(limit)
-	for out.Len() < limit && it.fill() {
+	limit := out.Cap()
+	for out.Len() < limit && it.fill(limit) {
 		n := len(it.queue) - it.qi
 		if r := limit - out.Len(); n > r {
 			n = r
@@ -644,4 +621,4 @@ func (it *streamAggIter) Close() { it.in.Close() }
 // Err delegates the terminal error to the input stream; see
 // streamCoalesceIter.Err for why the sweep's flushed output is only
 // valid when this reports nil.
-func (it *streamAggIter) Err() error { return IterErr(it.in) }
+func (it *streamAggIter) Err() error { return it.in.Err() }

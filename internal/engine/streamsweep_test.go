@@ -127,11 +127,9 @@ func TestStreamCoalesceEvictsClosedGroups(t *testing.T) {
 	it := NewStreamCoalesceIter(NewTableIter(in)).(*streamCoalesceIter)
 	defer it.Close()
 	rows, maxLive := 0, 0
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-		rows++
+	b := NewRowBatch(1) // sample the live groups after every output row
+	for it.NextBatch(b) {
+		rows += b.Len()
 		if len(it.groups) > maxLive {
 			maxLive = len(it.groups)
 		}
@@ -158,11 +156,9 @@ func TestStreamAggEvictsClosedGroups(t *testing.T) {
 	it := raw.(*streamAggIter)
 	defer it.Close()
 	rows, maxLive := 0, 0
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-		rows++
+	b := NewRowBatch(1) // sample the live groups after every output row
+	for it.NextBatch(b) {
+		rows += b.Len()
 		if len(it.groups) > maxLive {
 			maxLive = len(it.groups)
 		}

@@ -55,8 +55,7 @@ func ClipWindow(t *Table, T interval.Interval) *Table {
 }
 
 // windowIter streams τ_T over its input — the pipelined form of
-// ClipWindow, shaped like filterIter so batch drives amortize the child
-// pulls.
+// ClipWindow, shaped like filterIter.
 type windowIter struct {
 	in  RowIter
 	cur batchCursor
@@ -71,26 +70,13 @@ func NewWindowIter(in RowIter, T interval.Interval) RowIter {
 
 func (it *windowIter) Schema() tuple.Schema { return it.in.Schema() }
 
-func (it *windowIter) Next() (tuple.Tuple, bool) {
-	for {
-		row, ok := it.cur.next()
-		if !ok {
-			return nil, false
-		}
-		if iv, over := rowInterval(row).Intersect(it.t); over {
-			return clipRow(row, iv), true
-		}
-	}
-}
-
 // NextBatch clips whole child chunks with a plain range loop, emitting
 // as soon as one chunk yields any surviving rows (a ragged batch is
 // legal anywhere in the stream).
 func (it *windowIter) NextBatch(out *RowBatch) bool {
 	out.Reset()
-	it.cur.enableBatch(batchCapOf(out))
 	for out.Len() == 0 {
-		rows, ok := it.cur.nextChunk()
+		rows, ok := it.cur.nextChunk(out.Cap())
 		if !ok {
 			break
 		}
@@ -106,7 +92,7 @@ func (it *windowIter) NextBatch(out *RowBatch) bool {
 func (it *windowIter) Close() { it.in.Close() }
 
 // Err delegates the terminal error to the input stream.
-func (it *windowIter) Err() error { return IterErr(it.in) }
+func (it *windowIter) Err() error { return it.in.Err() }
 
 // PruneWindowScan is the zone-map check for a windowed scan of a stored
 // table: it reports how much of t a τ_T directly above the scan can

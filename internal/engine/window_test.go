@@ -7,6 +7,7 @@ package engine
 // prune is a pure access-path optimization.
 
 import (
+	"fmt"
 	"testing"
 
 	"snapk/internal/interval"
@@ -91,8 +92,8 @@ func TestClipWindowPreservesSortedMetadata(t *testing.T) {
 	}
 }
 
-// The streaming iterator must agree with ClipWindow on both drive
-// protocols — per-row Next and NextBatch.
+// The streaming iterator must agree with ClipWindow at every batch
+// capacity.
 func TestWindowIterMatchesClipWindow(t *testing.T) {
 	in := windowTable(
 		interval.New(0, 5), interval.New(3, 12), interval.New(11, 14),
@@ -101,33 +102,19 @@ func TestWindowIterMatchesClipWindow(t *testing.T) {
 	T := interval.New(10, 20)
 	want := ClipWindow(in, T)
 
-	it := NewWindowIter(NewTableIter(in), T)
-	var rows []tuple.Tuple
-	for {
-		row, ok := it.Next()
-		if !ok {
-			break
+	for _, size := range []int{1, 2, DefaultBatchSize} {
+		it := NewWindowIter(NewTableIter(in), T)
+		batch := NewRowBatch(size) // below the survivor count: multiple batches
+		var rows []tuple.Tuple
+		for it.NextBatch(batch) {
+			rows = append(rows, batch.Rows...)
 		}
-		rows = append(rows, row)
+		it.Close()
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		assertWindowRows(t, fmt.Sprintf("capacity-%d drive", size), rows, want)
 	}
-	it.Close()
-	assertWindowRows(t, "Next drive", rows, want)
-
-	it = NewWindowIter(NewTableIter(in), T)
-	batch := NewRowBatch(2) // smaller than the survivor count: multiple batches
-	rows = nil
-	bi, ok := it.(BatchIter)
-	if !ok {
-		t.Fatal("window iterator must implement the batch protocol")
-	}
-	for bi.NextBatch(batch) {
-		rows = append(rows, batch.Rows...)
-	}
-	it.Close()
-	if err := IterErr(it); err != nil {
-		t.Fatal(err)
-	}
-	assertWindowRows(t, "NextBatch drive", rows, want)
 }
 
 func assertWindowRows(t *testing.T, drive string, rows []tuple.Tuple, want *Table) {

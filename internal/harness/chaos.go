@@ -101,13 +101,11 @@ func runGovernedVariant(db *engine.DB, v sweepVariant, runs int, lim engine.Limi
 			return err
 		}
 		defer it.Close()
-		for {
-			if _, ok := it.Next(); !ok {
-				break
-			}
-			rows++
+		b := engine.NewRowBatch(engine.DefaultBatchSize)
+		for it.NextBatch(b) {
+			rows += b.Len()
 		}
-		if err := engine.IterErr(it); err != nil {
+		if err := it.Err(); err != nil {
 			return err
 		}
 		if rows == 0 {

@@ -8,11 +8,11 @@ import (
 
 // IterClose reports row iterators that are obtained but neither closed
 // nor handed off. A function that calls something returning a
-// RowIter-shaped value (method set has Next and Close — engine.RowIter
-// implementations and *snapk.Rows alike) owns it and must discharge the
-// obligation by calling Close on it, returning it, or passing it to
-// another function/struct that takes ownership. An iterator that is
-// only ever Next()ed leaks its pipeline — under the parallel executor
+// RowIter-shaped value (method set has Close and Next or NextBatch —
+// engine.RowIter implementations and *snapk.Rows alike) owns it and
+// must discharge the obligation by calling Close on it, returning it,
+// or passing it to another function/struct that takes ownership. An
+// iterator that is only ever pulled leaks its pipeline — under the parallel executor
 // that means leaked fragment goroutines, not just memory.
 //
 // The hand-off rule is deliberately conservative: any use other than a

@@ -9,12 +9,12 @@ import (
 // RowRetain reports producer-owned row state that is retained past its
 // validity window without an explicit copy. Two classes are covered:
 //
-//   - Tuples obtained from an iterator's Next()/next() that are
-//     retained — stored into a struct field, map, slice element,
+//   - Tuples obtained from a batch's rows or a cursor's next() that
+//     are retained — stored into a struct field, map, slice element,
 //     appended, placed in a composite literal, or sent on a channel —
-//     without an explicit Clone. Rows yielded by Next are owned by the
+//     without an explicit Clone. Delivered rows are owned by the
 //     producer and may alias its internal buffers; retaining one across
-//     Next calls is exactly the silent-corruption class PR 1 fixed.
+//     pulls is exactly the silent-corruption class PR 1 fixed.
 //
 //   - The row SLICE of an engine.RowBatch (b.Rows, or any sub-slice of
 //     it) that is retained the same way. A batch's row slice is valid
@@ -30,7 +30,7 @@ import (
 //	//lint:ignore rowretain <why the producer never reuses the retained memory>
 var RowRetain = &Analyzer{
 	Name: "rowretain",
-	Doc:  "rows from Next()/NextBatch must be Cloned (tuples) or copied out (batch row slices) before being retained",
+	Doc:  "rows of a NextBatch (or a cursor's next()) must be Cloned (tuples) or copied out (batch row slices) before being retained",
 	Run:  runRowRetain,
 }
 

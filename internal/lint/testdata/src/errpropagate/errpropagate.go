@@ -59,6 +59,35 @@ func drainsBatchAndDrops(b *Batch) int {
 	return n
 }
 
+// BatchOnly is the engine's batch-only shape: no Next at all.
+type BatchOnly interface {
+	NextBatch(*Batch) bool
+	Err() error
+	Close()
+}
+
+func openBatchOnly() BatchOnly { return nil }
+
+func drainsBatchOnlyAndDrops(b *Batch) int {
+	it := openBatchOnly()
+	defer it.Close()
+	n := 0
+	for it.NextBatch(b) { // want "stream error is never consulted"
+		n += len(b.Rows)
+	}
+	return n
+}
+
+func drainsBatchOnlyAndChecks(b *Batch) (int, error) {
+	it := openBatchOnly()
+	defer it.Close()
+	n := 0
+	for it.NextBatch(b) {
+		n += len(b.Rows)
+	}
+	return n, it.Err()
+}
+
 func drainsAndChecksErr() (int, error) {
 	it := open()
 	defer it.Close()

@@ -13,6 +13,16 @@ type RowIter interface {
 
 func open() RowIter { return nil }
 
+// BatchIter is the engine's batch-only shape: no Next at all.
+type BatchIter interface {
+	NextBatch(*Batch) bool
+	Close()
+}
+
+type Batch struct{ Rows []Row }
+
+func openBatch() BatchIter { return nil }
+
 func sink(it RowIter) { it.Close() }
 
 func leaks() bool {
@@ -27,6 +37,17 @@ func leaksBoth() (bool, bool) {
 	_, okA := a.Next()
 	_, okB := b.Next()
 	return okA, okB
+}
+
+func leaksBatch(b *Batch) bool {
+	it := openBatch() // want "never closed"
+	return it.NextBatch(b)
+}
+
+func closesBatch(b *Batch) bool {
+	it := openBatch()
+	defer it.Close()
+	return it.NextBatch(b)
 }
 
 func closes() bool {

@@ -6,16 +6,21 @@ import (
 )
 
 // isClosable reports whether t's method set (including the pointer
-// method set for addressable values) contains both Close and Next —
-// the structural signature of the engine's RowIter and of snapk.Rows.
-// Matching structurally rather than by named type keeps the check
-// working for every wrapper iterator without importing the engine.
+// method set for addressable values) contains Close and a pull method,
+// Next or NextBatch — the structural signature of the engine's
+// batch-only RowIter and of snapk.Rows. Matching structurally rather
+// than by named type keeps the check working for every wrapper
+// iterator without importing the engine.
 func isClosable(t types.Type) bool {
 	if t == nil {
 		return false
 	}
-	return hasMethods(t, "Close", "Next") ||
-		hasMethods(types.NewPointer(t), "Close", "Next")
+	for _, pull := range []string{"Next", "NextBatch"} {
+		if hasMethods(t, "Close", pull) || hasMethods(types.NewPointer(t), "Close", pull) {
+			return true
+		}
+	}
+	return false
 }
 
 func hasMethods(t types.Type, names ...string) bool {

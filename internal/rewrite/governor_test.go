@@ -16,8 +16,8 @@ import (
 	"snapk/internal/rewrite"
 )
 
-// drainGoverned pulls the stream per-row to end-of-stream, returning
-// the row count and terminal error.
+// drainGoverned pulls the stream batch-at-a-time to end-of-stream,
+// returning the row count and terminal error.
 func drainGoverned(t *testing.T, db *engine.DB, q algebra.Query, opt rewrite.Options) (int64, error) {
 	t.Helper()
 	it, err := rewrite.Stream(context.Background(), db, q, opt)
@@ -26,17 +26,17 @@ func drainGoverned(t *testing.T, db *engine.DB, q algebra.Query, opt rewrite.Opt
 	}
 	defer it.Close()
 	var n int64
-	for {
-		if _, ok := it.Next(); !ok {
-			return n, engine.IterErr(it)
-		}
-		n++
+	b := engine.NewRowBatch(engine.DefaultBatchSize)
+	for it.NextBatch(b) {
+		n += int64(b.Len())
 	}
+	return n, it.Err()
 }
 
-// The row limit is exact under per-row drive (the root's Next): the
-// governor counts at the root, so exactly RowLimit rows come out before
-// ErrRowLimit — at one worker and at four alike.
+// The row limit is exact: the governor counts at the root and cuts the
+// batch that crosses the limit, so exactly RowLimit rows come out before
+// ErrRowLimit — at one worker and at four alike, with the limit inside
+// the first batch.
 func TestRowLimitExactPerRow(t *testing.T) {
 	db := analyzeLeakDB()
 	q := algebra.Rel{Name: "big"}
@@ -55,8 +55,7 @@ func TestRowLimitExactPerRow(t *testing.T) {
 	}
 }
 
-// Under batch drive the limit still terminates the query with the typed
-// error; delivery stops within one batch of the limit.
+// A limit that is not a multiple of the batch size is still exact.
 func TestRowLimitBatchDrive(t *testing.T) {
 	db := analyzeLeakDB()
 	q := algebra.Rel{Name: "big"}
@@ -69,8 +68,8 @@ func TestRowLimitBatchDrive(t *testing.T) {
 		if !errors.Is(err, engine.ErrRowLimit) {
 			t.Fatalf("par=%d: err = %v, want ErrRowLimit", par, err)
 		}
-		if n > 100 {
-			t.Fatalf("par=%d: %d rows delivered past the limit", par, n)
+		if n != 100 {
+			t.Fatalf("par=%d: %d rows delivered before the limit, want exactly 100", par, n)
 		}
 	}
 }

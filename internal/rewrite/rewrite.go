@@ -318,11 +318,10 @@ func Run(db *engine.DB, q algebra.Query, opt Options) (*engine.Table, error) {
 // entry point behind snapk.DB.QueryRows. The plan runs on
 // parallel.Exec with Options.Parallelism fragments per partitioned
 // operator; ctx cancellation tears the pipeline (and any fragment
-// goroutines) down. The returned iterator implements engine.BatchIter
-// and carries the error-carrying protocol: a consumer
-// that drains it to end-of-stream must check engine.IterErr before
-// trusting the result (the snapdebug build asserts exactly this at the
-// root). The caller must Close the returned iterator.
+// goroutines) down. A consumer that drains the returned iterator to
+// end-of-stream must check its Err before trusting the result (the
+// snapdebug build asserts exactly this at the root). The caller must
+// Close the returned iterator.
 func Stream(ctx context.Context, db *engine.DB, q algebra.Query, opt Options) (engine.RowIter, error) {
 	p, dec, err := PlanQuery(q, db, opt)
 	if err != nil {

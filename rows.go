@@ -35,14 +35,12 @@ type Rows struct {
 	emitted int64
 	flushed bool
 	// Batch drain: the cursor pulls engine.DefaultBatchSize rows per
-	// NextBatch call on the pipeline root (bit is it in its batch form)
-	// and hands them out one at a time, so the whole operator chain pays
-	// one virtual call per batch instead of one per row. Row tuples are
+	// NextBatch call on the pipeline root and hands them out one at a
+	// time — the only per-row iteration in the system. Row tuples are
 	// immutable once yielded, so the current row staying live across a
 	// refill is safe; only the batch's row slice is reused.
-	bit engine.BatchIter
-	b   engine.RowBatch
-	bi  int
+	b  engine.RowBatch
+	bi int
 }
 
 // QueryRows evaluates a snapshot SQL query under the Seq approach and
@@ -61,14 +59,18 @@ func (db *DB) QueryRows(ctx context.Context, sql string) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newRows(ctx, it), nil
+}
+
+// newRows returns the cursor over a query root stream.
+func newRows(ctx context.Context, it engine.RowIter) *Rows {
 	sch := it.Schema()
 	return &Rows{
 		ctx:  ctx,
 		it:   it,
 		cols: append([]string{}, sch.Cols[:sch.Arity()-2]...),
-		bit:  engine.AsBatchIter(it, 0),
 		b:    *engine.NewRowBatch(engine.DefaultBatchSize),
-	}, nil
+	}
 }
 
 // Columns returns the data column names of the result (the validity
@@ -91,7 +93,7 @@ func (r *Rows) Next() bool {
 		// failed operator or a contained panic all surface here, while a
 		// naturally complete stream reports nil — so a cancel issued after
 		// full consumption never retroactively becomes an error.
-		r.err = engine.IterErr(r.it)
+		r.err = r.it.Err()
 		return false
 	}
 	//lint:ignore rowretain the cursor row is exposed read-only via Scan/Values and replaced on the next Next
@@ -104,7 +106,7 @@ func (r *Rows) Next() bool {
 // is used up.
 func (r *Rows) next() (tuple.Tuple, bool) {
 	if r.bi >= r.b.Len() {
-		if !r.bit.NextBatch(&r.b) {
+		if !r.it.NextBatch(&r.b) {
 			return nil, false
 		}
 		r.bi = 0
