@@ -132,7 +132,7 @@ func And(es ...Expr) Expr {
 // comma join, which contributes nothing to a conjunction.
 func IsTrue(e Expr) bool {
 	c, ok := e.(Const)
-	return ok && c.Val == tuple.Bool(true)
+	return ok && tuple.Equal(c.Val, tuple.Bool(true))
 }
 
 // Or returns the disjunction of the given expressions (false if empty).

@@ -3,7 +3,6 @@ package engine
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -193,7 +192,7 @@ func aggregateSweep(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpe
 // aggSegment is the fused coalesce of both pre-aggregated sweeps. held
 // is the group's previous output row, still invisible to any consumer,
 // or nil. When held ends where seg begins and carries the aggregate
-// values the sweepers report now — equal under sameKey, the rule
+// values the sweepers report now — equal under tuple.SameKey, the rule
 // Coalesce groups rows by — held is extended to cover seg and nil is
 // returned; otherwise the new output row for seg is. A group's
 // segments are disjoint and carry multiplicity 1, so merging exactly
@@ -214,39 +213,14 @@ func aggSegment(held, group tuple.Tuple, sweepers []*aggSweeper, seg interval.In
 }
 
 // sameResults reports whether vals starts with the sweepers' current
-// results, value by value under sameKey.
+// results, value by value under tuple.SameKey.
 func sameResults(vals tuple.Tuple, sweepers []*aggSweeper) bool {
 	for i, sw := range sweepers {
-		if !sameKey(vals[i], sw.result()) {
+		if !tuple.SameKey(vals[i], sw.result()) {
 			return false
 		}
 	}
 	return true
-}
-
-// sameKey reports whether AppendKey encodes a and b alike — the value
-// equality Coalesce groups by — without encoding either. It is not
-// tuple.Equal: Compare calls NaN equal to every number, while the key
-// separates NaN from numbers and spells every NaN the same.
-func sameKey(a, b tuple.Value) bool {
-	if a == b {
-		return true // one kind and payload; also 0.0 == −0.0, both keyed 0
-	}
-	switch ak, bk := a.Kind(), b.Kind(); {
-	case ak == tuple.KindFloat && bk == tuple.KindFloat:
-		return math.IsNaN(a.AsFloat()) && math.IsNaN(b.AsFloat())
-	case ak == tuple.KindInt && bk == tuple.KindFloat:
-		return floatKeysAsInt(b.AsFloat(), a.AsInt())
-	case ak == tuple.KindFloat && bk == tuple.KindInt:
-		return floatKeysAsInt(a.AsFloat(), b.AsInt())
-	}
-	return false
-}
-
-// floatKeysAsInt reports whether AppendKey spells f as the integer i:
-// it keys every float that equals an int64 as that integer.
-func floatKeysAsInt(f float64, i int64) bool {
-	return f == math.Trunc(f) && f >= -0x1p63 && f < 0x1p63 && int64(f) == i
 }
 
 // aggregateNaive materializes the split (Def 8.3) and hash-aggregates.

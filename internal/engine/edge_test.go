@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math"
 	"testing"
 
 	"snapk/internal/algebra"
@@ -91,27 +90,6 @@ func TestDiffPartialOverlaps(t *testing.T) {
 	for tp, want := range map[int64]int64{0: 2, 3: 1, 5: 2, 8: 3, 10: 1, 15: 0, 20: 0} {
 		if got := alg.Timeslice(ann, tp); got != want {
 			t.Fatalf("τ_%d = %d, want %d (ann %v)", tp, got, want, ann)
-		}
-	}
-}
-
-// sameKey, which the fused aggregation emission merges segments by,
-// must agree with AppendKey — the encoding Coalesce groups rows by — on
-// every pair of values, the numeric corner cases included.
-func TestFusedSameKeyMatchesAppendKey(t *testing.T) {
-	values := []tuple.Value{
-		tuple.Null, tuple.Int(0), tuple.Int(3), tuple.Int(-3), tuple.Int(1 << 62),
-		tuple.Float(0), tuple.Float(math.Copysign(0, -1)), tuple.Float(3), tuple.Float(-3),
-		tuple.Float(3.5), tuple.Float(1 << 62), tuple.Float(0x1p63), tuple.Float(-0x1p63),
-		tuple.Float(math.Inf(1)), tuple.Float(math.Inf(-1)), tuple.Float(math.NaN()),
-		tuple.Float(-math.NaN()), str("3"), str(""), tuple.Bool(true), tuple.Bool(false),
-	}
-	for _, a := range values {
-		for _, b := range values {
-			want := tuple.Tuple{a}.Key() == tuple.Tuple{b}.Key()
-			if got := sameKey(a, b); got != want {
-				t.Errorf("sameKey(%v, %v) = %v, AppendKey says %v", a, b, got, want)
-			}
 		}
 	}
 }

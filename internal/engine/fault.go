@@ -32,6 +32,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"snapk/internal/tuple"
 )
@@ -185,12 +186,13 @@ func (g *Governor) MemInUse() int64 {
 	return g.mem.Load()
 }
 
-// ApproxRowBytes estimates the in-memory footprint of one period row
-// of the given arity: the slice header and backing array plus the
-// tagged values. It is deliberately a cheap static estimate — the
-// governor bounds state growth, it does not meter the allocator.
+// ApproxRowBytes is the in-memory footprint of one stored period row of
+// the given arity: its slice header in the holding slice plus a backing
+// array of arity values. Multiples of 16 bytes up to 256 are allocator
+// size classes, so for 16-byte values it is exact up to arity 16; the
+// governor charges it per row held, without metering the allocator.
 func ApproxRowBytes(arity int) int64 {
-	return 48 + 16*int64(arity)
+	return int64(unsafe.Sizeof(tuple.Tuple{})) + int64(arity)*int64(unsafe.Sizeof(tuple.Value{}))
 }
 
 // GovernState wraps a sweep iterator with memory-budget accounting of

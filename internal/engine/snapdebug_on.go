@@ -179,7 +179,7 @@ func (it *checkNoAliasIter) verify() {
 				it.op, len(y.snap), len(y.live)))
 		}
 		for c := range y.live {
-			if y.live[c] != y.snap[c] {
+			if a, b := y.live[c], y.snap[c]; a.Kind() != b.Kind() || !tuple.SameKey(a, b) {
 				panic(fmt.Sprintf("engine: snapdebug: %s mutated a delivered row after NextBatch (column %d: %v -> %v)",
 					it.op, c, y.snap[c], y.live[c]))
 			}

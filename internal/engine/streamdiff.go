@@ -302,20 +302,8 @@ func (it *streamDiffIter) fill(capacity int) bool {
 	}
 }
 
-// NextBatch copies emitted segments out of the sweep queue
-// chunk-at-a-time; see streamCoalesceIter.NextBatch for the copy-out rationale.
 func (it *streamDiffIter) NextBatch(out *RowBatch) bool {
-	out.Reset()
-	limit := out.Cap()
-	for out.Len() < limit && it.fill(limit) {
-		n := len(it.queue) - it.qi
-		if r := limit - out.Len(); n > r {
-			n = r
-		}
-		out.Rows = append(out.Rows, it.queue[it.qi:it.qi+n]...)
-		it.qi += n
-	}
-	return out.Len() > 0
+	return copyOut(out, &it.queue, &it.qi, it.fill)
 }
 
 func (it *streamDiffIter) Close() {

@@ -308,22 +308,25 @@ func (it *streamCoalesceIter) fill(capacity int) bool {
 	}
 }
 
-// NextBatch copies finished segments out of the sweep queue
-// chunk-at-a-time. Copying (rather than handing out the queue slice) keeps the
+// copyOut resets out and fills it with up to out.Cap() rows of a sweep's
+// output queue, from position *qi on, calling fill whenever the queue
+// runs dry; fill reports whether rows are available and may reset the
+// queue. Copying (rather than handing out the queue slice) keeps the
 // queue's backing array private, so its reuse on the next fill cannot
-// alias a delivered batch.
-func (it *streamCoalesceIter) NextBatch(out *RowBatch) bool {
+// alias a delivered batch. It is the NextBatch of every streaming sweep.
+func copyOut(out *RowBatch, queue *[]tuple.Tuple, qi *int, fill func(capacity int) bool) bool {
 	out.Reset()
 	limit := out.Cap()
-	for out.Len() < limit && it.fill(limit) {
-		n := len(it.queue) - it.qi
-		if r := limit - out.Len(); n > r {
-			n = r
-		}
-		out.Rows = append(out.Rows, it.queue[it.qi:it.qi+n]...)
-		it.qi += n
+	for out.Len() < limit && fill(limit) {
+		n := min(len(*queue)-*qi, limit-out.Len())
+		out.Rows = append(out.Rows, (*queue)[*qi:*qi+n]...)
+		*qi += n
 	}
 	return out.Len() > 0
+}
+
+func (it *streamCoalesceIter) NextBatch(out *RowBatch) bool {
+	return copyOut(out, &it.queue, &it.qi, it.fill)
 }
 
 func (it *streamCoalesceIter) Close() { it.in.Close() }
@@ -599,21 +602,8 @@ func (it *streamAggIter) fill(capacity int) bool {
 	}
 }
 
-// NextBatch copies finished segments out of the sweep queue
-// chunk-at-a-time; see streamCoalesceIter.NextBatch for the copy-out
-// rationale.
 func (it *streamAggIter) NextBatch(out *RowBatch) bool {
-	out.Reset()
-	limit := out.Cap()
-	for out.Len() < limit && it.fill(limit) {
-		n := len(it.queue) - it.qi
-		if r := limit - out.Len(); n > r {
-			n = r
-		}
-		out.Rows = append(out.Rows, it.queue[it.qi:it.qi+n]...)
-		it.qi += n
-	}
-	return out.Len() > 0
+	return copyOut(out, &it.queue, &it.qi, it.fill)
 }
 
 func (it *streamAggIter) Close() { it.in.Close() }

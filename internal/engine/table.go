@@ -105,11 +105,8 @@ func (t *Table) DataSchema() tuple.Schema {
 	return tuple.Schema{Cols: t.Schema.Cols[:t.DataArity()]}
 }
 
-// Interval returns the validity interval of row.
-func (t *Table) Interval(row tuple.Tuple) interval.Interval {
-	n := len(row)
-	return interval.Interval{Begin: row[n-2].AsInt(), End: row[n-1].AsInt()}
-}
+// Interval returns the validity interval of row (rowInterval).
+func (t *Table) Interval(row tuple.Tuple) interval.Interval { return rowInterval(row) }
 
 // Append adds a row for tuple data valid during iv, repeated mult times.
 // Sortedness metadata is maintained incrementally: appending in

@@ -7,7 +7,10 @@ package engine
 // the load and sort paths.
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"snapk/internal/algebra"
 	"snapk/internal/interval"
@@ -158,5 +161,34 @@ func TestCoalescedMetadata(t *testing.T) {
 	out.Append(tuple.Tuple{tuple.Int(0)}, interval.New(0, 50), 1)
 	if out.KnownCoalesced() {
 		t.Fatal("Append must drop coalescedness to unknown")
+	}
+}
+
+// TestApproxRowBytesMatchesAllocator pins the memory governor's per-row
+// charge to what a stored row really costs: the bytes Table.Append
+// allocates per row, plus the row's slice header in the (pre-sized,
+// so uncounted) Rows slice.
+func TestApproxRowBytesMatchesAllocator(t *testing.T) {
+	const rows = 10_000
+	for arity := 3; arity <= 8; arity++ {
+		cols := make([]string, arity-2)
+		data := make(tuple.Tuple, arity-2)
+		for i := range cols {
+			cols[i] = fmt.Sprintf("c%d", i)
+			data[i] = tuple.Int(int64(i))
+		}
+		tb := NewTable(tuple.NewSchema(cols...))
+		tb.Rows = make([]tuple.Tuple, 0, rows)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range rows {
+			tb.Append(data, interval.New(int64(i), int64(i)+1), 1)
+		}
+		runtime.ReadMemStats(&after)
+		real := float64(after.TotalAlloc-before.TotalAlloc)/rows + float64(unsafe.Sizeof(tuple.Tuple{}))
+		est := float64(ApproxRowBytes(arity))
+		if real < 0.9*est || real > 1.1*est {
+			t.Errorf("arity %d: a stored row costs %.1f bytes, ApproxRowBytes charges %.0f", arity, real, est)
+		}
 	}
 }

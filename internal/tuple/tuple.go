@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -41,94 +42,141 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a dynamically typed scalar. The zero value is SQL NULL.
-// Value is comparable, so tuples of values can be compared and hashed
-// field-wise.
+// Value is a dynamically typed scalar in two words. The zero value is
+// SQL NULL.
+//
+// The encoding: p == nil is NULL; p == &kindTag[k] marks an Int, Float
+// or Bool with its payload in x (the integer's bits, math.Float64bits,
+// or 0/1), and the empty string; any other p is the data of a non-empty
+// string of length x. The string is held through p, so the collector
+// keeps its bytes alive.
+//
+// Value is not comparable: == on this form would compare string
+// addresses, not contents, and Float payloads bit-wise (0.0 ≠ −0.0).
+// Compare values with Compare or Equal, and by key with SameKey.
 type Value struct {
-	kind Kind
-	i    int64 // ints and bools (0/1)
-	f    float64
-	s    string
+	_ [0]func() // makes == a compile error
+	p unsafe.Pointer
+	x uint64
 }
+
+// kindTag gives each non-string kind (and the empty string) an address
+// that no string's data can have.
+var kindTag [5]byte
+
+// tag returns the p of a tagged value of kind k.
+func tag(k Kind) unsafe.Pointer { return unsafe.Pointer(&kindTag[k]) }
 
 // Null is the SQL NULL value.
 var Null = Value{}
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{p: tag(KindInt), x: uint64(v)} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{p: tag(KindFloat), x: math.Float64bits(v)} }
 
 // String_ returns a string value. (Named with a trailing underscore to
 // avoid colliding with the fmt.Stringer method on Value.)
-func String_(v string) Value { return Value{kind: KindString, s: v} }
+func String_(v string) Value {
+	if len(v) == 0 {
+		return Value{p: tag(KindString)}
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), x: uint64(len(v))}
+}
 
 // Bool returns a boolean value.
 func Bool(v bool) Value {
-	var i int64
+	var x uint64
 	if v {
-		i = 1
+		x = 1
 	}
-	return Value{kind: KindBool, i: i}
+	return Value{p: tag(KindBool), x: x}
 }
 
 // Kind returns the value's dynamic kind.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	if v.p == nil {
+		return KindNull
+	}
+	if d := uintptr(v.p) - uintptr(tag(0)); d < uintptr(len(kindTag)) {
+		return Kind(d)
+	}
+	return KindString
+}
 
 // IsNull reports whether the value is SQL NULL.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.p == nil }
+
+// float and str decode the payload of a value already known to be a
+// Float or a String. The empty string reads back from its tag with
+// length 0.
+func (v Value) float() float64 { return math.Float64frombits(v.x) }
+
+func (v Value) str() string { return unsafe.String((*byte)(v.p), int(v.x)) }
 
 // AsInt returns the integer payload; it panics on non-integers so type
 // errors surface at the point of misuse rather than as corrupt data.
 func (v Value) AsInt() int64 {
-	if v.kind != KindInt {
-		panic(fmt.Sprintf("tuple: AsInt on %s value", v.kind))
+	if v.p != tag(KindInt) {
+		panic(misuse{"AsInt", v})
 	}
-	return v.i
+	return int64(v.x)
 }
 
 // AsFloat returns the value as float64, converting integers.
 func (v Value) AsFloat() float64 {
-	switch v.kind {
-	case KindFloat:
-		return v.f
-	case KindInt:
-		return float64(v.i)
+	switch v.p {
+	case tag(KindFloat):
+		return v.float()
+	case tag(KindInt):
+		return float64(int64(v.x))
 	default:
-		panic(fmt.Sprintf("tuple: AsFloat on %s value", v.kind))
+		panic(misuse{"AsFloat", v})
 	}
 }
 
 // AsString returns the string payload; it panics on non-strings.
 func (v Value) AsString() string {
-	if v.kind != KindString {
-		panic(fmt.Sprintf("tuple: AsString on %s value", v.kind))
+	if v.Kind() != KindString {
+		panic(misuse{"AsString", v})
 	}
-	return v.s
+	return v.str()
 }
 
 // AsBool returns the boolean payload; it panics on non-booleans.
 func (v Value) AsBool() bool {
-	if v.kind != KindBool {
-		panic(fmt.Sprintf("tuple: AsBool on %s value", v.kind))
+	if v.p != tag(KindBool) {
+		panic(misuse{"AsBool", v})
 	}
-	return v.i != 0
+	return v.x != 0
+}
+
+// misuse is the panic value of an accessor applied to a value of the
+// wrong kind. Its message is built only when printed, which keeps the
+// accessors inlinable.
+type misuse struct {
+	accessor string
+	v        Value
+}
+
+func (m misuse) Error() string {
+	return fmt.Sprintf("tuple: %s on %s value", m.accessor, m.v.Kind())
 }
 
 // String renders the value for display.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.x), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
-		return v.s
+		return v.str()
 	case KindBool:
-		if v.i != 0 {
+		if v.x != 0 {
 			return "true"
 		}
 		return "false"
@@ -141,37 +189,40 @@ func (v Value) String() string {
 // numerically across int/float; strings and bools compare within kind.
 // Cross-kind non-numeric comparisons order by kind. It returns -1, 0, 1.
 func Compare(a, b Value) int {
-	an, bn := a.kind == KindInt || a.kind == KindFloat, b.kind == KindInt || b.kind == KindFloat
+	ak, bk := a.Kind(), b.Kind()
+	an, bn := ak == KindInt || ak == KindFloat, bk == KindInt || bk == KindFloat
 	switch {
-	case a.kind == KindNull || b.kind == KindNull:
-		return cmpInt(int64(boolToInt(a.kind != KindNull)), int64(boolToInt(b.kind != KindNull)))
+	case ak == KindNull || bk == KindNull:
+		return cmpInt(int64(boolToInt(ak != KindNull)), int64(boolToInt(bk != KindNull)))
 	case an && bn:
-		return compareNumeric(a, b)
-	case a.kind != b.kind:
-		return cmpInt(int64(a.kind), int64(b.kind))
-	case a.kind == KindString:
-		return strings.Compare(a.s, b.s)
+		return compareNumeric(a, b, ak, bk)
+	case ak != bk:
+		return cmpInt(int64(ak), int64(bk))
+	case ak == KindString:
+		return strings.Compare(a.str(), b.str())
 	default: // bools
-		return cmpInt(a.i, b.i)
+		return cmpInt(int64(a.x), int64(b.x))
 	}
 }
 
-// compareNumeric orders two numeric values exactly: integers as
-// integers, and an integer against a float without rounding the integer
-// to float64 first — beyond 2⁵³ that conversion would call distinct
-// numbers equal, while AppendKey (which hash joins and grouping use)
-// keeps them apart.
-func compareNumeric(a, b Value) int {
+// compareNumeric orders two numeric values of kinds ak and bk exactly:
+// integers as integers, and an integer against a float without rounding
+// the integer to float64 first — beyond 2⁵³ that conversion would call
+// distinct numbers equal, while AppendKey (which hash joins and
+// grouping use) keeps them apart.
+func compareNumeric(a, b Value, ak, bk Kind) int {
 	switch {
-	case a.kind == KindInt && b.kind == KindInt:
-		return cmpInt(a.i, b.i)
-	case a.kind == KindInt:
-		return cmpIntFloat(a.i, b.f)
-	case b.kind == KindInt:
-		return -cmpIntFloat(b.i, a.f)
-	case a.f < b.f:
+	case ak == KindInt && bk == KindInt:
+		return cmpInt(int64(a.x), int64(b.x))
+	case ak == KindInt:
+		return cmpIntFloat(int64(a.x), b.float())
+	case bk == KindInt:
+		return -cmpIntFloat(int64(b.x), a.float())
+	}
+	switch af, bf := a.float(), b.float(); {
+	case af < bf:
 		return -1
-	case a.f > b.f:
+	case af > bf:
 		return 1
 	default:
 		return 0
@@ -263,29 +314,29 @@ func (t Tuple) Key() string {
 // hash-partition exchange).
 func (t Tuple) AppendKey(b []byte, idx []int) []byte {
 	appendVal := func(v Value) {
-		switch v.kind {
-		case KindNull:
+		switch v.p {
+		case nil:
 			b = append(b, 'n')
-		case KindInt:
+		case tag(KindInt):
 			b = append(b, 'i')
-			b = strconv.AppendInt(b, v.i, 10)
-		case KindFloat:
+			b = strconv.AppendInt(b, int64(v.x), 10)
+		case tag(KindFloat):
 			// Encode every float that equals an int64 as that integer,
 			// so Equal ⇒ same Key (−0.0 keys as 0).
-			if f := v.f; f == math.Trunc(f) && f >= -two63 && f < two63 {
+			if f := v.float(); isInt64(f) {
 				b = append(b, 'i')
 				b = strconv.AppendInt(b, int64(f), 10)
 			} else {
 				b = append(b, 'f')
-				b = strconv.AppendFloat(b, v.f, 'g', -1, 64)
+				b = strconv.AppendFloat(b, f, 'g', -1, 64)
 			}
-		case KindString:
+		case tag(KindBool):
+			b = append(b, 'b', byte('0'+v.x))
+		default: // strings, the empty one included
 			b = append(b, 's')
-			b = strconv.AppendInt(b, int64(len(v.s)), 10)
+			b = strconv.AppendInt(b, int64(v.x), 10)
 			b = append(b, ':')
-			b = append(b, v.s...)
-		case KindBool:
-			b = append(b, 'b', byte('0'+v.i))
+			b = append(b, v.str()...)
 		}
 		b = append(b, ';')
 	}
@@ -300,6 +351,35 @@ func (t Tuple) AppendKey(b []byte, idx []int) []byte {
 	}
 	return b
 }
+
+// isInt64 reports whether f is an integer in int64 range — the floats
+// AppendKey spells as integers.
+func isInt64(f float64) bool { return f == math.Trunc(f) && f >= -two63 && f < two63 }
+
+// SameKey reports whether AppendKey encodes a and b alike — the value
+// equality Coalesce groups by — without encoding either. It is not
+// Equal: Compare calls NaN equal to every number, while the key
+// separates NaN from numbers and spells every NaN the same.
+func SameKey(a, b Value) bool {
+	if a.p == b.p && a.x == b.x {
+		return true // one kind and payload, or one string's bytes
+	}
+	switch ak, bk := a.Kind(), b.Kind(); {
+	case ak == KindFloat && bk == KindFloat:
+		af, bf := a.float(), b.float()
+		return af == bf || math.IsNaN(af) && math.IsNaN(bf) // 0.0 == −0.0, both keyed 0
+	case ak == KindInt && bk == KindFloat:
+		return floatKeysAsInt(b.float(), int64(a.x))
+	case ak == KindFloat && bk == KindInt:
+		return floatKeysAsInt(a.float(), int64(b.x))
+	case ak == KindString && bk == KindString:
+		return a.x == b.x && a.str() == b.str()
+	}
+	return false
+}
+
+// floatKeysAsInt reports whether AppendKey spells f as the integer i.
+func floatKeysAsInt(f float64, i int64) bool { return isInt64(f) && int64(f) == i }
 
 // Project returns the sub-tuple at the given column indexes.
 func (t Tuple) Project(idx []int) Tuple {

@@ -1,9 +1,13 @@
 package tuple
 
 import (
+	"bytes"
 	"math"
+	"runtime"
+	"strconv"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
@@ -250,5 +254,164 @@ func TestKeyEqualProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValueIsTwoWords pins the representation's size: every row the
+// engine builds carries this many bytes per column.
+func TestValueIsTwoWords(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 16", got)
+	}
+}
+
+// nanBits are NaNs with different payload bits, quiet and signalling,
+// of both signs.
+var nanBits = []uint64{0x7ff8000000000000, 0x7ff8000000000001, 0xfff8000000000000, 0x7ff0000000000001, 0xfff00000deadbeef}
+
+// TestValueRoundTrip reads back every kind's payload and Kind, and pins
+// its display form and key byte for byte: result digests and group,
+// join and coalesce keys are built from them.
+func TestValueRoundTrip(t *testing.T) {
+	const base = "hello, world"
+	type roundTrip struct {
+		v        Value
+		kind     Kind
+		str, key string
+		check    func(Value) bool // the payload reads back; nil for NULL
+	}
+	cases := []roundTrip{
+		{Null, KindNull, "NULL", "n;", nil},
+		{Int(0), KindInt, "0", "i0;", func(v Value) bool { return v.AsInt() == 0 }},
+		{Int(math.MinInt64), KindInt, "-9223372036854775808", "i-9223372036854775808;", func(v Value) bool { return v.AsInt() == math.MinInt64 }},
+		{Int(math.MaxInt64), KindInt, "9223372036854775807", "i9223372036854775807;", func(v Value) bool { return v.AsInt() == math.MaxInt64 }},
+		{Int(1<<53 + 1), KindInt, "9007199254740993", "i9007199254740993;", func(v Value) bool { return v.AsInt() == 1<<53+1 }},
+		{Float(0), KindFloat, "0", "i0;", func(v Value) bool { return math.Float64bits(v.AsFloat()) == 0 }},
+		{Float(math.Copysign(0, -1)), KindFloat, "-0", "i0;", func(v Value) bool { return math.Signbit(v.AsFloat()) && v.AsFloat() == 0 }},
+		{Float(2.5), KindFloat, "2.5", "f2.5;", func(v Value) bool { return v.AsFloat() == 2.5 }},
+		{Float(1e15), KindFloat, "1e+15", "i1000000000000000;", func(v Value) bool { return v.AsFloat() == 1e15 }},
+		{Float(math.Inf(1)), KindFloat, "+Inf", "f+Inf;", func(v Value) bool { return math.IsInf(v.AsFloat(), 1) }},
+		{Float(math.Inf(-1)), KindFloat, "-Inf", "f-Inf;", func(v Value) bool { return math.IsInf(v.AsFloat(), -1) }},
+		{String_(""), KindString, "", "s0:;", func(v Value) bool { return v.AsString() == "" }},
+		{String_(base[4:4]), KindString, "", "s0:;", func(v Value) bool { return v.AsString() == "" }},
+		{String_("a\x00b"), KindString, "a\x00b", "s3:a\x00b;", func(v Value) bool { return v.AsString() == "a\x00b" }},
+		{String_("\x00"), KindString, "\x00", "s1:\x00;", func(v Value) bool { return v.AsString() == "\x00" }},
+		{String_(base), KindString, base, "s12:" + base + ";", func(v Value) bool { return v.AsString() == base }},
+		{String_(base[:5]), KindString, "hello", "s5:hello;", func(v Value) bool { return v.AsString() == "hello" }},
+		{String_(base[:3]), KindString, "hel", "s3:hel;", func(v Value) bool { return v.AsString() == "hel" }},
+		{String_(base[7:]), KindString, "world", "s5:world;", func(v Value) bool { return v.AsString() == "world" }},
+		{Bool(true), KindBool, "true", "b1;", func(v Value) bool { return v.AsBool() }},
+		{Bool(false), KindBool, "false", "b0;", func(v Value) bool { return !v.AsBool() }},
+	}
+	for _, bits := range nanBits {
+		cases = append(cases, roundTrip{Float(math.Float64frombits(bits)), KindFloat, "NaN", "fNaN;", func(v Value) bool { return math.Float64bits(v.AsFloat()) == bits }})
+	}
+	for i, c := range cases {
+		if got := c.v.Kind(); got != c.kind {
+			t.Errorf("case %d (%q): Kind = %s, want %s", i, c.str, got, c.kind)
+		}
+		if got := c.v.IsNull(); got != (c.kind == KindNull) {
+			t.Errorf("case %d (%q): IsNull = %v", i, c.str, got)
+		}
+		if got := c.v.String(); got != c.str {
+			t.Errorf("case %d: String = %q, want %q", i, got, c.str)
+		}
+		if got := (Tuple{c.v}).Key(); got != c.key {
+			t.Errorf("case %d (%q): Key = %q, want %q", i, c.str, got, c.key)
+		}
+		if c.check != nil && !c.check(c.v) {
+			t.Errorf("case %d (%q): payload did not round-trip", i, c.str)
+		}
+		if !Equal(c.v, c.v) {
+			t.Errorf("case %d (%q): not Equal to itself", i, c.str)
+		}
+		if !SameKey(c.v, c.v) {
+			t.Errorf("case %d (%q): SameKey with itself is false", i, c.str)
+		}
+	}
+}
+
+// TestCompareStringsSharingBacking: values over one backing array
+// compare by content and length, never by address.
+func TestCompareStringsSharingBacking(t *testing.T) {
+	base := "abcabc"
+	copied := string([]byte(base[3:]))
+	cases := []struct {
+		a, b Value
+		want int
+	}{
+		{String_(base[:3]), String_(base[3:]), 0},
+		{String_(base[:3]), String_(copied), 0},
+		{String_(base[:2]), String_(base[:3]), -1},
+		{String_(base[1:3]), String_(base[:3]), 1},
+		{String_(""), String_(base[:1]), -1},
+		{String_(base[6:]), String_(""), 0},
+	}
+	for _, c := range cases {
+		if got := Compare(c.a, c.b); got != c.want {
+			t.Errorf("Compare(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		if got := SameKey(c.a, c.b); got != (c.want == 0) {
+			t.Errorf("SameKey(%q, %q) = %v, want %v", c.a, c.b, got, c.want == 0)
+		}
+	}
+}
+
+// TestSameKeyMatchesAppendKey: SameKey, which the fused aggregation
+// emission merges segments by and the snapdebug alias check compares
+// by, agrees with AppendKey — the encoding Coalesce groups rows by — on
+// every pair of values: ±0.0 (different bits, one key), NaNs with
+// different payloads (one key), integers beyond 2⁵³ and strings that
+// share a backing array.
+func TestSameKeyMatchesAppendKey(t *testing.T) {
+	const base = "33"
+	values := []Value{
+		Null, Int(0), Int(3), Int(-3), Int(1 << 62), Int(1<<53 + 1),
+		Float(0), Float(math.Copysign(0, -1)), Float(3), Float(-3),
+		Float(3.5), Float(1 << 62), Float(1 << 53), Float(0x1p63), Float(-0x1p63),
+		Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.NaN()), Float(-math.NaN()),
+		String_(base[:1]), String_(base[1:]), String_(base), String_(""), String_(base[2:]),
+		Bool(true), Bool(false),
+	}
+	for _, bits := range nanBits {
+		values = append(values, Float(math.Float64frombits(bits)))
+	}
+	for _, a := range values {
+		for _, b := range values {
+			want := Tuple{a}.Key() == Tuple{b}.Key()
+			if got := SameKey(a, b); got != want {
+				t.Errorf("SameKey(%v %s, %v %s) = %v, AppendKey says %v", a, a.Kind(), b, b.Kind(), got, want)
+			}
+		}
+	}
+}
+
+// gcSink keeps allocations reachable so the collector cannot skip them.
+var gcSink [][]byte
+
+// TestValueStringsSurviveGC: a Value is the only reference to its
+// string's bytes, and the collector must see it. Each string is built
+// with string(buf) from one reused buffer, so nothing else points at
+// its copy; after two collections with same-sized garbage allocated in
+// between, a form that hid the pointer (a uintptr) would read back
+// overwritten bytes.
+func TestValueStringsSurviveGC(t *testing.T) {
+	const n = 10_000
+	vals := make([]Value, n)
+	buf := make([]byte, 0, 32)
+	for i := range vals {
+		buf = strconv.AppendInt(append(buf[:0], "value-"...), int64(i), 10)
+		vals[i] = String_(string(buf))
+	}
+	runtime.GC()
+	for range 4 * n {
+		gcSink = append(gcSink, bytes.Repeat([]byte{'#'}, 12))
+	}
+	runtime.GC()
+	gcSink = nil
+	for i, v := range vals {
+		if want := "value-" + strconv.Itoa(i); v.AsString() != want {
+			t.Fatalf("value %d reads back %q after GC, want %q", i, v.AsString(), want)
+		}
 	}
 }
