@@ -37,7 +37,7 @@ var (
 
 // BenchmarkFig5Coalesce regenerates Figure 5: multiset coalescing runtime
 // for varying input sizes; per-row cost should stay flat (linear
-// scaling), for both coalescing implementations.
+// scaling).
 func BenchmarkFig5Coalesce(b *testing.B) {
 	for _, n := range []int{1000, 10000, 50000, 100000} {
 		db := dataset.CoalesceInput(n, 3)
@@ -45,16 +45,11 @@ func BenchmarkFig5Coalesce(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, impl := range []struct {
-			name string
-			im   engine.CoalesceImpl
-		}{{"native", engine.CoalesceNative}, {"analytic", engine.CoalesceAnalytic}} {
-			b.Run(fmt.Sprintf("impl=%s/rows=%d", impl.name, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					engine.Coalesce(tbl, impl.im)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				engine.Coalesce(tbl)
+			}
+		})
 	}
 }
 

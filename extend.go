@@ -277,6 +277,26 @@ func (t *Table) Coalesced() (bool, int) {
 		// is its own coalesced encoding, no rescan needed.
 		return true, t.tbl.Len()
 	}
-	c := engine.Coalesce(t.tbl, engine.CoalesceNative)
-	return engine.IsCoalesced(t.tbl, engine.CoalesceNative), c.Len()
+	c := engine.Coalesce(t.tbl)
+	return sameRows(t.tbl, c), c.Len()
+}
+
+// sameRows reports whether a and b hold the same multiset of rows. b is
+// sorted in place; a is sorted on a copy.
+func sameRows(a, b *engine.Table) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	a = a.Clone()
+	a.Sort()
+	b.Sort()
+	var ka, kb []byte
+	for i := range a.Rows {
+		ka = a.Rows[i].AppendKey(ka[:0], nil)
+		kb = b.Rows[i].AppendKey(kb[:0], nil)
+		if string(ka) != string(kb) {
+			return false
+		}
+	}
+	return true
 }

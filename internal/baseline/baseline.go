@@ -343,7 +343,7 @@ func buggyAggregate(in *engine.Table, n algebra.Agg, ap Approach) (*engine.Table
 	}
 	// Materialized split, then hash aggregation — the plan shape of the
 	// native systems (no pre-aggregation).
-	split := engine.Split(in, in, groupIdx)
+	split := engine.Split(in, groupIdx)
 	type acc struct {
 		group  tuple.Tuple
 		seg    interval.Interval

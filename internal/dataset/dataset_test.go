@@ -98,11 +98,11 @@ func TestCoalesceInputProperties(t *testing.T) {
 	}
 	// The input must NOT already be coalesced — otherwise Figure 5
 	// measures nothing.
-	if engine.IsCoalesced(tb, engine.CoalesceNative) {
+	if engine.IsCoalesced(tb) {
 		t.Fatal("coalescing input is already coalesced")
 	}
 	// Coalescing must shrink or restructure it.
-	c := engine.Coalesce(tb, engine.CoalesceNative)
+	c := engine.Coalesce(tb)
 	if c.Len() == 0 {
 		t.Fatal("coalesced output empty")
 	}

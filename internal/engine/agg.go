@@ -229,7 +229,7 @@ func sameResults(vals tuple.Tuple, sweepers []*aggSweeper) bool {
 // the effect of Fig 4's union with {(null, Tmin, Tmax)}.
 func aggregateNaive(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpec, argIdx []int, dom interval.Domain) {
 	global := len(groupIdx) == 0
-	split := Split(in, in, groupIdx)
+	split := Split(in, groupIdx)
 	type acc struct {
 		group  tuple.Tuple
 		seg    interval.Interval

@@ -9,39 +9,6 @@ import (
 	"snapk/internal/tuple"
 )
 
-// Empty inputs must flow through every operator without panics and with
-// correct (mostly empty) results.
-func TestOperatorsOnEmptyTables(t *testing.T) {
-	empty := NewTable(tuple.NewSchema("a", "b"))
-	if got, err := Filter(empty, algebra.BoolC(true)); err != nil || got.Len() != 0 {
-		t.Fatalf("Filter = %v, %v", got, err)
-	}
-	if got, err := Project(empty, []algebra.NamedExpr{{Name: "a", E: algebra.Col("a")}}); err != nil || got.Len() != 0 {
-		t.Fatalf("Project = %v, %v", got, err)
-	}
-	if got, err := TemporalJoin(empty, empty, algebra.Eq(algebra.Col("a"), algebra.Col("r.a"))); err != nil || got.Len() != 0 {
-		t.Fatalf("Join = %v, %v", got, err)
-	}
-	if got, err := UnionAll(empty, empty); err != nil || got.Len() != 0 {
-		t.Fatalf("Union = %v, %v", got, err)
-	}
-	if got, err := TemporalDiff(empty, empty); err != nil || got.Len() != 0 {
-		t.Fatalf("Diff = %v, %v", got, err)
-	}
-	if got := Coalesce(empty, CoalesceNative); got.Len() != 0 {
-		t.Fatalf("Coalesce = %v", got)
-	}
-	if got := Split(empty, empty, []int{0}); got.Len() != 0 {
-		t.Fatalf("Split = %v", got)
-	}
-	// Grouped aggregation over empty input: no rows.
-	got, err := TemporalAggregate(empty, []string{"a"},
-		[]algebra.AggSpec{{Fn: krel.CountStar, As: "c"}}, true, dom)
-	if err != nil || got.Len() != 0 {
-		t.Fatalf("grouped agg = %v, %v", got, err)
-	}
-}
-
 // Diff where only the right side has tuples: nothing to subtract from.
 func TestDiffRightOnly(t *testing.T) {
 	l := NewTable(tuple.NewSchema("x"))
@@ -82,7 +49,7 @@ func TestDiffPartialOverlaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := Coalesce(d, CoalesceNative).ToPeriodRelation(alg)
+	rel := Coalesce(d).ToPeriodRelation(alg)
 	ann := rel.Annotation(one)
 	// L counts: [0,3)=2 [3,5)=2 [5,8)=3 [8,10)=3 [10,15)=1 [15,20)=1.
 	// R counts: [3,8)=1, [15,25)=2.
@@ -98,7 +65,7 @@ func TestDiffPartialOverlaps(t *testing.T) {
 func TestCoalesceSingleRow(t *testing.T) {
 	in := NewTable(tuple.NewSchema("x"))
 	in.Append(tuple.Tuple{tuple.Int(1)}, interval.New(2, 9), 1)
-	got := Coalesce(in, CoalesceNative)
+	got := Coalesce(in)
 	if got.Len() != 1 || got.Interval(got.Rows[0]) != interval.New(2, 9) {
 		t.Fatalf("coalesce = %v", got)
 	}
@@ -111,7 +78,7 @@ func TestCoalesceChangepointAtTouch(t *testing.T) {
 	one := tuple.Tuple{tuple.Int(1)}
 	in.Append(one, interval.New(0, 5), 2)
 	in.Append(one, interval.New(5, 9), 1)
-	got := Coalesce(in, CoalesceNative)
+	got := Coalesce(in)
 	if got.Len() != 3 { // 2 copies on [0,5) + 1 on [5,9)
 		t.Fatalf("coalesce = %v", got)
 	}
@@ -127,7 +94,7 @@ func TestAggregateSimultaneousEvents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel := Coalesce(got, CoalesceNative).ToPeriodRelation(alg)
+		rel := Coalesce(got).ToPeriodRelation(alg)
 		if ann := rel.Annotation(tuple.Tuple{tuple.Int(5)}); !ann.Equal(alg.Singleton(interval.New(0, 10), 1)) {
 			t.Fatalf("preAgg=%v: sum 5 = %v", preAgg, ann)
 		}
@@ -153,7 +120,7 @@ func TestAggregateMinMaxDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := Coalesce(got, CoalesceNative).ToPeriodRelation(alg)
+	rel := Coalesce(got).ToPeriodRelation(alg)
 	// During [4,8): min 3, max 5. During [8,10): min 5 max 5. After one 5
 	// leaves at 6, min stays 3 until 8.
 	if ann := rel.Annotation(tuple.Tuple{tuple.Int(3), tuple.Int(5)}); !ann.Equal(alg.Singleton(interval.New(4, 8), 1)) {
@@ -241,7 +208,7 @@ func TestSplitGlobalGroup(t *testing.T) {
 	in := NewTable(tuple.NewSchema("x"))
 	in.Append(tuple.Tuple{tuple.Int(1)}, interval.New(0, 10), 1)
 	in.Append(tuple.Tuple{tuple.Int(2)}, interval.New(5, 15), 1)
-	got := Split(in, in, nil)
+	got := Split(in, nil)
 	if got.Len() != 4 { // [0,5)[5,10) and [5,10)[10,15)
 		t.Fatalf("global split = %d rows:\n%s", got.Len(), got)
 	}

@@ -202,7 +202,7 @@ func TestSplitDef83(t *testing.T) {
 	in := NewTable(tuple.NewSchema("sal"))
 	in.Append(tuple.Tuple{tuple.Int(30)}, interval.New(3, 13), 1)
 	in.Append(tuple.Tuple{tuple.Int(30)}, interval.New(3, 10), 1)
-	got := Split(in, in, []int{0})
+	got := Split(in, []int{0})
 	// Endpoints {3, 10, 13} split [3,13) into [3,10), [10,13).
 	m := multiset(got)
 	wantRows := [][3]int64{{30, 3, 10}, {30, 3, 10}, {30, 10, 13}}
@@ -232,18 +232,16 @@ func TestCoalesceExample53(t *testing.T) {
 	in := NewTable(tuple.NewSchema("sal"))
 	in.Append(tuple.Tuple{tuple.Int(30)}, interval.New(3, 13), 1)
 	in.Append(tuple.Tuple{tuple.Int(30)}, interval.New(3, 10), 1)
-	for _, impl := range []CoalesceImpl{CoalesceNative, CoalesceAnalytic} {
-		got := Coalesce(in, impl)
-		m := multiset(got)
-		if m[tuple.Tuple{tuple.Int(30), tuple.Int(3), tuple.Int(10)}.Key()] != 2 {
-			t.Fatalf("impl %d: missing [3,10)×2:\n%s", impl, got)
-		}
-		if m[tuple.Tuple{tuple.Int(30), tuple.Int(10), tuple.Int(13)}.Key()] != 1 {
-			t.Fatalf("impl %d: missing [10,13)×1:\n%s", impl, got)
-		}
-		if got.Len() != 3 {
-			t.Fatalf("impl %d: %d rows", impl, got.Len())
-		}
+	got := Coalesce(in)
+	m := multiset(got)
+	if m[tuple.Tuple{tuple.Int(30), tuple.Int(3), tuple.Int(10)}.Key()] != 2 {
+		t.Fatalf("missing [3,10)×2:\n%s", got)
+	}
+	if m[tuple.Tuple{tuple.Int(30), tuple.Int(10), tuple.Int(13)}.Key()] != 1 {
+		t.Fatalf("missing [10,13)×1:\n%s", got)
+	}
+	if got.Len() != 3 {
+		t.Fatalf("%d rows", got.Len())
 	}
 }
 
@@ -251,14 +249,14 @@ func TestCoalesceMergesAdjacentEqualMultiplicity(t *testing.T) {
 	in := NewTable(tuple.NewSchema("x"))
 	in.Append(tuple.Tuple{tuple.Int(1)}, interval.New(0, 5), 1)
 	in.Append(tuple.Tuple{tuple.Int(1)}, interval.New(5, 9), 1)
-	got := Coalesce(in, CoalesceNative)
+	got := Coalesce(in)
 	if got.Len() != 1 || got.Interval(got.Rows[0]) != interval.New(0, 9) {
 		t.Fatalf("adjacent equal rows must merge:\n%s", got)
 	}
-	if !IsCoalesced(got, CoalesceNative) {
+	if !IsCoalesced(got) {
 		t.Fatal("coalesced output not detected as coalesced")
 	}
-	if IsCoalesced(in, CoalesceNative) {
+	if IsCoalesced(in) {
 		t.Fatal("uncoalesced input detected as coalesced")
 	}
 }
@@ -270,7 +268,7 @@ func TestTemporalDiffFigure1c(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := Coalesce(d, CoalesceNative).ToPeriodRelation(alg)
+	rel := Coalesce(d).ToPeriodRelation(alg)
 	sp := rel.Annotation(tuple.Tuple{str("SP")})
 	wantSP := alg.Coalesce([]telement.Seg[int64]{
 		{Iv: interval.New(6, 8), Val: 1}, {Iv: interval.New(10, 12), Val: 1},
@@ -295,7 +293,7 @@ func TestTemporalAggregateFigure1b(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel := Coalesce(got, CoalesceNative).ToPeriodRelation(alg)
+		rel := Coalesce(got).ToPeriodRelation(alg)
 		want := map[int64]telement.Element[int64]{
 			0: alg.Coalesce([]telement.Seg[int64]{{Iv: interval.New(0, 3), Val: 1}, {Iv: interval.New(16, 18), Val: 1}, {Iv: interval.New(20, 24), Val: 1}}),
 			1: alg.Coalesce([]telement.Seg[int64]{{Iv: interval.New(3, 8), Val: 1}, {Iv: interval.New(10, 16), Val: 1}, {Iv: interval.New(18, 20), Val: 1}}),
@@ -320,7 +318,7 @@ func TestTemporalAggregateGrouped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel := Coalesce(got, CoalesceNative).ToPeriodRelation(alg)
+		rel := Coalesce(got).ToPeriodRelation(alg)
 		// SP: 1 on [3,8), 2 on [8,10), 1 on [10,16), 1 on [18,20).
 		sp1 := rel.Annotation(tuple.Tuple{str("SP"), tuple.Int(1)})
 		wantSP1 := alg.Coalesce([]telement.Seg[int64]{
@@ -353,7 +351,7 @@ func TestTemporalAggregateMinMaxSumAvg(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel := Coalesce(got, CoalesceNative).ToPeriodRelation(alg)
+		rel := Coalesce(got).ToPeriodRelation(alg)
 		check := func(iv interval.Interval, mn, mx, sm int64, av float64, ct int64) {
 			t.Helper()
 			row := tuple.Tuple{str("a"), tuple.Int(mn), tuple.Int(mx), tuple.Int(sm), tuple.Float(av), tuple.Int(ct)}
@@ -377,7 +375,7 @@ func TestTemporalAggregateEmptyGlobal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := Coalesce(got, CoalesceNative)
+		c := Coalesce(got)
 		if c.Len() != 1 {
 			t.Fatalf("preAgg=%v: empty global agg = %d rows:\n%s", preAgg, c.Len(), c)
 		}
@@ -415,7 +413,7 @@ func TestDBExecPlan(t *testing.T) {
 	if got.Len() != 7 {
 		t.Fatalf("Qonduty result has %d rows, want 7 (Figure 1b):\n%s", got.Len(), got)
 	}
-	if !IsCoalesced(got, CoalesceNative) {
+	if !IsCoalesced(got) {
 		t.Fatal("final result not coalesced")
 	}
 }

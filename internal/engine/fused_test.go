@@ -67,14 +67,14 @@ func monusReference(l, r *engine.Table) *engine.Table {
 			units.Append(data[k], interval.New(p, p+1), c) // Append drops c ≤ 0
 		}
 	}
-	return engine.Coalesce(units, engine.CoalesceNative)
+	return engine.Coalesce(units)
 }
 
 // assertFused checks that got is its own coalesced encoding and equals
 // want row for row (under the canonical row key).
 func assertFused(t *testing.T, form string, got, want *engine.Table) {
 	t.Helper()
-	if !engine.IsCoalesced(got, engine.CoalesceNative) {
+	if !engine.IsCoalesced(got) {
 		t.Fatalf("%s output is not the coalesced encoding:\n%s", form, got)
 	}
 	if !sameCounts(multisetKeys(got), multisetKeys(want)) {
@@ -169,7 +169,7 @@ func TestFusedAggEmitsUniqueEncoding(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := engine.Coalesce(naive, engine.CoalesceNative)
+			want := engine.Coalesce(naive)
 			blocking, err := engine.TemporalAggregate(in, c.groupBy, aggs, true, fusedDom)
 			if err != nil {
 				t.Fatal(err)

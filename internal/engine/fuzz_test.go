@@ -155,7 +155,7 @@ func FuzzStreamDiff(f *testing.F) {
 		if wantPts, gotPts := monusTimePointCounts(l, r), timePointCounts(want); !sameCounts(wantPts, gotPts) {
 			t.Fatalf("blocking diff violates the per-time-point monus oracle\nleft:\n%s\nright:\n%s\noutput:\n%s", l, r, want)
 		}
-		if !engine.IsCoalesced(want, engine.CoalesceNative) {
+		if !engine.IsCoalesced(want) {
 			t.Fatalf("blocking diff output is not coalesced\nleft:\n%s\nright:\n%s\noutput:\n%s", l, r, want)
 		}
 
@@ -174,7 +174,7 @@ func FuzzStreamDiff(f *testing.F) {
 		if !sameCounts(multisetKeys(want), multisetKeys(got)) {
 			t.Fatalf("streaming diff diverges from blocking sweep\nleft:\n%s\nright:\n%s\nblocking:\n%s\nstreaming:\n%s", l, r, want, got)
 		}
-		if !engine.IsCoalesced(got, engine.CoalesceNative) {
+		if !engine.IsCoalesced(got) {
 			t.Fatalf("streaming diff output is not coalesced\nleft:\n%s\nright:\n%s\noutput:\n%s", l, r, got)
 		}
 
@@ -211,13 +211,13 @@ func FuzzCoalesce(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tbl := decodeFuzzTable(data)
 
-		blocking := engine.Coalesce(tbl, engine.CoalesceNative)
+		blocking := engine.Coalesce(tbl)
 		// Oracle: coalescing never changes any snapshot.
 		if want, got := timePointCounts(tbl), timePointCounts(blocking); !sameCounts(want, got) {
 			t.Fatalf("blocking coalesce changed snapshot multiplicities\ninput:\n%s\noutput:\n%s", tbl, blocking)
 		}
 		// Uniqueness: the output must be its own coalesced encoding.
-		if !engine.IsCoalesced(blocking, engine.CoalesceNative) {
+		if !engine.IsCoalesced(blocking) {
 			t.Fatalf("blocking coalesce output is not coalesced\ninput:\n%s\noutput:\n%s", tbl, blocking)
 		}
 
@@ -255,7 +255,7 @@ func FuzzCoalesce(f *testing.F) {
 		if !sameCounts(multisetKeys(wantAgg), multisetKeys(gotAgg)) {
 			t.Fatalf("streaming aggregation diverges from blocking sweep\ninput:\n%s\nblocking:\n%s\nstreaming:\n%s", tbl, wantAgg, gotAgg)
 		}
-		if !engine.IsCoalesced(wantAgg, engine.CoalesceNative) {
+		if !engine.IsCoalesced(wantAgg) {
 			t.Fatalf("pre-aggregated output is not coalesced\ninput:\n%s\noutput:\n%s", tbl, wantAgg)
 		}
 	})

@@ -37,7 +37,7 @@ func BenchmarkCoalesceKeys(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine.Coalesce(in, engine.CoalesceNative)
+		engine.Coalesce(in)
 	}
 }
 

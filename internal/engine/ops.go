@@ -137,12 +137,12 @@ func TemporalJoin(l, r *Table, pred algebra.Expr) (*Table, error) {
 	return MaterializeErr(it)
 }
 
-// Split implements the split operator N_G (Def 8.3): every row of r1 is
-// split at the interval end points of all rows in r1 ∪ r2 that agree with
-// it on the grouping columns, so that any two result intervals within a
-// group are either equal or disjoint. groupIdx indexes data columns of
-// the (union-compatible) inputs.
-func Split(r1, r2 *Table, groupIdx []int) *Table {
+// Split implements the split operator N_G (Def 8.3) in the one form the
+// rewriting uses, N_G(R, R): every row of in is split at the interval
+// end points of all rows of in that agree with it on the grouping
+// columns, so that any two result intervals within a group are either
+// equal or disjoint. groupIdx indexes data columns of in.
+func Split(in *Table, groupIdx []int) *Table {
 	// Group endpoints live behind a pointer so the hot per-row path can
 	// look groups up with a reusable scratch key (map[string(scratch)]
 	// compiles to an allocation-free access) and append through the
@@ -155,28 +155,24 @@ func Split(r1, r2 *Table, groupIdx []int) *Table {
 		groupIdx = []int{}
 	}
 	var scratch []byte
-	collect := func(t *Table) {
-		for _, row := range t.Rows {
-			scratch = row.AppendKey(scratch[:0], groupIdx)
-			g, ok := eps[string(scratch)]
-			if !ok {
-				g = &grpEps{}
-				eps[string(scratch)] = g
-			}
-			iv := t.Interval(row)
-			g.ts = append(g.ts, iv.Begin, iv.End)
+	for _, row := range in.Rows {
+		scratch = row.AppendKey(scratch[:0], groupIdx)
+		g, ok := eps[string(scratch)]
+		if !ok {
+			g = &grpEps{}
+			eps[string(scratch)] = g
 		}
+		iv := rowInterval(row)
+		g.ts = append(g.ts, iv.Begin, iv.End)
 	}
-	collect(r1)
-	collect(r2)
 	for _, g := range eps {
 		g.ts = interval.DedupTimes(g.ts)
 	}
-	out := &Table{Schema: r1.Schema}
-	n := r1.DataArity()
-	for _, row := range r1.Rows {
+	out := &Table{Schema: in.Schema}
+	n := in.DataArity()
+	for _, row := range in.Rows {
 		scratch = row.AppendKey(scratch[:0], groupIdx)
-		for _, seg := range r1.Interval(row).Segments(eps[string(scratch)].ts) {
+		for _, seg := range rowInterval(row).Segments(eps[string(scratch)].ts) {
 			nr := row[:n].Clone()
 			nr = append(nr, tuple.Int(seg.Begin), tuple.Int(seg.End))
 			out.Rows = append(out.Rows, nr)
@@ -197,6 +193,13 @@ func TemporalDiff(l, r *Table) (*Table, error) {
 	if l.Schema.Arity() != r.Schema.Arity() {
 		return nil, fmt.Errorf("engine: difference-incompatible arities %d and %d", l.Schema.Arity(), r.Schema.Arity())
 	}
+	return diffSweep(l, r.Rows), nil
+}
+
+// diffSweep is the blocking ℕ-monus sweep behind TemporalDiff and
+// Coalesce: the rows of l count +1 and the subtrahend rows sub count −1
+// per value-equivalent group. With no subtrahend it is the coalesce.
+func diffSweep(l *Table, sub []tuple.Tuple) *Table {
 	n := l.DataArity()
 	type event struct {
 		t     interval.Time
@@ -213,8 +216,8 @@ func TemporalDiff(l, r *Table) (*Table, error) {
 	// the materialized Result hides it behind a sort).
 	var order []*grp
 	var scratch []byte
-	add := func(t *Table, sign int64) {
-		for _, row := range t.Rows {
+	add := func(rows []tuple.Tuple, sign int64) {
+		for _, row := range rows {
 			data := row[:n]
 			scratch = data.AppendKey(scratch[:0], nil)
 			g, ok := groups[string(scratch)]
@@ -223,12 +226,12 @@ func TemporalDiff(l, r *Table) (*Table, error) {
 				groups[string(scratch)] = g
 				order = append(order, g)
 			}
-			iv := t.Interval(row)
+			iv := rowInterval(row)
 			g.events = append(g.events, event{iv.Begin, sign}, event{iv.End, -sign})
 		}
 	}
-	add(l, 1)
-	add(r, -1)
+	add(l.Rows, 1)
+	add(sub, -1)
 	// sweep calls emit for every maximal segment of constant nonzero
 	// monus multiplicity of g. Same-instant events fold into one change,
 	// so an interval ending exactly where another begins never splits.
@@ -263,5 +266,5 @@ func TemporalDiff(l, r *Table) (*Table, error) {
 			out.Rows = appendSegment(out.Rows, g.data, iv, mult)
 		})
 	}
-	return out, nil
+	return out
 }

@@ -104,7 +104,7 @@ func FuzzParStreamSweep(f *testing.F) {
 		}
 
 		// Parallel streaming coalesce vs the blocking sweep.
-		want := engine.Coalesce(tbl, engine.CoalesceNative)
+		want := engine.Coalesce(tbl)
 		it, err := parallel.Exec(ctx, db, engine.CoalesceP{In: engine.ScanP{Name: "t"}, Streaming: true}, opt)
 		if err != nil {
 			t.Fatal(err)

@@ -580,7 +580,7 @@ func (e *executor) buildCoalesce(n engine.CoalesceP, parent *engine.OpStats) (*p
 			parts[i] = e.govern(engine.NewStreamCoalesceIter(part))
 		} else {
 			parts[i] = newLazySweepIter(e.gov, schema, func(ts ...*engine.Table) (*engine.Table, error) {
-				return engine.Coalesce(ts[0], engine.CoalesceNative), nil
+				return engine.Coalesce(ts[0]), nil
 			}, part)
 		}
 	}

@@ -440,7 +440,7 @@ func (db *DB) Exec(p Plan) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Coalesce(in, CoalesceNative), nil
+		return Coalesce(in), nil
 	case SortP:
 		in, err := db.Exec(n.In)
 		if err != nil {

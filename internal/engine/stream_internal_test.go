@@ -93,7 +93,7 @@ func assertSameRows(t *testing.T, got, want *Table) {
 func TestCoalesceEmittedRowsDoNotAlias(t *testing.T) {
 	in := NewTable(tuple.NewSchema("name"))
 	in.Append(tuple.Tuple{str("Ann")}, interval.New(0, 10), 2)
-	out := Coalesce(in, CoalesceNative)
+	out := Coalesce(in)
 	if out.Len() != 2 {
 		t.Fatalf("coalesce emitted %d rows, want 2:\n%s", out.Len(), out)
 	}
@@ -144,8 +144,7 @@ func TestCoalesceTrailingSegment(t *testing.T) {
 	want.Append(tuple.Tuple{str("Ann")}, interval.New(0, 2), 1)
 	want.Append(tuple.Tuple{str("Ann")}, interval.New(2, 8), 2)
 	want.Append(tuple.Tuple{str("Ann")}, interval.New(8, 10), 1)
-	assertSameRows(t, Coalesce(in, CoalesceNative), want)
-	assertSameRows(t, Coalesce(in, CoalesceAnalytic), want)
+	assertSameRows(t, Coalesce(in), want)
 }
 
 func TestCoalesceZeroDeltaInteriorPointKeepsSegmentOpen(t *testing.T) {
@@ -156,15 +155,14 @@ func TestCoalesceZeroDeltaInteriorPointKeepsSegmentOpen(t *testing.T) {
 	in.Append(tuple.Tuple{str("Ann")}, interval.New(5, 10), 1)
 	want := NewTable(tuple.NewSchema("name"))
 	want.Append(tuple.Tuple{str("Ann")}, interval.New(0, 10), 1)
-	assertSameRows(t, Coalesce(in, CoalesceNative), want)
-	assertSameRows(t, Coalesce(in, CoalesceAnalytic), want)
+	assertSameRows(t, Coalesce(in), want)
 
 	// Same shape with an extra open row: at t=5 the count stays 2 with
 	// delta 0, so the segment [0,10) ×2 survives intact.
 	in.Append(tuple.Tuple{str("Ann")}, interval.New(0, 10), 1)
 	want2 := NewTable(tuple.NewSchema("name"))
 	want2.Append(tuple.Tuple{str("Ann")}, interval.New(0, 10), 2)
-	assertSameRows(t, Coalesce(in, CoalesceNative), want2)
+	assertSameRows(t, Coalesce(in), want2)
 }
 
 // equiKeyEdgeValues are the values around which "Equal ⇒ same Key" used

@@ -11,32 +11,35 @@ import (
 // This file implements the sort-aware streaming form of the temporal
 // difference (the REWR pattern N_SCH(Q1)(R1,R2) − N_SCH(Q2)(R2,R1) of
 // Fig 4, fused with the §9 pre-aggregated counts — the same semantics
-// as the blocking TemporalDiff). It is the two-input sibling of the
-// streaming sweeps in streamsweep.go: both inputs must arrive ordered
-// by ascending interval begin, the iterator merges them into one event
-// sweep, and per value-equivalent group it keeps only the open interval
-// ends plus two counters — O(open intervals + active groups) state —
-// instead of materializing either input. Once the merged sweep position
-// passes a time point, no later row of either side can contribute an
-// event before it, so segments up to that point are final and groups
-// whose intervals are all closed are evicted. Like the blocking form it
-// closes a segment only where the monus multiplicity changes, so its
-// output is already the unique coalesced encoding (Def 8.2).
+// as the blocking TemporalDiff) and, as its one-input form, the
+// streaming coalesce (Def 8.2): C(R) = R ∸ ∅. Both inputs must arrive
+// ordered by ascending interval begin, the iterator merges them into
+// one event sweep, and per value-equivalent group it keeps only the
+// open interval ends plus two counters — O(open intervals + active
+// groups) state — instead of materializing either input. Once the
+// merged sweep position passes a time point, no later row of either
+// side can contribute an event before it, so segments up to that point
+// are final and groups whose intervals are all closed are evicted. Like
+// the blocking form it closes a segment only where the monus
+// multiplicity changes, so its output is already the unique coalesced
+// encoding.
 //
-// As in streamsweep.go, the input-order precondition is the planner's
-// responsibility (package rewrite inserts SortP enforcers on BOTH
-// children when the order is not guaranteed); violations panic so a
-// planner bug is loud instead of silently wrong.
+// The input-order precondition is the planner's responsibility
+// (package rewrite inserts SortP enforcers on every child when the order
+// is not guaranteed); violations panic so a planner bug is loud instead
+// of silently wrong.
 
 // diffGroup is the per-value-equivalent-group sweep state of the
 // streaming difference: the pending interval ends not yet passed by the
 // sweep (each carrying the signed multiplicity delta to apply), the
 // committed left-minus-right count through the last committed event,
-// and the uncommitted delta accumulated at curT. It is coalesceGroup
-// with a signed count: deltas at one instant fold into one event, and
-// an event closes the open segment only when it changes the monus
-// max(0, count) — an endpoint that leaves the monus unchanged (a
-// zero-net instant, or a change among negative counts) does not split.
+// and the uncommitted delta accumulated at curT. Deltas at one instant
+// fold into one event, so an interval ending exactly where another
+// begins never splits, and an event closes the open segment only when
+// it changes the monus max(0, count) — an endpoint that leaves the
+// monus unchanged (a zero-net instant, or a change among negative
+// counts) does not split. Without a right input the count never goes
+// negative and every nonzero delta changes it: the coalesce.
 type diffGroup struct {
 	key      string
 	data     tuple.Tuple
@@ -132,7 +135,8 @@ func (g *diffGroup) flush(emit func(tuple.Tuple, interval.Interval, int64)) {
 // the same multiset the blocking TemporalDiff produces, without
 // materializing either input. The expiry heap wakes each group when the
 // merged sweep position passes its next event; fully closed groups are
-// evicted from the state map.
+// evicted from the state map. With r == nil it is the streaming
+// coalesce: rOk stays false and every row comes from l.
 type streamDiffIter struct {
 	l, r       RowIter
 	lcur, rcur batchCursor
@@ -173,6 +177,17 @@ func NewStreamDiffIter(l, r RowIter) (RowIter, error) {
 		r.Close()
 		return nil, fmt.Errorf("engine: difference-incompatible arities %d and %d", arities[0], arities[1])
 	}
+	return newStreamDiff(l, r), nil
+}
+
+// NewStreamCoalesceIter returns the streaming coalesce over in, taking
+// ownership of it: the streaming difference with no right input. The
+// input must be ordered by ascending interval begin; violations panic.
+func NewStreamCoalesceIter(in RowIter) RowIter {
+	return newStreamDiff(CheckOrdered("streaming coalesce input", in), nil)
+}
+
+func newStreamDiff(l, r RowIter) *streamDiffIter {
 	return &streamDiffIter{
 		l:      l,
 		r:      r,
@@ -180,7 +195,7 @@ func NewStreamDiffIter(l, r RowIter) (RowIter, error) {
 		rcur:   batchCursor{in: r},
 		n:      l.Schema().Arity() - 2,
 		groups: make(map[string]*diffGroup),
-	}, nil
+	}
 }
 
 func (it *streamDiffIter) Schema() tuple.Schema { return it.l.Schema() }
@@ -235,7 +250,9 @@ func (it *streamDiffIter) fill(capacity int) bool {
 		}
 		if !it.primed {
 			it.lRow, it.lOk = it.lcur.next(capacity)
-			it.rRow, it.rOk = it.rcur.next(capacity)
+			if it.r != nil {
+				it.rRow, it.rOk = it.rcur.next(capacity)
+			}
 			it.primed = true
 		}
 		// Merge step: take the earlier begin (ties go left — immaterial
@@ -308,10 +325,18 @@ func (it *streamDiffIter) NextBatch(out *RowBatch) bool {
 
 func (it *streamDiffIter) Close() {
 	it.l.Close()
-	it.r.Close()
+	if it.r != nil {
+		it.r.Close()
+	}
 }
 
-// Err reports the first terminal error of either input; see
-// streamCoalesceIter.Err for why the sweep's flushed output is only
-// valid when this reports nil.
-func (it *streamDiffIter) Err() error { return FirstErr(it.l.Err(), it.r.Err()) }
+// Err reports the first terminal error of either input. A failed input
+// looks like end of input to the sweep (it flushes and emits what it
+// has); the reported error is what tells the root consumer to discard
+// that output.
+func (it *streamDiffIter) Err() error {
+	if it.r == nil {
+		return it.l.Err()
+	}
+	return FirstErr(it.l.Err(), it.r.Err())
+}

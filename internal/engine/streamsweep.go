@@ -8,10 +8,12 @@ import (
 	"snapk/internal/tuple"
 )
 
-// This file implements the sort-aware streaming forms of the sweep
-// operators (coalesce, Def 8.2, and the pre-aggregated split of §9).
-// Both consume input ordered by ascending interval begin — established
-// by a begin-sorted base table or the SortP enforcer — and keep only
+// This file implements the sort-aware streaming form of the
+// pre-aggregated split of §9, and the heap and output plumbing shared
+// with the streaming difference and coalesce (streamdiff.go). The
+// streaming sweeps consume input ordered by ascending interval begin —
+// established by a begin-sorted base table or the SortP enforcer — and
+// keep only
 // O(active groups + open intervals) state instead of materializing the
 // whole input: once the sweep position passes a time point, no later
 // row can contribute an event before it, so segments up to that point
@@ -22,7 +24,7 @@ import (
 // iterators verify it and panic on violation, which turns a planner bug
 // into a loud failure instead of silently wrong results.
 
-// minHeap is the one binary min-heap behind both streaming sweeps —
+// minHeap is the one binary min-heap behind every streaming sweep —
 // pending interval ends, pending row exits and the group expiry
 // registries — so the sift logic cannot drift between them. Elements
 // carry their sort key inline (hItem), so every sift comparison is a
@@ -80,234 +82,6 @@ func (h *minHeap[T]) pop() hItem[T] {
 	return top
 }
 
-// coalesceGroup is the per-value-equivalent-group sweep state of the
-// streaming coalesce: the pending interval ends not yet passed by the
-// sweep, the multiplicity committed through curT, and the uncommitted
-// multiplicity change accumulated at curT. Deltas at one time point are
-// only committed when the sweep moves strictly past it, so cancelling
-// events at the same instant (an interval ending exactly where another
-// begins) never produce a spurious segment boundary.
-type coalesceGroup struct {
-	key      string
-	data     tuple.Tuple
-	ends     minHeap[struct{}] // bare endpoint heap: keys only
-	count    int64
-	segStart interval.Time
-	curT     interval.Time
-	curDelta int64
-	// reg/regT: the group's single live registration in the iterator's
-	// expiry heap (the global-sweep eviction machinery).
-	reg  bool
-	regT interval.Time
-}
-
-// nextTime reports when the group next needs the sweep's attention.
-// ok=false means the group is fully closed and committed: evictable.
-// The earliest open end is preferred over the uncommitted delta at
-// curT: advance() commits pending deltas on the way to any later wake
-// time, so waking at the end event is equally correct — and it avoids
-// registering a wake at the current sweep position on EVERY row
-// arrival, which the very next row would pop again (two expiry-heap
-// operations per input row instead of per end event).
-func (g *coalesceGroup) nextTime() (interval.Time, bool) {
-	if g.ends.len() > 0 {
-		return g.ends.min(), true
-	}
-	if g.curDelta != 0 || g.count != 0 {
-		return g.curT, true // pending delta with no open end left
-	}
-	return 0, false
-}
-
-// commit applies the pending delta at curT, emitting the finished
-// segment [segStart, curT) if the multiplicity actually changes.
-func (g *coalesceGroup) commit(emit func(data tuple.Tuple, iv interval.Interval, mult int64)) {
-	if g.curDelta == 0 {
-		return
-	}
-	if g.count > 0 && g.curT > g.segStart {
-		emit(g.data, interval.New(g.segStart, g.curT), g.count)
-	}
-	g.count += g.curDelta
-	g.curDelta = 0
-	g.segStart = g.curT
-}
-
-// advance moves the group's sweep position to t, committing every
-// pending end event strictly before it and folding ends at t into the
-// current delta.
-func (g *coalesceGroup) advance(t interval.Time, emit func(tuple.Tuple, interval.Interval, int64)) {
-	for g.ends.len() > 0 && g.ends.min() <= t {
-		et := g.ends.min()
-		if et > g.curT {
-			g.commit(emit)
-			g.curT = et
-		}
-		for g.ends.len() > 0 && g.ends.min() == et {
-			g.ends.pop()
-			g.curDelta--
-		}
-	}
-	if t > g.curT {
-		g.commit(emit)
-		g.curT = t
-	}
-}
-
-// flush drains every remaining pending end at end of input — with no
-// time bound, so arbitrarily late interval ends are still emitted —
-// and commits the final segment.
-func (g *coalesceGroup) flush(emit func(tuple.Tuple, interval.Interval, int64)) {
-	for g.ends.len() > 0 {
-		et := g.ends.min()
-		if et > g.curT {
-			g.commit(emit)
-			g.curT = et
-		}
-		for g.ends.len() > 0 && g.ends.min() == et {
-			g.ends.pop()
-			g.curDelta--
-		}
-	}
-	g.commit(emit)
-}
-
-// streamCoalesceIter is the streaming coalesce operator C (Def 8.2)
-// over begin-sorted input. It produces the same multiset as the
-// blocking Coalesce — maximal intervals of constant multiplicity, one
-// row per multiplicity unit — but holds only O(active groups + open
-// intervals) state: the expiry heap wakes each group when the global
-// sweep position passes its next event, and groups whose intervals are
-// all closed and committed are evicted from the state map.
-type streamCoalesceIter struct {
-	in      RowIter
-	cur     batchCursor
-	n       int // data arity
-	groups  map[string]*coalesceGroup
-	expiry  minHeap[*coalesceGroup] // group wake-ups keyed by next event time
-	queue   []tuple.Tuple
-	qi      int
-	last    interval.Time
-	seen    bool
-	drained bool
-	scratch []byte // reusable group-key buffer (one key string per distinct group, not per row)
-	// peak sweep state, reported through MaxState for EXPLAIN ANALYZE:
-	// most live groups at once plus the largest single group's open-end
-	// heap — the O(active groups + open intervals) bound, observed.
-	maxGroups int
-	maxOpen   int
-}
-
-// MaxState reports the observed peak sweep state (live groups plus the
-// largest per-group open-interval heap) — the engine.StateSizer hook.
-func (it *streamCoalesceIter) MaxState() int64 {
-	return int64(it.maxGroups + it.maxOpen)
-}
-
-// NewStreamCoalesceIter returns the streaming coalesce over in, taking
-// ownership of it. The input must be ordered by ascending interval
-// begin; violations panic.
-func NewStreamCoalesceIter(in RowIter) RowIter {
-	in = CheckOrdered("streaming coalesce input", in)
-	return &streamCoalesceIter{
-		in:     in,
-		cur:    batchCursor{in: in},
-		n:      in.Schema().Arity() - 2,
-		groups: make(map[string]*coalesceGroup),
-	}
-}
-
-// track (re-)registers g in the expiry heap at its next event time, or
-// evicts it when fully closed. Each group holds at most one live
-// registration, so the heap stays O(active groups).
-func (it *streamCoalesceIter) track(g *coalesceGroup) {
-	t, ok := g.nextTime()
-	if !ok {
-		delete(it.groups, g.key)
-		return
-	}
-	g.reg, g.regT = true, t
-	it.expiry.push(t, g)
-}
-
-// retire advances every group whose registered wake-up time lies
-// strictly before the sweep position b, emitting its finished segments
-// and evicting it once fully closed. Strictly before: a group with an
-// end at exactly b must stay live, because a same-instant begin for the
-// same value may still arrive and cancel the boundary.
-func (it *streamCoalesceIter) retire(b interval.Time) {
-	for it.expiry.len() > 0 && it.expiry.min() < b {
-		e := it.expiry.pop()
-		if !e.v.reg || e.v.regT != e.t {
-			continue // superseded registration
-		}
-		e.v.reg = false
-		e.v.advance(b, it.enqueue)
-		it.track(e.v)
-	}
-}
-
-func (it *streamCoalesceIter) Schema() tuple.Schema { return it.in.Schema() }
-
-// enqueue appends mult copies of (data, iv) to the output queue.
-func (it *streamCoalesceIter) enqueue(data tuple.Tuple, iv interval.Interval, mult int64) {
-	it.queue = appendSegment(it.queue, data, iv, mult)
-}
-
-// fill runs the sweep until the output queue holds at least one emitted
-// row or the stream is fully drained, reporting whether rows are
-// available; capacity sizes the cursor's reads of the input.
-func (it *streamCoalesceIter) fill(capacity int) bool {
-	for {
-		if it.qi < len(it.queue) {
-			return true
-		}
-		it.queue = it.queue[:0]
-		it.qi = 0
-		if it.drained {
-			return false
-		}
-		row, ok := it.cur.next(capacity)
-		if !ok {
-			// End of input: sweep every remaining live group past its
-			// last pending end (order is immaterial — the output is a
-			// multiset).
-			for _, g := range it.groups {
-				g.flush(it.enqueue)
-			}
-			it.drained = true
-			continue
-		}
-		iv := rowInterval(row)
-		if it.seen && iv.Begin < it.last {
-			panic(fmt.Sprintf("engine: streaming coalesce input not begin-sorted (begin %d after %d); planner must insert a sort enforcer", iv.Begin, it.last))
-		}
-		it.last, it.seen = iv.Begin, true
-		it.retire(iv.Begin)
-		data := row[:it.n]
-		it.scratch = data.AppendKey(it.scratch[:0], nil)
-		g, ok2 := it.groups[string(it.scratch)]
-		if !ok2 {
-			key := string(it.scratch)
-			//lint:ignore rowretain the group keeps a read-only view of the data columns; sweep producers never reuse yielded backing arrays
-			g = &coalesceGroup{key: key, data: data, segStart: iv.Begin, curT: iv.Begin}
-			it.groups[key] = g
-		}
-		g.advance(iv.Begin, it.enqueue)
-		g.curDelta++
-		g.ends.push(iv.End, struct{}{})
-		if n := len(it.groups); n > it.maxGroups {
-			it.maxGroups = n
-		}
-		if n := g.ends.len(); n > it.maxOpen {
-			it.maxOpen = n
-		}
-		if !g.reg {
-			it.track(g)
-		}
-	}
-}
-
 // copyOut resets out and fills it with up to out.Cap() rows of a sweep's
 // output queue, from position *qi on, calling fill whenever the queue
 // runs dry; fill reports whether rows are available and may reset the
@@ -324,18 +98,6 @@ func copyOut(out *RowBatch, queue *[]tuple.Tuple, qi *int, fill func(capacity in
 	}
 	return out.Len() > 0
 }
-
-func (it *streamCoalesceIter) NextBatch(out *RowBatch) bool {
-	return copyOut(out, &it.queue, &it.qi, it.fill)
-}
-
-func (it *streamCoalesceIter) Close() { it.in.Close() }
-
-// Err delegates the terminal error to the input stream. A failed input
-// looks like end of input to the sweep (it flushes and emits what it
-// has); the delegated error is what tells the root consumer to discard
-// that output.
-func (it *streamCoalesceIter) Err() error { return it.in.Err() }
 
 // aggGroup is the per-group state of the streaming pre-aggregated
 // split: incremental accumulators, the rows whose intervals are still
@@ -609,6 +371,6 @@ func (it *streamAggIter) NextBatch(out *RowBatch) bool {
 func (it *streamAggIter) Close() { it.in.Close() }
 
 // Err delegates the terminal error to the input stream; see
-// streamCoalesceIter.Err for why the sweep's flushed output is only
-// valid when this reports nil.
+// streamDiffIter.Err for why the sweep's flushed output is only valid
+// when this reports nil.
 func (it *streamAggIter) Err() error { return it.in.Err() }

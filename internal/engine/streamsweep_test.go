@@ -69,7 +69,7 @@ func TestStreamCoalesceSameInstantCancellation(t *testing.T) {
 		[3]int64{1, 4, 8}, [3]int64{1, 4, 8}, // two rows beginning at 4
 	)
 	got := Materialize(NewStreamCoalesceIter(NewTableIter(in)))
-	want := Coalesce(in, CoalesceNative)
+	want := Coalesce(in)
 	assertSameTable(t, got, want)
 	if len(got.Rows) != 2 {
 		t.Fatalf("expected the two-copy segment [0,8)x2, got %s", got)
@@ -86,7 +86,7 @@ func TestStreamCoalesceSameInstantCancellation(t *testing.T) {
 func TestStreamCoalesceOverlapSteps(t *testing.T) {
 	in := sweepTable([3]int64{7, 0, 10}, [3]int64{7, 5, 15}, [3]int64{7, 5, 7})
 	got := Materialize(NewStreamCoalesceIter(NewTableIter(in)))
-	assertSameTable(t, got, Coalesce(in, CoalesceNative))
+	assertSameTable(t, got, Coalesce(in))
 }
 
 // Interval ends beyond any practical sweep position must still be
@@ -96,7 +96,7 @@ func TestStreamCoalesceFlushesHugeEnds(t *testing.T) {
 	huge := int64(1) << 62
 	in := sweepTable([3]int64{1, 0, huge}, [3]int64{1, 0, huge + 5})
 	got := Materialize(NewStreamCoalesceIter(NewTableIter(in)))
-	assertSameTable(t, got, Coalesce(in, CoalesceNative))
+	assertSameTable(t, got, Coalesce(in))
 	if len(got.Rows) != 3 {
 		t.Fatalf("want segments [0,huge)x2 and [huge,huge+5), got %s", got)
 	}
@@ -117,14 +117,15 @@ func TestStreamCoalescePanicsOnUnsortedInput(t *testing.T) {
 // The streaming sweeps must evict fully-closed groups as the sweep
 // passes them: state is O(active groups + open intervals), not
 // O(distinct values). Feed n disjoint single-interval groups in begin
-// order and watch the live-group map stay small.
+// order and watch the live-group map of the one-input difference sweep
+// stay small.
 func TestStreamCoalesceEvictsClosedGroups(t *testing.T) {
 	const n = 1000
 	in := NewTable(tuple.NewSchema("v"))
 	for i := int64(0); i < n; i++ {
 		in.Append(tuple.Tuple{tuple.Int(i)}, interval.New(i, i+1), 1)
 	}
-	it := NewStreamCoalesceIter(NewTableIter(in)).(*streamCoalesceIter)
+	it := NewStreamCoalesceIter(NewTableIter(in)).(*streamDiffIter)
 	defer it.Close()
 	rows, maxLive := 0, 0
 	b := NewRowBatch(1) // sample the live groups after every output row
@@ -139,6 +140,37 @@ func TestStreamCoalesceEvictsClosedGroups(t *testing.T) {
 	}
 	if maxLive > 8 {
 		t.Fatalf("live groups grew to %d; closed groups are not being evicted", maxLive)
+	}
+}
+
+// Groups still open at end of input are flushed in first-seen order,
+// so two runs over the same input stream rows in the same order — not
+// in map iteration order.
+func TestStreamCoalesceFlushOrderIsDeterministic(t *testing.T) {
+	const n = 200
+	in := NewTable(tuple.NewSchema("v"))
+	for i := int64(0); i < n; i++ {
+		in.Append(tuple.Tuple{tuple.Int(i)}, interval.New(i, 10*n), 1)
+	}
+	run := func() []string {
+		out := Materialize(NewStreamCoalesceIter(NewTableIter(in)))
+		keys := make([]string, len(out.Rows))
+		for i, row := range out.Rows {
+			keys[i] = row.Key()
+		}
+		return keys
+	}
+	first, second := run(), run()
+	if len(first) != n {
+		t.Fatalf("coalesce of %d distinct open rows emitted %d rows", n, len(first))
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("row %d differs between runs: %s vs %s", i, first[i], second[i])
+		}
+		if want := (tuple.Tuple{tuple.Int(int64(i)), tuple.Int(int64(i)), tuple.Int(10 * n)}).Key(); first[i] != want {
+			t.Fatalf("row %d = %s, want %s (first-seen order)", i, first[i], want)
+		}
 	}
 }
 
@@ -183,7 +215,7 @@ func TestStreamCoalesceGroupReopensAfterEviction(t *testing.T) {
 		[3]int64{1, 21, 30},
 	)
 	got := Materialize(NewStreamCoalesceIter(NewTableIter(in)))
-	assertSameTable(t, got, Coalesce(in, CoalesceNative))
+	assertSameTable(t, got, Coalesce(in))
 }
 
 // Endpoint comparison must not overflow on extreme timestamps

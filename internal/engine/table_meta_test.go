@@ -148,7 +148,7 @@ func TestCoalescedMetadata(t *testing.T) {
 	if tb.KnownCoalesced() {
 		t.Fatal("a raw load must not claim coalescedness")
 	}
-	out := Coalesce(tb, CoalesceNative)
+	out := Coalesce(tb)
 	if !out.KnownCoalesced() {
 		t.Fatal("Coalesce output must be marked coalesced")
 	}

@@ -193,31 +193,24 @@ func probeUnique(ap Approach) (bool, error) {
 }
 
 // Fig5 regenerates Figure 5: multiset coalescing runtime for varying
-// input size, for both coalescing implementations. Runtimes should grow
-// linearly in the input size (§10.2).
+// input size. Runtimes should grow linearly in the input size (§10.2).
 func Fig5(w io.Writer, sc Scale, rep *Report) error {
-	tw := NewTable("rows", "native (s)", "native ns/row", "analytic (s)", "analytic ns/row")
-	implName := map[engine.CoalesceImpl]string{engine.CoalesceNative: "native", engine.CoalesceAnalytic: "analytic"}
+	tw := NewTable("rows", "native (s)", "native ns/row")
 	for _, n := range sc.Fig5Sizes {
 		db := dataset.CoalesceInput(n, 3)
 		tbl, err := db.Table("sal")
 		if err != nil {
 			return err
 		}
-		var cells []string
-		cells = append(cells, fmt.Sprintf("%d", n))
-		for _, impl := range []engine.CoalesceImpl{engine.CoalesceNative, engine.CoalesceAnalytic} {
-			d, err := Median(sc.Runs, func() error {
-				engine.Coalesce(tbl, impl)
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			cells = append(cells, FormatDuration(d), fmt.Sprintf("%d", d.Nanoseconds()/int64(n)))
-			rep.Add("fig5", fmt.Sprintf("coalesce-%s/rows=%d", implName[impl], n), d, nil)
+		d, err := Median(sc.Runs, func() error {
+			engine.Coalesce(tbl)
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		tw.AddRow(cells...)
+		tw.AddRow(fmt.Sprintf("%d", n), FormatDuration(d), fmt.Sprintf("%d", d.Nanoseconds()/int64(n)))
+		rep.Add("fig5", fmt.Sprintf("coalesce-native/rows=%d", n), d, nil)
 	}
 	_, err := tw.WriteTo(w)
 	return err
@@ -324,7 +317,7 @@ func Table3TPC(w io.Writer, sc Scale, rep *Report) error {
 
 // Ablations regenerates the §9 optimization studies: coalesce placement
 // (single final vs per-operator), pre-aggregation vs materialized split,
-// and the two coalescing implementations.
+// and the native single-sort coalesce.
 func Ablations(w io.Writer, sc Scale, rep *Report) error {
 	db := dataset.Employees(sc.Employees)
 
@@ -397,8 +390,8 @@ func Ablations(w io.Writer, sc Scale, rep *Report) error {
 		return err
 	}
 
-	fmt.Fprintln(w, "\nAblation E9 — coalescing implementations (§10.2)")
-	tw = NewTable("rows", "native 1-sort (s)", "analytic 3-sort (s)")
+	fmt.Fprintln(w, "\nAblation E9 — native single-sort coalescing (§10.2)")
+	tw = NewTable("rows", "native 1-sort (s)")
 	for _, n := range sc.Fig5Sizes {
 		if n > 200000 {
 			continue
@@ -408,17 +401,12 @@ func Ablations(w io.Writer, sc Scale, rep *Report) error {
 		if err != nil {
 			return err
 		}
-		dN, err := Median(sc.Runs, func() error { engine.Coalesce(tbl, engine.CoalesceNative); return nil })
+		dN, err := Median(sc.Runs, func() error { engine.Coalesce(tbl); return nil })
 		if err != nil {
 			return err
 		}
-		dA, err := Median(sc.Runs, func() error { engine.Coalesce(tbl, engine.CoalesceAnalytic); return nil })
-		if err != nil {
-			return err
-		}
-		tw.AddRow(fmt.Sprintf("%d", n), FormatDuration(dN), FormatDuration(dA))
+		tw.AddRow(fmt.Sprintf("%d", n), FormatDuration(dN))
 		rep.Add("ablation", fmt.Sprintf("E9/rows=%d/native", n), dN, nil)
-		rep.Add("ablation", fmt.Sprintf("E9/rows=%d/analytic", n), dA, nil)
 	}
 	_, err := tw.WriteTo(w)
 	return err

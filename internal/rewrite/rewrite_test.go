@@ -287,7 +287,7 @@ func TestUniqueEncodingOfResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !engine.IsCoalesced(got, engine.CoalesceNative) {
+		if !engine.IsCoalesced(got) {
 			t.Fatalf("result of %s is not coalesced:\n%s", q, got)
 		}
 		// Canonical: identical to PERIODENC of the decoded relation.
@@ -414,7 +414,7 @@ func TestCoalescedPlansEmitUniqueEncoding(t *testing.T) {
 						if !engine.Coalesced(s) {
 							return
 						}
-						if got := run(edb, s, w); !engine.IsCoalesced(got, engine.CoalesceNative) {
+						if got := run(edb, s, w); !engine.IsCoalesced(got) {
 							t.Fatalf("iteration %d, mode %d, sweep %d, workers %d: Coalesced(%s) holds but its output is not coalesced:\n%s",
 								i, mode, sw, w, s, got)
 						}

@@ -43,7 +43,7 @@ func TestEmployeeQueriesRun(t *testing.T) {
 		if !engine.EqualAsPeriodRelations(opt, naive, alg) {
 			t.Fatalf("%s: optimized and naive modes disagree", wq.ID)
 		}
-		if !engine.IsCoalesced(opt, engine.CoalesceNative) {
+		if !engine.IsCoalesced(opt) {
 			t.Fatalf("%s: result not coalesced", wq.ID)
 		}
 		if opt.Len() == 0 && wq.ID != "join-3" {
@@ -97,7 +97,7 @@ func TestAGFlaggedQueriesHaveGapRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buggyC := engine.Coalesce(buggy, engine.CoalesceNative)
+		buggyC := engine.Coalesce(buggy)
 		if buggyC.Len() >= correct.Len() {
 			t.Errorf("%s: expected the AG bug to lose rows (buggy %d, correct %d)", id, buggyC.Len(), correct.Len())
 		}
