@@ -158,12 +158,12 @@ func TestRunParStreamJSONSchema(t *testing.T) {
 	}
 	w := harness.DefaultWorkers
 	for _, want := range []string{
-		fmt.Sprintf("coalesce-par-blocking-x%d/sorted/rows=200", w),
-		fmt.Sprintf("coalesce-par-stream-x%d/sorted/rows=200", w),
-		fmt.Sprintf("agg-par-blocking-x%d/sorted/rows=200", w),
-		fmt.Sprintf("agg-par-stream-x%d/sorted/rows=200", w),
-		"coalesce-seq-stream/sorted/rows=200",
-		"agg-seq-stream/sorted/rows=200",
+		fmt.Sprintf("coalesce-blocking-x%d/sorted/rows=200", w),
+		fmt.Sprintf("coalesce-streaming-x%d/sorted/rows=200", w),
+		fmt.Sprintf("agg-blocking-x%d/sorted/rows=200", w),
+		fmt.Sprintf("agg-streaming-x%d/sorted/rows=200", w),
+		"coalesce-streaming/sorted/rows=200",
+		"agg-streaming/sorted/rows=200",
 	} {
 		if !names[want] {
 			t.Fatalf("metric %q missing; got %v", want, names)
@@ -214,15 +214,14 @@ func TestRunDiffJSONSchema(t *testing.T) {
 		"diff-blocking/sorted/rows=200",
 		"diff-streaming/sorted/rows=200",
 		"diff-blocking/unsorted/rows=200",
-		"diff-stream-enforced/unsorted/rows=200",
-		fmt.Sprintf("diff-par-blocking-x%d/sorted/rows=200", w),
-		fmt.Sprintf("diff-par-stream-x%d/sorted/rows=200", w),
+		fmt.Sprintf("diff-blocking-x%d/sorted/rows=200", w),
+		fmt.Sprintf("diff-streaming-x%d/sorted/rows=200", w),
 	} {
 		if !names[want] {
 			t.Fatalf("metric %q missing; got %v", want, names)
 		}
 	}
-	// Every physical variant computes the same multiset, so all six must
+	// Every physical variant computes the same multiset, so all five must
 	// agree on output cardinality.
 	var rows []int64
 	for _, m := range rep.Metrics {

@@ -9,10 +9,8 @@
 //	snapq -data factory -explain -sql "SEQ VT (SELECT count(*) AS cnt FROM works)"
 //	snapq -data employees -query agg-1 -approach seq-par -explain   # plan + placement annotations
 //	snapq -data employees -query agg-1 -approach seq-par -analyze   # EXPLAIN ANALYZE: runtime counters
-//	snapq -data employees -query agg-1 -approach par-stream -analyze -trace trace.json
+//	snapq -data employees -query agg-1 -approach seq-par -analyze -trace trace.json
 //	snapq -data employees -query join-1 -approach seq-par  # DefaultWorkers fragments + exchanges
-//	snapq -data employees -query join-1 -approach seq-stream  # forced streaming sweeps
-//	snapq -data employees -query agg-1 -approach par-stream  # parallel streaming sweeps (ordered exchange)
 //	snapq -data employees -query join-1 -stream -limit 0   # stream rows as they arrive
 //	snapq -data employees -query agg-1 -window 100,200   # timeslice: clip the result to [100, 200)
 //	snapq -data employees -query join-1 -opt -window 100,200 -explain   # cost-aware planner + its decisions
@@ -74,7 +72,7 @@ func parseFlags(args []string, out io.Writer) (config, error) {
 	fs.StringVar(&cfg.Domain, "domain", "0,1000000", "with -data csv: time domain min,max")
 	fs.StringVar(&cfg.SQL, "sql", "", "snapshot SQL to run (SEQ VT optional)")
 	fs.StringVar(&cfg.QueryID, "query", "", "run a named workload query (join-1..diff-2, Q1..Q19)")
-	fs.StringVar(&cfg.Approach, "approach", "seq", "seq|seq-naive|seq-par|seq-stream|par-stream|nat-ip|nat-align")
+	fs.StringVar(&cfg.Approach, "approach", "seq", "seq|seq-naive|seq-par|nat-ip|nat-align")
 	fs.IntVar(&cfg.Limit, "limit", 50, "maximum rows to print (0 = all)")
 	fs.BoolVar(&cfg.Explain, "explain", false, "print the rewritten plan and its annotated EXPLAIN tree instead of executing")
 	fs.BoolVar(&cfg.Analyze, "analyze", false, "execute and print EXPLAIN ANALYZE: per-operator rows, timings, sweep state and exchange metrics")
@@ -259,12 +257,8 @@ func parseApproach(s string) (harness.Approach, error) {
 		return harness.NatAlign, nil
 	case "seq-par":
 		return harness.SeqPar, nil
-	case "seq-stream":
-		return harness.SeqStream, nil
-	case "par-stream":
-		return harness.SeqParStream, nil
 	default:
-		return 0, fmt.Errorf("unknown approach %q (valid: seq, seq-naive, seq-par, seq-stream, par-stream, nat-ip, nat-align)", s)
+		return 0, fmt.Errorf("unknown approach %q (valid: seq, seq-naive, seq-par, nat-ip, nat-align)", s)
 	}
 }
 
@@ -371,12 +365,8 @@ func streamOptions(ap harness.Approach) (rewrite.Options, error) {
 		return rewrite.Options{Mode: rewrite.ModeNaive}, nil
 	case harness.SeqPar:
 		return rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: harness.DefaultWorkers}, nil
-	case harness.SeqStream:
-		return rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepStreaming}, nil
-	case harness.SeqParStream:
-		return rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepStreaming, Parallelism: harness.DefaultWorkers}, nil
 	default:
-		return rewrite.Options{}, fmt.Errorf("approach %s has no streaming pipeline (valid here: seq, seq-naive, seq-par, seq-stream, par-stream)", ap)
+		return rewrite.Options{}, fmt.Errorf("approach %s has no streaming pipeline (valid here: seq, seq-naive, seq-par)", ap)
 	}
 }
 

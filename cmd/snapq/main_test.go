@@ -48,13 +48,11 @@ func TestRunHelpPrintsUsage(t *testing.T) {
 
 func TestParseApproach(t *testing.T) {
 	cases := map[string]harness.Approach{
-		"seq":        harness.Seq,
-		"seq-naive":  harness.SeqNaive,
-		"seq-par":    harness.SeqPar,
-		"seq-stream": harness.SeqStream,
-		"par-stream": harness.SeqParStream,
-		"nat-ip":     harness.NatIP,
-		"nat-align":  harness.NatAlign,
+		"seq":       harness.Seq,
+		"seq-naive": harness.SeqNaive,
+		"seq-par":   harness.SeqPar,
+		"nat-ip":    harness.NatIP,
+		"nat-align": harness.NatAlign,
 	}
 	for s, want := range cases {
 		got, err := parseApproach(s)
@@ -69,7 +67,7 @@ func TestParseApproach(t *testing.T) {
 		t.Fatal("expected error for unknown approach")
 	} else {
 		// The diagnostic must list the valid choices.
-		for _, name := range []string{"seq", "seq-par", "par-stream", "nat-align"} {
+		for _, name := range []string{"seq", "seq-naive", "seq-par", "nat-ip", "nat-align"} {
 			if !strings.Contains(err.Error(), name) {
 				t.Fatalf("approach error does not list %q: %v", name, err)
 			}
@@ -77,14 +75,13 @@ func TestParseApproach(t *testing.T) {
 	}
 }
 
-// TestDiffApproachesAgree pins the streaming-difference approach
-// coverage end to end through the CLI: the diff workload query under
-// seq (auto sweeps), seq-stream (forced streaming merge diff behind
-// sort enforcers) and par-stream (per-worker streaming diffs over the
-// ordered repartition) must print the identical sorted result.
+// TestDiffApproachesAgree pins the difference end to end through the
+// CLI: the diff workload query under seq, seq-naive (a coalesce after
+// every operator) and seq-par (per-worker diffs over the hash
+// repartition) must print the identical sorted result.
 func TestDiffApproachesAgree(t *testing.T) {
 	outputs := map[string]string{}
-	for _, ap := range []string{"seq", "seq-naive", "seq-stream", "par-stream"} {
+	for _, ap := range []string{"seq", "seq-naive", "seq-par"} {
 		var out, errb bytes.Buffer
 		code := run([]string{"-data", "employees", "-scale", "0.1", "-query", "diff-1", "-approach", ap, "-limit", "0"}, &out, &errb)
 		if code != 0 {
@@ -103,19 +100,19 @@ func TestDiffApproachesAgree(t *testing.T) {
 }
 
 func TestStreamOptions(t *testing.T) {
-	opt, err := streamOptions(harness.SeqStream)
+	opt, err := streamOptions(harness.SeqNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Sweep != rewrite.SweepStreaming {
-		t.Fatalf("seq-stream must force streaming sweeps, got %+v", opt)
+	if opt.Mode != rewrite.ModeNaive {
+		t.Fatalf("seq-naive must plan in naive mode, got %+v", opt)
 	}
-	ps, err := streamOptions(harness.SeqParStream)
+	ps, err := streamOptions(harness.SeqPar)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps.Sweep != rewrite.SweepStreaming || ps.Parallelism < 2 {
-		t.Fatalf("par-stream must force streaming sweeps on the parallel executor, got %+v", ps)
+	if ps.Mode != rewrite.ModeOptimized || ps.Parallelism < 2 {
+		t.Fatalf("seq-par must run the optimized plan on the parallel executor, got %+v", ps)
 	}
 	if _, err := streamOptions(harness.NatIP); err == nil {
 		t.Fatal("native baselines have no streaming form; expected error")
@@ -126,7 +123,7 @@ func TestStreamOptions(t *testing.T) {
 // text through the full run path.
 func TestRunFactoryQueryAcrossApproaches(t *testing.T) {
 	var want string
-	for _, ap := range []string{"seq", "seq-naive", "seq-par", "seq-stream", "par-stream"} {
+	for _, ap := range []string{"seq", "seq-naive", "seq-par"} {
 		var out, errb bytes.Buffer
 		code := run([]string{
 			"-data", "factory", "-approach", ap,
@@ -300,7 +297,7 @@ func TestRunAnalyzeWithTrace(t *testing.T) {
 	trace := filepath.Join(dir, "trace.json")
 	var out, errb bytes.Buffer
 	code := run([]string{
-		"-data", "factory", "-approach", "par-stream", "-analyze", "-trace", trace,
+		"-data", "factory", "-approach", "seq-par", "-analyze", "-trace", trace,
 		"-sql", "SEQ VT (SELECT count(*) AS cnt FROM works WHERE skill = 'SP')",
 	}, &out, &errb)
 	if code != 0 {

@@ -53,6 +53,60 @@ func TestQueryAtEqualsResultSlice(t *testing.T) {
 	}
 }
 
+// A sum's result kind is a function of its snapshot: after the only
+// float has left, the segment sums integers and is an Int, as QueryAt
+// computes it from the snapshot alone. Checked in both sweep forms
+// (rows inserted begin-sorted stream, unsorted ones block) at one and
+// two workers.
+func TestSumKindFollowsSnapshot(t *testing.T) {
+	typed := func(rows [][]any) string {
+		var parts []string
+		for _, r := range rows {
+			for _, v := range r {
+				parts = append(parts, fmt.Sprintf("%T(%v)", v, v))
+			}
+		}
+		sort.Strings(parts)
+		return strings.Join(parts, " ")
+	}
+	for _, sorted := range []bool{false, true} {
+		for _, w := range []int{1, 2} {
+			db := snapk.New(0, 20).SetParallelism(w)
+			tb, err := db.CreateTable("t", "g", "v")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := []struct {
+				b, e int64
+				v    any
+			}{{2, 10, 1}, {0, 5, 2.5}}
+			if sorted {
+				rows[0], rows[1] = rows[1], rows[0]
+			}
+			for _, r := range rows {
+				if err := tb.Insert(r.b, r.e, "x", r.v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, sql := range []string{`SELECT sum(v) AS s FROM t`, `SELECT g, sum(v) AS s FROM t GROUP BY g`} {
+				res, err := db.Query(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, tp := range []int64{3, 7} {
+					want, err := db.QueryAt(sql, tp)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := typed(res.At(tp)); got != typed(want) {
+						t.Fatalf("sorted=%v W=%d %s at %d: Query gives %s, QueryAt %s", sorted, w, sql, tp, got, typed(want))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestQueryAtMultiplicities(t *testing.T) {
 	db := factoryDB(t)
 	// At 08:00 both Ann and Sam are SP: projection to skill has SP twice.

@@ -81,8 +81,14 @@ func TestChaosGrid(t *testing.T) {
 			baseline = append(baseline, row.String())
 		}
 		sort.Strings(baseline)
-		for _, par := range []int{0, 2, 4} {
-			for _, sw := range []rewrite.SweepMode{rewrite.SweepAuto, rewrite.SweepStreaming} {
+		// The begin-sorted copy of the database plans streaming sweeps,
+		// the unsorted one blocking sweeps.
+		for _, sorted := range []bool{false, true} {
+			db := edb
+			if sorted {
+				db = spec.SortedByBegin().ToEngineDB()
+			}
+			for _, par := range []int{0, 2, 4} {
 				for seed := int64(0); seed < 3; seed++ {
 					base := runtime.NumGoroutine()
 					ctx, cancel := context.WithCancel(context.Background())
@@ -94,18 +100,17 @@ func TestChaosGrid(t *testing.T) {
 						CancelRate: 0.05,
 						OnCancel:   cancel,
 					})
-					it, err := rewrite.Stream(ctx, edb, q, rewrite.Options{
+					it, err := rewrite.Stream(ctx, db, q, rewrite.Options{
 						Mode:        rewrite.ModeOptimized,
-						Sweep:       sw,
 						Parallelism: par,
 						Inject:      inj.Wrapper(),
 					})
 					if err != nil {
-						// A fault firing during plan build (eager join builds,
-						// sort enforcers) surfaces as a construction error —
-						// legal, but it must be a recognized one.
+						// A fault firing during plan build (eager join builds)
+						// surfaces as a construction error — legal, but it
+						// must be a recognized one.
 						if !recognized(err) {
-							t.Fatalf("par=%d sweep=%v seed=%d: unrecognized build error %v (%s)", par, sw, seed, err, q)
+							t.Fatalf("sorted=%v par=%d seed=%d: unrecognized build error %v (%s)", sorted, par, seed, err, q)
 						}
 						cancel()
 						waitForGoroutines(t, base)
@@ -119,16 +124,16 @@ func TestChaosGrid(t *testing.T) {
 						// No error means the complete result: silent truncation
 						// is the one unforgivable outcome.
 						if len(got) != len(baseline) {
-							t.Fatalf("par=%d sweep=%v seed=%d: clean stream with %d rows, baseline %d (%s)",
-								par, sw, seed, len(got), len(baseline), q)
+							t.Fatalf("sorted=%v par=%d seed=%d: clean stream with %d rows, baseline %d (%s)",
+								sorted, par, seed, len(got), len(baseline), q)
 						}
 						for j := range got {
 							if got[j] != baseline[j] {
-								t.Fatalf("par=%d sweep=%v seed=%d: clean stream diverges from baseline at %d (%s)", par, sw, seed, j, q)
+								t.Fatalf("sorted=%v par=%d seed=%d: clean stream diverges from baseline at %d (%s)", sorted, par, seed, j, q)
 							}
 						}
 					} else if !recognized(streamErr) {
-						t.Fatalf("par=%d sweep=%v seed=%d: unrecognized stream error %v (%s)", par, sw, seed, streamErr, q)
+						t.Fatalf("sorted=%v par=%d seed=%d: unrecognized stream error %v (%s)", sorted, par, seed, streamErr, q)
 					}
 					waitForGoroutines(t, base)
 				}

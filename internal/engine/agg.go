@@ -308,11 +308,11 @@ func appendSegKey(b []byte, row tuple.Tuple, groupIdx []int, iv interval.Interva
 // insertions and deletions — the per-segment evaluation of the
 // pre-aggregated split (§9).
 type aggSweeper struct {
-	fn        krel.AggFunc
-	count     int64   // non-null rows (all rows for CountStar)
-	sumI      int64   // integer part of the running sum
-	sumF      float64 // float part of the running sum
-	seenFloat bool    // a float value ever contributed to the sum
+	fn     krel.AggFunc
+	count  int64   // non-null rows (all rows for CountStar)
+	sumI   int64   // integer part of the running sum
+	sumF   float64 // float part of the running sum
+	floats int64   // float values in the sum now; the sum is a Float iff > 0
 	// vals maintains the multiset of current values for min/max, as a
 	// sorted slice of distinct values with counts.
 	vals   []tuple.Value
@@ -337,8 +337,13 @@ func (a *aggSweeper) update(v tuple.Value, enter bool) {
 	switch a.fn {
 	case krel.Sum, krel.Avg:
 		if v.Kind() == tuple.KindFloat {
-			a.seenFloat = true
+			a.floats += sign
 			a.sumF += float64(sign) * v.AsFloat()
+			if a.floats == 0 {
+				// No float is left, so the float part is exactly 0,
+				// whatever rounding the retractions left behind.
+				a.sumF = 0
+			}
 		} else {
 			a.sumI += sign * v.AsInt()
 		}
@@ -369,7 +374,7 @@ func (a *aggSweeper) result() tuple.Value {
 		if a.count == 0 {
 			return tuple.Null
 		}
-		if a.seenFloat {
+		if a.floats > 0 {
 			return tuple.Float(krel.QuantizeFloat(a.sumF + float64(a.sumI)))
 		}
 		return tuple.Int(a.sumI)

@@ -17,7 +17,7 @@ import (
 	"snapk/internal/tuple"
 )
 
-// batchDB builds a table with n rows whose begin points ascend.
+// batchDB builds a begin-sorted table with n rows.
 func batchDB(n int) *engine.DB {
 	db := engine.NewDB(interval.NewDomain(0, 1000))
 	tb := db.CreateTable("t", tuple.NewSchema("v"))
@@ -25,6 +25,7 @@ func batchDB(n int) *engine.DB {
 		b := int64(i % 100)
 		tb.Append(tuple.Tuple{tuple.Int(int64(i))}, interval.New(b, b+3), 1)
 	}
+	tb.SortByEndpoints()
 	return db
 }
 
@@ -97,7 +98,7 @@ func TestNextBatchEmptyInput(t *testing.T) {
 	db := batchDB(0)
 	plans := []engine.Plan{
 		engine.ScanP{Name: "t"},
-		engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "t"}}, Streaming: true},
+		engine.CoalesceP{In: engine.ScanP{Name: "t"}, Streaming: true},
 	}
 	for _, p := range plans {
 		it := execSeq(t, db, p, nil)
@@ -138,10 +139,10 @@ func TestNextBatchZeroCapacityBatch(t *testing.T) {
 func TestSweepBatchDriveMatchesPerRow(t *testing.T) {
 	db := batchDB(137)
 	plans := []engine.Plan{
-		engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "t"}}, Streaming: true},
+		engine.CoalesceP{In: engine.ScanP{Name: "t"}, Streaming: true},
 		engine.DiffP{
-			L:         engine.SortP{In: engine.ScanP{Name: "t"}},
-			R:         engine.SortP{In: engine.FilterP{Pred: algebra.Lt(algebra.Col("v"), algebra.IntC(40)), In: engine.ScanP{Name: "t"}}},
+			L:         engine.ScanP{Name: "t"},
+			R:         engine.FilterP{Pred: algebra.Lt(algebra.Col("v"), algebra.IntC(40)), In: engine.ScanP{Name: "t"}},
 			Streaming: true,
 		},
 		// No equi-key: the join runs as the interval-overlap sweep.

@@ -8,8 +8,8 @@ import (
 
 // This file is the single source of truth for interval-endpoint order
 // over period-encoded rows. Every operator that sorts by or relies on
-// endpoint order — the sort enforcer, the streaming sweeps, the overlap
-// join, Table.Sort and IsCoalesced — goes through these helpers, so the
+// endpoint order — the streaming sweeps, the overlap join,
+// Table.SortByEndpoints, Table.Sort and IsCoalesced — goes through these helpers, so the
 // sort semantics cannot drift between per-file copies.
 
 // CompareEndpoints compares two period rows by (begin, end), the

@@ -23,8 +23,7 @@ type ExplainNode struct {
 	Op     string
 	Detail string
 	// Mode is the sweep mode of coalesce/aggregate/difference nodes:
-	// "streaming" (input order guaranteed by the data), "enforced"
-	// (streaming behind an inserted sort enforcer), or "blocking" (the
+	// "streaming" (input order guaranteed by the data) or "blocking" (the
 	// materializing sweep). Empty for non-sweep operators.
 	Mode string
 	// Ordered reports the interval-endpoint sort property of the node's
@@ -66,19 +65,17 @@ func (db *DB) ExplainPlan(p Plan) *ExplainNode {
 		n.Op = "UnionAll"
 	case DiffP:
 		n.Op = "Diff"
-		n.Mode = sweepMode(t.Streaming, t.L, t.R)
+		n.Mode = sweepMode(t.Streaming)
 	case AggP:
 		n.Op = "Agg"
 		n.Detail = fmt.Sprintf("group_by=%v", t.GroupBy)
 		if t.PreAgg {
 			n.Detail += " pre-agg"
 		}
-		n.Mode = sweepMode(t.Streaming && t.PreAgg, t.In)
+		n.Mode = sweepMode(t.Streaming && t.PreAgg)
 	case CoalesceP:
 		n.Op = "Coalesce"
-		n.Mode = sweepMode(t.Streaming, t.In)
-	case SortP:
-		n.Op, n.Detail = "Sort", "endpoint enforcer"
+		n.Mode = sweepMode(t.Streaming)
 	case WindowP:
 		n.Op, n.Detail = "Window", t.T.String()
 		if t.Prune {
@@ -93,19 +90,12 @@ func (db *DB) ExplainPlan(p Plan) *ExplainNode {
 	return n
 }
 
-// sweepMode classifies a sweep operator: blocking, streaming, or
-// enforced — streaming whose order guarantee comes from an inserted
-// sort enforcer on (any of) its input(s) rather than from the data.
-func sweepMode(streaming bool, inputs ...Plan) string {
-	if !streaming {
-		return "blocking"
+// sweepMode names a sweep operator's physical form.
+func sweepMode(streaming bool) string {
+	if streaming {
+		return "streaming"
 	}
-	for _, in := range inputs {
-		if _, ok := in.(SortP); ok {
-			return "enforced"
-		}
-	}
-	return "streaming"
+	return "blocking"
 }
 
 // explainJoinDetail reports the join strategy the executor will pick
@@ -175,8 +165,6 @@ func (db *DB) PlanDataSchema(p Plan) (tuple.Schema, error) {
 		}
 		return tuple.Schema{Cols: out.Cols[:out.Arity()-2]}, nil
 	case CoalesceP:
-		return db.PlanDataSchema(t.In)
-	case SortP:
 		return db.PlanDataSchema(t.In)
 	case WindowP:
 		return db.PlanDataSchema(t.In)

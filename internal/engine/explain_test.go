@@ -27,7 +27,7 @@ func explainDB() *engine.DB {
 	return db
 }
 
-func TestExplainSweepModes(t *testing.T) {
+func TestExplainSweepForms(t *testing.T) {
 	db := explainDB()
 	cases := []struct {
 		name string
@@ -35,7 +35,6 @@ func TestExplainSweepModes(t *testing.T) {
 		mode string
 	}{
 		{"blocking over unsorted", engine.CoalesceP{In: engine.ScanP{Name: "un"}}, "blocking"},
-		{"enforced behind sort", engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "un"}}, Streaming: true}, "enforced"},
 		{"streaming over sorted", engine.CoalesceP{In: engine.ScanP{Name: "so"}, Streaming: true}, "streaming"},
 	}
 	for _, c := range cases {
@@ -159,16 +158,15 @@ func TestExplainRender(t *testing.T) {
 			Aggs:      []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}},
 			PreAgg:    true,
 			Streaming: true,
-			In:        engine.SortP{In: engine.FilterP{Pred: algebra.Gt(algebra.Col("v"), algebra.IntC(3)), In: engine.ScanP{Name: "un"}}},
+			In:        engine.FilterP{Pred: algebra.Gt(algebra.Col("w"), algebra.IntC(3)), In: engine.ScanP{Name: "so"}},
 		},
 	}
 	out := db.ExplainPlan(plan).Render()
 	for _, want := range []string{
 		"Coalesce sweep=blocking",
-		"Agg [group_by=[k] pre-agg] sweep=enforced",
-		"Sort [endpoint enforcer]",
+		"Agg [group_by=[k] pre-agg] sweep=streaming",
 		"Filter [",
-		"Scan [un]",
+		"Scan [so] ordered",
 		"est_rows=20", // the scan's exact cardinality, rendered
 		"└─ ",         // tree drawing
 	} {

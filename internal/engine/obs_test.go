@@ -14,8 +14,9 @@ import (
 	"snapk/internal/tuple"
 )
 
-// obsDB builds a 50-row single-table database whose intervals overlap
-// heavily, so streaming sweeps accumulate real open-interval state.
+// obsDB builds a 50-row begin-sorted single-table database whose
+// intervals overlap heavily, so streaming sweeps accumulate real
+// open-interval state.
 func obsDB() *engine.DB {
 	db := engine.NewDB(interval.NewDomain(0, 100))
 	tb := db.CreateTable("t", tuple.NewSchema("g", "v"))
@@ -23,6 +24,7 @@ func obsDB() *engine.DB {
 		b := int64(i % 10)
 		tb.Append(tuple.Tuple{tuple.Int(int64(i % 3)), tuple.Int(int64(i))}, interval.New(b, b+5), 1)
 	}
+	tb.SortByEndpoints()
 	return db
 }
 
@@ -51,13 +53,13 @@ func TestObsNilSafety(t *testing.T) {
 	}
 }
 
-// An analyzed enforced-streaming coalesce must report exact per-operator
+// An analyzed streaming coalesce must report exact per-operator
 // row counts, the sweep's peak state, a tree mirroring the plan, and a
 // well-formed Chrome trace.
 func TestAnalyzeCountsStateAndTrace(t *testing.T) {
 	db := obsDB()
 	col := engine.NewCollector()
-	plan := engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "t"}}, Streaming: true}
+	plan := engine.CoalesceP{In: engine.ScanP{Name: "t"}, Streaming: true}
 	it := execSeq(t, db, plan, col.Root)
 	res := engine.Materialize(it)
 	it.Close()
@@ -81,20 +83,16 @@ func TestAnalyzeCountsStateAndTrace(t *testing.T) {
 	if root.MaxState() <= 0 {
 		t.Fatal("streaming sweep must report peak open-interval/group state")
 	}
-	ch := root.Children()
-	if len(ch) != 1 || ch[0].Label != "Sort" {
-		t.Fatalf("expected one Sort child under Coalesce, got %+v", ch)
-	}
-	sc := ch[0].Children()
+	sc := root.Children()
 	if len(sc) != 1 || sc[0].Label != "Scan" || sc[0].Detail != "t" {
-		t.Fatalf("expected a Scan[t] child under Sort, got %+v", sc)
+		t.Fatalf("expected a Scan[t] child under Coalesce, got %+v", sc)
 	}
 	if sc[0].Rows() != 50 {
 		t.Fatalf("scan rows=%d, want 50", sc[0].Rows())
 	}
 
 	out := col.Render()
-	for _, want := range []string{"Coalesce [streaming]", "Sort", "Scan [t]", "rows=50", "max_state="} {
+	for _, want := range []string{"Coalesce [streaming]", "Scan [t]", "rows=50", "max_state="} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered tree lacks %q:\n%s", want, out)
 		}
@@ -114,7 +112,7 @@ func TestAnalyzeCountsStateAndTrace(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &tr); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	if len(tr.TraceEvents) < 4 || tr.TraceEvents[0].Ph != "M" {
+	if len(tr.TraceEvents) < 3 || tr.TraceEvents[0].Ph != "M" {
 		t.Fatalf("trace must open with the metadata event and carry one span per active operator: %s", buf.String())
 	}
 	spans := 0
@@ -127,8 +125,8 @@ func TestAnalyzeCountsStateAndTrace(t *testing.T) {
 		}
 		spans++
 	}
-	if spans != 3 {
-		t.Fatalf("expected 3 operator spans (Coalesce, Sort, Scan), got %d", spans)
+	if spans != 2 {
+		t.Fatalf("expected 2 operator spans (Coalesce, Scan), got %d", spans)
 	}
 }
 
@@ -137,7 +135,7 @@ func TestAnalyzeCountsStateAndTrace(t *testing.T) {
 func TestAnalyzeEarlyCloseSnapshotsState(t *testing.T) {
 	db := obsDB()
 	col := engine.NewCollector()
-	plan := engine.CoalesceP{In: engine.SortP{In: engine.ScanP{Name: "t"}}, Streaming: true}
+	plan := engine.CoalesceP{In: engine.ScanP{Name: "t"}, Streaming: true}
 	it := execSeq(t, db, plan, col.Root)
 	b := engine.NewRowBatch(1)
 	for i := 0; i < 5; i++ {

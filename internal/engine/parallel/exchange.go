@@ -59,7 +59,7 @@ func (x *exchange) release() {
 // probes the execution context: a single-fragment pipeline runs entirely
 // on the consumer's goroutine, so this probe (amortized per morsel of
 // rows) is its only mid-stream cancellation point — blocking drains
-// above it (sort enforcers, hash-join builds, blocking sweeps) end early
+// above it (hash-join builds, blocking sweeps) end early
 // with the context's error instead of running to completion.
 type morselTableIter struct {
 	ctx    context.Context

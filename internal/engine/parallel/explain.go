@@ -48,8 +48,6 @@ func place(p engine.Plan, workers int, hashJoin bool, in ...shape) shape {
 		return shape{frags: workers}
 	case engine.CoalesceP, engine.DiffP:
 		return shape{frags: workers}
-	case engine.SortP:
-		return shape{frags: 1, ordered: true}
 	default:
 		return shape{frags: 1}
 	}
@@ -154,8 +152,6 @@ func describe(p engine.Plan, hashJoin bool, in []shape, out shape) string {
 		return sweep(n.Streaming && n.PreAgg, "input", "")
 	case engine.CoalesceP:
 		return sweep(n.Streaming, "input", "")
-	case engine.SortP:
-		return "sequential materialization boundary"
 	default:
 		return ""
 	}

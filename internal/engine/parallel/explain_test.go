@@ -18,7 +18,8 @@ import (
 )
 
 // placementPlans is the plan set the placement test sweeps: one per
-// placement-relevant build() case.
+// placement-relevant build() case. The streaming sweeps read "l", which
+// bigPipelineDB stores begin-sorted at up to 1000 rows.
 func placementPlans() []engine.Plan {
 	scanL := engine.ScanP{Name: "l"}
 	scanR := engine.ScanP{Name: "r"}
@@ -28,11 +29,11 @@ func placementPlans() []engine.Plan {
 		engine.JoinP{L: scanL, R: scanR, Pred: algebra.BoolC(true)}, // overlap sweep: sequential
 		engine.UnionP{L: scanL, R: scanL},
 		engine.CoalesceP{In: scanL},
-		engine.CoalesceP{In: engine.SortP{In: scanL}, Streaming: true},
+		engine.CoalesceP{In: scanL, Streaming: true},
 		engine.AggP{GroupBy: []string{"k"}, Aggs: []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}}, In: scanL},
 		engine.AggP{Aggs: []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}}, In: scanL}, // global agg: sequential sweep
 		engine.DiffP{L: scanL, R: scanL},
-		engine.DiffP{L: engine.SortP{In: scanL}, R: engine.SortP{In: scanL}, Streaming: true},
+		engine.DiffP{L: scanL, R: scanL, Streaming: true},
 	}
 }
 

@@ -131,10 +131,10 @@ func TestParallelStreamingSweepEquivalence(t *testing.T) {
 	}
 }
 
-// The full par-stream grid over random databases and queries: the
-// REWR plans of every sweep mode × parallelism × sortedness
-// combination must agree with the reference evaluator. This is the
-// qgen equivalence suite's coverage of the new executor path (the
+// The parallel sweep grid over random databases and queries: the REWR
+// plans over unsorted and begin-sorted tables (blocking and streaming
+// sweeps) must agree with the reference evaluator. This is the qgen
+// equivalence suite's coverage of the new executor path (the
 // rewrite-level commuting diagram covers the logical model; this one
 // stresses the exchanges with a tiny morsel size).
 func TestParStreamQgenGrid(t *testing.T) {
@@ -148,27 +148,25 @@ func TestParStreamQgenGrid(t *testing.T) {
 				s = spec.SortedByBegin()
 			}
 			db := s.ToEngineDB()
-			for _, sw := range []rewrite.SweepMode{rewrite.SweepAuto, rewrite.SweepStreaming, rewrite.SweepBlocking} {
-				p, err := rewrite.Rewrite(q, db, rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: sw, Parallelism: 3})
+			p, err := rewrite.Rewrite(q, db, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: 3})
+			if err != nil {
+				t.Fatalf("seed %d: rewrite: %v", seed, err)
+			}
+			mat, err := db.Exec(p)
+			if err != nil {
+				t.Fatalf("seed %d: Exec(%s): %v", seed, p, err)
+			}
+			want := sortedKeys(mat)
+			for _, workers := range []int{2, 4} {
+				it, err := parallel.Exec(context.Background(), db, p, parallel.Options{Workers: workers, MorselSize: 4})
 				if err != nil {
-					t.Fatalf("seed %d: rewrite: %v", seed, err)
+					t.Fatalf("seed %d sorted %v workers %d: %v", seed, sorted, workers, err)
 				}
-				mat, err := db.Exec(p)
-				if err != nil {
-					t.Fatalf("seed %d: Exec(%s): %v", seed, p, err)
-				}
-				want := sortedKeys(mat)
-				for _, workers := range []int{2, 4} {
-					it, err := parallel.Exec(context.Background(), db, p, parallel.Options{Workers: workers, MorselSize: 4})
-					if err != nil {
-						t.Fatalf("seed %d sweep %d workers %d: %v", seed, sw, workers, err)
-					}
-					got := sortedKeys(engine.Materialize(it))
-					it.Close()
-					if !sameMultiset(got, want) {
-						t.Fatalf("seed %d sorted %v sweep %d workers %d: diverges from sequential\nplan: %s\ngot %d rows, want %d",
-							seed, sorted, sw, workers, p, len(got), len(want))
-					}
+				got := sortedKeys(engine.Materialize(it))
+				it.Close()
+				if !sameMultiset(got, want) {
+					t.Fatalf("seed %d sorted %v workers %d: diverges from sequential\nplan: %s\ngot %d rows, want %d",
+						seed, sorted, workers, p, len(got), len(want))
 				}
 			}
 		}

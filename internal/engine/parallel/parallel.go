@@ -92,10 +92,9 @@ type Options struct {
 	Stats *engine.OpStats
 	// Gov, when non-nil, is the per-query resource governor: the root
 	// iterator charges emitted rows against its row limit, sweeps (the
-	// blocking ones and the sort enforcer by their materialized inputs)
-	// and the hash-join build charge their tracked state against its
-	// memory budget, and the ordered-repartition queues charge their
-	// depth.
+	// blocking ones by their materialized inputs) and the hash-join
+	// build charge their tracked state against its memory budget, and
+	// the ordered-repartition queues charge their depth.
 	// Tripping a limit fails the query with the governor's typed error.
 	// Nil (the default) disables all charging.
 	Gov *engine.Governor
@@ -373,8 +372,7 @@ func (it *execIter) Close() {
 // stream carries it: sortedness survives the merge hop. This is
 // deliberate even at the root, where no operator consumes the order:
 // the cursor API then emits begin-ordered rows for ordered plans
-// (clients see deterministic stream order), and the sort enforcer
-// receives pre-sorted input. The price is a per-row heap compare on
+// (clients see deterministic stream order). The price is a per-row heap compare on
 // sorted scan-only plans; if that ever shows up in profiles, thread a
 // need-order flag from the consumer instead.
 func (e *executor) exchange(s *pstream, want int, keyIdx []int, streaming bool, parent *engine.OpStats) []engine.RowIter {
@@ -519,20 +517,6 @@ func (e *executor) build(p engine.Plan, parent *engine.OpStats) (*pstream, error
 		return e.buildAgg(n, parent)
 	case engine.CoalesceP:
 		return e.buildCoalesce(n, parent)
-	case engine.SortP:
-		st := parent.Child("Sort", "enforcer")
-		in, err := e.build(n.In, st)
-		if err != nil {
-			return nil, err
-		}
-		// The sweep materializes into a private table, so sorting in place
-		// is safe — no stored table is mutated and no copy is needed.
-		it := engine.CheckOrdered("sort enforcer", newLazySweepIter(e.gov, in.schema, func(ts ...*engine.Table) (*engine.Table, error) {
-			ts[0].SortByEndpoints()
-			return ts[0], nil
-		}, e.merge(in, st)))
-		out := place(n, e.workers, false, in.shape())
-		return e.finish("", &pstream{parts: []engine.RowIter{it}, schema: in.schema, ordered: out.ordered}, st), nil
 	default:
 		return nil, fmt.Errorf("parallel: unknown plan node %T", p)
 	}

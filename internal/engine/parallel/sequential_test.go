@@ -22,9 +22,10 @@ import (
 
 // allOperatorPlan covers every build() case in both physical forms of
 // each sweep: scan, window, filter, project, hash join, overlap join,
-// union, sort, and streaming and blocking agg/diff/coalesce.
+// union, and streaming and blocking agg/diff/coalesce. The streaming
+// sweeps read "s", a begin-sorted table (see withSortedCopy).
 func allOperatorPlan() engine.Plan {
-	scanL, scanR := engine.ScanP{Name: "l"}, engine.ScanP{Name: "r"}
+	scanL, scanR, scanS := engine.ScanP{Name: "l"}, engine.ScanP{Name: "r"}, engine.ScanP{Name: "s"}
 	cnt := []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}}
 	keys := func(in engine.Plan) engine.Plan {
 		return engine.ProjectP{Exprs: []algebra.NamedExpr{{Name: "k", E: algebra.Col("k")}}, In: in}
@@ -35,16 +36,34 @@ func allOperatorPlan() engine.Plan {
 		L:    engine.WindowP{T: interval.New(0, 40), In: scanL},
 		R:    engine.WindowP{T: interval.New(0, 40), Prune: true, In: scanR},
 		Pred: algebra.Lt(algebra.Col("v"), algebra.Col("w"))})
-	sorted := func(in engine.Plan) engine.Plan { return engine.SortP{In: in} }
 	blocking := engine.CoalesceP{In: engine.DiffP{
 		L: engine.UnionP{L: hash, R: overlap},
 		R: keys(engine.AggP{GroupBy: []string{"k"}, Aggs: cnt, In: scanL}),
 	}}
-	streaming := engine.CoalesceP{Streaming: true, In: sorted(engine.DiffP{Streaming: true,
-		L: sorted(keys(scanL)),
-		R: sorted(keys(engine.AggP{GroupBy: []string{"k"}, Aggs: cnt, PreAgg: true, Streaming: true, In: sorted(scanL)})),
-	})}
+	streaming := engine.UnionP{
+		L: engine.CoalesceP{Streaming: true, In: keys(scanS)},
+		R: engine.UnionP{
+			L: engine.DiffP{Streaming: true,
+				L: keys(scanS),
+				R: keys(engine.FilterP{Pred: algebra.Gt(algebra.Col("v"), algebra.IntC(10)), In: scanS}),
+			},
+			R: keys(engine.AggP{GroupBy: []string{"k"}, Aggs: cnt, PreAgg: true, Streaming: true, In: scanS}),
+		},
+	}
 	return engine.UnionP{L: blocking, R: streaming}
+}
+
+// withSortedCopy registers a begin-sorted copy of db's table "l" as "s".
+func withSortedCopy(t *testing.T, db *engine.DB) *engine.DB {
+	t.Helper()
+	l, err := db.Table("l")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := l.Clone()
+	s.SortByEndpoints()
+	db.AddTable("s", s)
+	return db
 }
 
 func hasExchange(st *engine.OpStats) bool {
@@ -60,7 +79,7 @@ func hasExchange(st *engine.OpStats) bool {
 }
 
 func TestSequentialIsOneFragment(t *testing.T) {
-	db := bigPipelineDB(2000)
+	db := withSortedCopy(t, bigPipelineDB(2000))
 	p := allOperatorPlan()
 	want, err := db.Exec(p)
 	if err != nil {
@@ -104,35 +123,37 @@ func TestSequentialIsOneFragment(t *testing.T) {
 func TestSequentialRootIsBatchIter(t *testing.T) {
 	for seed := int64(0); seed < 120; seed++ {
 		g := qgen.New(seed)
-		db := g.GenDB().ToEngineDB()
+		spec := g.GenDB()
 		q := g.GenQuery()
-		for _, opt := range []rewrite.Options{
-			{Mode: rewrite.ModeOptimized},
-			{Mode: rewrite.ModeNaive},
-			{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepStreaming},
-		} {
-			p, err := rewrite.Rewrite(q, db, opt)
-			if err != nil {
-				t.Fatalf("seed %d: rewrite: %v", seed, err)
-			}
-			it, err := parallel.Exec(context.Background(), db, p, parallel.Options{Workers: 1})
-			if err != nil {
-				t.Fatalf("seed %d: Exec(%s): %v", seed, p, err)
-			}
-			b := engine.NewRowBatch(3)
-			for {
-				ok := it.NextBatch(b)
-				if ok != (b.Len() > 0) || b.Len() > 3 {
-					t.Fatalf("seed %d: root of %s broke the NextBatch contract: ok=%v with %d rows", seed, p, ok, b.Len())
+		// The begin-sorted copy plans streaming sweeps.
+		for _, db := range []*engine.DB{spec.ToEngineDB(), spec.SortedByBegin().ToEngineDB()} {
+			for _, opt := range []rewrite.Options{
+				{Mode: rewrite.ModeOptimized},
+				{Mode: rewrite.ModeNaive},
+			} {
+				p, err := rewrite.Rewrite(q, db, opt)
+				if err != nil {
+					t.Fatalf("seed %d: rewrite: %v", seed, err)
 				}
-				if !ok {
-					break
+				it, err := parallel.Exec(context.Background(), db, p, parallel.Options{Workers: 1})
+				if err != nil {
+					t.Fatalf("seed %d: Exec(%s): %v", seed, p, err)
 				}
+				b := engine.NewRowBatch(3)
+				for {
+					ok := it.NextBatch(b)
+					if ok != (b.Len() > 0) || b.Len() > 3 {
+						t.Fatalf("seed %d: root of %s broke the NextBatch contract: ok=%v with %d rows", seed, p, ok, b.Len())
+					}
+					if !ok {
+						break
+					}
+				}
+				if err := it.Err(); err != nil {
+					t.Fatalf("seed %d: %s: %v", seed, p, err)
+				}
+				it.Close()
 			}
-			if err := it.Err(); err != nil {
-				t.Fatalf("seed %d: %s: %v", seed, p, err)
-			}
-			it.Close()
 		}
 	}
 }
@@ -151,21 +172,5 @@ func TestCoalesceUnderExecutor(t *testing.T) {
 	got := runParallel(t, db, engine.CoalesceP{In: engine.ScanP{Name: "sal"}}, 1)
 	if !sameMultiset(sortedKeys(got), sortedKeys(want)) {
 		t.Fatalf("got\n%s\nwant\n%s", got, want)
-	}
-}
-
-// The sort enforcer establishes the order the streaming sweeps need.
-func TestSortEnforcerEstablishesOrder(t *testing.T) {
-	db := engine.NewDB(interval.NewDomain(0, 24))
-	tbl := db.CreateTable("t", tuple.NewSchema("v"))
-	for i, b := range []int64{9, 2, 5, 0, 7} {
-		tbl.Append(tuple.Tuple{tuple.Int(int64(i))}, interval.New(b, b+3), 1)
-	}
-	out := runParallel(t, db, engine.SortP{In: engine.ScanP{Name: "t"}}, 1)
-	if !engine.RowsBeginSorted(out.Rows) {
-		t.Fatalf("sort enforcer output not begin-sorted: %s", out)
-	}
-	if out.Len() != tbl.Len() {
-		t.Fatalf("sort enforcer changed cardinality: %d != %d", out.Len(), tbl.Len())
 	}
 }

@@ -5,14 +5,13 @@ import (
 	"snapk/internal/tuple"
 )
 
-// lazySweepIter runs one blocking operator — a blocking sweep over one
-// hash partition (or partition pair, for difference), or the sort
-// enforcer — inside the fragment that drains it: the inputs are
-// materialized on the first pull (concurrently across fragments when
-// each runs in its own merge-producer goroutine), fn runs on them, and
-// the result streams out. For the sweeps the partitioning key is the
-// group key, so the per-partition sweeps are independent and their
-// merged outputs form exactly the one-fragment result multiset. The
+// lazySweepIter runs one blocking sweep — over one hash partition (or
+// partition pair, for difference) — inside the fragment that drains it:
+// the inputs are materialized on the first pull (concurrently across
+// fragments when each runs in its own merge-producer goroutine), fn runs
+// on them, and the result streams out. The partitioning key is the group
+// key, so the per-partition sweeps are independent and their merged
+// outputs form exactly the one-fragment result multiset. The
 // ordered exchange + per-fragment streaming sweeps supersede this on
 // begin-sorted input.
 //

@@ -101,12 +101,6 @@ type CoalesceP struct {
 	In        Plan
 }
 
-// SortP is the interval-endpoint sort enforcer: it materializes its
-// input and re-emits it ordered by (begin, end). Semantically it is the
-// identity on multisets; physically it establishes the begin order the
-// streaming sweep operators require.
-type SortP struct{ In Plan }
-
 // WindowP is the timeslice operator τ_T over period encodings: every
 // row's validity interval is clipped to the window T, and rows not
 // overlapping T are dropped. Snapshot-reducibility lets the planner's
@@ -136,7 +130,6 @@ func (UnionP) planNode()    {}
 func (DiffP) planNode()     {}
 func (AggP) planNode()      {}
 func (CoalesceP) planNode() {}
-func (SortP) planNode()     {}
 func (WindowP) planNode()   {}
 
 func (p ScanP) String() string   { return p.Name }
@@ -172,7 +165,6 @@ func (p CoalesceP) String() string {
 	}
 	return fmt.Sprintf("Coalesce(%s)", p.In)
 }
-func (p SortP) String() string { return fmt.Sprintf("SortByEndpoints(%s)", p.In) }
 func (p WindowP) String() string {
 	return fmt.Sprintf("Window[%s](%s)", p.T, p.In)
 }
@@ -194,8 +186,6 @@ func Inputs(p Plan) []Plan {
 	case AggP:
 		return []Plan{n.In}
 	case CoalesceP:
-		return []Plan{n.In}
-	case SortP:
 		return []Plan{n.In}
 	case WindowP:
 		return []Plan{n.In}
@@ -237,9 +227,8 @@ func (db *DB) ScanBeginSorted(name string) bool {
 // BeginOrderedWith is BeginOrdered parameterized over the scan-order
 // source, so planners can layer caching over the O(n) table scans.
 // Filter and Project preserve their input order (they carry the period
-// attributes through unchanged), the sort enforcer establishes it, and
-// a table scan provides it when the stored rows happen to be
-// begin-sorted. Everything else — unions (concatenation), joins
+// attributes through unchanged), and a table scan provides it when the
+// stored rows happen to be begin-sorted. Everything else — unions (concatenation), joins
 // (intersection periods), the sweep outputs themselves — makes no
 // global order guarantee.
 func BeginOrderedWith(p Plan, scanSorted func(string) bool) bool {
@@ -254,8 +243,6 @@ func BeginOrderedWith(p Plan, scanSorted func(string) bool) bool {
 		// Clipping maps begin to max(begin, T.Begin) — monotone, so a
 		// begin-sorted input stays begin-sorted.
 		return BeginOrderedWith(n.In, scanSorted)
-	case SortP:
-		return true
 	default:
 		return false
 	}
@@ -325,7 +312,7 @@ func dataCols(p Plan) []string {
 			cols = append(cols, a.As)
 		}
 		return cols
-	case FilterP, WindowP, CoalesceP, SortP, DiffP, UnionP:
+	case FilterP, WindowP, CoalesceP, DiffP, UnionP:
 		return dataCols(Inputs(p)[0]) // the (left) input's columns
 	default:
 		return nil
@@ -441,16 +428,6 @@ func (db *DB) Exec(p Plan) (*Table, error) {
 			return nil, err
 		}
 		return Coalesce(in), nil
-	case SortP:
-		in, err := db.Exec(n.In)
-		if err != nil {
-			return nil, err
-		}
-		out := in.Clone()
-		// Through the method, not SortRowsByEndpoints(out.Rows): the
-		// clone carried the input's metadata, which the sort must update.
-		out.SortByEndpoints()
-		return out, nil
 	case WindowP:
 		in, err := db.Exec(n.In)
 		if err != nil {

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math/bits"
+
 	"snapk/internal/algebra"
 	"snapk/internal/interval"
 )
@@ -56,8 +58,8 @@ func (s *TableStats) fracBeginBelow(t interval.Time) float64 {
 	if s.Rows == 0 {
 		return 0
 	}
-	span := s.MaxEnd - s.MinBegin
-	if span <= 0 {
+	span := distance(s.MinBegin, s.MaxEnd)
+	if span == 0 {
 		return 1
 	}
 	if t <= s.MinBegin {
@@ -66,7 +68,7 @@ func (s *TableStats) fracBeginBelow(t interval.Time) float64 {
 	if t >= s.MaxEnd {
 		return 1
 	}
-	pos := float64(t-s.MinBegin) / float64(span) * HistBuckets
+	pos := float64(distance(s.MinBegin, t)) / float64(span) * HistBuckets
 	bucket := int(pos)
 	if bucket >= HistBuckets {
 		bucket = HistBuckets - 1
@@ -126,7 +128,7 @@ func (t *Table) computeStats() *TableStats {
 	distinct := make(map[string]struct{})
 	n := t.DataArity()
 	var scratch []byte
-	var lenSum int64
+	var lenSum float64
 	for i, row := range t.Rows {
 		iv := rowInterval(row)
 		if i == 0 || iv.Begin < s.MinBegin {
@@ -135,24 +137,35 @@ func (t *Table) computeStats() *TableStats {
 		if i == 0 || iv.End > s.MaxEnd {
 			s.MaxEnd = iv.End
 		}
-		lenSum += iv.Len()
+		lenSum += float64(distance(iv.Begin, iv.End))
 		scratch = row[:n].AppendKey(scratch[:0], nil)
 		distinct[string(scratch)] = struct{}{}
 	}
 	s.DistinctData = int64(len(distinct))
-	s.AvgLen = float64(lenSum) / float64(s.Rows)
-	span := s.MaxEnd - s.MinBegin
+	s.AvgLen = lenSum / float64(s.Rows)
+	span := distance(s.MinBegin, s.MaxEnd)
 	for _, row := range t.Rows {
 		bucket := 0
 		if span > 0 {
-			bucket = int((rowInterval(row).Begin - s.MinBegin) * HistBuckets / span)
-			if bucket >= HistBuckets {
-				bucket = HistBuckets - 1
-			}
+			// (begin − MinBegin)·HistBuckets / span, with the product in
+			// 128 bits: it passes 2⁶⁴ once the begins spread past 2⁶⁰.
+			d := min(distance(s.MinBegin, rowInterval(row).Begin), span-1)
+			hi, lo := bits.Mul64(d, HistBuckets)
+			q, _ := bits.Div64(hi, lo, span)
+			bucket = int(q)
 		}
 		s.Hist[bucket]++
 	}
 	return s
+}
+
+// distance returns e − b, exact over the whole int64 range, or 0 when
+// e <= b.
+func distance(b, e interval.Time) uint64 {
+	if e <= b {
+		return 0
+	}
+	return uint64(e) - uint64(b)
 }
 
 // EndpointBounds returns the min/max endpoint envelope of the stored
@@ -251,8 +264,6 @@ func (db *DB) EstimateRows(p Plan) int64 {
 		}
 		return estScale(in, predSelectivity(n.Pred))
 	case ProjectP:
-		return db.EstimateRows(n.In)
-	case SortP:
 		return db.EstimateRows(n.In)
 	case WindowP:
 		in := db.EstimateRows(n.In)
@@ -360,8 +371,6 @@ func (db *DB) estimateDistinct(p Plan) int64 {
 		return db.capDistinct(db.estimateDistinct(n.In), p)
 	case WindowP:
 		return db.capDistinct(db.estimateDistinct(n.In), p)
-	case SortP:
-		return db.estimateDistinct(n.In)
 	case CoalesceP:
 		return db.estimateDistinct(n.In)
 	default:
@@ -411,8 +420,6 @@ func (db *DB) baseStats(p Plan) *TableStats {
 	case FilterP:
 		return db.baseStats(n.In)
 	case ProjectP:
-		return db.baseStats(n.In)
-	case SortP:
 		return db.baseStats(n.In)
 	case WindowP:
 		return db.baseStats(n.In)

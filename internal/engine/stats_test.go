@@ -6,6 +6,7 @@ package engine
 // estimator that consumes them.
 
 import (
+	"math"
 	"testing"
 
 	"snapk/internal/algebra"
@@ -124,6 +125,35 @@ func TestEndpointBoundsUsesMetadata(t *testing.T) {
 	tb.InvalidateMeta()
 	if env, _ := tb.EndpointBounds(); env != interval.New(-50, 90) {
 		t.Fatalf("after InvalidateMeta, EndpointBounds must see the new envelope, got %v", env)
+	}
+}
+
+// The histogram bucket, the envelope span and the length sum are exact
+// however far apart the endpoints lie: a begin spread past 2⁵⁹ overflows
+// a 64-bit bucket product, and a [MinInt64, MaxInt64) row overflows a
+// 64-bit span and length.
+func TestTableStatsWideSpread(t *testing.T) {
+	const far = 3 << 59
+	tb := NewTable(tuple.NewSchema("k"))
+	tb.Append(tuple.Tuple{tuple.Int(1)}, interval.New(0, 10), 1)
+	tb.Append(tuple.Tuple{tuple.Int(1)}, interval.New(far, far+5), 1)
+	s := tb.Stats()
+	if s.Hist[0] != 1 || s.Hist[HistBuckets-1] != 1 || s.AvgLen != 7.5 {
+		t.Fatalf("hist %v, AvgLen %v; want one begin in each end bucket and 7.5", s.Hist, s.AvgLen)
+	}
+	if got := s.WindowSelectivity(interval.New(far/2, far+5)); got != 0.5 {
+		t.Fatalf("selectivity of a window over the far row = %v, want 0.5", got)
+	}
+
+	full := NewTable(tuple.NewSchema("k"))
+	full.Append(tuple.Tuple{tuple.Int(1)}, interval.New(math.MinInt64, math.MaxInt64), 1)
+	full.Append(tuple.Tuple{tuple.Int(1)}, interval.New(0, 10), 1)
+	s = full.Stats()
+	if s.Hist[0] != 1 || s.Hist[HistBuckets/2] != 1 {
+		t.Fatalf("hist %v: want begins in bucket 0 and at the domain's middle", s.Hist)
+	}
+	if s.AvgLen < 1<<62 {
+		t.Fatalf("AvgLen = %v, want about 2⁶³", s.AvgLen)
 	}
 }
 

@@ -75,22 +75,13 @@ func runParallel(t *testing.T, db *engine.DB, p engine.Plan) *engine.Table {
 	return engine.Materialize(it)
 }
 
-// Every worker count and sweep variant must produce multiset-identical
-// results on every generated plan: DB.Exec on the blocking-sweep plan
-// is the reference; the executor at one and at four workers is checked
-// against it for every sweep mode (auto, forced streaming with sort
-// enforcers, forced blocking), over both the generated database and a
-// deliberately pre-sorted copy (begin-sorted stored tables trigger the
-// planner's automatic streaming sweeps).
+// Every worker count and sweep form must produce multiset-identical
+// results on every generated plan: DB.Exec, which ignores the Streaming
+// annotations and runs every sweep blocking, is the reference; the
+// executor at one and at four workers is checked against it, over both
+// the generated database and a deliberately pre-sorted copy
+// (begin-sorted stored tables make the planner pick streaming sweeps).
 func TestStreamMaterializeEquivalence(t *testing.T) {
-	sweeps := []struct {
-		name string
-		mode rewrite.SweepMode
-	}{
-		{"auto", rewrite.SweepAuto},
-		{"streaming", rewrite.SweepStreaming},
-		{"blocking", rewrite.SweepBlocking},
-	}
 	for seed := int64(0); seed < 200; seed++ {
 		g := qgen.New(seed)
 		spec := g.GenDB()
@@ -104,30 +95,24 @@ func TestStreamMaterializeEquivalence(t *testing.T) {
 		} {
 			db := variant.db
 			for _, mode := range []rewrite.Mode{rewrite.ModeOptimized, rewrite.ModeNaive} {
-				ref, err := rewrite.Rewrite(q, db, rewrite.Options{Mode: mode, Sweep: rewrite.SweepBlocking})
+				p, err := rewrite.Rewrite(q, db, rewrite.Options{Mode: mode})
 				if err != nil {
 					t.Fatalf("seed %d: rewrite: %v", seed, err)
 				}
-				mat, err := db.Exec(ref)
+				mat, err := db.Exec(p)
 				if err != nil {
-					t.Fatalf("seed %d: Exec(%s): %v", seed, ref, err)
+					t.Fatalf("seed %d: Exec(%s): %v", seed, p, err)
 				}
 				want := sortedKeys(mat)
-				for _, sw := range sweeps {
-					p, err := rewrite.Rewrite(q, db, rewrite.Options{Mode: mode, Sweep: sw.mode})
-					if err != nil {
-						t.Fatalf("seed %d: rewrite(%s): %v", seed, sw.name, err)
-					}
-					str := runStream(t, db, p)
-					if !sameMultiset(want, sortedKeys(str)) {
-						t.Fatalf("seed %d %s mode %d sweep %s: one-worker result diverges from the reference evaluator\nplan: %s\nreference:\n%s\nstreamed:\n%s",
-							seed, variant.name, mode, sw.name, p, mat, str)
-					}
-					par := runParallel(t, db, p)
-					if !sameMultiset(want, sortedKeys(par)) {
-						t.Fatalf("seed %d %s mode %d sweep %s: four-worker result diverges from the reference evaluator\nplan: %s\nreference:\n%s\nparallel:\n%s",
-							seed, variant.name, mode, sw.name, p, mat, par)
-					}
+				str := runStream(t, db, p)
+				if !sameMultiset(want, sortedKeys(str)) {
+					t.Fatalf("seed %d %s mode %d: one-worker result diverges from the reference evaluator\nplan: %s\nreference:\n%s\nstreamed:\n%s",
+						seed, variant.name, mode, p, mat, str)
+				}
+				par := runParallel(t, db, p)
+				if !sameMultiset(want, sortedKeys(par)) {
+					t.Fatalf("seed %d %s mode %d: four-worker result diverges from the reference evaluator\nplan: %s\nreference:\n%s\nparallel:\n%s",
+						seed, variant.name, mode, p, mat, par)
 				}
 			}
 		}

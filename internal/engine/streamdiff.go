@@ -25,9 +25,9 @@ import (
 // encoding.
 //
 // The input-order precondition is the planner's responsibility
-// (package rewrite inserts SortP enforcers on every child when the order
-// is not guaranteed); violations panic so a planner bug is loud instead
-// of silently wrong.
+// (package rewrite streams the difference only when both children are
+// known to be ordered); violations panic so a planner bug is loud
+// instead of silently wrong.
 
 // diffGroup is the per-value-equivalent-group sweep state of the
 // streaming difference: the pending interval ends not yet passed by the
@@ -264,13 +264,13 @@ func (it *streamDiffIter) fill(capacity int) bool {
 			row, sign = it.lRow, 1
 			it.lRow, it.lOk = it.lcur.next(capacity)
 			if it.lOk && rowInterval(it.lRow).Begin < rowInterval(row).Begin {
-				panic(fmt.Sprintf("engine: streaming difference left input not begin-sorted (begin %d after %d); planner must insert a sort enforcer", rowInterval(it.lRow).Begin, rowInterval(row).Begin))
+				panic(fmt.Sprintf("engine: streaming difference left input not begin-sorted (begin %d after %d); planner must stream only over ordered input", rowInterval(it.lRow).Begin, rowInterval(row).Begin))
 			}
 		case it.rOk:
 			row, sign = it.rRow, -1
 			it.rRow, it.rOk = it.rcur.next(capacity)
 			if it.rOk && rowInterval(it.rRow).Begin < rowInterval(row).Begin {
-				panic(fmt.Sprintf("engine: streaming difference right input not begin-sorted (begin %d after %d); planner must insert a sort enforcer", rowInterval(it.rRow).Begin, rowInterval(row).Begin))
+				panic(fmt.Sprintf("engine: streaming difference right input not begin-sorted (begin %d after %d); planner must stream only over ordered input", rowInterval(it.rRow).Begin, rowInterval(row).Begin))
 			}
 		default:
 			// End of both inputs: flush the remaining live groups in

@@ -12,17 +12,16 @@ import (
 // pre-aggregated split of §9, and the heap and output plumbing shared
 // with the streaming difference and coalesce (streamdiff.go). The
 // streaming sweeps consume input ordered by ascending interval begin —
-// established by a begin-sorted base table or the SortP enforcer — and
-// keep only
-// O(active groups + open intervals) state instead of materializing the
-// whole input: once the sweep position passes a time point, no later
+// a begin-sorted base table under order-preserving operators — and keep
+// only O(active groups + open intervals) state instead of materializing
+// the whole input: once the sweep position passes a time point, no later
 // row can contribute an event before it, so segments up to that point
 // are final and can be emitted.
 //
 // The input-order precondition is the planner's responsibility (package
-// rewrite inserts SortP when the order is not already available); the
-// iterators verify it and panic on violation, which turns a planner bug
-// into a loud failure instead of silently wrong results.
+// rewrite plans a streaming sweep only over input it knows is ordered);
+// the iterators verify it and panic on violation, which turns a planner
+// bug into a loud failure instead of silently wrong results.
 
 // minHeap is the one binary min-heap behind every streaming sweep —
 // pending interval ends, pending row exits and the group expiry
@@ -333,7 +332,7 @@ func (it *streamAggIter) fill(capacity int) bool {
 		}
 		iv := rowInterval(row)
 		if it.seen && iv.Begin < it.last {
-			panic(fmt.Sprintf("engine: streaming aggregation input not begin-sorted (begin %d after %d); planner must insert a sort enforcer", iv.Begin, it.last))
+			panic(fmt.Sprintf("engine: streaming aggregation input not begin-sorted (begin %d after %d); planner must stream only over ordered input", iv.Begin, it.last))
 		}
 		it.last, it.seen = iv.Begin, true
 		it.retire(iv.Begin)

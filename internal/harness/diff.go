@@ -23,17 +23,12 @@ type diffVariant struct {
 	name      string
 	sorted    bool // run over the begin-sorted copies of the inputs
 	streaming bool // DiffP.Streaming: the merge sweep instead of the blocking diff
-	enforce   bool // wrap both children in the SortP enforcer (forced streaming over unsorted input)
 	par       int  // workers; 0 = one fragment, no exchange
 }
 
 // plan builds the difference plan l − r in the variant's physical form.
 func (v diffVariant) plan() engine.Plan {
-	var l, r engine.Plan = engine.ScanP{Name: "l"}, engine.ScanP{Name: "r"}
-	if v.enforce {
-		l, r = engine.SortP{In: l}, engine.SortP{In: r}
-	}
-	return engine.DiffP{L: l, R: r, Streaming: v.streaming}
+	return engine.DiffP{L: engine.ScanP{Name: "l"}, R: engine.ScanP{Name: "r"}, Streaming: v.streaming}
 }
 
 // Diff measures the temporal difference in its physical forms: the
@@ -43,16 +38,14 @@ func (v diffVariant) plan() engine.Plan {
 // DefaultWorkers fragments (pairwise order-preserving
 // repartition, per-worker streaming diffs). On sorted input the
 // streaming variants should run at or under the blocking ones: they
-// skip both materializations and the per-group endpoint sorting. The
-// sort-enforced variant prices forced streaming over unsorted input.
+// skip both materializations and the per-group endpoint sorting.
 func Diff(w io.Writer, sc Scale, rep *Report) error {
 	variants := []diffVariant{
 		{name: "diff-blocking/sorted", sorted: true},
 		{name: "diff-streaming/sorted", sorted: true, streaming: true},
 		{name: "diff-blocking/unsorted"},
-		{name: "diff-stream-enforced/unsorted", streaming: true, enforce: true},
-		{name: fmt.Sprintf("diff-par-blocking-x%d/sorted", DefaultWorkers), sorted: true, par: DefaultWorkers},
-		{name: fmt.Sprintf("diff-par-stream-x%d/sorted", DefaultWorkers), sorted: true, streaming: true, par: DefaultWorkers},
+		{name: fmt.Sprintf("diff-blocking-x%d/sorted", DefaultWorkers), sorted: true, par: DefaultWorkers},
+		{name: fmt.Sprintf("diff-streaming-x%d/sorted", DefaultWorkers), sorted: true, streaming: true, par: DefaultWorkers},
 	}
 	tw := NewTable("rows", "variant", "median (s)", "out rows")
 	for _, n := range sc.Fig5Sizes {

@@ -27,22 +27,14 @@ import (
 // comparators.
 type Approach int
 
-// The approaches compared by Table 3, plus the ablation approaches:
-// SeqPar — Seq with DefaultWorkers fragments per partitioned operator
-// (hash-partitioned parallel sweeps);
-// SeqStream — Seq with the sweep operators forced to their streaming
-// form (sort-enforced where the input order is not already available),
-// the streaming-sweep ablation; and SeqParStream — forced streaming
-// sweeps at DefaultWorkers fragments: the order-preserving exchange
-// keeps every partition begin-sorted so the per-fragment sweeps stream.
+// The approaches compared by Table 3, plus SeqPar — Seq with
+// DefaultWorkers fragments per partitioned operator.
 const (
 	Seq Approach = iota
 	SeqNaive
 	NatIP
 	NatAlign
 	SeqPar
-	SeqStream
-	SeqParStream
 )
 
 // DefaultWorkers is the worker count used by SeqPar: every available
@@ -63,10 +55,6 @@ func (a Approach) String() string {
 		return "Nat-align"
 	case SeqPar:
 		return "Seq-par"
-	case SeqStream:
-		return "Seq-stream"
-	case SeqParStream:
-		return "Seq-par-stream"
 	default:
 		return fmt.Sprintf("Approach(%d)", int(a))
 	}
@@ -74,8 +62,7 @@ func (a Approach) String() string {
 
 // Run evaluates q over db under the given approach and returns the
 // result table. Every Seq-family approach runs on the one executor
-// (internal/engine/parallel); they differ in plan mode, sweep form and
-// worker count.
+// (internal/engine/parallel); they differ in plan mode and worker count.
 func Run(db *engine.DB, q algebra.Query, ap Approach) (*engine.Table, error) {
 	switch ap {
 	case Seq:
@@ -84,10 +71,6 @@ func Run(db *engine.DB, q algebra.Query, ap Approach) (*engine.Table, error) {
 		return rewrite.Run(db, q, rewrite.Options{Mode: rewrite.ModeNaive})
 	case SeqPar:
 		return rewrite.Run(db, q, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: DefaultWorkers})
-	case SeqStream:
-		return rewrite.Run(db, q, rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepStreaming})
-	case SeqParStream:
-		return rewrite.Run(db, q, rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepStreaming, Parallelism: DefaultWorkers})
 	case NatIP:
 		return baseline.Eval(db, q, baseline.IntervalPreservation)
 	case NatAlign:

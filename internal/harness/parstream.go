@@ -24,16 +24,16 @@ const parStreamSizeCap = 50000
 // count, not against the sequential reference.)
 func ParStream(w io.Writer, sc Scale, rep *Report) error {
 	variants := []sweepVariant{
-		{name: fmt.Sprintf("coalesce-par-blocking-x%d/sorted", DefaultWorkers), sorted: true,
+		{name: fmt.Sprintf("coalesce-blocking-x%d/sorted", DefaultWorkers), sorted: true,
 			plan: coalescePlan(false), par: DefaultWorkers},
-		{name: fmt.Sprintf("coalesce-par-stream-x%d/sorted", DefaultWorkers), sorted: true,
+		{name: fmt.Sprintf("coalesce-streaming-x%d/sorted", DefaultWorkers), sorted: true,
 			plan: coalescePlan(true), par: DefaultWorkers},
-		{name: "coalesce-seq-stream/sorted", sorted: true, plan: coalescePlan(true)},
-		{name: fmt.Sprintf("agg-par-blocking-x%d/sorted", DefaultWorkers), sorted: true,
+		{name: "coalesce-streaming/sorted", sorted: true, plan: coalescePlan(true)},
+		{name: fmt.Sprintf("agg-blocking-x%d/sorted", DefaultWorkers), sorted: true,
 			plan: aggPlan(false), par: DefaultWorkers},
-		{name: fmt.Sprintf("agg-par-stream-x%d/sorted", DefaultWorkers), sorted: true,
+		{name: fmt.Sprintf("agg-streaming-x%d/sorted", DefaultWorkers), sorted: true,
 			plan: aggPlan(true), par: DefaultWorkers},
-		{name: "agg-seq-stream/sorted", sorted: true, plan: aggPlan(true)},
+		{name: "agg-streaming/sorted", sorted: true, plan: aggPlan(true)},
 	}
 	tw := NewTable("rows", "variant", "median (s)", "out rows")
 	for _, n := range sc.Fig5Sizes {

@@ -58,8 +58,6 @@ func Sweep(w io.Writer, sc Scale, rep *Report) error {
 			plan: func(s engine.Plan) engine.Plan { return engine.CoalesceP{In: s, Streaming: true} }},
 		{name: "coalesce-blocking/unsorted", sorted: false,
 			plan: func(s engine.Plan) engine.Plan { return engine.CoalesceP{In: s} }},
-		{name: "coalesce-stream-enforced/unsorted", sorted: false,
-			plan: func(s engine.Plan) engine.Plan { return engine.CoalesceP{In: engine.SortP{In: s}, Streaming: true} }},
 		{name: fmt.Sprintf("coalesce-parallel-x%d/unsorted", DefaultWorkers), sorted: false,
 			plan: func(s engine.Plan) engine.Plan { return engine.CoalesceP{In: s} }, par: DefaultWorkers},
 	}

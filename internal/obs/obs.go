@@ -1,11 +1,11 @@
 // Package obs is the process-wide observability registry: cheap,
 // always-on counters aggregated across every query the process runs —
 // queries rewritten, rows emitted through cursors, and the planner's
-// sweep-mode choices (streaming / enforced / blocking). Unlike the
-// per-query engine.Collector, which must be attached explicitly, the
-// registry is updated unconditionally; its counters are plain atomics
-// updated at per-query (not per-row) granularity, so the cost is
-// unmeasurable. Surfaced by `snapq -explain` / `snapq -analyze`.
+// sweep-form choices (streaming / blocking). Unlike the per-query
+// engine.Collector, which must be attached explicitly, the registry is
+// updated unconditionally; its counters are plain atomics updated at
+// per-query (not per-row) granularity, so the cost is unmeasurable.
+// Surfaced by `snapq -explain` / `snapq -analyze`.
 package obs
 
 import (
@@ -21,55 +21,46 @@ type Registry struct {
 	// RowsEmitted counts rows delivered through result cursors, flushed
 	// in batches at cursor end (never one atomic per row).
 	RowsEmitted atomic.Int64
-	// SweepStreaming / SweepEnforced / SweepBlocking count the planner's
-	// per-sweep-operator physical choices: streaming over naturally
-	// ordered input, streaming behind an inserted sort enforcer, and the
-	// materializing sweep.
-	SweepStreaming atomic.Int64
-	SweepEnforced  atomic.Int64
-	SweepBlocking  atomic.Int64
+	// StreamingSweeps / BlockingSweeps count the planner's
+	// per-sweep-operator physical choices: streaming over begin-ordered
+	// input, and the materializing sweep.
+	StreamingSweeps atomic.Int64
+	BlockingSweeps  atomic.Int64
 }
 
 // Default is the process-wide registry instance.
 var Default = &Registry{}
 
-// CountSweep records one sweep-mode decision: streaming reports whether
-// the sweep streams, enforced whether the order came from an inserted
-// sort enforcer.
-func (r *Registry) CountSweep(streaming, enforced bool) {
-	switch {
-	case !streaming:
-		r.SweepBlocking.Add(1)
-	case enforced:
-		r.SweepEnforced.Add(1)
-	default:
-		r.SweepStreaming.Add(1)
+// CountSweep records one sweep-form decision.
+func (r *Registry) CountSweep(streaming bool) {
+	if streaming {
+		r.StreamingSweeps.Add(1)
+	} else {
+		r.BlockingSweeps.Add(1)
 	}
 }
 
 // Snapshot is a consistent-enough point-in-time copy of the counters
 // (each counter is read atomically; the set is not a transaction).
 type Snapshot struct {
-	QueriesRun     int64
-	RowsEmitted    int64
-	SweepStreaming int64
-	SweepEnforced  int64
-	SweepBlocking  int64
+	QueriesRun      int64
+	RowsEmitted     int64
+	StreamingSweeps int64
+	BlockingSweeps  int64
 }
 
 // Snapshot copies the current counter values.
 func (r *Registry) Snapshot() Snapshot {
 	return Snapshot{
-		QueriesRun:     r.QueriesRun.Load(),
-		RowsEmitted:    r.RowsEmitted.Load(),
-		SweepStreaming: r.SweepStreaming.Load(),
-		SweepEnforced:  r.SweepEnforced.Load(),
-		SweepBlocking:  r.SweepBlocking.Load(),
+		QueriesRun:      r.QueriesRun.Load(),
+		RowsEmitted:     r.RowsEmitted.Load(),
+		StreamingSweeps: r.StreamingSweeps.Load(),
+		BlockingSweeps:  r.BlockingSweeps.Load(),
 	}
 }
 
 // String renders the snapshot as the one-line summary the CLIs print.
 func (s Snapshot) String() string {
-	return fmt.Sprintf("queries=%d rows_emitted=%d sweeps{streaming=%d enforced=%d blocking=%d}",
-		s.QueriesRun, s.RowsEmitted, s.SweepStreaming, s.SweepEnforced, s.SweepBlocking)
+	return fmt.Sprintf("queries=%d rows_emitted=%d sweeps{streaming=%d blocking=%d}",
+		s.QueriesRun, s.RowsEmitted, s.StreamingSweeps, s.BlockingSweeps)
 }

@@ -10,18 +10,17 @@ func TestRegistryCountersAndSnapshot(t *testing.T) {
 	r := &obs.Registry{}
 	r.QueriesRun.Add(2)
 	r.RowsEmitted.Add(5)
-	r.CountSweep(true, false)
-	r.CountSweep(true, true)
-	r.CountSweep(false, false)
-	r.CountSweep(false, true) // blocking regardless of the enforced flag
+	r.CountSweep(true)
+	r.CountSweep(false)
+	r.CountSweep(false)
 	s := r.Snapshot()
 	if s.QueriesRun != 2 || s.RowsEmitted != 5 {
 		t.Fatalf("snapshot %+v", s)
 	}
-	if s.SweepStreaming != 1 || s.SweepEnforced != 1 || s.SweepBlocking != 2 {
+	if s.StreamingSweeps != 1 || s.BlockingSweeps != 2 {
 		t.Fatalf("sweep counters %+v", s)
 	}
-	want := "queries=2 rows_emitted=5 sweeps{streaming=1 enforced=1 blocking=2}"
+	want := "queries=2 rows_emitted=5 sweeps{streaming=1 blocking=2}"
 	if got := s.String(); got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}

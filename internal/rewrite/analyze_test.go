@@ -45,8 +45,8 @@ func checkStatsSane(t *testing.T, st *engine.OpStats, q algebra.Query) {
 }
 
 // TestAnalyzeRowCountsMatchCursor pins the EXPLAIN ANALYZE acceptance
-// criterion over the qgen grid (sweep × parallelism × sortedness): the
-// root operator's measured row count must equal the
+// criterion over the qgen grid (parallelism × sortedness, which picks
+// the sweep form): the root operator's measured row count must equal the
 // number of rows the cursor actually pulled, exactly, for every
 // configuration — the stats tree observes the same stream the client
 // does.
@@ -54,9 +54,7 @@ func TestAnalyzeRowCountsMatchCursor(t *testing.T) {
 	g := qgen.New(733)
 	var opts []rewrite.Options
 	for _, par := range []int{0, 2, 4} {
-		for _, sw := range []rewrite.SweepMode{rewrite.SweepAuto, rewrite.SweepStreaming, rewrite.SweepBlocking} {
-			opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: sw, Parallelism: par})
-		}
+		opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: par})
 	}
 	for i := 0; i < 25; i++ {
 		spec := g.GenDB()
@@ -97,13 +95,17 @@ func TestAnalyzeRowCountsMatchCursor(t *testing.T) {
 }
 
 // analyzeLeakDB builds a table large enough that a parallel pipeline is
-// still in flight when the cursor closes early.
-func analyzeLeakDB() *engine.DB {
+// still in flight when the cursor closes early. Its begins cycle, so
+// sweeps over it block; sorted stores it begin-sorted, so they stream.
+func analyzeLeakDB(sorted bool) *engine.DB {
 	db := engine.NewDB(dom)
 	tb := db.CreateTable("big", tuple.NewSchema("g", "v"))
 	for i := 0; i < 20000; i++ {
 		b := int64(i % 20)
 		tb.Append(tuple.Tuple{tuple.Int(int64(i % 7)), tuple.Int(int64(i))}, interval.New(b, b+2), 1)
+	}
+	if sorted {
+		tb.SortByEndpoints()
 	}
 	return db
 }
@@ -131,17 +133,16 @@ func waitForGoroutines(t *testing.T, base int) {
 // Rows.Close path) must reap every fragment and exchange goroutine, for
 // both the hash-partitioned and the order-preserving exchanges.
 func TestAnalyzeEarlyCloseReapsFragments(t *testing.T) {
-	db := analyzeLeakDB()
 	q := algebra.Agg{
 		GroupBy: []string{"g"},
 		Aggs:    []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}},
 		In:      algebra.Rel{Name: "big"},
 	}
 	base := runtime.NumGoroutine()
-	for _, sw := range []rewrite.SweepMode{rewrite.SweepAuto, rewrite.SweepStreaming, rewrite.SweepBlocking} {
+	for _, sorted := range []bool{false, true} {
 		col := engine.NewCollector()
-		it, err := rewrite.Stream(context.Background(), db, q,
-			rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: sw, Parallelism: 4, Collect: col})
+		it, err := rewrite.Stream(context.Background(), analyzeLeakDB(sorted), q,
+			rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: 4, Collect: col})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +155,7 @@ func TestAnalyzeEarlyCloseReapsFragments(t *testing.T) {
 		// A merge exchange may hand over a whole transport batch, so the
 		// first pull can deliver more than the capacity asked for.
 		if col.RootOp() == nil || col.RootOp().Rows() != int64(b.Len()) {
-			t.Fatalf("sweep %v: analyzed row count after early close = %v, want %d", sw, col.RootOp().Rows(), b.Len())
+			t.Fatalf("sorted %v: analyzed row count after early close = %v, want %d", sorted, col.RootOp().Rows(), b.Len())
 		}
 		waitForGoroutines(t, base)
 	}

@@ -38,7 +38,7 @@ func drainGoverned(t *testing.T, db *engine.DB, q algebra.Query, opt rewrite.Opt
 // ErrRowLimit — at one worker and at four alike, with the limit inside
 // the first batch.
 func TestRowLimitExactPerRow(t *testing.T) {
-	db := analyzeLeakDB()
+	db := analyzeLeakDB(false)
 	q := algebra.Rel{Name: "big"}
 	for _, par := range []int{0, 4} {
 		n, err := drainGoverned(t, db, q, rewrite.Options{
@@ -57,7 +57,7 @@ func TestRowLimitExactPerRow(t *testing.T) {
 
 // A limit that is not a multiple of the batch size is still exact.
 func TestRowLimitBatchDrive(t *testing.T) {
-	db := analyzeLeakDB()
+	db := analyzeLeakDB(false)
 	q := algebra.Rel{Name: "big"}
 	for _, par := range []int{0, 4} {
 		n, err := drainGoverned(t, db, q, rewrite.Options{
@@ -78,16 +78,18 @@ func TestRowLimitBatchDrive(t *testing.T) {
 // state (the max_state accounting) with ErrMemBudget — at build time or
 // mid-stream, but never as a clean complete result.
 func TestMemBudgetTripsStreamingSweep(t *testing.T) {
-	db := analyzeLeakDB()
+	db := analyzeLeakDB(true)
 	q := algebra.Agg{
 		GroupBy: []string{"g"},
 		Aggs:    []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}},
 		In:      algebra.Rel{Name: "big"},
 	}
+	if p, err := rewrite.Rewrite(q, db, rewrite.Options{}); err != nil || !p.(engine.AggP).Streaming {
+		t.Fatalf("the aggregation over a begin-sorted table must stream: %v %v", p, err)
+	}
 	for _, par := range []int{0, 4} {
 		_, err := drainGoverned(t, db, q, rewrite.Options{
 			Mode:        rewrite.ModeOptimized,
-			Sweep:       rewrite.SweepStreaming,
 			Parallelism: par,
 			Limits:      engine.Limits{MemBudget: 1},
 		})
@@ -102,13 +104,16 @@ func TestMemBudgetTripsStreamingSweep(t *testing.T) {
 // ErrMemBudget — at one worker (one partition pair) and at two (one per
 // worker) — and the unlimited query must still complete.
 func TestMemBudgetTripsBlockingDiff(t *testing.T) {
-	db := analyzeLeakDB()
+	db := analyzeLeakDB(false)
 	q := algebra.Diff{
 		L: algebra.Rel{Name: "big"},
 		R: algebra.Select{Pred: algebra.Lt(algebra.Col("v"), algebra.IntC(100)), In: algebra.Rel{Name: "big"}},
 	}
+	if p, err := rewrite.Rewrite(q, db, rewrite.Options{}); err != nil || p.(engine.DiffP).Streaming {
+		t.Fatalf("the difference over an unsorted table must block: %v %v", p, err)
+	}
 	for _, par := range []int{1, 2} {
-		opt := rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepBlocking, Parallelism: par}
+		opt := rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: par}
 		if _, err := drainGoverned(t, db, q, opt); err != nil {
 			t.Fatalf("par=%d: ungoverned blocking diff failed: %v", par, err)
 		}
@@ -122,7 +127,7 @@ func TestMemBudgetTripsBlockingDiff(t *testing.T) {
 // An already-expired deadline surfaces as context.DeadlineExceeded —
 // either refusing to build or ending the stream — at either width.
 func TestDeadlineSurfaces(t *testing.T) {
-	db := analyzeLeakDB()
+	db := analyzeLeakDB(false)
 	q := algebra.Rel{Name: "big"}
 	for _, par := range []int{0, 4} {
 		n, err := drainGoverned(t, db, q, rewrite.Options{

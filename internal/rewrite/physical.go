@@ -61,9 +61,6 @@ func (rw *rewriter) applyPhysical(p engine.Plan, dec *Decisions) engine.Plan {
 	case engine.CoalesceP:
 		n.In = rw.applyPhysical(n.In, dec)
 		return n
-	case engine.SortP:
-		n.In = rw.applyPhysical(n.In, dec)
-		return n
 	case engine.WindowP:
 		n.In = rw.applyPhysical(n.In, dec)
 		if scan, ok := n.In.(engine.ScanP); ok && rw.opt.Planner.Prune {

@@ -1,7 +1,7 @@
 package rewrite_test
 
 // Tests for the phased planner: the windowed differential grid (every
-// sweep × parallelism × sortedness × pushdown configuration must equal
+// parallelism × sortedness × pushdown configuration must equal
 // the clip-at-root oracle), the pushdown plan shapes, the
 // knobs-off identity, and the recorded physical decisions.
 
@@ -22,7 +22,7 @@ import (
 // Options.Window set must equal clipping the unwindowed logical result —
 // τ_T applied at the root is the semantics; every pushdown/physical
 // configuration must reproduce it exactly. The grid is
-// sweep × parallelism × sortedness × planner knobs.
+// parallelism × sortedness (which picks the sweep form) × planner knobs.
 func TestWindowGridEquivalence(t *testing.T) {
 	g := qgen.New(509)
 	// qgen's domain is [0, 16): a middle slice, the whole domain, a point
@@ -40,8 +40,6 @@ func TestWindowGridEquivalence(t *testing.T) {
 		}
 	}
 	opts = append(opts,
-		rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepStreaming, Planner: rewrite.AllKnobs()},
-		rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: rewrite.SweepBlocking, Planner: rewrite.AllKnobs()},
 		rewrite.Options{Mode: rewrite.ModeOptimized, Planner: rewrite.PlannerKnobs{Pushdown: true}},
 		rewrite.Options{Mode: rewrite.ModeOptimized, Planner: rewrite.PlannerKnobs{Prune: true}, Parallelism: 2},
 	)
@@ -90,28 +88,14 @@ func planFor(t *testing.T, db *engine.DB, q algebra.Query, opt rewrite.Options) 
 
 // countWindows walks a plan counting WindowP nodes.
 func countWindows(p engine.Plan) int {
-	switch n := p.(type) {
-	case engine.WindowP:
-		return 1 + countWindows(n.In)
-	case engine.FilterP:
-		return countWindows(n.In)
-	case engine.ProjectP:
-		return countWindows(n.In)
-	case engine.SortP:
-		return countWindows(n.In)
-	case engine.CoalesceP:
-		return countWindows(n.In)
-	case engine.AggP:
-		return countWindows(n.In)
-	case engine.JoinP:
-		return countWindows(n.L) + countWindows(n.R)
-	case engine.UnionP:
-		return countWindows(n.L) + countWindows(n.R)
-	case engine.DiffP:
-		return countWindows(n.L) + countWindows(n.R)
-	default:
-		return 0
+	n := 0
+	if _, ok := p.(engine.WindowP); ok {
+		n = 1
 	}
+	for _, in := range engine.Inputs(p) {
+		n += countWindows(in)
+	}
+	return n
 }
 
 // TestWindowPushdownPlanShape pins where the pushdown phase places the

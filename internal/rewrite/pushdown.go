@@ -55,13 +55,12 @@ import (
 //     data tuple are disjoint and non-adjacent; intersecting each with
 //     T only shrinks or drops them, so the clipped output is again the
 //     unique coalesced encoding — of the clipped relation.
-//   - Sort: pushes below; clipping maps begin to max(begin, T.Begin),
-//     which is monotone, so it preserves (and never establishes) the
-//     endpoint order while shrinking the enforcer's input. Streaming
-//     flags chosen by the logical rewrite stay valid for the same
-//     reason.
 //   - Window: two windows merge by interval intersection; an empty
 //     intersection leaves a zero-interval window (clips everything).
+//
+// Clipping maps begin to max(begin, T.Begin), which is monotone, so a
+// pushed window keeps a begin-ordered input begin-ordered: the Streaming
+// flags chosen by the logical rewrite stay valid.
 
 // periodCol reports whether name is one of the period attributes.
 func periodCol(name string) bool {
@@ -131,9 +130,6 @@ func (rw *rewriter) pushWindow(p engine.Plan, T interval.Interval, dec *Decision
 		n.In = rw.pushWindow(n.In, T, dec)
 		return n
 	case engine.CoalesceP:
-		n.In = rw.pushWindow(n.In, T, dec)
-		return n
-	case engine.SortP:
 		n.In = rw.pushWindow(n.In, T, dec)
 		return n
 	case engine.WindowP:

@@ -40,33 +40,9 @@ const (
 	ModeNaive
 )
 
-// SweepMode selects the physical form of the sweep operators (coalesce
-// and the pre-aggregated split).
-type SweepMode int
-
-const (
-	// SweepAuto (the default) picks the streaming sweep whenever the
-	// input's interval-endpoint order is already guaranteed — a
-	// begin-sorted stored table under order-preserving operators — and
-	// otherwise keeps the materializing sweep, which sorts internally
-	// anyway.
-	SweepAuto SweepMode = iota
-	// SweepStreaming always uses the streaming sweeps, inserting an
-	// explicit endpoint sort enforcer (engine.SortP) when the input
-	// order is not guaranteed.
-	SweepStreaming
-	// SweepBlocking always uses the materializing sweeps — the ablation
-	// baseline of the streaming-sweep study.
-	SweepBlocking
-)
-
 // Options configures the rewriting and the execution of its plan.
 type Options struct {
 	Mode Mode
-	// Sweep selects streaming vs materializing sweep operators; see
-	// SweepMode. Streaming aggregation only applies to the
-	// pre-aggregated split of ModeOptimized.
-	Sweep SweepMode
 	// Window restricts the query to the time window [Begin, End): the
 	// timeslice τ_T, applied with clip semantics (row validity intervals
 	// are intersected with the window; rows not overlapping it are
@@ -149,69 +125,27 @@ func (rw *rewriter) beginOrdered(p engine.Plan) bool {
 	})
 }
 
-// sweepInput decides the physical form of a sweep operator over input p
-// under opt.Sweep: it reports whether the sweep streams, and wraps p in
-// the endpoint sort enforcer when streaming is forced without a
-// guaranteed input order. The decision is independent of
-// opt.Parallelism: the executor's order-preserving exchanges
-// (ordered repartition + ordered merge) carry the begin order into
-// every partition, so streaming sweeps and parallelism compose — each
-// worker runs the streaming sweep over its begin-sorted partition.
-func (rw *rewriter) sweepInput(p engine.Plan) (engine.Plan, bool) {
-	switch rw.opt.Sweep {
-	case SweepBlocking:
-		obs.Default.CountSweep(false, false)
-		return p, false
-	case SweepStreaming:
-		enforced := !rw.beginOrdered(p)
-		if enforced {
-			p = engine.SortP{In: p}
-		}
-		obs.Default.CountSweep(true, enforced)
-		return p, true
-	default: // SweepAuto: stream exactly when the order comes for free
-		stream := rw.beginOrdered(p)
-		obs.Default.CountSweep(stream, false)
-		return p, stream
+// sweepInput decides the physical form of a sweep operator over inputs:
+// it streams exactly when every input is already begin-ordered, and
+// otherwise materializes, which sorts internally anyway. A difference
+// with one sorted side therefore blocks too. The decision is
+// independent of opt.Parallelism: the executor's order-preserving
+// exchanges (ordered repartition + ordered merge) carry the begin order
+// into every partition, so each worker runs the streaming sweep over its
+// begin-sorted partition.
+func (rw *rewriter) sweepInput(inputs ...engine.Plan) bool {
+	stream := true
+	for _, in := range inputs {
+		stream = stream && rw.beginOrdered(in)
 	}
+	obs.Default.CountSweep(stream)
+	return stream
 }
 
-// sweepInput2 is the two-input form of sweepInput, for the streaming
-// merge-based difference: it reports whether the sweep streams and
-// wraps EACH child in the endpoint sort enforcer when streaming is
-// forced without a guaranteed order. Under SweepAuto the difference
-// streams only when both children already carry the order — a single
-// sorted side would make the merge sweep pay an enforcer sort the
-// blocking sweep avoids.
-func (rw *rewriter) sweepInput2(l, r engine.Plan) (engine.Plan, engine.Plan, bool) {
-	switch rw.opt.Sweep {
-	case SweepBlocking:
-		obs.Default.CountSweep(false, false)
-		return l, r, false
-	case SweepStreaming:
-		enforced := false
-		if !rw.beginOrdered(l) {
-			l = engine.SortP{In: l}
-			enforced = true
-		}
-		if !rw.beginOrdered(r) {
-			r = engine.SortP{In: r}
-			enforced = true
-		}
-		obs.Default.CountSweep(true, enforced)
-		return l, r, true
-	default: // SweepAuto: stream exactly when the order comes for free
-		stream := rw.beginOrdered(l) && rw.beginOrdered(r)
-		obs.Default.CountSweep(stream, false)
-		return l, r, stream
-	}
-}
-
-// coalesceOp wraps p in a coalesce operator in the physical form chosen
-// by opt.Sweep.
+// coalesceOp wraps p in a coalesce operator in the physical form its
+// input allows.
 func (rw *rewriter) coalesceOp(p engine.Plan) engine.Plan {
-	in, stream := rw.sweepInput(p)
-	return engine.CoalesceP{In: in, Streaming: stream}
+	return engine.CoalesceP{In: p, Streaming: rw.sweepInput(p)}
 }
 
 // maybeCoalesce wraps p in a coalesce operator in naive mode, mirroring
@@ -270,25 +204,20 @@ func (rw *rewriter) rewr(q algebra.Query) (engine.Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		l, r, stream := rw.sweepInput2(l, r)
-		return rw.maybeCoalesce(engine.DiffP{L: l, R: r, Streaming: stream}), nil
+		return rw.maybeCoalesce(engine.DiffP{L: l, R: r, Streaming: rw.sweepInput(l, r)}), nil
 	case algebra.Agg:
 		in, err := rw.rewr(n.In)
 		if err != nil {
 			return nil, err
 		}
+		// Only the pre-aggregated split has a streaming form; the naive
+		// materialized split is blocking by construction.
 		preAgg := rw.opt.Mode == ModeOptimized
-		stream := false
-		if preAgg {
-			// Only the pre-aggregated split has a streaming form; the
-			// naive materialized split is blocking by construction.
-			in, stream = rw.sweepInput(in)
-		}
 		p := engine.AggP{
 			GroupBy:   n.GroupBy,
 			Aggs:      n.Aggs,
 			PreAgg:    preAgg,
-			Streaming: stream,
+			Streaming: preAgg && rw.sweepInput(in),
 			In:        in,
 		}
 		return rw.maybeCoalesce(p), nil

@@ -103,25 +103,21 @@ func TestFigure1cSkillreqRewritten(t *testing.T) {
 func TestTheorem81CommutingDiagram(t *testing.T) {
 	g := qgen.New(131)
 	// The full physical grid: every worker count (one fragment, ×2, ×4)
-	// × every sweep mode (auto, forced streaming behind the sort enforcer
-	// or the order-preserving exchange, forced blocking) must close the
-	// same diagram — Sweep and Parallelism compose freely. The loop below
-	// additionally runs each (database, query) pair over unsorted AND
-	// begin-sorted stored tables, and each sweep × parallelism cell with
-	// the cost-aware planner knobs off AND all on, so the grid is
-	// sweep × parallelism × sortedness × planner.
+	// with the cost-aware planner knobs off AND all on must close the
+	// same diagram. The loop below runs each (database, query) pair over
+	// unsorted AND begin-sorted stored tables, which pick the blocking
+	// and the streaming sweeps (the latter behind the order-preserving
+	// exchange at ×2, ×4), so the grid is parallelism × sortedness ×
+	// planner.
 	var opts []rewrite.Options
 	for _, par := range []int{0, 2, 4} {
-		for _, sw := range []rewrite.SweepMode{rewrite.SweepAuto, rewrite.SweepStreaming, rewrite.SweepBlocking} {
-			for _, knobs := range []rewrite.PlannerKnobs{{}, rewrite.AllKnobs()} {
-				opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: sw, Parallelism: par, Planner: knobs})
-			}
+		for _, knobs := range []rewrite.PlannerKnobs{{}, rewrite.AllKnobs()} {
+			opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: par, Planner: knobs})
 		}
 	}
 	opts = append(opts,
 		rewrite.Options{Mode: rewrite.ModeNaive},
-		rewrite.Options{Mode: rewrite.ModeNaive, Sweep: rewrite.SweepStreaming},
-		rewrite.Options{Mode: rewrite.ModeNaive, Sweep: rewrite.SweepStreaming, Parallelism: 4},
+		rewrite.Options{Mode: rewrite.ModeNaive, Parallelism: 4},
 	)
 	for i := 0; i < 100; i++ {
 		spec := g.GenDB()
@@ -154,23 +150,21 @@ func TestTheorem81CommutingDiagram(t *testing.T) {
 
 // TestDiffGridEquivalence is the difference-focused half of the
 // equivalence grid: every generated query has a difference at the root,
-// so each iteration exercises the DiffP physical forms — blocking,
-// streaming behind sort enforcers, auto-streaming over begin-sorted
-// stored tables, and the parallel pairwise-partitioned variants — over
-// sweep × parallelism × sortedness, against the logical model.
+// so each iteration exercises the DiffP physical forms — blocking over
+// unsorted stored tables, streaming over begin-sorted ones, and the
+// parallel pairwise-partitioned variants — over parallelism ×
+// sortedness, against the logical model.
 func TestDiffGridEquivalence(t *testing.T) {
 	g := qgen.New(421)
 	var opts []rewrite.Options
 	for _, par := range []int{0, 2, 4} {
-		for _, sw := range []rewrite.SweepMode{rewrite.SweepAuto, rewrite.SweepStreaming, rewrite.SweepBlocking} {
-			for _, knobs := range []rewrite.PlannerKnobs{{}, rewrite.AllKnobs()} {
-				opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: sw, Parallelism: par, Planner: knobs})
-			}
+		for _, knobs := range []rewrite.PlannerKnobs{{}, rewrite.AllKnobs()} {
+			opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: par, Planner: knobs})
 		}
 	}
 	opts = append(opts,
-		rewrite.Options{Mode: rewrite.ModeNaive, Sweep: rewrite.SweepStreaming},
-		rewrite.Options{Mode: rewrite.ModeNaive, Sweep: rewrite.SweepStreaming, Parallelism: 4},
+		rewrite.Options{Mode: rewrite.ModeNaive},
+		rewrite.Options{Mode: rewrite.ModeNaive, Parallelism: 4},
 	)
 	for i := 0; i < 60; i++ {
 		spec := g.GenDB()
@@ -202,9 +196,7 @@ func TestDiffGridEquivalence(t *testing.T) {
 }
 
 // TestDiffSweepPlanning pins the planner's physical choice for the
-// difference: SweepStreaming forces the streaming merge sweep with a
-// sort enforcer on each unordered child; SweepAuto streams exactly when
-// BOTH children carry the order for free; SweepBlocking never streams.
+// difference: it streams exactly when BOTH children carry the order.
 func TestDiffSweepPlanning(t *testing.T) {
 	db := engine.NewDB(dom)
 	sortedT := db.CreateTable("st", tuple.NewSchema("a"))
@@ -219,9 +211,9 @@ func TestDiffSweepPlanning(t *testing.T) {
 	q := func(l, r string) algebra.Query {
 		return algebra.Diff{L: algebra.Rel{Name: l}, R: algebra.Rel{Name: r}}
 	}
-	diffOf := func(sw rewrite.SweepMode, l, r string) engine.DiffP {
+	diffOf := func(l, r string) engine.DiffP {
 		t.Helper()
-		p, err := rewrite.Rewrite(q(l, r), db, rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: sw})
+		p, err := rewrite.Rewrite(q(l, r), db, rewrite.Options{Mode: rewrite.ModeOptimized})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,38 +230,13 @@ func TestDiffSweepPlanning(t *testing.T) {
 		}
 	}
 
-	// Forced streaming over unsorted children: enforcers on BOTH inputs.
-	dp := diffOf(rewrite.SweepStreaming, "ut", "ut")
-	if !dp.Streaming {
-		t.Fatalf("SweepStreaming must set DiffP.Streaming: %s", dp)
-	}
-	if _, ok := dp.L.(engine.SortP); !ok {
-		t.Fatalf("left child of forced streaming diff lacks the sort enforcer: %s", dp)
-	}
-	if _, ok := dp.R.(engine.SortP); !ok {
-		t.Fatalf("right child of forced streaming diff lacks the sort enforcer: %s", dp)
-	}
-	// Forced streaming over sorted children: no enforcer needed.
-	dp = diffOf(rewrite.SweepStreaming, "st", "st")
-	if !dp.Streaming {
-		t.Fatalf("SweepStreaming must set DiffP.Streaming: %s", dp)
-	}
-	if _, ok := dp.L.(engine.ScanP); !ok {
-		t.Fatalf("sorted child must not be wrapped in an enforcer: %s", dp)
-	}
-	// Auto: streams only when both children are ordered.
-	if dp = diffOf(rewrite.SweepAuto, "st", "st"); !dp.Streaming {
-		t.Fatalf("SweepAuto over two sorted scans must stream: %s", dp)
+	if dp := diffOf("st", "st"); !dp.Streaming {
+		t.Fatalf("a difference over two sorted scans must stream: %s", dp)
 	}
 	for _, pair := range [][2]string{{"st", "ut"}, {"ut", "st"}, {"ut", "ut"}} {
-		if dp = diffOf(rewrite.SweepAuto, pair[0], pair[1]); dp.Streaming {
-			t.Fatalf("SweepAuto with unsorted child %v must not stream: %s", pair, dp)
+		if dp := diffOf(pair[0], pair[1]); dp.Streaming {
+			t.Fatalf("a difference with unsorted child %v must not stream: %s", pair, dp)
 		}
-	}
-	// Blocking ablation: never streams, never sorts.
-	dp = diffOf(rewrite.SweepBlocking, "st", "st")
-	if dp.Streaming {
-		t.Fatalf("SweepBlocking must not stream: %s", dp)
 	}
 }
 
@@ -360,8 +327,9 @@ func TestCoalescePlacement(t *testing.T) {
 
 // TestCoalescedPlansEmitUniqueEncoding checks engine.Coalesced against
 // execution, since the planner drops the final coalesce exactly where it
-// holds: over qgen databases and queries, in both plan modes, every
-// sweep mode and at one and two workers, every subplan it calls
+// holds: over qgen databases and queries (half of them begin-sorted, so
+// both sweep forms run), in both plan modes and at one and two workers,
+// every subplan it calls
 // coalesced must run to output that engine.IsCoalesced accepts — which
 // pins its projection rule on the renamings, permutations, duplicated
 // and computed columns qgen generates — and every plan must equal the
@@ -401,28 +369,26 @@ func TestCoalescedPlansEmitUniqueEncoding(t *testing.T) {
 		edb := spec.ToEngineDB()
 		qalg := telement.NewMAlgebra[int64](semiring.N, spec.Dom)
 		for _, mode := range []rewrite.Mode{rewrite.ModeOptimized, rewrite.ModeNaive} {
-			for _, sw := range []rewrite.SweepMode{rewrite.SweepAuto, rewrite.SweepStreaming, rewrite.SweepBlocking} {
-				for _, w := range []int{1, 2} {
-					p, err := rewrite.Rewrite(q, edb, rewrite.Options{Mode: mode, Sweep: sw, Parallelism: w})
-					if err != nil {
-						t.Fatalf("rewrite: %v (%s)", err, q)
+			for _, w := range []int{1, 2} {
+				p, err := rewrite.Rewrite(q, edb, rewrite.Options{Mode: mode, Parallelism: w})
+				if err != nil {
+					t.Fatalf("rewrite: %v (%s)", err, q)
+				}
+				if mode == rewrite.ModeOptimized && !engine.Coalesced(p) {
+					t.Fatalf("iteration %d: the optimized root is not coalesced: %s", i, p)
+				}
+				walk(p, func(s engine.Plan) {
+					if !engine.Coalesced(s) {
+						return
 					}
-					if mode == rewrite.ModeOptimized && !engine.Coalesced(p) {
-						t.Fatalf("iteration %d: the optimized root is not coalesced: %s", i, p)
+					if got := run(edb, s, w); !engine.IsCoalesced(got) {
+						t.Fatalf("iteration %d, mode %d, workers %d: Coalesced(%s) holds but its output is not coalesced:\n%s",
+							i, mode, w, s, got)
 					}
-					walk(p, func(s engine.Plan) {
-						if !engine.Coalesced(s) {
-							return
-						}
-						if got := run(edb, s, w); !engine.IsCoalesced(got) {
-							t.Fatalf("iteration %d, mode %d, sweep %d, workers %d: Coalesced(%s) holds but its output is not coalesced:\n%s",
-								i, mode, sw, w, s, got)
-						}
-					})
-					if got := run(edb, p, w); !period.Dec(got.ToPeriodRelation(qalg), spec.Dom).Equal(want) {
-						t.Fatalf("iteration %d, mode %d, sweep %d, workers %d: plan disagrees with the snapshot oracle\nquery: %s\nplan:  %s\ngot:\n%s",
-							i, mode, sw, w, q, p, got)
-					}
+				})
+				if got := run(edb, p, w); !period.Dec(got.ToPeriodRelation(qalg), spec.Dom).Equal(want) {
+					t.Fatalf("iteration %d, mode %d, workers %d: plan disagrees with the snapshot oracle\nquery: %s\nplan:  %s\ngot:\n%s",
+						i, mode, w, q, p, got)
 				}
 			}
 		}

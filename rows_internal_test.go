@@ -1,8 +1,9 @@
 // Cursor-vs-batch drive differential over the qgen grid: the Rows
 // cursor is the one per-row consumer of a query root, so its Next must
 // deliver exactly the row multiset a NextBatch drain of the same plan
-// delivers, at every batch capacity, for every sweep × parallelism ×
-// sortedness configuration.
+// delivers, at every batch capacity, for every parallelism × sortedness
+// configuration (sortedness picks the sweep form: sorted input streams,
+// unsorted input blocks).
 package snapk
 
 import (
@@ -61,9 +62,7 @@ func TestBatchRowDriveDifferential(t *testing.T) {
 	g := qgen.New(911)
 	var opts []rewrite.Options
 	for _, par := range []int{0, 2, 4} {
-		for _, sw := range []rewrite.SweepMode{rewrite.SweepAuto, rewrite.SweepStreaming, rewrite.SweepBlocking} {
-			opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Sweep: sw, Parallelism: par})
-		}
+		opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: par})
 	}
 	for i := 0; i < 15; i++ {
 		spec := g.GenDB()

@@ -136,6 +136,37 @@ func TestInsertValidation(t *testing.T) {
 	}
 }
 
+// Periods spread wider than 2⁵⁹ (Unix nanoseconds from epoch 0 to
+// today) must not overflow the planner's begin histogram: a three-way
+// equi-join estimates its inputs from it while choosing a join
+// strategy.
+func TestWideBeginSpreadJoin(t *testing.T) {
+	const far = 3 << 59
+	db := snapk.New(0, far+10)
+	for _, name := range []string{"a", "b", "c"} {
+		tb, err := db.CreateTable(name, name+"k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Insert(0, 10, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Insert(far, far+5, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := db.Query(`SELECT ak FROM a JOIN b ON ak = bk JOIN c ON bk = ck`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.At(far); len(got) != 1 {
+		t.Fatalf("At(%d) = %v, want one row", int64(far), got)
+	}
+	if got := res.At(3); len(got) != 1 {
+		t.Fatalf("At(3) = %v, want one row", got)
+	}
+}
+
 func TestCreateTableValidation(t *testing.T) {
 	db := snapk.New(0, 10)
 	if _, err := db.CreateTable("t"); err == nil {
