@@ -81,7 +81,7 @@ func TestChaosGrid(t *testing.T) {
 			baseline = append(baseline, row.String())
 		}
 		sort.Strings(baseline)
-		// The begin-sorted copy of the database plans streaming sweeps,
+		// The begin-sorted copy of the database runs streaming sweeps,
 		// the unsorted one blocking sweeps.
 		for _, sorted := range []bool{false, true} {
 			db := edb

@@ -98,7 +98,7 @@ func TestNextBatchEmptyInput(t *testing.T) {
 	db := batchDB(0)
 	plans := []engine.Plan{
 		engine.ScanP{Name: "t"},
-		engine.CoalesceP{In: engine.ScanP{Name: "t"}, Streaming: true},
+		engine.CoalesceP{In: engine.ScanP{Name: "t"}},
 	}
 	for _, p := range plans {
 		it := execSeq(t, db, p, nil)
@@ -139,11 +139,10 @@ func TestNextBatchZeroCapacityBatch(t *testing.T) {
 func TestSweepBatchDriveMatchesPerRow(t *testing.T) {
 	db := batchDB(137)
 	plans := []engine.Plan{
-		engine.CoalesceP{In: engine.ScanP{Name: "t"}, Streaming: true},
+		engine.CoalesceP{In: engine.ScanP{Name: "t"}},
 		engine.DiffP{
-			L:         engine.ScanP{Name: "t"},
-			R:         engine.FilterP{Pred: algebra.Lt(algebra.Col("v"), algebra.IntC(40)), In: engine.ScanP{Name: "t"}},
-			Streaming: true,
+			L: engine.ScanP{Name: "t"},
+			R: engine.FilterP{Pred: algebra.Lt(algebra.Col("v"), algebra.IntC(40)), In: engine.ScanP{Name: "t"}},
 		},
 		// No equi-key: the join runs as the interval-overlap sweep.
 		engine.JoinP{L: engine.ScanP{Name: "t"}, R: engine.ScanP{Name: "t"}, Pred: algebra.Lt(algebra.Col("v"), algebra.Col("r.v"))},

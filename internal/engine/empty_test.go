@@ -26,6 +26,13 @@ func TestOperatorsOnEmptyTables(t *testing.T) {
 	db.AddTable("empty", empty)
 	db.AddTable("one", one)
 	emptyP, oneP := engine.ScanP{Name: "empty"}, engine.ScanP{Name: "one"}
+	// An empty table is begin-sorted, so sweeps over emptyP stream. The
+	// blocking forms run over an empty stream from an unsorted table.
+	unsorted := engine.NewTable(tuple.NewSchema("a", "b"))
+	unsorted.Append(oneRow, interval.New(5, 7), 1)
+	unsorted.Append(oneRow, interval.New(3, 7), 1)
+	db.AddTable("unsorted", unsorted)
+	noneP := engine.FilterP{Pred: algebra.BoolC(false), In: engine.ScanP{Name: "unsorted"}}
 
 	scan := engine.NewTableIter
 	drain := func(it engine.RowIter, err error) (*engine.Table, error) {
@@ -57,28 +64,28 @@ func TestOperatorsOnEmptyTables(t *testing.T) {
 		{"union", func() (*engine.Table, error) { return engine.UnionAll(empty, empty) },
 			engine.UnionP{L: emptyP, R: emptyP}, nil},
 		{"diff", func() (*engine.Table, error) { return engine.TemporalDiff(empty, empty) },
-			engine.DiffP{L: emptyP, R: emptyP}, nil},
+			engine.DiffP{L: noneP, R: noneP}, nil},
 		{"coalesce", func() (*engine.Table, error) { return engine.Coalesce(empty), nil },
-			engine.CoalesceP{In: emptyP}, nil},
+			engine.CoalesceP{In: noneP}, nil},
 		{"split", func() (*engine.Table, error) { return engine.Split(empty, []int{0}), nil }, nil, nil},
 		{"agg/grouped", func() (*engine.Table, error) { return engine.TemporalAggregate(empty, []string{"a"}, count, true, dom) },
-			engine.AggP{GroupBy: []string{"a"}, Aggs: count, PreAgg: true, In: emptyP}, nil},
+			engine.AggP{GroupBy: []string{"a"}, Aggs: count, PreAgg: true, In: noneP}, nil},
 
 		{"stream-diff/empty-left", func() (*engine.Table, error) { return drain(engine.NewStreamDiffIter(scan(empty), scan(one))) },
-			engine.DiffP{L: emptyP, R: oneP, Streaming: true}, nil},
+			engine.DiffP{L: emptyP, R: oneP}, nil},
 		{"stream-diff/empty-right", func() (*engine.Table, error) { return drain(engine.NewStreamDiffIter(scan(one), scan(empty))) },
-			engine.DiffP{L: oneP, R: emptyP, Streaming: true}, []string{key(oneRow, interval.New(3, 7))}},
+			engine.DiffP{L: oneP, R: emptyP}, []string{key(oneRow, interval.New(3, 7))}},
 		{"stream-diff/empty-both", func() (*engine.Table, error) { return drain(engine.NewStreamDiffIter(scan(empty), scan(empty))) },
-			engine.DiffP{L: emptyP, R: emptyP, Streaming: true}, nil},
+			engine.DiffP{L: emptyP, R: emptyP}, nil},
 		{"stream-coalesce", func() (*engine.Table, error) { return drain(engine.NewStreamCoalesceIter(scan(empty)), nil) },
-			engine.CoalesceP{Streaming: true, In: emptyP}, nil},
+			engine.CoalesceP{In: emptyP}, nil},
 		{"stream-agg/grouped", func() (*engine.Table, error) {
 			return drain(engine.NewStreamAggIter(scan(empty), []string{"a"}, count, dom))
-		}, engine.AggP{GroupBy: []string{"a"}, Aggs: count, PreAgg: true, Streaming: true, In: emptyP}, nil},
+		}, engine.AggP{GroupBy: []string{"a"}, Aggs: count, PreAgg: true, In: emptyP}, nil},
 		// Global aggregation sweeps the whole domain: exactly one neutral
 		// row (count 0) over it.
 		{"stream-agg/global", func() (*engine.Table, error) { return drain(engine.NewStreamAggIter(scan(empty), nil, count, dom)) },
-			engine.AggP{Aggs: count, PreAgg: true, Streaming: true, In: emptyP},
+			engine.AggP{Aggs: count, PreAgg: true, In: emptyP},
 			[]string{key(tuple.Tuple{tuple.Int(0)}, dom.All())}},
 	}
 	check := func(t *testing.T, form string, got *engine.Table, err error, want []string) {

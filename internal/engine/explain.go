@@ -10,11 +10,11 @@ import (
 // This file is the static EXPLAIN side of the observability layer: a
 // plan walker producing a tree isomorphic to the physical plan (one
 // ExplainNode per plan node, children in input order), annotated with
-// everything the planner decided — sweep mode, sort property, estimated
-// rows, operator strategy. Fragment/exchange placement is filled in by
-// parallel.Explain from the same placement functions the executor's
-// build() switches on; the runtime counters of EXPLAIN ANALYZE live in
-// obs.go.
+// the sweep mode and sort property the executor derives (BeginOrder),
+// estimated rows and operator strategy. Fragment/exchange placement is
+// filled in by parallel.Explain from the same placement functions the
+// executor's build() switches on; the runtime counters of EXPLAIN
+// ANALYZE live in obs.go.
 
 // ExplainNode is one operator of an EXPLAIN tree.
 type ExplainNode struct {
@@ -23,7 +23,7 @@ type ExplainNode struct {
 	Op     string
 	Detail string
 	// Mode is the sweep mode of coalesce/aggregate/difference nodes:
-	// "streaming" (input order guaranteed by the data) or "blocking" (the
+	// "streaming" (every input begin-ordered) or "blocking" (the
 	// materializing sweep). Empty for non-sweep operators.
 	Mode string
 	// Ordered reports the interval-endpoint sort property of the node's
@@ -41,12 +41,18 @@ type ExplainNode struct {
 
 // ExplainPlan renders p as an annotated EXPLAIN tree. The tree is
 // isomorphic to the plan (one node per plan node, children in Inputs
-// order), which parallel.Explain relies on.
+// order), which parallel.Explain relies on. Ordered and Mode are filled
+// bottom-up by BeginOrder, the rule the executor applies.
 func (db *DB) ExplainPlan(p Plan) *ExplainNode {
-	n := &ExplainNode{
-		Ordered: db.BeginOrdered(p),
-		EstRows: db.EstimateRows(p),
+	n := &ExplainNode{EstRows: db.EstimateRows(p)}
+	var in []bool
+	for _, c := range Inputs(p) {
+		cn := db.ExplainPlan(c)
+		n.Children = append(n.Children, cn)
+		in = append(in, cn.Ordered)
 	}
+	var streams bool
+	n.Ordered, streams = db.BeginOrder(p, in...)
 	switch t := p.(type) {
 	case ScanP:
 		n.Op, n.Detail = "Scan", t.Name
@@ -65,17 +71,17 @@ func (db *DB) ExplainPlan(p Plan) *ExplainNode {
 		n.Op = "UnionAll"
 	case DiffP:
 		n.Op = "Diff"
-		n.Mode = sweepMode(t.Streaming)
+		n.Mode = SweepMode(streams)
 	case AggP:
 		n.Op = "Agg"
 		n.Detail = fmt.Sprintf("group_by=%v", t.GroupBy)
 		if t.PreAgg {
 			n.Detail += " pre-agg"
 		}
-		n.Mode = sweepMode(t.Streaming && t.PreAgg)
+		n.Mode = SweepMode(streams)
 	case CoalesceP:
 		n.Op = "Coalesce"
-		n.Mode = sweepMode(t.Streaming)
+		n.Mode = SweepMode(streams)
 	case WindowP:
 		n.Op, n.Detail = "Window", t.T.String()
 		if t.Prune {
@@ -84,18 +90,7 @@ func (db *DB) ExplainPlan(p Plan) *ExplainNode {
 	default:
 		n.Op = fmt.Sprintf("%T", p)
 	}
-	for _, in := range Inputs(p) {
-		n.Children = append(n.Children, db.ExplainPlan(in))
-	}
 	return n
-}
-
-// sweepMode names a sweep operator's physical form.
-func sweepMode(streaming bool) string {
-	if streaming {
-		return "streaming"
-	}
-	return "blocking"
 }
 
 // explainJoinDetail reports the join strategy the executor will pick

@@ -29,20 +29,29 @@ func explainDB() *engine.DB {
 
 func TestExplainSweepForms(t *testing.T) {
 	db := explainDB()
+	un, so := engine.ScanP{Name: "un"}, engine.ScanP{Name: "so"}
+	count := []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}}
 	cases := []struct {
 		name string
 		plan engine.Plan
 		mode string
 	}{
-		{"blocking over unsorted", engine.CoalesceP{In: engine.ScanP{Name: "un"}}, "blocking"},
-		{"streaming over sorted", engine.CoalesceP{In: engine.ScanP{Name: "so"}, Streaming: true}, "streaming"},
+		{"blocking over unsorted", engine.CoalesceP{In: un}, "blocking"},
+		{"streaming over sorted", engine.CoalesceP{In: so}, "streaming"},
+		{"streaming through a window", engine.CoalesceP{In: engine.WindowP{T: interval.New(5, 15), In: so}}, "streaming"},
+		{"blocking over a union of sorted scans", engine.CoalesceP{In: engine.UnionP{L: so, R: so}}, "blocking"},
+		{"blocking over a sweep output", engine.CoalesceP{In: engine.DiffP{L: so, R: so}}, "blocking"},
+		{"difference over two sorted inputs", engine.DiffP{L: so, R: so}, "streaming"},
+		{"difference with one sorted side", engine.DiffP{L: so, R: un}, "blocking"},
+		{"pre-aggregation over sorted", engine.AggP{Aggs: count, PreAgg: true, In: so}, "streaming"},
+		{"naive split over sorted", engine.AggP{Aggs: count, In: so}, "blocking"},
 	}
 	for _, c := range cases {
 		n := db.ExplainPlan(c.plan)
-		if n.Op != "Coalesce" || n.Mode != c.mode {
-			t.Fatalf("%s: got op=%q mode=%q, want Coalesce/%s", c.name, n.Op, n.Mode, c.mode)
+		if n.Mode != c.mode || n.Ordered {
+			t.Fatalf("%s: got mode=%q ordered=%v, want %s and unordered", c.name, n.Mode, n.Ordered, c.mode)
 		}
-		if len(n.Children) != 1 {
+		if len(n.Children) != len(engine.Inputs(c.plan)) {
 			t.Fatalf("%s: explain tree not isomorphic to the plan: %+v", c.name, n)
 		}
 	}
@@ -154,11 +163,10 @@ func TestExplainRender(t *testing.T) {
 	db := explainDB()
 	plan := engine.CoalesceP{
 		In: engine.AggP{
-			GroupBy:   []string{"k"},
-			Aggs:      []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}},
-			PreAgg:    true,
-			Streaming: true,
-			In:        engine.FilterP{Pred: algebra.Gt(algebra.Col("w"), algebra.IntC(3)), In: engine.ScanP{Name: "so"}},
+			GroupBy: []string{"k"},
+			Aggs:    []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}},
+			PreAgg:  true,
+			In:      engine.FilterP{Pred: algebra.Gt(algebra.Col("w"), algebra.IntC(3)), In: engine.ScanP{Name: "so"}},
 		},
 	}
 	out := db.ExplainPlan(plan).Render()

@@ -59,7 +59,7 @@ func TestObsNilSafety(t *testing.T) {
 func TestAnalyzeCountsStateAndTrace(t *testing.T) {
 	db := obsDB()
 	col := engine.NewCollector()
-	plan := engine.CoalesceP{In: engine.ScanP{Name: "t"}, Streaming: true}
+	plan := engine.CoalesceP{In: engine.ScanP{Name: "t"}}
 	it := execSeq(t, db, plan, col.Root)
 	res := engine.Materialize(it)
 	it.Close()
@@ -135,7 +135,7 @@ func TestAnalyzeCountsStateAndTrace(t *testing.T) {
 func TestAnalyzeEarlyCloseSnapshotsState(t *testing.T) {
 	db := obsDB()
 	col := engine.NewCollector()
-	plan := engine.CoalesceP{In: engine.ScanP{Name: "t"}, Streaming: true}
+	plan := engine.CoalesceP{In: engine.ScanP{Name: "t"}}
 	it := execSeq(t, db, plan, col.Root)
 	b := engine.NewRowBatch(1)
 	for i := 0; i < 5; i++ {

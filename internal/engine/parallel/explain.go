@@ -7,10 +7,11 @@ import (
 )
 
 // This file holds the two placement decisions of the executor as pure
-// functions — place (how wide a node runs, and whether its output keeps
-// the begin order) and exchangeFor (which exchange connects two widths)
-// — so that build() switches on them and EXPLAIN prints them: the
-// placement a user reads is by construction the placement that runs.
+// functions — place (how wide a node runs, whether its output keeps the
+// begin order, and which form a sweep runs) and exchangeFor (which
+// exchange connects two widths) — so that build() switches on them and
+// EXPLAIN prints them: the placement a user reads is by construction the
+// placement that runs.
 
 // shape is the physical form of a stream: how many fragment iterators
 // carry it, and whether each of them is begin-ordered.
@@ -20,37 +21,42 @@ type shape struct {
 }
 
 // place decides the shape of plan node p's output at the given worker
-// count from the shapes of its inputs (for a scan, in[0] describes the
-// stored table: ordered iff it is begin-sorted). hashJoin is
-// engine.DB.JoinStrategy's answer for a JoinP and ignored otherwise.
-func place(p engine.Plan, workers int, hashJoin bool, in ...shape) shape {
+// count from the shapes of its inputs, and whether p, a sweep, streams;
+// the order answers are engine.DB.BeginOrder's. Morsels are claimed in
+// increasing row order, so every scan fragment is an order-preserving
+// subsequence of the stored order. hashJoin is engine.DB.JoinStrategy's
+// answer for a JoinP and ignored otherwise.
+func place(db *engine.DB, p engine.Plan, workers int, hashJoin bool, in ...shape) (out shape, streams bool) {
+	ord := make([]bool, 0, 2)
+	for _, s := range in {
+		ord = append(ord, s.ordered)
+	}
+	out.ordered, streams = db.BeginOrder(p, ord...)
 	switch n := p.(type) {
 	case engine.ScanP:
-		// Morsels are claimed in increasing row order, so every fragment
-		// is an order-preserving subsequence of the stored order.
-		return shape{frags: workers, ordered: in[0].ordered}
+		out.frags = workers
 	case engine.FilterP, engine.ProjectP, engine.WindowP:
-		// Per-row operators run inside their input's fragments and carry
-		// (or monotonically clip) the period attributes.
-		return in[0]
+		// Per-row operators run inside their input's fragments.
+		out.frags = in[0].frags
 	case engine.UnionP:
 		// Fragment i concatenates l_i and r_i.
-		return shape{frags: max(in[0].frags, in[1].frags)}
+		out.frags = max(in[0].frags, in[1].frags)
 	case engine.JoinP:
+		out.frags = 1 // one overlap sweep over the merged inputs
 		if hashJoin {
-			return shape{frags: workers} // probe fragments over one shared build
+			out.frags = workers // probe fragments over one shared build
 		}
-		return shape{frags: 1} // one overlap sweep over the merged inputs
 	case engine.AggP:
+		out.frags = workers
 		if len(n.GroupBy) == 0 {
-			return shape{frags: 1} // a single group cannot be partitioned
+			out.frags = 1 // a single group cannot be partitioned
 		}
-		return shape{frags: workers}
 	case engine.CoalesceP, engine.DiffP:
-		return shape{frags: workers}
+		out.frags = workers
 	default:
-		return shape{frags: 1}
+		out.frags = 1
 	}
+	return out, streams
 }
 
 // exchangeKind names the exchange between a stream and its consumer.
@@ -92,9 +98,6 @@ func Explain(db *engine.DB, p engine.Plan, workers int) *engine.ExplainNode {
 
 func explainPlacement(db *engine.DB, p engine.Plan, n *engine.ExplainNode, workers int) shape {
 	var in []shape
-	if scan, ok := p.(engine.ScanP); ok {
-		in = []shape{{ordered: db.ScanBeginSorted(scan.Name)}}
-	}
 	for i, c := range engine.Inputs(p) {
 		in = append(in, explainPlacement(db, c, n.Children[i], workers))
 	}
@@ -107,13 +110,13 @@ func explainPlacement(db *engine.DB, p engine.Plan, n *engine.ExplainNode, worke
 			hash, _ = db.JoinStrategy(j, prep)
 		}
 	}
-	out := place(p, workers, hash, in...)
-	n.Placement = describe(p, hash, in, out)
+	out, streams := place(db, p, workers, hash, in...)
+	n.Placement = describe(p, hash, streams, in, out)
 	return out
 }
 
 // describe is the display form of one node's placement.
-func describe(p engine.Plan, hashJoin bool, in []shape, out shape) string {
+func describe(p engine.Plan, hashJoin, streams bool, in []shape, out shape) string {
 	wide := func(one, many string) string {
 		if out.frags == 1 {
 			return one
@@ -121,20 +124,20 @@ func describe(p engine.Plan, hashJoin bool, in []shape, out shape) string {
 		return fmt.Sprintf(many, out.frags)
 	}
 	// sweep describes a sweep over inputs ("input" or "inputs").
-	sweep := func(streaming bool, inputs, times string) string {
+	sweep := func(inputs, times string) string {
 		if exchangeFor(in[0].frags, out.frags, true) == exHash {
 			kind := "hash-partition"
-			if streaming {
+			if streams {
 				kind = "ordered-partition"
 			}
 			return fmt.Sprintf("fragments ×%d via %s%s", out.frags, kind, times)
 		}
-		if streaming {
+		if streams {
 			return "sequential sweep over ordered " + inputs
 		}
 		return "sequential sweep, " + inputs + " materialized"
 	}
-	switch n := p.(type) {
+	switch p.(type) {
 	case engine.ScanP:
 		return wide("sequential scan", "morsel scan ×%d")
 	case engine.FilterP, engine.ProjectP, engine.WindowP:
@@ -147,11 +150,9 @@ func describe(p engine.Plan, hashJoin bool, in []shape, out shape) string {
 		}
 		return wide("sequential probe, build drained via merge", "shared build, probe fragments ×%d")
 	case engine.DiffP:
-		return sweep(n.Streaming, "inputs", " ×2")
-	case engine.AggP:
-		return sweep(n.Streaming && n.PreAgg, "input", "")
-	case engine.CoalesceP:
-		return sweep(n.Streaming, "input", "")
+		return sweep("inputs", " ×2")
+	case engine.AggP, engine.CoalesceP:
+		return sweep("input", "")
 	default:
 		return ""
 	}

@@ -1,9 +1,10 @@
 // EXPLAIN's placement and the executed plan come from the same two
 // functions (place and exchangeFor, explain.go): this file executes
 // plans with a collector attached and checks that what parallel.Explain
-// printed for each node — its width and the exchange feeding it — is
-// what the measured stats tree shows ran: that many per-worker fragment
-// nodes, and an exchange node of that kind.
+// printed for each node — its width, the exchange feeding it and its
+// sweep form — is what the measured stats tree shows ran: that many
+// per-worker fragment nodes, an exchange node of that kind, and a sweep
+// of that form.
 package parallel_test
 
 import (
@@ -14,27 +15,55 @@ import (
 	"snapk/internal/algebra"
 	"snapk/internal/engine"
 	"snapk/internal/engine/parallel"
+	"snapk/internal/interval"
 	"snapk/internal/krel"
 )
 
 // placementPlans is the plan set the placement test sweeps: one per
-// placement-relevant build() case. The streaming sweeps read "l", which
-// bigPipelineDB stores begin-sorted at up to 1000 rows.
+// placement-relevant build() case, and each sweep over sorted and over
+// unsorted input. "l" is begin-sorted (bigPipelineDB, up to 1000 rows)
+// and "u" is an unsorted copy of it (withUnsortedCopy).
 func placementPlans() []engine.Plan {
 	scanL := engine.ScanP{Name: "l"}
 	scanR := engine.ScanP{Name: "r"}
+	scanU := engine.ScanP{Name: "u"}
+	cnt := []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}}
 	return []engine.Plan{
 		engine.FilterP{Pred: algebra.Gt(algebra.Col("v"), algebra.IntC(10)), In: scanL},
 		bigPipelinePlan(), // Project → equi Join → Filter → Scan
 		engine.JoinP{L: scanL, R: scanR, Pred: algebra.BoolC(true)}, // overlap sweep: sequential
 		engine.UnionP{L: scanL, R: scanL},
 		engine.CoalesceP{In: scanL},
-		engine.CoalesceP{In: scanL, Streaming: true},
-		engine.AggP{GroupBy: []string{"k"}, Aggs: []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}}, In: scanL},
-		engine.AggP{Aggs: []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}}, In: scanL}, // global agg: sequential sweep
+		engine.CoalesceP{In: scanU},
+		engine.AggP{GroupBy: []string{"k"}, Aggs: cnt, In: scanL},
+		engine.AggP{GroupBy: []string{"k"}, Aggs: cnt, PreAgg: true, In: scanU},
+		engine.AggP{Aggs: cnt, In: scanL},               // global agg: sequential sweep
+		engine.AggP{Aggs: cnt, PreAgg: true, In: scanL}, // streams over the ordered merge
 		engine.DiffP{L: scanL, R: scanL},
-		engine.DiffP{L: scanL, R: scanL, Streaming: true},
+		engine.DiffP{L: scanL, R: scanU}, // one sorted side: blocking
+		// Pruned scans keep the stored table's order: the window over "u"
+		// prunes it to nothing, and the sweep above still blocks.
+		engine.CoalesceP{In: engine.WindowP{T: interval.New(100, 300), Prune: true, In: scanL}},
+		engine.CoalesceP{In: engine.WindowP{T: interval.New(5000, 6000), Prune: true, In: scanU}},
 	}
+}
+
+// withUnsortedCopy registers a copy of db's table "l" in reverse begin
+// order as "u".
+func withUnsortedCopy(t *testing.T, db *engine.DB) *engine.DB {
+	t.Helper()
+	l, err := db.Table("l")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := db.CreateTable("u", l.DataSchema())
+	for i := len(l.Rows) - 1; i >= 0; i-- {
+		u.Append(l.Rows[i][:l.DataArity()], l.Interval(l.Rows[i]), 1)
+	}
+	if u.BeginSorted() {
+		t.Fatal("fixture: the reversed copy is begin-sorted")
+	}
+	return db
 }
 
 // explainOpLabel maps an ExplainNode.Op to the label the executors give
@@ -106,6 +135,10 @@ func checkPlacementExecuted(t *testing.T, n *engine.ExplainNode, st *engine.OpSt
 	if workers == 1 && countChildren(st, "Exchange:") != 0 {
 		t.Fatalf("%s: an exchange executed at one worker", n.Op)
 	}
+	// The sweep form EXPLAIN printed is the one that ran.
+	if ran, _, _ := strings.Cut(st.Detail, " "); n.Mode != "" && ran != n.Mode {
+		t.Fatalf("%s: explained sweep=%s, but the %q sweep executed", n.Op, n.Mode, st.Detail)
+	}
 	ops := opStatsChildren(st)
 	if len(ops) != len(n.Children) {
 		t.Fatalf("%s: explain has %d children, stats tree has %d operator children", n.Op, len(n.Children), len(ops))
@@ -116,8 +149,8 @@ func checkPlacementExecuted(t *testing.T, n *engine.ExplainNode, st *engine.OpSt
 }
 
 func TestExplainPlacementIsExecutedPlacement(t *testing.T) {
-	db := bigPipelineDB(800)
-	for _, workers := range []int{1, 4} {
+	db := withUnsortedCopy(t, bigPipelineDB(800))
+	for _, workers := range []int{1, 2, 4} {
 		for _, p := range placementPlans() {
 			n := parallel.Explain(db, p, workers)
 			col := engine.NewCollector()

@@ -86,10 +86,11 @@ func TestInjectedPanicInFragmentContained(t *testing.T) {
 // consumer on every iteration.
 func TestInjectedPanicNeverReadsAsCleanEnd(t *testing.T) {
 	db := bigPipelineDB(64)
+	scanL := engine.ScanP{Name: "l"}
 	plans := []engine.Plan{
-		engine.ScanP{Name: "l"},                                        // merge / ordered merge
-		engine.CoalesceP{In: engine.ScanP{Name: "l"}},                  // hash partition
-		engine.CoalesceP{In: engine.ScanP{Name: "l"}, Streaming: true}, // ordered partition
+		scanL, // merge / ordered merge
+		engine.CoalesceP{In: engine.UnionP{L: scanL, R: scanL}}, // hash partition: a union is unordered
+		engine.CoalesceP{In: scanL},                             // ordered partition
 	}
 	for i := 0; i < 300; i++ {
 		for _, p := range plans {

@@ -18,8 +18,8 @@ var fuzzDomain = interval.NewDomain(0, 32)
 // decodeFuzzDB decodes 3-byte chunks of fuzz data into a begin-sorted
 // single-column stored table (value, begin, span-and-multiplicity) and
 // returns the database holding it. Sorting the decoded rows is what
-// arms the streaming sweeps: the planner contract says Streaming only
-// runs over begin-ordered input.
+// arms the streaming sweeps: a sweep streams only over begin-ordered
+// input.
 func decodeFuzzDB(data []byte) (*engine.DB, *engine.Table) {
 	if len(data) > 300 {
 		data = data[:300]
@@ -105,7 +105,7 @@ func FuzzParStreamSweep(f *testing.F) {
 
 		// Parallel streaming coalesce vs the blocking sweep.
 		want := engine.Coalesce(tbl)
-		it, err := parallel.Exec(ctx, db, engine.CoalesceP{In: engine.ScanP{Name: "t"}, Streaming: true}, opt)
+		it, err := parallel.Exec(ctx, db, engine.CoalesceP{In: engine.ScanP{Name: "t"}}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func FuzzParStreamSweep(f *testing.F) {
 			t.Fatal(err)
 		}
 		dit, err := parallel.Exec(ctx, db,
-			engine.DiffP{L: engine.ScanP{Name: "t"}, R: engine.ScanP{Name: "u"}, Streaming: true}, opt)
+			engine.DiffP{L: engine.ScanP{Name: "t"}, R: engine.ScanP{Name: "u"}}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func FuzzParStreamSweep(f *testing.F) {
 				t.Fatal(err)
 			}
 			ait, err := parallel.Exec(ctx, db,
-				engine.AggP{GroupBy: groupBy, Aggs: aggs, PreAgg: true, Streaming: true, In: engine.ScanP{Name: "t"}}, opt)
+				engine.AggP{GroupBy: groupBy, Aggs: aggs, PreAgg: true, In: engine.ScanP{Name: "t"}}, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -78,36 +78,23 @@ func TestOrderedMergeSurvivesFilterProject(t *testing.T) {
 }
 
 // The parallel STREAMING sweeps behind the order-preserving exchange
-// must produce the exact multiset of the sequential blocking sweeps, on
-// begin-sorted input, for coalesce and grouped/global pre-aggregated
-// aggregation, at several worker counts. The tiny morsel size forces
-// real partitioning.
+// must produce the exact multiset of the blocking sweeps of the
+// reference evaluator (DB.Exec), on begin-sorted input, for coalesce and
+// grouped/global pre-aggregated aggregation, at several worker counts.
+// The tiny morsel size forces real partitioning.
 func TestParallelStreamingSweepEquivalence(t *testing.T) {
 	db := sortedScanDB(3000)
 	aggs := []algebra.AggSpec{{Fn: krel.Sum, Arg: "v", As: "total"}, {Fn: krel.CountStar, As: "cnt"}}
 	plans := []struct {
-		name      string
-		streaming engine.Plan
-		oracle    engine.Plan
+		name string
+		plan engine.Plan
 	}{
-		{
-			name:      "coalesce",
-			streaming: engine.CoalesceP{In: engine.ScanP{Name: "t"}, Streaming: true},
-			oracle:    engine.CoalesceP{In: engine.ScanP{Name: "t"}},
-		},
-		{
-			name:      "agg-grouped",
-			streaming: engine.AggP{GroupBy: []string{"g"}, Aggs: aggs, PreAgg: true, Streaming: true, In: engine.ScanP{Name: "t"}},
-			oracle:    engine.AggP{GroupBy: []string{"g"}, Aggs: aggs, PreAgg: true, In: engine.ScanP{Name: "t"}},
-		},
-		{
-			name:      "agg-global",
-			streaming: engine.AggP{Aggs: aggs, PreAgg: true, Streaming: true, In: engine.ScanP{Name: "t"}},
-			oracle:    engine.AggP{Aggs: aggs, PreAgg: true, In: engine.ScanP{Name: "t"}},
-		},
+		{"coalesce", engine.CoalesceP{In: engine.ScanP{Name: "t"}}},
+		{"agg-grouped", engine.AggP{GroupBy: []string{"g"}, Aggs: aggs, PreAgg: true, In: engine.ScanP{Name: "t"}}},
+		{"agg-global", engine.AggP{Aggs: aggs, PreAgg: true, In: engine.ScanP{Name: "t"}}},
 	}
 	for _, p := range plans {
-		mat, err := db.Exec(p.oracle)
+		mat, err := db.Exec(p.plan)
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", p.name, err)
 		}
@@ -116,7 +103,7 @@ func TestParallelStreamingSweepEquivalence(t *testing.T) {
 			t.Fatalf("%s: empty oracle result; test is vacuous", p.name)
 		}
 		for _, workers := range []int{2, 3, 8} {
-			it, err := parallel.Exec(context.Background(), db, p.streaming,
+			it, err := parallel.Exec(context.Background(), db, p.plan,
 				parallel.Options{Workers: workers, MorselSize: 8})
 			if err != nil {
 				t.Fatalf("%s workers %d: %v", p.name, workers, err)

@@ -32,9 +32,9 @@
 // engine.CompareEndpoints comparator) for the merge hop, and an ordered
 // repartition (hashPartitionOrdered) that partitions straight from the
 // sorted fragments, before any order-destroying merge. Each sweep has
-// two physical forms, selected by the planner from observed
-// sortedness: when it guaranteed the order (CoalesceP/AggP/DiffP
-// .Streaming) each fragment runs the STREAMING sweep over its
+// two physical forms, and the streams it is built over select one:
+// place applies engine.DB.BeginOrder to the inputs' order, and when
+// every input is ordered each fragment runs the STREAMING sweep over its
 // begin-sorted partition with O(open intervals + active groups) state;
 // otherwise each fragment materializes its partition on first pull and
 // runs the blocking sweep (lazySweepIter). Global aggregation streams
@@ -69,6 +69,7 @@ import (
 	"sync/atomic"
 
 	"snapk/internal/engine"
+	"snapk/internal/obs"
 	"snapk/internal/tuple"
 )
 
@@ -497,7 +498,7 @@ func (e *executor) build(p engine.Plan, parent *engine.OpStats) (*pstream, error
 		}
 		// Pair the fragments of both sides: fragment i concatenates
 		// l_i and r_i, so the union itself needs no extra exchange.
-		out := place(n, e.workers, false, l.shape(), r.shape())
+		out, _ := place(e.db, n, e.workers, false, l.shape(), r.shape())
 		lp := e.exchange(l, out.frags, nil, false, st)
 		rp := e.exchange(r, out.frags, nil, false, st)
 		for i := range lp {
@@ -533,34 +534,36 @@ func dataIdx(schema tuple.Schema) []int {
 	return idx
 }
 
-// sweepDetail names a sweep's physical form on its EXPLAIN ANALYZE node.
-func sweepDetail(streaming bool) string {
-	if streaming {
-		return "streaming"
+// sweepForm records the form place picked for a sweep: in the
+// process-wide count of executed sweeps and on the sweep's EXPLAIN
+// ANALYZE node.
+func sweepForm(st *engine.OpStats, streams bool) {
+	obs.Default.CountSweep(streams)
+	if st != nil {
+		st.Detail = engine.SweepMode(streams)
 	}
-	return "blocking"
 }
 
 // buildCoalesce compiles the coalesce operator. The input is
 // hash-partitioned on the full data tuple and every fragment coalesces
 // its partition independently — value-equivalent groups never straddle
 // partitions, so the merged output is multiset-identical at every
-// width. When the planner guaranteed begin-sorted input (n.Streaming),
-// the ORDER-PRESERVING repartition keeps every partition begin-sorted
-// and each fragment runs the streaming sweep with O(open intervals)
-// state; otherwise each fragment materializes its partition on first
-// pull and runs the blocking sweep.
+// width. Over a begin-ordered input the ORDER-PRESERVING repartition
+// keeps every partition begin-sorted and each fragment runs the
+// streaming sweep with O(open intervals) state; otherwise each fragment
+// materializes its partition on first pull and runs the blocking sweep.
 func (e *executor) buildCoalesce(n engine.CoalesceP, parent *engine.OpStats) (*pstream, error) {
-	st := parent.Child("Coalesce", sweepDetail(n.Streaming))
+	st := parent.Child("Coalesce", "")
 	in, err := e.build(n.In, st)
 	if err != nil {
 		return nil, err
 	}
 	schema := in.schema
-	out := place(n, e.workers, false, in.shape())
-	parts := e.exchange(in, out.frags, dataIdx(schema), n.Streaming, st)
+	out, streams := place(e.db, n, e.workers, false, in.shape())
+	sweepForm(st, streams)
+	parts := e.exchange(in, out.frags, dataIdx(schema), streams, st)
 	for i, part := range parts {
-		if n.Streaming {
+		if streams {
 			parts[i] = e.govern(engine.NewStreamCoalesceIter(part))
 		} else {
 			parts[i] = newLazySweepIter(e.gov, schema, func(ts ...*engine.Table) (*engine.Table, error) {
@@ -577,18 +580,13 @@ func (e *executor) buildCoalesce(n engine.CoalesceP, parent *engine.OpStats) (*p
 // group boundaries, so the merged output is multiset-identical. Global
 // aggregation (a single group) cannot be partitioned: it runs as one
 // fragment over the merge of its input, which with the sort property is
-// the ordered merge, so it still streams. When the planner guaranteed
-// begin-sorted input (n.Streaming, pre-aggregated only) each fragment
-// runs the STREAMING pre-aggregated sweep; otherwise it materializes
-// its partition on first pull and runs the blocking sweep.
+// the ordered merge, so it still streams. Over a begin-ordered input a
+// pre-aggregated sweep runs in its STREAMING form in every fragment;
+// otherwise each fragment materializes its partition on first pull and
+// runs the blocking sweep.
 func (e *executor) buildAgg(n engine.AggP, parent *engine.OpStats) (*pstream, error) {
 	dom := e.db.Domain()
-	streaming := n.Streaming && n.PreAgg
-	detail := sweepDetail(streaming)
-	if !streaming && n.PreAgg {
-		detail = "blocking pre-agg"
-	}
-	st := parent.Child("Agg", detail)
+	st := parent.Child("Agg", "")
 	in, err := e.build(n.In, st)
 	if err != nil {
 		return nil, err
@@ -600,10 +598,14 @@ func (e *executor) buildAgg(n engine.AggP, parent *engine.OpStats) (*pstream, er
 		in.close()
 		return nil, err
 	}
-	out := place(n, e.workers, false, in.shape())
-	parts := e.exchange(in, out.frags, keyIdx, streaming, st)
+	out, streams := place(e.db, n, e.workers, false, in.shape())
+	sweepForm(st, streams)
+	if st != nil && !streams && n.PreAgg {
+		st.Detail += " pre-agg"
+	}
+	parts := e.exchange(in, out.frags, keyIdx, streams, st)
 	for i, part := range parts {
-		if streaming {
+		if streams {
 			it, err := engine.NewStreamAggIter(part, n.GroupBy, n.Aggs, dom)
 			if err != nil {
 				// The constructor closed part; release the rest. Exchange
@@ -629,15 +631,15 @@ func (e *executor) buildAgg(n engine.AggP, parent *engine.OpStats) (*pstream, er
 // buildDiff compiles snapshot-reducible difference. Both inputs are
 // hash-partitioned on the full data tuple with the same hash, so
 // value-equivalent groups of both sides meet in the same fragment and
-// each fragment computes an independent fused diff sweep. When the
-// planner guaranteed begin-sorted children (n.Streaming), BOTH sides go
-// through the ORDER-PRESERVING repartition — every partition pair stays
+// each fragment computes an independent fused diff sweep. When both
+// children are begin-ordered, BOTH sides go through the
+// ORDER-PRESERVING repartition — every partition pair stays
 // begin-sorted — and each fragment runs the streaming merge-based diff
 // with O(open intervals + active groups) state; otherwise it
 // materializes its partition pair on first pull and runs the blocking
 // diff.
 func (e *executor) buildDiff(n engine.DiffP, parent *engine.OpStats) (*pstream, error) {
-	st := parent.Child("Diff", sweepDetail(n.Streaming))
+	st := parent.Child("Diff", "")
 	l, err := e.build(n.L, st)
 	if err != nil {
 		return nil, err
@@ -653,11 +655,12 @@ func (e *executor) buildDiff(n engine.DiffP, parent *engine.OpStats) (*pstream, 
 		return nil, fmt.Errorf("parallel: difference-incompatible arities %d and %d", l.schema.Arity(), r.schema.Arity())
 	}
 	schema := l.schema
-	out := place(n, e.workers, false, l.shape(), r.shape())
-	lp := e.exchange(l, out.frags, dataIdx(schema), n.Streaming, st)
-	rp := e.exchange(r, out.frags, dataIdx(schema), n.Streaming, st)
+	out, streams := place(e.db, n, e.workers, false, l.shape(), r.shape())
+	sweepForm(st, streams)
+	lp := e.exchange(l, out.frags, dataIdx(schema), streams, st)
+	rp := e.exchange(r, out.frags, dataIdx(schema), streams, st)
 	for i := range lp {
-		if n.Streaming {
+		if streams {
 			it, err := engine.NewStreamDiffIter(lp[i], rp[i])
 			if err != nil {
 				// Arity compatibility was validated above, so this is an
@@ -709,7 +712,7 @@ func (e *executor) buildJoin(n engine.JoinP, parent *engine.OpStats) (*pstream, 
 	if st != nil {
 		st.Detail = engine.JoinStrategyName(hash, buildLeft)
 	}
-	out := place(n, e.workers, hash, l.shape(), r.shape())
+	out, _ := place(e.db, n, e.workers, hash, l.shape(), r.shape())
 	if !hash {
 		j, err := engine.NewJoinIter(e.merge(l, st), e.merge(r, st), n.Pred)
 		if err != nil {
@@ -754,13 +757,10 @@ func (e *executor) buildJoin(n engine.JoinP, parent *engine.OpStats) (*pstream, 
 
 // scanStream builds the scan of a stored (or pruned-prefix) table: the
 // shared construction of the ScanP case and the zone-map-pruned windowed
-// scan. Cached table metadata makes the order probe O(1) on the load
-// paths. A begin-sorted table yields begin-sorted fragments: every
-// morsel scan claims strictly increasing row ranges from the shared
-// cursor, so each fragment is an order-preserving subsequence of the
-// stored order.
+// scan. The stream's order is the stored table's (place), which a
+// pruned prefix keeps.
 func (e *executor) scanStream(n engine.ScanP, t *engine.Table, st *engine.OpStats) *pstream {
-	out := place(n, e.workers, false, shape{ordered: t.BeginSorted()})
+	out, _ := place(e.db, n, e.workers, false)
 	ctr := new(atomic.Int64)
 	parts := make([]engine.RowIter, out.frags)
 	for i := range parts {
@@ -784,6 +784,6 @@ func (e *executor) mapStream(site string, n engine.Plan, in *pstream, st *engine
 		}
 		in.parts[i] = it
 	}
-	out := place(n, e.workers, false, in.shape())
+	out, _ := place(e.db, n, e.workers, false, in.shape())
 	return e.finish(site, &pstream{parts: in.parts, schema: in.parts[0].Schema(), ordered: out.ordered}, st), nil
 }

@@ -41,13 +41,13 @@ func allOperatorPlan() engine.Plan {
 		R: keys(engine.AggP{GroupBy: []string{"k"}, Aggs: cnt, In: scanL}),
 	}}
 	streaming := engine.UnionP{
-		L: engine.CoalesceP{Streaming: true, In: keys(scanS)},
+		L: engine.CoalesceP{In: keys(scanS)},
 		R: engine.UnionP{
-			L: engine.DiffP{Streaming: true,
+			L: engine.DiffP{
 				L: keys(scanS),
 				R: keys(engine.FilterP{Pred: algebra.Gt(algebra.Col("v"), algebra.IntC(10)), In: scanS}),
 			},
-			R: keys(engine.AggP{GroupBy: []string{"k"}, Aggs: cnt, PreAgg: true, Streaming: true, In: scanS}),
+			R: keys(engine.AggP{GroupBy: []string{"k"}, Aggs: cnt, PreAgg: true, In: scanS}),
 		},
 	}
 	return engine.UnionP{L: blocking, R: streaming}
@@ -125,7 +125,7 @@ func TestSequentialRootIsBatchIter(t *testing.T) {
 		g := qgen.New(seed)
 		spec := g.GenDB()
 		q := g.GenQuery()
-		// The begin-sorted copy plans streaming sweeps.
+		// The begin-sorted copy runs streaming sweeps.
 		for _, db := range []*engine.DB{spec.ToEngineDB(), spec.SortedByBegin().ToEngineDB()} {
 			for _, opt := range []rewrite.Options{
 				{Mode: rewrite.ModeOptimized},

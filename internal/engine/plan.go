@@ -64,42 +64,32 @@ type UnionP struct{ L, R Plan }
 
 // DiffP is snapshot-reducible EXCEPT ALL via split (Fig 4). Both
 // physical forms emit the unique coalesced encoding (see Coalesced).
-// With Streaming set the executor runs the ℕ-monus difference as a
-// two-input begin-sorted merge sweep with O(open intervals + active
-// groups) state instead of materializing both inputs; the planner
-// (package rewrite) only sets it when the interval-endpoint order of
-// BOTH children is guaranteed.
-type DiffP struct {
-	L, R      Plan
-	Streaming bool
-}
+// When both children are begin-ordered (BeginOrder) the executor runs
+// the ℕ-monus difference as a two-input merge sweep with O(open
+// intervals + active groups) state instead of materializing both
+// inputs.
+type DiffP struct{ L, R Plan }
 
 // AggP is snapshot-reducible aggregation via split (Fig 4); PreAgg
 // selects the §9 pre-aggregation optimization, whose sweeps emit the
 // unique coalesced encoding (the naive materialized split emits one row
-// per elementary segment; see Coalesced). With Streaming set the
-// executor runs the pre-aggregated sweep incrementally over
-// begin-sorted input with O(active-groups) state instead of
-// materializing the input first; the planner (package rewrite) only sets
-// it when PreAgg holds and the input order is guaranteed.
+// per elementary segment; see Coalesced). When PreAgg is set and the
+// input is begin-ordered (BeginOrder) the executor runs the
+// pre-aggregated sweep incrementally with O(active-groups) state
+// instead of materializing the input first.
 type AggP struct {
-	GroupBy   []string
-	Aggs      []algebra.AggSpec
-	PreAgg    bool
-	Streaming bool
-	In        Plan
+	GroupBy []string
+	Aggs    []algebra.AggSpec
+	PreAgg  bool
+	In      Plan
 }
 
 // CoalesceP applies the coalesce operator C (Def 8.2). It is the
 // identity on an input that already is the unique encoding, so the
-// planner places it only where Coalesced reports false. With Streaming
-// set the executor coalesces incrementally over begin-sorted
-// input with O(active-groups) state; the planner only sets it when the
-// input order is guaranteed.
-type CoalesceP struct {
-	Streaming bool
-	In        Plan
-}
+// planner places it only where Coalesced reports false. When the input
+// is begin-ordered (BeginOrder) the executor coalesces incrementally
+// with O(active-groups) state.
+type CoalesceP struct{ In Plan }
 
 // WindowP is the timeslice operator τ_T over period encodings: every
 // row's validity interval is clipped to the window T, and rows not
@@ -143,28 +133,15 @@ func (p ProjectP) String() string {
 }
 func (p JoinP) String() string  { return fmt.Sprintf("TJoin[%s](%s, %s)", p.Pred, p.L, p.R) }
 func (p UnionP) String() string { return fmt.Sprintf("UnionAll(%s, %s)", p.L, p.R) }
-func (p DiffP) String() string {
-	if p.Streaming {
-		return fmt.Sprintf("StreamTDiff(%s, %s)", p.L, p.R)
-	}
-	return fmt.Sprintf("TDiff(%s, %s)", p.L, p.R)
-}
+func (p DiffP) String() string  { return fmt.Sprintf("TDiff(%s, %s)", p.L, p.R) }
 func (p AggP) String() string {
 	mode := "naive"
 	if p.PreAgg {
 		mode = "preagg"
 	}
-	if p.Streaming {
-		mode += ";stream"
-	}
 	return fmt.Sprintf("TAgg[%v;%s](%s)", p.GroupBy, mode, p.In)
 }
-func (p CoalesceP) String() string {
-	if p.Streaming {
-		return fmt.Sprintf("StreamCoalesce(%s)", p.In)
-	}
-	return fmt.Sprintf("Coalesce(%s)", p.In)
-}
+func (p CoalesceP) String() string { return fmt.Sprintf("Coalesce(%s)", p.In) }
 func (p WindowP) String() string {
 	return fmt.Sprintf("Window[%s](%s)", p.T, p.In)
 }
@@ -207,45 +184,43 @@ func CountCoalesce(p Plan) int {
 	return n
 }
 
-// BeginOrdered reports whether the output of p is guaranteed to be
-// ordered by ascending interval begin: the physical property the
-// streaming sweep operators require.
-func (db *DB) BeginOrdered(p Plan) bool {
-	return BeginOrderedWith(p, db.ScanBeginSorted)
-}
-
-// ScanBeginSorted reports whether the stored table name is begin-sorted
-// (false for unknown tables). Tables loaded through Append or sorted
-// through SortByEndpoints answer from cached metadata in O(1); only
-// hand-built tables (direct Rows writes) fall back to an O(n) rescan,
-// which the planner additionally memoizes per Rewrite call.
-func (db *DB) ScanBeginSorted(name string) bool {
-	t, err := db.Table(name)
-	return err == nil && t.BeginSorted()
-}
-
-// BeginOrderedWith is BeginOrdered parameterized over the scan-order
-// source, so planners can layer caching over the O(n) table scans.
-// Filter and Project preserve their input order (they carry the period
-// attributes through unchanged), and a table scan provides it when the
-// stored rows happen to be begin-sorted. Everything else — unions (concatenation), joins
-// (intersection periods), the sweep outputs themselves — makes no
-// global order guarantee.
-func BeginOrderedWith(p Plan, scanSorted func(string) bool) bool {
+// BeginOrder is the rule of begin-order propagation, applied one plan
+// level at a time: given whether each input of p (in Inputs order)
+// yields rows by ascending interval begin, it reports whether p's output
+// does, and whether p, a sweep, runs its streaming form.
+//
+// A scan is ordered when its stored table is begin-sorted (an unknown
+// table is not). Filter and Project carry the period attributes through
+// unchanged, and Window maps begin to max(begin, T.Begin), which is
+// monotone, so all three keep their input's order. Unions
+// (concatenation), joins (intersection periods) and the sweeps' own
+// outputs make no order guarantee. A sweep streams exactly when every
+// input is ordered — an aggregation only with PreAgg, since the naive
+// materialized split has no streaming form — and otherwise materializes
+// its input, which it sorts internally anyway.
+func (db *DB) BeginOrder(p Plan, in ...bool) (ordered, streams bool) {
 	switch n := p.(type) {
 	case ScanP:
-		return scanSorted(n.Name)
-	case FilterP:
-		return BeginOrderedWith(n.In, scanSorted)
-	case ProjectP:
-		return BeginOrderedWith(n.In, scanSorted)
-	case WindowP:
-		// Clipping maps begin to max(begin, T.Begin) — monotone, so a
-		// begin-sorted input stays begin-sorted.
-		return BeginOrderedWith(n.In, scanSorted)
+		t, err := db.Table(n.Name)
+		return err == nil && t.BeginSorted(), false
+	case FilterP, ProjectP, WindowP:
+		return in[0], false
+	case AggP:
+		return false, n.PreAgg && in[0]
+	case DiffP, CoalesceP:
+		return false, !slices.Contains(in, false)
 	default:
-		return false
+		return false, false
 	}
+}
+
+// SweepMode names a sweep's physical form, as EXPLAIN and EXPLAIN
+// ANALYZE print it.
+func SweepMode(streams bool) string {
+	if streams {
+		return "streaming"
+	}
+	return "blocking"
 }
 
 // Coalesced reports whether the output of p is guaranteed to be the
@@ -367,7 +342,7 @@ func (db *DB) RelationSchema(name string) (tuple.Schema, error) {
 
 // Exec evaluates a physical plan to a period relation, one fully
 // materialized node at a time, ignoring every physical annotation
-// (Streaming, Build, Prune). It is the reference evaluator the tests
+// (Build, Prune) and running every sweep in its blocking form. It is the reference evaluator the tests
 // compare the executor (package parallel) against; nothing outside
 // tests calls it.
 func (db *DB) Exec(p Plan) (*Table, error) {

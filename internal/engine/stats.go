@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/bits"
 
 	"snapk/internal/algebra"
@@ -93,7 +94,7 @@ func (s *TableStats) WindowSelectivity(w interval.Interval) float64 {
 	if b, ok := s.Bounds(); !ok || !b.Overlaps(w) {
 		return 0
 	}
-	frac := s.fracBeginBelow(w.End) - s.fracBeginBelow(w.Begin-interval.Time(s.AvgLen))
+	frac := s.fracBeginBelow(w.End) - s.fracBeginBelow(shiftBack(w.Begin, s.AvgLen))
 	if frac < 0 {
 		frac = 0
 	}
@@ -166,6 +167,15 @@ func distance(b, e interval.Time) uint64 {
 		return 0
 	}
 	return uint64(e) - uint64(b)
+}
+
+// shiftBack returns t − d for a length d ≥ 0, saturating at the least
+// Time instead of wrapping.
+func shiftBack(t interval.Time, d float64) interval.Time {
+	if d >= float64(distance(math.MinInt64, t)) {
+		return math.MinInt64
+	}
+	return interval.Time(uint64(t) - uint64(d))
 }
 
 // EndpointBounds returns the min/max endpoint envelope of the stored
@@ -292,8 +302,8 @@ func (db *DB) EstimateRows(p Plan) int64 {
 			// consecutive endpoints, gap rows included: at most 2·rows+1
 			// segments, capped by the domain size.
 			out := 2*in + 1
-			if s := db.dom.Size(); out > s {
-				out = s
+			if s := distance(db.dom.Min, db.dom.Max); uint64(out) > s {
+				out = int64(s)
 			}
 			return out
 		}
@@ -400,10 +410,11 @@ func (db *DB) windowSelectivity(T interval.Interval, in Plan) float64 {
 		return s.WindowSelectivity(T)
 	}
 	w, ok := T.Intersect(db.dom.All())
-	if !ok || db.dom.Size() == 0 {
+	size := distance(db.dom.Min, db.dom.Max)
+	if !ok || size == 0 {
 		return 0
 	}
-	return float64(w.Len()) / float64(db.dom.Size())
+	return float64(distance(w.Begin, w.End)) / float64(size)
 }
 
 // baseStats walks through the row-preserving operators to the

@@ -157,6 +157,33 @@ func TestTableStatsWideSpread(t *testing.T) {
 	}
 }
 
+// Over the widest domain snapk.New accepts, the estimator's shifts and
+// sizes must not wrap: a window covering every row keeps them all, the
+// global split's domain cap is 2⁶⁴ − 1 points rather than −1, and the
+// domain-share fallback gives half the domain half the rows.
+func TestEstimatesAtInt64Limits(t *testing.T) {
+	db := NewDB(interval.NewDomain(math.MinInt64, math.MaxInt64))
+	tb := db.CreateTable("t", tuple.NewSchema("k"))
+	for i := int64(0); i < 100; i++ {
+		tb.Append(tuple.Tuple{tuple.Int(i)}, interval.New(math.MinInt64+i, math.MinInt64+i+10), 1)
+	}
+	scan := ScanP{Name: "t"}
+	all := interval.New(math.MinInt64, math.MinInt64+1000)
+	if got := tb.Stats().WindowSelectivity(all); got != 1 {
+		t.Fatalf("selectivity of a window over every row = %v, want 1", got)
+	}
+	if got := db.EstimateRows(WindowP{T: all, In: scan}); got != 100 {
+		t.Fatalf("window estimate %d, want 100", got)
+	}
+	agg := AggP{Aggs: []algebra.AggSpec{{Fn: krel.CountStar, As: "c"}}, PreAgg: true, In: scan}
+	if got := db.EstimateRows(agg); got != 201 {
+		t.Fatalf("global aggregation estimate %d, want 201", got)
+	}
+	if got := db.EstimateRows(WindowP{T: interval.New(math.MinInt64, 0), In: agg}); got != 101 {
+		t.Fatalf("window over the aggregation estimates %d, want 101 (half the domain)", got)
+	}
+}
+
 func TestCloneCarriesStats(t *testing.T) {
 	tb := statsTable()
 	s := tb.Stats()

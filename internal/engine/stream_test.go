@@ -76,11 +76,11 @@ func runParallel(t *testing.T, db *engine.DB, p engine.Plan) *engine.Table {
 }
 
 // Every worker count and sweep form must produce multiset-identical
-// results on every generated plan: DB.Exec, which ignores the Streaming
-// annotations and runs every sweep blocking, is the reference; the
-// executor at one and at four workers is checked against it, over both
-// the generated database and a deliberately pre-sorted copy
-// (begin-sorted stored tables make the planner pick streaming sweeps).
+// results on every generated plan: DB.Exec, which runs every sweep
+// blocking, is the reference; the executor at one and at four workers
+// is checked against it, over both the generated database and a
+// deliberately pre-sorted copy (begin-sorted stored tables make the
+// sweeps stream).
 func TestStreamMaterializeEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		g := qgen.New(seed)

@@ -24,10 +24,10 @@ import (
 // multiplicity changes, so its output is already the unique coalesced
 // encoding.
 //
-// The input-order precondition is the planner's responsibility
-// (package rewrite streams the difference only when both children are
-// known to be ordered); violations panic so a planner bug is loud
-// instead of silently wrong.
+// The input-order precondition is the executor's responsibility (it
+// streams the difference only when BeginOrder calls both children
+// ordered); violations panic so an order-rule bug is loud instead of
+// silently wrong.
 
 // diffGroup is the per-value-equivalent-group sweep state of the
 // streaming difference: the pending interval ends not yet passed by the

@@ -18,9 +18,9 @@ import (
 // row can contribute an event before it, so segments up to that point
 // are final and can be emitted.
 //
-// The input-order precondition is the planner's responsibility (package
-// rewrite plans a streaming sweep only over input it knows is ordered);
-// the iterators verify it and panic on violation, which turns a planner
+// The input-order precondition is the executor's responsibility (it
+// runs a streaming sweep only over input BeginOrder calls ordered); the
+// iterators verify it and panic on violation, which turns an order-rule
 // bug into a loud failure instead of silently wrong results.
 
 // minHeap is the one binary min-heap behind every streaming sweep —

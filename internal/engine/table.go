@@ -17,8 +17,9 @@
 // Every Table carries cached physical-property metadata — begin-
 // sortedness (the order the streaming sweep operators need) and
 // coalescedness (whether the rows are their own unique encoding) — so
-// the planner can probe scan order in O(1) instead of rescanning stored
-// rows on every plan build. The mutator methods maintain the cache; any
+// the order rule (BeginOrder) can probe scan order in O(1) instead of
+// rescanning stored rows on every plan build. The mutator methods
+// maintain the cache; any
 // code that writes the exported Rows slice directly must call SetRows
 // or InvalidateMeta. The full who-sets / who-invalidates / concurrency
 // contract, along with every other engine invariant and the snaplint
@@ -200,8 +201,8 @@ func (t *Table) Sort() {
 }
 
 // BeginSorted reports whether the stored rows are ordered by ascending
-// interval begin — the property that lets the planner run the streaming
-// sweep operators directly over a scan of this table. Maintained
+// interval begin — the property that lets the executor run the
+// streaming sweep operators directly over a scan of this table. Maintained
 // metadata answers in O(1) on the load/sort paths; only tables built by
 // direct Rows writes fall back to the O(n) rescan (and never memoize,
 // so concurrent readers stay race-free).

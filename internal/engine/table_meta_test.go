@@ -59,7 +59,7 @@ func TestBeginSortedAnswersFromMetadata(t *testing.T) {
 	}
 }
 
-// The planner-facing probe must take the same hit path for stored
+// The order rule's scan case must take the same hit path for stored
 // tables.
 func TestScanBeginSortedUsesMetadata(t *testing.T) {
 	db := NewDB(interval.NewDomain(0, 100))
@@ -68,12 +68,15 @@ func TestScanBeginSortedUsesMetadata(t *testing.T) {
 		tb.Append(tuple.Tuple{tuple.Int(i)}, interval.New(i, i+2), 1)
 	}
 	tb.Rows[0], tb.Rows[9] = tb.Rows[9], tb.Rows[0] // direct write, no invalidation
-	if !db.ScanBeginSorted("t") {
-		t.Fatal("ScanBeginSorted rescanned instead of answering from table metadata")
+	if ordered, _ := db.BeginOrder(ScanP{Name: "t"}); !ordered {
+		t.Fatal("BeginOrder rescanned instead of answering from table metadata")
 	}
 	tb.InvalidateMeta()
-	if db.ScanBeginSorted("t") {
-		t.Fatal("ScanBeginSorted must see the corruption once metadata is invalidated")
+	if ordered, _ := db.BeginOrder(ScanP{Name: "t"}); ordered {
+		t.Fatal("BeginOrder must see the corruption once metadata is invalidated")
+	}
+	if ordered, _ := db.BeginOrder(ScanP{Name: "missing"}); ordered {
+		t.Fatal("an unknown table must not be called ordered")
 	}
 }
 

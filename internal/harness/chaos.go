@@ -29,12 +29,12 @@ func governedVariants() []sweepVariant {
 		{name: "filter-project", plan: func(s engine.Plan) engine.Plan {
 			return engine.ProjectP{Exprs: []algebra.NamedExpr{{Name: "emp_no", E: algebra.Col("emp_no")}}, In: cheap(s)}
 		}},
-		{name: "coalesce-streaming", plan: coalescePlan(true)},
-		{name: "agg-streaming", plan: aggPlan(true)},
+		{name: "coalesce-streaming", plan: coalescePlan},
+		{name: "agg-streaming", plan: aggPlan},
 		{name: "diff-streaming", plan: func(s engine.Plan) engine.Plan {
-			return engine.DiffP{L: s, R: cheap(s), Streaming: true}
+			return engine.DiffP{L: s, R: cheap(s)}
 		}},
-		{name: fmt.Sprintf("coalesce-parallel-x%d", DefaultWorkers), plan: coalescePlan(false), par: DefaultWorkers},
+		{name: fmt.Sprintf("coalesce-parallel-x%d", DefaultWorkers), plan: coalescePlan, par: DefaultWorkers},
 	}
 }
 

@@ -18,34 +18,29 @@ import (
 const diffSizeCap = 50000
 
 // diffVariant is one physical difference configuration measured by the
-// diff experiment.
+// diff experiment. The input selects the form: the difference streams
+// over the begin-sorted copies and blocks over the unsorted ones.
 type diffVariant struct {
-	name      string
-	sorted    bool // run over the begin-sorted copies of the inputs
-	streaming bool // DiffP.Streaming: the merge sweep instead of the blocking diff
-	par       int  // workers; 0 = one fragment, no exchange
-}
-
-// plan builds the difference plan l − r in the variant's physical form.
-func (v diffVariant) plan() engine.Plan {
-	return engine.DiffP{L: engine.ScanP{Name: "l"}, R: engine.ScanP{Name: "r"}, Streaming: v.streaming}
+	name   string
+	sorted bool // run over the begin-sorted copies of the inputs
+	par    int  // workers; 0 = one fragment, no exchange
 }
 
 // Diff measures the temporal difference in its physical forms: the
 // blocking fused sweep (materialize both inputs, per-group delta maps)
-// against the streaming merge-based sweep (begin-sorted two-input
-// merge, O(open intervals + active groups) state), sequential and at
-// DefaultWorkers fragments (pairwise order-preserving
-// repartition, per-worker streaming diffs). On sorted input the
-// streaming variants should run at or under the blocking ones: they
-// skip both materializations and the per-group endpoint sorting.
+// over the unsorted inputs against the streaming merge-based sweep
+// (begin-sorted two-input merge, O(open intervals + active groups)
+// state) over the sorted copies, sequential and at DefaultWorkers
+// fragments (pairwise order-preserving repartition, per-worker streaming
+// diffs). The streaming variants should run at or under the blocking
+// ones: they skip both materializations and the per-group endpoint
+// sorting.
 func Diff(w io.Writer, sc Scale, rep *Report) error {
 	variants := []diffVariant{
-		{name: "diff-blocking/sorted", sorted: true},
-		{name: "diff-streaming/sorted", sorted: true, streaming: true},
+		{name: "diff-streaming/sorted", sorted: true},
 		{name: "diff-blocking/unsorted"},
-		{name: fmt.Sprintf("diff-blocking-x%d/sorted", DefaultWorkers), sorted: true, par: DefaultWorkers},
-		{name: fmt.Sprintf("diff-streaming-x%d/sorted", DefaultWorkers), sorted: true, streaming: true, par: DefaultWorkers},
+		{name: fmt.Sprintf("diff-blocking-x%d/unsorted", DefaultWorkers), par: DefaultWorkers},
+		{name: fmt.Sprintf("diff-streaming-x%d/sorted", DefaultWorkers), sorted: true, par: DefaultWorkers},
 	}
 	tw := NewTable("rows", "variant", "median (s)", "out rows")
 	for _, n := range sc.Fig5Sizes {
@@ -106,7 +101,7 @@ func runDiffVariant(db, sortedDB *engine.DB, v diffVariant, runs int) (d time.Du
 	if v.sorted {
 		target = sortedDB
 	}
-	plan := v.plan()
+	plan := engine.DiffP{L: engine.ScanP{Name: "l"}, R: engine.ScanP{Name: "r"}}
 	d, allocs, err = MedianAllocs(runs, func() error {
 		it, err := parallel.Exec(context.Background(), target, plan, parallel.Options{Workers: max(v.par, 1)})
 		if err != nil {

@@ -13,10 +13,10 @@ const parStreamSizeCap = 50000
 
 // ParStream measures the order-preserving exchange: parallel STREAMING
 // sweeps (ordered repartition, per-worker streaming coalesce /
-// pre-aggregated split) against the parallel BLOCKING baseline
-// (unordered repartition, per-worker materializing sweeps), both at
-// DefaultWorkers over begin-sorted input, plus the one-worker streaming
-// sweep as the no-exchange reference. On sorted input the parallel
+// pre-aggregated split) over begin-sorted input against the parallel
+// BLOCKING baseline (unordered repartition, per-worker materializing
+// sweeps) over the unsorted copy, both at DefaultWorkers, plus the
+// one-worker streaming sweep as the no-exchange reference. The parallel
 // streaming variants should run at or under the parallel blocking
 // ones: they skip the per-partition materialization and per-group
 // sorting passes. (On a single-core machine the parallel variants only
@@ -24,16 +24,16 @@ const parStreamSizeCap = 50000
 // count, not against the sequential reference.)
 func ParStream(w io.Writer, sc Scale, rep *Report) error {
 	variants := []sweepVariant{
-		{name: fmt.Sprintf("coalesce-blocking-x%d/sorted", DefaultWorkers), sorted: true,
-			plan: coalescePlan(false), par: DefaultWorkers},
+		{name: fmt.Sprintf("coalesce-blocking-x%d/unsorted", DefaultWorkers),
+			plan: coalescePlan, par: DefaultWorkers},
 		{name: fmt.Sprintf("coalesce-streaming-x%d/sorted", DefaultWorkers), sorted: true,
-			plan: coalescePlan(true), par: DefaultWorkers},
-		{name: "coalesce-streaming/sorted", sorted: true, plan: coalescePlan(true)},
-		{name: fmt.Sprintf("agg-blocking-x%d/sorted", DefaultWorkers), sorted: true,
-			plan: aggPlan(false), par: DefaultWorkers},
+			plan: coalescePlan, par: DefaultWorkers},
+		{name: "coalesce-streaming/sorted", sorted: true, plan: coalescePlan},
+		{name: fmt.Sprintf("agg-blocking-x%d/unsorted", DefaultWorkers),
+			plan: aggPlan, par: DefaultWorkers},
 		{name: fmt.Sprintf("agg-streaming-x%d/sorted", DefaultWorkers), sorted: true,
-			plan: aggPlan(true), par: DefaultWorkers},
-		{name: "agg-streaming/sorted", sorted: true, plan: aggPlan(true)},
+			plan: aggPlan, par: DefaultWorkers},
+		{name: "agg-streaming/sorted", sorted: true, plan: aggPlan},
 	}
 	tw := NewTable("rows", "variant", "median (s)", "out rows")
 	for _, n := range sc.Fig5Sizes {

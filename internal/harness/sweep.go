@@ -14,7 +14,8 @@ import (
 )
 
 // sweepVariant is one physical sweep configuration measured by the
-// sweep and parstream experiments.
+// sweep and parstream experiments. The input selects the sweep's form:
+// it streams over the begin-sorted copy and blocks over the unsorted one.
 type sweepVariant struct {
 	name   string
 	sorted bool // run over the begin-sorted copy of the input
@@ -22,49 +23,36 @@ type sweepVariant struct {
 	par    int // workers; 0 = one fragment, no exchange
 }
 
-// coalescePlan wraps a scan in the coalesce operator in its streaming
-// or blocking physical form.
-func coalescePlan(streaming bool) func(engine.Plan) engine.Plan {
-	return func(s engine.Plan) engine.Plan {
-		return engine.CoalesceP{In: s, Streaming: streaming}
-	}
-}
+// coalescePlan wraps a scan in the coalesce operator.
+func coalescePlan(s engine.Plan) engine.Plan { return engine.CoalesceP{In: s} }
 
 // aggPlan wraps a scan in the pre-aggregated split/aggregate of the
-// coalescing workload, streaming or blocking.
-func aggPlan(streaming bool) func(engine.Plan) engine.Plan {
-	return func(s engine.Plan) engine.Plan {
-		return engine.AggP{
-			GroupBy:   []string{"emp_no"},
-			Aggs:      []algebra.AggSpec{{Fn: krel.Sum, Arg: "salary", As: "total"}, {Fn: krel.CountStar, As: "cnt"}},
-			PreAgg:    true,
-			Streaming: streaming,
-			In:        s,
-		}
+// coalescing workload.
+func aggPlan(s engine.Plan) engine.Plan {
+	return engine.AggP{
+		GroupBy: []string{"emp_no"},
+		Aggs:    []algebra.AggSpec{{Fn: krel.Sum, Arg: "salary", As: "total"}, {Fn: krel.CountStar, As: "cnt"}},
+		PreAgg:  true,
+		In:      s,
 	}
 }
 
 // Sweep measures the streaming vs materializing vs hash-partitioned
 // sweep operators (coalesce and pre-aggregated split/aggregate) on the
-// coalescing workload, over both unsorted and begin-sorted inputs. On
-// sorted inputs the streaming sweeps should at least match the
-// materializing baseline: they skip the per-group sorting passes and
-// hold only the open intervals.
+// coalescing workload: streaming over the begin-sorted copy of the
+// input, blocking over the unsorted one. The streaming sweeps should at
+// least match the materializing baseline: they skip the per-group
+// sorting passes and hold only the open intervals.
 func Sweep(w io.Writer, sc Scale, rep *Report) error {
 	coalesceVariants := []sweepVariant{
-		{name: "coalesce-blocking/sorted", sorted: true,
-			plan: func(s engine.Plan) engine.Plan { return engine.CoalesceP{In: s} }},
-		{name: "coalesce-streaming/sorted", sorted: true,
-			plan: func(s engine.Plan) engine.Plan { return engine.CoalesceP{In: s, Streaming: true} }},
-		{name: "coalesce-blocking/unsorted", sorted: false,
-			plan: func(s engine.Plan) engine.Plan { return engine.CoalesceP{In: s} }},
-		{name: fmt.Sprintf("coalesce-parallel-x%d/unsorted", DefaultWorkers), sorted: false,
-			plan: func(s engine.Plan) engine.Plan { return engine.CoalesceP{In: s} }, par: DefaultWorkers},
+		{name: "coalesce-streaming/sorted", sorted: true, plan: coalescePlan},
+		{name: "coalesce-blocking/unsorted", plan: coalescePlan},
+		{name: fmt.Sprintf("coalesce-parallel-x%d/unsorted", DefaultWorkers), plan: coalescePlan, par: DefaultWorkers},
 	}
 	aggVariants := []sweepVariant{
-		{name: "agg-blocking/sorted", sorted: true, plan: aggPlan(false)},
-		{name: "agg-streaming/sorted", sorted: true, plan: aggPlan(true)},
-		{name: fmt.Sprintf("agg-parallel-x%d/unsorted", DefaultWorkers), sorted: false, plan: aggPlan(false), par: DefaultWorkers},
+		{name: "agg-streaming/sorted", sorted: true, plan: aggPlan},
+		{name: "agg-blocking/unsorted", plan: aggPlan},
+		{name: fmt.Sprintf("agg-parallel-x%d/unsorted", DefaultWorkers), plan: aggPlan, par: DefaultWorkers},
 	}
 
 	tw := NewTable("rows", "variant", "median (s)", "out rows")
@@ -91,7 +79,7 @@ func Sweep(w io.Writer, sc Scale, rep *Report) error {
 
 // sweepInputs builds the coalescing workload twice: as generated
 // (unsorted) and with the stored rows re-sorted into endpoint order, so
-// the planner's order detection fires on the sorted copy.
+// the sweeps stream over the sorted copy.
 func sweepInputs(n int) (unsorted, sorted *engine.DB) {
 	unsorted = dataset.CoalesceInput(n, 3)
 	tbl, err := unsorted.Table("sal")

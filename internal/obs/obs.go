@@ -1,7 +1,7 @@
 // Package obs is the process-wide observability registry: cheap,
 // always-on counters aggregated across every query the process runs —
-// queries rewritten, rows emitted through cursors, and the planner's
-// sweep-form choices (streaming / blocking). Unlike the per-query
+// queries rewritten, rows emitted through cursors, and the sweeps the
+// executor ran, by form (streaming / blocking). Unlike the per-query
 // engine.Collector, which must be attached explicitly, the registry is
 // updated unconditionally; its counters are plain atomics updated at
 // per-query (not per-row) granularity, so the cost is unmeasurable.
@@ -21,8 +21,8 @@ type Registry struct {
 	// RowsEmitted counts rows delivered through result cursors, flushed
 	// in batches at cursor end (never one atomic per row).
 	RowsEmitted atomic.Int64
-	// StreamingSweeps / BlockingSweeps count the planner's
-	// per-sweep-operator physical choices: streaming over begin-ordered
+	// StreamingSweeps / BlockingSweeps count the sweep operators the
+	// executor built, by physical form: streaming over begin-ordered
 	// input, and the materializing sweep.
 	StreamingSweeps atomic.Int64
 	BlockingSweeps  atomic.Int64
@@ -31,7 +31,7 @@ type Registry struct {
 // Default is the process-wide registry instance.
 var Default = &Registry{}
 
-// CountSweep records one sweep-form decision.
+// CountSweep records one executed sweep operator in the given form.
 func (r *Registry) CountSweep(streaming bool) {
 	if streaming {
 		r.StreamingSweeps.Add(1)

@@ -94,8 +94,8 @@ func (g *Gen) genValue() tuple.Value {
 
 // SortedByBegin returns a copy of the spec whose facts are ordered by
 // ascending interval begin within each table. Loading the copy into the
-// engine yields begin-sorted stored tables, which is what triggers the
-// planner's automatic streaming-sweep selection — the deliberately
+// engine yields begin-sorted stored tables, over which the sweeps
+// stream — the deliberately
 // pre-sorted half of the equivalence suite (the original spec is the
 // unsorted half).
 func (spec DBSpec) SortedByBegin() DBSpec {

@@ -84,7 +84,7 @@ func TestMemBudgetTripsStreamingSweep(t *testing.T) {
 		Aggs:    []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}},
 		In:      algebra.Rel{Name: "big"},
 	}
-	if p, err := rewrite.Rewrite(q, db, rewrite.Options{}); err != nil || !p.(engine.AggP).Streaming {
+	if p, err := rewrite.Rewrite(q, db, rewrite.Options{}); err != nil || db.ExplainPlan(p).Mode != "streaming" {
 		t.Fatalf("the aggregation over a begin-sorted table must stream: %v %v", p, err)
 	}
 	for _, par := range []int{0, 4} {
@@ -109,7 +109,7 @@ func TestMemBudgetTripsBlockingDiff(t *testing.T) {
 		L: algebra.Rel{Name: "big"},
 		R: algebra.Select{Pred: algebra.Lt(algebra.Col("v"), algebra.IntC(100)), In: algebra.Rel{Name: "big"}},
 	}
-	if p, err := rewrite.Rewrite(q, db, rewrite.Options{}); err != nil || p.(engine.DiffP).Streaming {
+	if p, err := rewrite.Rewrite(q, db, rewrite.Options{}); err != nil || db.ExplainPlan(p).Mode != "blocking" {
 		t.Fatalf("the difference over an unsorted table must block: %v %v", p, err)
 	}
 	for _, par := range []int{1, 2} {

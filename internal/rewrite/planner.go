@@ -106,7 +106,7 @@ func planQuery(q algebra.Query, cat algebra.Catalog, opt Options) (engine.Plan, 
 	// The one coalesce of ModeOptimized — elided where the root already
 	// emits the unique encoding, whose coalesce is the identity.
 	if opt.Mode == ModeOptimized && !engine.Coalesced(p) {
-		p = rw.coalesceOp(p)
+		p = engine.CoalesceP{In: p}
 	}
 
 	// Phase 2: window placement. Without the pushdown knob the window

@@ -57,10 +57,6 @@ import (
 //     unique coalesced encoding — of the clipped relation.
 //   - Window: two windows merge by interval intersection; an empty
 //     intersection leaves a zero-interval window (clips everything).
-//
-// Clipping maps begin to max(begin, T.Begin), which is monotone, so a
-// pushed window keeps a begin-ordered input begin-ordered: the Streaming
-// flags chosen by the logical rewrite stay valid.
 
 // periodCol reports whether name is one of the period attributes.
 func periodCol(name string) bool {

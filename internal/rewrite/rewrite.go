@@ -25,7 +25,6 @@ import (
 	"snapk/internal/engine"
 	"snapk/internal/engine/parallel"
 	"snapk/internal/interval"
-	"snapk/internal/obs"
 	"snapk/internal/tuple"
 )
 
@@ -93,66 +92,23 @@ func Rewrite(q algebra.Query, cat algebra.Catalog, opt Options) (engine.Plan, er
 	return p, err
 }
 
-// rewriter carries the per-Rewrite state: the options and memoized
-// per-table begin-sortedness — the order probe scans stored rows, and
-// naive mode asks once per rewritten operator, so one Rewrite call must
-// not rescan a table per sweep node.
+// rewriter carries the per-Rewrite state: the options and, for the
+// statistics-driven phases, the engine database.
 type rewriter struct {
 	opt Options
 	db  *engine.DB // nil when the catalog is not an engine database
-	ord map[string]bool
 }
 
 func newRewriter(cat algebra.Catalog, opt Options) *rewriter {
 	db, _ := cat.(*engine.DB)
-	return &rewriter{opt: opt, db: db, ord: make(map[string]bool)}
-}
-
-// beginOrdered reports whether the plan's output order is guaranteed to
-// be begin-sorted. Order information needs stored-table access, so only
-// engine databases (the usual catalog) can report it.
-func (rw *rewriter) beginOrdered(p engine.Plan) bool {
-	if rw.db == nil {
-		return false
-	}
-	return engine.BeginOrderedWith(p, func(name string) bool {
-		s, ok := rw.ord[name]
-		if !ok {
-			s = rw.db.ScanBeginSorted(name)
-			rw.ord[name] = s
-		}
-		return s
-	})
-}
-
-// sweepInput decides the physical form of a sweep operator over inputs:
-// it streams exactly when every input is already begin-ordered, and
-// otherwise materializes, which sorts internally anyway. A difference
-// with one sorted side therefore blocks too. The decision is
-// independent of opt.Parallelism: the executor's order-preserving
-// exchanges (ordered repartition + ordered merge) carry the begin order
-// into every partition, so each worker runs the streaming sweep over its
-// begin-sorted partition.
-func (rw *rewriter) sweepInput(inputs ...engine.Plan) bool {
-	stream := true
-	for _, in := range inputs {
-		stream = stream && rw.beginOrdered(in)
-	}
-	obs.Default.CountSweep(stream)
-	return stream
-}
-
-// coalesceOp wraps p in a coalesce operator in the physical form its
-// input allows.
-func (rw *rewriter) coalesceOp(p engine.Plan) engine.Plan {
-	return engine.CoalesceP{In: p, Streaming: rw.sweepInput(p)}
+	return &rewriter{opt: opt, db: db}
 }
 
 // maybeCoalesce wraps p in a coalesce operator in naive mode, mirroring
 // the per-operator C(...) of the unoptimized Fig 4 rules.
 func (rw *rewriter) maybeCoalesce(p engine.Plan) engine.Plan {
 	if rw.opt.Mode == ModeNaive {
-		return rw.coalesceOp(p)
+		return engine.CoalesceP{In: p}
 	}
 	return p
 }
@@ -204,21 +160,17 @@ func (rw *rewriter) rewr(q algebra.Query) (engine.Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		return rw.maybeCoalesce(engine.DiffP{L: l, R: r, Streaming: rw.sweepInput(l, r)}), nil
+		return rw.maybeCoalesce(engine.DiffP{L: l, R: r}), nil
 	case algebra.Agg:
 		in, err := rw.rewr(n.In)
 		if err != nil {
 			return nil, err
 		}
-		// Only the pre-aggregated split has a streaming form; the naive
-		// materialized split is blocking by construction.
-		preAgg := rw.opt.Mode == ModeOptimized
 		p := engine.AggP{
-			GroupBy:   n.GroupBy,
-			Aggs:      n.Aggs,
-			PreAgg:    preAgg,
-			Streaming: preAgg && rw.sweepInput(in),
-			In:        in,
+			GroupBy: n.GroupBy,
+			Aggs:    n.Aggs,
+			PreAgg:  rw.opt.Mode == ModeOptimized,
+			In:      in,
 		}
 		return rw.maybeCoalesce(p), nil
 	default:

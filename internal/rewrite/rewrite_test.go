@@ -195,8 +195,8 @@ func TestDiffGridEquivalence(t *testing.T) {
 	}
 }
 
-// TestDiffSweepPlanning pins the planner's physical choice for the
-// difference: it streams exactly when BOTH children carry the order.
+// TestDiffSweepPlanning pins the physical form of the difference: it
+// streams exactly when BOTH children carry the order.
 func TestDiffSweepPlanning(t *testing.T) {
 	db := engine.NewDB(dom)
 	sortedT := db.CreateTable("st", tuple.NewSchema("a"))
@@ -205,37 +205,31 @@ func TestDiffSweepPlanning(t *testing.T) {
 	unsortedT := db.CreateTable("ut", tuple.NewSchema("a"))
 	unsortedT.Append(tuple.Tuple{tuple.Int(1)}, interval.New(6, 8), 1)
 	unsortedT.Append(tuple.Tuple{tuple.Int(2)}, interval.New(2, 4), 1)
-	if !db.ScanBeginSorted("st") || db.ScanBeginSorted("ut") {
+	if !sortedT.BeginSorted() || unsortedT.BeginSorted() {
 		t.Fatal("fixture sortedness is wrong")
 	}
-	q := func(l, r string) algebra.Query {
-		return algebra.Diff{L: algebra.Rel{Name: l}, R: algebra.Rel{Name: r}}
-	}
-	diffOf := func(l, r string) engine.DiffP {
+	modeOf := func(l, r string) string {
 		t.Helper()
-		p, err := rewrite.Rewrite(q(l, r), db, rewrite.Options{Mode: rewrite.ModeOptimized})
+		q := algebra.Diff{L: algebra.Rel{Name: l}, R: algebra.Rel{Name: r}}
+		p, err := rewrite.Rewrite(q, db, rewrite.Options{Mode: rewrite.ModeOptimized})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Find the difference on the plan's left spine (it is the root
-		// today: it emits the unique encoding, so no coalesce is planned
-		// above it).
-		for n := p; ; n = engine.Inputs(n)[0] {
-			if dp, ok := n.(engine.DiffP); ok {
-				return dp
-			}
-			if len(engine.Inputs(n)) == 0 {
-				t.Fatalf("no DiffP on the plan's spine: %s", p)
-			}
+		// The difference is the root: it emits the unique encoding, so no
+		// coalesce is planned above it.
+		n := db.ExplainPlan(p)
+		if n.Op != "Diff" {
+			t.Fatalf("plan root is %s, want Diff: %s", n.Op, p)
 		}
+		return n.Mode
 	}
 
-	if dp := diffOf("st", "st"); !dp.Streaming {
-		t.Fatalf("a difference over two sorted scans must stream: %s", dp)
+	if m := modeOf("st", "st"); m != "streaming" {
+		t.Fatalf("a difference over two sorted scans must stream, got %s", m)
 	}
 	for _, pair := range [][2]string{{"st", "ut"}, {"ut", "st"}, {"ut", "ut"}} {
-		if dp := diffOf(pair[0], pair[1]); dp.Streaming {
-			t.Fatalf("a difference with unsorted child %v must not stream: %s", pair, dp)
+		if m := modeOf(pair[0], pair[1]); m != "blocking" {
+			t.Fatalf("a difference with unsorted child %v must block, got %s", pair, m)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"snapk/internal/algebra"
 	"snapk/internal/baseline"
 	"snapk/internal/engine"
+	"snapk/internal/engine/parallel"
 	"snapk/internal/rewrite"
 	"snapk/internal/sqlfe"
 	"snapk/internal/tuple"
@@ -228,8 +229,10 @@ func tableToResult(t *engine.Table) *Result {
 }
 
 // Explain returns the physical plan Query executes for the given
-// snapshot query: planned with the same options, so selections and
-// columns sit where the logical pass placed them.
+// snapshot query as an indented operator tree: planned with the same
+// options and placed at the database's parallelism, so it shows where
+// the logical pass put selections and columns, the form each sweep
+// runs in, and the fragments and exchanges of every operator.
 func (db *DB) Explain(sql string) (string, error) {
 	q, err := sqlfe.ParseAndTranslate(sql, db.eng)
 	if err != nil {
@@ -239,5 +242,5 @@ func (db *DB) Explain(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return p.String(), nil
+	return parallel.Explain(db.eng, p, max(db.parallelism, 1)).Render(), nil
 }
