@@ -259,11 +259,10 @@ func BenchmarkTimeslice(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationWindowPushdown measures window placement — what the
-// Pushdown knob still ablates; selection and column placement run on
-// every plan — on the selective join query join-3 under a window over
-// the first tenth of the domain: pushed to the scans vs clipped once at
-// the root.
+// BenchmarkAblationWindowPushdown measures window placement on the
+// selective join query join-3 under a window over the first tenth of
+// the domain: pushed to the scans (what every windowed query plans) vs
+// a hand-built plan that clips once at the root.
 func BenchmarkAblationWindowPushdown(b *testing.B) {
 	db := dataset.Employees(benchEmployees)
 	wq, _ := workload.ByID(workload.Employees(), "join-3")
@@ -273,13 +272,27 @@ func BenchmarkAblationWindowPushdown(b *testing.B) {
 	}
 	dom := db.Domain()
 	window := interval.New(dom.Min, dom.Min+(dom.Max-dom.Min)/10)
+	pushed, err := rewrite.Rewrite(q, db, rewrite.Options{Window: window})
+	if err != nil {
+		b.Fatal(err)
+	}
+	unwindowed, err := rewrite.Rewrite(q, db, rewrite.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, mode := range []struct {
-		name     string
-		pushdown bool
-	}{{"pushed", true}, {"at-root", false}} {
+		name string
+		plan engine.Plan
+	}{{"pushed", pushed}, {"at-root", engine.WindowP{T: window, In: unwindowed}}} {
 		b.Run("window="+mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := rewrite.Run(db, q, rewrite.Options{Window: window, Planner: rewrite.PlannerKnobs{Pushdown: mode.pushdown}}); err != nil {
+				it, err := parallel.Exec(context.Background(), db, mode.plan, parallel.Options{Workers: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, err = engine.MaterializeErr(it)
+				it.Close()
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

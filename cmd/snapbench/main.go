@@ -13,7 +13,6 @@
 //	snapbench -exp parstream  parallel streaming sweeps (ordered exchange) vs parallel blocking
 //	snapbench -exp diff       streaming merge-based difference vs the blocking fused diff sweep
 //	snapbench -exp chaos      resource-governor overhead, ungoverned vs governed (limits never trip)
-//	snapbench -exp opt        cost-aware planner knob ablation (window pushdown/pruning/pre-sizing/adaptive workers)
 //	snapbench -exp all        everything above
 //
 // -quick shrinks datasets for a fast smoke run; -runs sets the number of
@@ -49,7 +48,7 @@ type config struct {
 func parseFlags(args []string, out io.Writer) (config, error) {
 	fs := flag.NewFlagSet("snapbench", flag.ContinueOnError)
 	fs.SetOutput(out)
-	exp := fs.String("exp", "all", "experiment: fig1|table1|fig5|table2|table3emp|table3tpc|ablation|sweep|parstream|diff|chaos|opt|all")
+	exp := fs.String("exp", "all", "experiment: fig1|table1|fig5|table2|table3emp|table3tpc|ablation|sweep|parstream|diff|chaos|all")
 	quick := fs.Bool("quick", false, "use small datasets (smoke run)")
 	runs := fs.Int("runs", 0, "repetitions per measurement (0 = scale default)")
 	jsonPath := fs.String("json", "", "write per-experiment medians as JSON to this path")
@@ -87,7 +86,6 @@ func experiments(w io.Writer, sc harness.Scale, rep *harness.Report) []experimen
 		{"parstream", func() error { return harness.ParStream(w, sc, rep) }},
 		{"diff", func() error { return harness.Diff(w, sc, rep) }},
 		{"chaos", func() error { return harness.Chaos(w, sc, rep) }},
-		{"opt", func() error { return harness.Opt(w, sc, rep) }},
 	}
 }
 

@@ -53,7 +53,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 		t.Fatalf("missing diagnostic: %s", errb.String())
 	}
 	// The diagnostic must list the valid experiment names.
-	for _, name := range []string{"sweep", "diff", "opt", "all"} {
+	for _, name := range []string{"sweep", "diff", "chaos", "all"} {
 		if !strings.Contains(errb.String(), name) {
 			t.Fatalf("diagnostic does not list %q: %s", name, errb.String())
 		}
@@ -67,7 +67,7 @@ func TestExperimentRegistryCoversDocumentedIDs(t *testing.T) {
 	for _, e := range exps {
 		ids[e.Name] = true
 	}
-	for _, want := range []string{"fig1", "table1", "fig5", "table2", "table3emp", "table3tpc", "ablation", "sweep", "parstream", "diff", "chaos", "opt"} {
+	for _, want := range []string{"fig1", "table1", "fig5", "table2", "table3emp", "table3tpc", "ablation", "sweep", "parstream", "diff", "chaos"} {
 		if !ids[want] {
 			t.Fatalf("experiment %q missing from registry", want)
 		}
@@ -306,49 +306,6 @@ func TestRunChaosJSONSchema(t *testing.T) {
 			t.Fatalf("runs of %s disagree on cardinality: %d vs %d", base, prev, m.Rows)
 		} else {
 			cards[base] = m.Rows
-		}
-	}
-}
-
-// The opt experiment backs the planner ablation acceptance numbers; pin
-// its -json metric naming (experiment/config/rows triplets over the full
-// knob grid) and that every knob configuration of a workload agrees on
-// output cardinality — the knobs are performance-only.
-func TestRunOptJSONSchema(t *testing.T) {
-	sc := harness.Quick
-	sc.Fig5Sizes = []int{200} // keep the test fast
-	sc.Runs = 1
-	rep := harness.NewReport(sc)
-	var out bytes.Buffer
-	if err := harness.Opt(&out, sc, rep); err != nil {
-		t.Fatal(err)
-	}
-	names := make(map[string]bool)
-	for _, m := range rep.Metrics {
-		if m.Experiment != "opt" {
-			t.Fatalf("metric experiment = %q, want opt", m.Experiment)
-		}
-		if m.Name == "" || m.Seconds < 0 || m.Rows <= 0 {
-			t.Fatalf("malformed metric: %+v", m)
-		}
-		names[m.Name] = true
-	}
-	for _, workload := range []string{"coalesce", "join", "small-par"} {
-		for _, cfg := range []string{"all-off", "all-on", "no-window-pushdown", "no-prune", "no-presize", "no-adaptive"} {
-			want := fmt.Sprintf("%s/%s/rows=200", workload, cfg)
-			if !names[want] {
-				t.Fatalf("metric %q missing; got %v", want, names)
-			}
-		}
-	}
-	// Every knob configuration computes the same windowed result.
-	cards := make(map[string]int64)
-	for _, m := range rep.Metrics {
-		workload := m.Name[:strings.Index(m.Name, "/")]
-		if prev, ok := cards[workload]; ok && prev != m.Rows {
-			t.Fatalf("configs of %s disagree on cardinality: %d vs %d (%s)", workload, prev, m.Rows, m.Name)
-		} else {
-			cards[workload] = m.Rows
 		}
 	}
 }

@@ -13,7 +13,7 @@
 //	snapq -data employees -query join-1 -approach seq-par  # DefaultWorkers fragments + exchanges
 //	snapq -data employees -query join-1 -stream -limit 0   # stream rows as they arrive
 //	snapq -data employees -query agg-1 -window 100,200   # timeslice: clip the result to [100, 200)
-//	snapq -data employees -query join-1 -opt -window 100,200 -explain   # cost-aware planner + its decisions
+//	snapq -data employees -query join-1 -window 100,200 -explain   # windows pushed to the scans, pruned
 package main
 
 import (
@@ -56,7 +56,6 @@ type config struct {
 	Stream   bool
 	Out      string
 	Window   string
-	Opt      bool
 }
 
 // parseFlags parses the command line into a config; separated from run
@@ -80,7 +79,6 @@ func parseFlags(args []string, out io.Writer) (config, error) {
 	fs.BoolVar(&cfg.Stream, "stream", false, "print rows as the pipeline produces them instead of materializing and sorting (seq approaches only)")
 	fs.StringVar(&cfg.Out, "out", "", "write the result as CSV to this file instead of printing")
 	fs.StringVar(&cfg.Window, "window", "", "restrict the query to the time window begin,end (timeslice: row intervals are clipped)")
-	fs.BoolVar(&cfg.Opt, "opt", false, "enable the cost-aware planner knobs (window pushdown, zone-map pruning, hash pre-sizing, adaptive workers); selection and column placement always run")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
@@ -144,12 +142,9 @@ func runQuery(cfg config, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// plan layers the planner flags over an approach's base options.
+	// plan layers the window over an approach's base options.
 	plan := func(opt rewrite.Options) rewrite.Options {
 		opt.Window = window
-		if cfg.Opt {
-			opt.Planner = rewrite.AllKnobs()
-		}
 		return opt
 	}
 	if cfg.Explain {
@@ -166,9 +161,9 @@ func runQuery(cfg config, stdout io.Writer) error {
 		return streamRows(db, q, plan(opt), cfg.Limit, stdout)
 	}
 	var res *engine.Table
-	if window.Valid() || cfg.Opt {
-		// The planner flags only exist on the rewriting pipeline — the
-		// native baselines have no planner to configure.
+	if window.Valid() {
+		// The window only exists on the rewriting pipeline — the native
+		// baselines have no planner to place it.
 		opt, err := streamOptions(ap)
 		if err != nil {
 			return err
@@ -277,11 +272,10 @@ func parseWindow(s string) (interval.Interval, error) {
 
 // explainQuery prints the static EXPLAIN of the query under the given
 // approach: the compact rewritten plan, then the annotated operator
-// tree — sweep modes, sort properties, estimated cardinalities, and the
-// fragment/exchange placement the executor chooses at the approach's
-// worker count — and, when the planner made any, the
-// physical decisions with their reasons (build side, pre-sizing,
-// pruning, worker count).
+// tree — sweep modes, sort properties, estimated cardinalities, join
+// strategies, pruned windows, and the fragment/exchange placement the
+// executor chooses at the approach's worker count — and, when the
+// planner noted any, the windows it could not push and why.
 func explainQuery(db *engine.DB, q algebra.Query, ap harness.Approach, plan func(rewrite.Options) rewrite.Options, w io.Writer) error {
 	opt, err := streamOptions(ap)
 	if err != nil {
@@ -294,11 +288,7 @@ func explainQuery(db *engine.DB, q algebra.Query, ap harness.Approach, plan func
 	}
 	fmt.Fprintln(w, p)
 	fmt.Fprintln(w)
-	workers := max(opt.Parallelism, 1)
-	if dec.Workers > 0 {
-		workers = min(workers, dec.Workers)
-	}
-	fmt.Fprint(w, parallel.Explain(db, p, workers).Render())
+	fmt.Fprint(w, parallel.Explain(db, p, max(opt.Parallelism, 1)).Render())
 	if len(dec.Notes) > 0 {
 		fmt.Fprintln(w, "\nplanner decisions:")
 		for _, note := range dec.Notes {

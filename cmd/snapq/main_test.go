@@ -186,44 +186,34 @@ func TestRunExplainParallelPlacement(t *testing.T) {
 	}
 }
 
-// -opt -explain must print the planner's decision notes — why each
-// physical choice was made — alongside the annotated tree.
+// -window -explain pushes the window onto both scans and prints it
+// there with its zone-map prune; the join strategy is the executor's,
+// and a plan whose windows all reach a scan prints no decisions.
 func TestRunExplainPlannerDecisions(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{
-		"-data", "factory", "-explain", "-opt", "-window", "4,12",
+		"-data", "factory", "-explain", "-window", "4,12",
 		"-sql", "SEQ VT (SELECT w.name FROM works w JOIN assign a ON w.skill = a.skill)",
 	}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
 	for _, want := range []string{
-		"planner decisions:",
-		"prune=works (zone-map, window [4, 12))",
-		"prune=assign (zone-map, window [4, 12))",
-		"build=right (est ",
-		"presize=",
-		"Window [[4, 12) prune]", // the pushed, prunable windows in the tree
+		"hash build=right",
+		"Window [[4, 12) prune]", // the pushed, pruned windows in the tree
 		"est_rows=",
 	} {
 		if !strings.Contains(out.String(), want) {
-			t.Fatalf("planner explain lacks %q:\n%s", want, out.String())
+			t.Fatalf("windowed explain lacks %q:\n%s", want, out.String())
 		}
 	}
-	// The adaptive note appears under a parallel approach.
-	out.Reset()
-	errb.Reset()
-	code = run([]string{
-		"-data", "factory", "-explain", "-opt", "-window", "4,12", "-approach", "seq-par",
-		"-sql", "SEQ VT (SELECT count(*) AS cnt FROM works WHERE skill = 'SP')",
-	}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	if n := strings.Count(out.String(), "Window [[4, 12) prune]"); n != 2 {
+		t.Fatalf("windowed explain shows %d pruned windows, want one per scan:\n%s", n, out.String())
 	}
-	if !strings.Contains(out.String(), "workers=1 (est ") {
-		t.Fatalf("parallel planner explain lacks the adaptive-workers note:\n%s", out.String())
+	if strings.Contains(out.String(), "planner decisions:") {
+		t.Fatalf("every window reached a scan, yet a decisions section was printed:\n%s", out.String())
 	}
-	// Without -opt, no decisions section is printed.
+	// Without a window, no decisions section and no window.
 	out.Reset()
 	errb.Reset()
 	code = run([]string{
@@ -233,12 +223,13 @@ func TestRunExplainPlannerDecisions(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	if strings.Contains(out.String(), "planner decisions:") {
-		t.Fatalf("plain explain must not print a decisions section:\n%s", out.String())
+	if strings.Contains(out.String(), "planner decisions:") || strings.Contains(out.String(), "Window") {
+		t.Fatalf("plain explain must print no window and no decisions section:\n%s", out.String())
 	}
 }
 
-// -window restricts the executed query; -opt must not change its rows.
+// -window restricts the executed query; the worker count must not
+// change its rows.
 func TestRunWindowedQuery(t *testing.T) {
 	query := func(extra ...string) string {
 		var out, errb bytes.Buffer
@@ -259,11 +250,8 @@ func TestRunWindowedQuery(t *testing.T) {
 			t.Fatalf("windowed result lacks %q:\n%s", want, plain)
 		}
 	}
-	if got := query("-opt"); got != plain {
-		t.Fatalf("-opt changed the windowed result:\n%s\nvs\n%s", got, plain)
-	}
-	if got := query("-opt", "-approach", "seq-par"); got != plain {
-		t.Fatalf("-opt under seq-par changed the windowed result:\n%s\nvs\n%s", got, plain)
+	if got := query("-approach", "seq-par"); got != plain {
+		t.Fatalf("seq-par changed the windowed result:\n%s\nvs\n%s", got, plain)
 	}
 }
 

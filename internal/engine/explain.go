@@ -84,7 +84,7 @@ func (db *DB) ExplainPlan(p Plan) *ExplainNode {
 		n.Mode = SweepMode(streams)
 	case WindowP:
 		n.Op, n.Detail = "Window", t.T.String()
-		if t.Prune {
+		if _, ok := t.In.(ScanP); ok {
 			n.Detail += " prune"
 		}
 	default:
@@ -102,7 +102,8 @@ func (db *DB) explainJoinDetail(t JoinP) string {
 	if err != nil {
 		return t.Pred.String()
 	}
-	return fmt.Sprintf("%s, on %s", JoinStrategyName(db.JoinStrategy(t, prep)), t.Pred)
+	hash, buildLeft, _ := db.JoinStrategy(t, prep)
+	return fmt.Sprintf("%s, on %s", JoinStrategyName(hash, buildLeft), t.Pred)
 }
 
 // PlanJoinPrep analyses a join node's predicate over the statically

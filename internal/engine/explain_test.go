@@ -104,14 +104,15 @@ func TestExplainEstRowsOnEveryNode(t *testing.T) {
 	}
 }
 
-// The Window node explains with its interval and, when the physical pass
-// marked it, the prune annotation.
+// The Window node explains with its interval, and with the prune
+// annotation exactly when it sits directly on a scan — where the
+// executor applies the zone-map check.
 func TestExplainWindowNode(t *testing.T) {
 	db := explainDB()
 	T := interval.New(5, 15)
 	n := db.ExplainPlan(engine.WindowP{T: T, In: engine.ScanP{Name: "so"}})
-	if n.Op != "Window" || n.Detail != T.String() {
-		t.Fatalf("window node = %q [%q], want Window [%s]", n.Op, n.Detail, T)
+	if n.Op != "Window" || n.Detail != T.String()+" prune" {
+		t.Fatalf("window node = %q [%q], want Window [%s prune]", n.Op, n.Detail, T)
 	}
 	if len(n.Children) != 1 || n.Children[0].Op != "Scan" {
 		t.Fatalf("window must have the scan child: %+v", n)
@@ -119,9 +120,9 @@ func TestExplainWindowNode(t *testing.T) {
 	if !n.Ordered {
 		t.Fatal("clip over a begin-sorted scan preserves the order property")
 	}
-	pruned := db.ExplainPlan(engine.WindowP{T: T, In: engine.ScanP{Name: "so"}, Prune: true})
-	if !strings.Contains(pruned.Detail, "prune") {
-		t.Fatalf("pruned window must render the prune annotation, got %q", pruned.Detail)
+	above := db.ExplainPlan(engine.WindowP{T: T, In: engine.CoalesceP{In: engine.ScanP{Name: "so"}}})
+	if above.Detail != T.String() {
+		t.Fatalf("a window above a sweep prunes nothing, got %q", above.Detail)
 	}
 }
 
@@ -145,16 +146,16 @@ func TestExplainJoinStrategy(t *testing.T) {
 	if d := db.ExplainPlan(sweep).Detail; !strings.Contains(d, "overlap-sweep") {
 		t.Fatalf("non-equi join must explain as the overlap sweep, got %q", d)
 	}
-	// A planner-pinned build side overrides the size heuristic in the
-	// explained detail.
+	// The strictly smaller estimate builds: a filtered left input flips
+	// the side.
+	small := equi
+	small.L = engine.FilterP{Pred: algebra.Eq(algebra.Col("v"), algebra.IntC(3)), In: equi.L}
 	for _, c := range []struct {
-		side engine.BuildSide
+		plan engine.JoinP
 		want string
-	}{{engine.BuildLeftSide, "hash build=left"}, {engine.BuildRightSide, "hash build=right"}} {
-		pinned := equi
-		pinned.Build = c.side
-		if d := db.ExplainPlan(pinned).Detail; !strings.Contains(d, c.want) {
-			t.Fatalf("pinned build side must explain as %q, got %q", c.want, d)
+	}{{equi, "hash build=right"}, {small, "hash build=left"}} {
+		if d := db.ExplainPlan(c.plan).Detail; !strings.Contains(d, c.want) {
+			t.Fatalf("join must explain as %q, got %q", c.want, d)
 		}
 	}
 }

@@ -107,7 +107,7 @@ func explainPlacement(db *engine.DB, p engine.Plan, n *engine.ExplainNode, worke
 		// detail: placement never fails on a plan the executor would
 		// reject with a better error.
 		if prep, err := db.PlanJoinPrep(j); err == nil {
-			hash, _ = db.JoinStrategy(j, prep)
+			hash, _, _ = db.JoinStrategy(j, prep)
 		}
 	}
 	out, streams := place(db, p, workers, hash, in...)

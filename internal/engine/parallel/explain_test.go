@@ -43,8 +43,8 @@ func placementPlans() []engine.Plan {
 		engine.DiffP{L: scanL, R: scanU}, // one sorted side: blocking
 		// Pruned scans keep the stored table's order: the window over "u"
 		// prunes it to nothing, and the sweep above still blocks.
-		engine.CoalesceP{In: engine.WindowP{T: interval.New(100, 300), Prune: true, In: scanL}},
-		engine.CoalesceP{In: engine.WindowP{T: interval.New(5000, 6000), Prune: true, In: scanU}},
+		engine.CoalesceP{In: engine.WindowP{T: interval.New(100, 300), In: scanL}},
+		engine.CoalesceP{In: engine.WindowP{T: interval.New(5000, 6000), In: scanU}},
 	}
 }
 

@@ -439,7 +439,7 @@ func (e *executor) build(p engine.Plan, parent *engine.OpStats) (*pstream, error
 	case engine.WindowP:
 		st := parent.Child("Window", n.T.String())
 		var in *pstream
-		if scan, ok := n.In.(engine.ScanP); ok && n.Prune {
+		if scan, ok := n.In.(engine.ScanP); ok {
 			// Zone-map prune before the morsel split: a scan whose endpoint
 			// envelope is disjoint from the window is skipped outright, and
 			// a begin-sorted scan is cut to the prefix that can overlap it —
@@ -708,7 +708,7 @@ func (e *executor) buildJoin(n engine.JoinP, parent *engine.OpStats) (*pstream, 
 		r.close()
 		return nil, err
 	}
-	hash, buildLeft := e.db.JoinStrategy(n, prep)
+	hash, buildLeft, hint := e.db.JoinStrategy(n, prep)
 	if st != nil {
 		st.Detail = engine.JoinStrategyName(hash, buildLeft)
 	}
@@ -733,7 +733,7 @@ func (e *executor) buildJoin(n engine.JoinP, parent *engine.OpStats) (*pstream, 
 	// happens outside any pull, so an explicit span attributes its cost
 	// to the join node.
 	done := st.Span()
-	jb := prep.Build(e.merge(build, st), buildLeft, n.BuildHint)
+	jb := prep.Build(e.merge(build, st), buildLeft, hint)
 	done()
 	// A failed build drain means a truncated hash table: the join must
 	// not run over it. The drain error wins over the bare ctx error (it

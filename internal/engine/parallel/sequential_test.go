@@ -33,8 +33,8 @@ func allOperatorPlan() engine.Plan {
 	hash := keys(engine.JoinP{L: engine.FilterP{Pred: algebra.Gt(algebra.Col("v"), algebra.IntC(10)), In: scanL},
 		R: scanR, Pred: algebra.Eq(algebra.Col("k"), algebra.Col("r.k"))})
 	overlap := keys(engine.JoinP{
-		L:    engine.WindowP{T: interval.New(0, 40), In: scanL},
-		R:    engine.WindowP{T: interval.New(0, 40), Prune: true, In: scanR},
+		L:    engine.WindowP{T: interval.New(0, 40), In: engine.FilterP{Pred: algebra.Gt(algebra.Col("v"), algebra.IntC(0)), In: scanL}},
+		R:    engine.WindowP{T: interval.New(0, 40), In: scanR},
 		Pred: algebra.Lt(algebra.Col("v"), algebra.Col("w"))})
 	blocking := engine.CoalesceP{In: engine.DiffP{
 		L: engine.UnionP{L: hash, R: overlap},

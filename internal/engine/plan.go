@@ -34,29 +34,13 @@ type ProjectP struct {
 	In    Plan
 }
 
-// BuildSide fixes the hash-join build side. BuildAuto (the zero value)
-// keeps DB.JoinStrategy's own estimate-based selection; the physical
-// planner pass (package rewrite) pins a side so the decision is made
-// once, with statistics, and EXPLAIN can report why.
-type BuildSide uint8
-
-const (
-	BuildAuto BuildSide = iota
-	BuildLeftSide
-	BuildRightSide
-)
-
 // JoinP is the temporal join pattern of Fig 4: predicate ∧ overlap with
-// period intersection. Build and BuildHint are physical annotations set
-// by the planner's cost pass: Build pins the hash-join build side and
-// BuildHint pre-sizes the build hash table to the estimated build-side
-// row count (0 = no hint). Both are ignored by the overlap-sweep
-// fallback and never affect results.
+// period intersection. How it executes — hash join or overlap sweep,
+// which side builds, how large the build table starts — is
+// DB.JoinStrategy's decision, made from the node and the statistics.
 type JoinP struct {
-	L, R      Plan
-	Pred      algebra.Expr
-	Build     BuildSide
-	BuildHint int64
+	L, R Plan
+	Pred algebra.Expr
 }
 
 // UnionP is UNION ALL.
@@ -93,23 +77,23 @@ type CoalesceP struct{ In Plan }
 
 // WindowP is the timeslice operator τ_T over period encodings: every
 // row's validity interval is clipped to the window T, and rows not
-// overlapping T are dropped. Snapshot-reducibility lets the planner's
-// pushdown pass (package rewrite, which documents the per-operator
-// legality rules) move it from the plan root toward the scans. Clipping
-// takes max(begin, T.Begin), which is non-decreasing for begin-sorted
-// input, so WindowP preserves the interval-endpoint sort property.
+// overlapping T are dropped. Snapshot-reducibility (Thm 6.3/7.2) lets
+// the planner push every window of Options.Window from the plan root
+// toward the scans (package rewrite's pushdown.go documents the
+// per-operator rules). Clipping takes max(begin, T.Begin), which is
+// non-decreasing for begin-sorted input, so WindowP preserves the
+// interval-endpoint sort property.
 //
 // A WindowP node always clips — an invalid T yields the empty result;
-// "no window" is expressed by not inserting the node. Prune permits the
-// executor to apply the endpoint zone-map check when the node sits
-// directly over a stored-table scan: a scan whose min/max endpoint
-// envelope is disjoint from T is skipped outright, and a begin-sorted
-// scan stops at the first begin ≥ T.End. It is set by the physical
-// planner pass and never required for correctness.
+// "no window" is expressed by not inserting the node. A window directly
+// over a stored-table scan is also a zone-map check, which the executor
+// always applies: a scan whose min/max endpoint envelope is disjoint
+// from T is skipped outright, and a begin-sorted scan stops at the
+// first begin ≥ T.End (PruneWindowScan). EXPLAIN marks such a window
+// "prune".
 type WindowP struct {
-	T     interval.Interval
-	Prune bool
-	In    Plan
+	T  interval.Interval
+	In Plan
 }
 
 func (ScanP) planNode()     {}

@@ -1,14 +1,16 @@
 package engine_test
 
-// ReportAllocs benchmarks for hash-join build pre-sizing: BuildSized
-// with the planner's cardinality hint must allocate measurably less than
-// the unhinted build, because the bucket map never rehashes/grows during
-// the drain. Run both with -benchmem to see the allocs/op delta:
+// ReportAllocs benchmarks for hash-join build pre-sizing: Build with
+// the cardinality hint DB.JoinStrategy computes must allocate measurably
+// less than the unhinted build, because the bucket map never
+// rehashes/grows during the drain. Run both with -benchmem to see the
+// allocs/op delta:
 //
 //	go test -run - -bench 'BenchmarkJoinBuild' -benchmem ./internal/engine
 //
-// The companion correctness property (the hint never changes results) is
-// pinned by the planner tests in internal/rewrite.
+// The companion correctness property (the hint never changes results)
+// is pinned by every executed hash join that builds on a stored table:
+// the executor passes the hint there.
 
 import (
 	"testing"

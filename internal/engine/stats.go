@@ -8,14 +8,13 @@ import (
 	"snapk/internal/interval"
 )
 
-// This file is the statistics side of the cost-aware planner: per-table
+// This file is the statistics side of the planner and executor: per-table
 // interval statistics (row count, distinct data tuples, min/max
 // interval endpoints, a small begin-endpoint histogram) cached on Table
 // next to the sortedness metadata, and the plan-wide cardinality
-// estimator built on them. Estimates drive the physical planner pass in
-// package rewrite — build-side selection, hash-table pre-sizing,
-// zone-map scan pruning and adaptive worker counts — and annotate every
-// EXPLAIN node with est_rows. They are heuristics: useful for ordering
+// estimator built on them. Estimates drive the hash join's build side
+// and initial table size (DB.JoinStrategy) and annotate every EXPLAIN
+// node with est_rows. They are heuristics: useful for ordering
 // decisions, never for correctness.
 
 // HistBuckets is the resolution of the per-table begin-endpoint
@@ -242,23 +241,43 @@ func estScale(in int64, frac float64) int64 {
 	if in <= 0 {
 		return 0
 	}
-	out := int64(float64(in)*frac + 0.5)
-	if out < 1 {
-		out = 1
+	// The comparison is in float64: near MaxInt64 the product rounds up
+	// to 2⁶³, which no int64 holds.
+	f := float64(in)*frac + 0.5
+	if f >= float64(in) {
+		return in
 	}
-	if out > in {
-		out = in
+	return max(int64(f), 1)
+}
+
+// satMul returns a·b for non-negative estimates, saturating at
+// MaxInt64 instead of wrapping.
+func satMul(a, b int64) int64 {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi != 0 || lo > math.MaxInt64 {
+		return math.MaxInt64
 	}
-	return out
+	return int64(lo)
+}
+
+// satAdd returns a+b for non-negative estimates, saturating at
+// MaxInt64 instead of wrapping.
+func satAdd(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
 }
 
 // EstimateRows estimates the output cardinality of p from stored-table
 // statistics, or -1 when p references an unknown table. Scans are
 // exact; everything above is heuristic (Filter by predicate
 // selectivity, joins by the distinct-key rule |L|·|R|/max(d_L, d_R),
-// windows by the endpoint histogram, aggregation by split fan-out). The
-// estimates drive build-side selection, hash pre-sizing and adaptive
-// worker counts, and annotate every EXPLAIN node with est_rows.
+// windows by the endpoint histogram, aggregation by split fan-out).
+// Every product and sum saturates at MaxInt64, so a deeper plan never
+// estimates fewer rows than the join below it. The estimates drive the
+// hash join's build side and pre-sizing (JoinStrategy) and annotate
+// every EXPLAIN node with est_rows.
 func (db *DB) EstimateRows(p Plan) int64 {
 	switch n := p.(type) {
 	case ScanP:
@@ -286,7 +305,7 @@ func (db *DB) EstimateRows(p Plan) int64 {
 		if l < 0 || r < 0 {
 			return -1
 		}
-		return l + r
+		return satAdd(l, r)
 	case JoinP:
 		return db.estimateJoin(n)
 	case DiffP:
@@ -301,7 +320,7 @@ func (db *DB) EstimateRows(p Plan) int64 {
 			// The global split emits one row per segment between
 			// consecutive endpoints, gap rows included: at most 2·rows+1
 			// segments, capped by the domain size.
-			out := 2*in + 1
+			out := satAdd(satMul(2, in), 1)
 			if s := distance(db.dom.Min, db.dom.Max); uint64(out) > s {
 				out = int64(s)
 			}
@@ -310,12 +329,9 @@ func (db *DB) EstimateRows(p Plan) int64 {
 		// Grouped: one run of segments per group key. Distinct-tuple
 		// stats bound the key count when the input chain exposes them.
 		if d := db.estimateDistinct(n.In); d >= 0 {
-			out := 2 * d
-			if out < 1 {
-				out = 1
-			}
-			if in > 0 && out > 2*in {
-				out = 2 * in
+			out := max(satMul(2, d), 1)
+			if in > 0 {
+				out = min(out, satMul(2, in))
 			}
 			return out
 		}
@@ -343,7 +359,7 @@ func (db *DB) estimateJoin(n JoinP) int64 {
 	if prep, err := db.PlanJoinPrep(n); err != nil || !prep.HasEquiKey() {
 		// Overlap sweep: temporal selectivity only. Assume a tenth of
 		// the cross product overlaps.
-		return estScale(l*r, selEq)
+		return estScale(satMul(l, r), selEq)
 	}
 	d := db.estimateDistinct(n.L)
 	if rd := db.estimateDistinct(n.R); rd > d {
@@ -357,11 +373,14 @@ func (db *DB) estimateJoin(n JoinP) int64 {
 		}
 		return r
 	}
-	out := l * r / d
-	if out < 1 {
-		out = 1
+	// l·r/d with the product in 128 bits, saturating when the quotient
+	// passes MaxInt64.
+	hi, lo := bits.Mul64(uint64(l), uint64(r))
+	if hi >= uint64(d) {
+		return math.MaxInt64
 	}
-	return out
+	q, _ := bits.Div64(hi, lo, uint64(d))
+	return max(int64(min(q, math.MaxInt64)), 1)
 }
 
 // estimateDistinct bounds the number of distinct data tuples a plan
@@ -421,19 +440,30 @@ func (db *DB) windowSelectivity(T interval.Interval, in Plan) float64 {
 // underlying stored table's statistics, or nil when the chain ends
 // elsewhere.
 func (db *DB) baseStats(p Plan) *TableStats {
+	if t := db.baseTable(p); t != nil {
+		return t.Stats()
+	}
+	return nil
+}
+
+// baseTable walks through Filter, Project and Window — which only drop
+// or clip rows — to the stored table under p, or nil when the chain ends
+// elsewhere. The estimate of such a chain never exceeds that table's
+// row count.
+func (db *DB) baseTable(p Plan) *Table {
 	switch n := p.(type) {
 	case ScanP:
 		t, err := db.Table(n.Name)
 		if err != nil {
 			return nil
 		}
-		return t.Stats()
+		return t
 	case FilterP:
-		return db.baseStats(n.In)
+		return db.baseTable(n.In)
 	case ProjectP:
-		return db.baseStats(n.In)
+		return db.baseTable(n.In)
 	case WindowP:
-		return db.baseStats(n.In)
+		return db.baseTable(n.In)
 	default:
 		return nil
 	}

@@ -6,6 +6,7 @@ package engine
 // estimator that consumes them.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -181,6 +182,83 @@ func TestEstimatesAtInt64Limits(t *testing.T) {
 	}
 	if got := db.EstimateRows(WindowP{T: interval.New(math.MinInt64, 0), In: agg}); got != 101 {
 		t.Fatalf("window over the aggregation estimates %d, want 101 (half the domain)", got)
+	}
+
+	// Comma joins of 20,000-row tables: the 5-way estimate is 3.2e17, and
+	// a 6- or 7-way product passes MaxInt64. Deeper joins, and a global
+	// aggregation over them, must saturate rather than wrap.
+	join := Plan(wideTable(db, 0))
+	var fiveWay int64
+	for i := 1; i < 7; i++ {
+		join = JoinP{L: join, R: wideTable(db, i), Pred: algebra.BoolC(true)}
+		if i < 4 {
+			continue
+		}
+		if i == 4 {
+			if fiveWay = db.EstimateRows(join); fiveWay < 3e17 {
+				t.Fatalf("5-way join estimates %d, want about 3.2e17", fiveWay)
+			}
+		}
+		global := AggP{Aggs: []algebra.AggSpec{{Fn: krel.CountStar, As: "c"}}, PreAgg: true, In: join}
+		for what, got := range map[string]int64{
+			"join":                       db.EstimateRows(join),
+			"global aggregation over it": db.EstimateRows(global),
+			"union of two copies of it":  db.EstimateRows(UnionP{L: join, R: join}),
+		} {
+			if got < fiveWay {
+				t.Fatalf("%d-way %s estimates %d, below the 5-way join's %d", i+1, what, got, fiveWay)
+			}
+		}
+	}
+}
+
+// wideTable registers table t<i> — 20,000 rows, one column c<i> — in db
+// and returns its scan.
+func wideTable(db *DB, i int) ScanP {
+	name := fmt.Sprintf("t%d", i)
+	tb := db.CreateTable(name, tuple.NewSchema(fmt.Sprintf("c%d", i)))
+	for j := int64(0); j < 20000; j++ {
+		tb.Append(tuple.Tuple{tuple.Int(j)}, interval.New(j, j+10), 1)
+	}
+	return ScanP{Name: name}
+}
+
+// TestJoinStrategyHintBoundsBuildRows: the pre-size hint is the build
+// side's estimate only where that estimate bounds the build rows. A
+// hash join whose build side is an overlap join of two 20,000-row
+// tables estimates 4e7 rows there; sizing the build table by it would
+// allocate far beyond the rows, outside the memory budget.
+func TestJoinStrategyHintBoundsBuildRows(t *testing.T) {
+	db := NewDB(interval.NewDomain(0, 1<<20))
+	a, b, c, d := wideTable(db, 0), wideTable(db, 1), wideTable(db, 2), wideTable(db, 3)
+	overlap := func(l, r Plan) JoinP { return JoinP{L: l, R: r, Pred: algebra.BoolC(true)} }
+	hint := func(n JoinP) int64 {
+		t.Helper()
+		prep, err := db.PlanJoinPrep(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash, _, h := db.JoinStrategy(n, prep)
+		if !hash {
+			t.Fatalf("equi join must run as a hash join: %s", n)
+		}
+		return h
+	}
+	key := algebra.Eq(algebra.Col("c0"), algebra.Col("c2"))
+
+	both := JoinP{L: overlap(a, b), R: overlap(c, d), Pred: key}
+	if est := db.EstimateRows(both.R); est != 40_000_000 {
+		t.Fatalf("overlap join estimates %d, want 4e7", est)
+	}
+	if h := hint(both); h > 40_000 {
+		t.Fatalf("hint %d for an overlap-join build side, want at most 40,000", h)
+	}
+
+	// A filtered scan builds: its estimate is a bound, and it is the hint.
+	filtered := FilterP{Pred: algebra.Lt(algebra.Col("c2"), algebra.IntC(100)), In: c}
+	scanSide := JoinP{L: overlap(a, b), R: filtered, Pred: key}
+	if h := hint(scanSide); h != db.EstimateRows(filtered) || h <= 0 || h > 20000 {
+		t.Fatalf("hint %d for a filtered scan, want its estimate %d", h, db.EstimateRows(filtered))
 	}
 }
 

@@ -464,26 +464,33 @@ func NewJoinIter(l, r RowIter, pred algebra.Expr) (RowIter, error) {
 }
 
 // JoinStrategy is the one definition of how a temporal join node
-// executes; the executor switches on it and EXPLAIN and the planner
-// report it. prep is the node's analysed predicate (over the executed
-// input schemas, or PlanJoinPrep's static ones). A join with an
-// equality conjunct runs as a hash join, any other as the
-// interval-overlap sweep. The hash join builds on the side the planner
-// pinned on the node; with BuildAuto on the left input only when both
-// cardinality estimates are known and the left is strictly smaller, and
-// on the right otherwise.
-func (db *DB) JoinStrategy(n JoinP, prep *JoinPrep) (hash, buildLeft bool) {
+// executes; the executor switches on it and EXPLAIN reports it. prep is
+// the node's analysed predicate (over the executed input schemas, or
+// PlanJoinPrep's static ones). A join with an equality conjunct runs as
+// a hash join, any other as the interval-overlap sweep. The hash join
+// builds on the left input only when both cardinality estimates are
+// known and the left is strictly smaller, and on the right otherwise.
+//
+// hint is the build side's estimate when it bounds the build rows — the
+// side reaches a stored table through Filter, Project and Window only —
+// and 0 otherwise. The executor pre-sizes the build table with it; the
+// estimate of a join or an aggregation can overshoot its rows by orders
+// of magnitude, and the map it would size is not charged to the memory
+// budget.
+func (db *DB) JoinStrategy(n JoinP, prep *JoinPrep) (hash, buildLeft bool, hint int64) {
 	if !prep.HasEquiKey() {
-		return false, false
-	}
-	switch n.Build {
-	case BuildLeftSide:
-		return true, true
-	case BuildRightSide:
-		return true, false
+		return false, false, 0
 	}
 	lEst, rEst := db.EstimateRows(n.L), db.EstimateRows(n.R)
-	return true, lEst >= 0 && rEst >= 0 && lEst < rEst
+	buildLeft = lEst >= 0 && rEst >= 0 && lEst < rEst
+	build, est := n.R, rEst
+	if buildLeft {
+		build, est = n.L, lEst
+	}
+	if est > 0 && db.baseTable(build) != nil {
+		hint = est
+	}
+	return true, buildLeft, hint
 }
 
 // JoinStrategyName is the display form of a JoinStrategy result, shared

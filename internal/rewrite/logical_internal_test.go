@@ -131,7 +131,7 @@ func TestSingleTablePlansUntouched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		without, _, err := planQuery(q, db, opt)
+		without, _, err := planQuery(q, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

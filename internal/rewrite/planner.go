@@ -8,8 +8,7 @@ import (
 	"snapk/internal/obs"
 )
 
-// This file is the planner entry point: the phased replacement for the
-// rule-only rewriter. PlanQuery runs four explicit phases —
+// This file is the planner entry point. PlanQuery runs two phases —
 //
 //	1. logical rewrite   — the stats-free logical pass (algebra.Optimize:
 //	                       σ-pushdown, σ→⋈ absorption, join-input
@@ -18,56 +17,23 @@ import (
 //	                       operators where the temporal algebra allows
 //	                       (pushdown.go documents the per-rule legality
 //	                       conditions)
-//	3. statistics        — per-table interval statistics (engine/stats.go),
-//	                       computed lazily and cached on the tables; the
-//	                       planner consumes them through engine.DB's
-//	                       EstimateRows
-//	4. physical          — stats-driven choices: hash-join build side and
-//	                       pre-sizing, zone-map scan pruning, adaptive
-//	                       worker count (physical.go)
 //
-// Phase 1 is unconditional: every query path plans through it, and the
+// Both are unconditional: every query path plans through them, and the
 // per-snapshot oracle (package snapshot, behind DB.QueryAt) never does,
-// so each reducibility check verifies it. Phases 2–4 are gated by
-// PlannerKnobs flags, so each is independently ablatable.
+// so each reducibility check verifies them. What the plan leaves open
+// the executor decides from the plan and the stored tables' statistics:
+// the hash join's build side and initial size (engine.DB.JoinStrategy)
+// and the zone-map check of a window directly over a scan.
 
-// PlannerKnobs enables the cost-aware planner phases individually —
-// the ablation switches of the `snapbench -exp opt` study. The zero
-// value disables them all.
-type PlannerKnobs struct {
-	// Pushdown moves the time window (Options.Window) from the plan
-	// root below the REWR operators toward the scans. Off, the window
-	// clips once at the root. (Selection and column placement is not a
-	// knob: it is phase 1.)
-	Pushdown bool
-	// Prune permits the zone-map check on windowed scans: a stored table
-	// whose endpoint envelope is disjoint from the window is skipped
-	// outright, and a begin-sorted scan stops at the first row that
-	// cannot overlap it — before the executor's morsel split.
-	Prune bool
-	// PreSize pre-sizes hash-join build tables from the estimated
-	// build-side cardinality, removing incremental map growth during the
-	// build drain.
-	PreSize bool
-	// AdaptiveWorkers narrows Options.Parallelism when the estimated
-	// result cardinality doesn't justify the requested worker count.
-	AdaptiveWorkers bool
-}
-
-// AllKnobs returns PlannerKnobs with every phase enabled — the
-// all-on configuration of the ablation study.
-func AllKnobs() PlannerKnobs {
-	return PlannerKnobs{Pushdown: true, Prune: true, PreSize: true, AdaptiveWorkers: true}
-}
-
-// Decisions records what the planner chose and why: the worker-count
-// override (0 = keep Options.Parallelism) and one human-readable note
-// per physical decision, printed by `snapq -explain` so ablation runs
-// are diagnosable.
+// Decisions records the planner's notes: one human-readable line per
+// window that stays above an operator, and why, printed by `snapq
+// -explain`.
 type Decisions struct {
-	// Workers is the adaptive worker count; 0 means no override.
+	// Workers is always 0, meaning Options.Parallelism stands. It is
+	// kept only because the benchmark spine (bench/spine) reads it.
 	Workers int
-	// Notes explains each decision, e.g. "build=left (est 1200 < 50000)".
+	// Notes explains each decision, e.g. "window stays above filter:
+	// conjunct (_begin > 3) reads period attributes".
 	Notes []string
 }
 
@@ -76,11 +42,9 @@ func (d *Decisions) note(format string, args ...any) {
 }
 
 // PlanQuery reduces a snapshot query to a physical plan through the
-// planner's phases and returns the plan together with the record of
-// physical decisions taken. cat must resolve the data schemas of the
-// base relations referenced by q; statistics-driven phases additionally
-// need cat to be an *engine.DB (otherwise they are skipped — there are
-// no stored rows to measure).
+// planner's phases and returns the plan together with the planner's
+// notes. cat must resolve the data schemas of the base relations
+// referenced by q.
 func PlanQuery(q algebra.Query, cat algebra.Catalog, opt Options) (engine.Plan, *Decisions, error) {
 	// Phase 1a: logical placement. Its rules are bag-algebra identities,
 	// so the rewritten plan computes the same unique encoding.
@@ -88,17 +52,17 @@ func PlanQuery(q algebra.Query, cat algebra.Catalog, opt Options) (engine.Plan, 
 	if err != nil {
 		return nil, nil, err
 	}
-	return planQuery(q, cat, opt)
+	return planQuery(q, opt)
 }
 
 // planQuery plans q as written: PlanQuery after the logical pass, which
-// has validated q against cat.
-func planQuery(q algebra.Query, cat algebra.Catalog, opt Options) (engine.Plan, *Decisions, error) {
+// has validated q against the catalog.
+func planQuery(q algebra.Query, opt Options) (engine.Plan, *Decisions, error) {
 	obs.Default.QueriesRun.Add(1)
 	dec := &Decisions{}
 
 	// Phase 1b: the REWR reduction.
-	rw := newRewriter(cat, opt)
+	rw := &rewriter{opt: opt}
 	p, err := rw.rewr(q)
 	if err != nil {
 		return nil, nil, err
@@ -109,22 +73,10 @@ func planQuery(q algebra.Query, cat algebra.Catalog, opt Options) (engine.Plan, 
 		p = engine.CoalesceP{In: p}
 	}
 
-	// Phase 2: window placement. Without the pushdown knob the window
-	// clips once at the root — the semantics baseline; with it, the
-	// pushdown phase moves it toward the scans.
+	// Phase 2: window placement. τ_T commutes with every REWR operator
+	// (Thm 6.3/7.2), so the window moves toward the scans.
 	if opt.Window.Valid() {
-		if opt.Planner.Pushdown {
-			p = rw.pushWindow(p, opt.Window, dec)
-		} else {
-			p = engine.WindowP{T: opt.Window, In: p}
-		}
-	}
-
-	// Phases 3+4: statistics (lazily computed and cached on the stored
-	// tables) feed the physical pass, which runs only when a knob is set.
-	if opt.Planner != (PlannerKnobs{}) && rw.db != nil {
-		p = rw.applyPhysical(p, dec)
-		rw.adaptiveWorkers(p, dec)
+		p = pushWindow(p, opt.Window, dec)
 	}
 	return p, dec, nil
 }

@@ -1,17 +1,18 @@
 package rewrite_test
 
 // Tests for the phased planner: the windowed differential grid (every
-// parallelism × sortedness × pushdown configuration must equal
-// the clip-at-root oracle), the pushdown plan shapes, the
-// knobs-off identity, and the recorded physical decisions.
+// parallelism × sortedness configuration must equal the clip-at-root
+// oracle), the window law on clipped base tables, the pushdown plan
+// shapes, and what the planner leaves to the executor.
 
 import (
-	"reflect"
+	"context"
 	"strings"
 	"testing"
 
 	"snapk/internal/algebra"
 	"snapk/internal/engine"
+	"snapk/internal/engine/parallel"
 	"snapk/internal/interval"
 	"snapk/internal/qgen"
 	"snapk/internal/rewrite"
@@ -20,9 +21,9 @@ import (
 // TestWindowGridEquivalence is the windowed extension of the Theorem 8.1
 // grid: for random databases/queries and several windows, running with
 // Options.Window set must equal clipping the unwindowed logical result —
-// τ_T applied at the root is the semantics; every pushdown/physical
-// configuration must reproduce it exactly. The grid is
-// parallelism × sortedness (which picks the sweep form) × planner knobs.
+// τ_T applied at the root is the semantics; the pushed plan must
+// reproduce it exactly. The grid is parallelism × sortedness (which
+// picks the sweep form).
 func TestWindowGridEquivalence(t *testing.T) {
 	g := qgen.New(509)
 	// qgen's domain is [0, 16): a middle slice, the whole domain, a point
@@ -33,16 +34,6 @@ func TestWindowGridEquivalence(t *testing.T) {
 		interval.New(5, 6),
 		interval.New(12, 40),
 	}
-	var opts []rewrite.Options
-	for _, par := range []int{0, 2, 4} {
-		for _, knobs := range []rewrite.PlannerKnobs{{}, rewrite.AllKnobs()} {
-			opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: par, Planner: knobs})
-		}
-	}
-	opts = append(opts,
-		rewrite.Options{Mode: rewrite.ModeOptimized, Planner: rewrite.PlannerKnobs{Pushdown: true}},
-		rewrite.Options{Mode: rewrite.ModeOptimized, Planner: rewrite.PlannerKnobs{Prune: true}, Parallelism: 2},
-	)
 	for i := 0; i < 30; i++ {
 		spec := g.GenDB()
 		q := g.GenQuery()
@@ -60,8 +51,8 @@ func TestWindowGridEquivalence(t *testing.T) {
 					s = spec.SortedByBegin()
 				}
 				edb := s.ToEngineDB()
-				for _, opt := range opts {
-					opt.Window = T
+				for _, par := range []int{0, 2, 4} {
+					opt := rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: par, Window: T}
 					got, err := rewrite.Run(edb, q, opt)
 					if err != nil {
 						t.Fatalf("windowed run: %v (%s)", err, q)
@@ -74,6 +65,82 @@ func TestWindowGridEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// clipSpec returns spec with every fact clipped to T — τ_T applied to
+// the base tables. Facts not overlapping T are dropped.
+func clipSpec(spec qgen.DBSpec, T interval.Interval) qgen.DBSpec {
+	out := qgen.DBSpec{Dom: spec.Dom}
+	for _, tb := range spec.Tables {
+		ct := qgen.Table{Name: tb.Name, Schema: tb.Schema}
+		for _, f := range tb.Facts {
+			if iv, ok := f.Iv.Intersect(T); ok {
+				f.Iv = iv
+				ct.Facts = append(ct.Facts, f)
+			}
+		}
+		out.Tables = append(out.Tables, ct)
+	}
+	return out
+}
+
+// TestWindowLawOnClippedBase is the metamorphic form of snapshot-
+// reducibility the window pushdown rests on: τ_T(Q(τ_T(D))) = τ_T(Q(D)).
+// The left side runs Q with no window over base tables already clipped
+// to T and clips the result; the right side is the logical model's
+// result on the unclipped database, clipped. Both sides must agree at
+// one and two workers.
+func TestWindowLawOnClippedBase(t *testing.T) {
+	g := qgen.New(887)
+	windows := []interval.Interval{
+		interval.New(3, 11),
+		interval.New(5, 6),
+		interval.New(0, 16),
+		interval.New(12, 40),
+	}
+	for i := 0; i < 40; i++ {
+		spec := g.GenDB()
+		q := g.GenQuery()
+		pdb := spec.ToPeriodDB()
+		wantRel, err := pdb.Eval(q)
+		if err != nil {
+			t.Fatalf("period eval: %v (%s)", err, q)
+		}
+		for _, T := range windows {
+			want := engine.ClipWindow(engine.FromPeriodRelation(wantRel), T).ToPeriodRelation(pdb.Algebra())
+			clipped := clipSpec(spec, T).ToEngineDB()
+			for _, par := range []int{1, 2} {
+				got, err := rewrite.Run(clipped, q, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: par})
+				if err != nil {
+					t.Fatalf("run over clipped base: %v (%s)", err, q)
+				}
+				gotRel := engine.ClipWindow(got, T).ToPeriodRelation(pdb.Algebra())
+				if !gotRel.Equal(want) {
+					t.Fatalf("iteration %d, window %s, W=%d: τ_T(Q(τ_T(D))) ≠ τ_T(Q(D))\nquery: %s\ngot:  %v\nwant: %v",
+						i, T, par, q, gotRel, want)
+				}
+			}
+		}
+	}
+}
+
+// runAtRoot executes q with the window clipped once at the plan root —
+// the hand-built oracle the pushed plan must reproduce. An invalid T
+// means no window, as in Options.Window.
+func runAtRoot(db *engine.DB, q algebra.Query, T interval.Interval) (*engine.Table, error) {
+	p, err := rewrite.Rewrite(q, db, rewrite.Options{Mode: rewrite.ModeOptimized})
+	if err != nil {
+		return nil, err
+	}
+	if T.Valid() {
+		p = engine.WindowP{T: T, In: p}
+	}
+	it, err := parallel.Exec(context.Background(), db, p, parallel.Options{Workers: 1})
+	if err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	return engine.MaterializeErr(it)
 }
 
 // planFor runs PlanQuery and returns the plan, failing the test on error.
@@ -103,21 +170,10 @@ func countWindows(p engine.Plan) int {
 func TestWindowPushdownPlanShape(t *testing.T) {
 	db := exampleDB()
 	T := interval.New(4, 12)
-	on := rewrite.Options{Mode: rewrite.ModeOptimized, Window: T, Planner: rewrite.PlannerKnobs{Pushdown: true}}
-	off := rewrite.Options{Mode: rewrite.ModeOptimized, Window: T}
+	on := rewrite.Options{Mode: rewrite.ModeOptimized, Window: T}
 
-	// Without the knob, the window clips once at the root.
-	p, _ := planFor(t, db, algebra.Rel{Name: "works"}, off)
-	w, ok := p.(engine.WindowP)
-	if !ok {
-		t.Fatalf("knob off: plan root is %T, want WindowP: %s", p, p)
-	}
-	if w.T != T {
-		t.Fatalf("root window is %s, want %s", w.T, T)
-	}
-
-	// With it, the window passes through the final coalesce to the scan.
-	p, _ = planFor(t, db, algebra.Rel{Name: "works"}, on)
+	// The window passes through the final coalesce to the scan.
+	p, _ := planFor(t, db, algebra.Rel{Name: "works"}, on)
 	co, ok := p.(engine.CoalesceP)
 	if !ok {
 		t.Fatalf("plan root is %T, want CoalesceP above the pushed window: %s", p, p)
@@ -162,49 +218,10 @@ func TestWindowPushdownPlanShape(t *testing.T) {
 	}
 }
 
-// TestPlannerKnobsOffIdentity: with the zero PlannerKnobs and no window,
-// PlanQuery must produce exactly the logical rewrite's plan — no window
-// nodes, no build-side pins, no hints, no worker override.
-func TestPlannerKnobsOffIdentity(t *testing.T) {
-	db := exampleDB()
-	join := algebra.Join{
-		L:    algebra.Rel{Name: "works"},
-		R:    algebra.Rel{Name: "assign"},
-		Pred: algebra.Eq(algebra.Col("skill"), algebra.Col("r.skill")),
-	}
-	for _, q := range []algebra.Query{qOnduty(), qSkillreq(), join} {
-		opt := rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: 4}
-		base, err := rewrite.Rewrite(q, db, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, dec := planFor(t, db, q, opt)
-		// DeepEqual compares a string tuple.Value by the address of its
-		// bytes, not its content. Both plans are built from the same
-		// query object, so their string constants share their bytes and
-		// the comparison still means plan equality.
-		if !reflect.DeepEqual(p, base) {
-			t.Fatalf("knobs-off plan differs from the logical rewrite:\n%s\nvs\n%s", p, base)
-		}
-		if countWindows(p) != 0 {
-			t.Fatalf("no window requested but the plan has one:\n%s", p)
-		}
-		if dec.Workers != 0 || len(dec.Notes) != 0 {
-			t.Fatalf("knobs-off planner recorded decisions: %+v", dec)
-		}
-	}
-	// And the physical defaults really are the zero values.
-	p, _ := planFor(t, db, join, rewrite.Options{Mode: rewrite.ModeOptimized})
-	co := p.(engine.CoalesceP)
-	jp := co.In.(engine.JoinP)
-	if jp.Build != engine.BuildAuto || jp.BuildHint != 0 {
-		t.Fatalf("knobs-off join carries physical annotations: %+v", jp)
-	}
-}
-
-// TestPlannerDecisions pins the recorded physical choices on a windowed
-// equi join: pruned scans, a pinned build side with a pre-sizing hint,
-// and the adaptive worker narrowing — each with its explanatory note.
+// TestPlannerDecisions: a windowed equi join pushes the window onto
+// both scans, so the planner has nothing to note and never narrows the
+// worker count. The build side and the zone-map prune are read off the
+// plan by the executor and EXPLAIN alike.
 func TestPlannerDecisions(t *testing.T) {
 	db := exampleDB()
 	join := algebra.Join{
@@ -212,97 +229,38 @@ func TestPlannerDecisions(t *testing.T) {
 		R:    algebra.Rel{Name: "assign"},
 		Pred: algebra.Eq(algebra.Col("skill"), algebra.Col("r.skill")),
 	}
-	opt := rewrite.Options{
-		Mode:        rewrite.ModeOptimized,
-		Window:      interval.New(4, 12),
-		Planner:     rewrite.AllKnobs(),
-		Parallelism: 4,
-	}
+	T := interval.New(4, 12)
+	opt := rewrite.Options{Mode: rewrite.ModeOptimized, Window: T, Parallelism: 4}
 	p, dec := planFor(t, db, join, opt)
-
-	// assign (3 rows) is the smaller input: build=right, pre-sized.
-	var jp engine.JoinP
-	found := false
-	var walk func(engine.Plan)
-	walk = func(n engine.Plan) {
-		switch v := n.(type) {
-		case engine.CoalesceP:
-			walk(v.In)
-		case engine.WindowP:
-			walk(v.In)
-		case engine.JoinP:
-			jp, found = v, true
-		}
+	if dec.Workers != 0 || len(dec.Notes) != 0 {
+		t.Fatalf("every window reached a scan, yet the planner recorded %+v", dec)
 	}
-	walk(p)
-	if !found {
-		t.Fatalf("no join in plan:\n%s", p)
+	// assign (3 rows) is the smaller input: build=right. Both windows sit
+	// on a scan, so both prune.
+	tree := db.ExplainPlan(p).Render()
+	if !strings.Contains(tree, "hash build=right") {
+		t.Fatalf("EXPLAIN lacks build=right:\n%s", tree)
 	}
-	if jp.Build != engine.BuildRightSide {
-		t.Fatalf("build side = %d, want BuildRightSide (assign is smaller): %+v", jp.Build, jp)
-	}
-	if jp.BuildHint <= 0 {
-		t.Fatalf("PreSize must set a positive build hint, got %d", jp.BuildHint)
+	if n := strings.Count(tree, "Window [[4, 12) prune]"); n != 2 {
+		t.Fatalf("EXPLAIN shows %d pruned windows, want 2:\n%s", n, tree)
 	}
 
-	// A handful of rows at Parallelism 4: the adaptive phase narrows to 1.
-	if dec.Workers != 1 {
-		t.Fatalf("adaptive workers = %d, want 1 for a tiny estimate", dec.Workers)
-	}
-	notes := strings.Join(dec.Notes, "\n")
-	for _, want := range []string{"prune=works", "prune=assign", "build=right (est ", "presize=", "workers=1 (est "} {
-		if !strings.Contains(notes, want) {
-			t.Fatalf("decision notes lack %q:\n%s", want, notes)
-		}
-	}
-
-	// The annotated plan still computes the right result.
 	got, err := rewrite.Run(db, join, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := rewrite.Run(db, join, rewrite.Options{Mode: rewrite.ModeOptimized, Window: opt.Window})
+	want, err := runAtRoot(db, join, T)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !engine.EqualAsPeriodRelations(got, plain, alg) {
-		t.Fatal("physical annotations changed the join result")
-	}
-}
-
-// TestAdaptiveWorkersRespectsRequest: the adaptive phase only narrows —
-// a large estimate keeps the requested width, and without the knob no
-// override is recorded.
-func TestAdaptiveWorkersRespectsRequest(t *testing.T) {
-	db := exampleDB()
-	q := algebra.Rel{Name: "works"}
-	_, dec := planFor(t, db, q, rewrite.Options{
-		Mode: rewrite.ModeOptimized, Parallelism: 4,
-		Planner: rewrite.PlannerKnobs{AdaptiveWorkers: true},
-	})
-	if dec.Workers != 1 {
-		t.Fatalf("4-row query at par 4 must narrow to 1 worker, got %d", dec.Workers)
-	}
-	_, dec = planFor(t, db, q, rewrite.Options{
-		Mode: rewrite.ModeOptimized, Parallelism: 4,
-		Planner: rewrite.PlannerKnobs{Pushdown: true},
-	})
-	if dec.Workers != 0 {
-		t.Fatalf("without the knob no worker override may be recorded, got %d", dec.Workers)
-	}
-	// Sequential requests are never touched.
-	_, dec = planFor(t, db, q, rewrite.Options{
-		Mode:    rewrite.ModeOptimized,
-		Planner: rewrite.AllKnobs(),
-	})
-	if dec.Workers != 0 {
-		t.Fatalf("sequential run must not get a worker override, got %d", dec.Workers)
+	if !engine.EqualAsPeriodRelations(got, want, alg) {
+		t.Fatal("the pushed, pruned join disagrees with the root-clipped oracle")
 	}
 }
 
 // FuzzWindowPushdown is the pushdown legality fuzz: for a generated
 // database/query and an arbitrary window, the pushed plan must equal the
-// clip-at-root baseline row-for-row. The seed corpus covers each
+// hand-built clip-at-root plan row-for-row. The seed corpus covers each
 // legality rule through qgen's operator mix plus edge-shaped windows.
 func FuzzWindowPushdown(f *testing.F) {
 	f.Add(int64(1), int64(3), int64(11))   // middle slice
@@ -319,14 +277,11 @@ func FuzzWindowPushdown(f *testing.F) {
 		q := g.GenQuery()
 		edb := spec.ToEngineDB()
 		T := interval.Interval{Begin: begin, End: end}
-		base := rewrite.Options{Mode: rewrite.ModeOptimized, Window: T}
-		pushed := base
-		pushed.Planner = rewrite.PlannerKnobs{Pushdown: true}
-		want, err := rewrite.Run(edb, q, base)
+		want, err := runAtRoot(edb, q, T)
 		if err != nil {
 			t.Skip() // invalid generated query: nothing to compare
 		}
-		got, err := rewrite.Run(edb, q, pushed)
+		got, err := rewrite.Run(edb, q, rewrite.Options{Mode: rewrite.ModeOptimized, Window: T})
 		if err != nil {
 			t.Fatalf("pushdown run failed where baseline succeeded: %v (%s)", err, q)
 		}

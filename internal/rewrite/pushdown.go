@@ -20,7 +20,7 @@ import (
 // fuzz corpus (differential check against the clip-at-root oracle).
 //
 //   - Scan: terminal — the window lands directly above the scan, where
-//     the Prune knob can apply the zone-map check.
+//     the executor applies the zone-map check.
 //   - Filter: τ_T ∘ σ_p = σ_p ∘ τ_T iff p reads no period attribute
 //     (_begin/_end): clipping changes only the period attributes, and
 //     dropped rows fail the overlap test on both sides. A predicate
@@ -84,7 +84,7 @@ func blockingConjunct(e algebra.Expr) algebra.Expr {
 
 // pushWindow moves τ_T from above p as far toward the scans as the
 // legality rules above allow, returning the rewritten plan.
-func (rw *rewriter) pushWindow(p engine.Plan, T interval.Interval, dec *Decisions) engine.Plan {
+func pushWindow(p engine.Plan, T interval.Interval, dec *Decisions) engine.Plan {
 	switch n := p.(type) {
 	case engine.ScanP:
 		return engine.WindowP{T: T, In: n}
@@ -93,7 +93,7 @@ func (rw *rewriter) pushWindow(p engine.Plan, T interval.Interval, dec *Decision
 			dec.note("window stays above filter: conjunct %s reads period attributes", blockingConjunct(n.Pred))
 			return engine.WindowP{T: T, In: n}
 		}
-		n.In = rw.pushWindow(n.In, T, dec)
+		n.In = pushWindow(n.In, T, dec)
 		return n
 	case engine.ProjectP:
 		for _, ne := range n.Exprs {
@@ -102,31 +102,31 @@ func (rw *rewriter) pushWindow(p engine.Plan, T interval.Interval, dec *Decision
 				return engine.WindowP{T: T, In: n}
 			}
 		}
-		n.In = rw.pushWindow(n.In, T, dec)
+		n.In = pushWindow(n.In, T, dec)
 		return n
 	case engine.JoinP:
-		n.L = rw.pushWindow(n.L, T, dec)
-		n.R = rw.pushWindow(n.R, T, dec)
+		n.L = pushWindow(n.L, T, dec)
+		n.R = pushWindow(n.R, T, dec)
 		return n
 	case engine.UnionP:
-		n.L = rw.pushWindow(n.L, T, dec)
-		n.R = rw.pushWindow(n.R, T, dec)
+		n.L = pushWindow(n.L, T, dec)
+		n.R = pushWindow(n.R, T, dec)
 		return n
 	case engine.DiffP:
-		n.L = rw.pushWindow(n.L, T, dec)
-		n.R = rw.pushWindow(n.R, T, dec)
+		n.L = pushWindow(n.L, T, dec)
+		n.R = pushWindow(n.R, T, dec)
 		return n
 	case engine.AggP:
 		if len(n.GroupBy) == 0 {
 			// Global aggregate: keep a window above (the gap rows span the
 			// whole domain) and push a copy below.
-			n.In = rw.pushWindow(n.In, T, dec)
+			n.In = pushWindow(n.In, T, dec)
 			return engine.WindowP{T: T, In: n}
 		}
-		n.In = rw.pushWindow(n.In, T, dec)
+		n.In = pushWindow(n.In, T, dec)
 		return n
 	case engine.CoalesceP:
-		n.In = rw.pushWindow(n.In, T, dec)
+		n.In = pushWindow(n.In, T, dec)
 		return n
 	case engine.WindowP:
 		merged, ok := n.T.Intersect(T)
@@ -135,7 +135,7 @@ func (rw *rewriter) pushWindow(p engine.Plan, T interval.Interval, dec *Decision
 			// clip-everything window.
 			return engine.WindowP{In: n.In}
 		}
-		return rw.pushWindow(n.In, merged, dec)
+		return pushWindow(n.In, merged, dec)
 	default:
 		// Unknown node: conservative — clip above it.
 		return engine.WindowP{T: T, In: p}

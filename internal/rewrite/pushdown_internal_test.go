@@ -15,14 +15,7 @@ import (
 	"snapk/internal/interval"
 )
 
-func pushdownFixture() (*rewriter, *engine.DB) {
-	db := engine.NewDB(interval.NewDomain(0, 100))
-	rw := newRewriter(db, Options{Mode: ModeOptimized, Planner: PlannerKnobs{Pushdown: true}})
-	return rw, db
-}
-
 func TestPushWindowBlockedByPeriodFilter(t *testing.T) {
-	rw, _ := pushdownFixture()
 	T := interval.New(10, 20)
 	// A predicate over _begin sees pre-clip values: the window must stay
 	// above the filter, with the blocking conjunct recorded.
@@ -34,7 +27,7 @@ func TestPushWindowBlockedByPeriodFilter(t *testing.T) {
 		In: engine.ScanP{Name: "t"},
 	}
 	dec := &Decisions{}
-	got := rw.pushWindow(p, T, dec)
+	got := pushWindow(p, T, dec)
 	w, ok := got.(engine.WindowP)
 	if !ok {
 		t.Fatalf("window must stay above the period filter, got %T: %s", got, got)
@@ -51,7 +44,7 @@ func TestPushWindowBlockedByPeriodFilter(t *testing.T) {
 		Pred: algebra.Eq(algebra.Col("k"), algebra.IntC(1)),
 		In:   engine.ScanP{Name: "t"},
 	}
-	got = rw.pushWindow(dataP, T, &Decisions{})
+	got = pushWindow(dataP, T, &Decisions{})
 	f, ok := got.(engine.FilterP)
 	if !ok {
 		t.Fatalf("data-only filter must stay on top, got %T", got)
@@ -62,7 +55,6 @@ func TestPushWindowBlockedByPeriodFilter(t *testing.T) {
 }
 
 func TestPushWindowBlockedByPeriodProjection(t *testing.T) {
-	rw, _ := pushdownFixture()
 	T := interval.New(10, 20)
 	// A projection computing from _end would see pre-clip endpoints.
 	p := engine.ProjectP{
@@ -72,7 +64,7 @@ func TestPushWindowBlockedByPeriodProjection(t *testing.T) {
 		In: engine.ScanP{Name: "t"},
 	}
 	dec := &Decisions{}
-	got := rw.pushWindow(p, T, dec)
+	got := pushWindow(p, T, dec)
 	if _, ok := got.(engine.WindowP); !ok {
 		t.Fatalf("window must stay above the period projection, got %T: %s", got, got)
 	}
@@ -84,15 +76,14 @@ func TestPushWindowBlockedByPeriodProjection(t *testing.T) {
 // Nested windows merge by interval intersection; disjoint windows leave
 // the clip-everything zero window.
 func TestPushWindowMerge(t *testing.T) {
-	rw, _ := pushdownFixture()
 	inner := engine.WindowP{T: interval.New(5, 15), In: engine.ScanP{Name: "t"}}
 
-	got := rw.pushWindow(inner, interval.New(10, 30), &Decisions{})
+	got := pushWindow(inner, interval.New(10, 30), &Decisions{})
 	w, ok := got.(engine.WindowP)
 	if !ok || w.T != interval.New(10, 15) {
 		t.Fatalf("overlapping windows must merge to the intersection [10, 15): %s", got)
 	}
-	got = rw.pushWindow(inner, interval.New(20, 30), &Decisions{})
+	got = pushWindow(inner, interval.New(20, 30), &Decisions{})
 	w, ok = got.(engine.WindowP)
 	if !ok || w.T.Valid() {
 		t.Fatalf("disjoint windows must leave the zero (clip-everything) window: %s", got)

@@ -46,17 +46,11 @@ type Options struct {
 	// timeslice τ_T, applied with clip semantics (row validity intervals
 	// are intersected with the window; rows not overlapping it are
 	// dropped). The zero value — an invalid interval — means no
-	// restriction. Without Planner.Pushdown the window is applied once at
-	// the plan root; with it the pushdown phase moves it toward the scans
-	// under the legality rules documented in pushdown.go.
+	// restriction. The planner pushes the window toward the scans under
+	// the legality rules documented in pushdown.go, and the executor
+	// prunes every scan a window lands on by the table's endpoint
+	// envelope.
 	Window interval.Interval
-	// Planner enables the phased cost-aware planner's knobs (window
-	// pushdown, zone-map pruning, hash pre-sizing, adaptive worker
-	// count), each independently ablatable. The zero value disables every
-	// phase beyond the logical rewrite — which always includes selection
-	// and column placement — so the plan carries no physical annotation.
-	// See PlannerKnobs.
-	Planner PlannerKnobs
 	// Parallelism is the number of fragments per partitioned operator
 	// (internal/engine/parallel). Values <= 1 run every stream as one
 	// fragment on the caller's goroutine, with no exchange. Results are
@@ -92,16 +86,9 @@ func Rewrite(q algebra.Query, cat algebra.Catalog, opt Options) (engine.Plan, er
 	return p, err
 }
 
-// rewriter carries the per-Rewrite state: the options and, for the
-// statistics-driven phases, the engine database.
+// rewriter carries the per-Rewrite state: the options.
 type rewriter struct {
 	opt Options
-	db  *engine.DB // nil when the catalog is not an engine database
-}
-
-func newRewriter(cat algebra.Catalog, opt Options) *rewriter {
-	db, _ := cat.(*engine.DB)
-	return &rewriter{opt: opt, db: db}
 }
 
 // maybeCoalesce wraps p in a coalesce operator in naive mode, mirroring
@@ -204,7 +191,7 @@ func Run(db *engine.DB, q algebra.Query, opt Options) (*engine.Table, error) {
 // snapdebug build asserts exactly this at the root). The caller must
 // Close the returned iterator.
 func Stream(ctx context.Context, db *engine.DB, q algebra.Query, opt Options) (engine.RowIter, error) {
-	p, dec, err := PlanQuery(q, db, opt)
+	p, _, err := PlanQuery(q, db, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -214,15 +201,8 @@ func Stream(ctx context.Context, db *engine.DB, q algebra.Query, opt Options) (e
 	if opt.Collect != nil {
 		st = opt.Collect.Root.Child("result", "")
 	}
-	// The adaptive-workers decision only ever narrows the requested
-	// parallelism: small estimated results don't pay worker startup and
-	// exchange fan-in for rows that aren't there.
-	workers := max(opt.Parallelism, 1)
-	if dec.Workers > 0 {
-		workers = min(workers, dec.Workers)
-	}
 	it, err := parallel.Exec(ctx, db, p, parallel.Options{
-		Workers: workers,
+		Workers: max(opt.Parallelism, 1),
 		Stats:   st,
 		Gov:     engine.NewGovernor(opt.Limits),
 		Inject:  opt.Inject,

@@ -103,17 +103,14 @@ func TestFigure1cSkillreqRewritten(t *testing.T) {
 func TestTheorem81CommutingDiagram(t *testing.T) {
 	g := qgen.New(131)
 	// The full physical grid: every worker count (one fragment, ×2, ×4)
-	// with the cost-aware planner knobs off AND all on must close the
-	// same diagram. The loop below runs each (database, query) pair over
-	// unsorted AND begin-sorted stored tables, which pick the blocking
-	// and the streaming sweeps (the latter behind the order-preserving
-	// exchange at ×2, ×4), so the grid is parallelism × sortedness ×
-	// planner.
+	// must close the same diagram. The loop below runs each (database,
+	// query) pair over unsorted AND begin-sorted stored tables, which
+	// pick the blocking and the streaming sweeps (the latter behind the
+	// order-preserving exchange at ×2, ×4), so the grid is parallelism ×
+	// sortedness.
 	var opts []rewrite.Options
 	for _, par := range []int{0, 2, 4} {
-		for _, knobs := range []rewrite.PlannerKnobs{{}, rewrite.AllKnobs()} {
-			opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: par, Planner: knobs})
-		}
+		opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: par})
 	}
 	opts = append(opts,
 		rewrite.Options{Mode: rewrite.ModeNaive},
@@ -158,9 +155,7 @@ func TestDiffGridEquivalence(t *testing.T) {
 	g := qgen.New(421)
 	var opts []rewrite.Options
 	for _, par := range []int{0, 2, 4} {
-		for _, knobs := range []rewrite.PlannerKnobs{{}, rewrite.AllKnobs()} {
-			opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: par, Planner: knobs})
-		}
+		opts = append(opts, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: par})
 	}
 	opts = append(opts,
 		rewrite.Options{Mode: rewrite.ModeNaive},
