@@ -13,6 +13,16 @@ import "snapk/internal/tuple"
 //   - Row tuples inside a batch follow the engine-wide row invariant:
 //     producers never mutate or reuse a yielded row's backing array, so
 //     holding an individual row across NextBatch calls is safe.
+//   - Rows may share a slab: producers that build rows (projections,
+//     sweep outputs) carve them from one backing array (rowArena). Each
+//     row is cut with a 3-index slice (len == cap), so an append to one
+//     row reallocates instead of writing into its neighbour, and a slab
+//     is never reused once carved.
+//   - Holding a row pins its whole slab. Sweep state that outlives a
+//     batch therefore copies what it keeps (a streaming group's
+//     representative) instead of holding a sub-slice of an input row;
+//     the open pending rows of the streaming aggregation are the one
+//     exception, held whole until their interval closes.
 //   - The batch's ROW SLICE is only valid until the next NextBatch call
 //     on the same iterator: producers may adopt, replace or reuse it.
 //     Retaining b.Rows (or a sub-slice of it) in a field, map or channel
@@ -116,4 +126,51 @@ func (c *batchCursor) next(capacity int) (tuple.Tuple, bool) {
 	row := c.b.Rows[c.i]
 	c.i++
 	return row, true
+}
+
+// slabValues caps one row slab at 32 KiB of tuple.Values (16 bytes
+// each): the largest small-object size class, so a slab of wide rows
+// never rounds up to whole pages.
+const slabValues = 2048
+
+// firstChunkRows is the row count of a growing arena's first chunk: a
+// sweep that emits a handful of rows allocates a handful of rows.
+const firstChunkRows = 4
+
+// rowArena carves fresh output rows from shared slabs, so a producer
+// allocates once per slab rather than once per row. Every row it hands
+// out is a 3-index slice (len == cap) of a slab that is never reused:
+// rows stay independent of their neighbours, and a consumer may hold
+// any of them. An arena is single-goroutine state of its producer.
+//
+// Slabs are sized exactly when the producer knows how many rows follow
+// (expect) and otherwise grow geometrically from firstChunkRows rows up
+// to the slabValues cap.
+type rowArena struct {
+	free  tuple.Tuple // uncarved tail of the current slab
+	left  int         // rows announced by expect and not yet in a slab
+	chunk int         // rows in the next growing slab
+}
+
+// expect announces that exactly n more rows of the current width will
+// be carved, so the next slabs are cut to them instead of growing.
+func (a *rowArena) expect(n int) { a.left = n }
+
+// row returns a fresh zeroed row of width w with len == cap.
+func (a *rowArena) row(w int) tuple.Tuple {
+	if len(a.free) < w {
+		limit := max(1, slabValues/w)
+		var n int
+		if a.left > 0 {
+			n = min(a.left, limit)
+			a.left -= n
+		} else {
+			n = min(max(a.chunk, firstChunkRows), limit)
+			a.chunk = min(2*n, limit)
+		}
+		a.free = make(tuple.Tuple, n*w)
+	}
+	r := a.free[:w:w]
+	a.free = a.free[w:]
+	return r
 }

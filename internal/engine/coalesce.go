@@ -26,15 +26,12 @@ func Coalesce(in *Table) *Table {
 
 // appendSegment appends mult copies of the row (data, iv) to rows — the
 // one emission step of every sweep that writes ℕ multiplicities as
-// duplicate rows. The copies share one slab allocation, cut with
-// 3-index slices: each row's capacity ends where its sibling begins, so
-// an append to one copy reallocates instead of writing into the next,
-// and emitted siblings never alias.
-func appendSegment(rows []tuple.Tuple, data tuple.Tuple, iv interval.Interval, mult int64) []tuple.Tuple {
+// duplicate rows. The copies are carved from the sweep's arena, so
+// emitted rows share slabs but never alias (see rowArena).
+func appendSegment(rows []tuple.Tuple, a *rowArena, data tuple.Tuple, iv interval.Interval, mult int64) []tuple.Tuple {
 	w := len(data) + 2
-	slab := make(tuple.Tuple, int(mult)*w)
-	for i := 0; i < len(slab); i += w {
-		row := slab[i : i+w : i+w]
+	for range mult {
+		row := a.row(w)
 		copy(row, data)
 		row[w-2] = tuple.Int(iv.Begin)
 		row[w-1] = tuple.Int(iv.End)

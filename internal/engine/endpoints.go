@@ -1,8 +1,10 @@
 package engine
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
+	"snapk/internal/interval"
 	"snapk/internal/tuple"
 )
 
@@ -37,9 +39,49 @@ func CompareEndpoints(a, b tuple.Tuple) int {
 // EndpointLess reports whether a precedes b in endpoint order.
 func EndpointLess(a, b tuple.Tuple) bool { return CompareEndpoints(a, b) < 0 }
 
-// SortRowsByEndpoints sorts rows in place into endpoint order.
+// SortRowsByEndpoints sorts rows in place into endpoint order, stably:
+// rows with equal endpoints keep their relative order. It sorts
+// (begin, end, index) keys, whose index makes every key distinct, so an
+// unstable O(n log n) sort yields the stable order; one pass over the
+// permutation's cycles then moves the rows.
 func SortRowsByEndpoints(rows []tuple.Tuple) {
-	sort.SliceStable(rows, func(i, j int) bool { return EndpointLess(rows[i], rows[j]) })
+	type key struct {
+		begin, end interval.Time
+		i          int
+	}
+	keys := make([]key, len(rows))
+	for i, row := range rows {
+		iv := rowInterval(row)
+		keys[i] = key{iv.Begin, iv.End, i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.begin, b.begin); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.end, b.end); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
+	})
+	// Position j receives the row at keys[j].i. Each cycle is walked
+	// once, marking a visited position by pointing its key at itself.
+	for start := range keys {
+		if keys[start].i == start {
+			continue
+		}
+		first := rows[start]
+		j := start
+		for {
+			src := keys[j].i
+			keys[j].i = j
+			if src == start {
+				rows[j] = first
+				break
+			}
+			rows[j] = rows[src]
+			j = src
+		}
+	}
 }
 
 // RowsBeginSorted reports whether rows are already ordered by ascending

@@ -255,15 +255,20 @@ func diffSweep(l *Table, sub []tuple.Tuple) *Table {
 	}
 	// Count first, then emit into an exactly sized row slice: the output
 	// of a large difference would otherwise be copied on every doubling.
+	// The rows themselves are carved in capped slabs, not in one
+	// result-sized array: an array is freed only with its last row, so
+	// capped slabs let a consumed result be freed piece by piece.
 	total := 0
 	for _, g := range order {
 		slices.SortFunc(g.events, func(a, b event) int { return cmp.Compare(a.t, b.t) })
 		sweep(g, func(_ interval.Interval, mult int64) { total += int(mult) })
 	}
 	out := &Table{Schema: l.Schema, Rows: make([]tuple.Tuple, 0, total)}
+	var arena rowArena
+	arena.expect(total)
 	for _, g := range order {
 		sweep(g, func(iv interval.Interval, mult int64) {
-			out.Rows = appendSegment(out.Rows, g.data, iv, mult)
+			out.Rows = appendSegment(out.Rows, &arena, g.data, iv, mult)
 		})
 	}
 	return out

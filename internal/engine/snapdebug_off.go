@@ -21,3 +21,8 @@ func CheckNoAlias(op string, in RowIter) RowIter { return in }
 // end-of-stream consults Err before Close and panics naming op on
 // violation.
 func CheckErrChecked(op string, in RowIter) RowIter { return in }
+
+// checkRecycle is a no-op without the snapdebug build tag; with it, it
+// panics when a streaming difference group is recycled while still
+// registered in the expiry heap.
+func checkRecycle(*diffGroup) {}

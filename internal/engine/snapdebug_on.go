@@ -186,3 +186,13 @@ func (it *checkNoAliasIter) verify() {
 		}
 	}
 }
+
+// checkRecycle asserts that a streaming difference group entering its
+// iterator's free list has no live expiry registration: a registration
+// left in the expiry heap would wake whichever new group reuses the
+// state, at a time that is not its own.
+func checkRecycle(g *diffGroup) {
+	if g.reg {
+		panic(fmt.Sprintf("engine: snapdebug: streaming difference recycled group %q with a live expiry registration at %d", g.key, g.regT))
+	}
+}

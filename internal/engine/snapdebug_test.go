@@ -148,3 +148,18 @@ func TestCheckErrCheckedPanics(t *testing.T) {
 	}
 	it.Close()
 }
+
+// TestCheckRecyclePanics: a streaming difference group that still holds
+// a live expiry registration must never reach the free list, where the
+// next new group would inherit the stale wake-up.
+func TestCheckRecyclePanics(t *testing.T) {
+	it := NewStreamCoalesceIter(NewTableIter(NewTable(tuple.NewSchema("a")))).(*streamDiffIter)
+	defer it.Close()
+	g := &diffGroup{key: "k", reg: true, regT: 7}
+	mustPanic(t, []string{"recycled group", "live expiry registration"}, func() { it.recycle(g) })
+	g.reg = false
+	it.recycle(g)
+	if len(it.free) != 1 {
+		t.Fatalf("an unregistered group was not recycled: free list %d", len(it.free))
+	}
+}

@@ -138,6 +138,7 @@ type projectIter struct {
 	cur    batchCursor
 	fns    []algebra.Compiled
 	schema tuple.Schema
+	arena  rowArena
 }
 
 // NewProjectIter wraps in with the pipelined Project operator. It takes
@@ -160,31 +161,33 @@ func NewProjectIter(in RowIter, exprs []algebra.NamedExpr) (RowIter, error) {
 
 func (it *projectIter) Schema() tuple.Schema { return it.schema }
 
-// project evaluates the projection expressions over one input row,
-// carrying the period attributes through unchanged.
-func (it *projectIter) project(row tuple.Tuple) tuple.Tuple {
+// project evaluates the projection expressions over one input row into
+// res, carrying the period attributes through unchanged.
+func (it *projectIter) project(res, row tuple.Tuple) {
 	n := len(row)
-	res := make(tuple.Tuple, len(it.fns)+2)
 	for i, f := range it.fns {
 		res[i] = f(row)
 	}
 	res[len(it.fns)] = row[n-2]
 	res[len(it.fns)+1] = row[n-1]
-	return res
 }
 
 // NextBatch projects one whole child chunk per call with a plain range
-// loop: expression evaluation still runs per row (each output row needs
-// its own backing array), but the iterator hop above and below is paid
-// once per batch.
+// loop. The chunk's output rows are carved from exactly-sized slabs, so
+// a batch costs a few allocations rather than one per row; expression
+// evaluation still runs per row.
 func (it *projectIter) NextBatch(out *RowBatch) bool {
 	out.Reset()
 	rows, ok := it.cur.nextChunk(out.Cap())
 	if !ok {
 		return false
 	}
+	w := len(it.fns) + 2
+	it.arena.expect(len(rows))
 	for _, row := range rows {
-		out.Append(it.project(row))
+		res := it.arena.row(w)
+		it.project(res, row)
+		out.Append(res)
 	}
 	return true
 }

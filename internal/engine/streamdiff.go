@@ -42,7 +42,7 @@ import (
 // negative and every nonzero delta changes it: the coalesce.
 type diffGroup struct {
 	key      string
-	data     tuple.Tuple
+	data     tuple.Tuple    // group-owned copy of the representative's data columns
 	ends     minHeap[int64] // pending end events; payload = signed delta to apply
 	count    int64          // committed left − right multiplicity
 	segStart interval.Time  // where the monus last changed
@@ -146,6 +146,8 @@ type streamDiffIter struct {
 	nextSeq    int
 	queue      []tuple.Tuple
 	qi         int
+	arena      rowArena     // output rows, carved in growing slabs
+	free       []*diffGroup // evicted groups, recycled with their buffers
 	// one-row lookahead per input, filled on the first pull
 	lRow, rRow tuple.Tuple
 	lOk, rOk   bool
@@ -207,10 +209,45 @@ func (it *streamDiffIter) track(g *diffGroup) {
 	t, ok := g.nextTime()
 	if !ok {
 		delete(it.groups, g.key)
+		it.recycle(g)
 		return
 	}
 	g.reg, g.regT = true, t
 	it.expiry.push(t, g)
+}
+
+// recycle puts an evicted group on the free list, keeping its data
+// buffer and its ends heap array for the next new group. It is safe
+// because an evicted group has no live expiry registration: every
+// registration is popped before the group is re-tracked, and eviction
+// happens only there. The list never outgrows the peak live groups,
+// since a group is allocated only when the list is empty.
+func (it *streamDiffIter) recycle(g *diffGroup) {
+	checkRecycle(g)
+	it.free = append(it.free, g)
+}
+
+// newGroup returns the state of a group first seen at begin, recycled
+// from the free list when one is there. It copies the representative's
+// data columns into memory the group owns: a sub-slice of the input row
+// would pin the row's whole slab for as long as the group lives.
+func (it *streamDiffIter) newGroup(key string, data tuple.Tuple, begin interval.Time) *diffGroup {
+	var g *diffGroup
+	if n := len(it.free); n > 0 {
+		g, it.free = it.free[n-1], it.free[:n-1]
+	} else {
+		g = new(diffGroup)
+	}
+	*g = diffGroup{
+		key:      key,
+		data:     append(g.data[:0], data...),
+		ends:     minHeap[int64]{items: g.ends.items[:0]},
+		segStart: begin,
+		curT:     begin,
+		seq:      it.nextSeq,
+	}
+	it.nextSeq++
+	return g
 }
 
 // retire advances every group whose registered wake-up lies strictly
@@ -231,7 +268,7 @@ func (it *streamDiffIter) retire(b interval.Time) {
 
 // enqueue appends mult copies of (data, iv) to the output queue.
 func (it *streamDiffIter) enqueue(data tuple.Tuple, iv interval.Interval, mult int64) {
-	it.queue = appendSegment(it.queue, data, iv, mult)
+	it.queue = appendSegment(it.queue, &it.arena, data, iv, mult)
 }
 
 // fill runs the merged sweep until the output queue holds at least one
@@ -294,15 +331,13 @@ func (it *streamDiffIter) fill(capacity int) bool {
 		it.scratch = data.AppendKey(it.scratch[:0], nil)
 		g, ok := it.groups[string(it.scratch)]
 		if !ok {
-			key := string(it.scratch)
 			// The group representative is the first row seen in merge
 			// order; a value-equivalent row from the other side may have
 			// a different numeric kind (Int vs integral Float), which
 			// Equal and Key treat as the same value — exactly as the
 			// blocking sweep's first-seen representative does.
-			g = &diffGroup{key: key, data: data, segStart: iv.Begin, curT: iv.Begin, seq: it.nextSeq}
-			it.nextSeq++
-			it.groups[key] = g
+			g = it.newGroup(string(it.scratch), data, iv.Begin)
+			it.groups[g.key] = g
 		}
 		g.advance(iv.Begin, it.enqueue)
 		g.curDelta += sign

@@ -41,6 +41,8 @@ type Rows struct {
 	// refill is safe; only the batch's row slice is reused.
 	b  engine.RowBatch
 	bi int
+	// vals is the uncarved tail of the slab Values cuts its slices from.
+	vals []any
 }
 
 // QueryRows evaluates a snapshot SQL query under the Seq approach and
@@ -147,15 +149,30 @@ func (r *Rows) Period() (begin, end int64) {
 	return r.cur[n-2].AsInt(), r.cur[n-1].AsInt()
 }
 
+// valuesSlab caps the []any slab Values carves at 32 KiB.
+const valuesSlab = 2048
+
 // Values returns the data column values of the current row as Go values
 // (int64, float64, string, bool or nil), or nil when called without a
-// successful Next.
+// successful Next. Each call returns a fresh slice that the caller may
+// keep and modify: later Next and Values calls never change it.
 func (r *Rows) Values() []any {
 	if r.cur == nil {
 		return nil
 	}
-	out := make([]any, len(r.cols))
-	for i := range r.cols {
+	n := len(r.cols)
+	if n == 0 {
+		return []any{}
+	}
+	if len(r.vals) < n {
+		// One slab for the rest of the batch, this row included; the
+		// slices cut from it are never handed out twice.
+		rows := min(r.b.Len()-r.bi+1, max(1, valuesSlab/n))
+		r.vals = make([]any, rows*n)
+	}
+	out := r.vals[:n:n]
+	r.vals = r.vals[n:]
+	for i := range out {
 		out[i] = fromValue(r.cur[i])
 	}
 	return out

@@ -267,6 +267,67 @@ func TestRowsLifecycleEdgeCases(t *testing.T) {
 	}
 }
 
+// Values carves its slices from one slab per batch, yet every call
+// returns a fresh slice the caller owns: distinct from every other
+// call's, cut with len == cap so an append cannot reach a neighbour, and
+// unchanged by later Next calls and batch refills.
+func TestRowsValuesAreIndependent(t *testing.T) {
+	db := snapk.New(0, 5000)
+	tbl, err := db.CreateTable("t", "a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1000 // several cursor batches
+	for i := int64(0); i < n; i++ {
+		if err := tbl.Insert(i, i+2, i, fmt.Sprintf("s%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, err := db.QueryRows(context.Background(), `SEQ VT (SELECT a, b FROM t)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	var kept, copies [][]any
+	for rows.Next() {
+		v := rows.Values()
+		if len(v) != 2 || cap(v) != 2 {
+			t.Fatalf("Values has len %d, cap %d; want 2 and 2", len(v), cap(v))
+		}
+		var a int64
+		var b string
+		if err := rows.Scan(&a, &b); err != nil {
+			t.Fatal(err)
+		}
+		if v[0] != a || v[1] != b {
+			t.Fatalf("Values = %v, Scan = (%d, %q)", v, a, b)
+		}
+		// A second call on the same row is its own slice.
+		again := rows.Values()
+		again[0] = "changed"
+		_ = append(again, "appended")
+		if v[0] != a {
+			t.Fatalf("writing a second Values slice changed the first: %v", v)
+		}
+		kept = append(kept, v)
+		copies = append(copies, []any{a, b})
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != n {
+		t.Fatalf("cursor yielded %d rows, want %d", len(kept), n)
+	}
+	for i := range kept {
+		if kept[i][0] != copies[i][0] || kept[i][1] != copies[i][1] {
+			t.Fatalf("row %d: kept Values %v changed to %v after later Next calls", i, copies[i], kept[i])
+		}
+		if i > 0 && &kept[i][0] == &kept[i-1][0] {
+			t.Fatalf("rows %d and %d share one Values slice", i-1, i)
+		}
+	}
+}
+
 // Repeated identical sequential difference queries must stream rows in
 // the identical order — the regression test for the map-iteration
 // nondeterminism of the blocking diff (the cursor exposes emission
