@@ -108,6 +108,9 @@ func aggregateSweep(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpe
 	}
 	global := len(groupIdx) == 0
 	groups := make(map[string]*grp)
+	// Groups are emitted in first-seen order, not map order, so repeated
+	// identical queries stream rows in the same order.
+	var order []*grp
 	// Reusable scratch key: the group tuple is only projected out (and
 	// the key string only materialized) once per distinct group, not per
 	// row.
@@ -118,6 +121,7 @@ func aggregateSweep(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpe
 		if !ok {
 			acc = &grp{group: row.Project(groupIdx)}
 			groups[string(scratch)] = acc
+			order = append(order, acc)
 		}
 		iv := in.Interval(row)
 		acc.events = append(acc.events,
@@ -125,9 +129,9 @@ func aggregateSweep(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpe
 			rowEvent{t: iv.End, row: i, enter: false})
 	}
 	if global && len(groups) == 0 {
-		groups[""] = &grp{group: tuple.Tuple{}}
+		order = append(order, &grp{group: tuple.Tuple{}})
 	}
-	for _, g := range groups {
+	for _, g := range order {
 		// Among equal times, input row order is the order the events were
 		// appended in (a row's begin precedes its end), so same-instant
 		// updates — and with them float sums — apply in input order on

@@ -1,14 +1,19 @@
 package engine_test
 
-// ReportAllocs benchmarks pinning the allocation-lean group-key work:
-// the hot grouping paths (coalesce, split/aggregate, difference,
-// streaming sweeps, hash-join build/probe) look groups up through a
-// reusable scratch buffer and map[string(scratch)] accesses, so key
-// strings are materialized once per distinct group — allocations per
-// ROW must stay flat as the row count grows, instead of the one-or-two
-// strings per row the Tuple.Key() calls used to cost.
+// ReportAllocs benchmarks pinning the allocation-lean group-key work.
+// The blocking grouping paths (coalesce, split/aggregate, difference),
+// the streaming aggregation and the hash-join build/probe look groups
+// up through a reusable scratch buffer and map[string(scratch)]
+// accesses, so a key string is materialized once per distinct group.
+// The streaming coalesce and difference hash keys with tuple.HashKey
+// into a table of paged group states, so they materialize none. Either
+// way allocations per ROW must stay flat as the row count grows,
+// instead of the one-or-two strings per row the Tuple.Key() calls used
+// to cost. Most inputs here have 16 groups; ManyGroups prices the
+// group table itself.
 
 import (
+	"math/rand"
 	"testing"
 
 	"snapk/internal/algebra"
@@ -88,6 +93,51 @@ func BenchmarkStreamCoalesceKeys(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		engine.Materialize(engine.NewStreamCoalesceIter(engine.NewTableIter(in)))
 	}
+}
+
+// manyGroupTable is Fig 5's coalesce input in shape (see
+// dataset.CoalesceInput) with many employees at once: each emp_no runs
+// a chain of periods whose salary changes about every other period and
+// which overlap one time in four, so about `emps` groups are live at
+// every instant of the domain.
+func manyGroupTable(emps int, span int64) *engine.Table {
+	rng := rand.New(rand.NewSource(1))
+	t := engine.NewTable(tuple.NewSchema("emp_no", "salary"))
+	for emp := 0; emp < emps; emp++ {
+		sal := int64(40000 + rng.Intn(10)*1000)
+		for start := rng.Int63n(20); start < span-1; {
+			end := min(start+20+rng.Int63n(150), span)
+			t.Append(tuple.Tuple{tuple.Int(int64(emp)), tuple.Int(sal)}, interval.New(start, end), 1)
+			if rng.Intn(2) == 0 {
+				sal += 1000
+			}
+			if rng.Intn(4) == 0 {
+				start = end - 10
+			} else {
+				start = end
+			}
+		}
+	}
+	t.SortByEndpoints()
+	return t
+}
+
+// BenchmarkStreamCoalesceManyGroups is the streaming coalesce over
+// ≥ 50 k live groups: the group table, not the 16-group inputs above,
+// is what it prices.
+func BenchmarkStreamCoalesceManyGroups(b *testing.B) {
+	in := manyGroupTable(60000, 400)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it := engine.NewStreamCoalesceIter(engine.NewTableIter(in))
+		engine.Materialize(it)
+		if s := it.(engine.StateSizer).MaxState(); s < 50000 {
+			b.Fatalf("peak sweep state %d, want ≥ 50,000 live groups", s)
+		}
+		it.Close()
+	}
+	b.ReportMetric(float64(in.Len()), "rows/op")
 }
 
 func BenchmarkStreamAggKeys(b *testing.B) {

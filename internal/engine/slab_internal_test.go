@@ -180,7 +180,7 @@ func TestStreamGroupDataIsOwned(t *testing.T) {
 	b := NewRowBatch(1)
 	checked := 0
 	for it.NextBatch(b) {
-		for _, g := range sd.groups {
+		for _, g := range liveGroups(sd) {
 			for _, row := range in.Rows {
 				if backingOverlaps(g.data, row) {
 					t.Fatalf("group %v shares its data with input row %v", g.data, row)
@@ -206,9 +206,12 @@ func TestStreamDiffChurnMatchesBlocking(t *testing.T) {
 		co := NewStreamCoalesceIter(NewTableIter(l))
 		sd := co.(*streamDiffIter)
 		rows := drainRows(t, co, 8)
-		// Every group state ever allocated is live or on the free list.
-		if allocated := len(sd.groups) + len(sd.free); allocated >= sd.nextSeq {
-			t.Fatalf("seed %d: %d group states for %d group lifetimes: nothing was recycled", seed, allocated, sd.nextSeq)
+		// Every group state ever handed out is live or on the free list.
+		if live := len(liveGroups(sd)); live+len(sd.free) != int(sd.slots) {
+			t.Fatalf("seed %d: %d live + %d free group states, %d handed out", seed, live, len(sd.free), sd.slots)
+		}
+		if int(sd.slots) >= sd.nextSeq {
+			t.Fatalf("seed %d: %d group states for %d group lifetimes: nothing was recycled", seed, sd.slots, sd.nextSeq)
 		}
 		assertSameRows(t, &Table{Schema: l.Schema, Rows: rows}, Coalesce(l))
 
@@ -251,8 +254,8 @@ func TestProjectAllocatesPerBatch(t *testing.T) {
 // TestStreamCoalesceAllocatesPerSlab guards the streaming sweep's
 // memory: over groups that close and reappear, output rows come from
 // the arena and group state from the free list, so the sweep allocates
-// well under one object per input row. What remains is one key string
-// per group lifetime (here about one per ten rows).
+// well under one object per input row. Group keys are hashed, so no
+// key is materialized per group lifetime either.
 func TestStreamCoalesceAllocatesPerSlab(t *testing.T) {
 	in := churnTable(rand.New(rand.NewSource(11)), 4, 5000, 40)
 	b := NewRowBatch(DefaultBatchSize)

@@ -187,12 +187,27 @@ func (it *checkNoAliasIter) verify() {
 	}
 }
 
-// checkRecycle asserts that a streaming difference group entering its
-// iterator's free list has no live expiry registration: a registration
-// left in the expiry heap would wake whichever new group reuses the
-// state, at a time that is not its own.
-func checkRecycle(g *diffGroup) {
-	if g.reg {
-		panic(fmt.Sprintf("engine: snapdebug: streaming difference recycled group %q with a live expiry registration at %d", g.key, g.regT))
+// checkRecycle asserts that group i of a streaming difference is fit
+// for its iterator's free list: no end event of it is queued (one would
+// be applied to whichever new group reuses the index), its count and
+// uncommitted delta are zero (all of its changes were emitted), and it
+// is unlinked from its hash chain (a lookup could otherwise still find
+// it).
+func checkRecycle(it *streamDiffIter, i int32) {
+	g := it.group(i)
+	for _, e := range it.events.items {
+		if e.v.group == i {
+			panic(fmt.Sprintf("engine: snapdebug: streaming difference recycled group %d (%v) with an end event queued at %d", i, g.data, e.t))
+		}
+	}
+	if g.count != 0 || g.curDelta != 0 {
+		panic(fmt.Sprintf("engine: snapdebug: streaming difference recycled group %d (%v) with count %d and uncommitted delta %d", i, g.data, g.count, g.curDelta))
+	}
+	head, ok := it.table[g.hash]
+	for ok && head >= 0 {
+		if head == i {
+			panic(fmt.Sprintf("engine: snapdebug: streaming difference recycled group %d (%v) still linked in its hash chain", i, g.data))
+		}
+		head = it.group(head).next
 	}
 }

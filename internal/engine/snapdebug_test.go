@@ -149,17 +149,42 @@ func TestCheckErrCheckedPanics(t *testing.T) {
 	it.Close()
 }
 
-// TestCheckRecyclePanics: a streaming difference group that still holds
-// a live expiry registration must never reach the free list, where the
-// next new group would inherit the stale wake-up.
+// TestCheckRecyclePanics: a streaming difference group may reach the
+// free list only with no end event queued, a zero count and delta, and
+// no link left in its hash chain. Otherwise the next new group to reuse
+// the index would inherit a stale event, a stale count, or lookups of
+// the old key.
 func TestCheckRecyclePanics(t *testing.T) {
 	it := NewStreamCoalesceIter(NewTableIter(NewTable(tuple.NewSchema("a")))).(*streamDiffIter)
 	defer it.Close()
-	g := &diffGroup{key: "k", reg: true, regT: 7}
-	mustPanic(t, []string{"recycled group", "live expiry registration"}, func() { it.recycle(g) })
-	g.reg = false
-	it.recycle(g)
-	if len(it.free) != 1 {
-		t.Fatalf("an unregistered group was not recycled: free list %d", len(it.free))
+	it.hashMask = 0 // one chain: a and b collide
+	a, ga := it.newGroup(0, tuple.Tuple{tuple.Int(1)}, 0)
+	b, gb := it.newGroup(0, tuple.Tuple{tuple.Int(2)}, 0)
+
+	it.events.push(5, endEvent{group: b, delta: -1})
+	mustPanic(t, []string{"recycled group", "end event queued"}, func() { checkRecycle(it, b) })
+	it.events.pop()
+
+	gb.curDelta = 1
+	mustPanic(t, []string{"recycled group", "uncommitted delta 1"}, func() { checkRecycle(it, b) })
+	gb.curDelta, gb.count = 0, 1
+	mustPanic(t, []string{"recycled group", "count 1"}, func() { checkRecycle(it, b) })
+	gb.count = 0
+
+	// b is the head of the chain, a sits behind it: both are linked.
+	mustPanic(t, []string{"recycled group", "hash chain"}, func() { checkRecycle(it, b) })
+	mustPanic(t, []string{"recycled group", "hash chain"}, func() { checkRecycle(it, a) })
+
+	// Evicting a unlinks it from behind the chain head; b stays found.
+	it.evict(a)
+	if i, g := it.lookup(0, tuple.Tuple{tuple.Int(2)}); i != b || g != gb {
+		t.Fatalf("lookup after unlinking the chain's tail = %d, want %d", i, b)
+	}
+	if _, g := it.lookup(0, tuple.Tuple{tuple.Int(1)}); g != nil {
+		t.Fatal("an evicted group is still found")
+	}
+	it.evict(b)
+	if len(it.free) != 2 || len(it.table) != 0 || ga.next != -1 {
+		t.Fatalf("after two evictions: free list %d, table %d chains", len(it.free), len(it.table))
 	}
 }

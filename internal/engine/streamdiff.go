@@ -1,8 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"snapk/internal/interval"
 	"snapk/internal/tuple"
@@ -13,26 +14,32 @@ import (
 // Fig 4, fused with the §9 pre-aggregated counts — the same semantics
 // as the blocking TemporalDiff) and, as its one-input form, the
 // streaming coalesce (Def 8.2): C(R) = R ∸ ∅. Both inputs must arrive
-// ordered by ascending interval begin, the iterator merges them into
-// one event sweep, and per value-equivalent group it keeps only the
-// open interval ends plus two counters — O(open intervals + active
-// groups) state — instead of materializing either input. Once the
-// merged sweep position passes a time point, no later row of either
-// side can contribute an event before it, so segments up to that point
-// are final and groups whose intervals are all closed are evicted. Like
-// the blocking form it closes a segment only where the monus
-// multiplicity changes, so its output is already the unique coalesced
-// encoding.
+// ordered by ascending interval begin, and the iterator merges them
+// into one event sweep. Its state is two structures:
+//
+//   - a hashed group table: value-equivalent groups are found by
+//     tuple.HashKey through a map from hash to the first group of a
+//     chain, and told apart within the chain by SameKey, column by
+//     column. Group states sit in fixed-size pages that never move,
+//     addressed by int32 and recycled through a free list of indexes;
+//   - one end-event queue: a pointer-free min-heap of every queued
+//     interval end, each naming its group and the signed delta it
+//     applies.
+//
+// Begins apply as rows arrive and ends wait in the queue: once the
+// merged sweep reaches b, no later row can contribute an event before
+// b, so retire(b) makes everything before b final. State is O(open
+// intervals + active groups), not the input. Like the blocking form the
+// sweep closes a segment only where the monus multiplicity changes, so
+// its output is already the unique coalesced encoding.
 //
 // The input-order precondition is the executor's responsibility (it
 // streams the difference only when BeginOrder calls both children
 // ordered); violations panic so an order-rule bug is loud instead of
 // silently wrong.
 
-// diffGroup is the per-value-equivalent-group sweep state of the
-// streaming difference: the pending interval ends not yet passed by the
-// sweep (each carrying the signed multiplicity delta to apply), the
-// committed left-minus-right count through the last committed event,
+// diffGroup is the sweep state of one value-equivalent group: the
+// committed left-minus-right count through the last committed instant,
 // and the uncommitted delta accumulated at curT. Deltas at one instant
 // fold into one event, so an interval ending exactly where another
 // begins never splits, and an event closes the open segment only when
@@ -41,90 +48,33 @@ import (
 // counts) does not split. Without a right input the count never goes
 // negative and every nonzero delta changes it: the coalesce.
 type diffGroup struct {
-	key      string
-	data     tuple.Tuple    // group-owned copy of the representative's data columns
-	ends     minHeap[int64] // pending end events; payload = signed delta to apply
-	count    int64          // committed left − right multiplicity
-	segStart interval.Time  // where the monus last changed
-	curT     interval.Time
+	data     tuple.Tuple // group-owned copy of the representative's data columns
+	hash     uint64      // the group table key of data
+	next     int32       // next group of the same hash chain, or -1
+	open     int32       // the group's end events still queued
+	count    int64       // committed left − right multiplicity
 	curDelta int64
-	seq      int // first-seen order, for a deterministic end-of-input flush
-	// reg/regT: the group's single live registration in the iterator's
-	// expiry heap (the global-sweep eviction machinery).
-	reg  bool
-	regT interval.Time
+	segStart interval.Time // where the monus last changed
+	curT     interval.Time
+	seq      int // first-seen order, for a deterministic end-of-input commit
 }
 
-// nextTime reports when the group next needs the sweep's attention;
-// ok=false means fully closed and committed: evictable. Every begin
-// delta has a matching end delta in the ends heap, so a group with no
-// pending end, no uncommitted delta and a zero count can never emit
-// again.
-func (g *diffGroup) nextTime() (interval.Time, bool) {
-	if g.ends.len() > 0 {
-		return g.ends.min(), true
-	}
-	if g.curDelta != 0 || g.count != 0 {
-		return g.curT, true // pending uncommitted delta with no open end left
-	}
-	return 0, false
-}
+// endEvent is one queued interval end: the group it belongs to and the
+// delta it applies (−1 for a left row, +1 for a right one).
+type endEvent struct{ group, delta int32 }
 
-// commit folds the delta accumulated at curT into the count. When that
-// changes the monus max(0, count), the segment [segStart, curT) is
-// finished — emitted with its multiplicity if positive — and the next
-// one starts at curT; otherwise the open segment simply continues.
-func (g *diffGroup) commit(emit func(data tuple.Tuple, iv interval.Interval, mult int64)) {
-	if g.curDelta == 0 {
-		return
-	}
-	next := g.count + g.curDelta
-	if max(next, 0) != max(g.count, 0) {
-		if g.count > 0 && g.curT > g.segStart {
-			emit(g.data, interval.New(g.segStart, g.curT), g.count)
-		}
-		g.segStart = g.curT
-	}
-	g.count = next
-	g.curDelta = 0
-}
+// groupPageBits sizes the pages group states are kept in.
+const (
+	groupPageBits = 8
+	groupPageSize = 1 << groupPageBits
+)
 
-// advance moves the group's sweep position to t, committing every
-// pending end event strictly before it and folding ends at t into the
-// uncommitted delta (a same-instant begin may still arrive and belongs
-// to the same event).
-func (g *diffGroup) advance(t interval.Time, emit func(tuple.Tuple, interval.Interval, int64)) {
-	for g.ends.len() > 0 && g.ends.min() <= t {
-		et := g.ends.min()
-		if et > g.curT {
-			g.commit(emit)
-			g.curT = et
-		}
-		for g.ends.len() > 0 && g.ends.min() == et {
-			g.curDelta += g.ends.pop().v
-		}
-	}
-	if t > g.curT {
-		g.commit(emit)
-		g.curT = t
-	}
-}
-
-// flush drains every remaining pending end at end of input — with no
-// time bound, so arbitrarily late interval ends are still emitted — and
-// commits the final segment.
-func (g *diffGroup) flush(emit func(tuple.Tuple, interval.Interval, int64)) {
-	for g.ends.len() > 0 {
-		et := g.ends.min()
-		if et > g.curT {
-			g.commit(emit)
-			g.curT = et
-		}
-		for g.ends.len() > 0 && g.ends.min() == et {
-			g.curDelta += g.ends.pop().v
-		}
-	}
-	g.commit(emit)
+// groupPage is one page of group states with the backing array of their
+// data copies: neither moves once allocated, so a *diffGroup stays
+// valid while the table grows.
+type groupPage struct {
+	groups [groupPageSize]diffGroup
+	vals   tuple.Tuple
 }
 
 // streamDiffIter is the streaming ℕ-monus difference over two
@@ -133,34 +83,38 @@ func (g *diffGroup) flush(emit func(tuple.Tuple, interval.Interval, int64)) {
 // value-equivalent group's endpoints in time order, and emits every
 // maximal segment of constant multiplicity max(0, |left| − |right|) —
 // the same multiset the blocking TemporalDiff produces, without
-// materializing either input. The expiry heap wakes each group when the
-// merged sweep position passes its next event; fully closed groups are
-// evicted from the state map. With r == nil it is the streaming
+// materializing either input. With r == nil it is the streaming
 // coalesce: rOk stays false and every row comes from l.
 type streamDiffIter struct {
 	l, r       RowIter
 	lcur, rcur batchCursor
-	n          int // data arity
-	groups     map[string]*diffGroup
-	expiry     minHeap[*diffGroup] // group wake-ups keyed by next event time
+	n          int              // data arity
+	table      map[uint64]int32 // group hash → first group of its chain
+	pages      []*groupPage
+	slots      int32   // group states handed out so far, live or free
+	free       []int32 // evicted groups, reused with their data buffers
+	live       int
+	events     minHeap[endEvent] // the queued interval ends of every group
+	closed     []int32           // groups retire left with no queued end
+	hashMask   uint64            // all ones; tests clear bits to force collisions
 	nextSeq    int
 	queue      []tuple.Tuple
 	qi         int
-	arena      rowArena     // output rows, carved in growing slabs
-	free       []*diffGroup // evicted groups, recycled with their buffers
+	arena      rowArena // output rows, carved in growing slabs
 	// one-row lookahead per input, filled on the first pull
 	lRow, rRow tuple.Tuple
 	lOk, rOk   bool
 	primed     bool
 	drained    bool
-	scratch    []byte // reusable group-key buffer (one key string per distinct group, not per row)
-	// peak sweep state, reported through MaxState for EXPLAIN ANALYZE.
+	// peak sweep state, reported through MaxState.
 	maxGroups int
 	maxOpen   int
 }
 
-// MaxState reports the observed peak sweep state (live groups plus the
-// largest per-group open-end heap) — the engine.StateSizer hook.
+// MaxState reports the observed peak sweep state — live groups plus the
+// largest number of ends one group had queued at once — the
+// engine.StateSizer hook EXPLAIN ANALYZE reports and the memory
+// governor charges.
 func (it *streamDiffIter) MaxState() int64 {
 	return int64(it.maxGroups + it.maxOpen)
 }
@@ -191,84 +145,145 @@ func NewStreamCoalesceIter(in RowIter) RowIter {
 
 func newStreamDiff(l, r RowIter) *streamDiffIter {
 	return &streamDiffIter{
-		l:      l,
-		r:      r,
-		lcur:   batchCursor{in: l},
-		rcur:   batchCursor{in: r},
-		n:      l.Schema().Arity() - 2,
-		groups: make(map[string]*diffGroup),
+		l:        l,
+		r:        r,
+		lcur:     batchCursor{in: l},
+		rcur:     batchCursor{in: r},
+		n:        l.Schema().Arity() - 2,
+		table:    make(map[uint64]int32),
+		hashMask: ^uint64(0),
 	}
 }
 
 func (it *streamDiffIter) Schema() tuple.Schema { return it.l.Schema() }
 
-// track (re-)registers g in the expiry heap at its next event time, or
-// evicts it when fully closed. Each group holds at most one live
-// registration, so the heap stays O(active groups).
-func (it *streamDiffIter) track(g *diffGroup) {
-	t, ok := g.nextTime()
-	if !ok {
-		delete(it.groups, g.key)
-		it.recycle(g)
-		return
+// group returns the state at index i.
+func (it *streamDiffIter) group(i int32) *diffGroup {
+	return &it.pages[i>>groupPageBits].groups[i&(groupPageSize-1)]
+}
+
+// lookup returns the group of hash h whose data is column by column
+// SameKey to data, or nil.
+func (it *streamDiffIter) lookup(h uint64, data tuple.Tuple) (int32, *diffGroup) {
+	i, ok := it.table[h]
+	for ok && i >= 0 {
+		g := it.group(i)
+		if slices.EqualFunc(g.data, data, tuple.SameKey) {
+			return i, g
+		}
+		i = g.next
 	}
-	g.reg, g.regT = true, t
-	it.expiry.push(t, g)
+	return -1, nil
 }
 
-// recycle puts an evicted group on the free list, keeping its data
-// buffer and its ends heap array for the next new group. It is safe
-// because an evicted group has no live expiry registration: every
-// registration is popped before the group is re-tracked, and eviction
-// happens only there. The list never outgrows the peak live groups,
-// since a group is allocated only when the list is empty.
-func (it *streamDiffIter) recycle(g *diffGroup) {
-	checkRecycle(g)
-	it.free = append(it.free, g)
-}
-
-// newGroup returns the state of a group first seen at begin, recycled
-// from the free list when one is there. It copies the representative's
-// data columns into memory the group owns: a sub-slice of the input row
-// would pin the row's whole slab for as long as the group lives.
-func (it *streamDiffIter) newGroup(key string, data tuple.Tuple, begin interval.Time) *diffGroup {
-	var g *diffGroup
+// newGroup links the state of a group first seen at begin into the
+// table, on a free index when there is one. It copies the
+// representative's data columns into memory the group owns: a sub-slice
+// of the input row would pin the row's whole slab for as long as the
+// group lives.
+func (it *streamDiffIter) newGroup(h uint64, data tuple.Tuple, begin interval.Time) (int32, *diffGroup) {
+	var i int32
 	if n := len(it.free); n > 0 {
-		g, it.free = it.free[n-1], it.free[:n-1]
+		i, it.free = it.free[n-1], it.free[:n-1]
 	} else {
-		g = new(diffGroup)
+		i = it.slots
+		it.slots++
+		if int(i>>groupPageBits) == len(it.pages) {
+			p := &groupPage{vals: make(tuple.Tuple, groupPageSize*it.n)}
+			for k := range p.groups {
+				p.groups[k].data = p.vals[k*it.n : k*it.n : (k+1)*it.n]
+			}
+			it.pages = append(it.pages, p)
+		}
+	}
+	g := it.group(i)
+	head, ok := it.table[h]
+	if !ok {
+		head = -1
 	}
 	*g = diffGroup{
-		key:      key,
 		data:     append(g.data[:0], data...),
-		ends:     minHeap[int64]{items: g.ends.items[:0]},
+		hash:     h,
+		next:     head,
 		segStart: begin,
 		curT:     begin,
 		seq:      it.nextSeq,
 	}
+	it.table[h] = i
 	it.nextSeq++
-	return g
+	it.live++
+	return i, g
 }
 
-// retire advances every group whose registered wake-up lies strictly
-// before the merged sweep position b. Strictly before: events at
-// exactly b must stay uncommitted, because a same-instant begin from
-// either input may still arrive and belongs to the same boundary.
-func (it *streamDiffIter) retire(b interval.Time) {
-	for it.expiry.len() > 0 && it.expiry.min() < b {
-		e := it.expiry.pop()
-		if !e.v.reg || e.v.regT != e.t {
-			continue // superseded registration
+// evict commits the last change of group i, which has no end left in
+// the queue, unlinks it from its hash chain and frees its index.
+func (it *streamDiffIter) evict(i int32) {
+	g := it.group(i)
+	it.commit(g)
+	if head := it.table[g.hash]; head != i {
+		p := it.group(head)
+		for p.next != i {
+			p = it.group(p.next)
 		}
-		e.v.reg = false
-		e.v.advance(b, it.enqueue)
-		it.track(e.v)
+		p.next = g.next
+	} else if g.next >= 0 {
+		it.table[g.hash] = g.next
+	} else {
+		delete(it.table, g.hash)
 	}
+	g.next = -1
+	it.live--
+	checkRecycle(it, i)
+	it.free = append(it.free, i)
 }
 
-// enqueue appends mult copies of (data, iv) to the output queue.
-func (it *streamDiffIter) enqueue(data tuple.Tuple, iv interval.Interval, mult int64) {
-	it.queue = appendSegment(it.queue, &it.arena, data, iv, mult)
+// commit folds the delta accumulated at g.curT into the count. When
+// that changes the monus max(0, count), the segment [segStart, curT) is
+// finished — emitted with its multiplicity if positive — and the next
+// one starts at curT; otherwise the open segment simply continues.
+func (it *streamDiffIter) commit(g *diffGroup) {
+	if g.curDelta == 0 {
+		return
+	}
+	next := g.count + g.curDelta
+	if max(next, 0) != max(g.count, 0) {
+		if g.count > 0 && g.curT > g.segStart {
+			it.queue = appendSegment(it.queue, &it.arena, g.data, interval.New(g.segStart, g.curT), g.count)
+		}
+		g.segStart = g.curT
+	}
+	g.count = next
+	g.curDelta = 0
+}
+
+// retire pops the queued ends before b in time order — all of them when
+// last is set, at end of input — folding each into its group's change
+// at that instant. The groups left with no queued end are evicted only
+// after the pop loop, which only folds: each then commits its last
+// change once and leaves the table. Ends at exactly b stay queued: a
+// begin at b from either input may still arrive and belongs to the same
+// change. At end of input the remaining groups commit in first-seen
+// order, so repeated runs stream identical row order.
+func (it *streamDiffIter) retire(b interval.Time, last bool) {
+	for it.events.len() > 0 && (last || it.events.min() < b) {
+		e := it.events.pop()
+		g := it.group(e.v.group)
+		if e.t > g.curT {
+			it.commit(g)
+			g.curT = e.t
+		}
+		g.curDelta += int64(e.v.delta)
+		if g.open--; g.open == 0 {
+			it.closed = append(it.closed, e.v.group)
+		}
+	}
+	if last {
+		slices.SortFunc(it.closed, func(a, b int32) int { return cmp.Compare(it.group(a).seq, it.group(b).seq) })
+	}
+	for _, i := range it.closed {
+		it.evict(i)
+	}
+	it.closed = it.closed[:0]
 }
 
 // fill runs the merged sweep until the output queue holds at least one
@@ -295,7 +310,7 @@ func (it *streamDiffIter) fill(capacity int) bool {
 		// Merge step: take the earlier begin (ties go left — immaterial
 		// for the result, since same-instant deltas fold into one event).
 		var row tuple.Tuple
-		var sign int64
+		var sign int32
 		switch {
 		case it.lOk && (!it.rOk || rowInterval(it.lRow).Begin <= rowInterval(it.rRow).Begin):
 			row, sign = it.lRow, 1
@@ -310,47 +325,31 @@ func (it *streamDiffIter) fill(capacity int) bool {
 				panic(fmt.Sprintf("engine: streaming difference right input not begin-sorted (begin %d after %d); planner must stream only over ordered input", rowInterval(it.rRow).Begin, rowInterval(row).Begin))
 			}
 		default:
-			// End of both inputs: flush the remaining live groups in
-			// first-seen order, so repeated runs stream identical row
-			// order (the map holds only the live groups, so the flush
-			// sorts O(active groups), not O(all groups ever seen)).
-			live := make([]*diffGroup, 0, len(it.groups))
-			for _, g := range it.groups {
-				live = append(live, g)
-			}
-			sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
-			for _, g := range live {
-				g.flush(it.enqueue)
-			}
+			it.retire(0, true)
 			it.drained = true
 			continue
 		}
 		iv := rowInterval(row)
-		it.retire(iv.Begin)
+		it.retire(iv.Begin, false)
 		data := row[:it.n]
-		it.scratch = data.AppendKey(it.scratch[:0], nil)
-		g, ok := it.groups[string(it.scratch)]
-		if !ok {
+		h := data.HashKey(nil) & it.hashMask
+		i, g := it.lookup(h, data)
+		if g == nil {
 			// The group representative is the first row seen in merge
 			// order; a value-equivalent row from the other side may have
 			// a different numeric kind (Int vs integral Float), which
-			// Equal and Key treat as the same value — exactly as the
-			// blocking sweep's first-seen representative does.
-			g = it.newGroup(string(it.scratch), data, iv.Begin)
-			it.groups[g.key] = g
+			// SameKey treats as the same value — exactly as the blocking
+			// sweep's first-seen representative does.
+			i, g = it.newGroup(h, data, iv.Begin)
+		} else if iv.Begin > g.curT {
+			it.commit(g)
+			g.curT = iv.Begin
 		}
-		g.advance(iv.Begin, it.enqueue)
-		g.curDelta += sign
-		g.ends.push(iv.End, -sign)
-		if n := len(it.groups); n > it.maxGroups {
-			it.maxGroups = n
-		}
-		if n := g.ends.len(); n > it.maxOpen {
-			it.maxOpen = n
-		}
-		if !g.reg {
-			it.track(g)
-		}
+		g.curDelta += int64(sign)
+		g.open++
+		it.events.push(iv.End, endEvent{group: i, delta: -sign})
+		it.maxGroups = max(it.maxGroups, it.live)
+		it.maxOpen = max(it.maxOpen, int(g.open))
 	}
 }
 

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"snapk/internal/algebra"
 	"snapk/internal/interval"
@@ -24,11 +26,11 @@ import (
 // bug into a loud failure instead of silently wrong results.
 
 // minHeap is the one binary min-heap behind every streaming sweep —
-// pending interval ends, pending row exits and the group expiry
-// registries — so the sift logic cannot drift between them. Elements
-// carry their sort key inline (hItem), so every sift comparison is a
-// direct int64 compare: no closure or method indirection on the
-// per-row hot path.
+// the difference's end-event queue, and the aggregation's pending row
+// exits and group expiry registry — so the sift logic cannot drift
+// between them. Elements carry their sort key inline (hItem), so every
+// sift comparison is a direct int64 compare: no closure or method
+// indirection on the per-row hot path.
 type minHeap[T any] struct {
 	items []hItem[T]
 }
@@ -112,6 +114,7 @@ type aggGroup struct {
 	segStart interval.Time
 	started  bool
 	held     tuple.Tuple
+	seq      int // first-seen order, for a deterministic end-of-input flush
 	// reg/regT: the group's single live registration in the iterator's
 	// expiry heap (grouped aggregation only; the global group never
 	// registers, since its gap rows need a continuous segStart).
@@ -142,6 +145,7 @@ type streamAggIter struct {
 	seen    bool
 	drained bool
 	scratch []byte // reusable group-key buffer (one key string per distinct group, not per row)
+	nextSeq int
 	// peak sweep state, reported through MaxState for EXPLAIN ANALYZE.
 	maxGroups int
 	maxOpen   int
@@ -188,7 +192,8 @@ func NewStreamAggIter(in RowIter, groupBy []string, aggs []algebra.AggSpec, dom 
 // newGroup registers a new sweep group under key, the canonical
 // AppendKey encoding of group (the empty string for the global group).
 func (it *streamAggIter) newGroup(group tuple.Tuple, key string) *aggGroup {
-	g := &aggGroup{key: key, group: group, sweepers: make([]*aggSweeper, len(it.aggs))}
+	g := &aggGroup{key: key, group: group, sweepers: make([]*aggSweeper, len(it.aggs)), seq: it.nextSeq}
+	it.nextSeq++
 	for i, a := range it.aggs {
 		g.sweepers[i] = newAggSweeper(a.Fn)
 	}
@@ -313,10 +318,16 @@ func (it *streamAggIter) fill(capacity int) bool {
 		}
 		row, ok := it.cur.next(capacity)
 		if !ok {
+			// Flush the live groups in first-seen order, not map order, so
+			// repeated runs stream identical row order.
+			live := make([]*aggGroup, 0, len(it.groups))
 			for _, g := range it.groups {
+				live = append(live, g)
+			}
+			slices.SortFunc(live, func(a, b *aggGroup) int { return cmp.Compare(a.seq, b.seq) })
+			for _, g := range live {
 				// Drain the remaining exits; then global aggregation closes
-				// the final segment at the domain end. (Map order is
-				// immaterial — the output is a multiset.)
+				// the final segment at the domain end.
 				for g.pending.len() > 0 {
 					et := g.pending.min()
 					it.boundary(g, et)

@@ -117,7 +117,7 @@ func TestStreamCoalescePanicsOnUnsortedInput(t *testing.T) {
 // The streaming sweeps must evict fully-closed groups as the sweep
 // passes them: state is O(active groups + open intervals), not
 // O(distinct values). Feed n disjoint single-interval groups in begin
-// order and watch the live-group map of the one-input difference sweep
+// order and watch the live-group count of the one-input difference sweep
 // stay small.
 func TestStreamCoalesceEvictsClosedGroups(t *testing.T) {
 	const n = 1000
@@ -131,9 +131,7 @@ func TestStreamCoalesceEvictsClosedGroups(t *testing.T) {
 	b := NewRowBatch(1) // sample the live groups after every output row
 	for it.NextBatch(b) {
 		rows += b.Len()
-		if len(it.groups) > maxLive {
-			maxLive = len(it.groups)
-		}
+		maxLive = max(maxLive, it.live)
 	}
 	if rows != n {
 		t.Fatalf("coalesce of disjoint singletons must be the identity: %d rows, want %d", rows, n)

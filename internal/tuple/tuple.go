@@ -5,6 +5,7 @@ package tuple
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"slices"
 	"strconv"
@@ -380,6 +381,64 @@ func SameKey(a, b Value) bool {
 
 // floatKeysAsInt reports whether AppendKey spells f as the integer i.
 func floatKeysAsInt(f float64, i int64) bool { return isInt64(f) && int64(f) == i }
+
+// hashSeed keys the string hashing of HashKey. It is drawn per process,
+// so hash values differ between runs and nothing may depend on them
+// beyond equality within one run.
+var hashSeed = maphash.MakeSeed()
+
+// HashKey returns a 64-bit hash of the columns at idx (all columns when
+// idx is nil) that agrees with SameKey: tuples whose columns are
+// pairwise SameKey hash alike, so a hash table keyed by it finds every
+// value-equivalent group and needs SameKey only to tell colliding keys
+// apart. An Int and an integral Float hash alike, −0.0 hashes as 0, all
+// NaNs hash alike, and strings hash by their bytes.
+func (t Tuple) HashKey(idx []int) uint64 {
+	var h uint64
+	if idx == nil {
+		for _, v := range t {
+			h = mix64(h ^ v.keyHash())
+		}
+	} else {
+		for _, j := range idx {
+			h = mix64(h ^ t[j].keyHash())
+		}
+	}
+	return h
+}
+
+// keyHash is the unmixed hash of one value under SameKey. Each kind
+// adds its own constant, so equal payloads of different kinds (Int 1,
+// Bool true) do not collide by construction.
+func (v Value) keyHash() uint64 {
+	switch v.p {
+	case nil:
+		return 0x5bd1e9955bd1e995
+	case tag(KindInt):
+		return v.x + 0x9e3779b97f4a7c15
+	case tag(KindFloat):
+		switch f := v.float(); {
+		case isInt64(f):
+			return uint64(int64(f)) + 0x9e3779b97f4a7c15 // as the Int it keys as
+		case f != f:
+			return 0x7ff8000000000001 // every NaN
+		default:
+			return v.x + 0xc2b2ae3d27d4eb4f
+		}
+	case tag(KindBool):
+		return v.x + 0x165667b19e3779f9
+	default: // strings, the empty one included
+		return maphash.String(hashSeed, v.str())
+	}
+}
+
+// mix64 is the splitmix64 finalizer: every input bit affects every
+// output bit, so HashKey's per-column fold stays order-sensitive.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
 
 // Project returns the sub-tuple at the given column indexes.
 func (t Tuple) Project(idx []int) Tuple {

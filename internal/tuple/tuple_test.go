@@ -415,3 +415,105 @@ func TestValueStringsSurviveGC(t *testing.T) {
 		}
 	}
 }
+
+// hashKeyValues are the values TestHashKeyAgreesWithSameKey pairs up:
+// the same set TestSameKeyMatchesAppendKey pins SameKey on, so every
+// class of key equality that is not bit equality (±0.0, Int and
+// integral Float, NaN payloads, strings sharing or not sharing a
+// backing array) is covered.
+func hashKeyValues() []Value {
+	const base = "33"
+	values := []Value{
+		Null, Int(0), Int(3), Int(-3), Int(1 << 62), Int(1<<53 + 1), Int(math.MinInt64), Int(math.MaxInt64),
+		Float(0), Float(math.Copysign(0, -1)), Float(3), Float(-3),
+		Float(3.5), Float(1 << 62), Float(1 << 53), Float(0x1p63), Float(-0x1p63),
+		Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.NaN()), Float(-math.NaN()),
+		String_(base[:1]), String_(base[1:]), String_(base), String_(""), String_(base[2:]),
+		String_(string([]byte{'3', '3'})), String_("3"),
+		Bool(true), Bool(false), Int(1),
+	}
+	for _, bits := range nanBits {
+		values = append(values, Float(math.Float64frombits(bits)))
+	}
+	return values
+}
+
+// TestHashKeyAgreesWithSameKey: SameKey ⇒ equal HashKey, on single
+// values and on multi-column tuples read through idx — the contract the
+// streaming sweeps' hashed group table relies on to find every
+// value-equivalent group. Distinct keys hash apart here too: a 64-bit
+// hash that collided on this handful of values would be degenerate.
+func TestHashKeyAgreesWithSameKey(t *testing.T) {
+	values := hashKeyValues()
+	for _, a := range values {
+		for _, b := range values {
+			ha, hb := Tuple{a}.HashKey(nil), Tuple{b}.HashKey(nil)
+			if same := SameKey(a, b); same != (ha == hb) {
+				t.Errorf("SameKey(%v %s, %v %s) = %v, but hashes %#x and %#x", a, a.Kind(), b, b.Kind(), same, ha, hb)
+			}
+			// Two columns, read in a different physical order: the hash
+			// covers the idx columns in idx order, and nothing else.
+			ta := Tuple{a, b, String_("pad")}
+			tb := Tuple{Int(99), b, a}
+			if ta.HashKey([]int{0, 1}) != tb.HashKey([]int{2, 1}) {
+				t.Errorf("HashKey over idx differs for (%v, %v)", a, b)
+			}
+			if ta.HashKey([]int{0, 1, 2}) != ta.HashKey(nil) {
+				t.Errorf("HashKey(all idx) != HashKey(nil) for (%v, %v)", a, b)
+			}
+		}
+	}
+	if (Tuple{Int(1), Int(2)}).HashKey(nil) == (Tuple{Int(2), Int(1)}).HashKey(nil) {
+		t.Error("HashKey ignores column order")
+	}
+}
+
+// FuzzHashKey: for two fuzzed values (and the Int/Float twins of their
+// numeric payloads), SameKey ⇒ equal HashKey, alone and as columns of
+// two tuples that differ elsewhere.
+func FuzzHashKey(f *testing.F) {
+	f.Add(uint8(1), uint64(3), "", uint8(5), uint64(3), "")
+	f.Add(uint8(2), math.Float64bits(math.Copysign(0, -1)), "", uint8(1), uint64(0), "")
+	f.Add(uint8(2), uint64(0x7ff8000000000001), "", uint8(2), uint64(0xfff00000deadbeef), "")
+	f.Add(uint8(3), uint64(0), "ab", uint8(3), uint64(0), "ab")
+	f.Add(uint8(2), math.Float64bits(-0x1p63), "", uint8(1), uint64(1)<<63, "")
+	f.Fuzz(func(t *testing.T, ka uint8, xa uint64, sa string, kb uint8, xb uint64, sb string) {
+		value := func(k uint8, x uint64, s string) Value {
+			switch k % 6 {
+			case 0:
+				return Null
+			case 1:
+				return Int(int64(x))
+			case 2:
+				return Float(math.Float64frombits(x))
+			case 3:
+				return String_(string([]byte(s))) // its own backing array
+			case 4:
+				return Bool(x&1 == 1)
+			default:
+				return Float(float64(int64(x))) // an integral float
+			}
+		}
+		a, b := value(ka, xa, sa), value(kb, xb, sb)
+		check := func(a, b Value) {
+			if SameKey(a, b) && (Tuple{a}).HashKey(nil) != (Tuple{b}).HashKey(nil) {
+				t.Fatalf("SameKey(%v %s, %v %s) but hashes differ", a, a.Kind(), b, b.Kind())
+			}
+			if SameKey(a, b) && (Tuple{a, Int(7), b}).HashKey([]int{0, 2}) != (Tuple{b, String_("x"), a}).HashKey([]int{2, 0}) {
+				t.Fatalf("SameKey(%v, %v) but idx hashes differ", a, b)
+			}
+		}
+		check(a, b)
+		for _, v := range []Value{a, b} {
+			switch v.Kind() {
+			case KindInt:
+				check(v, Float(float64(v.AsInt())))
+			case KindFloat:
+				if f := v.AsFloat(); f == math.Trunc(f) && f >= -two63 && f < two63 {
+					check(v, Int(int64(f)))
+				}
+				check(v, Float(-v.AsFloat()))
+			}
+		}
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -383,6 +384,66 @@ func TestRowsDiffOrderDeterministic(t *testing.T) {
 		for i := range got {
 			if got[i] != ref[i] {
 				t.Fatalf("run %d: row %d = %s, want %s — difference stream order is nondeterministic", run, i, got[i], ref[i])
+			}
+		}
+	}
+}
+
+// Repeated identical aggregation queries must stream rows in the
+// identical order, in both sweep forms: table s is inserted in begin
+// order, so its aggregation streams; table b is inserted backwards, so
+// its aggregation runs the blocking sweep. Every one of the 64 groups
+// is still open at end of input, where the streaming flush emits them
+// all at once — in first-seen order, not map order.
+func TestRowsAggOrderDeterministic(t *testing.T) {
+	db := snapk.New(0, 1000)
+	for _, name := range []string{"s", "b"} {
+		tbl, err := db.CreateTable(name, "g", "v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 256; i++ {
+			j := i
+			if name == "b" {
+				j = 255 - i
+			}
+			if err := tbl.Insert(j, 900+j%7, j%64, j); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for name, form := range map[string]string{"s": "sweep=streaming", "b": "sweep=blocking"} {
+		sql := `SEQ VT (SELECT g, count(*) AS c, sum(v) AS total FROM ` + name + ` GROUP BY g)`
+		if plan, err := db.Explain(sql); err != nil || !strings.Contains(plan, form) {
+			t.Fatalf("%s: want %s in the plan (err %v):\n%s", name, form, err, plan)
+		}
+		read := func() []string {
+			rows, err := db.QueryRows(context.Background(), sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rows.Close()
+			var out []string
+			for rows.Next() {
+				var g, c, total int64
+				if err := rows.Scan(&g, &c, &total); err != nil {
+					t.Fatal(err)
+				}
+				b, e := rows.Period()
+				out = append(out, fmt.Sprintf("%d:%d:%d@[%d,%d)", g, c, total, b, e))
+			}
+			if err := rows.Err(); err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		ref := read()
+		if len(ref) < 64 {
+			t.Fatalf("%s: %d rows for 64 groups", name, len(ref))
+		}
+		for run := 0; run < 20; run++ {
+			if got := read(); !slices.Equal(got, ref) {
+				t.Fatalf("%s (%s), run %d: row order differs from the first run", name, form, run)
 			}
 		}
 	}
