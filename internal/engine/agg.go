@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 
 	"snapk/internal/algebra"
@@ -22,12 +20,11 @@ import (
 // AG bug.
 //
 // With preAgg (the §9 optimization) the split is fused with the
-// aggregation into one endpoint sweep per group using incremental
-// accumulators, so the sort runs over group endpoints instead of
-// materialized split rows, and the result is already the unique
-// coalesced encoding. With preAgg false, the operator materializes
-// Split (Def 8.3) output and hash-aggregates it — the naive plan used as
-// the ablation baseline, one row per elementary segment.
+// aggregation: the sweep kernel's aggregate set (sweep.go) sorts group
+// endpoints instead of materialized split rows, and the result is
+// already the unique coalesced encoding. Without it the operator
+// hash-aggregates the materialized Split (Def 8.3) — the naive ablation
+// baseline, one row per elementary segment.
 func TemporalAggregate(in *Table, groupBy []string, aggs []algebra.AggSpec, preAgg bool, dom interval.Domain) (*Table, error) {
 	prep, err := prepareAggregate(in.DataSchema(), groupBy, aggs)
 	if err != nil {
@@ -35,7 +32,7 @@ func TemporalAggregate(in *Table, groupBy []string, aggs []algebra.AggSpec, preA
 	}
 	out := &Table{Schema: prep.schema}
 	if preAgg {
-		aggregateSweep(in, out, prep.groupIdx, aggs, prep.argIdx, dom)
+		out.Rows = newBlockSweep(aggKernel(prep, aggs, dom), prep.groupIdx).run(in.Rows)
 		return out, nil
 	}
 	aggregateNaive(in, out, prep.groupIdx, aggs, prep.argIdx, dom)
@@ -56,8 +53,7 @@ func AggregateShape(data tuple.Schema, groupBy []string, aggs []algebra.AggSpec)
 
 // aggPrep is the compiled form of an aggregation spec: resolved group
 // and argument column indices plus the output period schema. It is
-// shared by the blocking sweep, the naive split implementation and the
-// streaming aggregation iterator.
+// shared by both sweep drivers and the naive split implementation.
 type aggPrep struct {
 	groupIdx []int
 	argIdx   []int
@@ -89,142 +85,6 @@ func prepareAggregate(data tuple.Schema, groupBy []string, aggs []algebra.AggSpe
 	}
 	p.schema = PeriodSchema(tuple.NewSchema(outCols...))
 	return p, nil
-}
-
-// aggregateSweep is the pre-aggregated implementation: one endpoint sweep
-// per group with incremental accumulators. Adjacent segments with equal
-// aggregate values leave as one row (aggSegment), so the output is the
-// unique coalesced encoding.
-func aggregateSweep(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpec, argIdx []int, dom interval.Domain) {
-	// rowEvent is one endpoint of the input row in.Rows[row].
-	type rowEvent struct {
-		t     interval.Time
-		row   int
-		enter bool
-	}
-	type grp struct {
-		group  tuple.Tuple
-		events []rowEvent
-	}
-	global := len(groupIdx) == 0
-	groups := make(map[string]*grp)
-	// Groups are emitted in first-seen order, not map order, so repeated
-	// identical queries stream rows in the same order.
-	var order []*grp
-	// Reusable scratch key: the group tuple is only projected out (and
-	// the key string only materialized) once per distinct group, not per
-	// row.
-	var scratch []byte
-	for i, row := range in.Rows {
-		scratch = row.AppendKey(scratch[:0], groupIdx)
-		acc, ok := groups[string(scratch)]
-		if !ok {
-			acc = &grp{group: row.Project(groupIdx)}
-			groups[string(scratch)] = acc
-			order = append(order, acc)
-		}
-		iv := in.Interval(row)
-		acc.events = append(acc.events,
-			rowEvent{t: iv.Begin, row: i, enter: true},
-			rowEvent{t: iv.End, row: i, enter: false})
-	}
-	if global && len(groups) == 0 {
-		order = append(order, &grp{group: tuple.Tuple{}})
-	}
-	for _, g := range order {
-		// Among equal times, input row order is the order the events were
-		// appended in (a row's begin precedes its end), so same-instant
-		// updates — and with them float sums — apply in input order on
-		// every run.
-		slices.SortFunc(g.events, func(a, b rowEvent) int {
-			if c := cmp.Compare(a.t, b.t); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.row, b.row)
-		})
-		sweepers := make([]*aggSweeper, len(aggs))
-		for i, a := range aggs {
-			sweepers[i] = newAggSweeper(a.Fn)
-		}
-		var alive int64
-		var held tuple.Tuple // the group's last output row
-		emit := func(seg interval.Interval) {
-			if !seg.Valid() {
-				return
-			}
-			if alive == 0 && !global {
-				return
-			}
-			if row := aggSegment(held, g.group, sweepers, seg); row != nil {
-				out.Rows = append(out.Rows, row)
-				held = row
-			}
-		}
-		segStart := dom.Min
-		i := 0
-		if !global && len(g.events) > 0 {
-			segStart = g.events[0].t
-		}
-		for i < len(g.events) {
-			t := g.events[i].t
-			emit(interval.Interval{Begin: segStart, End: t})
-			for i < len(g.events) && g.events[i].t == t {
-				ev := g.events[i]
-				if ev.enter {
-					alive++
-				} else {
-					alive--
-				}
-				row := in.Rows[ev.row]
-				for j, sw := range sweepers {
-					var arg tuple.Value
-					if argIdx[j] >= 0 {
-						arg = row[argIdx[j]]
-					}
-					sw.update(arg, ev.enter)
-				}
-				i++
-			}
-			segStart = t
-		}
-		if global {
-			emit(interval.Interval{Begin: segStart, End: dom.Max})
-		}
-	}
-}
-
-// aggSegment is the fused coalesce of both pre-aggregated sweeps. held
-// is the group's previous output row, still invisible to any consumer,
-// or nil. When held ends where seg begins and carries the aggregate
-// values the sweepers report now — equal under tuple.SameKey, the rule
-// Coalesce groups rows by — held is extended to cover seg and nil is
-// returned; otherwise the new output row for seg is. A group's
-// segments are disjoint and carry multiplicity 1, so merging exactly
-// the adjacent equal ones yields the unique coalesced encoding (Def
-// 8.2).
-func aggSegment(held, group tuple.Tuple, sweepers []*aggSweeper, seg interval.Interval) tuple.Tuple {
-	if held != nil && rowInterval(held).End == seg.Begin && sameResults(held[len(group):], sweepers) {
-		held[len(held)-1] = tuple.Int(seg.End)
-		return nil
-	}
-	// One exact-capacity allocation per output row.
-	row := make(tuple.Tuple, 0, len(group)+len(sweepers)+2)
-	row = append(row, group...)
-	for _, sw := range sweepers {
-		row = append(row, sw.result())
-	}
-	return append(row, tuple.Int(seg.Begin), tuple.Int(seg.End))
-}
-
-// sameResults reports whether vals starts with the sweepers' current
-// results, value by value under tuple.SameKey.
-func sameResults(vals tuple.Tuple, sweepers []*aggSweeper) bool {
-	for i, sw := range sweepers {
-		if !tuple.SameKey(vals[i], sw.result()) {
-			return false
-		}
-	}
-	return true
 }
 
 // aggregateNaive materializes the split (Def 8.3) and hash-aggregates.
@@ -323,13 +183,13 @@ type aggSweeper struct {
 	counts []int64
 }
 
-func newAggSweeper(fn krel.AggFunc) *aggSweeper { return &aggSweeper{fn: fn} }
+// reset empties a for fn, keeping its min/max buffers.
+func (a *aggSweeper) reset(fn krel.AggFunc) {
+	*a = aggSweeper{fn: fn, vals: a.vals[:0], counts: a.counts[:0]}
+}
 
-func (a *aggSweeper) update(v tuple.Value, enter bool) {
-	sign := int64(1)
-	if !enter {
-		sign = -1
-	}
+// update applies one row's value v entering (sign +1) or leaving (−1).
+func (a *aggSweeper) update(v tuple.Value, sign int64) {
 	if a.fn == krel.CountStar {
 		a.count += sign
 		return
@@ -352,21 +212,15 @@ func (a *aggSweeper) update(v tuple.Value, enter bool) {
 			a.sumI += sign * v.AsInt()
 		}
 	case krel.Min, krel.Max:
-		i := sort.Search(len(a.vals), func(i int) bool { return tuple.Compare(a.vals[i], v) >= 0 })
-		if i < len(a.vals) && tuple.Compare(a.vals[i], v) == 0 {
-			a.counts[i] += sign
-			if a.counts[i] == 0 {
-				a.vals = append(a.vals[:i], a.vals[i+1:]...)
-				a.counts = append(a.counts[:i], a.counts[i+1:]...)
-			}
-			return
+		i, found := slices.BinarySearchFunc(a.vals, v, tuple.Compare)
+		if !found {
+			a.vals = slices.Insert(a.vals, i, v)
+			a.counts = slices.Insert(a.counts, i, 0)
 		}
-		a.vals = append(a.vals, tuple.Null)
-		copy(a.vals[i+1:], a.vals[i:])
-		a.vals[i] = v
-		a.counts = append(a.counts, 0)
-		copy(a.counts[i+1:], a.counts[i:])
-		a.counts[i] = 1
+		if a.counts[i] += sign; a.counts[i] == 0 {
+			a.vals = slices.Delete(a.vals, i, i+1)
+			a.counts = slices.Delete(a.counts, i, i+1)
+		}
 	}
 }
 

@@ -19,10 +19,9 @@ import "snapk/internal/tuple"
 //     row reallocates instead of writing into its neighbour, and a slab
 //     is never reused once carved.
 //   - Holding a row pins its whole slab. Sweep state that outlives a
-//     batch therefore copies what it keeps (a streaming group's
-//     representative) instead of holding a sub-slice of an input row;
-//     the open pending rows of the streaming aggregation are the one
-//     exception, held whole until their interval closes.
+//     batch therefore copies what it keeps (a group's key, the argument
+//     values of an open aggregation row) instead of holding a sub-slice
+//     of an input row.
 //   - The batch's ROW SLICE is only valid until the next NextBatch call
 //     on the same iterator: producers may adopt, replace or reuse it.
 //     Retaining b.Rows (or a sub-slice of it) in a field, map or channel

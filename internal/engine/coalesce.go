@@ -1,11 +1,6 @@
 package engine
 
-import (
-	"bytes"
-
-	"snapk/internal/interval"
-	"snapk/internal/tuple"
-)
+import "bytes"
 
 // Coalesce implements the coalesce operator C (Def 8.2): it replaces the
 // rows of every value-equivalent group with the unique N-coalesced
@@ -14,30 +9,14 @@ import (
 // ℕᵀ-relation the input encodes.
 //
 // Since max(0, k − 0) = k, C(R) = R ∸ ∅: the coalesce is the blocking
-// difference sweep (diffSweep) with no rows subtracted, which already
-// closes a segment only where the multiplicity changes.
+// difference sweep with no rows subtracted, which already closes a
+// segment only where the multiplicity changes.
 func Coalesce(in *Table) *Table {
-	out := diffSweep(in, nil)
+	out := &Table{Schema: in.Schema, Rows: newBlockSweep(countKernel(), dataColumns(in.DataArity())).run(in.Rows)}
 	// The output is the unique encoding by construction; record it so
 	// KnownCoalesced answers without a rescan.
 	out.markCoalesced()
 	return out
-}
-
-// appendSegment appends mult copies of the row (data, iv) to rows — the
-// one emission step of every sweep that writes ℕ multiplicities as
-// duplicate rows. The copies are carved from the sweep's arena, so
-// emitted rows share slabs but never alias (see rowArena).
-func appendSegment(rows []tuple.Tuple, a *rowArena, data tuple.Tuple, iv interval.Interval, mult int64) []tuple.Tuple {
-	w := len(data) + 2
-	for range mult {
-		row := a.row(w)
-		copy(row, data)
-		row[w-2] = tuple.Int(iv.Begin)
-		row[w-1] = tuple.Int(iv.End)
-		rows = append(rows, row)
-	}
-	return rows
 }
 
 // IsCoalesced reports whether the table already is its own coalesced

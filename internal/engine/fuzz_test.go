@@ -200,8 +200,9 @@ func FuzzStreamDiff(f *testing.F) {
 // multisets: the blocking sweep must preserve every snapshot
 // multiplicity and produce a coalesced (unique) encoding, and the
 // streaming sweep over begin-sorted input must produce the identical
-// row multiset. The streaming pre-aggregated split is cross-checked the
-// same way.
+// row multiset. The pre-aggregated split — count, sum, min, max and avg
+// over integers, grouped and global — is checked the same way against
+// the abstract model's per-time-point aggregate.
 func FuzzCoalesce(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 5})
@@ -240,23 +241,41 @@ func FuzzCoalesce(f *testing.F) {
 			t.Fatalf("batch-driven streaming coalesce diverges\ninput:\n%s\nwant:\n%s\ngot:\n%s", tbl, blocking, batched)
 		}
 
-		// The streaming pre-aggregated split must match the blocking one
-		// row for row on the same input.
-		aggs := []algebra.AggSpec{{Fn: krel.CountStar, As: "cnt"}}
-		wantAgg, err := engine.TemporalAggregate(tbl, []string{"v"}, aggs, true, fuzzDomain)
-		if err != nil {
-			t.Fatal(err)
+		// The pre-aggregated split in both forms, grouped and global (the
+		// latter with neutral rows over gaps), must realize the
+		// per-time-point aggregate of the abstract model, and the streaming
+		// form must match the blocking one row for row. The argument x is
+		// an integer derived from each row's interval.
+		in := &engine.Table{Schema: engine.PeriodSchema(tuple.NewSchema("v", "x"))}
+		for _, row := range sorted.Rows {
+			iv := sorted.Interval(row)
+			in.Rows = append(in.Rows, tuple.Tuple{row[0], tuple.Int((7*iv.Begin + iv.End) % 13), row[1], row[2]})
 		}
-		it, err := engine.NewStreamAggIter(engine.NewTableIter(sorted), []string{"v"}, aggs, fuzzDomain)
-		if err != nil {
-			t.Fatal(err)
+		aggs := []algebra.AggSpec{
+			{Fn: krel.CountStar, As: "n"}, {Fn: krel.Count, Arg: "x", As: "c"}, {Fn: krel.Sum, Arg: "x", As: "s"},
+			{Fn: krel.Min, Arg: "x", As: "lo"}, {Fn: krel.Max, Arg: "x", As: "hi"}, {Fn: krel.Avg, Arg: "x", As: "avg"},
 		}
-		gotAgg := engine.Materialize(engine.CheckNoAlias("streaming aggregation", it))
-		if !sameCounts(multisetKeys(wantAgg), multisetKeys(gotAgg)) {
-			t.Fatalf("streaming aggregation diverges from blocking sweep\ninput:\n%s\nblocking:\n%s\nstreaming:\n%s", tbl, wantAgg, gotAgg)
-		}
-		if !engine.IsCoalesced(wantAgg) {
-			t.Fatalf("pre-aggregated output is not coalesced\ninput:\n%s\noutput:\n%s", tbl, wantAgg)
+		for _, groupBy := range [][]string{{"v"}, nil} {
+			q := algebra.Agg{GroupBy: groupBy, Aggs: aggs, In: algebra.Rel{Name: "in"}}
+			wantAgg, err := engine.TemporalAggregate(in, groupBy, aggs, true, fuzzDomain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := engine.SnapshotOracle(fuzzDomain, q, wantAgg, map[string]*engine.Table{"in": in}); err != nil {
+				t.Fatalf("blocking aggregation by %v: %v\ninput:\n%s\noutput:\n%s", groupBy, err, in, wantAgg)
+			}
+			if !engine.IsCoalesced(wantAgg) {
+				t.Fatalf("pre-aggregated output is not coalesced\ninput:\n%s\noutput:\n%s", in, wantAgg)
+			}
+			it, err := engine.NewStreamAggIter(engine.NewTableIter(in), groupBy, aggs, fuzzDomain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotAgg := materializeCap(t, engine.CheckNoAlias("streaming aggregation", it), 3)
+			it.Close()
+			if !sameCounts(multisetKeys(wantAgg), multisetKeys(gotAgg)) {
+				t.Fatalf("streaming aggregation by %v diverges from blocking sweep\ninput:\n%s\nblocking:\n%s\nstreaming:\n%s", groupBy, in, wantAgg, gotAgg)
+			}
 		}
 	})
 }

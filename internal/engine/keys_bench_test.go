@@ -1,13 +1,13 @@
 package engine_test
 
 // ReportAllocs benchmarks pinning the allocation-lean group-key work.
-// The blocking grouping paths (coalesce, split/aggregate, difference),
-// the streaming aggregation and the hash-join build/probe look groups
+// The naive split aggregation and the hash-join build/probe look groups
 // up through a reusable scratch buffer and map[string(scratch)]
 // accesses, so a key string is materialized once per distinct group.
-// The streaming coalesce and difference hash keys with tuple.HashKey
-// into a table of paged group states, so they materialize none. Either
-// way allocations per ROW must stay flat as the row count grows,
+// Every sweep — the coalesce, the difference and the pre-aggregated
+// split, blocking or streaming — hashes keys with tuple.HashKey into
+// the sweep kernel's table of paged groups, so it materializes none.
+// Either way allocations per ROW must stay flat as the row count grows,
 // instead of the one-or-two strings per row the Tuple.Key() calls used
 // to cost. Most inputs here have 16 groups; ManyGroups prices the
 // group table itself.

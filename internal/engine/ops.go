@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"snapk/internal/algebra"
 	"snapk/internal/interval"
@@ -182,94 +180,14 @@ func Split(in *Table, groupIdx []int) *Table {
 }
 
 // TemporalDiff implements snapshot-reducible EXCEPT ALL: the REWR pattern
-// N_SCH(Q1)(R1,R2) − N_SCH(Q2)(R2,R1) (Fig 4), fused into one endpoint
-// sweep per value-equivalent row group with pre-aggregated counts (the §9
-// optimization applied to difference). The output multiplicity at every
-// time point is max(0, |left| − |right|) — the ℕ monus — and a segment
-// closes only where that multiplicity changes, so the output is already
-// the unique coalesced encoding (Def 8.2): a Coalesce above it is the
-// identity.
+// N_SCH(Q1)(R1,R2) − N_SCH(Q2)(R2,R1) (Fig 4), fused into the sweep
+// kernel's signed count (sweep.go). The output multiplicity at every
+// time point is the ℕ monus max(0, |left| − |right|), and a segment
+// closes only where it changes, so the output is already the unique
+// coalesced encoding (Def 8.2): a Coalesce above it is the identity.
 func TemporalDiff(l, r *Table) (*Table, error) {
 	if l.Schema.Arity() != r.Schema.Arity() {
 		return nil, fmt.Errorf("engine: difference-incompatible arities %d and %d", l.Schema.Arity(), r.Schema.Arity())
 	}
-	return diffSweep(l, r.Rows), nil
-}
-
-// diffSweep is the blocking ℕ-monus sweep behind TemporalDiff and
-// Coalesce: the rows of l count +1 and the subtrahend rows sub count −1
-// per value-equivalent group. With no subtrahend it is the coalesce.
-func diffSweep(l *Table, sub []tuple.Tuple) *Table {
-	n := l.DataArity()
-	type event struct {
-		t     interval.Time
-		delta int64 // +1 left begin / right end, −1 left end / right begin
-	}
-	type grp struct {
-		data   tuple.Tuple
-		events []event
-	}
-	groups := make(map[string]*grp)
-	// Groups are emitted in first-seen order, not map order: repeated
-	// identical difference queries must stream rows in the same order
-	// run to run (the cursor API exposes emission order directly; only
-	// the materialized Result hides it behind a sort).
-	var order []*grp
-	var scratch []byte
-	add := func(rows []tuple.Tuple, sign int64) {
-		for _, row := range rows {
-			data := row[:n]
-			scratch = data.AppendKey(scratch[:0], nil)
-			g, ok := groups[string(scratch)]
-			if !ok {
-				g = &grp{data: data}
-				groups[string(scratch)] = g
-				order = append(order, g)
-			}
-			iv := rowInterval(row)
-			g.events = append(g.events, event{iv.Begin, sign}, event{iv.End, -sign})
-		}
-	}
-	add(l.Rows, 1)
-	add(sub, -1)
-	// sweep calls emit for every maximal segment of constant nonzero
-	// monus multiplicity of g. Same-instant events fold into one change,
-	// so an interval ending exactly where another begins never splits.
-	sweep := func(g *grp, emit func(iv interval.Interval, mult int64)) {
-		var cur, emitting int64
-		var segStart interval.Time
-		for i := 0; i < len(g.events); {
-			t := g.events[i].t
-			for ; i < len(g.events) && g.events[i].t == t; i++ {
-				cur += g.events[i].delta
-			}
-			next := max(cur, 0) // ℕ monus truncates
-			if next == emitting {
-				continue
-			}
-			if emitting > 0 {
-				emit(interval.New(segStart, t), emitting)
-			}
-			emitting, segStart = next, t
-		}
-	}
-	// Count first, then emit into an exactly sized row slice: the output
-	// of a large difference would otherwise be copied on every doubling.
-	// The rows themselves are carved in capped slabs, not in one
-	// result-sized array: an array is freed only with its last row, so
-	// capped slabs let a consumed result be freed piece by piece.
-	total := 0
-	for _, g := range order {
-		slices.SortFunc(g.events, func(a, b event) int { return cmp.Compare(a.t, b.t) })
-		sweep(g, func(_ interval.Interval, mult int64) { total += int(mult) })
-	}
-	out := &Table{Schema: l.Schema, Rows: make([]tuple.Tuple, 0, total)}
-	var arena rowArena
-	arena.expect(total)
-	for _, g := range order {
-		sweep(g, func(iv interval.Interval, mult int64) {
-			out.Rows = appendSegment(out.Rows, &arena, g.data, iv, mult)
-		})
-	}
-	return out
+	return &Table{Schema: l.Schema, Rows: newBlockSweep(countKernel(), dataColumns(l.DataArity())).run(l.Rows, r.Rows)}, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"snapk/internal/algebra"
 	"snapk/internal/interval"
+	"snapk/internal/krel"
 	"snapk/internal/tuple"
 )
 
@@ -176,14 +177,14 @@ func TestStreamGroupDataIsOwned(t *testing.T) {
 	in := churnTable(rand.New(rand.NewSource(5)), 8, 400, 20)
 	it := NewStreamCoalesceIter(NewTableIter(in))
 	defer it.Close()
-	sd := it.(*streamDiffIter)
+	sd := it.(*countSweep)
 	b := NewRowBatch(1)
 	checked := 0
 	for it.NextBatch(b) {
 		for _, g := range liveGroups(sd) {
 			for _, row := range in.Rows {
-				if backingOverlaps(g.data, row) {
-					t.Fatalf("group %v shares its data with input row %v", g.data, row)
+				if backingOverlaps(g.key, row) {
+					t.Fatalf("group %v shares its data with input row %v", g.key, row)
 				}
 			}
 			checked++
@@ -191,6 +192,49 @@ func TestStreamGroupDataIsOwned(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no live group was ever checked")
+	}
+}
+
+// TestStreamAggStateIsOwned: the streaming aggregation keeps copies of
+// what it holds while rows are open — each group's key, and in the
+// argument slab the argument values of every row whose end is queued —
+// never a sub-slice of an input row, so no sweep state pins an input
+// slab.
+func TestStreamAggStateIsOwned(t *testing.T) {
+	keys := churnTable(rand.New(rand.NewSource(7)), 8, 200, 20)
+	in := NewTable(tuple.NewSchema("k", "x"))
+	for i, row := range keys.Rows {
+		in.Append(tuple.Tuple{row[0], tuple.Int(int64(i % 7))}, rowInterval(row), 1)
+	}
+	aggs := []algebra.AggSpec{{Fn: krel.Sum, Arg: "x", As: "s"}, {Fn: krel.Min, Arg: "x", As: "lo"}}
+	raw, err := NewStreamAggIter(NewTableIter(in), []string{"k"}, aggs, interval.NewDomain(0, 1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	it := raw.(*aggStream)
+	b := NewRowBatch(1)
+	checked := 0
+	for it.NextBatch(b) {
+		for _, g := range liveGroups(it) {
+			for _, row := range in.Rows {
+				if backingOverlaps(g.key, row) {
+					t.Fatalf("group %v shares its key with input row %v", g.key, row)
+				}
+			}
+		}
+		for _, e := range it.events {
+			args := it.slot(e.slot)
+			for _, row := range in.Rows {
+				if backingOverlaps(args, row) {
+					t.Fatalf("queued arguments %v share input row %v", args, row)
+				}
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no queued argument was ever checked")
 	}
 }
 
@@ -204,7 +248,7 @@ func TestStreamDiffChurnMatchesBlocking(t *testing.T) {
 		r := churnTable(rng, 1+rng.Intn(6), 200, 20)
 
 		co := NewStreamCoalesceIter(NewTableIter(l))
-		sd := co.(*streamDiffIter)
+		sd := co.(*countSweep)
 		rows := drainRows(t, co, 8)
 		// Every group state ever handed out is live or on the free list.
 		if live := len(liveGroups(sd)); live+len(sd.free) != int(sd.slots) {

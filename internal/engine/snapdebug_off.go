@@ -23,6 +23,6 @@ func CheckNoAlias(op string, in RowIter) RowIter { return in }
 func CheckErrChecked(op string, in RowIter) RowIter { return in }
 
 // checkRecycle is a no-op without the snapdebug build tag; with it, it
-// panics when a streaming difference group is recycled with an end
-// event queued, a nonzero count or delta, or a link in its hash chain.
-func checkRecycle(*streamDiffIter, int32) {}
+// panics when a streaming sweep's group is recycled with an end event
+// queued, accumulator state left over, or a link in its hash chain.
+func checkRecycle[S any, A accumulator[S]](*sweepIter[S, A], int32) {}

@@ -187,27 +187,27 @@ func (it *checkNoAliasIter) verify() {
 	}
 }
 
-// checkRecycle asserts that group i of a streaming difference is fit
-// for its iterator's free list: no end event of it is queued (one would
-// be applied to whichever new group reuses the index), its count and
-// uncommitted delta are zero (all of its changes were emitted), and it
-// is unlinked from its hash chain (a lookup could otherwise still find
-// it).
-func checkRecycle(it *streamDiffIter, i int32) {
-	g := it.group(i)
-	for _, e := range it.events.items {
-		if e.v.group == i {
-			panic(fmt.Sprintf("engine: snapdebug: streaming difference recycled group %d (%v) with an end event queued at %d", i, g.data, e.t))
+// checkRecycle asserts that group i of a streaming sweep is fit for
+// its iterator's free list: no end event of it is queued (one would be
+// applied to whichever new group reuses the index), its accumulator
+// holds nothing (a count or delta, a live argument slot, an unemitted
+// segment), and it is unlinked from its hash chain (a lookup could
+// otherwise still find it).
+func checkRecycle[S any, A accumulator[S]](it *sweepIter[S, A], i int32) {
+	g := it.at(i)
+	for _, e := range it.events {
+		if e.group() == i {
+			panic(fmt.Sprintf("engine: snapdebug: streaming %s recycled group %d (%v) with an end event queued at %d", it.name, i, g.key, e.t))
 		}
 	}
-	if g.count != 0 || g.curDelta != 0 {
-		panic(fmt.Sprintf("engine: snapdebug: streaming difference recycled group %d (%v) with count %d and uncommitted delta %d", i, g.data, g.count, g.curDelta))
+	if s := it.acc.unsettled(&g.p.st); s != "" {
+		panic(fmt.Sprintf("engine: snapdebug: streaming %s recycled group %d (%v) with %s", it.name, i, g.key, s))
 	}
-	head, ok := it.table[g.hash]
+	head, ok := it.chains[g.hash]
 	for ok && head >= 0 {
 		if head == i {
-			panic(fmt.Sprintf("engine: snapdebug: streaming difference recycled group %d (%v) still linked in its hash chain", i, g.data))
+			panic(fmt.Sprintf("engine: snapdebug: streaming %s recycled group %d (%v) still linked in its hash chain", it.name, i, g.key))
 		}
-		head = it.group(head).next
+		head = it.at(head).next
 	}
 }

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"snapk/internal/algebra"
+	"snapk/internal/interval"
+	"snapk/internal/krel"
 	"snapk/internal/tuple"
 )
 
@@ -149,42 +152,72 @@ func TestCheckErrCheckedPanics(t *testing.T) {
 	it.Close()
 }
 
-// TestCheckRecyclePanics: a streaming difference group may reach the
-// free list only with no end event queued, a zero count and delta, and
-// no link left in its hash chain. Otherwise the next new group to reuse
-// the index would inherit a stale event, a stale count, or lookups of
-// the old key.
+// TestCheckRecyclePanics: a streaming sweep's group may reach the free
+// list only with no end event queued, an empty accumulator and no link
+// left in its hash chain. Otherwise the next new group to reuse the
+// index would inherit a stale event, a stale count or argument slot,
+// an unemitted segment, or lookups of the old key.
 func TestCheckRecyclePanics(t *testing.T) {
-	it := NewStreamCoalesceIter(NewTableIter(NewTable(tuple.NewSchema("a")))).(*streamDiffIter)
+	it := NewStreamCoalesceIter(NewTableIter(NewTable(tuple.NewSchema("a")))).(*countSweep)
 	defer it.Close()
 	it.hashMask = 0 // one chain: a and b collide
-	a, ga := it.newGroup(0, tuple.Tuple{tuple.Int(1)}, 0)
-	b, gb := it.newGroup(0, tuple.Tuple{tuple.Int(2)}, 0)
+	a, ga, _ := it.find(tuple.Tuple{tuple.Int(1)})
+	b, gb, _ := it.find(tuple.Tuple{tuple.Int(2)})
 
-	it.events.push(5, endEvent{group: b, delta: -1})
+	it.events.push(endEvent{t: 5, ref: b << 1})
 	mustPanic(t, []string{"recycled group", "end event queued"}, func() { checkRecycle(it, b) })
 	it.events.pop()
 
-	gb.curDelta = 1
+	gb.p.st.delta = 1
 	mustPanic(t, []string{"recycled group", "uncommitted delta 1"}, func() { checkRecycle(it, b) })
-	gb.curDelta, gb.count = 0, 1
+	gb.p.st.delta, gb.p.st.count = 0, 1
 	mustPanic(t, []string{"recycled group", "count 1"}, func() { checkRecycle(it, b) })
-	gb.count = 0
+	gb.p.st.count = 0
 
 	// b is the head of the chain, a sits behind it: both are linked.
 	mustPanic(t, []string{"recycled group", "hash chain"}, func() { checkRecycle(it, b) })
 	mustPanic(t, []string{"recycled group", "hash chain"}, func() { checkRecycle(it, a) })
 
-	// Evicting a unlinks it from behind the chain head; b stays found.
-	it.evict(a)
-	if i, g := it.lookup(0, tuple.Tuple{tuple.Int(2)}); i != b || g != gb {
+	evict := func(i int32) {
+		g := it.at(i)
+		it.finish(&g.p, g.key)
+		it.remove(i)
+		checkRecycle(it, i)
+	}
+	// Evicting a unlinks it from behind the chain head; b stays found,
+	// and key 1 is not: it comes back as a new group on a's index.
+	evict(a)
+	if i, g, fresh := it.find(tuple.Tuple{tuple.Int(2)}); fresh || i != b || g != gb {
 		t.Fatalf("lookup after unlinking the chain's tail = %d, want %d", i, b)
 	}
-	if _, g := it.lookup(0, tuple.Tuple{tuple.Int(1)}); g != nil {
+	if i, _, fresh := it.find(tuple.Tuple{tuple.Int(1)}); !fresh || i != a {
 		t.Fatal("an evicted group is still found")
 	}
-	it.evict(b)
-	if len(it.free) != 2 || len(it.table) != 0 || ga.next != -1 {
-		t.Fatalf("after two evictions: free list %d, table %d chains", len(it.free), len(it.table))
+	evict(a)
+	evict(b)
+	if len(it.free) != 2 || len(it.chains) != 0 || ga.next != -1 {
+		t.Fatalf("after two evictions: free list %d, table %d chains", len(it.free), len(it.chains))
+	}
+
+	// An aggregation group additionally holds argument slots while rows
+	// are alive, and its open segment until it is emitted.
+	aggs := []algebra.AggSpec{{Fn: krel.Sum, Arg: "x", As: "s"}}
+	raw, err := NewStreamAggIter(NewTableIter(NewTable(tuple.NewSchema("g", "x"))), []string{"g"}, aggs, interval.NewDomain(0, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	ag := raw.(*aggStream)
+	i, g, _ := ag.find(tuple.Tuple{tuple.Int(1), tuple.Int(7)})
+	ag.start(&g.p, 0)
+	ag.step(&g.p, g.key, 0, 1, tuple.Tuple{tuple.Int(7)})
+	ag.remove(i)
+	mustPanic(t, []string{"streaming aggregation", "recycled group", "1 live argument slots"}, func() { checkRecycle(ag, i) })
+	ag.step(&g.p, g.key, 3, -1, tuple.Tuple{tuple.Int(7)})
+	mustPanic(t, []string{"recycled group", "unemitted segment"}, func() { checkRecycle(ag, i) })
+	ag.settle(&g.p, g.key)
+	checkRecycle(ag, i)
+	if len(ag.out.rows) != 1 || rowInterval(ag.out.rows[0]) != interval.New(0, 3) {
+		t.Fatalf("settled segment %v, want one row over [0, 3)", ag.out.rows)
 	}
 }

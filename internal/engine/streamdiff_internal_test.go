@@ -4,16 +4,25 @@ import (
 	"math/rand"
 	"testing"
 
+	"snapk/internal/algebra"
 	"snapk/internal/interval"
+	"snapk/internal/krel"
 	"snapk/internal/tuple"
 )
 
-// liveGroups returns the groups linked in sd's table: the live ones.
-func liveGroups(sd *streamDiffIter) []*diffGroup {
-	var live []*diffGroup
-	for _, i := range sd.table {
-		for ; i >= 0; i = sd.group(i).next {
-			live = append(live, sd.group(i))
+// countSweep is the streaming difference and coalesce, aggStream the
+// streaming aggregation.
+type (
+	countSweep = sweepIter[countState, countAcc]
+	aggStream  = sweepIter[aggState, aggAcc]
+)
+
+// liveGroups returns the groups linked in the table of it: the live ones.
+func liveGroups[S any, A accumulator[S]](it *sweepIter[S, A]) []*group[changes[S]] {
+	var live []*group[changes[S]]
+	for _, i := range it.chains {
+		for ; i >= 0; i = it.at(i).next {
+			live = append(live, it.at(i))
 		}
 	}
 	return live
@@ -42,7 +51,7 @@ func TestStreamDiffPeakState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer iter.Close()
-	sd := iter.(*streamDiffIter)
+	sd := iter.(*countSweep)
 	var peakGroups, peakEvents, peakOpen, peakQueue, rows int
 	// Capacity-1 batches sample the sweep state after every output row.
 	b := NewRowBatch(1)
@@ -53,11 +62,11 @@ func TestStreamDiffPeakState(t *testing.T) {
 			t.Fatalf("%d groups linked in the table, live count says %d", len(live), sd.live)
 		}
 		peakGroups = max(peakGroups, len(live))
-		peakEvents = max(peakEvents, sd.events.len())
+		peakEvents = max(peakEvents, len(sd.events))
 		for _, g := range live {
 			peakOpen = max(peakOpen, int(g.open))
 		}
-		peakQueue = max(peakQueue, len(sd.queue))
+		peakQueue = max(peakQueue, len(sd.out.rows))
 	}
 	if rows == 0 {
 		t.Fatal("difference is empty")
@@ -77,22 +86,23 @@ func TestStreamDiffPeakState(t *testing.T) {
 
 // chainKeys returns the first data column of every group in the chain
 // of hash h, head first.
-func chainKeys(sd *streamDiffIter, h uint64) []int64 {
+func chainKeys(sd *countSweep, h uint64) []int64 {
 	var keys []int64
-	i, ok := sd.table[h]
-	for ; ok && i >= 0; i = sd.group(i).next {
-		keys = append(keys, sd.group(i).data[0].AsInt())
+	i, ok := sd.chains[h]
+	for ; ok && i >= 0; i = sd.at(i).next {
+		keys = append(keys, sd.at(i).key[0].AsInt())
 	}
 	return keys
 }
 
-// TestStreamDiffForcedCollisions gives every key one hash, so the group
-// table is a single chain that SameKey alone tells apart. Over churned
-// keys — evicted from anywhere in the chain and reappearing — the
-// streaming coalesce and difference must still equal the blocking
-// Coalesce and TemporalDiff, also when the subtrahend spells its keys
-// as integral Floats. A fixed input first pins an unlink from the
-// middle of the chain.
+// TestStreamDiffForcedCollisions gives every key one hash, so each
+// sweep's group table is a single chain that SameKey alone tells apart:
+// the streaming and blocking coalesce and difference, and the grouped
+// aggregation in both drivers. Over churned keys — evicted from
+// anywhere in the chain and reappearing, NULL among them, and spelled
+// as Ints or integral Floats at random — every result must match the
+// per-time-point oracle and the unmasked sweep. A fixed input first pins
+// an unlink from the middle of the chain.
 func TestStreamDiffForcedCollisions(t *testing.T) {
 	mid := NewTable(tuple.NewSchema("k"))
 	mid.Append(tuple.Tuple{tuple.Int(1)}, interval.New(0, 10), 1)
@@ -100,7 +110,7 @@ func TestStreamDiffForcedCollisions(t *testing.T) {
 	mid.Append(tuple.Tuple{tuple.Int(3)}, interval.New(2, 10), 1)
 	mid.Append(tuple.Tuple{tuple.Int(1)}, interval.New(6, 12), 1)
 	co := NewStreamCoalesceIter(NewTableIter(mid))
-	sd := co.(*streamDiffIter)
+	sd := co.(*countSweep)
 	sd.hashMask = 0
 	b := NewRowBatch(1)
 	if !co.NextBatch(b) || rowInterval(b.Rows[0]) != interval.New(1, 5) {
@@ -112,29 +122,85 @@ func TestStreamDiffForcedCollisions(t *testing.T) {
 	rows := append([]tuple.Tuple{b.Rows[0].Clone()}, drainRows(t, co, 1)...)
 	assertSameRows(t, &Table{Schema: mid.Schema, Rows: rows}, Coalesce(mid))
 
+	aggs := []algebra.AggSpec{
+		{Fn: krel.CountStar, As: "n"}, {Fn: krel.Count, Arg: "x", As: "c"}, {Fn: krel.Sum, Arg: "x", As: "s"},
+		{Fn: krel.Min, Arg: "x", As: "lo"}, {Fn: krel.Max, Arg: "x", As: "hi"}, {Fn: krel.Avg, Arg: "x", As: "avg"},
+	}
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		l := churnTable(rng, 2+rng.Intn(8), 300, 20)
 		r := churnTable(rng, 2+rng.Intn(8), 200, 20)
-		if seed%2 == 1 {
-			for _, row := range r.Rows {
-				row[0] = tuple.Float(float64(row[0].AsInt()))
+		// The grouped aggregation's input: l's keys with an integer
+		// argument, sometimes NULL.
+		a := &Table{Schema: PeriodSchema(tuple.NewSchema("k", "x"))}
+		for _, row := range l.Rows {
+			x := tuple.Int(rng.Int63n(10))
+			if rng.Intn(8) == 0 {
+				x = tuple.Null
 			}
+			a.Rows = append(a.Rows, tuple.Tuple{row[0], x, row[1], row[2]})
+		}
+		var dom interval.Domain
+		for _, tbl := range []*Table{l, r, a} {
+			for _, row := range tbl.Rows {
+				// Key 0 is NULL; about half of the others are spelled as
+				// integral Floats, which SameKey and HashKey equate.
+				if k := row[0]; k.IsNull() || k.AsInt() == 0 {
+					row[0] = tuple.Null
+				} else if rng.Intn(2) == 0 {
+					row[0] = tuple.Float(float64(k.AsInt()))
+				}
+				dom.Max = max(dom.Max, rowInterval(row).End)
+			}
+		}
+		tables := map[string]*Table{"l": l, "r": r, "a": a}
+		check := func(what string, q algebra.Query, got, want *Table) {
+			t.Helper()
+			if err := snapshotOracle(dom, q, got, tables); err != nil {
+				t.Fatalf("seed %d: %s: %v", seed, what, err)
+			}
+			assertSameRows(t, got, want)
+		}
+		coalesce, diff := algebra.Rel{Name: "l"}, algebra.Diff{L: algebra.Rel{Name: "l"}, R: algebra.Rel{Name: "r"}}
+		grouped := algebra.Agg{GroupBy: []string{"k"}, Aggs: aggs, In: algebra.Rel{Name: "a"}}
+		wantDiff, err := TemporalDiff(l, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantAgg, err := TemporalAggregate(a, grouped.GroupBy, aggs, true, dom)
+		if err != nil {
+			t.Fatal(err)
 		}
 
 		co := NewStreamCoalesceIter(NewTableIter(l))
-		co.(*streamDiffIter).hashMask = 0
-		assertSameRows(t, &Table{Schema: l.Schema, Rows: drainRows(t, co, 8)}, Coalesce(l))
+		co.(*countSweep).hashMask = 0
+		check("streaming coalesce", coalesce, &Table{Schema: l.Schema, Rows: drainRows(t, co, 8)}, Coalesce(l))
+		bc := newBlockSweep(countKernel(), dataColumns(1))
+		bc.hashMask = 0
+		check("blocking coalesce", coalesce, &Table{Schema: l.Schema, Rows: bc.run(l.Rows)}, Coalesce(l))
 
 		di, err := NewStreamDiffIter(NewTableIter(l), NewTableIter(r))
 		if err != nil {
 			t.Fatal(err)
 		}
-		di.(*streamDiffIter).hashMask = 0
-		want, err := TemporalDiff(l, r)
+		di.(*countSweep).hashMask = 0
+		check("streaming difference", diff, &Table{Schema: l.Schema, Rows: drainRows(t, di, 8)}, wantDiff)
+		bd := newBlockSweep(countKernel(), dataColumns(1))
+		bd.hashMask = 0
+		check("blocking difference", diff, &Table{Schema: l.Schema, Rows: bd.run(l.Rows, r.Rows)}, wantDiff)
+
+		ag, err := NewStreamAggIter(NewTableIter(a), grouped.GroupBy, aggs, dom)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameRows(t, &Table{Schema: l.Schema, Rows: drainRows(t, di, 8)}, want)
+		ag.(*aggStream).hashMask = 0
+		check("streaming aggregation", grouped, &Table{Schema: wantAgg.Schema, Rows: drainRows(t, ag, 8)}, wantAgg)
+		prep, err := prepareAggregate(a.DataSchema(), grouped.GroupBy, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ba := newBlockSweep(aggKernel(prep, aggs, dom), prep.groupIdx)
+		ba.hashMask = 0
+		check("blocking aggregation", grouped, &Table{Schema: wantAgg.Schema, Rows: ba.run(a.Rows)}, wantAgg)
 	}
 }

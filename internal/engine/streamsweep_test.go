@@ -125,7 +125,7 @@ func TestStreamCoalesceEvictsClosedGroups(t *testing.T) {
 	for i := int64(0); i < n; i++ {
 		in.Append(tuple.Tuple{tuple.Int(i)}, interval.New(i, i+1), 1)
 	}
-	it := NewStreamCoalesceIter(NewTableIter(in)).(*streamDiffIter)
+	it := NewStreamCoalesceIter(NewTableIter(in)).(*countSweep)
 	defer it.Close()
 	rows, maxLive := 0, 0
 	b := NewRowBatch(1) // sample the live groups after every output row
@@ -183,15 +183,13 @@ func TestStreamAggEvictsClosedGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := raw.(*streamAggIter)
+	it := raw.(*aggStream)
 	defer it.Close()
 	rows, maxLive := 0, 0
 	b := NewRowBatch(1) // sample the live groups after every output row
 	for it.NextBatch(b) {
 		rows += b.Len()
-		if len(it.groups) > maxLive {
-			maxLive = len(it.groups)
-		}
+		maxLive = max(maxLive, it.live)
 	}
 	if rows != n {
 		t.Fatalf("grouped count over disjoint singletons: %d rows, want %d", rows, n)

@@ -1,0 +1,748 @@
+package engine
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+
+	"snapk/internal/algebra"
+	"snapk/internal/interval"
+	"snapk/internal/tuple"
+)
+
+// This file is the one sweep kernel behind the temporal difference
+// (REWR's ℕ-monus, Fig 4), the coalesce (Def 8.2: C(R) = R ∸ ∅) and the
+// pre-aggregated split of §9: a per-group sweep over endpoint events — a
+// row's begin applies +1 and its end −1, negated for the difference's
+// right input — that closes a segment only where the group's value
+// changes, so every output is the unique coalesced encoding. It has one
+// group table (groupTable), one changepoint fold (changes) over one of
+// two accumulators — the signed count (countAcc) of the difference and
+// the coalesce, the aggregate set (aggAcc) of the split — and two
+// drivers feeding the fold its events in time order: the streaming
+// sweepIter over begin-ordered input and the blocking blockSweep.
+// BeginOrder picks the driver.
+
+// groupPageBits sizes the pages groups are kept in: 64 groups, so a
+// sweep over a few groups allocates little.
+const (
+	groupPageBits = 6
+	groupPageSize = 1 << groupPageBits
+)
+
+// group is one entry of a group table; p is its driver's state.
+type group[P any] struct {
+	key  tuple.Tuple
+	hash uint64
+	seq  int   // first-seen order, for a deterministic end-of-input commit
+	next int32 // next group of the same hash chain, or -1
+	open int32 // the group's end events still queued (streaming driver)
+	p    P
+}
+
+// groupPage is one page of groups with the backing array of their key
+// copies: neither moves once allocated, so a *group stays valid while
+// the table grows.
+type groupPage[P any] struct {
+	groups [groupPageSize]group[P]
+	keys   tuple.Tuple
+}
+
+// groupTable is the group table of every sweep: groups are found by
+// tuple.HashKey over their key columns and told apart within a hash
+// chain by SameKey. They sit in fixed-size pages, addressed by int32 and
+// recycled through a free list of indexes, and each owns a copy of its
+// key, so no group pins an input slab.
+type groupTable[P any] struct {
+	idx      []int            // the key columns of an input row
+	chains   map[uint64]int32 // group hash → first group of its chain
+	pages    []*groupPage[P]
+	slots    int32   // groups handed out so far, live or free
+	free     []int32 // evicted groups, reused with their key buffers
+	live     int
+	nextSeq  int
+	hashMask uint64 // all ones; tests clear bits to force collisions
+}
+
+func newGroupTable[P any](idx []int) groupTable[P] {
+	return groupTable[P]{idx: idx, chains: make(map[uint64]int32), hashMask: ^uint64(0)}
+}
+
+// at returns the group at index i.
+func (t *groupTable[P]) at(i int32) *group[P] {
+	return &t.pages[i>>groupPageBits].groups[i&(groupPageSize-1)]
+}
+
+// find returns the group whose key is, column by column, SameKey to
+// row's key columns, linking in a new one when there is none — on a free
+// index if there is one, with its own copy of the key; fresh reports a
+// new group, whose p still holds what a recycled group left there.
+// Without key columns — global aggregation — every row falls in the one
+// group of hash 0: HashKey(nil), like AppendKey(nil), means all columns.
+func (t *groupTable[P]) find(row tuple.Tuple) (i int32, g *group[P], fresh bool) {
+	var h uint64
+	if len(t.idx) > 0 {
+		h = row.HashKey(t.idx) & t.hashMask
+	}
+	head, ok := t.chains[h]
+	if !ok {
+		head = -1
+	}
+chain:
+	for i = head; i >= 0; i = g.next {
+		g = t.at(i)
+		for j, c := range t.idx {
+			if !tuple.SameKey(g.key[j], row[c]) {
+				continue chain
+			}
+		}
+		return i, g, false
+	}
+	i = t.slots
+	if n := len(t.free); n > 0 {
+		i, t.free = t.free[n-1], t.free[:n-1]
+	} else if t.slots++; int(i>>groupPageBits) == len(t.pages) {
+		w := len(t.idx)
+		p := &groupPage[P]{keys: make(tuple.Tuple, groupPageSize*w)}
+		for k := range p.groups {
+			p.groups[k].key = p.keys[k*w : k*w : (k+1)*w]
+		}
+		t.pages = append(t.pages, p)
+	}
+	g = t.at(i)
+	g.key = g.key[:0]
+	for _, c := range t.idx {
+		g.key = append(g.key, row[c])
+	}
+	g.hash, g.next, g.seq = h, head, t.nextSeq
+	t.chains[h] = i
+	t.nextSeq++
+	t.live++
+	return i, g, true
+}
+
+// remove unlinks group i from its hash chain and frees its index.
+func (t *groupTable[P]) remove(i int32) {
+	g := t.at(i)
+	if head := t.chains[g.hash]; head != i {
+		p := t.at(head)
+		for p.next != i {
+			p = t.at(p.next)
+		}
+		p.next = g.next
+	} else if g.next >= 0 {
+		t.chains[g.hash] = g.next
+	} else {
+		delete(t.chains, g.hash)
+	}
+	g.next = -1
+	t.live--
+	t.free = append(t.free, i)
+}
+
+// accumulator is the value a sweep keeps per group, in the state S:
+// reset readies a new (or recycled) group, fold applies one event of
+// delta ±1 with its row's argument values, settle ends the instant the
+// folds applied at — when the value changes there it emits the open
+// segment seg under the old value and reports true — emit emits seg
+// under the current value, and unsettled describes what s holds that a
+// recycled group would leak, or returns "".
+type accumulator[S any] interface {
+	reset(s *S)
+	fold(s *S, delta int32, args tuple.Tuple)
+	settle(s *S, key tuple.Tuple, seg interval.Interval, out *sweepOut) bool
+	emit(s *S, key tuple.Tuple, seg interval.Interval, out *sweepOut)
+	unsettled(s *S) string
+}
+
+// sweepOut collects a sweep's output rows, carved from its arena, so
+// they share slabs but never alias (see rowArena). While counting is
+// set it only counts them, in n.
+type sweepOut struct {
+	rows     []tuple.Tuple
+	arena    rowArena
+	counting bool
+	n        int
+}
+
+// segment emits mult copies of the row (key, vals, seg) — ℕ
+// multiplicities are written as duplicate rows — if seg is not empty.
+func (o *sweepOut) segment(key, vals tuple.Tuple, seg interval.Interval, mult int64) {
+	if seg.Begin >= seg.End {
+		return
+	}
+	if o.counting {
+		o.n += int(mult)
+		return
+	}
+	w := len(key) + len(vals) + 2
+	for range mult {
+		row := o.arena.row(w)
+		copy(row[copy(row, key):], vals)
+		row[w-2], row[w-1] = tuple.Int(seg.Begin), tuple.Int(seg.End)
+		o.rows = append(o.rows, row)
+	}
+}
+
+// countAcc is the signed count: a group's value is the monus
+// max(0, left − right) of its multiplicity, emitted as that many copies
+// of the segment. Without a right input it is the coalesce.
+type countAcc struct{}
+
+type countState struct {
+	count int64 // the committed left − right multiplicity
+	delta int64 // the change folded at the current instant
+}
+
+func (countAcc) reset(s *countState) { *s = countState{} }
+
+func (countAcc) fold(s *countState, delta int32, _ tuple.Tuple) { s.delta += int64(delta) }
+
+// settle commits the instant's delta. Only a change of the monus closes
+// the segment: an instant with zero net delta, or a change among
+// negative counts, leaves it open.
+func (a countAcc) settle(s *countState, key tuple.Tuple, seg interval.Interval, out *sweepOut) bool {
+	next := s.count + s.delta
+	changed := max(next, 0) != max(s.count, 0)
+	if changed {
+		a.emit(s, key, seg, out)
+	}
+	s.count, s.delta = next, 0
+	return changed
+}
+
+func (countAcc) emit(s *countState, key tuple.Tuple, seg interval.Interval, out *sweepOut) {
+	out.segment(key, nil, seg, max(s.count, 0))
+}
+
+func (countAcc) unsettled(s *countState) string {
+	if s.count != 0 || s.delta != 0 {
+		return fmt.Sprintf("count %d and uncommitted delta %d", s.count, s.delta)
+	}
+	return ""
+}
+
+// aggAcc is the aggregate set: a group's value is the tuple of its
+// aggregate results, compared under SameKey — the rule Coalesce groups
+// rows by — and emitted as one row. A grouped segment with no row alive
+// has no value and emits nothing; a global one holds the neutral results
+// (count 0, NULL aggregates), so gaps produce rows — the AG-bug fix.
+type aggAcc struct {
+	aggs   []algebra.AggSpec
+	global bool
+}
+
+type aggState struct {
+	sw    []aggSweeper
+	alive int64       // rows open in the group, each with an argument slot
+	held  bool        // the open segment has a value
+	vals  tuple.Tuple // the open segment's results, while held
+}
+
+// take makes the current results the open segment's value, if held.
+func (s *aggState) take(held bool) {
+	s.held, s.vals = held, s.vals[:0]
+	for j := 0; held && j < len(s.sw); j++ {
+		s.vals = append(s.vals, s.sw[j].result())
+	}
+}
+
+func (a aggAcc) reset(s *aggState) {
+	if s.sw == nil {
+		s.sw = make([]aggSweeper, len(a.aggs))
+	}
+	for j := range s.sw {
+		s.sw[j].reset(a.aggs[j].Fn)
+	}
+	s.alive = 0
+	s.take(a.global)
+}
+
+func (aggAcc) fold(s *aggState, delta int32, args tuple.Tuple) {
+	for j := range s.sw {
+		s.sw[j].update(args[j], int64(delta))
+	}
+	s.alive += int64(delta)
+}
+
+func (a aggAcc) settle(s *aggState, key tuple.Tuple, seg interval.Interval, out *sweepOut) bool {
+	held := s.alive > 0 || a.global
+	same := held == s.held
+	for j := 0; held && same && j < len(s.sw); j++ {
+		same = tuple.SameKey(s.vals[j], s.sw[j].result())
+	}
+	if !same {
+		a.emit(s, key, seg, out)
+		s.take(held)
+	}
+	return !same
+}
+
+func (aggAcc) emit(s *aggState, key tuple.Tuple, seg interval.Interval, out *sweepOut) {
+	if s.held {
+		out.segment(key, s.vals, seg, 1)
+	}
+}
+
+func (a aggAcc) unsettled(s *aggState) string {
+	switch {
+	case s.alive != 0:
+		return fmt.Sprintf("%d live argument slots", s.alive)
+	case s.held && !a.global:
+		return fmt.Sprintf("an unemitted segment %v", s.vals)
+	}
+	return ""
+}
+
+// kernel is what both drivers share. A global kernel — aggregation
+// without grouping — has one group that never evicts, opens at dom.Min
+// and closes at dom.Max (the Fig 4 union with {(null, Tmin, Tmax)}). An
+// exact one has the blocking driver fold twice, first only counting the
+// output rows to size their slice: worth it for the cheap signed count,
+// not for the aggregate set.
+type kernel[S any, A accumulator[S]] struct {
+	acc           A
+	argIdx        []int // argument columns of an input row, −1 for count(*)
+	global, exact bool
+	dom           interval.Domain
+	out           sweepOut
+}
+
+func countKernel() kernel[countState, countAcc] { return kernel[countState, countAcc]{exact: true} }
+
+func aggKernel(p *aggPrep, aggs []algebra.AggSpec, dom interval.Domain) kernel[aggState, aggAcc] {
+	global := len(p.groupIdx) == 0
+	return kernel[aggState, aggAcc]{acc: aggAcc{aggs, global}, argIdx: p.argIdx, global: global, dom: dom}
+}
+
+// dataColumns returns the indexes of n data columns: the key of a
+// difference or coalesce group.
+func dataColumns(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+// changes is one group's changepoint fold: the open segment's start,
+// the instant folded but not yet settled, and the accumulator state.
+type changes[S any] struct {
+	segStart, curT interval.Time
+	st             S
+}
+
+// start opens a group's fold at t.
+func (k *kernel[S, A]) start(c *changes[S], t interval.Time) {
+	c.segStart, c.curT = t, t
+	k.acc.reset(&c.st)
+}
+
+// step folds one event at t, settling the previous instant first when t
+// lies past it.
+func (k *kernel[S, A]) step(c *changes[S], key tuple.Tuple, t interval.Time, delta int32, args tuple.Tuple) {
+	if t > c.curT {
+		k.settle(c, key)
+		c.curT = t
+	}
+	k.acc.fold(&c.st, delta, args)
+}
+
+// settle settles the folded instant; a change starts the next segment
+// there (never before the domain start the global group opened at).
+func (k *kernel[S, A]) settle(c *changes[S], key tuple.Tuple) {
+	if k.acc.settle(&c.st, key, interval.Interval{Begin: c.segStart, End: c.curT}, &k.out) {
+		c.segStart = max(c.segStart, c.curT)
+	}
+}
+
+// finish settles a group's last instant; the global group then emits
+// its final segment, up to the domain end.
+func (k *kernel[S, A]) finish(c *changes[S], key tuple.Tuple) {
+	k.settle(c, key)
+	if k.global {
+		k.acc.emit(&c.st, key, interval.Interval{Begin: c.segStart, End: k.dom.Max}, &k.out)
+	}
+}
+
+// gather copies row's argument values into dst.
+func (k *kernel[S, A]) gather(dst, row tuple.Tuple) {
+	for j, c := range k.argIdx {
+		dst[j] = tuple.Null
+		if c >= 0 {
+			dst[j] = row[c]
+		}
+	}
+}
+
+// endEvent is one queued interval end at t: its group, its delta (−1
+// for a left row, +1 for a right one) in ref's low bit, so an event
+// stays 16 bytes, and its row's argument slot.
+type endEvent struct {
+	t         interval.Time
+	ref, slot int32
+}
+
+func (e endEvent) group() int32 { return e.ref >> 1 }
+func (e endEvent) delta() int32 { return 2*(e.ref&1) - 1 }
+
+// endQueue is the streaming driver's one end-event queue: a binary
+// min-heap on t, which every sift compares inline.
+type endQueue []endEvent
+
+func (q *endQueue) push(e endEvent) {
+	*q = append(*q, e)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p].t <= h[i].t {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+func (q *endQueue) pop() endEvent {
+	h := *q
+	top, n := h[0], len(h)-1
+	h[0] = h[n]
+	h = h[:n]
+	*q = h
+	for i := 0; ; {
+		s, l, r := i, 2*i+1, 2*i+2
+		if l < n && h[l].t < h[s].t {
+			s = l
+		}
+		if r < n && h[r].t < h[s].t {
+			s = r
+		}
+		if s == i {
+			return top
+		}
+		h[i], h[s] = h[s], h[i]
+		i = s
+	}
+}
+
+// sweepIter is the streaming driver, with O(open intervals + active
+// groups) state. It merges one or two inputs ordered by ascending
+// interval begin: begins apply as rows arrive, ends wait in the queue.
+// Once the merged sweep reaches b, no later row can contribute an event
+// before b, so retire(b) makes everything before b final. The input
+// order is the executor's responsibility (BeginOrder); violations
+// panic, so an order-rule bug is loud instead of silently wrong.
+type sweepIter[S any, A accumulator[S]] struct {
+	kernel[S, A]
+	groupTable[changes[S]]
+	schema     tuple.Schema
+	name       string // the operator, for the order-violation panic
+	l, r       RowIter
+	lcur, rcur batchCursor
+	events     endQueue // the queued interval ends of every group
+	closed     []int32  // groups retire left with no queued end
+	// args holds the argument values of the rows whose ends are queued,
+	// a slot each, so no input row is held; freed slots are reused.
+	args     tuple.Tuple
+	freeArgs []int32
+	qi       int // the next output row to hand out
+	// one-row lookahead per input, filled on the first pull
+	lRow, rRow                tuple.Tuple
+	lOk, rOk, primed, drained bool
+	// peak sweep state, reported through MaxState.
+	maxGroups, maxOpen int
+}
+
+// MaxState reports the peak sweep state — live groups plus the most
+// intervals of one group open at one instant — for EXPLAIN ANALYZE and
+// the memory governor (StateSizer).
+func (it *sweepIter[S, A]) MaxState() int64 {
+	return int64(it.maxGroups + it.maxOpen)
+}
+
+// NewStreamDiffIter returns the streaming temporal difference l − r,
+// taking ownership of both inputs. Both must be ordered by ascending
+// interval begin (violations panic) and union-compatible; on an arity
+// mismatch both children are closed and an error is returned, matching
+// the other constructors' contract.
+func NewStreamDiffIter(l, r RowIter) (RowIter, error) {
+	if la, ra := l.Schema().Arity(), r.Schema().Arity(); la != ra {
+		l.Close()
+		r.Close()
+		return nil, fmt.Errorf("engine: difference-incompatible arities %d and %d", la, ra)
+	}
+	return newSweepIter(countKernel(), dataColumns(l.Schema().Arity()-2), l.Schema(), "difference", l, r), nil
+}
+
+// NewStreamCoalesceIter returns the streaming coalesce over in, taking
+// ownership of it: the streaming difference with no right input. The
+// input must be ordered by ascending interval begin; violations panic.
+func NewStreamCoalesceIter(in RowIter) RowIter {
+	return newSweepIter(countKernel(), dataColumns(in.Schema().Arity()-2), in.Schema(), "coalesce", in, nil)
+}
+
+// NewStreamAggIter returns the streaming pre-aggregated split over in,
+// taking ownership of it. The input must be ordered by ascending
+// interval begin; violations panic. On a prep error the child is
+// closed, matching the other constructors' contract.
+func NewStreamAggIter(in RowIter, groupBy []string, aggs []algebra.AggSpec, dom interval.Domain) (RowIter, error) {
+	prep, err := prepareAggregate(tuple.Schema{Cols: in.Schema().Cols[:in.Schema().Arity()-2]}, groupBy, aggs)
+	if err != nil {
+		in.Close()
+		return nil, err
+	}
+	return newSweepIter(aggKernel(prep, aggs, dom), prep.groupIdx, prep.schema, "aggregation", in, nil), nil
+}
+
+func newSweepIter[S any, A accumulator[S]](k kernel[S, A], keyIdx []int, schema tuple.Schema, name string, l, r RowIter) *sweepIter[S, A] {
+	if r == nil {
+		l = CheckOrdered("streaming "+name+" input", l)
+	} else {
+		l = CheckOrdered("streaming "+name+" left input", l)
+		r = CheckOrdered("streaming "+name+" right input", r)
+	}
+	it := &sweepIter[S, A]{kernel: k, groupTable: newGroupTable[changes[S]](keyIdx), schema: schema, name: name,
+		l: l, r: r, lcur: batchCursor{in: l}, rcur: batchCursor{in: r}}
+	if it.global {
+		_, g, _ := it.find(nil)
+		it.start(&g.p, it.dom.Min)
+	}
+	return it
+}
+
+func (it *sweepIter[S, A]) Schema() tuple.Schema { return it.schema }
+
+// slot returns the argument values in slot s.
+func (it *sweepIter[S, A]) slot(s int32) tuple.Tuple {
+	w := int(s) * len(it.argIdx)
+	return it.args[w : w+len(it.argIdx)]
+}
+
+// putArgs copies row's argument values into a free slot.
+func (it *sweepIter[S, A]) putArgs(row tuple.Tuple) int32 {
+	if len(it.argIdx) == 0 {
+		return 0
+	}
+	s := int32(len(it.args) / len(it.argIdx))
+	if n := len(it.freeArgs); n > 0 {
+		s, it.freeArgs = it.freeArgs[n-1], it.freeArgs[:n-1]
+	} else {
+		it.args = slices.Grow(it.args, len(it.argIdx))[:len(it.args)+len(it.argIdx)]
+	}
+	it.gather(it.slot(s), row)
+	return s
+}
+
+// retire pops the queued ends before b in time order — all of them when
+// last is set, at end of input — folding each into its group's change
+// at that instant. The groups left with no queued end are evicted only
+// after the pop loop, which only folds: each then settles its last
+// change once and leaves the table. Ends at exactly b stay queued: a
+// begin at b from either input may still arrive, and its group must
+// still be in the table for the begin to fold into the same change. At end of input the remaining groups commit in first-seen
+// order, so repeated runs stream identical row order.
+func (it *sweepIter[S, A]) retire(b interval.Time, last bool) {
+	for len(it.events) > 0 && (last || it.events[0].t < b) {
+		e := it.events.pop()
+		g := it.at(e.group())
+		it.stepOpen(g, e.t, e.delta(), it.slot(e.slot))
+		if len(it.argIdx) > 0 {
+			it.freeArgs = append(it.freeArgs, e.slot)
+		}
+		if g.open--; g.open == 0 && !it.global {
+			it.closed = append(it.closed, e.group())
+		}
+	}
+	if last {
+		slices.SortFunc(it.closed, func(a, b int32) int { return cmp.Compare(it.at(a).seq, it.at(b).seq) })
+	}
+	for _, i := range it.closed {
+		g := it.at(i)
+		it.finish(&g.p, g.key)
+		it.remove(i)
+		checkRecycle(it, i)
+	}
+	it.closed = it.closed[:0]
+}
+
+// pull reads the next row of one input, checking that it begins no
+// earlier than prev.
+func (it *sweepIter[S, A]) pull(c *batchCursor, prev tuple.Tuple, capacity int) (tuple.Tuple, bool) {
+	row, ok := c.next(capacity)
+	if ok && prev != nil && rowInterval(row).Begin < rowInterval(prev).Begin {
+		panic(fmt.Sprintf("engine: streaming %s input not begin-sorted (begin %d after %d); planner must stream only over ordered input", it.name, rowInterval(row).Begin, rowInterval(prev).Begin))
+	}
+	return row, ok
+}
+
+// fill runs the merged sweep until the output holds a row not yet
+// handed out or both inputs are drained, reporting whether rows are
+// available; the cursors read capacity rows at a time.
+func (it *sweepIter[S, A]) fill(capacity int) bool {
+	for it.qi >= len(it.out.rows) {
+		it.out.rows, it.qi = it.out.rows[:0], 0
+		if it.drained {
+			return false
+		}
+		if !it.primed {
+			it.lRow, it.lOk = it.pull(&it.lcur, nil, capacity)
+			if it.r != nil {
+				it.rRow, it.rOk = it.pull(&it.rcur, nil, capacity)
+			}
+			it.primed = true
+		}
+		// Merge step: take the earlier begin (ties go left — immaterial
+		// for the result, since same-instant deltas fold into one event).
+		var row tuple.Tuple
+		var sign int32
+		switch {
+		case it.lOk && (!it.rOk || rowInterval(it.lRow).Begin <= rowInterval(it.rRow).Begin):
+			row, sign = it.lRow, 1
+			it.lRow, it.lOk = it.pull(&it.lcur, row, capacity)
+		case it.rOk:
+			row, sign = it.rRow, -1
+			it.rRow, it.rOk = it.pull(&it.rcur, row, capacity)
+		default:
+			it.retire(0, true)
+			if it.global {
+				it.finish(&it.at(0).p, nil)
+			}
+			it.drained = true
+			continue
+		}
+		iv := rowInterval(row)
+		it.retire(iv.Begin, false)
+		// The group representative is the first row seen in merge order;
+		// a value-equivalent row from the other side may have a different
+		// numeric kind (Int vs integral Float), which SameKey treats as
+		// the same value.
+		i, g, fresh := it.find(row)
+		if fresh {
+			it.start(&g.p, iv.Begin)
+		}
+		slot := it.putArgs(row)
+		it.stepOpen(g, iv.Begin, sign, it.slot(slot))
+		g.open++
+		it.events.push(endEvent{t: iv.End, ref: i<<1 | (1-sign)/2, slot: slot})
+		it.maxGroups = max(it.maxGroups, it.live)
+	}
+	return true
+}
+
+// stepOpen folds one event of group g at t. An event past g's current
+// instant settles it, and g's queued ends are then those of the
+// intervals covering that instant: the open state whose peak MaxState
+// reports.
+func (it *sweepIter[S, A]) stepOpen(g *group[changes[S]], t interval.Time, delta int32, args tuple.Tuple) {
+	if t > g.p.curT {
+		it.maxOpen = max(it.maxOpen, int(g.open))
+	}
+	it.step(&g.p, g.key, t, delta, args)
+}
+
+// NextBatch copies up to out.Cap() output rows into out: the output
+// slice stays private, so its reuse cannot alias a delivered batch.
+func (it *sweepIter[S, A]) NextBatch(out *RowBatch) bool {
+	out.Reset()
+	limit := out.Cap()
+	for out.Len() < limit && it.fill(limit) {
+		n := min(len(it.out.rows)-it.qi, limit-out.Len())
+		out.Rows = append(out.Rows, it.out.rows[it.qi:it.qi+n]...)
+		it.qi += n
+	}
+	return out.Len() > 0
+}
+
+func (it *sweepIter[S, A]) Close() {
+	it.l.Close()
+	if it.r != nil {
+		it.r.Close()
+	}
+}
+
+// Err reports the first terminal error of either input. A failed input
+// looks like end of input to the sweep (it flushes and emits what it
+// has); the reported error is what tells the root consumer to discard
+// that output.
+func (it *sweepIter[S, A]) Err() error {
+	if it.r == nil {
+		return it.l.Err()
+	}
+	return FirstErr(it.l.Err(), it.r.Err())
+}
+
+// blockEvent is one endpoint of an input row of the blocking driver;
+// row numbers the rows of all inputs in order.
+type blockEvent struct {
+	t          interval.Time
+	row, delta int32
+}
+
+// blockSweep is the blocking driver: it appends each group's events
+// from unordered tables and folds the groups in first-seen order, each
+// over its events sorted by (time, input row), so same-instant updates —
+// and float sums with them — apply in input order on every run.
+type blockSweep[S any, A accumulator[S]] struct {
+	kernel[S, A]
+	groupTable[[]blockEvent]
+}
+
+func newBlockSweep[S any, A accumulator[S]](k kernel[S, A], keyIdx []int) *blockSweep[S, A] {
+	return &blockSweep[S, A]{kernel: k, groupTable: newGroupTable[[]blockEvent](keyIdx)}
+}
+
+// run sweeps the inputs, the first counting +1 and the second −1, and
+// returns the output rows.
+func (s *blockSweep[S, A]) run(inputs ...[]tuple.Tuple) []tuple.Tuple {
+	if s.global {
+		s.find(nil)
+	}
+	base, sign := 0, int32(1)
+	for _, rows := range inputs {
+		for r, row := range rows {
+			_, g, _ := s.find(row)
+			iv, id := rowInterval(row), int32(base+r)
+			g.p = append(g.p, blockEvent{iv.Begin, id, sign}, blockEvent{iv.End, id, -sign})
+		}
+		base, sign = base+len(rows), -sign
+	}
+	for i := range s.slots {
+		slices.SortFunc(s.at(i).p, func(a, b blockEvent) int {
+			if a.t != b.t {
+				return cmp.Compare(a.t, b.t)
+			}
+			return cmp.Compare(a.row, b.row)
+		})
+	}
+	if s.exact {
+		s.out.counting = true
+		s.foldAll(inputs[0])
+		s.out.counting = false
+		s.out.rows = make([]tuple.Tuple, 0, s.out.n)
+		s.out.arena.expect(s.out.n)
+	}
+	s.foldAll(inputs[0])
+	return s.out.rows
+}
+
+// foldAll runs every group's fold in first-seen order. Argument values
+// come from rows, the first input: the only one an aggregation has.
+func (s *blockSweep[S, A]) foldAll(rows []tuple.Tuple) {
+	args := make(tuple.Tuple, len(s.argIdx))
+	var c changes[S]
+	for i := range s.slots {
+		g := s.at(i)
+		t := s.dom.Min
+		if !s.global {
+			t = g.p[0].t
+		}
+		s.start(&c, t)
+		for _, e := range g.p {
+			if len(args) > 0 {
+				s.gather(args, rows[e.row])
+			}
+			s.step(&c, g.key, e.t, e.delta, args)
+		}
+		s.finish(&c, g.key)
+	}
+}
