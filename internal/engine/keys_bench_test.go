@@ -140,6 +140,29 @@ func BenchmarkStreamCoalesceManyGroups(b *testing.B) {
 	b.ReportMetric(float64(in.Len()), "rows/op")
 }
 
+// BenchmarkStreamAggGlobal is a global count(*) over about 60 k
+// intervals open at once — Fig 5's agg-global in shape: one group, so
+// the end-event queue, not the group table, is what it prices.
+func BenchmarkStreamAggGlobal(b *testing.B) {
+	in := manyGroupTable(60000, 400)
+	aggs := []algebra.AggSpec{{Fn: krel.CountStar, As: "c"}}
+	dom := interval.NewDomain(0, 400)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it, err := engine.NewStreamAggIter(engine.NewTableIter(in), nil, aggs, dom)
+		if err != nil {
+			b.Fatal(err)
+		}
+		engine.Materialize(it)
+		if s := it.(engine.StateSizer).MaxState(); s < 50000 {
+			b.Fatalf("peak sweep state %d, want ≥ 50,000 open intervals", s)
+		}
+		it.Close()
+	}
+	b.ReportMetric(float64(in.Len()), "rows/op")
+}
+
 func BenchmarkStreamAggKeys(b *testing.B) {
 	in := benchTable(benchRows, 16)
 	aggs := []algebra.AggSpec{{Fn: krel.Sum, Arg: "v", As: "total"}}

@@ -223,7 +223,7 @@ func TestStreamAggStateIsOwned(t *testing.T) {
 				}
 			}
 		}
-		for _, e := range it.events {
+		it.events.each(func(e endEvent) {
 			args := it.slot(e.slot)
 			for _, row := range in.Rows {
 				if backingOverlaps(args, row) {
@@ -231,7 +231,7 @@ func TestStreamAggStateIsOwned(t *testing.T) {
 				}
 			}
 			checked++
-		}
+		})
 	}
 	if checked == 0 {
 		t.Fatal("no queued argument was ever checked")

@@ -26,3 +26,8 @@ func CheckErrChecked(op string, in RowIter) RowIter { return in }
 // panics when a streaming sweep's group is recycled with an end event
 // queued, accumulator state left over, or a link in its hash chain.
 func checkRecycle[S any, A accumulator[S]](*sweepIter[S, A], int32) {}
+
+// checkMonotone is a no-op without the snapdebug build tag; with it, it
+// panics naming op when an end-event queue is pushed an end before its
+// last popped one.
+func checkMonotone(string, uint64, uint64) {}

@@ -195,11 +195,11 @@ func (it *checkNoAliasIter) verify() {
 // otherwise still find it).
 func checkRecycle[S any, A accumulator[S]](it *sweepIter[S, A], i int32) {
 	g := it.at(i)
-	for _, e := range it.events {
+	it.events.each(func(e endEvent) {
 		if e.group() == i {
 			panic(fmt.Sprintf("engine: snapdebug: streaming %s recycled group %d (%v) with an end event queued at %d", it.name, i, g.key, e.t))
 		}
-	}
+	})
 	if s := it.acc.unsettled(&g.p.st); s != "" {
 		panic(fmt.Sprintf("engine: snapdebug: streaming %s recycled group %d (%v) with %s", it.name, i, g.key, s))
 	}
@@ -209,5 +209,15 @@ func checkRecycle[S any, A accumulator[S]](it *sweepIter[S, A], i int32) {
 			panic(fmt.Sprintf("engine: snapdebug: streaming %s recycled group %d (%v) still linked in its hash chain", it.name, i, g.key))
 		}
 		head = it.at(head).next
+	}
+}
+
+// checkMonotone asserts the monotone invariant of a streaming sweep's
+// end-event queue: an end of key k is pushed no earlier than the last
+// popped end. Otherwise the radix queue would pop it out of time order.
+func checkMonotone(op string, k, last uint64) {
+	if k < last {
+		panic(fmt.Sprintf("engine: snapdebug: streaming %s queued an end at %d before the last popped end at %d",
+			op, int64(k^1<<63), int64(last^1<<63)))
 	}
 }

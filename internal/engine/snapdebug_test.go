@@ -164,9 +164,11 @@ func TestCheckRecyclePanics(t *testing.T) {
 	a, ga, _ := it.find(tuple.Tuple{tuple.Int(1)})
 	b, gb, _ := it.find(tuple.Tuple{tuple.Int(2)})
 
-	it.events.push(endEvent{t: 5, ref: b << 1})
+	it.events.push(endEvent{t: 5, ref: b << 1}, it.name)
 	mustPanic(t, []string{"recycled group", "end event queued"}, func() { checkRecycle(it, b) })
-	it.events.pop()
+	if _, ok := it.events.popBefore(6, false); !ok || it.events.Len() != 0 {
+		t.Fatal("the queued end was not popped")
+	}
 
 	gb.p.st.delta = 1
 	mustPanic(t, []string{"recycled group", "uncommitted delta 1"}, func() { checkRecycle(it, b) })
@@ -220,4 +222,20 @@ func TestCheckRecyclePanics(t *testing.T) {
 	if len(ag.out.rows) != 1 || rowInterval(ag.out.rows[0]) != interval.New(0, 3) {
 		t.Fatalf("settled segment %v, want one row over [0, 3)", ag.out.rows)
 	}
+}
+
+// TestEndQueueMonotonePanics: the streaming sweep's end-event queue is a
+// monotone radix heap, so an end pushed before the last popped one
+// would pop out of time order. Under snapdebug the push panics naming
+// the operator; an end at exactly the last popped time is legal.
+func TestEndQueueMonotonePanics(t *testing.T) {
+	var q endQueue
+	q.push(endEvent{t: 5}, "difference")
+	if e, ok := q.popBefore(6, false); !ok || e.t != 5 {
+		t.Fatalf("popBefore(6) = %v, %v, want the end at 5", e, ok)
+	}
+	q.push(endEvent{t: 5}, "difference")
+	mustPanic(t, []string{"streaming difference", "before the last popped end at 5"}, func() {
+		q.push(endEvent{t: 4}, "difference")
+	})
 }

@@ -62,7 +62,7 @@ func TestStreamDiffPeakState(t *testing.T) {
 			t.Fatalf("%d groups linked in the table, live count says %d", len(live), sd.live)
 		}
 		peakGroups = max(peakGroups, len(live))
-		peakEvents = max(peakEvents, len(sd.events))
+		peakEvents = max(peakEvents, sd.events.Len())
 		for _, g := range live {
 			peakOpen = max(peakOpen, int(g.open))
 		}

@@ -3,6 +3,7 @@ package engine
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"snapk/internal/algebra"
@@ -386,42 +387,144 @@ type endEvent struct {
 func (e endEvent) group() int32 { return e.ref >> 1 }
 func (e endEvent) delta() int32 { return 2*(e.ref&1) - 1 }
 
-// endQueue is the streaming driver's one end-event queue: a binary
-// min-heap on t, which every sift compares inline.
-type endQueue []endEvent
+// queueKey maps t to an unsigned key of the same order, so that
+// math.MinInt64 and math.MaxInt64 order correctly.
+func queueKey(t interval.Time) uint64 { return uint64(t) ^ 1<<63 }
 
-func (q *endQueue) push(e endEvent) {
-	*q = append(*q, e)
-	h := *q
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if h[p].t <= h[i].t {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
+// chunkEvents sizes the chunks a queue bucket is chained from: 2 KiB.
+const chunkEvents = 128
+
+// eventChunk is one link of a bucket's chain, or of the free list. It
+// holds no pointer, so the collector never scans the queued events.
+type eventChunk struct {
+	ev   [chunkEvents]endEvent
+	n    int32 // events held
+	next int32 // the next chunk's reference, or 0
 }
 
-func (q *endQueue) pop() endEvent {
-	h := *q
-	top, n := h[0], len(h)-1
-	h[0] = h[n]
-	h = h[:n]
-	*q = h
-	for i := 0; ; {
-		s, l, r := i, 2*i+1, 2*i+2
-		if l < n && h[l].t < h[s].t {
-			s = l
+// endQueue is the streaming driver's one end-event queue: a monotone
+// radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, JACM 1990). It is
+// monotone because the sweep is: every end pushed lies past its row's
+// begin b, and retire(b) pops only ends before b, so no push precedes
+// the last popped time. An event waits in bucket bits.Len64(key ^ last)
+// of its key and the last popped key; a pop that finds bucket 0 (the
+// keys equal to last) empty moves last to the least key of the least
+// non-empty bucket and redistributes only that bucket, each event to a
+// lower one. A bucket is a chain of chunks, newest first, referenced as
+// index+1 into chunks so the zero queue is empty; emptied chunks go to
+// the free list and are reused, so the queue holds about its peak
+// number of events.
+type endQueue struct {
+	last   uint64     // the key of the last popped end
+	head   [65]int32  // each bucket's newest chunk, or 0 when empty
+	min    [65]uint64 // each non-empty bucket's least key (buckets 1–64)
+	used   uint64     // bit i−1 set: bucket i, of 1–64, is non-empty
+	chunks []*eventChunk
+	free   int32 // the free list's first chunk, or 0
+	n      int
+}
+
+// Len returns the number of queued events.
+func (q *endQueue) Len() int { return q.n }
+
+// push queues e; op names the operator for the snapdebug check that e
+// lies no earlier than the last popped end.
+func (q *endQueue) push(e endEvent, op string) {
+	k := queueKey(e.t)
+	checkMonotone(op, k, q.last)
+	q.put(e, k)
+	q.n++
+}
+
+// put appends e, of key k, to its bucket, opening a chunk when the
+// bucket's newest one is full.
+func (q *endQueue) put(e endEvent, k uint64) {
+	i := bits.Len64(k ^ q.last)
+	if i > 0 {
+		if bit := uint64(1) << (i - 1); q.used&bit == 0 {
+			q.used |= bit
+			q.min[i] = k
+		} else {
+			q.min[i] = min(q.min[i], k)
 		}
-		if r < n && h[r].t < h[s].t {
-			s = r
+	}
+	ref := q.head[i]
+	if ref == 0 || q.chunks[ref-1].n == chunkEvents {
+		ref = q.chunk(ref)
+		q.head[i] = ref
+	}
+	c := q.chunks[ref-1]
+	c.ev[c.n] = e
+	c.n++
+}
+
+// chunk takes an empty chunk from the free list, or allocates one, and
+// links it before next.
+func (q *endQueue) chunk(next int32) int32 {
+	ref := q.free
+	if ref == 0 {
+		q.chunks = append(q.chunks, new(eventChunk))
+		ref = int32(len(q.chunks))
+	} else {
+		q.free = q.chunks[ref-1].next
+	}
+	q.chunks[ref-1].next = next
+	return ref
+}
+
+// release puts chunk ref, emptied, on the free list.
+func (q *endQueue) release(ref int32) {
+	c := q.chunks[ref-1]
+	c.n, c.next, q.free = 0, q.free, ref
+}
+
+// popBefore pops the least queued end if it lies before b, or if all is
+// set; ends at b or later stay queued. last moves only on a pop.
+func (q *endQueue) popBefore(b interval.Time, all bool) (endEvent, bool) {
+	if q.head[0] == 0 {
+		if q.used == 0 {
+			return endEvent{}, false
 		}
-		if s == i {
-			return top
+		i := bits.TrailingZeros64(q.used) + 1
+		if !all && q.min[i] >= queueKey(b) {
+			return endEvent{}, false
 		}
-		h[i], h[s] = h[s], h[i]
-		i = s
+		q.last = q.min[i]
+		ref := q.head[i]
+		q.head[i], q.used = 0, q.used&^(1<<(i-1))
+		for ref != 0 {
+			c := q.chunks[ref-1]
+			for _, e := range c.ev[:c.n] {
+				q.put(e, queueKey(e.t))
+			}
+			next := c.next
+			q.release(ref)
+			ref = next
+		}
+	} else if !all && q.last >= queueKey(b) {
+		return endEvent{}, false
+	}
+	ref := q.head[0]
+	c := q.chunks[ref-1]
+	c.n--
+	e := c.ev[c.n]
+	if c.n == 0 {
+		q.head[0] = c.next
+		q.release(ref)
+	}
+	q.n--
+	return e, true
+}
+
+// each calls fn on every queued event, in no particular order.
+func (q *endQueue) each(fn func(endEvent)) {
+	for _, ref := range q.head {
+		for ; ref != 0; ref = q.chunks[ref-1].next {
+			c := q.chunks[ref-1]
+			for _, e := range c.ev[:c.n] {
+				fn(e)
+			}
+		}
 	}
 }
 
@@ -539,11 +642,15 @@ func (it *sweepIter[S, A]) putArgs(row tuple.Tuple) int32 {
 // after the pop loop, which only folds: each then settles its last
 // change once and leaves the table. Ends at exactly b stay queued: a
 // begin at b from either input may still arrive, and its group must
-// still be in the table for the begin to fold into the same change. At end of input the remaining groups commit in first-seen
-// order, so repeated runs stream identical row order.
+// still be in the table for the begin to fold into the same change.
+// At end of input the remaining groups commit in first-seen order, so
+// repeated runs stream identical row order.
 func (it *sweepIter[S, A]) retire(b interval.Time, last bool) {
-	for len(it.events) > 0 && (last || it.events[0].t < b) {
-		e := it.events.pop()
+	for {
+		e, ok := it.events.popBefore(b, last)
+		if !ok {
+			break
+		}
 		g := it.at(e.group())
 		it.stepOpen(g, e.t, e.delta(), it.slot(e.slot))
 		if len(it.argIdx) > 0 {
@@ -623,7 +730,7 @@ func (it *sweepIter[S, A]) fill(capacity int) bool {
 		slot := it.putArgs(row)
 		it.stepOpen(g, iv.Begin, sign, it.slot(slot))
 		g.open++
-		it.events.push(endEvent{t: iv.End, ref: i<<1 | (1-sign)/2, slot: slot})
+		it.events.push(endEvent{t: iv.End, ref: i<<1 | (1-sign)/2, slot: slot}, it.name)
 		it.maxGroups = max(it.maxGroups, it.live)
 	}
 	return true
