@@ -217,6 +217,19 @@ func (it *faultIter) Err() error { return engine.FirstErr(it.err, it.in.Err()) }
 func (it *faultIter) Close() { it.in.Close() }
 
 func (it *faultIter) NextBatch(b *engine.RowBatch) bool {
+	return it.next(b, nil, func() bool { return it.in.NextBatch(b) })
+}
+
+// NextRuns forwards runs, counting the rows they stand for: an error
+// fault lands after exactly faultRow rows, cutting a run if it must.
+func (it *faultIter) NextRuns(b *engine.RowBatch, mult *[]int64) bool {
+	*mult = (*mult)[:0]
+	return it.next(b, mult, func() bool { return engine.NextRuns(it.in, b, mult) })
+}
+
+// next runs one pull into b — as runs with their counts in *mult, when
+// mult is not nil — and fires the fault once faultRow rows have passed.
+func (it *faultIter) next(b *engine.RowBatch, mult *[]int64, pull func() bool) bool {
 	if it.err != nil {
 		b.Reset()
 		return false
@@ -225,23 +238,19 @@ func (it *faultIter) NextBatch(b *engine.RowBatch) bool {
 		b.Reset()
 		return false
 	}
-	ok := it.in.NextBatch(b)
-	if !ok {
+	if !pull() {
 		return false
 	}
-	it.n += int64(b.Len())
+	n := engine.RunRows(b, mult)
+	it.n += n
 	if !it.fired && it.n >= it.faultRow && it.mode == faultErr {
 		// Truncate the delivered batch at the fault row and arm the error
 		// for the next pull, honoring the NextBatch contract (true iff at
 		// least one row is delivered).
-		keep := b.Len() - int(it.n-it.faultRow)
+		keep := n - (it.n - it.faultRow)
 		it.n = it.faultRow
 		if it.fire() {
-			if keep <= 0 {
-				b.Reset()
-				return false
-			}
-			b.Rows = b.Rows[:keep]
+			engine.CutRuns(b, mult, max(keep, 0))
 		}
 	}
 	return b.Len() > 0

@@ -9,16 +9,20 @@ package chaos_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"snapk/internal/algebra"
 	"snapk/internal/chaos"
 	"snapk/internal/engine"
+	"snapk/internal/interval"
 	"snapk/internal/qgen"
 	"snapk/internal/rewrite"
+	"snapk/internal/tuple"
 )
 
 // waitForGoroutines asserts the process returns to the base goroutine
@@ -137,6 +141,122 @@ func TestChaosGrid(t *testing.T) {
 					}
 					waitForGoroutines(t, base)
 				}
+			}
+		}
+	}
+}
+
+// drainRunKeys is drainKeys through NextRuns, the way the Rows cursor
+// pulls the root: each run expands into its count of row keys.
+func drainRunKeys(t *testing.T, it engine.RowIter) ([]string, error) {
+	t.Helper()
+	var keys []string
+	b, mult := engine.NewRowBatch(engine.DefaultBatchSize), []int64(nil)
+	for it.(engine.RunIter).NextRuns(b, &mult) {
+		for i, row := range b.Rows {
+			for range mult[i] {
+				keys = append(keys, row.String())
+			}
+		}
+	}
+	err := it.Err()
+	if again := it.Err(); (err == nil) != (again == nil) {
+		t.Fatalf("unstable root Err: first %v, then %v", err, again)
+	}
+	sort.Strings(keys)
+	return keys, err
+}
+
+// runsDB builds l(v) — four groups of 200 copies of one interval each —
+// and r(v), 50 copies of a sub-interval of each group's, so l EXCEPT ALL
+// r has segments of multiplicity 200 and 150: runs far longer than any
+// fault row. Appended by ascending begin the tables are begin-sorted and
+// the difference streams; appended descending, it blocks.
+func runsDB(sorted bool) *engine.DB {
+	db := engine.NewDB(interval.NewDomain(0, 100))
+	l := db.CreateTable("l", tuple.NewSchema("v"))
+	r := db.CreateTable("r", tuple.NewSchema("v"))
+	for i := range int64(4) {
+		v := i
+		if !sorted {
+			v = 3 - i
+		}
+		l.Append(tuple.Tuple{tuple.Int(v)}, interval.New(10*v, 10*v+8), 200)
+		r.Append(tuple.Tuple{tuple.Int(v)}, interval.New(10*v+2, 10*v+4), 50)
+	}
+	return db
+}
+
+// TestChaosRunsAtRoot puts a high-multiplicity difference at the query
+// root, in both sweep forms and at every width, and drains it by
+// NextRuns under the grid's faults: a clean stream is the complete
+// result, and every error is a recognized one.
+func TestChaosRunsAtRoot(t *testing.T) {
+	q := algebra.Diff{L: algebra.Rel{Name: "l"}, R: algebra.Rel{Name: "r"}}
+	for _, sorted := range []bool{false, true} {
+		db := runsDB(sorted)
+		want, err := rewrite.Run(db, q, rewrite.Options{Mode: rewrite.ModeOptimized})
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseline := make([]string, 0, len(want.Rows))
+		for _, row := range want.Rows {
+			baseline = append(baseline, row.String())
+		}
+		sort.Strings(baseline)
+		for _, par := range []int{0, 2, 4} {
+			for seed := int64(0); seed < 8; seed++ {
+				base := runtime.NumGoroutine()
+				ctx, cancel := context.WithCancel(context.Background())
+				inj := chaos.New(chaos.Config{Seed: seed, ErrRate: 0.3, PanicRate: 0.1, DelayRate: 0.1, CancelRate: 0.05, OnCancel: cancel})
+				it, err := rewrite.Stream(ctx, db, q, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: par, Inject: inj.Wrapper()})
+				if err != nil {
+					if !recognized(err) {
+						t.Fatalf("sorted=%v par=%d seed=%d: unrecognized build error %v", sorted, par, seed, err)
+					}
+					cancel()
+					waitForGoroutines(t, base)
+					continue
+				}
+				got, streamErr := drainRunKeys(t, it)
+				it.Close()
+				cancel()
+				if streamErr == nil {
+					if strings.Join(got, "\n") != strings.Join(baseline, "\n") {
+						t.Fatalf("sorted=%v par=%d seed=%d: clean stream of %d rows diverges from the baseline's %d", sorted, par, seed, len(got), len(baseline))
+					}
+				} else if !recognized(streamErr) {
+					t.Fatalf("sorted=%v par=%d seed=%d: unrecognized stream error %v", sorted, par, seed, streamErr)
+				}
+				waitForGoroutines(t, base)
+			}
+		}
+	}
+}
+
+// An injected error lands after exactly its fault row of rows, whether
+// the stream is pulled as rows or as runs far longer than the fault
+// row: the fault iterator cuts the run it falls in.
+func TestChaosErrorCutsRuns(t *testing.T) {
+	db := runsDB(false)
+	l, _ := db.Table("l")
+	r, _ := db.Table("r")
+	for seed := int64(0); seed < 16; seed++ {
+		for _, runs := range []bool{false, true} {
+			in, err := engine.NewBlockDiffIter(l, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			it := chaos.New(chaos.Config{Seed: seed, ErrRate: 1}).Wrap("diff", in)
+			var keys []string
+			if runs {
+				keys, err = drainRunKeys(t, it)
+			} else {
+				keys, err = drainKeys(t, it)
+			}
+			it.Close()
+			if !errors.Is(err, chaos.ErrInjected) || !strings.HasSuffix(err.Error(), fmt.Sprintf("after %d rows", len(keys))) {
+				t.Fatalf("seed=%d runs=%v: %d rows, then %v", seed, runs, len(keys), err)
 			}
 		}
 	}

@@ -1,6 +1,10 @@
 package engine
 
-import "snapk/internal/tuple"
+import (
+	"slices"
+
+	"snapk/internal/tuple"
+)
 
 // This file is the unit of the engine's one iterator protocol: every
 // RowIter delivers rows a RowBatch at a time through NextBatch, so a
@@ -28,6 +32,76 @@ import "snapk/internal/tuple"
 //     is the batch-boundary aliasing class — copy the rows out instead.
 //     The rowretain analyzer and the snapdebug CheckNoAlias layer both
 //     watch for violations.
+//   - Runs: under ℕ a result row carries its multiplicity, so a producer
+//     that emits multiplicities as counts (RunIter: the difference and
+//     coalesce sweeps, both drivers) hands each run's row out ONCE, with
+//     its count, through NextRuns. NextBatch always expands a run into
+//     that many distinct rows — the row itself, then fresh copies — so a
+//     consumer that knows nothing of runs sees exactly the rows it always
+//     did. The root wrappers forward runs — pulling with NextRuns,
+//     counting with RunRows, cutting with CutRuns — and count them as
+//     rows: ObsIter, GovernState's iterator, snapdebug's CheckNoAlias and
+//     CheckErrChecked, chaos's fault iterator, and parallel's root and
+//     blocking-sweep iterators. Exchanges, joins, filters and projections
+//     do not: they pull NextBatch. Only the snapk.Rows cursor repeats a
+//     run's row.
+
+// RunIter is the optional run form of the protocol, for iterators whose
+// output carries ℕ multiplicities as counts. NextRuns fills b as
+// NextBatch does, and *mult with one count ≥ 1 per row of b: the stream
+// is each row of b repeated its count times. It reports whether b holds
+// a row; b and *mult are empty when it does not. Iterators that only
+// forward NextRuns fall back to NextBatch, with every count 1, over an
+// input that is not a RunIter.
+type RunIter interface {
+	RowIter
+	NextRuns(b *RowBatch, mult *[]int64) bool
+}
+
+// NextRuns pulls in's next batch into b as runs: through NextRuns when
+// in is a RunIter, otherwise through NextBatch with every count 1. It is
+// how every wrapper that forwards runs pulls its input.
+func NextRuns(in RowIter, b *RowBatch, mult *[]int64) bool {
+	if r, ok := in.(RunIter); ok {
+		return r.NextRuns(b, mult)
+	}
+	ok := in.NextBatch(b)
+	*mult = slices.Grow((*mult)[:0], b.Len())
+	for range b.Rows {
+		*mult = append(*mult, 1)
+	}
+	return ok
+}
+
+// RunRows returns the rows b stands for: the sum of its runs' counts in
+// *mult, or b.Len() when mult is nil and b holds distinct rows.
+func RunRows(b *RowBatch, mult *[]int64) int64 {
+	if mult == nil {
+		return int64(b.Len())
+	}
+	var n int64
+	for _, k := range *mult {
+		n += k
+	}
+	return n
+}
+
+// CutRuns cuts b to the runs its first keep rows fall in, the last one's
+// count cut to the rows left for it — or, when mult is nil, to its first
+// keep rows. A row limit or an injected fault that lands inside a run
+// cuts it this way.
+func CutRuns(b *RowBatch, mult *[]int64, keep int64) {
+	if mult == nil {
+		b.Rows = b.Rows[:keep]
+		return
+	}
+	i := 0
+	for ; i < len(*mult) && keep > 0; i++ {
+		(*mult)[i] = min((*mult)[i], keep)
+		keep -= (*mult)[i]
+	}
+	b.Rows, *mult = b.Rows[:i], (*mult)[:i]
+}
 
 // RowBatch is the unit of batch execution: a reusable slice of
 // period-encoded rows. The capacity set at construction is the TARGET

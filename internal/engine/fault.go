@@ -238,14 +238,27 @@ func (it *govStateIter) charge() error {
 	return nil
 }
 
-func (it *govStateIter) NextBatch(b *RowBatch) bool {
+func (it *govStateIter) NextBatch(b *RowBatch) bool { return it.pull(b, nil) }
+
+func (it *govStateIter) NextRuns(b *RowBatch, mult *[]int64) bool { return it.pull(b, mult) }
+
+// pull runs one pull from in into b — as runs, when mult is not nil —
+// then tops up the charge; a breach discards what the pull delivered.
+func (it *govStateIter) pull(b *RowBatch, mult *[]int64) bool {
+	ok := false
+	if it.err == nil {
+		if mult == nil {
+			ok = it.in.NextBatch(b)
+		} else {
+			ok = NextRuns(it.in, b, mult)
+		}
+		it.err = it.charge()
+	}
 	if it.err != nil {
 		b.Reset()
-		return false
-	}
-	ok := it.in.NextBatch(b)
-	if it.err = it.charge(); it.err != nil {
-		b.Reset()
+		if mult != nil {
+			*mult = (*mult)[:0]
+		}
 		return false
 	}
 	return ok

@@ -133,7 +133,8 @@ func monusTimePointCounts(l, r *engine.Table) map[string]int {
 // interval-multiset pairs — the multisets must be identical row for
 // row — checks both against the naive per-time-point monus oracle, and
 // checks that both emit the unique coalesced encoding (no split at a
-// zero-net-delta endpoint, none among negative counts). The seeds cover
+// zero-net-delta endpoint, none among negative counts). Both drivers are
+// also drained both ways — by NextRuns and by NextBatch. The seeds cover
 // merge-order stress (same-instant begins on both sides) and monus
 // truncation (right side exceeding the left).
 func FuzzStreamDiff(f *testing.F) {
@@ -192,7 +193,73 @@ func FuzzStreamDiff(f *testing.F) {
 		if !sameCounts(multisetKeys(want), multisetKeys(batched)) {
 			t.Fatalf("batch-driven streaming diff diverges\nleft:\n%s\nright:\n%s\nwant:\n%s\ngot:\n%s", l, r, want, batched)
 		}
+
+		// Both drains of both drivers: runs expanded here, and rows
+		// NextBatch expanded, must be the same multiset and realize the
+		// per-time-point monus.
+		oracle := monusTimePointCounts(l, r)
+		for _, form := range []string{"streaming", "blocking"} {
+			newIt := func() engine.RowIter {
+				it, err := engine.NewStreamDiffIter(engine.NewTableIter(ls), engine.NewTableIter(rs))
+				if form == "blocking" {
+					it, err = engine.NewBlockDiffIter(l, r)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return engine.CheckNoAlias(form+" difference", it)
+			}
+			checkDrains(t, form+" difference", newIt, oracle)
+		}
 	})
+}
+
+// checkDrains drains the iterators newIt returns by NextRuns, expanding
+// the runs, and by NextBatch, both at an awkward capacity: the two must
+// be the same multiset, and realize the per-time-point counts oracle.
+func checkDrains(t *testing.T, what string, newIt func() engine.RowIter, oracle map[string]int) {
+	t.Helper()
+	it := newIt()
+	runs := drainRuns(t, it, 3)
+	it.Close()
+	it = newIt()
+	rows := materializeCap(t, it, 3)
+	it.Close()
+	if !sameCounts(multisetKeys(runs), multisetKeys(rows)) {
+		t.Fatalf("%s: NextRuns and NextBatch drains diverge\nruns:\n%s\nrows:\n%s", what, runs, rows)
+	}
+	if got := timePointCounts(runs); !sameCounts(oracle, got) {
+		t.Fatalf("%s: runs violate the per-time-point oracle\noutput:\n%s", what, runs)
+	}
+}
+
+// drainRuns drains it by NextRuns at the given capacity, expanding each
+// run into its count of rows.
+func drainRuns(t *testing.T, it engine.RowIter, capacity int) *engine.Table {
+	t.Helper()
+	r, ok := it.(engine.RunIter)
+	if !ok {
+		t.Fatalf("%T delivers no runs", it)
+	}
+	out := &engine.Table{Schema: it.Schema()}
+	b, mult := engine.NewRowBatch(capacity), []int64(nil)
+	for r.NextRuns(b, &mult) {
+		if len(mult) != b.Len() {
+			t.Fatalf("%d runs with %d counts", b.Len(), len(mult))
+		}
+		for i, row := range b.Rows {
+			if mult[i] < 1 {
+				t.Fatalf("run %v with count %d", row, mult[i])
+			}
+			for range mult[i] {
+				out.Rows = append(out.Rows, row)
+			}
+		}
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // FuzzCoalesce checks the coalesce implementations against each other
@@ -200,7 +267,8 @@ func FuzzStreamDiff(f *testing.F) {
 // multisets: the blocking sweep must preserve every snapshot
 // multiplicity and produce a coalesced (unique) encoding, and the
 // streaming sweep over begin-sorted input must produce the identical
-// row multiset. The pre-aggregated split — count, sum, min, max and avg
+// row multiset, drained by NextRuns as by NextBatch in both drivers. The
+// pre-aggregated split — count, sum, min, max and avg
 // over integers, grouped and global — is checked the same way against
 // the abstract model's per-time-point aggregate.
 func FuzzCoalesce(f *testing.F) {
@@ -240,6 +308,16 @@ func FuzzCoalesce(f *testing.F) {
 		if !sameCounts(multisetKeys(blocking), multisetKeys(batched)) {
 			t.Fatalf("batch-driven streaming coalesce diverges\ninput:\n%s\nwant:\n%s\ngot:\n%s", tbl, blocking, batched)
 		}
+		checkDrains(t, "streaming coalesce", func() engine.RowIter {
+			return engine.CheckNoAlias("streaming coalesce", engine.NewStreamCoalesceIter(engine.NewTableIter(sorted)))
+		}, timePointCounts(tbl))
+		checkDrains(t, "blocking coalesce", func() engine.RowIter {
+			it, err := engine.NewBlockDiffIter(tbl, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return engine.CheckNoAlias("blocking coalesce", it)
+		}, timePointCounts(tbl))
 
 		// The pre-aggregated split in both forms, grouped and global (the
 		// latter with neutral rows over gaps), must realize the

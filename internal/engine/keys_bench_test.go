@@ -86,6 +86,40 @@ func BenchmarkTemporalDiffKeys(b *testing.B) {
 	}
 }
 
+// BenchmarkBlockDiffRuns drains a blocking difference whose segments
+// have multiplicity about 100 — diff-2's shape, about 94 on table3 — by
+// NextRuns, as the query root hands it to the Rows cursor: the sweep
+// emits a few hundred runs standing for over 20,000 rows.
+func BenchmarkBlockDiffRuns(b *testing.B) {
+	l := engine.NewTable(tuple.NewSchema("g", "v"))
+	for i := int64(0); i < 200; i++ {
+		l.Append(tuple.Tuple{tuple.Int(i % 16), tuple.Int(i)}, interval.New(10*i, 10*i+10), 100)
+	}
+	r := benchTable(benchRows/20, 16)
+	want, err := engine.TemporalDiff(l, r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch, mult := engine.NewRowBatch(engine.DefaultBatchSize), []int64(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it, err := engine.NewBlockDiffIter(l, r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var rows int64
+		for it.(engine.RunIter).NextRuns(batch, &mult) {
+			for _, k := range mult {
+				rows += k
+			}
+		}
+		if rows != int64(want.Len()) {
+			b.Fatalf("%d rows, want %d", rows, want.Len())
+		}
+	}
+}
+
 func BenchmarkStreamCoalesceKeys(b *testing.B) {
 	in := benchTable(benchRows, 16)
 	b.ReportAllocs()

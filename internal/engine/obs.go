@@ -223,12 +223,25 @@ func (it *ObsIter) Schema() tuple.Schema { return it.in.Schema() }
 func (it *ObsIter) NextBatch(b *RowBatch) bool {
 	t0 := it.st.c.now()
 	ok := it.in.NextBatch(b)
+	return it.record(t0, ok, int64(b.Len()))
+}
+
+// NextRuns forwards runs, counting the rows they stand for, so rows= is
+// the same whichever way the stream is pulled.
+func (it *ObsIter) NextRuns(b *RowBatch, mult *[]int64) bool {
+	t0 := it.st.c.now()
+	ok := NextRuns(it.in, b, mult)
+	return it.record(t0, ok, RunRows(b, mult))
+}
+
+// record books one pull that started at t0 and delivered rows rows.
+func (it *ObsIter) record(t0 int64, ok bool, rows int64) bool {
 	t1 := it.st.c.now()
 	it.st.timeNs.Add(t1 - t0)
 	it.st.nexts.Add(1)
 	it.st.startNs.CompareAndSwap(0, t0)
 	if ok {
-		it.st.rows.Add(int64(b.Len()))
+		it.st.rows.Add(rows)
 		it.st.batches.Add(1)
 	} else {
 		it.st.endNs.Store(t1)

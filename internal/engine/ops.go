@@ -184,10 +184,12 @@ func Split(in *Table, groupIdx []int) *Table {
 // kernel's signed count (sweep.go). The output multiplicity at every
 // time point is the ℕ monus max(0, |left| − |right|), and a segment
 // closes only where it changes, so the output is already the unique
-// coalesced encoding (Def 8.2): a Coalesce above it is the identity.
+// coalesced encoding (Def 8.2): a Coalesce above it is the identity. The
+// table holds each segment as that many distinct rows.
 func TemporalDiff(l, r *Table) (*Table, error) {
-	if l.Schema.Arity() != r.Schema.Arity() {
-		return nil, fmt.Errorf("engine: difference-incompatible arities %d and %d", l.Schema.Arity(), r.Schema.Arity())
+	out, err := diffSweep(l, r, true)
+	if err != nil {
+		return nil, err
 	}
-	return &Table{Schema: l.Schema, Rows: newBlockSweep(countKernel(), dataColumns(l.DataArity())).run(l.Rows, r.Rows)}, nil
+	return &Table{Schema: l.Schema, Rows: out.rows}, nil
 }

@@ -45,8 +45,8 @@ func TestLazySweepPropagatesDrainError(t *testing.T) {
 	in := &errAfterIter{schema: periodSchema2(), rows: []tuple.Tuple{
 		{tuple.Int(1), tuple.Int(0), tuple.Int(10)},
 	}, err: boom}
-	it := newLazySweepIter(nil, periodSchema2(), func(ts ...*engine.Table) (*engine.Table, error) {
-		return ts[0], nil
+	it := newLazySweepIter(nil, periodSchema2(), func(ts ...*engine.Table) (engine.RowIter, error) {
+		return engine.NewTableIter(ts[0]), nil
 	}, in)
 	defer it.Close()
 	if pull(it) {
@@ -64,7 +64,7 @@ func TestLazySweepPropagatesDrainError(t *testing.T) {
 func TestLazySweepPropagatesFnError(t *testing.T) {
 	boom := errors.New("sweep bug")
 	in := &errAfterIter{schema: periodSchema2()}
-	it := newLazySweepIter(nil, periodSchema2(), func(...*engine.Table) (*engine.Table, error) {
+	it := newLazySweepIter(nil, periodSchema2(), func(...*engine.Table) (engine.RowIter, error) {
 		return nil, boom
 	}, in)
 	defer it.Close()
@@ -82,8 +82,8 @@ func TestLazyDiffPropagatesDrainError(t *testing.T) {
 	boom := errors.New("right side boom")
 	l := &errAfterIter{schema: periodSchema2()}
 	r := &errAfterIter{schema: periodSchema2(), err: boom}
-	it := newLazySweepIter(nil, periodSchema2(), func(ts ...*engine.Table) (*engine.Table, error) {
-		return engine.TemporalDiff(ts[0], ts[1])
+	it := newLazySweepIter(nil, periodSchema2(), func(ts ...*engine.Table) (engine.RowIter, error) {
+		return engine.NewBlockDiffIter(ts[0], ts[1])
 	}, l, r)
 	defer it.Close()
 	if pull(it) {
@@ -91,5 +91,41 @@ func TestLazyDiffPropagatesDrainError(t *testing.T) {
 	}
 	if err := it.Err(); !errors.Is(err, boom) {
 		t.Fatalf("Err = %v, want %v", err, boom)
+	}
+}
+
+// TestLazySweepChargesHeldRuns pins that the runs a blocking difference
+// holds until Close are query state: under a budget that fits the
+// materialized input but not the input plus the held runs, the first
+// pull fails with ErrMemBudget; under one that fits both, every run is
+// delivered. Close releases every byte either way.
+func TestLazySweepChargesHeldRuns(t *testing.T) {
+	const n = 100 // distinct values: the coalesce holds one run per row
+	rows := make([]tuple.Tuple, n)
+	for i := range rows {
+		rows[i] = tuple.Tuple{tuple.Int(int64(i)), tuple.Int(0), tuple.Int(10)}
+	}
+	input := n * engine.ApproxRowBytes(3)
+	for _, tc := range []struct {
+		budget int64
+		fits   bool
+	}{{input + 100, false}, {3 * input, true}} {
+		gov := engine.NewGovernor(engine.Limits{MemBudget: tc.budget})
+		it := newLazySweepIter(gov, periodSchema2(), func(ts ...*engine.Table) (engine.RowIter, error) {
+			return engine.NewBlockDiffIter(ts[0], nil)
+		}, &errAfterIter{schema: periodSchema2(), rows: rows})
+		b, mult := engine.NewRowBatch(n), []int64(nil)
+		ok := it.(engine.RunIter).NextRuns(b, &mult)
+		if tc.fits {
+			if !ok || b.Len() != n || it.Err() != nil {
+				t.Fatalf("budget %d: %d runs, Err %v; want %d runs and no error", tc.budget, b.Len(), it.Err(), n)
+			}
+		} else if ok || !errors.Is(it.Err(), engine.ErrMemBudget) {
+			t.Fatalf("budget %d: ok=%v, Err %v; want ErrMemBudget", tc.budget, ok, it.Err())
+		}
+		it.Close()
+		if got := gov.MemInUse(); got != 0 {
+			t.Fatalf("budget %d: %d bytes still charged after Close", tc.budget, got)
+		}
 	}
 }

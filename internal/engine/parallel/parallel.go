@@ -299,45 +299,57 @@ func (it *execIter) gate() bool {
 }
 
 func (it *execIter) NextBatch(b *engine.RowBatch) bool {
-	if it.gate() && it.guarded(b) && it.count(b) {
+	if it.gate() && it.guarded(b, func() bool { return it.it.NextBatch(b) }) && it.count(b, nil) {
 		return true
 	}
 	b.Reset()
 	return false
 }
 
-// guarded runs one root pull into b behind the consumer-side panic boundary —
-// a panic unwinding out of it (every operator of a single-fragment
-// pipeline runs on this goroutine) becomes the query error — and
+// NextRuns is NextBatch for runs: the root forwards the runs of a
+// blocking or streaming difference or coalesce to the cursor.
+func (it *execIter) NextRuns(b *engine.RowBatch, mult *[]int64) bool {
+	if it.gate() && it.guarded(b, func() bool { return engine.NextRuns(it.it, b, mult) }) && it.count(b, mult) {
+		return true
+	}
+	b.Reset()
+	*mult = (*mult)[:0]
+	return false
+}
+
+// guarded runs pull, one root pull into b, behind the consumer-side
+// panic boundary — a panic unwinding out of it (every operator of a
+// single-fragment pipeline runs on this goroutine) becomes the query
+// error — and
 // records why a pull came back empty. gate checks the context before
 // each pull, but a cancellation (or chain error) that lands while the
 // pull is blocked inside an exchange surfaces as a clean end of stream
 // from a drained channel — and the consumer, seeing EOS, never pulls
 // again, so gate never re-runs. Without this post-check that is a
 // silent truncation.
-func (it *execIter) guarded(b *engine.RowBatch) (ok bool) {
+func (it *execIter) guarded(b *engine.RowBatch, pull func() bool) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			it.e.fail(fmt.Errorf("parallel: panic in query root: %v\n%s", r, debug.Stack()))
 			ok = false
 		}
 	}()
-	if it.it.NextBatch(b) {
+	if pull() {
 		return true
 	}
 	it.e.fail(engine.FirstErr(it.it.Err(), it.e.ctx.Err()))
 	return false
 }
 
-// count charges b's rows against the governor's row limit. A batch
-// that crosses the limit is cut to the rows still allowed, which are
-// delivered; the limit error is already recorded, so the next pull ends
-// the stream with it.
-func (it *execIter) count(b *engine.RowBatch) bool {
-	keep, err := it.e.gov.CountRows(int64(b.Len()))
+// count charges b's rows — its runs' counts, when mult is not nil —
+// against the governor's row limit. A batch that crosses the limit is
+// cut to the rows still allowed, which are delivered; the limit error is
+// already recorded, so the next pull ends the stream with it.
+func (it *execIter) count(b *engine.RowBatch, mult *[]int64) bool {
+	keep, err := it.e.gov.CountRows(engine.RunRows(b, mult))
 	if err != nil {
 		it.e.fail(err)
-		b.Rows = b.Rows[:keep]
+		engine.CutRuns(b, mult, keep)
 	}
 	return b.Len() > 0
 }
@@ -566,8 +578,8 @@ func (e *executor) buildCoalesce(n engine.CoalesceP, parent *engine.OpStats) (*p
 		if streams {
 			parts[i] = e.govern(engine.NewStreamCoalesceIter(part))
 		} else {
-			parts[i] = newLazySweepIter(e.gov, schema, func(ts ...*engine.Table) (*engine.Table, error) {
-				return engine.Coalesce(ts[0]), nil
+			parts[i] = newLazySweepIter(e.gov, schema, func(ts ...*engine.Table) (engine.RowIter, error) {
+				return engine.NewBlockDiffIter(ts[0], nil)
 			}, part)
 		}
 	}
@@ -620,8 +632,12 @@ func (e *executor) buildAgg(n engine.AggP, parent *engine.OpStats) (*pstream, er
 			// either a failed partition drain or a genuine executor bug —
 			// both propagate through Err instead of yielding a silently
 			// empty partition.
-			parts[i] = newLazySweepIter(e.gov, schema, func(ts ...*engine.Table) (*engine.Table, error) {
-				return engine.TemporalAggregate(ts[0], n.GroupBy, n.Aggs, n.PreAgg, dom)
+			parts[i] = newLazySweepIter(e.gov, schema, func(ts ...*engine.Table) (engine.RowIter, error) {
+				t, err := engine.TemporalAggregate(ts[0], n.GroupBy, n.Aggs, n.PreAgg, dom)
+				if err != nil {
+					return nil, err
+				}
+				return engine.NewTableIter(t), nil
 			}, part)
 		}
 	}
@@ -675,10 +691,10 @@ func (e *executor) buildDiff(n engine.DiffP, parent *engine.OpStats) (*pstream, 
 			lp[i] = e.govern(it)
 		} else {
 			// Arity compatibility (checked above) is the only failure mode
-			// of TemporalDiff; a failure here still propagates through Err
-			// rather than yielding a silently empty partition.
-			lp[i] = newLazySweepIter(e.gov, schema, func(ts ...*engine.Table) (*engine.Table, error) {
-				return engine.TemporalDiff(ts[0], ts[1])
+			// of the blocking difference; a failure here still propagates
+			// through Err rather than yielding a silently empty partition.
+			lp[i] = newLazySweepIter(e.gov, schema, func(ts ...*engine.Table) (engine.RowIter, error) {
+				return engine.NewBlockDiffIter(ts[0], ts[1])
 			}, lp[i], rp[i])
 		}
 	}

@@ -9,35 +9,40 @@ import (
 // partition pair, for difference) — inside the fragment that drains it:
 // the inputs are materialized on the first pull (concurrently across
 // fragments when each runs in its own merge-producer goroutine), fn runs
-// on them, and the result streams out. The partitioning key is the group
-// key, so the per-partition sweeps are independent and their merged
-// outputs form exactly the one-fragment result multiset. The
-// ordered exchange + per-fragment streaming sweeps supersede this on
-// begin-sorted input.
+// on them, and its result streams out: a run iterator for the
+// difference and the coalesce, whose runs it forwards, and a table scan
+// for the aggregation. The partitioning key is the group key, so the
+// per-partition sweeps are independent and their merged outputs form
+// exactly the one-fragment result multiset. The ordered exchange +
+// per-fragment streaming sweeps supersede this on begin-sorted input.
 //
 // A failed input drain or a failing fn ends the stream with NO rows — a
 // sweep over a truncated partition would be a silently wrong multiset —
 // and the error propagates through Err per the error-carrying iterator
-// protocol. The materialized inputs are query state: they are charged
-// to the memory budget when drained and released on Close.
+// protocol. The materialized inputs are query state, and so are the
+// runs a run iterator holds: both are charged to the memory budget and
+// released on Close.
 type lazySweepIter struct {
 	ins     []engine.RowIter
 	schema  tuple.Schema
-	fn      func(...*engine.Table) (*engine.Table, error)
+	fn      func(...*engine.Table) (engine.RowIter, error)
 	gov     *engine.Governor
-	charged int64          // bytes of materialized input charged to gov
-	out     engine.RowIter // scan of fn's result, once run
+	charged int64          // bytes of materialized input and held runs charged to gov
+	out     engine.RowIter // fn's result, once run
 	err     error
 }
 
 // newLazySweepIter wraps the inputs of one fragment with a blocking
 // function over their materializations; schema is fn's output schema
 // and gov (nil for none) the budget the inputs are charged to.
-func newLazySweepIter(gov *engine.Governor, schema tuple.Schema, fn func(...*engine.Table) (*engine.Table, error), ins ...engine.RowIter) engine.RowIter {
+func newLazySweepIter(gov *engine.Governor, schema tuple.Schema, fn func(...*engine.Table) (engine.RowIter, error), ins ...engine.RowIter) engine.RowIter {
 	return &lazySweepIter{ins: ins, schema: schema, fn: fn, gov: gov}
 }
 
 func (it *lazySweepIter) Schema() tuple.Schema { return it.schema }
+
+// runBytes prices one held run beyond its row: its int64 count.
+const runBytes = 8
 
 // run materializes the inputs and applies fn on the first pull; it
 // reports whether the result stream is available.
@@ -66,12 +71,16 @@ func (it *lazySweepIter) run() bool {
 	if it.err = it.gov.ChargeMem(it.charged); it.err != nil {
 		return false
 	}
-	var t *engine.Table
-	if t, it.err = it.fn(ts...); it.err != nil {
+	if it.out, it.err = it.fn(ts...); it.err != nil {
 		return false
 	}
-	it.out = engine.NewTableIter(t)
-	return true
+	// A blocking run iterator holds every run until Close.
+	if s, ok := it.out.(engine.StateSizer); ok {
+		held := s.MaxState() * (engine.ApproxRowBytes(it.schema.Arity()) + runBytes)
+		it.charged += held
+		it.err = it.gov.ChargeMem(held)
+	}
+	return it.err == nil
 }
 
 func (it *lazySweepIter) NextBatch(b *engine.RowBatch) bool {
@@ -80,6 +89,15 @@ func (it *lazySweepIter) NextBatch(b *engine.RowBatch) bool {
 		return false
 	}
 	return it.out.NextBatch(b)
+}
+
+func (it *lazySweepIter) NextRuns(b *engine.RowBatch, mult *[]int64) bool {
+	if !it.run() {
+		b.Reset()
+		*mult = (*mult)[:0]
+		return false
+	}
+	return engine.NextRuns(it.out, b, mult)
 }
 
 // Err reports the input drain or fn failure; before the first pull it
@@ -93,11 +111,13 @@ func (it *lazySweepIter) Err() error {
 	return err
 }
 
-// Close releases the inputs when no pull drained them, and the budget
-// charged for them when one did; the result is a table scan holding no
-// other resources.
+// Close releases the inputs when no pull drained them, and when one did
+// the result and the budget charged for it and the inputs.
 func (it *lazySweepIter) Close() {
 	closeAll(it.ins)
+	if it.out != nil {
+		it.out.Close()
+	}
 	it.gov.ReleaseMem(it.charged)
 	it.charged = 0
 }

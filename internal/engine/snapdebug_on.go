@@ -108,7 +108,28 @@ func (it *checkNoAliasIter) Schema() tuple.Schema { return it.in.Schema() }
 
 func (it *checkNoAliasIter) NextBatch(b *RowBatch) bool {
 	it.verify()
-	ok := it.in.NextBatch(b)
+	return it.watch(b, it.in.NextBatch(b))
+}
+
+// NextRuns forwards runs, asserting of each run's row — handed out once
+// for all its copies — that it is never mutated, and that every count is
+// positive.
+func (it *checkNoAliasIter) NextRuns(b *RowBatch, mult *[]int64) bool {
+	it.verify()
+	ok := NextRuns(it.in, b, mult)
+	if len(*mult) != b.Len() {
+		panic(fmt.Sprintf("engine: snapdebug: %s delivered %d runs with %d counts", it.op, b.Len(), len(*mult)))
+	}
+	for i, k := range *mult {
+		if k < 1 {
+			panic(fmt.Sprintf("engine: snapdebug: %s delivered run %d with count %d", it.op, i, k))
+		}
+	}
+	return it.watch(b, ok)
+}
+
+// watch puts the delivered rows under observation.
+func (it *checkNoAliasIter) watch(b *RowBatch, ok bool) bool {
 	checkBatch(it.op, ok, b)
 	for _, row := range b.Rows {
 		it.ring[it.n%noAliasWindow] = yieldedRow{live: row, snap: row.Clone()}
@@ -149,6 +170,14 @@ func (it *checkErrCheckedIter) Schema() tuple.Schema { return it.in.Schema() }
 
 func (it *checkErrCheckedIter) NextBatch(b *RowBatch) bool {
 	ok := it.in.NextBatch(b)
+	if !ok {
+		it.eos = true
+	}
+	return ok
+}
+
+func (it *checkErrCheckedIter) NextRuns(b *RowBatch, mult *[]int64) bool {
+	ok := NextRuns(it.in, b, mult)
 	if !ok {
 		it.eos = true
 	}

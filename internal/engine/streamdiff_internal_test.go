@@ -84,6 +84,58 @@ func TestStreamDiffPeakState(t *testing.T) {
 	}
 }
 
+// At end of input the open groups commit a batch at a time: over a
+// thousand groups all open until the input ends, the streaming
+// coalesce's output holds one batch of runs at most, not one run per
+// group.
+func TestStreamFlushIsBatched(t *testing.T) {
+	in := NewTable(tuple.NewSchema("v"))
+	for i := int64(0); i < 1000; i++ {
+		in.Append(tuple.Tuple{tuple.Int(i)}, interval.New(i, 2000), 1)
+	}
+	it := NewStreamCoalesceIter(NewTableIter(in))
+	defer it.Close()
+	sc := it.(*countSweep)
+	b := NewRowBatch(8)
+	rows, peak := 0, 0
+	for it.NextBatch(b) {
+		rows += b.Len()
+		peak = max(peak, len(sc.out.rows))
+	}
+	if rows != 1000 || peak > 8 {
+		t.Fatalf("%d rows with up to %d runs held; want 1000 rows, at most one batch of 8 held", rows, peak)
+	}
+}
+
+// A run cut by NextBatch's capacity resumes where it was cut, in both
+// drivers, when the next pull takes runs: the run then counts only the
+// rows not yet delivered.
+func TestRunResumesAfterCut(t *testing.T) {
+	in := NewTable(tuple.NewSchema("v"))
+	in.Append(tuple.Tuple{tuple.Int(1)}, interval.New(0, 10), 5)
+	for _, streaming := range []bool{false, true} {
+		var it RowIter = NewStreamCoalesceIter(NewTableIter(in))
+		if !streaming {
+			it.Close()
+			var err error
+			if it, err = NewBlockDiffIter(in, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b, mult := NewRowBatch(3), []int64(nil)
+		if !it.NextBatch(b) || b.Len() != 3 {
+			t.Fatalf("streaming=%v: first pull delivered %d rows, want 3", streaming, b.Len())
+		}
+		if !it.(RunIter).NextRuns(b, &mult) || b.Len() != 1 || mult[0] != 2 {
+			t.Fatalf("streaming=%v: resumed run has counts %v, want [2]", streaming, mult)
+		}
+		if it.(RunIter).NextRuns(b, &mult) || b.Len() != 0 || len(mult) != 0 {
+			t.Fatalf("streaming=%v: %d runs after the end, counts %v", streaming, b.Len(), mult)
+		}
+		it.Close()
+	}
+}
+
 // chainKeys returns the first data column of every group in the chain
 // of hash h, head first.
 func chainKeys(sd *countSweep, h uint64) []int64 {

@@ -156,38 +156,128 @@ type accumulator[S any] interface {
 	unsettled(s *S) string
 }
 
-// sweepOut collects a sweep's output rows, carved from its arena, so
-// they share slabs but never alias (see rowArena). While counting is
-// set it only counts them, in n.
+// sweepOut collects a sweep's output as runs: rows[i], carved from the
+// arena, stands for mult[i] rows — its ℕ multiplicity. mult stays empty
+// while every count is 1, as an aggregation's always is, and holds one
+// count per row from the first count above 1 on. With expanded set, as
+// for the *Table forms, a run is written at once as its row and count − 1
+// copies, and mult stays empty. Rows share slabs but never alias (see
+// rowArena). While counting is set it only counts the runs, in n, and
+// the rows they stand for, in total, and notes in multi whether a count
+// above 1 is among them. qi and done mark what has been handed out: runs
+// before qi, and done rows of run qi.
 type sweepOut struct {
 	rows     []tuple.Tuple
+	mult     []int64
 	arena    rowArena
 	counting bool
-	n        int
+	expanded bool
+	multi    bool
+	n, total int
+	qi       int
+	done     int64
 }
 
-// segment emits mult copies of the row (key, vals, seg) — ℕ
-// multiplicities are written as duplicate rows — if seg is not empty.
+// segment emits the row (key, vals, seg) as a run of mult rows, if seg
+// is not empty and mult positive.
 func (o *sweepOut) segment(key, vals tuple.Tuple, seg interval.Interval, mult int64) {
-	if seg.Begin >= seg.End {
+	if seg.Begin >= seg.End || mult <= 0 {
 		return
 	}
 	if o.counting {
-		o.n += int(mult)
+		o.n++
+		o.total += int(mult)
+		o.multi = o.multi || mult > 1
 		return
 	}
 	w := len(key) + len(vals) + 2
-	for range mult {
-		row := o.arena.row(w)
-		copy(row[copy(row, key):], vals)
-		row[w-2], row[w-1] = tuple.Int(seg.Begin), tuple.Int(seg.End)
-		o.rows = append(o.rows, row)
+	row := o.arena.row(w)
+	copy(row[copy(row, key):], vals)
+	row[w-2], row[w-1] = tuple.Int(seg.Begin), tuple.Int(seg.End)
+	o.rows = append(o.rows, row)
+	if o.expanded {
+		for range mult - 1 {
+			o.rows = append(o.rows, o.copyOf(row))
+		}
+		return
+	}
+	if mult > 1 || len(o.mult) > 0 {
+		if len(o.mult) == 0 {
+			// The first count above 1: the runs before it count 1 each.
+			o.mult = slices.Grow(o.mult, cap(o.rows))
+			for range len(o.rows) - 1 {
+				o.mult = append(o.mult, 1)
+			}
+		}
+		o.mult = append(o.mult, mult)
+	}
+}
+
+// copyOf returns a fresh copy of a run's row, carved from the arena:
+// copies 2..k of an expanded run.
+func (o *sweepOut) copyOf(row tuple.Tuple) tuple.Tuple {
+	c := o.arena.row(len(row))
+	copy(c, row)
+	return c
+}
+
+// count returns the count of run i.
+func (o *sweepOut) count(i int) int64 {
+	if len(o.mult) == 0 {
+		return 1
+	}
+	return o.mult[i]
+}
+
+// pending reports whether runs remain to be handed out.
+func (o *sweepOut) pending() bool { return o.qi < len(o.rows) }
+
+// reset empties the output for the next runs; the rows handed out stay
+// valid, only the slices holding them are reused.
+func (o *sweepOut) reset() {
+	o.rows, o.mult, o.qi, o.done = o.rows[:0], o.mult[:0], 0, 0
+}
+
+// hand moves the pending output into b, up to limit rows: as runs, their
+// counts appended to *mult, or — mult nil — as distinct rows, each run
+// expanded into its row and then count − 1 fresh copies carved from the
+// arena. A run the limit cuts resumes in the next call, and one handed
+// out as a run after a cut counts only its remaining rows.
+func (o *sweepOut) hand(b *RowBatch, mult *[]int64, limit int) {
+	if mult != nil {
+		n := min(len(o.rows)-o.qi, limit-b.Len())
+		b.Rows = append(b.Rows, o.rows[o.qi:o.qi+n]...)
+		if len(o.mult) > 0 {
+			*mult = append(*mult, o.mult[o.qi:o.qi+n]...)
+		} else {
+			for range n {
+				*mult = append(*mult, 1)
+			}
+		}
+		if n > 0 {
+			(*mult)[len(*mult)-n] -= o.done
+			o.qi, o.done = o.qi+n, 0
+		}
+		return
+	}
+	for b.Len() < limit && o.qi < len(o.rows) {
+		row, k := o.rows[o.qi], o.count(o.qi)
+		if o.done == 0 {
+			b.Append(row)
+			o.done = 1
+		}
+		for ; o.done < k && b.Len() < limit; o.done++ {
+			b.Append(o.copyOf(row))
+		}
+		if o.done == k {
+			o.qi, o.done = o.qi+1, 0
+		}
 	}
 }
 
 // countAcc is the signed count: a group's value is the monus
-// max(0, left − right) of its multiplicity, emitted as that many copies
-// of the segment. Without a right input it is the coalesce.
+// max(0, left − right) of its multiplicity, emitted as one run of that
+// count. Without a right input it is the coalesce.
 type countAcc struct{}
 
 type countState struct {
@@ -299,7 +389,7 @@ func (a aggAcc) unsettled(s *aggState) string {
 // without grouping — has one group that never evicts, opens at dom.Min
 // and closes at dom.Max (the Fig 4 union with {(null, Tmin, Tmax)}). An
 // exact one has the blocking driver fold twice, first only counting the
-// output rows to size their slice: worth it for the cheap signed count,
+// output runs to size their slices: worth it for the cheap signed count,
 // not for the aggregate set.
 type kernel[S any, A accumulator[S]] struct {
 	acc           A
@@ -548,7 +638,6 @@ type sweepIter[S any, A accumulator[S]] struct {
 	// a slot each, so no input row is held; freed slots are reused.
 	args     tuple.Tuple
 	freeArgs []int32
-	qi       int // the next output row to hand out
 	// one-row lookahead per input, filled on the first pull
 	lRow, rRow                tuple.Tuple
 	lOk, rOk, primed, drained bool
@@ -643,8 +732,10 @@ func (it *sweepIter[S, A]) putArgs(row tuple.Tuple) int32 {
 // change once and leaves the table. Ends at exactly b stay queued: a
 // begin at b from either input may still arrive, and its group must
 // still be in the table for the begin to fold into the same change.
-// At end of input the remaining groups commit in first-seen order, so
-// repeated runs stream identical row order.
+// At end of input the remaining groups are left in it.closed, sorted
+// into first-seen order, for fill to commit a batch at a time: repeated
+// runs stream identical row order, and the output never holds every
+// group's last runs at once.
 func (it *sweepIter[S, A]) retire(b interval.Time, last bool) {
 	for {
 		e, ok := it.events.popBefore(b, last)
@@ -662,14 +753,20 @@ func (it *sweepIter[S, A]) retire(b interval.Time, last bool) {
 	}
 	if last {
 		slices.SortFunc(it.closed, func(a, b int32) int { return cmp.Compare(it.at(a).seq, it.at(b).seq) })
+		return
 	}
-	for _, i := range it.closed {
+	it.commit(it.closed)
+	it.closed = it.closed[:0]
+}
+
+// commit settles each of the closed groups' last change and evicts it.
+func (it *sweepIter[S, A]) commit(closed []int32) {
+	for _, i := range closed {
 		g := it.at(i)
 		it.finish(&g.p, g.key)
 		it.remove(i)
 		checkRecycle(it, i)
 	}
-	it.closed = it.closed[:0]
 }
 
 // pull reads the next row of one input, checking that it begins no
@@ -682,16 +779,26 @@ func (it *sweepIter[S, A]) pull(c *batchCursor, prev tuple.Tuple, capacity int) 
 	return row, ok
 }
 
-// fill runs the merged sweep until the output holds a row not yet
-// handed out or both inputs are drained, reporting whether rows are
+// fill runs the merged sweep until the output holds a run not yet
+// handed out or both inputs are drained, reporting whether runs are
 // available; the cursors read capacity rows at a time.
 func (it *sweepIter[S, A]) fill(capacity int) bool {
-	for it.qi >= len(it.out.rows) {
-		it.out.rows, it.qi = it.out.rows[:0], 0
+	for !it.out.pending() {
+		it.out.reset()
 		if it.drained {
-			return false
+			if len(it.closed) == 0 {
+				return false
+			}
+			n := min(len(it.closed), capacity)
+			it.commit(it.closed[:n])
+			it.closed = it.closed[n:]
+			continue
 		}
 		if !it.primed {
+			// The output holds about one batch of runs: retire emits a
+			// few per input row, and the end of input commits a batch of
+			// groups at a time.
+			it.out.rows = make([]tuple.Tuple, 0, capacity)
 			it.lRow, it.lOk = it.pull(&it.lcur, nil, capacity)
 			if it.r != nil {
 				it.rRow, it.rOk = it.pull(&it.rcur, nil, capacity)
@@ -747,15 +854,23 @@ func (it *sweepIter[S, A]) stepOpen(g *group[changes[S]], t interval.Time, delta
 	it.step(&g.p, g.key, t, delta, args)
 }
 
-// NextBatch copies up to out.Cap() output rows into out: the output
-// slice stays private, so its reuse cannot alias a delivered batch.
-func (it *sweepIter[S, A]) NextBatch(out *RowBatch) bool {
+// NextBatch copies up to out.Cap() output rows into out, each run
+// expanded into distinct rows: the output slices stay private, so their
+// reuse cannot alias a delivered batch.
+func (it *sweepIter[S, A]) NextBatch(out *RowBatch) bool { return it.next(out, nil) }
+
+// NextRuns copies up to out.Cap() output runs into out, their counts
+// into *mult.
+func (it *sweepIter[S, A]) NextRuns(out *RowBatch, mult *[]int64) bool {
+	*mult = (*mult)[:0]
+	return it.next(out, mult)
+}
+
+func (it *sweepIter[S, A]) next(out *RowBatch, mult *[]int64) bool {
 	out.Reset()
 	limit := out.Cap()
 	for out.Len() < limit && it.fill(limit) {
-		n := min(len(it.out.rows)-it.qi, limit-out.Len())
-		out.Rows = append(out.Rows, it.out.rows[it.qi:it.qi+n]...)
-		it.qi += n
+		it.out.hand(out, mult, limit)
 	}
 	return out.Len() > 0
 }
@@ -799,8 +914,16 @@ func newBlockSweep[S any, A accumulator[S]](k kernel[S, A], keyIdx []int) *block
 }
 
 // run sweeps the inputs, the first counting +1 and the second −1, and
-// returns the output rows.
+// returns the output as distinct rows: each run its row and count − 1
+// copies, in a slice and slabs sized to them.
 func (s *blockSweep[S, A]) run(inputs ...[]tuple.Tuple) []tuple.Tuple {
+	s.out.expanded = true
+	return s.runs(inputs...).rows
+}
+
+// runs sweeps the inputs as run does and returns the output runs, which
+// hold nothing else of the sweep.
+func (s *blockSweep[S, A]) runs(inputs ...[]tuple.Tuple) sweepOut {
 	if s.global {
 		s.find(nil)
 	}
@@ -825,11 +948,17 @@ func (s *blockSweep[S, A]) run(inputs ...[]tuple.Tuple) []tuple.Tuple {
 		s.out.counting = true
 		s.foldAll(inputs[0])
 		s.out.counting = false
-		s.out.rows = make([]tuple.Tuple, 0, s.out.n)
-		s.out.arena.expect(s.out.n)
+		n := s.out.n
+		if s.out.expanded {
+			n = s.out.total
+		} else if s.out.multi {
+			s.out.mult = make([]int64, 0, n)
+		}
+		s.out.rows = make([]tuple.Tuple, 0, n)
+		s.out.arena.expect(n)
 	}
 	s.foldAll(inputs[0])
-	return s.out.rows
+	return s.out
 }
 
 // foldAll runs every group's fold in first-seen order. Argument values
@@ -853,3 +982,61 @@ func (s *blockSweep[S, A]) foldAll(rows []tuple.Tuple) {
 		s.finish(&c, g.key)
 	}
 }
+
+// diffSweep runs the blocking count sweep over l, minus r unless r is
+// nil — with nothing subtracted it is the coalesce of l — into runs or,
+// with expanded set, into distinct rows.
+func diffSweep(l, r *Table, expanded bool) (sweepOut, error) {
+	s := newBlockSweep(countKernel(), dataColumns(l.DataArity()))
+	s.out.expanded = expanded
+	if r == nil {
+		return s.runs(l.Rows), nil
+	}
+	if l.Schema.Arity() != r.Schema.Arity() {
+		return sweepOut{}, fmt.Errorf("engine: difference-incompatible arities %d and %d", l.Schema.Arity(), r.Schema.Arity())
+	}
+	return s.runs(l.Rows, r.Rows), nil
+}
+
+// NewBlockDiffIter returns the blocking temporal difference l − r — the
+// coalesce of l when r is nil (Def 8.2: C(R) = R ∸ ∅) — as a RunIter:
+// NextRuns hands out each segment once with its multiplicity, NextBatch
+// the distinct rows TemporalDiff returns. The sweep runs here, so the
+// iterator holds only its output runs, which MaxState reports.
+func NewBlockDiffIter(l, r *Table) (RowIter, error) {
+	out, err := diffSweep(l, r, false)
+	if err != nil {
+		return nil, err
+	}
+	return &runIter{schema: l.Schema, out: out}, nil
+}
+
+// runIter hands out the runs of a blocking sweep.
+type runIter struct {
+	schema tuple.Schema
+	out    sweepOut
+}
+
+func (it *runIter) Schema() tuple.Schema { return it.schema }
+
+func (it *runIter) NextBatch(b *RowBatch) bool {
+	b.Reset()
+	it.out.hand(b, nil, b.Cap())
+	return b.Len() > 0
+}
+
+func (it *runIter) NextRuns(b *RowBatch, mult *[]int64) bool {
+	b.Reset()
+	*mult = (*mult)[:0]
+	it.out.hand(b, mult, b.Cap())
+	return b.Len() > 0
+}
+
+// MaxState reports the runs the iterator holds: a blocking sweep's state
+// is its whole output.
+func (it *runIter) MaxState() int64 { return int64(len(it.out.rows)) }
+
+// Close drops the runs.
+func (it *runIter) Close() { it.out = sweepOut{} }
+
+func (it *runIter) Err() error { return nil }

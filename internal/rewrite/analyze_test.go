@@ -49,7 +49,8 @@ func checkStatsSane(t *testing.T, st *engine.OpStats, q algebra.Query) {
 // the sweep form): the root operator's measured row count must equal the
 // number of rows the cursor actually pulled, exactly, for every
 // configuration — the stats tree observes the same stream the client
-// does.
+// does, whether it is pulled as rows or, as the Rows cursor pulls it,
+// as runs.
 func TestAnalyzeRowCountsMatchCursor(t *testing.T) {
 	g := qgen.New(733)
 	var opts []rewrite.Options
@@ -65,15 +66,21 @@ func TestAnalyzeRowCountsMatchCursor(t *testing.T) {
 				s = spec.SortedByBegin()
 			}
 			edb := s.ToEngineDB()
-			for _, opt := range opts {
+			for j, opt := range append(opts, opts...) {
+				runs := j >= len(opts)
 				opt.Collect = engine.NewCollector()
 				it, err := rewrite.Stream(context.Background(), edb, q, opt)
 				if err != nil {
 					t.Fatalf("stream: %v (%s)", err, q)
 				}
 				var drained int64
-				b := engine.NewRowBatch(engine.DefaultBatchSize)
-				for it.NextBatch(b) {
+				b, mult := engine.NewRowBatch(engine.DefaultBatchSize), []int64(nil)
+				for runs && it.(engine.RunIter).NextRuns(b, &mult) {
+					for _, k := range mult {
+						drained += k
+					}
+				}
+				for !runs && it.NextBatch(b) {
 					drained += int64(b.Len())
 				}
 				if err := it.Err(); err != nil {
@@ -85,8 +92,8 @@ func TestAnalyzeRowCountsMatchCursor(t *testing.T) {
 					t.Fatalf("no stats collected (opt %+v, query %s)", opt, q)
 				}
 				if root.Rows() != drained {
-					t.Fatalf("iteration %d, sorted %v, opt %+v: analyze root rows=%d, cursor observed %d\nquery: %s\n%s",
-						i, sorted, opt, root.Rows(), drained, q, opt.Collect.Render())
+					t.Fatalf("iteration %d, sorted %v, runs %v, opt %+v: analyze root rows=%d, cursor observed %d\nquery: %s\n%s",
+						i, sorted, runs, opt, root.Rows(), drained, q, opt.Collect.Render())
 				}
 				checkStatsSane(t, root, q)
 			}

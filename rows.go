@@ -34,13 +34,25 @@ type Rows struct {
 	// increment per row, never a per-row atomic on the cursor hot path.
 	emitted int64
 	flushed bool
-	// Batch drain: the cursor pulls engine.DefaultBatchSize rows per
-	// NextBatch call on the pipeline root and hands them out one at a
-	// time — the only per-row iteration in the system. Row tuples are
-	// immutable once yielded, so the current row staying live across a
-	// refill is safe; only the batch's row slice is reused.
-	b  engine.RowBatch
-	bi int
+	// Batch drain: the cursor pulls engine.DefaultBatchSize runs per
+	// engine.NextRuns call on the pipeline root and hands them out one
+	// row at a time — the only per-row iteration in the system. Row i of
+	// the batch stands for mult[i] rows (all 1 unless the root emits ℕ
+	// multiplicities as counts), and the cursor repeats the current row
+	// rep more times before it moves on. Row tuples are immutable once
+	// yielded, so the current row staying live across a refill is safe;
+	// only the batch's row slice is reused.
+	b    engine.RowBatch
+	mult []int64
+	bi   int
+	rep  int64
+	// unchecked counts the repeats since the context was last checked.
+	unchecked int
+	// boxes is a private copy of the current run's boxed values, once
+	// boxed is set: a repeat copies them instead of boxing again, and
+	// the caller may have changed any slice Values returned.
+	boxes []any
+	boxed bool
 	// vals is the uncarved tail of the slab Values cuts its slices from.
 	vals []any
 }
@@ -94,8 +106,9 @@ func (r *Rows) Next() bool {
 		// iterator protocol): cancellation, a tripped resource limit, a
 		// failed operator or a contained panic all surface here, while a
 		// naturally complete stream reports nil — so a cancel issued after
-		// full consumption never retroactively becomes an error.
-		r.err = r.it.Err()
+		// full consumption never retroactively becomes an error. A cancel
+		// next saw during a run is already in r.err.
+		r.err = engine.FirstErr(r.err, r.it.Err())
 		return false
 	}
 	//lint:ignore rowretain the cursor row is exposed read-only via Scan/Values and replaced on the next Next
@@ -104,18 +117,47 @@ func (r *Rows) Next() bool {
 	return true
 }
 
-// next pulls the next result row, refilling the cursor batch when it
-// is used up.
+// repeatCheck is how many repeats of a run the cursor hands out between
+// two checks of its context.
+const repeatCheck = 4096
+
+// next pulls the next result row — the current one again while its run
+// lasts — refilling the cursor batch when it is used up. The root checks
+// the context on every pull, but a run repeats without one, so next
+// checks it every repeatCheck repeats: a cancel lets through at most that
+// many more rows of a run, and ends the stream with the context's error.
 func (r *Rows) next() (tuple.Tuple, bool) {
+	if r.rep > 0 {
+		if r.unchecked++; r.unchecked == repeatCheck {
+			r.unchecked = 0
+			if r.err = r.ctx.Err(); r.err != nil {
+				return nil, false
+			}
+		}
+		r.rep--
+		return r.cur, true
+	}
 	if r.bi >= r.b.Len() {
-		if !r.it.NextBatch(&r.b) {
+		if !engine.NextRuns(r.it, &r.b, &r.mult) {
 			return nil, false
 		}
 		r.bi = 0
 	}
 	row := r.b.Rows[r.bi]
+	r.rep = r.mult[r.bi] - 1
 	r.bi++
+	r.boxed = false
 	return row, true
+}
+
+// ahead returns the rows the cursor holds past the current one, a run's
+// repeats included.
+func (r *Rows) ahead() int64 {
+	n := r.rep
+	for _, k := range r.mult[r.bi:] {
+		n += k
+	}
+	return n
 }
 
 // flushEmitted adds the cursor's row count to the process-wide registry
@@ -167,13 +209,21 @@ func (r *Rows) Values() []any {
 	if len(r.vals) < n {
 		// One slab for the rest of the batch, this row included; the
 		// slices cut from it are never handed out twice.
-		rows := min(r.b.Len()-r.bi+1, max(1, valuesSlab/n))
-		r.vals = make([]any, rows*n)
+		rows := min(r.ahead()+1, int64(max(1, valuesSlab/n)))
+		r.vals = make([]any, rows*int64(n))
 	}
 	out := r.vals[:n:n]
 	r.vals = r.vals[n:]
+	if r.boxed {
+		copy(out, r.boxes)
+		return out
+	}
 	for i := range out {
 		out[i] = fromValue(r.cur[i])
+	}
+	if r.rep > 0 {
+		r.boxes = append(r.boxes[:0], out...)
+		r.boxed = true
 	}
 	return out
 }
