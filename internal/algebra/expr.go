@@ -164,19 +164,27 @@ type Compiled func(tuple.Tuple) tuple.Value
 
 // Compile binds e against schema s, resolving column references to
 // positions. It returns an error for unknown columns.
-func Compile(e Expr, s tuple.Schema) (Compiled, error) {
+func Compile(e Expr, s tuple.Schema) (Compiled, error) { return CompileAt(e, s, nil) }
+
+// CompileAt binds e against schema s for rows that hold column i of s
+// at position at[i] — rows a column-only projection was not copied
+// through. A nil at reads column i at position i, as Compile does.
+func CompileAt(e Expr, s tuple.Schema, at []int) (Compiled, error) {
 	switch ex := e.(type) {
 	case ColRef:
 		i := s.Index(ex.Name)
 		if i < 0 {
 			return nil, fmt.Errorf("algebra: unknown column %q in schema %v", ex.Name, s.Cols)
 		}
+		if at != nil {
+			i = at[i]
+		}
 		return func(t tuple.Tuple) tuple.Value { return t[i] }, nil
 	case Const:
 		v := ex.Val
 		return func(tuple.Tuple) tuple.Value { return v }, nil
 	case Not:
-		sub, err := Compile(ex.E, s)
+		sub, err := CompileAt(ex.E, s, at)
 		if err != nil {
 			return nil, err
 		}
@@ -188,17 +196,17 @@ func Compile(e Expr, s tuple.Schema) (Compiled, error) {
 			return tuple.Bool(!v.AsBool())
 		}, nil
 	case IsNullExpr:
-		sub, err := Compile(ex.E, s)
+		sub, err := CompileAt(ex.E, s, at)
 		if err != nil {
 			return nil, err
 		}
 		return func(t tuple.Tuple) tuple.Value { return tuple.Bool(sub(t).IsNull()) }, nil
 	case BinOp:
-		l, err := Compile(ex.L, s)
+		l, err := CompileAt(ex.L, s, at)
 		if err != nil {
 			return nil, err
 		}
-		r, err := Compile(ex.R, s)
+		r, err := CompileAt(ex.R, s, at)
 		if err != nil {
 			return nil, err
 		}

@@ -30,13 +30,26 @@ func TemporalAggregate(in *Table, groupBy []string, aggs []algebra.AggSpec, preA
 	if err != nil {
 		return nil, err
 	}
-	out := &Table{Schema: prep.schema}
-	if preAgg {
-		out.Rows = newBlockSweep(aggKernel(prep, aggs, dom), prep.groupIdx).run(in.Rows)
-		return out, nil
+	return &Table{Schema: prep.schema, Rows: aggregate(in, prep, aggs, preAgg, dom)}, nil
+}
+
+// NewBlockAggIter is TemporalAggregate over rows read through m as the
+// data schema data, as an iterator that holds the result rows, which
+// MaxState reports.
+func NewBlockAggIter(in *Table, data tuple.Schema, m ColMap, groupBy []string, aggs []algebra.AggSpec, preAgg bool, dom interval.Domain) (RowIter, error) {
+	prep, err := prepareAggregate(data, groupBy, aggs)
+	if err != nil {
+		return nil, err
 	}
-	aggregateNaive(in, out, prep.groupIdx, aggs, prep.argIdx, dom)
-	return out, nil
+	return &runIter{schema: prep.schema, out: sweepOut{rows: aggregate(in, prep.through(m), aggs, preAgg, dom)}}, nil
+}
+
+// aggregate runs the aggregation prep describes over in's rows.
+func aggregate(in *Table, prep *aggPrep, aggs []algebra.AggSpec, preAgg bool, dom interval.Domain) []tuple.Tuple {
+	if preAgg {
+		return newBlockSweep(aggKernel(prep, aggs, dom), prep.groupIdx).run(in.Rows)
+	}
+	return aggregateNaive(in, prep.groupIdx, aggs, prep.argIdx, dom)
 }
 
 // AggregateShape resolves an aggregation spec against an input data
@@ -87,11 +100,16 @@ func prepareAggregate(data tuple.Schema, groupBy []string, aggs []algebra.AggSpe
 	return p, nil
 }
 
+// through returns p for rows that hold the data columns at m.
+func (p *aggPrep) through(m ColMap) *aggPrep {
+	return &aggPrep{groupIdx: m.Of(p.groupIdx), argIdx: m.Of(p.argIdx), schema: p.schema}
+}
+
 // aggregateNaive materializes the split (Def 8.3) and hash-aggregates.
 // For global aggregation it additionally emits neutral rows (count 0,
 // NULL aggregates) over the uncovered segments of the domain, which is
 // the effect of Fig 4's union with {(null, Tmin, Tmax)}.
-func aggregateNaive(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpec, argIdx []int, dom interval.Domain) {
+func aggregateNaive(in *Table, groupIdx []int, aggs []algebra.AggSpec, argIdx []int, dom interval.Domain) []tuple.Tuple {
 	global := len(groupIdx) == 0
 	split := Split(in, groupIdx)
 	type acc struct {
@@ -143,14 +161,16 @@ func aggregateNaive(in *Table, out *Table, groupIdx []int, aggs []algebra.AggSpe
 			}
 		}
 	}
+	out := make([]tuple.Tuple, 0, len(groups))
 	for _, a := range groups {
 		row := a.group.Clone()
 		for _, st := range a.states {
 			row = append(row, st.Result())
 		}
 		row = append(row, tuple.Int(a.seg.Begin), tuple.Int(a.seg.End))
-		out.Rows = append(out.Rows, row)
+		out = append(out, row)
 	}
+	return out
 }
 
 // appendSegKey appends the (group, segment) composite key of the naive

@@ -43,8 +43,8 @@ import (
 //     rows: ObsIter, GovernState's iterator, snapdebug's CheckNoAlias and
 //     CheckErrChecked, chaos's fault iterator, and parallel's root and
 //     blocking-sweep iterators. Exchanges, joins, filters and projections
-//     do not: they pull NextBatch. Only the snapk.Rows cursor repeats a
-//     run's row.
+//     do not: they pull NextBatch. Only the snapk.Rows cursor and
+//     db.Query's result repeat a run's row.
 
 // RunIter is the optional run form of the protocol, for iterators whose
 // output carries ℕ multiplicities as counts. NextRuns fills b as

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"snapk/internal/algebra"
@@ -42,6 +43,27 @@ func decodeFuzzTable(data []byte) *engine.Table {
 		tbl.Append(tuple.Tuple{val}, interval.New(begin, end), mult)
 	}
 	return tbl
+}
+
+// throughMap lays t's rows out through a random column map that seed
+// picks: t's data columns at a random permutation of positions among up
+// to three extra columns of every kind, which no sweep may read. It
+// returns the wider rows, in t's order, and the map that reads t's data
+// columns back.
+func throughMap(t *engine.Table, seed int64) (*engine.Table, engine.ColMap) {
+	rng := rand.New(rand.NewSource(seed))
+	n := t.DataArity()
+	w := n + rng.Intn(4)
+	return engine.Spread(rng, t, w, rng.Perm(w)[:n]...)
+}
+
+// fuzzSeed folds fuzz data into a seed for throughMap.
+func fuzzSeed(data []byte) int64 {
+	var h int64
+	for _, c := range data {
+		h = 31*h + int64(c)
+	}
+	return h
 }
 
 // timePointCounts is the naive oracle: for every (value, time point),
@@ -211,6 +233,25 @@ func FuzzStreamDiff(f *testing.F) {
 			}
 			checkDrains(t, form+" difference", newIt, oracle)
 		}
+
+		// Both drivers over each side read through a column map of its
+		// own: the group table meets one group through two maps.
+		seed := fuzzSeed(data)
+		lm, lcols := throughMap(ls, seed)
+		rm, rcols := throughMap(rs, seed+1)
+		checkDrains(t, "streaming difference through maps", func() engine.RowIter {
+			return engine.CheckNoAlias("streaming difference through maps",
+				engine.NewStreamCountIter(ls.Schema, engine.NewTableIter(lm), lcols, engine.NewTableIter(rm), rcols))
+		}, oracle)
+		lm, lcols = throughMap(l, seed+2)
+		rm, rcols = throughMap(r, seed+3)
+		checkDrains(t, "blocking difference through maps", func() engine.RowIter {
+			it, err := engine.NewBlockCountIter(l.Schema, lm, lcols, rm, rcols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return engine.CheckNoAlias("blocking difference through maps", it)
+		}, oracle)
 	})
 }
 
@@ -318,6 +359,21 @@ func FuzzCoalesce(f *testing.F) {
 			}
 			return engine.CheckNoAlias("blocking coalesce", it)
 		}, timePointCounts(tbl))
+		// Both drivers over the rows read through a column map.
+		seed := fuzzSeed(data)
+		sm, scols := throughMap(sorted, seed)
+		checkDrains(t, "streaming coalesce through a map", func() engine.RowIter {
+			return engine.CheckNoAlias("streaming coalesce through a map",
+				engine.NewStreamCountIter(sorted.Schema, engine.NewTableIter(sm), scols, nil, nil))
+		}, timePointCounts(tbl))
+		tm, tcols := throughMap(tbl, seed+1)
+		checkDrains(t, "blocking coalesce through a map", func() engine.RowIter {
+			it, err := engine.NewBlockCountIter(tbl.Schema, tm, tcols, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return engine.CheckNoAlias("blocking coalesce through a map", it)
+		}, timePointCounts(tbl))
 
 		// The pre-aggregated split in both forms, grouped and global (the
 		// latter with neutral rows over gaps), must realize the
@@ -353,6 +409,23 @@ func FuzzCoalesce(f *testing.F) {
 			it.Close()
 			if !sameCounts(multisetKeys(wantAgg), multisetKeys(gotAgg)) {
 				t.Fatalf("streaming aggregation by %v diverges from blocking sweep\ninput:\n%s\nblocking:\n%s\nstreaming:\n%s", groupBy, in, wantAgg, gotAgg)
+			}
+			// Both drivers over the rows read through a column map.
+			inm, m := throughMap(in, seed+2)
+			mit, err := engine.NewMappedStreamAggIter(engine.NewTableIter(inm), in.DataSchema(), m, groupBy, aggs, fuzzDomain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bit, err := engine.NewBlockAggIter(inm, in.DataSchema(), m, groupBy, aggs, true, fuzzDomain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for form, it := range map[string]engine.RowIter{"streaming": mit, "blocking": bit} {
+				got := materializeCap(t, engine.CheckNoAlias(form+" aggregation through a map", it), 3)
+				it.Close()
+				if !sameCounts(multisetKeys(wantAgg), multisetKeys(got)) {
+					t.Fatalf("%s aggregation by %v through map %v diverges\ninput:\n%s\nwant:\n%s\ngot:\n%s", form, groupBy, m, in, wantAgg, got)
+				}
 			}
 		}
 	})

@@ -24,11 +24,11 @@ type overlapJoinIter struct {
 	active bool // a forward scan is in progress
 }
 
-// newOverlapJoinIter drains both inputs, sorts them by interval begin
+// NewOverlapJoinIter drains both inputs, sorts them by interval begin
 // and returns the lazy sweep iterator; prep is the join predicate
 // analysed over the inputs' data schemas. Both inputs are fully consumed
 // and closed here; the sweep holds no child resources.
-func newOverlapJoinIter(l, r RowIter, prep *JoinPrep) (RowIter, error) {
+func NewOverlapJoinIter(l, r RowIter, prep *JoinPrep) (RowIter, error) {
 	lRows, lErr := drainRowsErr(l)
 	rRows, rErr := drainRowsErr(r)
 	l.Close()

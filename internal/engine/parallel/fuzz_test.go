@@ -2,6 +2,8 @@ package parallel_test
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"snapk/internal/algebra"
@@ -66,6 +68,48 @@ func fuzzSameCounts(a, b map[string]int) bool {
 	return true
 }
 
+// storeThroughMap stores tbl's rows in db as name, laid out through a
+// random column map that seed picks — tbl's data columns at a random
+// permutation of positions among up to three extra columns of every
+// kind — and returns the column-only projection that reads them back
+// under tbl's column names, which the executor lowers to a map.
+func storeThroughMap(db *engine.DB, name string, tbl *engine.Table, seed int64) engine.Plan {
+	rng := rand.New(rand.NewSource(seed))
+	n := tbl.DataArity()
+	w := n + rng.Intn(4)
+	at := rng.Perm(w)[:n]
+	cols := make([]string, w)
+	for i := range cols {
+		cols[i] = fmt.Sprintf("%s%d", name, i)
+	}
+	stored := db.CreateTable(name, tuple.NewSchema(cols...))
+	extra := []tuple.Value{tuple.Null, tuple.Int(3), tuple.Float(0.5), tuple.String_("x")}
+	for _, row := range tbl.Rows {
+		wide := make(tuple.Tuple, w)
+		for i := range wide {
+			wide[i] = extra[rng.Intn(len(extra))]
+		}
+		for j, c := range at {
+			wide[c] = row[j]
+		}
+		stored.Append(wide, tbl.Interval(row), 1)
+	}
+	exprs := make([]algebra.NamedExpr, n)
+	for j, c := range at {
+		exprs[j] = algebra.NamedExpr{Name: tbl.Schema.Cols[j], E: algebra.Col(cols[c])}
+	}
+	return engine.ProjectP{Exprs: exprs, In: engine.ScanP{Name: name}}
+}
+
+// fuzzSeed folds fuzz data into a seed for the column maps.
+func fuzzSeed(data []byte) int64 {
+	var h int64
+	for _, c := range data {
+		h = 31*h + int64(c)
+	}
+	return h
+}
+
 // FuzzParStreamSweep differences the parallel STREAMING sweeps — the
 // order-preserving repartition exchange feeding per-worker streaming
 // coalesce and pre-aggregated split — against the sequential blocking
@@ -73,7 +117,10 @@ func fuzzSameCounts(a, b map[string]int) bool {
 // correctness: the ordered merge of a begin-sorted parallel scan must
 // itself be begin-sorted. A sort-order violation inside a partition
 // would also trip the streaming iterators' input-order panic, so this
-// target simultaneously fuzzes the exchange's order guarantee.
+// target simultaneously fuzzes the exchange's order guarantee. Every
+// sweep also runs over its inputs read through random column maps
+// (storeThroughMap), a different one per side of the difference: the
+// exchanges hash and the sweeps group through them.
 func FuzzParStreamSweep(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 5})
@@ -104,15 +151,19 @@ func FuzzParStreamSweep(f *testing.F) {
 		}
 
 		// Parallel streaming coalesce vs the blocking sweep.
+		seed := fuzzSeed(data)
+		scanT, mapT := engine.ScanP{Name: "t"}, storeThroughMap(db, "tm", tbl, seed)
 		want := engine.Coalesce(tbl)
-		it, err := parallel.Exec(ctx, db, engine.CoalesceP{In: engine.ScanP{Name: "t"}}, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := engine.Materialize(it)
-		it.Close()
-		if !fuzzSameCounts(fuzzMultiset(want), fuzzMultiset(got)) {
-			t.Fatalf("parallel streaming coalesce diverges from blocking oracle\ninput:\n%s\nwant:\n%s\ngot:\n%s", tbl, want, got)
+		for _, in := range []engine.Plan{scanT, mapT} {
+			it, err := parallel.Exec(ctx, db, engine.CoalesceP{In: in}, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := engine.Materialize(it)
+			it.Close()
+			if !fuzzSameCounts(fuzzMultiset(want), fuzzMultiset(got)) {
+				t.Fatalf("parallel streaming coalesce over %s diverges from blocking oracle\ninput:\n%s\nwant:\n%s\ngot:\n%s", in, tbl, want, got)
+			}
 		}
 
 		// Parallel streaming difference (pairwise ordered repartition,
@@ -137,16 +188,20 @@ func FuzzParStreamSweep(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dit, err := parallel.Exec(ctx, db,
-			engine.DiffP{L: engine.ScanP{Name: "t"}, R: engine.ScanP{Name: "u"}}, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotDiff := engine.Materialize(dit)
-		dit.Close()
-		if !fuzzSameCounts(fuzzMultiset(wantDiff), fuzzMultiset(gotDiff)) {
-			t.Fatalf("parallel streaming difference diverges from blocking oracle\nleft:\n%s\nright:\n%s\nwant:\n%s\ngot:\n%s",
-				tbl, shifted, wantDiff, gotDiff)
+		for _, p := range []engine.DiffP{
+			{L: scanT, R: engine.ScanP{Name: "u"}},
+			{L: mapT, R: storeThroughMap(db, "um", shifted, seed+1)},
+		} {
+			dit, err := parallel.Exec(ctx, db, p, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotDiff := engine.Materialize(dit)
+			dit.Close()
+			if !fuzzSameCounts(fuzzMultiset(wantDiff), fuzzMultiset(gotDiff)) {
+				t.Fatalf("parallel streaming difference %s diverges from blocking oracle\nleft:\n%s\nright:\n%s\nwant:\n%s\ngot:\n%s",
+					p, tbl, shifted, wantDiff, gotDiff)
+			}
 		}
 
 		// Parallel streaming pre-aggregated split vs the blocking sweep,
@@ -157,16 +212,18 @@ func FuzzParStreamSweep(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ait, err := parallel.Exec(ctx, db,
-				engine.AggP{GroupBy: groupBy, Aggs: aggs, PreAgg: true, In: engine.ScanP{Name: "t"}}, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotAgg := engine.Materialize(ait)
-			ait.Close()
-			if !fuzzSameCounts(fuzzMultiset(wantAgg), fuzzMultiset(gotAgg)) {
-				t.Fatalf("parallel streaming aggregation (groupBy %v) diverges from blocking oracle\ninput:\n%s\nwant:\n%s\ngot:\n%s",
-					groupBy, tbl, wantAgg, gotAgg)
+			for _, in := range []engine.Plan{scanT, mapT} {
+				ait, err := parallel.Exec(ctx, db,
+					engine.AggP{GroupBy: groupBy, Aggs: aggs, PreAgg: true, In: in}, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotAgg := engine.Materialize(ait)
+				ait.Close()
+				if !fuzzSameCounts(fuzzMultiset(wantAgg), fuzzMultiset(gotAgg)) {
+					t.Fatalf("parallel streaming aggregation (groupBy %v) over %s diverges from blocking oracle\ninput:\n%s\nwant:\n%s\ngot:\n%s",
+						groupBy, in, tbl, wantAgg, gotAgg)
+				}
 			}
 		}
 	})

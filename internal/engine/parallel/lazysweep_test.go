@@ -4,7 +4,10 @@ import (
 	"errors"
 	"testing"
 
+	"snapk/internal/algebra"
 	"snapk/internal/engine"
+	"snapk/internal/interval"
+	"snapk/internal/krel"
 	"snapk/internal/tuple"
 )
 
@@ -98,7 +101,10 @@ func TestLazyDiffPropagatesDrainError(t *testing.T) {
 // holds until Close are query state: under a budget that fits the
 // materialized input but not the input plus the held runs, the first
 // pull fails with ErrMemBudget; under one that fits both, every run is
-// delivered. Close releases every byte either way.
+// delivered. The input's charge ends when the sweep has run — nothing
+// references the drained rows then — and Close releases every byte
+// either way. A blocking aggregation's result is charged until Close
+// as well.
 func TestLazySweepChargesHeldRuns(t *testing.T) {
 	const n = 100 // distinct values: the coalesce holds one run per row
 	rows := make([]tuple.Tuple, n)
@@ -106,6 +112,7 @@ func TestLazySweepChargesHeldRuns(t *testing.T) {
 		rows[i] = tuple.Tuple{tuple.Int(int64(i)), tuple.Int(0), tuple.Int(10)}
 	}
 	input := n * engine.ApproxRowBytes(3)
+	held := n * (engine.ApproxRowBytes(3) + runBytes)
 	for _, tc := range []struct {
 		budget int64
 		fits   bool
@@ -120,6 +127,9 @@ func TestLazySweepChargesHeldRuns(t *testing.T) {
 			if !ok || b.Len() != n || it.Err() != nil {
 				t.Fatalf("budget %d: %d runs, Err %v; want %d runs and no error", tc.budget, b.Len(), it.Err(), n)
 			}
+			if got := gov.MemInUse(); got != held {
+				t.Fatalf("budget %d: %d bytes charged while the runs stream, want the held runs' %d", tc.budget, got, held)
+			}
 		} else if ok || !errors.Is(it.Err(), engine.ErrMemBudget) {
 			t.Fatalf("budget %d: ok=%v, Err %v; want ErrMemBudget", tc.budget, ok, it.Err())
 		}
@@ -127,5 +137,28 @@ func TestLazySweepChargesHeldRuns(t *testing.T) {
 		if got := gov.MemInUse(); got != 0 {
 			t.Fatalf("budget %d: %d bytes still charged after Close", tc.budget, got)
 		}
+	}
+
+	// The blocking aggregation's result, which the iterator also holds
+	// until Close, is charged the same way: one row per group here.
+	const groups = 30
+	for i := range rows {
+		rows[i] = tuple.Tuple{tuple.Int(int64(i % groups)), tuple.Int(0), tuple.Int(10)}
+	}
+	aggs := []algebra.AggSpec{{Fn: krel.CountStar, As: "c"}}
+	gov := engine.NewGovernor(engine.Limits{MemBudget: 1 << 30})
+	it := newLazySweepIter(gov, engine.PeriodSchema(tuple.NewSchema("v", "c")), func(ts ...*engine.Table) (engine.RowIter, error) {
+		return engine.NewBlockAggIter(ts[0], tuple.NewSchema("v"), nil, []string{"v"}, aggs, true, interval.NewDomain(0, 10))
+	}, &errAfterIter{schema: periodSchema2(), rows: rows})
+	b := engine.NewRowBatch(n)
+	if !it.NextBatch(b) || b.Len() != groups {
+		t.Fatalf("%d rows, Err %v; want %d", b.Len(), it.Err(), groups)
+	}
+	if got, want := gov.MemInUse(), groups*(engine.ApproxRowBytes(4)+runBytes); got != want {
+		t.Fatalf("%d bytes charged while the result streams, want the result's %d", got, want)
+	}
+	it.Close()
+	if got := gov.MemInUse(); got != 0 {
+		t.Fatalf("%d bytes still charged after Close", got)
 	}
 }

@@ -68,6 +68,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"snapk/internal/algebra"
 	"snapk/internal/engine"
 	"snapk/internal/obs"
 	"snapk/internal/tuple"
@@ -192,10 +193,38 @@ func (e *executor) govern(it engine.RowIter) engine.RowIter {
 // individually yields rows in ascending begin order, so exchanges can
 // preserve the order (ordered merge, ordered repartition) instead of
 // destroying it, and the streaming sweeps stay streaming end to end.
+//
+// cols is the column map column-only projections left on the stream
+// (engine.ColMap): when set, the parts yield their child's rows
+// uncopied, and data column i of schema is column cols[i] of a row.
+// Every operator that reads through a map — the filter and the window,
+// which keep it, the sweeps, the joins and the keyed exchanges — takes
+// it from here; only the root and a union copy the rows to schema's
+// layout (flat). nil means the rows are laid out as schema says.
 type pstream struct {
 	parts   []engine.RowIter
 	schema  tuple.Schema
 	ordered bool
+	cols    engine.ColMap
+}
+
+// width returns the width of a part's rows.
+func (s *pstream) width() int { return s.parts[0].Schema().Arity() }
+
+// keys returns the row columns of every data column: the group key of
+// the coalesce and the difference.
+func (s *pstream) keys() []int { return s.cols.Data(s.schema.Arity() - 2) }
+
+// flat lays the rows out as schema, for a consumer that cannot read
+// through the column map: a copy, or none for a rename.
+func (s *pstream) flat() *pstream {
+	if s.cols != nil {
+		for i, part := range s.parts {
+			s.parts[i] = engine.NewColMapIter(part, s.schema, s.cols)
+		}
+		s.cols = nil
+	}
+	return s
 }
 
 func (s *pstream) shape() shape { return shape{frags: len(s.parts), ordered: s.ordered} }
@@ -245,7 +274,7 @@ func Exec(ctx context.Context, db *engine.DB, p engine.Plan, opt Options) (engin
 	}
 	// The outermost ObsIter counts rows on the parent node itself, so its
 	// row count is exactly what the root cursor observes.
-	root := engine.NewObsIter(engine.CheckNoAlias("parallel exec root", e.merge(s, opt.Stats)), opt.Stats)
+	root := engine.NewObsIter(engine.CheckNoAlias("parallel exec root", e.merge(s.flat(), opt.Stats)), opt.Stats)
 	return &execIter{e: e, it: root}, nil
 }
 
@@ -483,20 +512,15 @@ func (e *executor) build(p engine.Plan, parent *engine.OpStats) (*pstream, error
 		if err != nil {
 			return nil, err
 		}
+		schema, cols := in.schema, in.cols
 		return e.mapStream("filter", n, in, st, func(it engine.RowIter) (engine.RowIter, error) {
-			return engine.NewFilterIter(it, n.Pred)
+			return engine.NewFilterIter(it, schema, cols, n.Pred)
 		})
 	case engine.ProjectP:
-		st := parent.Child("Project", "")
-		in, err := e.build(n.In, st)
-		if err != nil {
-			return nil, err
-		}
-		return e.mapStream("project", n, in, st, func(it engine.RowIter) (engine.RowIter, error) {
-			return engine.NewProjectIter(it, n.Exprs)
-		})
+		return e.buildProject(n, parent)
 	case engine.JoinP:
-		return e.buildJoin(n, parent)
+		s, _, err := e.buildJoin(n, parent, nil)
+		return s, err
 	case engine.UnionP:
 		st := parent.Child("Union", "")
 		l, err := e.build(n.L, st)
@@ -511,8 +535,8 @@ func (e *executor) build(p engine.Plan, parent *engine.OpStats) (*pstream, error
 		// Pair the fragments of both sides: fragment i concatenates
 		// l_i and r_i, so the union itself needs no extra exchange.
 		out, _ := place(e.db, n, e.workers, false, l.shape(), r.shape())
-		lp := e.exchange(l, out.frags, nil, false, st)
-		rp := e.exchange(r, out.frags, nil, false, st)
+		lp := e.exchange(l.flat(), out.frags, nil, false, st)
+		rp := e.exchange(r.flat(), out.frags, nil, false, st)
 		for i := range lp {
 			u, err := engine.NewUnionIter(lp[i], rp[i])
 			if err != nil {
@@ -523,7 +547,7 @@ func (e *executor) build(p engine.Plan, parent *engine.OpStats) (*pstream, error
 			}
 			lp[i] = u
 		}
-		return e.finish("", &pstream{parts: lp, schema: lp[0].Schema(), ordered: out.ordered}, st), nil
+		return e.finish("", &pstream{parts: lp, schema: l.schema, ordered: out.ordered}, st), nil
 	case engine.DiffP:
 		return e.buildDiff(n, parent)
 	case engine.AggP:
@@ -535,15 +559,46 @@ func (e *executor) build(p engine.Plan, parent *engine.OpStats) (*pstream, error
 	}
 }
 
-// dataIdx returns the indices of all data columns of a period schema —
-// the partitioning key of coalesce and difference, whose groups are the
-// value-equivalent rows.
-func dataIdx(schema tuple.Schema) []int {
-	idx := make([]int, schema.Arity()-2)
-	for i := range idx {
-		idx[i] = i
+// buildProject compiles a projection. One that only reads columns —
+// every rename REWR and the SQL translation wrap operators and tables
+// in — is a column map on its input stream (pstream.cols) and copies no
+// row; directly over a join it folds into the join's output row. One
+// that computes an expression runs a projectIter, which reads its input
+// through the input's map. Either way the Project keeps its EXPLAIN
+// ANALYZE node.
+func (e *executor) buildProject(n engine.ProjectP, parent *engine.OpStats) (*pstream, error) {
+	st := parent.Child("Project", "")
+	var in *pstream
+	var err error
+	if j, ok := n.In.(engine.JoinP); ok {
+		var projected bool
+		if in, projected, err = e.buildJoin(j, st, n.Exprs); err == nil && projected {
+			return e.mapStream("project", n, in, st, nil)
+		}
+	} else {
+		in, err = e.build(n.In, st)
 	}
-	return idx
+	if err != nil {
+		return nil, err
+	}
+	if sel, ok := engine.ColumnMap(n.Exprs, in.schema); ok {
+		in.cols, in.schema = in.cols.Of(sel), projectSchema(n.Exprs)
+		return e.mapStream("project", n, in, st, nil)
+	}
+	schema, cols := in.schema, in.cols
+	in.schema, in.cols = projectSchema(n.Exprs), nil
+	return e.mapStream("project", n, in, st, func(it engine.RowIter) (engine.RowIter, error) {
+		return engine.NewProjectIter(it, schema, cols, n.Exprs)
+	})
+}
+
+// projectSchema returns the period schema a projection emits.
+func projectSchema(exprs []algebra.NamedExpr) tuple.Schema {
+	cols := make([]string, len(exprs))
+	for i, ne := range exprs {
+		cols[i] = ne.Name
+	}
+	return engine.PeriodSchema(tuple.NewSchema(cols...))
 }
 
 // sweepForm records the form place picked for a sweep: in the
@@ -570,16 +625,16 @@ func (e *executor) buildCoalesce(n engine.CoalesceP, parent *engine.OpStats) (*p
 	if err != nil {
 		return nil, err
 	}
-	schema := in.schema
+	schema, keys := in.schema, in.keys()
 	out, streams := place(e.db, n, e.workers, false, in.shape())
 	sweepForm(st, streams)
-	parts := e.exchange(in, out.frags, dataIdx(schema), streams, st)
+	parts := e.exchange(in, out.frags, keys, streams, st)
 	for i, part := range parts {
 		if streams {
-			parts[i] = e.govern(engine.NewStreamCoalesceIter(part))
+			parts[i] = e.govern(engine.NewStreamCountIter(schema, part, keys, nil, nil))
 		} else {
 			parts[i] = newLazySweepIter(e.gov, schema, func(ts ...*engine.Table) (engine.RowIter, error) {
-				return engine.NewBlockDiffIter(ts[0], nil)
+				return engine.NewBlockCountIter(schema, ts[0], keys, nil, nil)
 			}, part)
 		}
 	}
@@ -605,7 +660,8 @@ func (e *executor) buildAgg(n engine.AggP, parent *engine.OpStats) (*pstream, er
 	}
 	// Resolve the partitioning key and the output schema (and surface
 	// column errors) before starting any exchange.
-	keyIdx, schema, err := engine.AggregateShape(in.dataSchema(), n.GroupBy, n.Aggs)
+	data, cols := in.dataSchema(), in.cols
+	keyIdx, schema, err := engine.AggregateShape(data, n.GroupBy, n.Aggs)
 	if err != nil {
 		in.close()
 		return nil, err
@@ -615,10 +671,10 @@ func (e *executor) buildAgg(n engine.AggP, parent *engine.OpStats) (*pstream, er
 	if st != nil && !streams && n.PreAgg {
 		st.Detail += " pre-agg"
 	}
-	parts := e.exchange(in, out.frags, keyIdx, streams, st)
+	parts := e.exchange(in, out.frags, cols.Of(keyIdx), streams, st)
 	for i, part := range parts {
 		if streams {
-			it, err := engine.NewStreamAggIter(part, n.GroupBy, n.Aggs, dom)
+			it, err := engine.NewMappedStreamAggIter(part, data, cols, n.GroupBy, n.Aggs, dom)
 			if err != nil {
 				// The constructor closed part; release the rest. Exchange
 				// goroutines are reaped by Exec's cancel path.
@@ -633,11 +689,7 @@ func (e *executor) buildAgg(n engine.AggP, parent *engine.OpStats) (*pstream, er
 			// both propagate through Err instead of yielding a silently
 			// empty partition.
 			parts[i] = newLazySweepIter(e.gov, schema, func(ts ...*engine.Table) (engine.RowIter, error) {
-				t, err := engine.TemporalAggregate(ts[0], n.GroupBy, n.Aggs, n.PreAgg, dom)
-				if err != nil {
-					return nil, err
-				}
-				return engine.NewTableIter(t), nil
+				return engine.NewBlockAggIter(ts[0], data, cols, n.GroupBy, n.Aggs, n.PreAgg, dom)
 			}, part)
 		}
 	}
@@ -670,31 +722,22 @@ func (e *executor) buildDiff(n engine.DiffP, parent *engine.OpStats) (*pstream, 
 		r.close()
 		return nil, fmt.Errorf("parallel: difference-incompatible arities %d and %d", l.schema.Arity(), r.schema.Arity())
 	}
-	schema := l.schema
+	// The two sides may read through different column maps: each is
+	// hashed and swept by its own key columns.
+	schema, lKeys, rKeys := l.schema, l.keys(), r.keys()
 	out, streams := place(e.db, n, e.workers, false, l.shape(), r.shape())
 	sweepForm(st, streams)
-	lp := e.exchange(l, out.frags, dataIdx(schema), streams, st)
-	rp := e.exchange(r, out.frags, dataIdx(schema), streams, st)
+	lp := e.exchange(l, out.frags, lKeys, streams, st)
+	rp := e.exchange(r, out.frags, rKeys, streams, st)
 	for i := range lp {
 		if streams {
-			it, err := engine.NewStreamDiffIter(lp[i], rp[i])
-			if err != nil {
-				// Arity compatibility was validated above, so this is an
-				// executor bug — but it still must tear down cleanly: the
-				// constructor closed lp[i]/rp[i]; release the rest and
-				// surface the error instead of panicking.
-				closeAll(lp[:i])
-				closeAll(lp[i+1:])
-				closeAll(rp[i+1:])
-				return nil, err
-			}
-			lp[i] = e.govern(it)
+			lp[i] = e.govern(engine.NewStreamCountIter(schema, lp[i], lKeys, rp[i], rKeys))
 		} else {
 			// Arity compatibility (checked above) is the only failure mode
 			// of the blocking difference; a failure here still propagates
 			// through Err rather than yielding a silently empty partition.
 			lp[i] = newLazySweepIter(e.gov, schema, func(ts ...*engine.Table) (engine.RowIter, error) {
-				return engine.NewBlockDiffIter(ts[0], ts[1])
+				return engine.NewBlockCountIter(schema, ts[0], lKeys, ts[1], rKeys)
 			}, lp[i], rp[i])
 		}
 	}
@@ -706,44 +749,55 @@ func (e *executor) buildDiff(n engine.DiffP, parent *engine.OpStats) (*pstream, 
 // immutable hash table, then every probe fragment streams its partition
 // of the other input against it. A join without an equality conjunct
 // runs as one endpoint-sorted overlap sweep (which drains both inputs
-// anyway) over the merged inputs.
-func (e *executor) buildJoin(n engine.JoinP, parent *engine.OpStats) (*pstream, error) {
+// anyway) over the merged inputs. Both forms read each input through
+// its column map. exprs, when not nil, is a projection directly over
+// the join: when it only reads data columns it folds into the output
+// row each surviving pair gets, and projected reports that it did.
+func (e *executor) buildJoin(n engine.JoinP, parent *engine.OpStats, exprs []algebra.NamedExpr) (s *pstream, projected bool, err error) {
 	st := parent.Child("Join", "")
 	l, err := e.build(n.L, st)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	r, err := e.build(n.R, st)
 	if err != nil {
 		l.close()
-		return nil, err
+		return nil, false, err
 	}
 	prep, err := engine.PrepareJoin(l.dataSchema(), r.dataSchema(), n.Pred)
 	if err != nil {
 		l.close()
 		r.close()
-		return nil, err
+		return nil, false, err
 	}
 	hash, buildLeft, hint := e.db.JoinStrategy(n, prep)
 	if st != nil {
 		st.Detail = engine.JoinStrategyName(hash, buildLeft)
 	}
+	prep = prep.Through(l.cols, l.width(), r.cols)
+	if exprs != nil {
+		if sel, ok := engine.ColumnMap(exprs, prep.Schema()); ok {
+			prep, projected = prep.Project(sel, projectSchema(exprs)), true
+		}
+	}
 	out, _ := place(e.db, n, e.workers, hash, l.shape(), r.shape())
 	if !hash {
-		j, err := engine.NewJoinIter(e.merge(l, st), e.merge(r, st), n.Pred)
+		j, err := engine.NewOverlapJoinIter(e.merge(l, st), e.merge(r, st), prep)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if err := e.ctx.Err(); err != nil {
 			j.Close()
-			return nil, err
+			return nil, false, err
 		}
-		return e.finish("join", &pstream{parts: []engine.RowIter{j}, schema: j.Schema(), ordered: out.ordered}, st), nil
+		return e.finish("join", &pstream{parts: []engine.RowIter{j}, schema: j.Schema(), ordered: out.ordered}, st), projected, nil
 	}
 	build, probe := r, l
 	if buildLeft {
 		build, probe = l, r
 	}
+	// The table holds the build side's rows as they come, map and all.
+	rowBytes := engine.ApproxRowBytes(build.width())
 	// Drain the build side eagerly; a canceled context surfaces as an
 	// error rather than a silently truncated hash table. The drain
 	// happens outside any pull, so an explicit span attributes its cost
@@ -756,19 +810,19 @@ func (e *executor) buildJoin(n engine.JoinP, parent *engine.OpStats) (*pstream, 
 	// is more specific); both fail the build here.
 	if err := engine.FirstErr(jb.Err(), e.ctx.Err()); err != nil {
 		probe.close()
-		return nil, err
+		return nil, false, err
 	}
 	// The materialized build side is tracked query state: charge it
 	// against the memory budget before fanning probes out.
-	if err := e.gov.ChargeMem(jb.Rows() * engine.ApproxRowBytes(build.schema.Arity())); err != nil {
+	if err := e.gov.ChargeMem(jb.Rows() * rowBytes); err != nil {
 		probe.close()
-		return nil, err
+		return nil, false, err
 	}
 	parts := e.exchange(probe, out.frags, nil, false, st)
 	for i, part := range parts {
 		parts[i] = jb.Probe(part)
 	}
-	return e.finish("join", &pstream{parts: parts, schema: prep.Schema(), ordered: out.ordered}, st), nil
+	return e.finish("join", &pstream{parts: parts, schema: prep.Schema(), ordered: out.ordered}, st), projected, nil
 }
 
 // scanStream builds the scan of a stored (or pruned-prefix) table: the
@@ -786,13 +840,15 @@ func (e *executor) scanStream(n engine.ScanP, t *engine.Table, st *engine.OpStat
 }
 
 // mapStream wraps every fragment of in with a streaming operator
-// constructor. wrap takes ownership of its input on error, matching the
-// engine constructors' contract. The wrapped operators (Filter, Project,
-// Window) are per-row and carry or monotonically clip the period
-// attributes, so place() hands the input's shape through.
+// constructor, or with none when wrap is nil (a column map). wrap takes
+// ownership of its input on error, matching the engine constructors'
+// contract. The wrapped operators (Filter, Project, Window) are per-row
+// and carry or monotonically clip the period attributes, so place()
+// hands the input's shape through; the stream keeps the schema and the
+// column map the caller left on in.
 func (e *executor) mapStream(site string, n engine.Plan, in *pstream, st *engine.OpStats, wrap func(engine.RowIter) (engine.RowIter, error)) (*pstream, error) {
-	for i, part := range in.parts {
-		it, err := wrap(part)
+	for i := 0; wrap != nil && i < len(in.parts); i++ {
+		it, err := wrap(in.parts[i])
 		if err != nil {
 			closeAll(in.parts[:i])
 			closeAll(in.parts[i+1:])
@@ -801,5 +857,6 @@ func (e *executor) mapStream(site string, n engine.Plan, in *pstream, st *engine
 		in.parts[i] = it
 	}
 	out, _ := place(e.db, n, e.workers, false, in.shape())
-	return e.finish(site, &pstream{parts: in.parts, schema: in.parts[0].Schema(), ordered: out.ordered}, st), nil
+	in.ordered = out.ordered
+	return e.finish(site, in, st), nil
 }

@@ -9,9 +9,9 @@ import (
 // partition pair, for difference) — inside the fragment that drains it:
 // the inputs are materialized on the first pull (concurrently across
 // fragments when each runs in its own merge-producer goroutine), fn runs
-// on them, and its result streams out: a run iterator for the
-// difference and the coalesce, whose runs it forwards, and a table scan
-// for the aggregation. The partitioning key is the group key, so the
+// on them, and its result streams out: a run iterator, whose runs it
+// forwards for the difference and the coalesce, and whose rows are the
+// aggregation's. The partitioning key is the group key, so the
 // per-partition sweeps are independent and their merged outputs form
 // exactly the one-fragment result multiset. The ordered exchange +
 // per-fragment streaming sweeps supersede this on begin-sorted input.
@@ -19,15 +19,15 @@ import (
 // A failed input drain or a failing fn ends the stream with NO rows — a
 // sweep over a truncated partition would be a silently wrong multiset —
 // and the error propagates through Err per the error-carrying iterator
-// protocol. The materialized inputs are query state, and so are the
-// runs a run iterator holds: both are charged to the memory budget and
-// released on Close.
+// protocol. The materialized inputs are query state while fn runs, and
+// the result fn returns is query state until Close: each is charged to
+// the memory budget for as long as it is held.
 type lazySweepIter struct {
 	ins     []engine.RowIter
 	schema  tuple.Schema
 	fn      func(...*engine.Table) (engine.RowIter, error)
 	gov     *engine.Governor
-	charged int64          // bytes of materialized input and held runs charged to gov
+	charged int64          // bytes of the held result charged to gov
 	out     engine.RowIter // fn's result, once run
 	err     error
 }
@@ -65,20 +65,23 @@ func (it *lazySweepIter) run() bool {
 	if it.err != nil {
 		return false
 	}
+	var in int64
 	for _, t := range ts {
-		it.charged += int64(t.Len()) * engine.ApproxRowBytes(t.Schema.Arity())
+		in += int64(t.Len()) * engine.ApproxRowBytes(t.Schema.Arity())
 	}
-	if it.err = it.gov.ChargeMem(it.charged); it.err != nil {
+	if it.err = it.gov.ChargeMem(in); it.err == nil {
+		it.out, it.err = it.fn(ts...)
+	}
+	// Nothing references the inputs once fn has run: the result holds
+	// rows of its own.
+	it.gov.ReleaseMem(in)
+	if it.err != nil {
 		return false
 	}
-	if it.out, it.err = it.fn(ts...); it.err != nil {
-		return false
-	}
-	// A blocking run iterator holds every run until Close.
+	// The result holds every run, or every aggregate row, until Close.
 	if s, ok := it.out.(engine.StateSizer); ok {
-		held := s.MaxState() * (engine.ApproxRowBytes(it.schema.Arity()) + runBytes)
-		it.charged += held
-		it.err = it.gov.ChargeMem(held)
+		it.charged = s.MaxState() * (engine.ApproxRowBytes(it.schema.Arity()) + runBytes)
+		it.err = it.gov.ChargeMem(it.charged)
 	}
 	return it.err == nil
 }
@@ -112,7 +115,7 @@ func (it *lazySweepIter) Err() error {
 }
 
 // Close releases the inputs when no pull drained them, and when one did
-// the result and the budget charged for it and the inputs.
+// the result and the budget charged for it.
 func (it *lazySweepIter) Close() {
 	closeAll(it.ins)
 	if it.out != nil {

@@ -122,7 +122,7 @@ func TestProjectRowsAreIndependent(t *testing.T) {
 		for i := range exprs {
 			exprs[i] = algebra.NamedExpr{Name: "c" + string(rune('a'+i%26)) + string(rune('a'+i/26)), E: algebra.Col("a")}
 		}
-		it, err := NewProjectIter(NewTableIter(in), exprs)
+		it, err := NewProjectIter(NewTableIter(in), in.Schema, nil, exprs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestProjectAllocatesPerBatch(t *testing.T) {
 	exprs := []algebra.NamedExpr{{Name: "b", E: algebra.Col("b")}, {Name: "a", E: algebra.Col("a")}}
 	b := NewRowBatch(DefaultBatchSize)
 	allocs := testing.AllocsPerRun(5, func() {
-		it, err := NewProjectIter(NewTableIter(in), exprs)
+		it, err := NewProjectIter(NewTableIter(in), in.Schema, nil, exprs)
 		if err != nil {
 			t.Fatal(err)
 		}

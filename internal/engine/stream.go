@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"snapk/internal/algebra"
 	"snapk/internal/interval"
@@ -81,6 +82,76 @@ func Materialize(it RowIter) *Table {
 	return t
 }
 
+// ColMap is a column-only projection kept as a map instead of copied
+// rows: data column i of a stream is column m[i] of its rows, whose last
+// two columns are always the period. nil is the identity — the rows are
+// laid out as the stream's schema says. Operators that take a ColMap
+// read their input through it and copy nothing.
+type ColMap []int
+
+// Of returns the row columns of the data columns idx; a negative index
+// (count(*)'s argument) stays as it is.
+func (m ColMap) Of(idx []int) []int {
+	if m == nil {
+		return idx
+	}
+	out := make([]int, len(idx))
+	for j, c := range idx {
+		out[j] = c
+		if c >= 0 {
+			out[j] = m[c]
+		}
+	}
+	return out
+}
+
+// Data returns the row columns of all n data columns.
+func (m ColMap) Data(n int) []int {
+	if m == nil {
+		return dataColumns(n)
+	}
+	return m
+}
+
+// All returns where every column of a period schema sits in rows w
+// columns wide: the data columns through m, the period last. It is nil
+// for the identity.
+func (m ColMap) All(w int) []int {
+	if m == nil {
+		return nil
+	}
+	return append(m[:len(m):len(m)], w-2, w-1)
+}
+
+// NewColMapIter returns the rows of in, read through m, laid out as the
+// period schema: the one copy a consumer that cannot read through a map
+// makes. When m reads every column of in's rows where it stands — a
+// rename — the rows pass through and only the schema changes.
+func NewColMapIter(in RowIter, schema tuple.Schema, m ColMap) RowIter {
+	w := in.Schema().Arity()
+	if m == nil || (w == schema.Arity() && slices.Equal(m, dataColumns(w-2))) {
+		return &renameIter{RowIter: in, schema: schema}
+	}
+	fns := make([]algebra.Compiled, len(m))
+	for i, c := range m {
+		fns[i] = func(row tuple.Tuple) tuple.Value { return row[c] }
+	}
+	return &projectIter{in: in, cur: batchCursor{in: in}, fns: fns, schema: schema}
+}
+
+// renameIter is a stream under another schema of the same layout.
+type renameIter struct {
+	RowIter
+	schema tuple.Schema
+}
+
+func (it *renameIter) Schema() tuple.Schema { return it.schema }
+
+// NextRuns forwards the input's runs.
+func (it *renameIter) NextRuns(b *RowBatch, mult *[]int64) bool {
+	return NextRuns(it.RowIter, b, mult)
+}
+
 // filterIter streams the rows of its input satisfying a predicate —
 // the pipelined form of Filter. Under batch drive it evaluates the
 // predicate over whole child batches, so the per-row cost is one
@@ -91,11 +162,13 @@ type filterIter struct {
 	pred algebra.Compiled
 }
 
-// NewFilterIter wraps in with the pipelined Filter operator. It takes
-// ownership of in: on error the child is closed, so the caller only
-// ever closes the returned iterator.
-func NewFilterIter(in RowIter, pred algebra.Expr) (RowIter, error) {
-	c, err := algebra.Compile(pred, in.Schema())
+// NewFilterIter wraps in, whose rows are read through m as the period
+// schema schema, with the pipelined Filter operator; the rows that pass
+// are in's, so the output is read through m as well. It takes ownership
+// of in: on error the child is closed, so the caller only ever closes
+// the returned iterator.
+func NewFilterIter(in RowIter, schema tuple.Schema, m ColMap, pred algebra.Expr) (RowIter, error) {
+	c, err := algebra.CompileAt(pred, schema, m.All(in.Schema().Arity()))
 	if err != nil {
 		in.Close()
 		return nil, err
@@ -131,8 +204,10 @@ func (it *filterIter) Close() { it.in.Close() }
 func (it *filterIter) Err() error { return it.in.Err() }
 
 // projectIter evaluates projection expressions row-at-a-time, carrying
-// the period attributes through unchanged — the pipelined form of
-// Project (the Π_{A, Abegin, Aend} pattern of Fig 4).
+// the period attributes through unchanged — the pipelined form of a
+// Project that computes an expression (the Π_{A, Abegin, Aend} pattern
+// of Fig 4). A column-only Project is a ColMap, which copies nothing,
+// until a consumer that cannot read through one needs its rows.
 type projectIter struct {
 	in     RowIter
 	cur    batchCursor
@@ -141,14 +216,16 @@ type projectIter struct {
 	arena  rowArena
 }
 
-// NewProjectIter wraps in with the pipelined Project operator. It takes
+// NewProjectIter wraps in, whose rows are read through m as the period
+// schema schema, with the pipelined Project operator. It takes
 // ownership of in: on error the child is closed, so the caller only
 // ever closes the returned iterator.
-func NewProjectIter(in RowIter, exprs []algebra.NamedExpr) (RowIter, error) {
+func NewProjectIter(in RowIter, schema tuple.Schema, m ColMap, exprs []algebra.NamedExpr) (RowIter, error) {
+	at := m.All(in.Schema().Arity())
 	fns := make([]algebra.Compiled, len(exprs))
 	cols := make([]string, len(exprs))
 	for i, ne := range exprs {
-		c, err := algebra.Compile(ne.E, in.Schema())
+		c, err := algebra.CompileAt(ne.E, schema, at)
 		if err != nil {
 			in.Close()
 			return nil, err
@@ -157,6 +234,23 @@ func NewProjectIter(in RowIter, exprs []algebra.NamedExpr) (RowIter, error) {
 		cols[i] = ne.Name
 	}
 	return &projectIter{in: in, cur: batchCursor{in: in}, fns: fns, schema: PeriodSchema(tuple.NewSchema(cols...))}, nil
+}
+
+// ColumnMap returns the columns of schema that a column-only projection
+// reads, one per expression, and false when an expression computes a
+// value or reads a period column: such a Project needs a projectIter.
+func ColumnMap(exprs []algebra.NamedExpr, schema tuple.Schema) ([]int, bool) {
+	sel := make([]int, len(exprs))
+	for i, ne := range exprs {
+		ref, ok := ne.E.(algebra.ColRef)
+		if !ok {
+			return nil, false
+		}
+		if sel[i] = schema.Index(ref.Name); sel[i] < 0 || sel[i] >= schema.Arity()-2 {
+			return nil, false
+		}
+	}
+	return sel, true
 }
 
 func (it *projectIter) Schema() tuple.Schema { return it.schema }
@@ -274,28 +368,40 @@ type joinBucket struct{ rows []tuple.Tuple }
 // schema (nil when the equi keys are the whole predicate). It separates
 // predicate analysis from execution so the build phase can run once
 // while several probe iterators (one per parallel fragment) share its
-// output.
+// output. Each input's rows may be read through a column map (Through)
+// and the output cut to some of the joined columns (Project): the maps
+// fold into the key and output column lists, so neither an input nor
+// the output is copied for them.
 type JoinPrep struct {
-	joined     tuple.Schema
+	joined     tuple.Schema // the concatenated data schema the predicate reads
 	res        algebra.Compiled
-	lIdx, rIdx []int
+	lIdx, rIdx []int // the equi-key columns of a left and a right row
 	lA, rA     int
+	// lCols and rCols hold the row columns of each input's data columns;
+	// pick the output's data columns, over a left row of width lw
+	// followed by a right row.
+	lCols, rCols []int
+	lw           int
+	pick         []int
+	out          tuple.Schema // the output's period schema
 }
 
 // pairComposer turns candidate (left, right) row pairs into join output
 // rows: the overlaps() condition of Fig 4, then the residual predicate,
-// then the concatenated row with the intersected period. The residual
-// runs on a reusable scratch row, so only surviving pairs allocate — one
+// then the output row with the intersected period. The residual runs on
+// a reusable scratch row, so only surviving pairs allocate — one
 // exactly-sized row each. A composer is single-goroutine state: every
 // join iterator owns its own.
 type pairComposer struct {
-	lA, rA  int
-	res     algebra.Compiled // nil: no residual
-	scratch tuple.Tuple      // lA+rA data columns; never leaves compose
+	lCols, rCols []int
+	lw           int
+	pick         []int
+	res          algebra.Compiled // nil: no residual
+	scratch      tuple.Tuple      // lA+rA data columns; never leaves compose
 }
 
 func (p *JoinPrep) composer() pairComposer {
-	c := pairComposer{lA: p.lA, rA: p.rA, res: p.res}
+	c := pairComposer{lCols: p.lCols, rCols: p.rCols, lw: p.lw, pick: p.pick, res: p.res}
 	if c.res != nil {
 		c.scratch = make(tuple.Tuple, p.lA+p.rA)
 	}
@@ -310,17 +416,27 @@ func (c *pairComposer) compose(lrow, rrow tuple.Tuple) (tuple.Tuple, bool) {
 		return nil, false
 	}
 	if c.res != nil {
-		copy(c.scratch, lrow[:c.lA])
-		copy(c.scratch[c.lA:], rrow[:c.rA])
+		for j, k := range c.lCols {
+			c.scratch[j] = lrow[k]
+		}
+		for j, k := range c.rCols {
+			c.scratch[len(c.lCols)+j] = rrow[k]
+		}
 		if !algebra.Truthy(c.res(c.scratch)) {
 			return nil, false
 		}
 	}
-	out := make(tuple.Tuple, c.lA+c.rA+2)
-	copy(out, lrow[:c.lA])
-	copy(out[c.lA:], rrow[:c.rA])
-	out[c.lA+c.rA] = tuple.Int(iv.Begin)
-	out[c.lA+c.rA+1] = tuple.Int(iv.End)
+	n := len(c.pick)
+	out := make(tuple.Tuple, n+2)
+	for j, k := range c.pick {
+		if k < c.lw {
+			out[j] = lrow[k]
+		} else {
+			out[j] = rrow[k-c.lw]
+		}
+	}
+	out[n] = tuple.Int(iv.Begin)
+	out[n+1] = tuple.Int(iv.End)
 	return out, true
 }
 
@@ -331,7 +447,7 @@ func (c *pairComposer) compose(lrow, rrow tuple.Tuple) (tuple.Tuple, bool) {
 func PrepareJoin(lData, rData tuple.Schema, pred algebra.Expr) (*JoinPrep, error) {
 	joined := lData.Concat(rData, "r.")
 	keys, residual := extractEquiKeys(pred, joined, lData.Arity())
-	p := &JoinPrep{joined: joined, lA: lData.Arity(), rA: rData.Arity()}
+	p := &JoinPrep{joined: joined, lA: lData.Arity(), rA: rData.Arity(), out: PeriodSchema(joined)}
 	if residual != nil {
 		res, err := algebra.Compile(residual, joined)
 		if err != nil {
@@ -343,7 +459,35 @@ func PrepareJoin(lData, rData tuple.Schema, pred algebra.Expr) (*JoinPrep, error
 		p.lIdx = append(p.lIdx, k.l)
 		p.rIdx = append(p.rIdx, k.r)
 	}
-	return p, nil
+	return p.Through(nil, p.lA+2, nil), nil
+}
+
+// Through returns p reading the left rows, lw columns wide, through lm
+// and the right rows through rm. It applies to a prep fresh from
+// PrepareJoin, before Project.
+func (p *JoinPrep) Through(lm ColMap, lw int, rm ColMap) *JoinPrep {
+	q := *p
+	q.lCols, q.rCols, q.lw = lm.Data(p.lA), rm.Data(p.rA), lw
+	q.lIdx, q.rIdx = lm.Of(p.lIdx), rm.Of(p.rIdx)
+	q.pick = make([]int, 0, p.lA+p.rA)
+	q.pick = append(q.pick, q.lCols...)
+	for _, k := range q.rCols {
+		q.pick = append(q.pick, lw+k)
+	}
+	return &q
+}
+
+// Project returns p emitting only the joined data columns sel, as the
+// period schema schema: a column-only projection directly over the
+// join, folded into the one row each surviving pair gets.
+func (p *JoinPrep) Project(sel []int, schema tuple.Schema) *JoinPrep {
+	q := *p
+	q.pick = make([]int, len(sel))
+	for j, c := range sel {
+		q.pick[j] = p.pick[c]
+	}
+	q.out = schema
+	return &q
 }
 
 // HasEquiKey reports whether the predicate contains at least one
@@ -351,7 +495,7 @@ func PrepareJoin(lData, rData tuple.Schema, pred algebra.Expr) (*JoinPrep, error
 func (p *JoinPrep) HasEquiKey() bool { return len(p.lIdx) > 0 }
 
 // Schema returns the period schema of the join output.
-func (p *JoinPrep) Schema() tuple.Schema { return PeriodSchema(p.joined) }
+func (p *JoinPrep) Schema() tuple.Schema { return p.out }
 
 // JoinBuild is a drained, immutable hash-join build side. It is safe to
 // probe from multiple goroutines concurrently: every Probe iterator
@@ -438,21 +582,19 @@ func (b *JoinBuild) Probe(probe RowIter) RowIter {
 // NewJoinIter builds the streaming temporal join over two input streams.
 // Equality conjuncts of pred become hash-join keys with the right input
 // as build side; without any equi key the join degrades to the
-// endpoint-sorted interval-overlap sweep (newOverlapJoinIter) instead of
+// endpoint-sorted interval-overlap sweep (NewOverlapJoinIter) instead of
 // a single-bucket hash table. NewJoinIter takes ownership of both
 // inputs: consumed or failed children are closed here, so the caller
 // only ever closes the returned iterator.
 func NewJoinIter(l, r RowIter, pred algebra.Expr) (RowIter, error) {
-	lData := tuple.Schema{Cols: l.Schema().Cols[:l.Schema().Arity()-2]}
-	rData := tuple.Schema{Cols: r.Schema().Cols[:r.Schema().Arity()-2]}
-	prep, err := PrepareJoin(lData, rData, pred)
+	prep, err := PrepareJoin(dataSchema(l.Schema()), dataSchema(r.Schema()), pred)
 	if err != nil {
 		l.Close()
 		r.Close()
 		return nil, err
 	}
 	if !prep.HasEquiKey() {
-		return newOverlapJoinIter(l, r, prep)
+		return NewOverlapJoinIter(l, r, prep)
 	}
 	// The build side is fully drained and released by the build; the
 	// probe side stays open until the joint iterator is closed. A build

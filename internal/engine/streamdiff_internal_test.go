@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -237,7 +238,7 @@ func TestStreamDiffForcedCollisions(t *testing.T) {
 		}
 		di.(*countSweep).hashMask = 0
 		check("streaming difference", diff, &Table{Schema: l.Schema, Rows: drainRows(t, di, 8)}, wantDiff)
-		bd := newBlockSweep(countKernel(), dataColumns(1))
+		bd := newBlockSweep(countKernel(), dataColumns(1), dataColumns(1))
 		bd.hashMask = 0
 		check("blocking difference", diff, &Table{Schema: l.Schema, Rows: bd.run(l.Rows, r.Rows)}, wantDiff)
 
@@ -254,5 +255,62 @@ func TestStreamDiffForcedCollisions(t *testing.T) {
 		ba := newBlockSweep(aggKernel(prep, aggs, dom), prep.groupIdx)
 		ba.hashMask = 0
 		check("blocking aggregation", grouped, &Table{Schema: wantAgg.Schema, Rows: ba.run(a.Rows)}, wantAgg)
+
+		// The same sweeps over rows read through column maps: each input
+		// holds its data columns at positions of its own, among columns
+		// the sweep must not read, so the difference's group table meets
+		// the two sides' keys through two different maps.
+		ml, lm := spread(rng, l, 3, 2)
+		mr, rm := spread(rng, r, 2, 0)
+		ma, am := spread(rng, a, 4, 3, 1)
+		co = NewStreamCountIter(l.Schema, NewTableIter(ml), lm, nil, nil)
+		co.(*countSweep).hashMask = 0
+		check("streaming coalesce through a map", coalesce, &Table{Schema: l.Schema, Rows: drainRows(t, co, 8)}, Coalesce(l))
+		bc = newBlockSweep(countKernel(), lm)
+		bc.hashMask = 0
+		check("blocking coalesce through a map", coalesce, &Table{Schema: l.Schema, Rows: bc.run(ml.Rows)}, Coalesce(l))
+		di = NewStreamCountIter(l.Schema, NewTableIter(ml), lm, NewTableIter(mr), rm)
+		di.(*countSweep).hashMask = 0
+		check("streaming difference through two maps", diff, &Table{Schema: l.Schema, Rows: drainRows(t, di, 8)}, wantDiff)
+		bd = newBlockSweep(countKernel(), lm, rm)
+		bd.hashMask = 0
+		check("blocking difference through two maps", diff, &Table{Schema: l.Schema, Rows: bd.run(ml.Rows, mr.Rows)}, wantDiff)
+		ag, err = NewMappedStreamAggIter(NewTableIter(ma), a.DataSchema(), am, grouped.GroupBy, aggs, dom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ag.(*aggStream).hashMask = 0
+		check("streaming aggregation through a map", grouped, &Table{Schema: wantAgg.Schema, Rows: drainRows(t, ag, 8)}, wantAgg)
+		mprep := prep.through(am)
+		ba = newBlockSweep(aggKernel(mprep, aggs, dom), mprep.groupIdx)
+		ba.hashMask = 0
+		check("blocking aggregation through a map", grouped, &Table{Schema: wantAgg.Schema, Rows: ba.run(ma.Rows)}, wantAgg)
 	}
 }
+
+// spread returns tbl's rows laid out width data columns wide, data
+// column j at column at[j] and random values of every kind elsewhere,
+// with the column map that reads tbl's data columns back.
+func spread(rng *rand.Rand, tbl *Table, width int, at ...int) (*Table, ColMap) {
+	cols := make([]string, width)
+	for i := range cols {
+		cols[i] = fmt.Sprintf("c%d", i)
+	}
+	out := &Table{Schema: PeriodSchema(tuple.NewSchema(cols...))}
+	junk := []tuple.Value{tuple.Null, tuple.Int(0), tuple.Float(1), tuple.String_("x"), tuple.Bool(true)}
+	for _, row := range tbl.Rows {
+		wide := make(tuple.Tuple, width+2)
+		for i := range width {
+			wide[i] = junk[rng.Intn(len(junk))]
+		}
+		for j, c := range at {
+			wide[c] = row[j]
+		}
+		wide[width], wide[width+1] = row[len(row)-2], row[len(row)-1]
+		out.Rows = append(out.Rows, wide)
+	}
+	return out, at
+}
+
+// Spread gives the package's external tests spread.
+var Spread = spread

@@ -51,11 +51,13 @@ type groupPage[P any] struct {
 
 // groupTable is the group table of every sweep: groups are found by
 // tuple.HashKey over their key columns and told apart within a hash
-// chain by SameKey. They sit in fixed-size pages, addressed by int32 and
-// recycled through a free list of indexes, and each owns a copy of its
-// key, so no group pins an input slab.
+// chain by SameKey. Each input names its own key columns, so inputs
+// read through different column maps meet in one table. Groups sit in
+// fixed-size pages, addressed by int32 and recycled through a free list
+// of indexes, and each owns a copy of its key, so no group pins an input
+// slab.
 type groupTable[P any] struct {
-	idx      []int            // the key columns of an input row
+	width    int              // the key columns a group has
 	chains   map[uint64]int32 // group hash → first group of its chain
 	pages    []*groupPage[P]
 	slots    int32   // groups handed out so far, live or free
@@ -65,8 +67,8 @@ type groupTable[P any] struct {
 	hashMask uint64 // all ones; tests clear bits to force collisions
 }
 
-func newGroupTable[P any](idx []int) groupTable[P] {
-	return groupTable[P]{idx: idx, chains: make(map[uint64]int32), hashMask: ^uint64(0)}
+func newGroupTable[P any](width int) groupTable[P] {
+	return groupTable[P]{width: width, chains: make(map[uint64]int32), hashMask: ^uint64(0)}
 }
 
 // at returns the group at index i.
@@ -75,15 +77,16 @@ func (t *groupTable[P]) at(i int32) *group[P] {
 }
 
 // find returns the group whose key is, column by column, SameKey to
-// row's key columns, linking in a new one when there is none — on a free
-// index if there is one, with its own copy of the key; fresh reports a
-// new group, whose p still holds what a recycled group left there.
-// Without key columns — global aggregation — every row falls in the one
-// group of hash 0: HashKey(nil), like AppendKey(nil), means all columns.
-func (t *groupTable[P]) find(row tuple.Tuple) (i int32, g *group[P], fresh bool) {
+// row's key columns idx, linking in a new one when there is none — on a
+// free index if there is one, with its own copy of the key; fresh
+// reports a new group, whose p still holds what a recycled group left
+// there. Without key columns — global aggregation — every row falls in
+// the one group of hash 0: HashKey(nil), like AppendKey(nil), means all
+// columns.
+func (t *groupTable[P]) find(row tuple.Tuple, idx []int) (i int32, g *group[P], fresh bool) {
 	var h uint64
-	if len(t.idx) > 0 {
-		h = row.HashKey(t.idx) & t.hashMask
+	if t.width > 0 {
+		h = row.HashKey(idx) & t.hashMask
 	}
 	head, ok := t.chains[h]
 	if !ok {
@@ -92,7 +95,7 @@ func (t *groupTable[P]) find(row tuple.Tuple) (i int32, g *group[P], fresh bool)
 chain:
 	for i = head; i >= 0; i = g.next {
 		g = t.at(i)
-		for j, c := range t.idx {
+		for j, c := range idx {
 			if !tuple.SameKey(g.key[j], row[c]) {
 				continue chain
 			}
@@ -103,7 +106,7 @@ chain:
 	if n := len(t.free); n > 0 {
 		i, t.free = t.free[n-1], t.free[:n-1]
 	} else if t.slots++; int(i>>groupPageBits) == len(t.pages) {
-		w := len(t.idx)
+		w := t.width
 		p := &groupPage[P]{keys: make(tuple.Tuple, groupPageSize*w)}
 		for k := range p.groups {
 			p.groups[k].key = p.keys[k*w : k*w : (k+1)*w]
@@ -112,7 +115,7 @@ chain:
 	}
 	g = t.at(i)
 	g.key = g.key[:0]
-	for _, c := range t.idx {
+	for _, c := range idx {
 		g.key = append(g.key, row[c])
 	}
 	g.hash, g.next, g.seq = h, head, t.nextSeq
@@ -631,6 +634,7 @@ type sweepIter[S any, A accumulator[S]] struct {
 	schema     tuple.Schema
 	name       string // the operator, for the order-violation panic
 	l, r       RowIter
+	lKey, rKey []int // each input's key columns
 	lcur, rcur batchCursor
 	events     endQueue // the queued interval ends of every group
 	closed     []int32  // groups retire left with no queued end
@@ -663,14 +667,30 @@ func NewStreamDiffIter(l, r RowIter) (RowIter, error) {
 		r.Close()
 		return nil, fmt.Errorf("engine: difference-incompatible arities %d and %d", la, ra)
 	}
-	return newSweepIter(countKernel(), dataColumns(l.Schema().Arity()-2), l.Schema(), "difference", l, r), nil
+	key := dataColumns(l.Schema().Arity() - 2)
+	return NewStreamCountIter(l.Schema(), l, key, r, key), nil
 }
 
 // NewStreamCoalesceIter returns the streaming coalesce over in, taking
 // ownership of it: the streaming difference with no right input. The
 // input must be ordered by ascending interval begin; violations panic.
 func NewStreamCoalesceIter(in RowIter) RowIter {
-	return newSweepIter(countKernel(), dataColumns(in.Schema().Arity()-2), in.Schema(), "coalesce", in, nil)
+	return NewStreamCountIter(in.Schema(), in, dataColumns(in.Schema().Arity()-2), nil, nil)
+}
+
+// NewStreamCountIter returns the streaming count sweep of period schema
+// schema, taking ownership of its inputs: the difference l − r, or the
+// coalesce of l when r is nil. lKey and rKey are the columns of each
+// input's rows that hold schema's data columns, in order — all of them
+// for rows laid out as schema, a column map otherwise — so the two sides
+// may be read through different maps. Both inputs must be ordered by
+// ascending interval begin; violations panic.
+func NewStreamCountIter(schema tuple.Schema, l RowIter, lKey []int, r RowIter, rKey []int) RowIter {
+	name := "coalesce"
+	if r != nil {
+		name = "difference"
+	}
+	return newSweepIter(countKernel(), lKey, rKey, schema, name, l, r)
 }
 
 // NewStreamAggIter returns the streaming pre-aggregated split over in,
@@ -678,25 +698,35 @@ func NewStreamCoalesceIter(in RowIter) RowIter {
 // interval begin; violations panic. On a prep error the child is
 // closed, matching the other constructors' contract.
 func NewStreamAggIter(in RowIter, groupBy []string, aggs []algebra.AggSpec, dom interval.Domain) (RowIter, error) {
-	prep, err := prepareAggregate(tuple.Schema{Cols: in.Schema().Cols[:in.Schema().Arity()-2]}, groupBy, aggs)
+	return NewMappedStreamAggIter(in, dataSchema(in.Schema()), nil, groupBy, aggs, dom)
+}
+
+// NewMappedStreamAggIter is NewStreamAggIter over rows read through m
+// as the data schema data.
+func NewMappedStreamAggIter(in RowIter, data tuple.Schema, m ColMap, groupBy []string, aggs []algebra.AggSpec, dom interval.Domain) (RowIter, error) {
+	prep, err := prepareAggregate(data, groupBy, aggs)
 	if err != nil {
 		in.Close()
 		return nil, err
 	}
-	return newSweepIter(aggKernel(prep, aggs, dom), prep.groupIdx, prep.schema, "aggregation", in, nil), nil
+	prep = prep.through(m)
+	return newSweepIter(aggKernel(prep, aggs, dom), prep.groupIdx, nil, prep.schema, "aggregation", in, nil), nil
 }
 
-func newSweepIter[S any, A accumulator[S]](k kernel[S, A], keyIdx []int, schema tuple.Schema, name string, l, r RowIter) *sweepIter[S, A] {
+// dataSchema strips the period attributes from a period schema.
+func dataSchema(s tuple.Schema) tuple.Schema { return tuple.Schema{Cols: s.Cols[:s.Arity()-2]} }
+
+func newSweepIter[S any, A accumulator[S]](k kernel[S, A], lKey, rKey []int, schema tuple.Schema, name string, l, r RowIter) *sweepIter[S, A] {
 	if r == nil {
 		l = CheckOrdered("streaming "+name+" input", l)
 	} else {
 		l = CheckOrdered("streaming "+name+" left input", l)
 		r = CheckOrdered("streaming "+name+" right input", r)
 	}
-	it := &sweepIter[S, A]{kernel: k, groupTable: newGroupTable[changes[S]](keyIdx), schema: schema, name: name,
-		l: l, r: r, lcur: batchCursor{in: l}, rcur: batchCursor{in: r}}
+	it := &sweepIter[S, A]{kernel: k, groupTable: newGroupTable[changes[S]](len(lKey)), schema: schema, name: name,
+		l: l, r: r, lKey: lKey, rKey: rKey, lcur: batchCursor{in: l}, rcur: batchCursor{in: r}}
 	if it.global {
-		_, g, _ := it.find(nil)
+		_, g, _ := it.find(nil, nil)
 		it.start(&g.p, it.dom.Min)
 	}
 	return it
@@ -808,13 +838,14 @@ func (it *sweepIter[S, A]) fill(capacity int) bool {
 		// Merge step: take the earlier begin (ties go left — immaterial
 		// for the result, since same-instant deltas fold into one event).
 		var row tuple.Tuple
+		var key []int
 		var sign int32
 		switch {
 		case it.lOk && (!it.rOk || rowInterval(it.lRow).Begin <= rowInterval(it.rRow).Begin):
-			row, sign = it.lRow, 1
+			row, key, sign = it.lRow, it.lKey, 1
 			it.lRow, it.lOk = it.pull(&it.lcur, row, capacity)
 		case it.rOk:
-			row, sign = it.rRow, -1
+			row, key, sign = it.rRow, it.rKey, -1
 			it.rRow, it.rOk = it.pull(&it.rcur, row, capacity)
 		default:
 			it.retire(0, true)
@@ -830,7 +861,7 @@ func (it *sweepIter[S, A]) fill(capacity int) bool {
 		// a value-equivalent row from the other side may have a different
 		// numeric kind (Int vs integral Float), which SameKey treats as
 		// the same value.
-		i, g, fresh := it.find(row)
+		i, g, fresh := it.find(row, key)
 		if fresh {
 			it.start(&g.p, iv.Begin)
 		}
@@ -907,10 +938,11 @@ type blockEvent struct {
 type blockSweep[S any, A accumulator[S]] struct {
 	kernel[S, A]
 	groupTable[[]blockEvent]
+	keys [][]int // each input's key columns
 }
 
-func newBlockSweep[S any, A accumulator[S]](k kernel[S, A], keyIdx []int) *blockSweep[S, A] {
-	return &blockSweep[S, A]{kernel: k, groupTable: newGroupTable[[]blockEvent](keyIdx)}
+func newBlockSweep[S any, A accumulator[S]](k kernel[S, A], keys ...[]int) *blockSweep[S, A] {
+	return &blockSweep[S, A]{kernel: k, groupTable: newGroupTable[[]blockEvent](len(keys[0])), keys: keys}
 }
 
 // run sweeps the inputs, the first counting +1 and the second −1, and
@@ -925,12 +957,12 @@ func (s *blockSweep[S, A]) run(inputs ...[]tuple.Tuple) []tuple.Tuple {
 // hold nothing else of the sweep.
 func (s *blockSweep[S, A]) runs(inputs ...[]tuple.Tuple) sweepOut {
 	if s.global {
-		s.find(nil)
+		s.find(nil, nil)
 	}
 	base, sign := 0, int32(1)
-	for _, rows := range inputs {
+	for k, rows := range inputs {
 		for r, row := range rows {
-			_, g, _ := s.find(row)
+			_, g, _ := s.find(row, s.keys[k])
 			iv, id := rowInterval(row), int32(base+r)
 			g.p = append(g.p, blockEvent{iv.Begin, id, sign}, blockEvent{iv.End, id, -sign})
 		}
@@ -985,16 +1017,19 @@ func (s *blockSweep[S, A]) foldAll(rows []tuple.Tuple) {
 
 // diffSweep runs the blocking count sweep over l, minus r unless r is
 // nil — with nothing subtracted it is the coalesce of l — into runs or,
-// with expanded set, into distinct rows.
-func diffSweep(l, r *Table, expanded bool) (sweepOut, error) {
-	s := newBlockSweep(countKernel(), dataColumns(l.DataArity()))
-	s.out.expanded = expanded
+// with expanded set, into distinct rows. lKey and rKey are each input's
+// key columns, as NewStreamCountIter takes them.
+func diffSweep(l *Table, lKey []int, r *Table, rKey []int, expanded bool) (sweepOut, error) {
 	if r == nil {
+		s := newBlockSweep(countKernel(), lKey)
+		s.out.expanded = expanded
 		return s.runs(l.Rows), nil
 	}
-	if l.Schema.Arity() != r.Schema.Arity() {
-		return sweepOut{}, fmt.Errorf("engine: difference-incompatible arities %d and %d", l.Schema.Arity(), r.Schema.Arity())
+	if len(lKey) != len(rKey) {
+		return sweepOut{}, fmt.Errorf("engine: difference-incompatible arities %d and %d", len(lKey)+2, len(rKey)+2)
 	}
+	s := newBlockSweep(countKernel(), lKey, rKey)
+	s.out.expanded = expanded
 	return s.runs(l.Rows, r.Rows), nil
 }
 
@@ -1004,11 +1039,23 @@ func diffSweep(l, r *Table, expanded bool) (sweepOut, error) {
 // the distinct rows TemporalDiff returns. The sweep runs here, so the
 // iterator holds only its output runs, which MaxState reports.
 func NewBlockDiffIter(l, r *Table) (RowIter, error) {
-	out, err := diffSweep(l, r, false)
+	key := dataColumns(l.DataArity())
+	rKey := key
+	if r != nil {
+		rKey = dataColumns(r.DataArity())
+	}
+	return NewBlockCountIter(l.Schema, l, key, r, rKey)
+}
+
+// NewBlockCountIter is NewBlockDiffIter of period schema schema over
+// rows whose key columns are lKey and rKey, as NewStreamCountIter takes
+// them.
+func NewBlockCountIter(schema tuple.Schema, l *Table, lKey []int, r *Table, rKey []int) (RowIter, error) {
+	out, err := diffSweep(l, lKey, r, rKey, false)
 	if err != nil {
 		return nil, err
 	}
-	return &runIter{schema: l.Schema, out: out}, nil
+	return &runIter{schema: schema, out: out}, nil
 }
 
 // runIter hands out the runs of a blocking sweep.

@@ -1,6 +1,7 @@
 package snapk
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -198,9 +199,9 @@ func (db *DB) evalAlgebra(q algebra.Query, ap Approach) (*Result, error) {
 	var err error
 	switch ap {
 	case Seq:
-		tbl, err = rewrite.Run(db.eng, q, db.seqOptions(rewrite.ModeOptimized))
+		return db.runSeq(q, rewrite.ModeOptimized)
 	case SeqNaive:
-		tbl, err = rewrite.Run(db.eng, q, db.seqOptions(rewrite.ModeNaive))
+		return db.runSeq(q, rewrite.ModeNaive)
 	case NativeIntervalPreservation:
 		tbl, err = baseline.Eval(db.eng, q, baseline.IntervalPreservation)
 	case NativeAlignment:
@@ -214,6 +215,28 @@ func (db *DB) evalAlgebra(q algebra.Query, ap Approach) (*Result, error) {
 	return tableToResult(tbl), nil
 }
 
+// runSeq evaluates q with the Seq-family rewriting in mode and drains
+// its cursor into a Result: Rows takes the root's runs, boxes each run's
+// values once and carves every row's Values slice from a shared slab.
+func (db *DB) runSeq(q algebra.Query, mode rewrite.Mode) (*Result, error) {
+	it, err := rewrite.Stream(context.Background(), db.eng, q, db.seqOptions(mode))
+	if err != nil {
+		return nil, err
+	}
+	rows := newRows(context.Background(), it)
+	defer rows.Close()
+	res := &Result{Columns: rows.Columns()}
+	for rows.Next() {
+		begin, end := rows.Period()
+		res.Rows = append(res.Rows, Row{Values: rows.Values(), Begin: begin, End: end})
+	}
+	if err := rows.Err(); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// tableToResult boxes a materialized result, the native baselines'.
 func tableToResult(t *engine.Table) *Result {
 	res := &Result{Columns: append([]string{}, t.DataSchema().Cols...)}
 	n := t.DataArity()

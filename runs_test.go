@@ -200,3 +200,42 @@ func TestRowsRunAllocsDoNotScale(t *testing.T) {
 		}
 	}
 }
+
+// The same gain for db.Query: its Seq path drains the root as runs,
+// boxes each run's values once and carves every result row's Values
+// from a slab, so a result of two segments of multiplicity 1,000
+// allocates a small constant more than one of multiplicity 1 — while
+// each of its 2,000 rows still gets a Values slice of its own.
+func TestQueryRunAllocsDoNotScale(t *testing.T) {
+	queryAllocs := func(db *snapk.DB) float64 {
+		return testing.AllocsPerRun(5, func() {
+			res, err := db.Query(runsSQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Len() == 0 {
+				t.Fatal("empty result")
+			}
+		})
+	}
+	for _, sorted := range []bool{true, false} {
+		db := runsDB(t, 1000, sorted)
+		res, err := db.Query(runsSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() != 2000 {
+			t.Fatalf("sorted=%v: %d rows, want 2,000", sorted, res.Len())
+		}
+		res.Rows[0].Values[0] = "changed"
+		if res.Rows[1].Values[0] != "a" && res.Rows[1].Values[0] != "b" {
+			t.Fatalf("sorted=%v: rows of one run share their Values: %v", sorted, res.Rows[1].Values)
+		}
+		one, many := queryAllocs(runsDB(t, 1, sorted)), queryAllocs(db)
+		// 2,000 rows out: a per-row cost would add about 2,000.
+		if many-one > 100 {
+			t.Fatalf("sorted=%v: %.0f allocations at multiplicity 1, %.0f at 1,000", sorted, one, many)
+		}
+		t.Logf("sorted=%v: %.0f allocations at multiplicity 1, %.0f at 1,000", sorted, one, many)
+	}
+}
