@@ -30,26 +30,35 @@ func TemporalAggregate(in *Table, groupBy []string, aggs []algebra.AggSpec, preA
 	if err != nil {
 		return nil, err
 	}
-	return &Table{Schema: prep.schema, Rows: aggregate(in, prep, aggs, preAgg, dom)}, nil
+	rows, err := aggregate(nil, in, prep, aggs, preAgg, dom)
+	return &Table{Schema: prep.schema, Rows: rows}, err
 }
 
 // NewBlockAggIter is TemporalAggregate over rows read through m as the
 // data schema data, as an iterator that holds the result rows, which
-// MaxState reports.
-func NewBlockAggIter(in *Table, data tuple.Schema, m ColMap, groupBy []string, aggs []algebra.AggSpec, preAgg bool, dom interval.Domain) (RowIter, error) {
+// MaxState reports. gov (nil for none) is charged for the pre-aggregated
+// sweep's scratch while the sweep runs, and the aggregation fails with
+// its error when it refuses.
+func NewBlockAggIter(gov *Governor, in *Table, data tuple.Schema, m ColMap, groupBy []string, aggs []algebra.AggSpec, preAgg bool, dom interval.Domain) (RowIter, error) {
 	prep, err := prepareAggregate(data, groupBy, aggs)
 	if err != nil {
 		return nil, err
 	}
-	return &runIter{schema: prep.schema, out: sweepOut{rows: aggregate(in, prep.through(m), aggs, preAgg, dom)}}, nil
+	rows, err := aggregate(gov, in, prep.through(m), aggs, preAgg, dom)
+	if err != nil {
+		return nil, err
+	}
+	return &runIter{schema: prep.schema, out: sweepOut{rows: rows}}, nil
 }
 
-// aggregate runs the aggregation prep describes over in's rows.
-func aggregate(in *Table, prep *aggPrep, aggs []algebra.AggSpec, preAgg bool, dom interval.Domain) []tuple.Tuple {
+// aggregate runs the aggregation prep describes over in's rows; gov is
+// charged for the pre-aggregated sweep's scratch.
+func aggregate(gov *Governor, in *Table, prep *aggPrep, aggs []algebra.AggSpec, preAgg bool, dom interval.Domain) ([]tuple.Tuple, error) {
 	if preAgg {
-		return newBlockSweep(aggKernel(prep, aggs, dom), prep.groupIdx).run(in.Rows)
+		out, err := newBlockSweep(aggKernel(prep, aggs, dom), prep.groupIdx).runs(gov, in.Rows)
+		return out.rows, err
 	}
-	return aggregateNaive(in, prep.groupIdx, aggs, prep.argIdx, dom)
+	return aggregateNaive(in, prep.groupIdx, aggs, prep.argIdx, dom), nil
 }
 
 // AggregateShape resolves an aggregation spec against an input data

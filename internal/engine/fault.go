@@ -55,8 +55,13 @@ func FirstErr(errs ...error) error {
 // ended the stream early, nil on a natural end. It does not Close it.
 // Use this instead of Materialize wherever a truncated drain must not
 // silently pass for a complete one.
-func MaterializeErr(it RowIter) (*Table, error) {
-	t := &Table{Schema: it.Schema()}
+func MaterializeErr(it RowIter) (*Table, error) { return MaterializeSized(it, 0) }
+
+// MaterializeSized is MaterializeErr with room reserved for rows rows
+// (DB.SizeHint): a drain that meets the estimate never regrows its row
+// slice, and one that outgrows it grows as MaterializeErr's does.
+func MaterializeSized(it RowIter, rows int64) (*Table, error) {
+	t := &Table{Schema: it.Schema(), Rows: make([]tuple.Tuple, 0, rows)}
 	b := NewRowBatch(DefaultBatchSize)
 	for it.NextBatch(b) {
 		// Materialization is the ownership hand-off point: the batch's

@@ -246,7 +246,7 @@ func FuzzStreamDiff(f *testing.F) {
 		lm, lcols = throughMap(l, seed+2)
 		rm, rcols = throughMap(r, seed+3)
 		checkDrains(t, "blocking difference through maps", func() engine.RowIter {
-			it, err := engine.NewBlockCountIter(l.Schema, lm, lcols, rm, rcols)
+			it, err := engine.NewBlockCountIter(nil, l.Schema, lm, lcols, rm, rcols)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -368,7 +368,7 @@ func FuzzCoalesce(f *testing.F) {
 		}, timePointCounts(tbl))
 		tm, tcols := throughMap(tbl, seed+1)
 		checkDrains(t, "blocking coalesce through a map", func() engine.RowIter {
-			it, err := engine.NewBlockCountIter(tbl.Schema, tm, tcols, nil, nil)
+			it, err := engine.NewBlockCountIter(nil, tbl.Schema, tm, tcols, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -416,7 +416,7 @@ func FuzzCoalesce(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bit, err := engine.NewBlockAggIter(inm, in.DataSchema(), m, groupBy, aggs, true, fuzzDomain)
+			bit, err := engine.NewBlockAggIter(nil, inm, in.DataSchema(), m, groupBy, aggs, true, fuzzDomain)
 			if err != nil {
 				t.Fatal(err)
 			}

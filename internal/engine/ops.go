@@ -187,7 +187,7 @@ func Split(in *Table, groupIdx []int) *Table {
 // coalesced encoding (Def 8.2): a Coalesce above it is the identity. The
 // table holds each segment as that many distinct rows.
 func TemporalDiff(l, r *Table) (*Table, error) {
-	out, err := diffSweep(l, dataColumns(l.DataArity()), r, dataColumns(r.DataArity()), true)
+	out, err := diffSweep(nil, l, dataColumns(l.DataArity()), r, dataColumns(r.DataArity()), true)
 	if err != nil {
 		return nil, err
 	}

@@ -50,7 +50,7 @@ func TestLazySweepPropagatesDrainError(t *testing.T) {
 	}, err: boom}
 	it := newLazySweepIter(nil, periodSchema2(), func(ts ...*engine.Table) (engine.RowIter, error) {
 		return engine.NewTableIter(ts[0]), nil
-	}, in)
+	}, nil, in)
 	defer it.Close()
 	if pull(it) {
 		t.Fatal("lazy sweep over a failed partition must yield no rows")
@@ -69,7 +69,7 @@ func TestLazySweepPropagatesFnError(t *testing.T) {
 	in := &errAfterIter{schema: periodSchema2()}
 	it := newLazySweepIter(nil, periodSchema2(), func(...*engine.Table) (engine.RowIter, error) {
 		return nil, boom
-	}, in)
+	}, nil, in)
 	defer it.Close()
 	if pull(it) {
 		t.Fatal("lazy sweep with a failing fn must yield no rows")
@@ -87,7 +87,7 @@ func TestLazyDiffPropagatesDrainError(t *testing.T) {
 	r := &errAfterIter{schema: periodSchema2(), err: boom}
 	it := newLazySweepIter(nil, periodSchema2(), func(ts ...*engine.Table) (engine.RowIter, error) {
 		return engine.NewBlockDiffIter(ts[0], ts[1])
-	}, l, r)
+	}, nil, l, r)
 	defer it.Close()
 	if pull(it) {
 		t.Fatal("lazy diff over a failed partition must yield no rows")
@@ -120,7 +120,7 @@ func TestLazySweepChargesHeldRuns(t *testing.T) {
 		gov := engine.NewGovernor(engine.Limits{MemBudget: tc.budget})
 		it := newLazySweepIter(gov, periodSchema2(), func(ts ...*engine.Table) (engine.RowIter, error) {
 			return engine.NewBlockDiffIter(ts[0], nil)
-		}, &errAfterIter{schema: periodSchema2(), rows: rows})
+		}, nil, &errAfterIter{schema: periodSchema2(), rows: rows})
 		b, mult := engine.NewRowBatch(n), []int64(nil)
 		ok := it.(engine.RunIter).NextRuns(b, &mult)
 		if tc.fits {
@@ -148,8 +148,8 @@ func TestLazySweepChargesHeldRuns(t *testing.T) {
 	aggs := []algebra.AggSpec{{Fn: krel.CountStar, As: "c"}}
 	gov := engine.NewGovernor(engine.Limits{MemBudget: 1 << 30})
 	it := newLazySweepIter(gov, engine.PeriodSchema(tuple.NewSchema("v", "c")), func(ts ...*engine.Table) (engine.RowIter, error) {
-		return engine.NewBlockAggIter(ts[0], tuple.NewSchema("v"), nil, []string{"v"}, aggs, true, interval.NewDomain(0, 10))
-	}, &errAfterIter{schema: periodSchema2(), rows: rows})
+		return engine.NewBlockAggIter(nil, ts[0], tuple.NewSchema("v"), nil, []string{"v"}, aggs, true, interval.NewDomain(0, 10))
+	}, nil, &errAfterIter{schema: periodSchema2(), rows: rows})
 	b := engine.NewRowBatch(n)
 	if !it.NextBatch(b) || b.Len() != groups {
 		t.Fatalf("%d rows, Err %v; want %d", b.Len(), it.Err(), groups)
@@ -160,5 +160,58 @@ func TestLazySweepChargesHeldRuns(t *testing.T) {
 	it.Close()
 	if got := gov.MemInUse(); got != 0 {
 		t.Fatalf("%d bytes still charged after Close", got)
+	}
+}
+
+// TestLazySweepChargesSweepScratch pins that a blocking sweep's scratch
+// — its event array, radix buffer and group index — is charged beside
+// the drained input: a budget that fits the input and less than one
+// event per row refuses the coalesce and the aggregation alike, and one
+// that fits both runs them and leaves no scratch charged.
+func TestLazySweepChargesSweepScratch(t *testing.T) {
+	const n = 100
+	rows := make([]tuple.Tuple, n)
+	for i := range rows {
+		rows[i] = tuple.Tuple{tuple.Int(int64(i % 10)), tuple.Int(int64(i)), tuple.Int(int64(i + 5))}
+	}
+	input := n * engine.ApproxRowBytes(3)
+	aggs := []algebra.AggSpec{{Fn: krel.CountStar, As: "c"}}
+	sweeps := map[string]struct {
+		schema tuple.Schema
+		run    func(*engine.Governor, *engine.Table) (engine.RowIter, error)
+	}{
+		"coalesce": {periodSchema2(), func(gov *engine.Governor, in *engine.Table) (engine.RowIter, error) {
+			return engine.NewBlockCountIter(gov, in.Schema, in, []int{0}, nil, nil)
+		}},
+		"aggregation": {engine.PeriodSchema(tuple.NewSchema("v", "c")), func(gov *engine.Governor, in *engine.Table) (engine.RowIter, error) {
+			return engine.NewBlockAggIter(gov, in, tuple.NewSchema("v"), nil, []string{"v"}, aggs, true, interval.NewDomain(0, 200))
+		}},
+	}
+	for name, sweep := range sweeps {
+		for _, tc := range []struct {
+			budget int64
+			fits   bool
+		}{{input + n*8, false}, {4 * input, true}} {
+			gov := engine.NewGovernor(engine.Limits{MemBudget: tc.budget})
+			it := newLazySweepIter(gov, sweep.schema, func(ts ...*engine.Table) (engine.RowIter, error) {
+				return sweep.run(gov, ts[0])
+			}, nil, &errAfterIter{schema: periodSchema2(), rows: rows})
+			b := engine.NewRowBatch(4 * n)
+			ok := it.NextBatch(b)
+			if tc.fits {
+				if !ok || it.Err() != nil {
+					t.Fatalf("%s, budget %d: %d rows, Err %v; want rows and no error", name, tc.budget, b.Len(), it.Err())
+				}
+				if got, held := gov.MemInUse(), int64(b.Len())*(engine.ApproxRowBytes(sweep.schema.Arity())+runBytes); got != held {
+					t.Fatalf("%s, budget %d: %d bytes charged while the result streams, want the result's %d", name, tc.budget, got, held)
+				}
+			} else if ok || !errors.Is(it.Err(), engine.ErrMemBudget) {
+				t.Fatalf("%s, budget %d: ok=%v, Err %v; want ErrMemBudget", name, tc.budget, ok, it.Err())
+			}
+			it.Close()
+			if got := gov.MemInUse(); got != 0 {
+				t.Fatalf("%s, budget %d: %d bytes still charged after Close", name, tc.budget, got)
+			}
+		}
 	}
 }

@@ -634,11 +634,22 @@ func (e *executor) buildCoalesce(n engine.CoalesceP, parent *engine.OpStats) (*p
 			parts[i] = e.govern(engine.NewStreamCountIter(schema, part, keys, nil, nil))
 		} else {
 			parts[i] = newLazySweepIter(e.gov, schema, func(ts ...*engine.Table) (engine.RowIter, error) {
-				return engine.NewBlockCountIter(schema, ts[0], keys, nil, nil)
-			}, part)
+				return engine.NewBlockCountIter(e.gov, schema, ts[0], keys, nil, nil)
+			}, e.drainHints(out.frags, n.In), part)
 		}
 	}
 	return e.finish("coalesce", &pstream{parts: parts, schema: schema, ordered: out.ordered}, st), nil
+}
+
+// drainHints returns, for each input plan of a blocking sweep, the rows
+// the drain of one of its frags partitions reserves room for: the
+// plan's DB.SizeHint, spread evenly.
+func (e *executor) drainHints(frags int, ins ...engine.Plan) []int64 {
+	hints := make([]int64, len(ins))
+	for i, p := range ins {
+		hints[i] = e.db.SizeHint(p) / int64(frags)
+	}
+	return hints
 }
 
 // buildAgg compiles split-based aggregation. Grouped aggregation
@@ -689,8 +700,8 @@ func (e *executor) buildAgg(n engine.AggP, parent *engine.OpStats) (*pstream, er
 			// both propagate through Err instead of yielding a silently
 			// empty partition.
 			parts[i] = newLazySweepIter(e.gov, schema, func(ts ...*engine.Table) (engine.RowIter, error) {
-				return engine.NewBlockAggIter(ts[0], data, cols, n.GroupBy, n.Aggs, n.PreAgg, dom)
-			}, part)
+				return engine.NewBlockAggIter(e.gov, ts[0], data, cols, n.GroupBy, n.Aggs, n.PreAgg, dom)
+			}, e.drainHints(out.frags, n.In), part)
 		}
 	}
 	return e.finish("agg", &pstream{parts: parts, schema: schema, ordered: out.ordered}, st), nil
@@ -737,8 +748,8 @@ func (e *executor) buildDiff(n engine.DiffP, parent *engine.OpStats) (*pstream, 
 			// of the blocking difference; a failure here still propagates
 			// through Err rather than yielding a silently empty partition.
 			lp[i] = newLazySweepIter(e.gov, schema, func(ts ...*engine.Table) (engine.RowIter, error) {
-				return engine.NewBlockCountIter(schema, ts[0], lKeys, ts[1], rKeys)
-			}, lp[i], rp[i])
+				return engine.NewBlockCountIter(e.gov, schema, ts[0], lKeys, ts[1], rKeys)
+			}, e.drainHints(out.frags, n.L, n.R), lp[i], rp[i])
 		}
 	}
 	return e.finish("diff", &pstream{parts: lp, schema: schema, ordered: out.ordered}, st), nil

@@ -24,6 +24,7 @@ import (
 // the memory budget for as long as it is held.
 type lazySweepIter struct {
 	ins     []engine.RowIter
+	hints   []int64 // the rows each input is expected to drain, or nil
 	schema  tuple.Schema
 	fn      func(...*engine.Table) (engine.RowIter, error)
 	gov     *engine.Governor
@@ -33,10 +34,11 @@ type lazySweepIter struct {
 }
 
 // newLazySweepIter wraps the inputs of one fragment with a blocking
-// function over their materializations; schema is fn's output schema
-// and gov (nil for none) the budget the inputs are charged to.
-func newLazySweepIter(gov *engine.Governor, schema tuple.Schema, fn func(...*engine.Table) (engine.RowIter, error), ins ...engine.RowIter) engine.RowIter {
-	return &lazySweepIter{ins: ins, schema: schema, fn: fn, gov: gov}
+// function over their materializations; schema is fn's output schema,
+// gov (nil for none) the budget the inputs are charged to, and hints
+// (nil for none) the rows each input's drain reserves room for.
+func newLazySweepIter(gov *engine.Governor, schema tuple.Schema, fn func(...*engine.Table) (engine.RowIter, error), hints []int64, ins ...engine.RowIter) engine.RowIter {
+	return &lazySweepIter{ins: ins, hints: hints, schema: schema, fn: fn, gov: gov}
 }
 
 func (it *lazySweepIter) Schema() tuple.Schema { return it.schema }
@@ -52,8 +54,12 @@ func (it *lazySweepIter) run() bool {
 	}
 	ts := make([]*engine.Table, len(it.ins))
 	for i, in := range it.ins {
+		var hint int64
+		if it.hints != nil {
+			hint = it.hints[i]
+		}
 		var err error
-		ts[i], err = engine.MaterializeErr(in)
+		ts[i], err = engine.MaterializeSized(in, hint)
 		it.err = engine.FirstErr(it.err, err)
 	}
 	// The drained inputs are released now, not at Close: in a

@@ -345,23 +345,15 @@ type hashJoinIter struct {
 	schema   tuple.Schema
 	probe    RowIter
 	cur      batchCursor
-	build    map[string]*joinBucket
+	build    *JoinBuild
 	probeIdx []int
 	pairs    pairComposer
 	swapped  bool
-	buildErr error  // terminal error of the (eagerly drained) build side
-	scratch  []byte // reusable probe-key buffer: no string allocation per probe row
 	// probe state: current probe row and its pending bucket suffix.
 	prow   tuple.Tuple
 	bucket []tuple.Tuple
 	bi     int
 }
-
-// joinBucket holds the build rows of one equi-key value behind a
-// pointer, so the build loop can append through an allocation-free
-// map[string(scratch)] lookup and only materialize a key string once
-// per distinct key.
-type joinBucket struct{ rows []tuple.Tuple }
 
 // JoinPrep is the compiled form of a temporal join predicate: extracted
 // equi-key columns plus the compiled residual over the concatenated data
@@ -384,6 +376,7 @@ type JoinPrep struct {
 	lw           int
 	pick         []int
 	out          tuple.Schema // the output's period schema
+	hashMask     uint64       // all ones; tests clear bits to force collisions
 }
 
 // pairComposer turns candidate (left, right) row pairs into join output
@@ -447,7 +440,7 @@ func (c *pairComposer) compose(lrow, rrow tuple.Tuple) (tuple.Tuple, bool) {
 func PrepareJoin(lData, rData tuple.Schema, pred algebra.Expr) (*JoinPrep, error) {
 	joined := lData.Concat(rData, "r.")
 	keys, residual := extractEquiKeys(pred, joined, lData.Arity())
-	p := &JoinPrep{joined: joined, lA: lData.Arity(), rA: rData.Arity(), out: PeriodSchema(joined)}
+	p := &JoinPrep{joined: joined, lA: lData.Arity(), rA: rData.Arity(), out: PeriodSchema(joined), hashMask: ^uint64(0)}
 	if residual != nil {
 		res, err := algebra.Compile(residual, joined)
 		if err != nil {
@@ -501,12 +494,19 @@ func (p *JoinPrep) Schema() tuple.Schema { return p.out }
 // probe from multiple goroutines concurrently: every Probe iterator
 // carries its own cursor state and only reads the shared table. left
 // records which input was built (the probe side is the other one).
+//
+// The table keys rows by tuple.HashKey over their key columns: index
+// maps a hash to its bucket, and bucket b's rows, in input order, are
+// rows[start[b]:start[b+1]]. Keys that share a hash share a bucket; a
+// probe tells them apart with SameKey.
 type JoinBuild struct {
-	prep  *JoinPrep
-	build map[string]*joinBucket
-	left  bool
-	rows  int64 // build rows retained (the governor's memory-charge basis)
-	err   error // terminal error of the build-side drain
+	prep   *JoinPrep
+	keyIdx []int // the build rows' key columns
+	index  map[uint64]int32
+	start  []int32
+	rows   []tuple.Tuple
+	left   bool
+	err    error // terminal error of the build-side drain
 }
 
 // Err reports the terminal error of the build-side drain: a build over
@@ -514,28 +514,28 @@ type JoinBuild struct {
 // drop matches.
 func (b *JoinBuild) Err() error { return b.err }
 
-// Rows returns the number of rows retained in the build table.
-func (b *JoinBuild) Rows() int64 { return b.rows }
+// Rows returns the number of rows retained in the build table: the
+// governor's memory-charge basis.
+func (b *JoinBuild) Rows() int64 { return int64(len(b.rows)) }
 
 // Build drains one input into a hash table on the equi-key columns and
 // closes it: the right input by default, the LEFT one when left is set
 // (the probe iterator then consumes the other input; output column
 // order is unaffected). hint pre-sizes the table for roughly that many
-// build rows (<= 0 = no hint): a good one removes the map's incremental
-// rehash/grow allocations during the drain, a bad one costs at most the
-// overshoot's memory. Neither parameter affects results. Build must only
-// be called when HasEquiKey reports true.
+// build rows (<= 0 = no hint): a good one removes the incremental grow
+// allocations during the drain, a bad one costs at most the overshoot's
+// memory. Neither parameter affects results. Build must only be called
+// when HasEquiKey reports true.
 func (p *JoinPrep) Build(in RowIter, left bool, hint int64) *JoinBuild {
 	keyIdx := p.rIdx
 	if left {
 		keyIdx = p.lIdx
 	}
-	if hint < 0 {
-		hint = 0
-	}
-	build := make(map[string]*joinBucket, hint)
-	var n int64
-	var scratch []byte
+	hint = max(hint, 0)
+	index := make(map[uint64]int32, hint)
+	rows := make([]tuple.Tuple, 0, hint)
+	bucket := make([]int32, 0, hint) // each row's bucket, then its place
+	var count []int32                // each bucket's rows
 	batch := NewRowBatch(DefaultBatchSize)
 	for in.NextBatch(batch) {
 		for _, row := range batch.Rows {
@@ -544,20 +544,50 @@ func (p *JoinPrep) Build(in RowIter, left bool, hint int64) *JoinBuild {
 			if hasNullAt(row, keyIdx) {
 				continue
 			}
-			scratch = row.AppendKey(scratch[:0], keyIdx)
-			b, okB := build[string(scratch)]
-			if !okB {
-				b = &joinBucket{}
-				build[string(scratch)] = b
+			h := row.HashKey(keyIdx) & p.hashMask
+			b, ok := index[h]
+			if !ok {
+				b = int32(len(count))
+				index[h] = b
+				count = append(count, 0)
 			}
+			count[b]++
+			bucket = append(bucket, b)
 			//lint:ignore rowretain hash-join build side holds rows read-only; engine producers never reuse yielded row backing (only the batch slice is reused, and the row is copied out of it here)
-			b.rows = append(b.rows, row)
-			n++
+			rows = append(rows, row)
 		}
 	}
 	err := in.Err()
 	in.Close()
-	return &JoinBuild{prep: p, build: build, left: left, rows: n, err: err}
+	// Lay the rows out bucket by bucket, each in input order: bucket[i]
+	// turns into the place of the row at i, and the rows move there in
+	// place, one permutation cycle at a time.
+	start := make([]int32, len(count)+1)
+	for b, k := range count {
+		start[b+1] = start[b] + k
+		count[b] = start[b]
+	}
+	for i, b := range bucket {
+		bucket[i] = count[b]
+		count[b]++
+	}
+	for i := range rows {
+		for j := bucket[i]; j != int32(i); j = bucket[i] {
+			rows[i], rows[j] = rows[j], rows[i]
+			bucket[i], bucket[j] = bucket[j], j
+		}
+	}
+	return &JoinBuild{prep: p, keyIdx: keyIdx, index: index, start: start, rows: rows, left: left, err: err}
+}
+
+// candidates returns the build rows whose key hashes as probe row
+// prow's key columns probeIdx do.
+func (b *JoinBuild) candidates(prow tuple.Tuple, probeIdx []int) []tuple.Tuple {
+	i, ok := b.index[prow.HashKey(probeIdx)&b.prep.hashMask]
+	if !ok {
+		return nil
+	}
+	return b.rows[b.start[i]:b.start[i+1]]
 }
 
 // Probe returns a streaming probe iterator over the non-built input
@@ -571,11 +601,10 @@ func (b *JoinBuild) Probe(probe RowIter) RowIter {
 		schema:   b.prep.Schema(),
 		probe:    probe,
 		cur:      batchCursor{in: probe},
-		build:    b.build,
+		build:    b,
 		probeIdx: probeIdx,
 		pairs:    b.prep.composer(),
 		swapped:  b.left,
-		buildErr: b.err,
 	}
 }
 
@@ -616,26 +645,32 @@ func NewJoinIter(l, r RowIter, pred algebra.Expr) (RowIter, error) {
 // builds on the left input only when both cardinality estimates are
 // known and the left is strictly smaller, and on the right otherwise.
 //
-// hint is the build side's estimate when it bounds the build rows — the
-// side reaches a stored table through Filter, Project and Window only —
-// and 0 otherwise. The executor pre-sizes the build table with it; the
-// estimate of a join or an aggregation can overshoot its rows by orders
-// of magnitude, and the map it would size is not charged to the memory
-// budget.
+// hint is the build side's SizeHint. The executor pre-sizes the build
+// table with it.
 func (db *DB) JoinStrategy(n JoinP, prep *JoinPrep) (hash, buildLeft bool, hint int64) {
 	if !prep.HasEquiKey() {
 		return false, false, 0
 	}
 	lEst, rEst := db.EstimateRows(n.L), db.EstimateRows(n.R)
 	buildLeft = lEst >= 0 && rEst >= 0 && lEst < rEst
-	build, est := n.R, rEst
+	build := n.R
 	if buildLeft {
-		build, est = n.L, lEst
+		build = n.L
 	}
-	if est > 0 && db.baseTable(build) != nil {
-		hint = est
+	return true, buildLeft, db.SizeHint(build)
+}
+
+// SizeHint is p's row estimate when it bounds p's rows — p reaches a
+// stored table through Filter, Project and Window only — and 0
+// otherwise: what a drain of p may reserve room for up front. The
+// estimate of a join or an aggregation can overshoot its rows by orders
+// of magnitude, and the room reserved is not charged to the memory
+// budget.
+func (db *DB) SizeHint(p Plan) int64 {
+	if db.baseTable(p) == nil {
+		return 0
 	}
-	return true, buildLeft, hint
+	return max(db.EstimateRows(p), 0)
 }
 
 // JoinStrategyName is the display form of a JoinStrategy result, shared
@@ -679,12 +714,20 @@ func (it *hashJoinIter) NextBatch(out *RowBatch) bool {
 }
 
 // next is the resumable probe loop: it returns the next output row,
-// pulling probe rows (capacity at a time) as buckets run out.
+// pulling probe rows (capacity at a time) as buckets run out. A bucket
+// holds every build row whose key hashes alike; only those whose key
+// columns are SameKey to the probe row's pair with it.
 func (it *hashJoinIter) next(capacity int) (tuple.Tuple, bool) {
 	for {
+	bucket:
 		for it.bi < len(it.bucket) {
 			brow := it.bucket[it.bi]
 			it.bi++
+			for j, c := range it.probeIdx {
+				if !tuple.SameKey(it.prow[c], brow[it.build.keyIdx[j]]) {
+					continue bucket
+				}
+			}
 			// Output rows are composed in left-then-right column order
 			// whichever side was built.
 			lrow, rrow := it.prow, brow
@@ -704,17 +747,11 @@ func (it *hashJoinIter) next(capacity int) (tuple.Tuple, bool) {
 		}
 		//lint:ignore rowretain probe row is held read-only and replaced by the next probe row
 		it.prow = prow
-		it.scratch = prow.AppendKey(it.scratch[:0], it.probeIdx)
-		if b := it.build[string(it.scratch)]; b != nil {
-			it.bucket = b.rows
-		} else {
-			it.bucket = nil
-		}
-		it.bi = 0
+		it.bucket, it.bi = it.build.candidates(prow, it.probeIdx), 0
 	}
 }
 
 func (it *hashJoinIter) Close() { it.probe.Close() }
 
 // Err reports the build side's terminal error, then the probe side's.
-func (it *hashJoinIter) Err() error { return FirstErr(it.buildErr, it.probe.Err()) }
+func (it *hashJoinIter) Err() error { return FirstErr(it.build.err, it.probe.Err()) }

@@ -288,8 +288,8 @@ func TestHashJoinAllocatesOnlyEmittedRows(t *testing.T) {
 		}
 		it.Close()
 	})
-	// The probe iterator, its scratch row and its key buffer: a handful
-	// per run, against 40000 candidate pairs.
+	// The probe iterator and its residual's scratch row: a handful per
+	// run, against 40000 candidate pairs.
 	if allocs > 16 {
 		t.Fatalf("all-rejecting hash join made %.0f allocations for %d pairs", allocs, n*n)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"snapk/internal/algebra"
 	"snapk/internal/interval"
@@ -931,10 +932,23 @@ type blockEvent struct {
 	row, delta int32
 }
 
-// blockSweep is the blocking driver: it appends each group's events
-// from unordered tables and folds the groups in first-seen order, each
-// over its events sorted by (time, input row), so same-instant updates —
-// and float sums with them — apply in input order on every run.
+// blockRowBytes prices the blocking driver's scratch per input row for
+// the memory governor: the row's two events in the event array and two
+// in the radix buffer, its group index, and at most one group's offset.
+// All but the events are spare once the events are grouped.
+const (
+	blockEventBytes = int64(unsafe.Sizeof(blockEvent{}))
+	blockSpareBytes = 2*blockEventBytes + 4 + 4
+	blockRowBytes   = 2*blockEventBytes + blockSpareBytes
+)
+
+// blockSweep is the blocking driver over unordered tables. It writes
+// every row's two events into one array in input-row order, sorts them
+// by time (sortEvents, which is stable) and scatters them by group,
+// stably again, so each group's p is the part of one array holding its
+// events in (time, input row) order: same-instant updates — and float
+// sums with them — apply in input order on every run. The groups then
+// fold in first-seen order.
 type blockSweep[S any, A accumulator[S]] struct {
 	kernel[S, A]
 	groupTable[[]blockEvent]
@@ -945,37 +959,48 @@ func newBlockSweep[S any, A accumulator[S]](k kernel[S, A], keys ...[]int) *bloc
 	return &blockSweep[S, A]{kernel: k, groupTable: newGroupTable[[]blockEvent](len(keys[0])), keys: keys}
 }
 
-// run sweeps the inputs, the first counting +1 and the second −1, and
-// returns the output as distinct rows: each run its row and count − 1
-// copies, in a slice and slabs sized to them.
+// run sweeps the inputs, ungoverned, the first counting +1 and the
+// second −1, and returns the output as distinct rows: each run its row
+// and count − 1 copies, in a slice and slabs sized to them.
 func (s *blockSweep[S, A]) run(inputs ...[]tuple.Tuple) []tuple.Tuple {
 	s.out.expanded = true
-	return s.runs(inputs...).rows
+	out, _ := s.runs(nil, inputs...) // only a governor can refuse the sweep
+	return out.rows
 }
 
 // runs sweeps the inputs as run does and returns the output runs, which
-// hold nothing else of the sweep.
-func (s *blockSweep[S, A]) runs(inputs ...[]tuple.Tuple) sweepOut {
+// hold nothing else of the sweep. gov (nil for none) is charged for the
+// scratch while the sweep holds it; the sweep fails only when gov
+// refuses it.
+func (s *blockSweep[S, A]) runs(gov *Governor, inputs ...[]tuple.Tuple) (sweepOut, error) {
+	n := 0
+	for _, rows := range inputs {
+		n += len(rows)
+	}
+	if err := gov.ChargeMem(int64(n) * blockRowBytes); err != nil {
+		gov.ReleaseMem(int64(n) * blockRowBytes)
+		return sweepOut{}, err
+	}
 	if s.global {
 		s.find(nil, nil)
 	}
+	ev, gi := make([]blockEvent, 2*n), make([]int32, n)
 	base, sign := 0, int32(1)
 	for k, rows := range inputs {
 		for r, row := range rows {
-			_, g, _ := s.find(row, s.keys[k])
-			iv, id := rowInterval(row), int32(base+r)
-			g.p = append(g.p, blockEvent{iv.Begin, id, sign}, blockEvent{iv.End, id, -sign})
+			id := base + r
+			gi[id], _, _ = s.find(row, s.keys[k])
+			iv := rowInterval(row)
+			ev[2*id] = blockEvent{iv.Begin, int32(id), sign}
+			ev[2*id+1] = blockEvent{iv.End, int32(id), -sign}
 		}
 		base, sign = base+len(rows), -sign
 	}
-	for i := range s.slots {
-		slices.SortFunc(s.at(i).p, func(a, b blockEvent) int {
-			if a.t != b.t {
-				return cmp.Compare(a.t, b.t)
-			}
-			return cmp.Compare(a.row, b.row)
-		})
-	}
+	sorted, spare := sortEvents(ev, make([]blockEvent, 2*n))
+	s.scatter(sorted, spare, gi)
+	// The sorted copy, the group index and the offsets are garbage now.
+	gov.ReleaseMem(int64(n) * blockSpareBytes)
+	defer gov.ReleaseMem(int64(2*n) * blockEventBytes)
 	if s.exact {
 		s.out.counting = true
 		s.foldAll(inputs[0])
@@ -990,7 +1015,68 @@ func (s *blockSweep[S, A]) runs(inputs ...[]tuple.Tuple) sweepOut {
 		s.out.arena.expect(n)
 	}
 	s.foldAll(inputs[0])
-	return s.out
+	return s.out, nil
+}
+
+// scatter copies the time-sorted events into dst grouped by their rows'
+// groups gi, keeping their order within a group, and points each
+// group's p at its part of dst.
+func (s *blockSweep[S, A]) scatter(sorted, dst []blockEvent, gi []int32) {
+	off := make([]int32, s.slots+1)
+	for _, g := range gi {
+		off[g+1] += 2
+	}
+	for i := range s.slots {
+		off[i+1] += off[i]
+		s.at(i).p = dst[off[i]:off[i+1]]
+	}
+	for _, e := range sorted {
+		g := gi[e.row]
+		dst[off[g]] = e
+		off[g]++
+	}
+}
+
+// sortEvents sorts ev by time, stably, with a least-significant-digit
+// radix sort over each time's offset from the least, t − min taken as
+// an unsigned number (exact even where it overflows int64): one 8-bit
+// counting pass per byte in which the offsets differ, skipping any byte
+// they all share. buf is scratch of ev's length. It returns the sorted
+// events, in ev or in buf, and the other slice.
+func sortEvents(ev, buf []blockEvent) (sorted, spare []blockEvent) {
+	if len(ev) < 2 {
+		return ev, buf
+	}
+	lo, hi := ev[0].t, ev[0].t
+	for _, e := range ev[1:] {
+		lo, hi = min(lo, e.t), max(hi, e.t)
+	}
+	passes := (bits.Len64(uint64(hi)-uint64(lo)) + 7) / 8
+	var counts [8][256]int
+	for _, e := range ev {
+		k := uint64(e.t) - uint64(lo)
+		for p := range passes {
+			counts[p][byte(k>>(8*p))]++
+		}
+	}
+	first := uint64(ev[0].t) - uint64(lo)
+	for p := range passes {
+		c, shift := &counts[p], 8*p
+		if c[byte(first>>shift)] == len(ev) {
+			continue
+		}
+		at := 0
+		for b, k := range c {
+			c[b], at = at, at+k
+		}
+		for _, e := range ev {
+			b := byte((uint64(e.t) - uint64(lo)) >> shift)
+			buf[c[b]] = e
+			c[b]++
+		}
+		ev, buf = buf, ev
+	}
+	return ev, buf
 }
 
 // foldAll runs every group's fold in first-seen order. Argument values
@@ -1018,19 +1104,20 @@ func (s *blockSweep[S, A]) foldAll(rows []tuple.Tuple) {
 // diffSweep runs the blocking count sweep over l, minus r unless r is
 // nil — with nothing subtracted it is the coalesce of l — into runs or,
 // with expanded set, into distinct rows. lKey and rKey are each input's
-// key columns, as NewStreamCountIter takes them.
-func diffSweep(l *Table, lKey []int, r *Table, rKey []int, expanded bool) (sweepOut, error) {
+// key columns, as NewStreamCountIter takes them; gov is charged for the
+// sweep's scratch.
+func diffSweep(gov *Governor, l *Table, lKey []int, r *Table, rKey []int, expanded bool) (sweepOut, error) {
 	if r == nil {
 		s := newBlockSweep(countKernel(), lKey)
 		s.out.expanded = expanded
-		return s.runs(l.Rows), nil
+		return s.runs(gov, l.Rows)
 	}
 	if len(lKey) != len(rKey) {
 		return sweepOut{}, fmt.Errorf("engine: difference-incompatible arities %d and %d", len(lKey)+2, len(rKey)+2)
 	}
 	s := newBlockSweep(countKernel(), lKey, rKey)
 	s.out.expanded = expanded
-	return s.runs(l.Rows, r.Rows), nil
+	return s.runs(gov, l.Rows, r.Rows)
 }
 
 // NewBlockDiffIter returns the blocking temporal difference l − r — the
@@ -1044,14 +1131,15 @@ func NewBlockDiffIter(l, r *Table) (RowIter, error) {
 	if r != nil {
 		rKey = dataColumns(r.DataArity())
 	}
-	return NewBlockCountIter(l.Schema, l, key, r, rKey)
+	return NewBlockCountIter(nil, l.Schema, l, key, r, rKey)
 }
 
 // NewBlockCountIter is NewBlockDiffIter of period schema schema over
 // rows whose key columns are lKey and rKey, as NewStreamCountIter takes
-// them.
-func NewBlockCountIter(schema tuple.Schema, l *Table, lKey []int, r *Table, rKey []int) (RowIter, error) {
-	out, err := diffSweep(l, lKey, r, rKey, false)
+// them. gov (nil for none) is charged for the sweep's scratch while the
+// sweep runs, and the sweep fails with its error when it refuses.
+func NewBlockCountIter(gov *Governor, schema tuple.Schema, l *Table, lKey []int, r *Table, rKey []int) (RowIter, error) {
+	out, err := diffSweep(gov, l, lKey, r, rKey, false)
 	if err != nil {
 		return nil, err
 	}
