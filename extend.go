@@ -252,7 +252,7 @@ func (r *Result) WriteCSV(w io.Writer) error {
 	for _, row := range r.Rows {
 		data := make(tuple.Tuple, len(row.Values))
 		for i, v := range row.Values {
-			tv, err := toValue(v)
+			tv, err := tupleValue(v)
 			if err != nil {
 				return err
 			}

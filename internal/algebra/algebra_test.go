@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -134,6 +135,28 @@ func TestArithmetic(t *testing.T) {
 	}
 	if got := evalOn(t, Mul(FloatC(0.5), Col("a")), tup); got.AsFloat() != 3.0 {
 		t.Errorf("0.5*6 = %v", got)
+	}
+}
+
+// Float arithmetic whose result is not finite — an overflow to ±Inf,
+// or Inf − Inf's NaN — yields NULL, as division by zero does.
+func TestArithmeticNonFiniteIsNull(t *testing.T) {
+	tup := tuple.Tuple{tuple.Float(1e308), tuple.Float(1e-308), tuple.String_("x")}
+	inf := FloatC(math.Inf(1))
+	for name, e := range map[string]Expr{
+		"1e308+1e308":  Add(Col("a"), Col("a")),
+		"-1e308-1e308": Sub(Mul(Col("a"), IntC(-1)), Col("a")),
+		"1e308*10":     Mul(Col("a"), IntC(10)),
+		"1e308/1e-308": Div(Col("a"), Col("b")),
+		"Inf-Inf":      Sub(inf, inf),
+		"0*Inf":        Mul(FloatC(0), inf),
+	} {
+		if got := evalOn(t, e, tup); !got.IsNull() {
+			t.Errorf("%s = %v, want NULL", name, got)
+		}
+	}
+	if got := evalOn(t, Mul(Col("a"), FloatC(0.5)), tup); got.AsFloat() != 5e307 {
+		t.Errorf("1e308*0.5 = %v", got)
 	}
 }
 

@@ -7,6 +7,7 @@ package algebra
 
 import (
 	"fmt"
+	"math"
 
 	"snapk/internal/tuple"
 )
@@ -312,19 +313,27 @@ func arith(op BinOpKind, l, r tuple.Value) tuple.Value {
 		}
 	}
 	a, b := l.AsFloat(), r.AsFloat()
+	var f float64
 	switch op {
 	case OpAdd:
-		return tuple.Float(a + b)
+		f = a + b
 	case OpSub:
-		return tuple.Float(a - b)
+		f = a - b
 	case OpMul:
-		return tuple.Float(a * b)
+		f = a * b
 	default:
 		if b == 0 {
 			return tuple.Null
 		}
-		return tuple.Float(a / b)
+		f = a / b
 	}
+	// A result that overflowed to ±Inf, or Inf − Inf's NaN, is NULL like
+	// division by zero: tuple.Compare has no place for a NaN among the
+	// numbers.
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return tuple.Null
+	}
+	return tuple.Float(f)
 }
 
 // Truthy evaluates a compiled predicate under SQL WHERE semantics:

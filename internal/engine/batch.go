@@ -105,15 +105,14 @@ func CutRuns(b *RowBatch, mult *[]int64, keep int64) {
 
 // RowBatch is the unit of batch execution: a reusable slice of
 // period-encoded rows. The capacity set at construction is the TARGET
-// fill: producers filling row by row stop there (a ragged final batch
-// is normal), but a producer sitting on a transport hand-off (the
-// exchange consumers) may adopt the whole transport slice wholesale,
-// delivering MORE rows than the requested capacity. Consumers must
-// size their reads off Len(), never off the capacity they asked for.
+// fill: producers stop there (a ragged final batch is normal), and the
+// exchange consumers copy rows out of their transport batches rather
+// than hand those over. Consumers size their reads off Len(), never
+// off the capacity they asked for.
 type RowBatch struct {
 	// Rows holds the batch's row references. Producers fill it via
-	// Append (or adopt a transport slice wholesale); consumers must
-	// treat it as invalid after the next NextBatch call.
+	// Append or append; consumers must treat it as invalid after the
+	// next NextBatch call.
 	Rows []tuple.Tuple
 }
 

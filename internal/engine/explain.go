@@ -33,7 +33,7 @@ type ExplainNode struct {
 	// planner cannot bound it.
 	EstRows int64
 	// Placement describes execution placement ("morsel scan ×4",
-	// "sequential", "fragments ×4 via ordered-partition"); filled by
+	// "sequential", "fragments ×4 via scan-partition"); filled by
 	// parallel.Explain, empty on a bare ExplainPlan tree.
 	Placement string
 	Children  []*ExplainNode

@@ -89,8 +89,8 @@ var (
 	ErrRowLimit = errors.New("engine: query row limit exceeded")
 	// ErrMemBudget terminates a query whose tracked operator state
 	// (sweep open intervals and active groups, the inputs a blocking
-	// sweep or sort materializes, hash-join build side, ordered-exchange
-	// queue depth) exceeded the configured budget.
+	// sweep or sort materializes, hash-join build side) exceeded the
+	// configured budget.
 	ErrMemBudget = errors.New("engine: query memory budget exceeded")
 )
 
@@ -107,9 +107,8 @@ type Limits struct {
 	RowLimit int64
 	// MemBudget bounds the bytes of tracked operator state — streaming
 	// sweep state (the max_state accounting EXPLAIN ANALYZE reports),
-	// the partitions blocking sweeps and sorts materialize, hash-join
-	// build sides, and ordered-exchange queue depth —
-	// charged through ApproxRowBytes estimates. Exceeding it ends the
+	// the partitions blocking sweeps and sorts materialize, and
+	// hash-join build sides — charged through ApproxRowBytes estimates. Exceeding it ends the
 	// query with ErrMemBudget. Zero disables.
 	MemBudget int64
 }
@@ -173,8 +172,8 @@ func (g *Governor) ChargeMem(n int64) error {
 	return nil
 }
 
-// ReleaseMem returns n bytes of tracked state (a drained exchange
-// queue batch, a closed operator's state).
+// ReleaseMem returns n bytes of tracked state (a blocking sweep's
+// released inputs, a closed operator's state).
 func (g *Governor) ReleaseMem(n int64) {
 	if g == nil || g.lim.MemBudget <= 0 {
 		return

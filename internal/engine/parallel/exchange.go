@@ -14,10 +14,9 @@ import (
 // batch is the unit of exchange between pipeline fragments: a bounded
 // slice of period-encoded rows. Batching amortizes channel synchronization
 // over many rows, which is what makes exchange operators cheaper than a
-// channel send per row. Each transport batch is freshly allocated by its
-// producer and handed over wholesale, so consumer-side iterators may
-// adopt it directly as an engine.RowBatch row slice — the zero-copy
-// batch pass-through of the vectorized hop.
+// channel send per row. A transport batch never leaves its exchange: the
+// consumer copies its rows into the caller's batch and hands the slice
+// back to the exchange's free list, where the producers take it again.
 type batch []tuple.Tuple
 
 // exchange owns the producer-side lifecycle of one exchange: a context
@@ -28,18 +27,23 @@ type batch []tuple.Tuple
 // The refcount counts consumers, not partitions: producers fan rows out
 // to ALL partitions, so canceling on the first partition Close would
 // truncate the still-live ones — only the last Close tears the
-// producers down.
+// producers down. free is the exchange's batch free list.
 type exchange struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	refs   atomic.Int32
+	free   chan batch
+	morsel int
 }
 
 // newExchange derives an exchange lifecycle with the given number of
-// consumer-side iterators from the execution context.
+// consumer-side iterators from the execution context. Its free list
+// holds as many batches as the exchange can have in flight: one being
+// filled per producer, a channel's worth queued and one being read per
+// consumer.
 func (e *executor) newExchange(consumers int) *exchange {
 	ctx, cancel := context.WithCancel(e.ctx)
-	x := &exchange{ctx: ctx, cancel: cancel}
+	x := &exchange{ctx: ctx, cancel: cancel, free: make(chan batch, 2*e.workers+consumers), morsel: e.morsel}
 	x.refs.Store(int32(consumers))
 	return x
 }
@@ -52,19 +56,50 @@ func (x *exchange) release() {
 	}
 }
 
+// batch takes an empty transport batch off the free list, or allocates
+// one when the list is empty.
+func (x *exchange) batch() batch {
+	select {
+	case b := <-x.free:
+		return b
+	default:
+		return make(batch, 0, x.morsel)
+	}
+}
+
+// recycle returns a read-out transport batch to the free list; one the
+// full list has no room for is left to the collector. The rows are
+// cleared first, so an idle batch keeps none of them reachable.
+func (x *exchange) recycle(b batch) {
+	clear(b)
+	select {
+	case x.free <- b[:0]:
+	default:
+	}
+}
+
+// scanCursor is the morsel cursor the fragments of one table scan
+// share: each fragment claims the next morsel off it, so the fragments
+// load-balance even when per-row costs are skewed. A scan partition
+// makes it private before the first claim, and every fragment then
+// reads the whole table itself.
+type scanCursor struct {
+	next    atomic.Int64
+	private bool
+}
+
 // morselTableIter is the scan source: fragments claim morsels
-// (contiguous row ranges) of a shared table through an atomic cursor, so
-// fragment load balances even when per-row costs are skewed. One iterator
-// per fragment; the counter is shared across all of them. Each claim
-// probes the execution context: a single-fragment pipeline runs entirely
-// on the consumer's goroutine, so this probe (amortized per morsel of
-// rows) is its only mid-stream cancellation point — blocking drains
-// above it (hash-join builds, blocking sweeps) end early
-// with the context's error instead of running to completion.
+// (contiguous row ranges) of a table through their scan's cursor, one
+// iterator per fragment. Each claim probes the execution context: a
+// single-fragment pipeline runs entirely on the consumer's goroutine,
+// so this probe (amortized per morsel of rows) is its only mid-stream
+// cancellation point — blocking drains above it (hash-join builds,
+// blocking sweeps) end early with the context's error instead of
+// running to completion.
 type morselTableIter struct {
 	ctx    context.Context
 	t      *engine.Table
-	ctr    *atomic.Int64
+	cur    *scanCursor
 	size   int
 	i, end int // current claimed morsel [i, end)
 	err    error
@@ -72,13 +107,17 @@ type morselTableIter struct {
 
 func (it *morselTableIter) Schema() tuple.Schema { return it.t.Schema }
 
-// claim takes the next morsel off the shared cursor; false at the end
-// of the table or on cancellation.
+// claim takes the next morsel — off the shared cursor, or the one after
+// the last when the cursor is private; false at the end of the table
+// or on cancellation.
 func (it *morselTableIter) claim() bool {
 	if it.err = it.ctx.Err(); it.err != nil {
 		return false
 	}
-	start := int(it.ctr.Add(int64(it.size))) - it.size
+	start := it.end
+	if !it.cur.private {
+		start = int(it.cur.next.Add(int64(it.size))) - it.size
+	}
 	if start >= len(it.t.Rows) {
 		return false
 	}
@@ -104,11 +143,11 @@ func (it *morselTableIter) Close() {}
 // Err reports the cancellation that ended the scan early.
 func (it *morselTableIter) Err() error { return it.err }
 
-// chanIter is the receiving end of a repartition exchange: one of W
-// worker-side iterators pulling batches from a shared channel fed by a
-// distributor goroutine. The batch-draining loop is chanCursor's, so
-// the ctx-aware receive cannot drift between the RowIter form and the
-// ordered-merge rowSource form. It ends without an error of its own:
+// chanIter is the receiving end of a channel exchange: the one iterator
+// of a merge, or one of W worker-side iterators of a repartition or a
+// hash partition. The batch-draining loop is chanCursor's, so the
+// ctx-aware receive cannot drift between the RowIter form and the
+// ordered merge's per-row form. It ends without an error of its own:
 // producer failures reach the executor's central error slot.
 type chanIter struct {
 	x      *exchange
@@ -119,8 +158,6 @@ type chanIter struct {
 
 func (it *chanIter) Schema() tuple.Schema { return it.schema }
 
-// NextBatch adopts a whole transport batch — the zero-copy
-// pass-through.
 func (it *chanIter) NextBatch(b *engine.RowBatch) bool {
 	return it.cur.nextBatch(it.x.ctx, b)
 }
@@ -128,7 +165,9 @@ func (it *chanIter) NextBatch(b *engine.RowBatch) bool {
 func (it *chanIter) Err() error { return nil }
 
 // Close releases this consumer's reference on the exchange; the last
-// partition closed cancels the producers (see exchange).
+// one closed cancels the producers (see exchange) — closing a merged
+// iterator before exhaustion does not strand them on the bounded
+// channel until executor teardown.
 func (it *chanIter) Close() {
 	if !it.closed {
 		it.closed = true
@@ -136,55 +175,13 @@ func (it *chanIter) Close() {
 	}
 }
 
-// mergeIter is the merge exchange: W fragment goroutines each drain one
-// per-worker iterator into batches and push them onto a shared bounded
-// channel; the iterator pulls batches off in arrival order. Merge order
-// is nondeterministic, which is sound because period relations are
-// multisets. Goroutine lifetime is owned by the executor: cancellation
-// of the execution context stops every producer, and the channel is
-// closed once all of them have exited. Like chanIter it ends without an
-// error of its own.
-type mergeIter struct {
-	x      *exchange
-	schema tuple.Schema
-	ch     <-chan batch
-	closed bool
-}
-
-func (it *mergeIter) Schema() tuple.Schema { return it.schema }
-
-// NextBatch adopts one transport batch wholesale (transport batches are
-// freshly allocated per send, so the hand-off is zero-copy).
-func (it *mergeIter) NextBatch(b *engine.RowBatch) bool {
-	b.Reset()
-	if it.x.ctx.Err() != nil {
-		return false
-	}
-	nb, ok := <-it.ch
-	if !ok {
-		return false
-	}
-	b.Rows = nb
-	return true
-}
-
-func (it *mergeIter) Err() error { return nil }
-
-// Close releases the merge's single consumer reference, canceling the
-// producers — closing a merged iterator before exhaustion no longer
-// strands them on the bounded channel until executor teardown.
-func (it *mergeIter) Close() {
-	if !it.closed {
-		it.closed = true
-		it.x.release()
-	}
-}
-
 // startMerge spawns one producer goroutine per part and returns the
-// merged stream. Producers exit when their input is exhausted or the
-// execution context is canceled; a closer goroutine closes the channel
-// once all producers are done, which is how the consumer observes
-// end-of-stream.
+// merged stream: the iterator pulls batches off one shared bounded
+// channel in arrival order. Merge order is nondeterministic, which is
+// sound because period relations are multisets. Producers exit when
+// their input is exhausted or the execution context is canceled; a
+// closer goroutine closes the channel once all producers are done,
+// which is how the consumer observes end-of-stream.
 func (e *executor) startMerge(parts []engine.RowIter, parent *engine.OpStats) engine.RowIter {
 	st := parent.Child("Exchange:merge", fmt.Sprintf("fanin=%d", len(parts)))
 	schema := parts[0].Schema()
@@ -205,7 +202,7 @@ func (e *executor) startMerge(parts []engine.RowIter, parent *engine.OpStats) en
 			defer producers.Done()
 			defer e.recoverPanic("exchange:merge producer")
 			defer part.Close()
-			e.drainInto(x.ctx, part, ch, st, false)
+			e.drainInto(x, part, ch, st, false)
 		}()
 	}
 	e.wg.Add(1)
@@ -216,7 +213,7 @@ func (e *executor) startMerge(parts []engine.RowIter, parent *engine.OpStats) en
 		producers.Wait()
 		close(ch)
 	}()
-	return engine.NewObsIter(e.inject("exchange:merge", &mergeIter{x: x, schema: schema, ch: ch}), st)
+	return engine.NewObsIter(e.inject("exchange:merge", &chanIter{x: x, schema: schema, cur: chanCursor{x: x, ch: ch}}), st)
 }
 
 // send pushes one transport batch onto ch, recording the backpressure
@@ -251,12 +248,11 @@ func (e *executor) send(ctx context.Context, ch chan<- batch, b batch, st *engin
 }
 
 // drainInto pumps it into ch in morsel-sized batches until exhaustion or
-// cancellation of the exchange context. The input's operator chain fills
-// each transport batch directly through NextBatch, and the slice is
-// handed over wholesale (a fresh slice per send, because the consumer
-// adopts it). With st non-nil the producer's
-// blocked time is recorded (and each batch sent, when countBatch says
-// the consumer side is not already counting them).
+// cancellation of the exchange x. The input's operator chain fills each
+// transport batch, taken from x's free list, directly through
+// NextBatch. With st non-nil the producer's blocked time is recorded
+// (and each batch sent, when countBatch says the consumer side is not
+// already counting them).
 // A drain that ends because its input FAILED (rather than ended
 // naturally) reports the input's terminal error to the executor's
 // central error slot, per the error-carrying iterator protocol:
@@ -264,35 +260,41 @@ func (e *executor) send(ctx context.Context, ch chan<- batch, b batch, st *engin
 // producer side is where a truncation must be converted into a query
 // error. A failed drain ends on the failing pull, so no rows of a
 // failed stream are sent after it.
-func (e *executor) drainInto(ctx context.Context, it engine.RowIter, ch chan<- batch, st *engine.OpStats, countBatch bool) {
+func (e *executor) drainInto(x *exchange, it engine.RowIter, ch chan<- batch, st *engine.OpStats, countBatch bool) {
 	for {
 		// One cancellation probe per batch: NextBatch can spin for a
 		// while on selective operators, and the send below only
 		// observes cancellation when it actually blocks.
-		if ctx.Err() != nil {
+		if x.ctx.Err() != nil {
 			return
 		}
-		rb := engine.RowBatch{Rows: make([]tuple.Tuple, 0, e.morsel)}
+		rb := engine.RowBatch{Rows: x.batch()}
 		if !it.NextBatch(&rb) {
 			e.fail(it.Err())
 			return
 		}
-		if !e.send(ctx, ch, batch(rb.Rows), st, countBatch) {
+		if !e.send(x.ctx, ch, batch(rb.Rows), st, countBatch) {
 			return
 		}
 	}
 }
 
+// partOf is the one partition function of the keyed exchanges: the
+// partition of w that a row whose key hashes (tuple.HashKey) to h
+// belongs to. It reads the hash's high bits; the sweeps' group tables
+// index by its low bits.
+func partOf(h uint64, w int) int { return int((h >> 32) % uint64(w)) }
+
 // hashPartition converts a stream — given as its physical sources, one
 // per already-running fragment — into W worker-side iterators by
 // hashing the key columns: every row of one key group lands in the
 // same partition, which is what lets each worker run an independent
-// sweep (coalesce / split-aggregate / difference) over its partition
-// with no cross-worker coordination. One distributor goroutine per
-// source hashes into the shared bounded per-partition channels, so
-// partitioned inputs are redistributed without first being serialized
-// through a merge exchange; cancellation of the execution context
-// unblocks both sides.
+// blocking sweep (coalesce / split-aggregate / difference) over its
+// partition with no cross-worker coordination. One distributor
+// goroutine per source hashes into the shared bounded per-partition
+// channels, so partitioned inputs are redistributed without first being
+// serialized through a merge exchange; cancellation of the execution
+// context unblocks both sides.
 func (e *executor) hashPartition(srcs []engine.RowIter, keyIdx []int, parent *engine.OpStats) []engine.RowIter {
 	st := parent.Child("Exchange:partition", fmt.Sprintf("fanout=%d", e.workers))
 	st.InitParts(e.workers)
@@ -314,7 +316,7 @@ func (e *executor) hashPartition(srcs []engine.RowIter, keyIdx []int, parent *en
 			defer src.Close()
 			bufs := make([]batch, e.workers)
 			for i := range bufs {
-				bufs[i] = make(batch, 0, e.morsel)
+				bufs[i] = x.batch()
 			}
 			flush := func(i int) bool {
 				if len(bufs[i]) == 0 {
@@ -324,15 +326,13 @@ func (e *executor) hashPartition(srcs []engine.RowIter, keyIdx []int, parent *en
 					return false
 				}
 				st.AddPartRows(i, len(bufs[i]))
-				bufs[i] = make(batch, 0, e.morsel)
+				bufs[i] = x.batch()
 				return true
 			}
-			var scratch []byte
 			in := engine.NewRowBatch(e.morsel)
 			for src.NextBatch(in) {
 				for _, row := range in.Rows {
-					scratch = row.AppendKey(scratch[:0], keyIdx)
-					i := int(keyHash(scratch) % uint32(e.workers))
+					i := partOf(row.HashKey(keyIdx), e.workers)
 					//lint:ignore rowretain partition buffering for transport; rows are forwarded downstream unmodified
 					bufs[i] = append(bufs[i], row)
 					if len(bufs[i]) == e.morsel && !flush(i) {
@@ -367,177 +367,150 @@ func (e *executor) hashPartition(srcs []engine.RowIter, keyIdx []int, parent *en
 	parts := make([]engine.RowIter, e.workers)
 	for i := range parts {
 		parts[i] = e.inject(fmt.Sprintf("exchange:partition:%d", i),
-			&chanIter{x: x, schema: schema, cur: chanCursor{ch: chans[i]}})
+			&chanIter{x: x, schema: schema, cur: chanCursor{x: x, ch: chans[i]}})
 	}
 	return parts
 }
 
-// keyHash is FNV-1a over a canonical tuple key encoding (produced
-// allocation-free by tuple.AppendKey into a reusable scratch buffer).
-func keyHash(key []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range key {
-		h ^= uint32(c)
-		h *= 16777619
+// scanPartition is the keyed exchange of the streaming sweeps, and it
+// moves no row between goroutines. engine.DB.BeginOrder orders nothing
+// but begin-sorted scans and the per-row operators over them, so an
+// ordered stream of W fragments is W copies of one per-row chain over a
+// morsel scan. scanPartition makes the scan's cursor private, so each
+// fragment reads the whole table (a window-pruned prefix included), and
+// tops each fragment's chain with a partIter that keeps the rows whose
+// key partOf maps to that fragment. Each partition is then begin-sorted
+// by construction and read on its sweep's own goroutine: no producer,
+// no queue, no memory charge and no merge, so no key skew can stall it.
+// The price is that every fragment reads and runs its chain on every
+// scanned row: a Scan's rows= counts W × N.
+//
+// A stream without its scan source is an executor bug, not a case to
+// fall back from; the panic becomes buildSafe's query error.
+func (e *executor) scanPartition(s *pstream, keyIdx []int, parent *engine.OpStats) []engine.RowIter {
+	if s.scan == nil {
+		panic("parallel: ordered keyed exchange over a stream with no scan source")
 	}
-	return h
+	s.scan.private = true
+	st := parent.Child("Exchange:scan-partition", fmt.Sprintf("fanout=%d", e.workers))
+	st.InitParts(e.workers)
+	parts := make([]engine.RowIter, len(s.parts))
+	for i, part := range s.parts {
+		parts[i] = engine.CheckOrdered("scan partition",
+			e.inject(fmt.Sprintf("exchange:scan-partition:%d", i),
+				&partIter{in: part, keyIdx: keyIdx, part: i, parts: e.workers, st: st}))
+	}
+	return parts
 }
 
-// rowSource is one input of an ordered k-way merge: a pull interface
-// over the receiving end of a producer's batch transport (bounded
-// channel or unbounded queue).
-type rowSource interface {
-	next(ctx context.Context) (tuple.Tuple, bool)
+// partIter is one fragment of a scan partition: the rows of its chain
+// whose key maps to partition part of parts, counted on the exchange's
+// stats node.
+type partIter struct {
+	in          engine.RowIter
+	buf         engine.RowBatch
+	keyIdx      []int
+	part, parts int
+	st          *engine.OpStats
 }
 
-// chanCursor adapts one bounded batch channel to a rowSource.
+func (it *partIter) Schema() tuple.Schema { return it.in.Schema() }
+
+// NextBatch filters whole child batches and emits as soon as one yields
+// a row of the partition.
+func (it *partIter) NextBatch(out *engine.RowBatch) bool {
+	out.Reset()
+	if it.buf.Rows == nil {
+		it.buf.Rows = make([]tuple.Tuple, 0, out.Cap())
+	}
+	for out.Len() == 0 {
+		if !it.in.NextBatch(&it.buf) {
+			return false
+		}
+		for _, row := range it.buf.Rows {
+			if partOf(row.HashKey(it.keyIdx), it.parts) == it.part {
+				out.Append(row)
+			}
+		}
+	}
+	it.st.AddPartRows(it.part, out.Len())
+	return true
+}
+
+func (it *partIter) Err() error { return it.in.Err() }
+
+func (it *partIter) Close() { it.in.Close() }
+
+// chanCursor reads one bounded batch channel, a row (next) or a batch
+// (nextBatch) at a time — never both. It copies rows out of the
+// transport batch it holds and recycles the batch to its exchange once
+// read out.
 type chanCursor struct {
+	x   *exchange
 	ch  <-chan batch
 	cur batch
 	i   int
 }
 
-func (c *chanCursor) next(ctx context.Context) (tuple.Tuple, bool) {
-	for {
-		if c.i < len(c.cur) {
-			row := c.cur[c.i]
-			c.i++
-			return row, true
+// fill makes sure the cursor holds an unread row, receiving transport
+// batches as needed; false at end of stream or on cancellation.
+func (c *chanCursor) fill(ctx context.Context) bool {
+	for c.i >= len(c.cur) {
+		if c.cur != nil {
+			c.x.recycle(c.cur)
+			c.cur = nil
 		}
 		select {
 		case <-ctx.Done():
-			return nil, false
+			return false
 		case b, ok := <-c.ch:
 			if !ok {
-				return nil, false
+				return false
 			}
 			c.cur, c.i = b, 0
 		}
 	}
+	return true
 }
 
-// nextBatch adopts one transport batch wholesale into out (zero-copy —
-// transport batches are freshly allocated per send). A cursor is driven
-// either per row (an ordered-merge source) or per batch (a chanIter),
-// never both.
-func (c *chanCursor) nextBatch(ctx context.Context, out *engine.RowBatch) bool {
-	out.Reset()
-	select {
-	case <-ctx.Done():
-		return false
-	case b, ok := <-c.ch:
-		if !ok {
-			return false
-		}
-		out.Rows = b
-		return true
-	}
-}
-
-// batchQueue is an unbounded batch mailbox used by the order-preserving
-// repartition exchange. Unbounded is load-bearing, not a convenience:
-// an ordered k-way merge cannot emit a row until EVERY live cursor has
-// a head row, so if producers could block on a full partition buffer, a
-// skewed key distribution deadlocks (producer s1 full toward partition
-// w1 while w1's merge awaits s2, whose producer is full toward w2,
-// whose merge awaits s1). The worst-case footprint is one partition's
-// rows — exactly what the blocking sweep path materialized anyway.
-type batchQueue struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	batches []batch
-	closed  bool
-}
-
-func newBatchQueue() *batchQueue {
-	q := &batchQueue{}
-	q.cond.L = &q.mu
-	return q
-}
-
-func (q *batchQueue) put(b batch) {
-	q.mu.Lock()
-	q.batches = append(q.batches, b)
-	q.mu.Unlock()
-	q.cond.Signal()
-}
-
-// closeQ marks end-of-stream and wakes the consumer. Producers always
-// close their queues on exit — including the cancellation path — which
-// is what unblocks a consumer waiting in get.
-func (q *batchQueue) closeQ() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-func (q *batchQueue) get() (batch, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.batches) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.batches) == 0 {
+func (c *chanCursor) next(ctx context.Context) (tuple.Tuple, bool) {
+	if !c.fill(ctx) {
 		return nil, false
 	}
-	b := q.batches[0]
-	q.batches[0] = nil
-	q.batches = q.batches[1:]
-	return b, true
+	row := c.cur[c.i]
+	c.i++
+	return row, true
 }
 
-// queueCursor adapts one batchQueue to a rowSource. Cancellation is
-// observed through the producer closing the queue, so get never blocks
-// past teardown. When a governor is attached, the bytes a producer
-// charged for each queued batch are released as the consumer takes it —
-// the outstanding charge is exactly the queue depth, which is what the
-// memory budget bounds on the otherwise-unbounded ordered transport.
-// (Batches stranded in a torn-down queue stay charged; the governor's
-// lifetime is the query's, so nothing leaks past it.)
-type queueCursor struct {
-	q        *batchQueue
-	gov      *engine.Governor
-	rowBytes int64
-	cur      batch
-	i        int
-}
-
-func (c *queueCursor) next(ctx context.Context) (tuple.Tuple, bool) {
-	for {
-		if c.i < len(c.cur) {
-			row := c.cur[c.i]
-			c.i++
-			return row, true
-		}
-		b, ok := c.q.get()
-		if !ok {
-			return nil, false
-		}
-		c.gov.ReleaseMem(int64(len(b)) * c.rowBytes)
-		c.cur, c.i = b, 0
+// nextBatch copies the held batch's unread rows, up to out's capacity,
+// into out.
+func (c *chanCursor) nextBatch(ctx context.Context, out *engine.RowBatch) bool {
+	out.Reset()
+	if !c.fill(ctx) {
+		return false
 	}
+	n := min(len(c.cur)-c.i, out.Cap())
+	out.Rows = append(out.Rows, c.cur[c.i:c.i+n]...)
+	c.i += n
+	return true
 }
 
 // orderedMergeIter is the order-preserving merge exchange: a k-way
 // merge over per-producer sources in the sweep operators' canonical
 // (begin, end) endpoint order — the same order engine.CompareEndpoints
 // defines — so begin-sorted fragment streams merge into one
-// begin-sorted stream and downstream streaming sweeps stay streaming.
-// Each source holds at most one head row in the heap; the merge pulls a
-// replacement only from the source it popped, which is what keeps
-// per-fragment order intact. It ends without an error of its own:
-// producer failures reach the executor's central error slot.
+// begin-sorted stream. Each source holds at most one head row in the
+// heap; the merge pulls a replacement only from the source it popped,
+// which is what keeps per-fragment order intact. It ends without an
+// error of its own: producer failures reach the executor's central
+// error slot.
 type orderedMergeIter struct {
-	ctx    context.Context
+	x      *exchange
 	schema tuple.Schema
-	srcs   []rowSource
+	srcs   []*chanCursor
 	heap   []mergeEntry
 	inited bool
-	// onClose releases this consumer's reference on the owning exchange
-	// (nil when the sources need no producer teardown).
-	onClose func()
-	closed  bool
+	closed bool
 }
 
 // mergeEntry is one heap element: a source's current head row with its
@@ -546,10 +519,10 @@ type orderedMergeIter struct {
 type mergeEntry struct {
 	begin, end int64
 	row        tuple.Tuple
-	src        rowSource
+	src        *chanCursor
 }
 
-func newMergeEntry(row tuple.Tuple, src rowSource) mergeEntry {
+func newMergeEntry(row tuple.Tuple, src *chanCursor) mergeEntry {
 	n := len(row)
 	return mergeEntry{begin: row[n-2].AsInt(), end: row[n-1].AsInt(), row: row, src: src}
 }
@@ -586,10 +559,11 @@ func (it *orderedMergeIter) siftDown(i int) {
 // next pops the merge's next row: the k-way compare is inherently per
 // row.
 func (it *orderedMergeIter) next() (tuple.Tuple, bool) {
+	ctx := it.x.ctx
 	if !it.inited {
 		it.inited = true
 		for _, src := range it.srcs {
-			if row, ok := src.next(it.ctx); ok {
+			if row, ok := src.next(ctx); ok {
 				it.heap = append(it.heap, newMergeEntry(row, src))
 			}
 		}
@@ -601,7 +575,7 @@ func (it *orderedMergeIter) next() (tuple.Tuple, bool) {
 		return nil, false
 	}
 	row := it.heap[0].row
-	if nrow, ok := it.heap[0].src.next(it.ctx); ok {
+	if nrow, ok := it.heap[0].src.next(ctx); ok {
 		it.heap[0] = newMergeEntry(nrow, it.heap[0].src)
 	} else {
 		n := len(it.heap) - 1
@@ -630,16 +604,12 @@ func (it *orderedMergeIter) NextBatch(b *engine.RowBatch) bool {
 
 func (it *orderedMergeIter) Err() error { return nil }
 
-// Close releases the consumer reference on the owning exchange, so
-// closing an ordered-merge iterator before exhaustion unblocks its
-// producers.
+// Close releases the consumer reference on the exchange, so closing an
+// ordered-merge iterator before exhaustion unblocks its producers.
 func (it *orderedMergeIter) Close() {
-	if it.closed {
-		return
-	}
-	it.closed = true
-	if it.onClose != nil {
-		it.onClose()
+	if !it.closed {
+		it.closed = true
+		it.x.release()
 	}
 }
 
@@ -652,11 +622,11 @@ func (e *executor) startOrderedMerge(parts []engine.RowIter, parent *engine.OpSt
 	st := parent.Child("Exchange:ordered-merge", fmt.Sprintf("fanin=%d", len(parts)))
 	schema := parts[0].Schema()
 	x := e.newExchange(1)
-	srcs := make([]rowSource, len(parts))
+	srcs := make([]*chanCursor, len(parts))
 	for i, part := range parts {
 		//lint:ignore orderedchan safe bounded buffer: the merge consumer always drains the exact source it waits on, so a full buffer here cannot stall the heap
 		ch := make(chan batch, 2)
-		srcs[i] = &chanCursor{ch: ch}
+		srcs[i] = &chanCursor{x: x, ch: ch}
 		part := part
 		e.wg.Add(1)
 		go func() {
@@ -664,119 +634,12 @@ func (e *executor) startOrderedMerge(parts []engine.RowIter, parent *engine.OpSt
 			defer close(ch) // after recoverPanic: see startMerge
 			defer e.recoverPanic("exchange:ordered-merge producer")
 			defer part.Close()
-			e.drainInto(x.ctx, part, ch, st, false)
+			e.drainInto(x, part, ch, st, false)
 		}()
 	}
 	return engine.NewObsIter(engine.CheckOrdered("ordered merge exchange",
 		e.inject("exchange:ordered-merge",
-			&orderedMergeIter{ctx: x.ctx, schema: schema, srcs: srcs, onClose: x.release})), st)
-}
-
-// hashPartitionOrdered is the order-preserving repartition exchange:
-// like hashPartition it hashes the key columns so value-equivalent
-// groups never straddle partitions, but it partitions BEFORE any
-// order-destroying merge — each producer feeds a private queue per
-// partition (preserving its fragment's begin order as a subsequence)
-// and every partition-side iterator k-way merges its per-producer
-// queues by endpoint order. With begin-sorted sources, every partition
-// stream is begin-sorted, which is what lets each worker run a
-// STREAMING sweep over its partition. See batchQueue for why the
-// per-(source, partition) transport must be unbounded.
-func (e *executor) hashPartitionOrdered(srcs []engine.RowIter, keyIdx []int, parent *engine.OpStats) []engine.RowIter {
-	st := parent.Child("Exchange:ordered-partition", fmt.Sprintf("fanout=%d", e.workers))
-	st.InitParts(e.workers)
-	schema := srcs[0].Schema()
-	x := e.newExchange(e.workers)
-	queues := make([][]*batchQueue, len(srcs))
-	for s := range queues {
-		queues[s] = make([]*batchQueue, e.workers)
-		for w := range queues[s] {
-			queues[s][w] = newBatchQueue()
-		}
-	}
-	rowBytes := engine.ApproxRowBytes(schema.Arity())
-	for si, src := range srcs {
-		si, src := si, src
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			defer func() { // after recoverPanic: see startMerge
-				for _, q := range queues[si] {
-					q.closeQ()
-				}
-			}()
-			defer e.recoverPanic("exchange:ordered-partition producer")
-			defer src.Close()
-			bufs := make([]batch, e.workers)
-			for i := range bufs {
-				bufs[i] = make(batch, 0, e.morsel)
-			}
-			// put charges the batch against the memory budget before
-			// queueing it (the consumer's queueCursor releases the charge
-			// on take): the unbounded ordered transport is exactly where a
-			// skewed query's state grows without backpressure, so this is
-			// the governor's most load-bearing charge site.
-			put := func(i int) bool {
-				if err := e.gov.ChargeMem(int64(len(bufs[i])) * rowBytes); err != nil {
-					e.fail(err)
-					return false
-				}
-				queues[si][i].put(bufs[i])
-				st.AddBatch()
-				st.AddPartRows(i, len(bufs[i]))
-				return true
-			}
-			var scratch []byte
-			in := engine.NewRowBatch(e.morsel)
-			for src.NextBatch(in) {
-				for _, row := range in.Rows {
-					scratch = row.AppendKey(scratch[:0], keyIdx)
-					i := int(keyHash(scratch) % uint32(e.workers))
-					//lint:ignore rowretain partition buffering for transport; rows are forwarded downstream unmodified
-					bufs[i] = append(bufs[i], row)
-					if len(bufs[i]) == e.morsel {
-						// The cancellation probe runs once per batch, not per
-						// row: queue puts never block, so this is the only
-						// teardown point and ctx.Err is not free. (No wait
-						// time to record for the same reason — only batch
-						// counts.) The exchange context also covers
-						// all-consumers-closed, so an early Close of every
-						// partition stops this producer instead of letting it
-						// pump the whole source into the unbounded queues.
-						if x.ctx.Err() != nil {
-							return
-						}
-						if !put(i) {
-							return
-						}
-						bufs[i] = make(batch, 0, e.morsel)
-					}
-				}
-			}
-			// A failed source means the partitions are missing rows:
-			// report it centrally and drop the trailing buffers.
-			if err := src.Err(); err != nil {
-				e.fail(err)
-				return
-			}
-			for i := range bufs {
-				if len(bufs[i]) > 0 && !put(i) {
-					return
-				}
-			}
-		}()
-	}
-	parts := make([]engine.RowIter, e.workers)
-	for w := range parts {
-		cursors := make([]rowSource, len(srcs))
-		for s := range srcs {
-			cursors[s] = &queueCursor{q: queues[s][w], gov: e.gov, rowBytes: rowBytes}
-		}
-		parts[w] = engine.CheckOrdered("ordered repartition exchange",
-			e.inject(fmt.Sprintf("exchange:ordered-partition:%d", w),
-				&orderedMergeIter{ctx: x.ctx, schema: schema, srcs: cursors, onClose: x.release}))
-	}
-	return parts
+			&orderedMergeIter{x: x, schema: schema, srcs: srcs})), st)
 }
 
 // repartition converts a sequential stream into W worker-side iterators
@@ -795,12 +658,12 @@ func (e *executor) repartition(src engine.RowIter, parent *engine.OpStats) []eng
 		defer close(ch) // after recoverPanic: see startMerge
 		defer e.recoverPanic("exchange:repartition producer")
 		defer src.Close()
-		e.drainInto(x.ctx, src, ch, st, true)
+		e.drainInto(x, src, ch, st, true)
 	}()
 	parts := make([]engine.RowIter, e.workers)
 	for i := range parts {
 		parts[i] = e.inject(fmt.Sprintf("exchange:repartition:%d", i),
-			&chanIter{x: x, schema: schema, cur: chanCursor{ch: ch}})
+			&chanIter{x: x, schema: schema, cur: chanCursor{x: x, ch: ch}})
 	}
 	return parts
 }

@@ -128,7 +128,7 @@ func describe(p engine.Plan, hashJoin, streams bool, in []shape, out shape) stri
 		if exchangeFor(in[0].frags, out.frags, true) == exHash {
 			kind := "hash-partition"
 			if streams {
-				kind = "ordered-partition"
+				kind = "scan-partition"
 			}
 			return fmt.Sprintf("fragments ×%d via %s%s", out.frags, kind, times)
 		}

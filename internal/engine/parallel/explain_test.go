@@ -121,8 +121,8 @@ func checkPlacementExecuted(t *testing.T, n *engine.ExplainNode, st *engine.OpSt
 		t.Fatalf("%s: placement %q, but %d fragment nodes executed (workers=%d)", n.Op, n.Placement, got, workers)
 	}
 	for via, label := range map[string]string{
-		"via ordered-partition": "Exchange:ordered-partition",
-		"via hash-partition":    "Exchange:partition",
+		"via scan-partition": "Exchange:scan-partition",
+		"via hash-partition": "Exchange:partition",
 	} {
 		want := 0
 		if strings.Contains(n.Placement, via) {

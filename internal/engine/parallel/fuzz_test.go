@@ -166,7 +166,7 @@ func FuzzParStreamSweep(f *testing.F) {
 			}
 		}
 
-		// Parallel streaming difference (pairwise ordered repartition,
+		// Parallel streaming difference (a scan partition per side,
 		// per-worker merge sweeps) vs the sequential blocking oracle.
 		// The table is differenced against a shifted copy of itself so
 		// value-equivalent groups exist on both sides and the monus has

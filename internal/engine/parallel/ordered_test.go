@@ -9,8 +9,6 @@ import (
 	"snapk/internal/engine/parallel"
 	"snapk/internal/interval"
 	"snapk/internal/krel"
-	"snapk/internal/qgen"
-	"snapk/internal/rewrite"
 	"snapk/internal/tuple"
 )
 
@@ -77,9 +75,9 @@ func TestOrderedMergeSurvivesFilterProject(t *testing.T) {
 	}
 }
 
-// The parallel STREAMING sweeps behind the order-preserving exchange
-// must produce the exact multiset of the blocking sweeps of the
-// reference evaluator (DB.Exec), on begin-sorted input, for coalesce and
+// The parallel STREAMING sweeps over the scan partition must produce
+// the exact multiset of the blocking sweeps of the reference evaluator
+// (DB.Exec), on begin-sorted input, for coalesce and
 // grouped/global pre-aggregated aggregation, at several worker counts.
 // The tiny morsel size forces real partitioning.
 func TestParallelStreamingSweepEquivalence(t *testing.T) {
@@ -125,36 +123,22 @@ func TestParallelStreamingSweepEquivalence(t *testing.T) {
 // rewrite-level commuting diagram covers the logical model; this one
 // stresses the exchanges with a tiny morsel size).
 func TestParStreamQgenGrid(t *testing.T) {
-	for seed := int64(200); seed < 260; seed++ {
-		g := qgen.New(seed)
-		spec := g.GenDB()
-		q := g.GenQuery()
-		for _, sorted := range []bool{false, true} {
-			s := spec
-			if sorted {
-				s = spec.SortedByBegin()
-			}
-			db := s.ToEngineDB()
-			p, err := rewrite.Rewrite(q, db, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: 3})
+	for _, c := range parStreamGrid(t) {
+		mat, err := c.db.Exec(c.plan)
+		if err != nil {
+			t.Fatalf("seed %d: Exec(%s): %v", c.seed, c.plan, err)
+		}
+		want := sortedKeys(mat)
+		for _, workers := range []int{2, 4} {
+			it, err := parallel.Exec(context.Background(), c.db, c.plan, parallel.Options{Workers: workers, MorselSize: 4})
 			if err != nil {
-				t.Fatalf("seed %d: rewrite: %v", seed, err)
+				t.Fatalf("seed %d sorted %v workers %d: %v", c.seed, c.sorted, workers, err)
 			}
-			mat, err := db.Exec(p)
-			if err != nil {
-				t.Fatalf("seed %d: Exec(%s): %v", seed, p, err)
-			}
-			want := sortedKeys(mat)
-			for _, workers := range []int{2, 4} {
-				it, err := parallel.Exec(context.Background(), db, p, parallel.Options{Workers: workers, MorselSize: 4})
-				if err != nil {
-					t.Fatalf("seed %d sorted %v workers %d: %v", seed, sorted, workers, err)
-				}
-				got := sortedKeys(engine.Materialize(it))
-				it.Close()
-				if !sameMultiset(got, want) {
-					t.Fatalf("seed %d sorted %v workers %d: diverges from sequential\nplan: %s\ngot %d rows, want %d",
-						seed, sorted, workers, p, len(got), len(want))
-				}
+			got := sortedKeys(engine.Materialize(it))
+			it.Close()
+			if !sameMultiset(got, want) {
+				t.Fatalf("seed %d sorted %v workers %d: diverges from sequential\nplan: %s\ngot %d rows, want %d",
+					c.seed, c.sorted, workers, c.plan, len(got), len(want))
 			}
 		}
 	}

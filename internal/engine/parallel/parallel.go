@@ -2,10 +2,11 @@
 // an engine.Plan to iterators: every query runs through Exec, and
 // EXPLAIN prints the placement decisions build() makes (explain.go).
 // A plan is evaluated as pipeline fragments connected by exchange
-// operators (partition / merge over bounded row-batch channels), in the
-// morsel-driven style; sequential execution is the same code at one
-// worker, where every stream is a single fragment and no goroutine,
-// channel or exchange is created at all.
+// operators (partition / merge over bounded row-batch channels, and the
+// scan partition, which moves no row), in the morsel-driven style;
+// sequential execution is the same code at one worker, where every
+// stream is a single fragment and no goroutine, channel or exchange is
+// created at all.
 //
 // The plan is split at exchange boundaries: table scans are partitioned
 // into morsels claimed by W workers through a shared atomic cursor, and
@@ -16,9 +17,9 @@
 // drained once into an immutable shared table (engine.JoinBuild) that
 // all probe fragments read concurrently, built on the side
 // engine.DB.JoinStrategy picks. The sweep operators (split-based
-// aggregation, difference, coalesce) are parallelized by a
-// hash-partition exchange on their group key: value-equivalent groups
-// never straddle partitions, so each worker runs an independent sweep
+// aggregation, difference, coalesce) are parallelized by partitioning
+// on the hash of their group key: value-equivalent groups never
+// straddle partitions, so each worker runs an independent sweep
 // over its partition and the merged output is multiset-identical to
 // one-worker execution — and, since all rows of a group come from one
 // sweep, still the unique coalesced encoding wherever the sweep emits
@@ -26,19 +27,19 @@
 //
 // Interval-endpoint order is a first-class physical property of the
 // executor (pstream.ordered): begin-sorted scans yield begin-sorted
-// morsel fragments, Filter/Project preserve the order per fragment, and
-// two ORDER-PRESERVING exchanges carry it across pipeline breaks — an
-// ordered k-way merge (orderedMergeIter, driven by the shared
-// engine.CompareEndpoints comparator) for the merge hop, and an ordered
-// repartition (hashPartitionOrdered) that partitions straight from the
-// sorted fragments, before any order-destroying merge. Each sweep has
-// two physical forms, and the streams it is built over select one:
-// place applies engine.DB.BeginOrder to the inputs' order, and when
-// every input is ordered each fragment runs the STREAMING sweep over its
-// begin-sorted partition with O(open intervals + active groups) state;
-// otherwise each fragment materializes its partition on first pull and
-// runs the blocking sweep (lazySweepIter). Global aggregation streams
-// over the ordered merge of all fragments.
+// morsel fragments, Filter/Project/Window preserve the order per
+// fragment, and an ordered k-way merge (orderedMergeIter, in the
+// engine.CompareEndpoints order) carries it across the merge hop. Each
+// sweep has two physical forms, and the streams it is built over select
+// one: place applies engine.DB.BeginOrder to the inputs' order. When
+// every input is ordered, each fragment's scan reads the whole sorted
+// table and the fragment keeps its partition's rows (scanPartition), so
+// it runs the STREAMING sweep over a begin-sorted partition with
+// O(open intervals + active groups) state and no exchange transport.
+// Otherwise a hash partition (hashPartition) redistributes the rows and
+// each fragment materializes its partition on first pull and runs the
+// blocking sweep (lazySweepIter). Global aggregation streams over the
+// ordered merge of all fragments.
 //
 // Because period relations are multisets, the nondeterministic arrival
 // order at an unordered merge exchange is semantically invisible: the
@@ -95,8 +96,9 @@ type Options struct {
 	// Gov, when non-nil, is the per-query resource governor: the root
 	// iterator charges emitted rows against its row limit, sweeps (the
 	// blocking ones by their materialized inputs) and the hash-join
-	// build charge their tracked state against its memory budget, and
-	// the ordered-repartition queues charge their depth.
+	// build charge their tracked state against its memory budget.
+	// Exchange transport is bounded and not charged: a streaming sweep's
+	// partition is read straight off its scan (scanPartition).
 	// Tripping a limit fails the query with the governor's typed error.
 	// Nil (the default) disables all charging.
 	Gov *engine.Governor
@@ -188,11 +190,15 @@ func (e *executor) govern(it engine.RowIter) engine.RowIter {
 // iterators whose concatenation (in any interleaving) is the stream. A
 // partitioned stream has one fragment per worker; a single-fragment
 // stream is pulled directly, with no exchange in between — which is
-// every stream at one worker. ordered carries the interval-endpoint sort
-// property through the physical plan: when set, EVERY fragment
-// individually yields rows in ascending begin order, so exchanges can
-// preserve the order (ordered merge, ordered repartition) instead of
-// destroying it, and the streaming sweeps stay streaming end to end.
+// every stream at one worker. scan carries the interval-endpoint sort
+// property through the physical plan. engine.DB.BeginOrder orders
+// nothing but begin-sorted scans and the per-row operators over them,
+// so an ordered stream is a per-row chain over a sorted table scan, and
+// scan is that scan's morsel cursor: scanStream sets it, only mapStream
+// keeps it, and it is nil on every unordered stream. EVERY fragment of
+// an ordered stream individually yields rows in ascending begin order,
+// so the merge can preserve the order instead of destroying it, and the
+// streaming sweeps partition it without a transport (scanPartition).
 //
 // cols is the column map column-only projections left on the stream
 // (engine.ColMap): when set, the parts yield their child's rows
@@ -202,10 +208,10 @@ func (e *executor) govern(it engine.RowIter) engine.RowIter {
 // it from here; only the root and a union copy the rows to schema's
 // layout (flat). nil means the rows are laid out as schema says.
 type pstream struct {
-	parts   []engine.RowIter
-	schema  tuple.Schema
-	ordered bool
-	cols    engine.ColMap
+	parts  []engine.RowIter
+	schema tuple.Schema
+	cols   engine.ColMap
+	scan   *scanCursor
 }
 
 // width returns the width of a part's rows.
@@ -227,7 +233,7 @@ func (s *pstream) flat() *pstream {
 	return s
 }
 
-func (s *pstream) shape() shape { return shape{frags: len(s.parts), ordered: s.ordered} }
+func (s *pstream) shape() shape { return shape{frags: len(s.parts), ordered: s.scan != nil} }
 
 func (s *pstream) close() { closeAll(s.parts) }
 
@@ -409,10 +415,10 @@ func (it *execIter) Close() {
 // inserting the exchange exchangeFor picks (none when the widths already
 // agree — always, at one worker). keyIdx non-nil asks for value-
 // equivalent rows to meet in one fragment (the sweeps' group key);
-// streaming additionally asks the hash repartition to keep every
-// partition begin-sorted. A merge keeps the sort property whenever the
-// stream carries it: sortedness survives the merge hop. This is
-// deliberate even at the root, where no operator consumes the order:
+// streaming asks for begin-sorted partitions, which the scan partition
+// reads straight off the sorted scans. A merge keeps the sort property
+// whenever the stream carries it: sortedness survives the merge hop.
+// This is deliberate even at the root, where no operator consumes the order:
 // the cursor API then emits begin-ordered rows for ordered plans
 // (clients see deterministic stream order). The price is a per-row heap compare on
 // sorted scan-only plans; if that ever shows up in profiles, thread a
@@ -420,7 +426,7 @@ func (it *execIter) Close() {
 func (e *executor) exchange(s *pstream, want int, keyIdx []int, streaming bool, parent *engine.OpStats) []engine.RowIter {
 	switch exchangeFor(len(s.parts), want, keyIdx != nil) {
 	case exMerge:
-		if s.ordered {
+		if s.scan != nil {
 			return []engine.RowIter{e.startOrderedMerge(s.parts, parent)}
 		}
 		return []engine.RowIter{e.startMerge(s.parts, parent)}
@@ -428,7 +434,7 @@ func (e *executor) exchange(s *pstream, want int, keyIdx []int, streaming bool, 
 		return e.repartition(s.parts[0], parent)
 	case exHash:
 		if streaming {
-			return e.hashPartitionOrdered(s.parts, keyIdx, parent)
+			return e.scanPartition(s, keyIdx, parent)
 		}
 		return e.hashPartition(s.parts, keyIdx, parent)
 	default:
@@ -547,7 +553,7 @@ func (e *executor) build(p engine.Plan, parent *engine.OpStats) (*pstream, error
 			}
 			lp[i] = u
 		}
-		return e.finish("", &pstream{parts: lp, schema: l.schema, ordered: out.ordered}, st), nil
+		return e.finish("", &pstream{parts: lp, schema: l.schema}, st), nil
 	case engine.DiffP:
 		return e.buildDiff(n, parent)
 	case engine.AggP:
@@ -615,10 +621,10 @@ func sweepForm(st *engine.OpStats, streams bool) {
 // hash-partitioned on the full data tuple and every fragment coalesces
 // its partition independently — value-equivalent groups never straddle
 // partitions, so the merged output is multiset-identical at every
-// width. Over a begin-ordered input the ORDER-PRESERVING repartition
-// keeps every partition begin-sorted and each fragment runs the
-// streaming sweep with O(open intervals) state; otherwise each fragment
-// materializes its partition on first pull and runs the blocking sweep.
+// width. Over a begin-ordered input the scan partition keeps every
+// partition begin-sorted and each fragment runs the streaming sweep
+// with O(open intervals) state; otherwise each fragment materializes
+// its partition on first pull and runs the blocking sweep.
 func (e *executor) buildCoalesce(n engine.CoalesceP, parent *engine.OpStats) (*pstream, error) {
 	st := parent.Child("Coalesce", "")
 	in, err := e.build(n.In, st)
@@ -638,7 +644,7 @@ func (e *executor) buildCoalesce(n engine.CoalesceP, parent *engine.OpStats) (*p
 			}, e.drainHints(out.frags, n.In), part)
 		}
 	}
-	return e.finish("coalesce", &pstream{parts: parts, schema: schema, ordered: out.ordered}, st), nil
+	return e.finish("coalesce", &pstream{parts: parts, schema: schema}, st), nil
 }
 
 // drainHints returns, for each input plan of a blocking sweep, the rows
@@ -704,17 +710,17 @@ func (e *executor) buildAgg(n engine.AggP, parent *engine.OpStats) (*pstream, er
 			}, e.drainHints(out.frags, n.In), part)
 		}
 	}
-	return e.finish("agg", &pstream{parts: parts, schema: schema, ordered: out.ordered}, st), nil
+	return e.finish("agg", &pstream{parts: parts, schema: schema}, st), nil
 }
 
 // buildDiff compiles snapshot-reducible difference. Both inputs are
 // hash-partitioned on the full data tuple with the same hash, so
 // value-equivalent groups of both sides meet in the same fragment and
 // each fragment computes an independent fused diff sweep. When both
-// children are begin-ordered, BOTH sides go through the
-// ORDER-PRESERVING repartition — every partition pair stays
-// begin-sorted — and each fragment runs the streaming merge-based diff
-// with O(open intervals + active groups) state; otherwise it
+// children are begin-ordered, BOTH sides go through the scan
+// partition — every partition pair stays begin-sorted — and each
+// fragment runs the streaming merge-based diff with O(open intervals +
+// active groups) state; otherwise it
 // materializes its partition pair on first pull and runs the blocking
 // diff.
 func (e *executor) buildDiff(n engine.DiffP, parent *engine.OpStats) (*pstream, error) {
@@ -752,7 +758,7 @@ func (e *executor) buildDiff(n engine.DiffP, parent *engine.OpStats) (*pstream, 
 			}, e.drainHints(out.frags, n.L, n.R), lp[i], rp[i])
 		}
 	}
-	return e.finish("diff", &pstream{parts: lp, schema: schema, ordered: out.ordered}, st), nil
+	return e.finish("diff", &pstream{parts: lp, schema: schema}, st), nil
 }
 
 // buildJoin compiles the temporal join the way engine.DB.JoinStrategy
@@ -801,7 +807,7 @@ func (e *executor) buildJoin(n engine.JoinP, parent *engine.OpStats, exprs []alg
 			j.Close()
 			return nil, false, err
 		}
-		return e.finish("join", &pstream{parts: []engine.RowIter{j}, schema: j.Schema(), ordered: out.ordered}, st), projected, nil
+		return e.finish("join", &pstream{parts: []engine.RowIter{j}, schema: j.Schema()}, st), projected, nil
 	}
 	build, probe := r, l
 	if buildLeft {
@@ -833,7 +839,7 @@ func (e *executor) buildJoin(n engine.JoinP, parent *engine.OpStats, exprs []alg
 	for i, part := range parts {
 		parts[i] = jb.Probe(part)
 	}
-	return e.finish("join", &pstream{parts: parts, schema: prep.Schema(), ordered: out.ordered}, st), projected, nil
+	return e.finish("join", &pstream{parts: parts, schema: prep.Schema()}, st), projected, nil
 }
 
 // scanStream builds the scan of a stored (or pruned-prefix) table: the
@@ -842,12 +848,16 @@ func (e *executor) buildJoin(n engine.JoinP, parent *engine.OpStats, exprs []alg
 // pruned prefix keeps.
 func (e *executor) scanStream(n engine.ScanP, t *engine.Table, st *engine.OpStats) *pstream {
 	out, _ := place(e.db, n, e.workers, false)
-	ctr := new(atomic.Int64)
+	cur := new(scanCursor)
 	parts := make([]engine.RowIter, out.frags)
 	for i := range parts {
-		parts[i] = &morselTableIter{ctx: e.ctx, t: t, ctr: ctr, size: e.morsel}
+		parts[i] = &morselTableIter{ctx: e.ctx, t: t, cur: cur, size: e.morsel}
 	}
-	return e.finish("scan:"+n.Name, &pstream{parts: parts, schema: t.Schema, ordered: out.ordered}, st)
+	s := &pstream{parts: parts, schema: t.Schema}
+	if out.ordered {
+		s.scan = cur
+	}
+	return e.finish("scan:"+n.Name, s, st)
 }
 
 // mapStream wraps every fragment of in with a streaming operator
@@ -867,7 +877,8 @@ func (e *executor) mapStream(site string, n engine.Plan, in *pstream, st *engine
 		}
 		in.parts[i] = it
 	}
-	out, _ := place(e.db, n, e.workers, false, in.shape())
-	in.ordered = out.ordered
+	if out, _ := place(e.db, n, e.workers, false, in.shape()); !out.ordered {
+		in.scan = nil
+	}
 	return e.finish(site, in, st), nil
 }

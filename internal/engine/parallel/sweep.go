@@ -13,8 +13,8 @@ import (
 // forwards for the difference and the coalesce, and whose rows are the
 // aggregation's. The partitioning key is the group key, so the
 // per-partition sweeps are independent and their merged outputs form
-// exactly the one-fragment result multiset. The ordered exchange +
-// per-fragment streaming sweeps supersede this on begin-sorted input.
+// exactly the one-fragment result multiset. On begin-sorted input the
+// scan partition and per-fragment streaming sweeps supersede this.
 //
 // A failed input drain or a failing fn ends the stream with NO rows — a
 // sweep over a truncated partition would be a silently wrong multiset —

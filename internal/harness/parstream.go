@@ -6,16 +6,17 @@ import (
 )
 
 // parStreamSizeCap bounds the parstream experiment input: the
-// acceptance measurement of the ordered-exchange study is the 50k-row
-// sorted input, and larger configured Fig5 sizes add minutes without
-// changing the comparison.
+// acceptance measurement of the parallel streaming sweeps is the
+// 50k-row sorted input, and larger configured Fig5 sizes add minutes
+// without changing the comparison.
 const parStreamSizeCap = 50000
 
-// ParStream measures the order-preserving exchange: parallel STREAMING
-// sweeps (ordered repartition, per-worker streaming coalesce /
-// pre-aggregated split) over begin-sorted input against the parallel
-// BLOCKING baseline (unordered repartition, per-worker materializing
-// sweeps) over the unsorted copy, both at DefaultWorkers, plus the
+// ParStream measures the parallel streaming sweeps: parallel STREAMING
+// sweeps (scan partition — each worker reads the sorted scan and keeps
+// its partition — and per-worker streaming coalesce / pre-aggregated
+// split) over begin-sorted input against the parallel BLOCKING
+// baseline (hash partition exchange, per-worker materializing sweeps)
+// over the unsorted copy, both at DefaultWorkers, plus the
 // one-worker streaming sweep as the no-exchange reference. The parallel
 // streaming variants should run at or under the parallel blocking
 // ones: they skip the per-partition materialization and per-group

@@ -6,22 +6,23 @@ import (
 )
 
 // OrderedChan reports channel construction inside functions that build
-// an ordered merge (an orderedMergeIter). Order-preserving exchanges
-// must pull from per-producer queues in heap order, so a producer can
-// run arbitrarily far ahead of the merge cursor when partition sizes
-// are skewed; routing that stream through a bounded channel deadlocks
-// the whole exchange (the PR 4 class — producer blocked on a full
-// buffer the merge will not drain until another producer advances).
-// The established idiom is the unbounded batchQueue. A channel in an
-// ordered-merge path needs
+// an ordered merge (an orderedMergeIter). A k-way merge cannot emit a
+// row until every source has a head row, so a bounded channel feeding
+// it is safe only when nothing else can hold up the producer: one
+// producer per channel, one merge per producer, and a merge that always
+// drains the source it waits on. A producer that fans out to several
+// merges can block on a full buffer toward one of them while another
+// waits for its next row, and under partition skew the whole exchange
+// deadlocks. The executor's streaming sweeps avoid the class
+// altogether: their partitions are read off the sorted scans with no
+// transport at all. A channel in an ordered-merge path needs
 //
 //	//lint:ignore orderedchan <why this channel cannot block the merge>
 //
-// arguing a drain guarantee (e.g. a dedicated consumer that always
-// empties the channel it waits on).
+// arguing that drain guarantee.
 var OrderedChan = &Analyzer{
 	Name: "orderedchan",
-	Doc:  "no make(chan …) feeding an ordered merge/repartition — bounded buffers deadlock under skew",
+	Doc:  "no make(chan …) feeding an ordered merge without a drain argument — bounded buffers deadlock under skew",
 	Run:  runOrderedChan,
 }
 
@@ -46,7 +47,7 @@ func runOrderedChan(p *Pass) {
 				return true
 			}
 			p.Reportf(call.Pos(),
-				"channel transport inside an ordered-merge construction deadlocks under partition skew — use an unbounded batchQueue")
+				"channel transport inside an ordered-merge construction deadlocks under partition skew unless the merge always drains the source it waits on")
 			return true
 		})
 	})

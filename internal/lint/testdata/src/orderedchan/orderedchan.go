@@ -1,7 +1,7 @@
 // Package fixture exercises the orderedchan analyzer: no channel
 // construction inside a function that builds an ordered merge
 // (an orderedMergeIter composite literal) — bounded buffers deadlock
-// the merge under partition skew; the idiom is an unbounded queue.
+// the merge under partition skew unless a drain guarantee is argued.
 package fixture
 
 type row []int

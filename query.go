@@ -136,8 +136,8 @@ func rowLess(a, b Row) bool {
 // first, then numerics compared numerically across int64/float64 (so 9
 // sorts before 10 — not lexicographically), then strings, then bools.
 func compareAny(a, b any) int {
-	av, errA := toValue(a)
-	bv, errB := toValue(b)
+	av, errA := tupleValue(a)
+	bv, errB := tupleValue(b)
 	if errA != nil || errB != nil {
 		// Unknown value types cannot come from the engine; fall back to a
 		// stable display-order comparison rather than panicking.

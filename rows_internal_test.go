@@ -32,8 +32,11 @@ func streamKeys(t *testing.T, db *engine.DB, q algebra.Query, opt rewrite.Option
 		defer it.Close()
 		b := engine.NewRowBatch(batchSize)
 		for it.NextBatch(b) {
-			// No capacity assertion: exchange consumers may adopt a whole
-			// transport batch, legally exceeding the requested capacity.
+			// Exchange consumers copy rows out of their transport batches,
+			// so no batch exceeds the capacity asked for.
+			if b.Len() > batchSize {
+				t.Fatalf("a batch of %d rows exceeds its capacity %d (%s)", b.Len(), batchSize, q)
+			}
 			for _, row := range b.Rows {
 				keys = append(keys, row.String())
 			}

@@ -39,6 +39,7 @@ package snapk
 
 import (
 	"fmt"
+	"math"
 
 	"snapk/internal/engine"
 	"snapk/internal/interval"
@@ -60,9 +61,9 @@ type DB struct {
 
 // QueryLimits configures the per-query resource governor: a wall-clock
 // Timeout, a RowLimit on emitted result rows, and a MemBudget in bytes
-// over tracked operator state (sweep state, hash-join build sides,
-// exchange queue depth). Zero fields disable the corresponding limit;
-// the zero value disables governing entirely.
+// over tracked operator state (sweep state, the partitions blocking
+// sweeps materialize, hash-join build sides). Zero fields disable the
+// corresponding limit; the zero value disables governing entirely.
 type QueryLimits = engine.Limits
 
 // Typed resource-governor errors, re-exported so callers can errors.Is
@@ -188,7 +189,27 @@ func (t *Table) Insert(begin, end int64, values ...any) error {
 	return nil
 }
 
+// nonFiniteError refuses a NaN or an infinite float64 as a stored
+// value: tuple.Compare has no place for a NaN among the numbers, so
+// non-finite floats are kept out where values enter.
+type nonFiniteError float64
+
+func (e nonFiniteError) Error() string {
+	return fmt.Sprintf("non-finite float %v cannot be stored", float64(e))
+}
+
+// toValue converts a value to store, for Insert and Update: what
+// tupleValue converts, except NaN and ±Inf, which it refuses with a
+// nonFiniteError.
 func toValue(v any) (tuple.Value, error) {
+	if f, ok := v.(float64); ok && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		return tuple.Value{}, nonFiniteError(f)
+	}
+	return tupleValue(v)
+}
+
+// tupleValue converts a Go value of a supported type to a tuple value.
+func tupleValue(v any) (tuple.Value, error) {
 	switch x := v.(type) {
 	case nil:
 		return tuple.Null, nil
