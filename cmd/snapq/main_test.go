@@ -169,19 +169,23 @@ func TestRunExplainPrintsPlan(t *testing.T) {
 }
 
 // -explain under a parallel approach must annotate fragment/exchange
-// placement at the approach's worker count.
+// placement at the approach's worker count: a global aggregation runs
+// as a time partition whose fragments each scan at one worker, and a
+// grouped one over a morsel scan.
 func TestRunExplainParallelPlacement(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{
-		"-data", "factory", "-explain", "-approach", "seq-par",
-		"-sql", "SEQ VT (SELECT count(*) AS cnt FROM works)",
-	}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
-	}
-	for _, want := range []string{"morsel scan ×", "fragments ×"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("parallel explain lacks placement %q:\n%s", want, out.String())
+	for sql, wants := range map[string][]string{
+		"SEQ VT (SELECT count(*) AS cnt FROM works)":                       {"fragments ×2 via time-partition", "{sequential scan}"},
+		"SEQ VT (SELECT skill, count(*) AS cnt FROM works GROUP BY skill)": {"morsel scan ×", "fragments ×"},
+	} {
+		var out, errb bytes.Buffer
+		code := run([]string{"-data", "factory", "-explain", "-approach", "seq-par", "-sql", sql}, &out, &errb)
+		if code != 0 {
+			t.Fatalf("%s: exit %d, stderr: %s", sql, code, errb.String())
+		}
+		for _, want := range wants {
+			if !strings.Contains(out.String(), want) {
+				t.Fatalf("parallel explain of %s lacks placement %q:\n%s", sql, want, out.String())
+			}
 		}
 	}
 }

@@ -82,16 +82,20 @@ func (x *exchange) recycle(b batch) {
 // share: each fragment claims the next morsel off it, so the fragments
 // load-balance even when per-row costs are skewed. A scan partition
 // makes it private before the first claim, and every fragment then
-// reads the whole table itself.
+// reads the whole table itself. When the partition routes at the scan,
+// route is its key (columns of a scanned row) and every fragment keeps
+// only the rows partOf maps to it.
 type scanCursor struct {
 	next    atomic.Int64
 	private bool
+	route   []int
+	parts   int
 }
 
 // morselTableIter is the scan source: fragments claim morsels
 // (contiguous row ranges) of a table through their scan's cursor, one
-// iterator per fragment. Each claim probes the execution context: a
-// single-fragment pipeline runs entirely on the consumer's goroutine,
+// iterator per fragment, frag. Each claim probes the execution context:
+// a single-fragment pipeline runs entirely on the consumer's goroutine,
 // so this probe (amortized per morsel of rows) is its only mid-stream
 // cancellation point — blocking drains above it (hash-join builds,
 // blocking sweeps) end early with the context's error instead of
@@ -100,6 +104,7 @@ type morselTableIter struct {
 	ctx    context.Context
 	t      *engine.Table
 	cur    *scanCursor
+	frag   int
 	size   int
 	i, end int // current claimed morsel [i, end)
 	err    error
@@ -126,16 +131,32 @@ func (it *morselTableIter) claim() bool {
 }
 
 // NextBatch hands out the remainder of the claimed morsel (up to the
-// consumer's capacity) as one slice append.
+// consumer's capacity) as one slice append, or, when the scan routes a
+// partition, the rows of that remainder in this fragment's partition,
+// reading on until one is.
 func (it *morselTableIter) NextBatch(b *engine.RowBatch) bool {
 	b.Reset()
-	if it.i >= it.end && !it.claim() {
-		return false
+	for {
+		if it.i >= it.end && !it.claim() {
+			return false
+		}
+		n := min(it.end-it.i, b.Cap())
+		rows := it.t.Rows[it.i : it.i+n]
+		it.i += n
+		c := it.cur
+		if c.route == nil {
+			b.Rows = append(b.Rows, rows...)
+			return true
+		}
+		for _, row := range rows {
+			if partOf(row.HashKey(c.route), c.parts) == it.frag {
+				b.Append(row)
+			}
+		}
+		if b.Len() > 0 {
+			return true
+		}
 	}
-	n := min(it.end-it.i, b.Cap())
-	b.Rows = append(b.Rows, it.t.Rows[it.i:it.i+n]...)
-	it.i += n
-	return true
 }
 
 func (it *morselTableIter) Close() {}
@@ -183,7 +204,12 @@ func (it *chanIter) Close() {
 // closer goroutine closes the channel once all producers are done,
 // which is how the consumer observes end-of-stream.
 func (e *executor) startMerge(parts []engine.RowIter, parent *engine.OpStats) engine.RowIter {
-	st := parent.Child("Exchange:merge", fmt.Sprintf("fanin=%d", len(parts)))
+	return e.mergeOn("exchange:merge", parts, parent.Child("Exchange:merge", fmt.Sprintf("fanin=%d", len(parts))))
+}
+
+// mergeOn is startMerge recording on the exchange node st; site names
+// the merge's inject hook and its panic sites.
+func (e *executor) mergeOn(site string, parts []engine.RowIter, st *engine.OpStats) engine.RowIter {
 	schema := parts[0].Schema()
 	x := e.newExchange(1)
 	ch := make(chan batch, len(parts))
@@ -200,7 +226,7 @@ func (e *executor) startMerge(parts []engine.RowIter, parent *engine.OpStats) en
 			// truncated result.
 			defer e.wg.Done()
 			defer producers.Done()
-			defer e.recoverPanic("exchange:merge producer")
+			defer e.recoverPanic(site + " producer")
 			defer part.Close()
 			e.drainInto(x, part, ch, st, false)
 		}()
@@ -209,11 +235,11 @@ func (e *executor) startMerge(parts []engine.RowIter, parent *engine.OpStats) en
 	//lint:leakcheck bounded by construction: waits only on producers that are themselves cancellation-aware via drainInto
 	go func() {
 		defer e.wg.Done()
-		defer e.recoverPanic("exchange:merge closer")
+		defer e.recoverPanic(site + " closer")
 		producers.Wait()
 		close(ch)
 	}()
-	return engine.NewObsIter(e.inject("exchange:merge", &chanIter{x: x, schema: schema, cur: chanCursor{x: x, ch: ch}}), st)
+	return engine.NewObsIter(e.inject(site, &chanIter{x: x, schema: schema, cur: chanCursor{x: x, ch: ch}}), st)
 }
 
 // send pushes one transport batch onto ch, recording the backpressure
@@ -281,9 +307,11 @@ func (e *executor) drainInto(x *exchange, it engine.RowIter, ch chan<- batch, st
 
 // partOf is the one partition function of the keyed exchanges: the
 // partition of w that a row whose key hashes (tuple.HashKey) to h
-// belongs to. It reads the hash's high bits; the sweeps' group tables
-// index by its low bits.
-func partOf(h uint64, w int) int { return int((h >> 32) % uint64(w)) }
+// belongs to. It scales the hash's high 32 bits onto [0, w) with a
+// multiply and a shift instead of a division, since a scan partition
+// runs it on every scanned row; the sweeps' group tables index by the
+// low bits.
+func partOf(h uint64, w int) int { return int((h >> 32) * uint64(w) >> 32) }
 
 // hashPartition converts a stream — given as its physical sources, one
 // per already-running fragment — into W worker-side iterators by
@@ -296,11 +324,12 @@ func partOf(h uint64, w int) int { return int((h >> 32) % uint64(w)) }
 // serialized through a merge exchange; cancellation of the execution
 // context unblocks both sides.
 func (e *executor) hashPartition(srcs []engine.RowIter, keyIdx []int, parent *engine.OpStats) []engine.RowIter {
-	st := parent.Child("Exchange:partition", fmt.Sprintf("fanout=%d", e.workers))
-	st.InitParts(e.workers)
+	w := e.workers
+	st := parent.Child("Exchange:partition", fmt.Sprintf("fanout=%d", w))
+	st.InitParts(w)
 	schema := srcs[0].Schema()
-	x := e.newExchange(e.workers)
-	chans := make([]chan batch, e.workers)
+	x := e.newExchange(w)
+	chans := make([]chan batch, w)
 	for i := range chans {
 		chans[i] = make(chan batch, len(srcs)+1)
 	}
@@ -314,7 +343,7 @@ func (e *executor) hashPartition(srcs []engine.RowIter, keyIdx []int, parent *en
 			defer producers.Done() // after recoverPanic: see startMerge
 			defer e.recoverPanic("exchange:partition producer")
 			defer src.Close()
-			bufs := make([]batch, e.workers)
+			bufs := make([]batch, w)
 			for i := range bufs {
 				bufs[i] = x.batch()
 			}
@@ -332,7 +361,7 @@ func (e *executor) hashPartition(srcs []engine.RowIter, keyIdx []int, parent *en
 			in := engine.NewRowBatch(e.morsel)
 			for src.NextBatch(in) {
 				for _, row := range in.Rows {
-					i := partOf(row.HashKey(keyIdx), e.workers)
+					i := partOf(row.HashKey(keyIdx), w)
 					//lint:ignore rowretain partition buffering for transport; rows are forwarded downstream unmodified
 					bufs[i] = append(bufs[i], row)
 					if len(bufs[i]) == e.morsel && !flush(i) {
@@ -364,7 +393,7 @@ func (e *executor) hashPartition(srcs []engine.RowIter, keyIdx []int, parent *en
 			close(ch)
 		}
 	}()
-	parts := make([]engine.RowIter, e.workers)
+	parts := make([]engine.RowIter, w)
 	for i := range parts {
 		parts[i] = e.inject(fmt.Sprintf("exchange:partition:%d", i),
 			&chanIter{x: x, schema: schema, cur: chanCursor{x: x, ch: chans[i]}})
@@ -378,12 +407,20 @@ func (e *executor) hashPartition(srcs []engine.RowIter, keyIdx []int, parent *en
 // ordered stream of W fragments is W copies of one per-row chain over a
 // morsel scan. scanPartition makes the scan's cursor private, so each
 // fragment reads the whole table (a window-pruned prefix included), and
-// tops each fragment's chain with a partIter that keeps the rows whose
-// key partOf maps to that fragment. Each partition is then begin-sorted
-// by construction and read on its sweep's own goroutine: no producer,
-// no queue, no memory charge and no merge, so no key skew can stall it.
-// The price is that every fragment reads and runs its chain on every
-// scanned row: a Scan's rows= counts W × N.
+// keeps the rows whose key partOf maps to that fragment. Each partition
+// is then begin-sorted by construction and read on its sweep's own
+// goroutine: no producer, no queue, no memory charge and no merge, so no
+// key skew can stall it.
+//
+// When the chain holds only column maps, filters and windows, its rows
+// keep the scan's layout and the key indexes a scanned row, so the scan
+// itself routes: each fragment's chain runs only on its partition's rows,
+// and a Scan's rows= sums to N over the fragments. A computing
+// projection in the chain changes the layout, so there the fragment's
+// chain runs on every scanned row and a partIter on top keeps the
+// partition: every fragment reads the whole table, and the Scan's rows=
+// sums to W × N. Either way part_rows counts the rows that reach each
+// sweep, after the chain.
 //
 // A stream without its scan source is an executor bug, not a case to
 // fall back from; the panic becomes buildSafe's query error.
@@ -394,18 +431,26 @@ func (e *executor) scanPartition(s *pstream, keyIdx []int, parent *engine.OpStat
 	s.scan.private = true
 	st := parent.Child("Exchange:scan-partition", fmt.Sprintf("fanout=%d", e.workers))
 	st.InitParts(e.workers)
+	if !s.computed {
+		s.scan.route, s.scan.parts = keyIdx, e.workers
+	}
 	parts := make([]engine.RowIter, len(s.parts))
 	for i, part := range s.parts {
+		switch {
+		case s.computed:
+			part = &partIter{in: part, keyIdx: keyIdx, part: i, parts: e.workers, st: st}
+		case st != nil:
+			part = &tallyIter{RowIter: part, st: st, part: i}
+		}
 		parts[i] = engine.CheckOrdered("scan partition",
-			e.inject(fmt.Sprintf("exchange:scan-partition:%d", i),
-				&partIter{in: part, keyIdx: keyIdx, part: i, parts: e.workers, st: st}))
+			e.inject(fmt.Sprintf("exchange:scan-partition:%d", i), part))
 	}
 	return parts
 }
 
-// partIter is one fragment of a scan partition: the rows of its chain
-// whose key maps to partition part of parts, counted on the exchange's
-// stats node.
+// partIter is one fragment of a scan partition over a chain with a
+// computing projection: the rows of its chain whose key maps to
+// partition part of parts, counted on the exchange's stats node.
 type partIter struct {
 	in          engine.RowIter
 	buf         engine.RowBatch
@@ -440,6 +485,23 @@ func (it *partIter) NextBatch(out *engine.RowBatch) bool {
 func (it *partIter) Err() error { return it.in.Err() }
 
 func (it *partIter) Close() { it.in.Close() }
+
+// tallyIter counts the rows a partition's sweep reads on its exchange's
+// stats node, where no partIter does: above a chain that the scan
+// routes, and above a time fragment.
+type tallyIter struct {
+	engine.RowIter
+	st   *engine.OpStats
+	part int
+}
+
+func (it *tallyIter) NextBatch(b *engine.RowBatch) bool {
+	if !it.RowIter.NextBatch(b) {
+		return false
+	}
+	it.st.AddPartRows(it.part, b.Len())
+	return true
+}
 
 // chanCursor reads one bounded batch channel, a row (next) or a batch
 // (nextBatch) at a time — never both. It copies rows out of the

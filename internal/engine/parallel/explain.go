@@ -6,10 +6,11 @@ import (
 	"snapk/internal/engine"
 )
 
-// This file holds the two placement decisions of the executor as pure
+// This file holds the placement decisions of the executor as pure
 // functions — place (how wide a node runs, whether its output keeps the
-// begin order, and which form a sweep runs) and exchangeFor (which
-// exchange connects two widths) — so that build() switches on them and
+// begin order, and which form a sweep runs), exchangeFor (which exchange
+// connects two widths) and timeSplits (where a global aggregation's time
+// partition cuts, timepart.go) — so that build() switches on them and
 // EXPLAIN prints them: the placement a user reads is by construction the
 // placement that runs.
 
@@ -49,7 +50,9 @@ func place(db *engine.DB, p engine.Plan, workers int, hashJoin bool, in ...shape
 	case engine.AggP:
 		out.frags = workers
 		if len(n.GroupBy) == 0 {
-			out.frags = 1 // a single group cannot be partitioned
+			// A single group: its time partition (timeSplits) or its one
+			// sweep leaves one stream.
+			out.frags = 1
 		}
 	case engine.CoalesceP, engine.DiffP:
 		out.frags = workers
@@ -97,9 +100,15 @@ func Explain(db *engine.DB, p engine.Plan, workers int) *engine.ExplainNode {
 }
 
 func explainPlacement(db *engine.DB, p engine.Plan, n *engine.ExplainNode, workers int) shape {
+	// A time partition builds its input at one worker, once per range.
+	splits := timeSplits(db, p, workers)
+	inWorkers := workers
+	if len(splits) > 0 {
+		inWorkers = 1
+	}
 	var in []shape
 	for i, c := range engine.Inputs(p) {
-		in = append(in, explainPlacement(db, c, n.Children[i], workers))
+		in = append(in, explainPlacement(db, c, n.Children[i], inWorkers))
 	}
 	hash := false
 	if j, ok := p.(engine.JoinP); ok {
@@ -111,12 +120,13 @@ func explainPlacement(db *engine.DB, p engine.Plan, n *engine.ExplainNode, worke
 		}
 	}
 	out, streams := place(db, p, workers, hash, in...)
-	n.Placement = describe(p, hash, streams, in, out)
+	n.Placement = describe(p, hash, streams, len(splits), in, out)
 	return out
 }
 
-// describe is the display form of one node's placement.
-func describe(p engine.Plan, hashJoin, streams bool, in []shape, out shape) string {
+// describe is the display form of one node's placement; splits is the
+// number of a time partition's split instants.
+func describe(p engine.Plan, hashJoin, streams bool, splits int, in []shape, out shape) string {
 	wide := func(one, many string) string {
 		if out.frags == 1 {
 			return one
@@ -152,6 +162,9 @@ func describe(p engine.Plan, hashJoin, streams bool, in []shape, out shape) stri
 	case engine.DiffP:
 		return sweep("inputs", " ×2")
 	case engine.AggP, engine.CoalesceP:
+		if splits > 0 {
+			return fmt.Sprintf("fragments ×%d via time-partition", splits+1)
+		}
 		return sweep("input", "")
 	default:
 		return ""

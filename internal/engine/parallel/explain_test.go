@@ -9,6 +9,7 @@ package parallel_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -37,8 +38,13 @@ func placementPlans() []engine.Plan {
 		engine.CoalesceP{In: scanU},
 		engine.AggP{GroupBy: []string{"k"}, Aggs: cnt, In: scanL},
 		engine.AggP{GroupBy: []string{"k"}, Aggs: cnt, PreAgg: true, In: scanU},
-		engine.AggP{Aggs: cnt, In: scanL},               // global agg: sequential sweep
-		engine.AggP{Aggs: cnt, PreAgg: true, In: scanL}, // streams over the ordered merge
+		engine.AggP{Aggs: cnt, In: scanL},               // naive global agg: sequential sweep
+		engine.AggP{Aggs: cnt, PreAgg: true, In: scanL}, // streaming time partition
+		engine.AggP{Aggs: cnt, PreAgg: true, In: scanU}, // unsorted: one blocking sweep over the merge
+		// A global aggregation under a window and a filter: each fragment's
+		// range merges into the window over the scan.
+		engine.AggP{Aggs: cnt, PreAgg: true, In: engine.FilterP{Pred: algebra.Gt(algebra.Col("v"), algebra.IntC(10)),
+			In: engine.WindowP{T: interval.New(100, 700), In: scanL}}},
 		engine.DiffP{L: scanL, R: scanL},
 		engine.DiffP{L: scanL, R: scanU}, // one sorted side: blocking
 		// Pruned scans keep the stored table's order: the window over "u"
@@ -102,9 +108,19 @@ func countChildren(st *engine.OpStats, prefix string) int {
 }
 
 // checkPlacementExecuted walks the explain and stats trees in lockstep
-// and asserts that each node's printed placement is what executed.
-func checkPlacementExecuted(t *testing.T, n *engine.ExplainNode, st *engine.OpStats, workers int) {
+// and asserts that each node's printed placement is what executed. Under
+// a time partition each fragment's input is the explain subtree with its
+// time range pushed toward the scans: inFragment says the walk is in one,
+// where a stats Window that explain has no node for is that range.
+func checkPlacementExecuted(t *testing.T, n *engine.ExplainNode, st *engine.OpStats, workers int, inFragment bool) {
 	t.Helper()
+	if got := explainOpLabel(n.Op); inFragment && st.Label == "Window" && got != "Window" {
+		ops := opStatsChildren(st)
+		if len(ops) != 1 {
+			t.Fatalf("%s: a fragment's time window has %d operator children", n.Op, len(ops))
+		}
+		st = ops[0]
+	}
 	if got := explainOpLabel(n.Op); got != st.Label {
 		t.Fatalf("explain/stats trees diverged: explain op %q vs stats label %q", n.Op, st.Label)
 	}
@@ -112,10 +128,17 @@ func checkPlacementExecuted(t *testing.T, n *engine.ExplainNode, st *engine.OpSt
 		t.Fatalf("%s: placement not annotated", n.Op)
 	}
 	// A printed width ×N is N fragment nodes; a sequential placement
-	// records onto the operator node itself.
+	// records onto the operator node itself. Only a time partition may
+	// run fewer fragments than workers: splits that coincide are dropped.
+	timePart := strings.Contains(n.Placement, "via time-partition")
 	wantFrags := 0
-	if strings.Contains(n.Placement, "×") {
-		wantFrags = workers
+	if _, width, ok := strings.Cut(n.Placement, "×"); ok {
+		if _, err := fmt.Sscanf(width, "%d", &wantFrags); err != nil {
+			t.Fatalf("%s: placement %q: %v", n.Op, n.Placement, err)
+		}
+		if timePart && (wantFrags < 2 || wantFrags > workers) || !timePart && wantFrags != workers {
+			t.Fatalf("%s: placement %q at %d workers", n.Op, n.Placement, workers)
+		}
 	}
 	if got := countChildren(st, "fragment"); got != wantFrags {
 		t.Fatalf("%s: placement %q, but %d fragment nodes executed (workers=%d)", n.Op, n.Placement, got, workers)
@@ -123,6 +146,7 @@ func checkPlacementExecuted(t *testing.T, n *engine.ExplainNode, st *engine.OpSt
 	for via, label := range map[string]string{
 		"via scan-partition": "Exchange:scan-partition",
 		"via hash-partition": "Exchange:partition",
+		"via time-partition": "Exchange:time-partition",
 	} {
 		want := 0
 		if strings.Contains(n.Placement, via) {
@@ -140,11 +164,21 @@ func checkPlacementExecuted(t *testing.T, n *engine.ExplainNode, st *engine.OpSt
 		t.Fatalf("%s: explained sweep=%s, but the %q sweep executed", n.Op, n.Mode, st.Detail)
 	}
 	ops := opStatsChildren(st)
+	if timePart {
+		// One input per fragment, each built at one worker.
+		if len(n.Children) != 1 || len(ops) != wantFrags {
+			t.Fatalf("%s: placement %q, but %d inputs ran for %d explained", n.Op, n.Placement, len(ops), len(n.Children))
+		}
+		for _, op := range ops {
+			checkPlacementExecuted(t, n.Children[0], op, 1, true)
+		}
+		return
+	}
 	if len(ops) != len(n.Children) {
 		t.Fatalf("%s: explain has %d children, stats tree has %d operator children", n.Op, len(n.Children), len(ops))
 	}
 	for i := range n.Children {
-		checkPlacementExecuted(t, n.Children[i], ops[i], workers)
+		checkPlacementExecuted(t, n.Children[i], ops[i], workers, inFragment)
 	}
 }
 
@@ -165,7 +199,7 @@ func TestExplainPlacementIsExecutedPlacement(t *testing.T) {
 			if len(ops) != 1 {
 				t.Fatalf("workers=%d plan %v: expected one root operator node, got %d", workers, p, len(ops))
 			}
-			checkPlacementExecuted(t, n, ops[0], workers)
+			checkPlacementExecuted(t, n, ops[0], workers, false)
 		}
 	}
 }

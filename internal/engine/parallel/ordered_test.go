@@ -129,7 +129,7 @@ func TestParStreamQgenGrid(t *testing.T) {
 			t.Fatalf("seed %d: Exec(%s): %v", c.seed, c.plan, err)
 		}
 		want := sortedKeys(mat)
-		for _, workers := range []int{2, 4} {
+		for _, workers := range []int{2, 3, 4} {
 			it, err := parallel.Exec(context.Background(), c.db, c.plan, parallel.Options{Workers: workers, MorselSize: 4})
 			if err != nil {
 				t.Fatalf("seed %d sorted %v workers %d: %v", c.seed, c.sorted, workers, err)

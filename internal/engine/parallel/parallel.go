@@ -33,13 +33,17 @@
 // sweep has two physical forms, and the streams it is built over select
 // one: place applies engine.DB.BeginOrder to the inputs' order. When
 // every input is ordered, each fragment's scan reads the whole sorted
-// table and the fragment keeps its partition's rows (scanPartition), so
-// it runs the STREAMING sweep over a begin-sorted partition with
-// O(open intervals + active groups) state and no exchange transport.
-// Otherwise a hash partition (hashPartition) redistributes the rows and
-// each fragment materializes its partition on first pull and runs the
-// blocking sweep (lazySweepIter). Global aggregation streams over the
-// ordered merge of all fragments.
+// table and keeps its partition's rows (scanPartition), so the fragment
+// runs the STREAMING sweep over a begin-sorted partition with O(open
+// intervals + active groups) state and no exchange transport. Otherwise
+// a hash partition (hashPartition) redistributes the rows and each
+// fragment materializes its partition on first pull and runs the
+// blocking sweep (lazySweepIter). Global aggregation has one group, so
+// it splits time instead of rows (timepart.go): W fragments over time
+// ranges, each its input built at one worker with the range pushed to
+// its scans, and a boundary merge that joins the segments meeting at a
+// split. Where no split is cut (engine.DB.TimeSplits: an unsorted table,
+// a float sum) it runs as one sweep over the merge of all fragments.
 //
 // Because period relations are multisets, the nondeterministic arrival
 // order at an unordered merge exchange is semantically invisible: the
@@ -71,6 +75,7 @@ import (
 
 	"snapk/internal/algebra"
 	"snapk/internal/engine"
+	"snapk/internal/interval"
 	"snapk/internal/obs"
 	"snapk/internal/tuple"
 )
@@ -207,11 +212,16 @@ func (e *executor) govern(it engine.RowIter) engine.RowIter {
 // which keep it, the sweeps, the joins and the keyed exchanges — takes
 // it from here; only the root and a union copy the rows to schema's
 // layout (flat). nil means the rows are laid out as schema says.
+//
+// computed marks a chain over a scan that holds a computing projection:
+// its rows no longer have the scan's layout, so a scan partition cannot
+// route them at the scan.
 type pstream struct {
-	parts  []engine.RowIter
-	schema tuple.Schema
-	cols   engine.ColMap
-	scan   *scanCursor
+	parts    []engine.RowIter
+	schema   tuple.Schema
+	cols     engine.ColMap
+	scan     *scanCursor
+	computed bool
 }
 
 // width returns the width of a part's rows.
@@ -565,6 +575,16 @@ func (e *executor) build(p engine.Plan, parent *engine.OpStats) (*pstream, error
 	}
 }
 
+// buildAt builds p as the executor does at the given worker count: a
+// time partition builds each fragment's input at one worker. Plans are
+// built on one goroutine, and no goroutine started by a build reads the
+// worker count, so the swap is invisible outside the call.
+func (e *executor) buildAt(workers int, p engine.Plan, parent *engine.OpStats) (*pstream, error) {
+	defer func(w int) { e.workers = w }(e.workers)
+	e.workers = workers
+	return e.build(p, parent)
+}
+
 // buildProject compiles a projection. One that only reads columns —
 // every rename REWR and the SQL translation wrap operators and tables
 // in — is a column map on its input stream (pstream.cols) and copies no
@@ -592,7 +612,7 @@ func (e *executor) buildProject(n engine.ProjectP, parent *engine.OpStats) (*pst
 		return e.mapStream("project", n, in, st, nil)
 	}
 	schema, cols := in.schema, in.cols
-	in.schema, in.cols = projectSchema(n.Exprs), nil
+	in.schema, in.cols, in.computed = projectSchema(n.Exprs), nil, true
 	return e.mapStream("project", n, in, st, func(it engine.RowIter) (engine.RowIter, error) {
 		return engine.NewProjectIter(it, schema, cols, n.Exprs)
 	})
@@ -662,15 +682,18 @@ func (e *executor) drainHints(frags int, ins ...engine.Plan) []int64 {
 // hash-partitions the input on the grouping columns and every fragment
 // runs an independent split/aggregate sweep — the sweep never crosses
 // group boundaries, so the merged output is multiset-identical. Global
-// aggregation (a single group) cannot be partitioned: it runs as one
+// aggregation has a single group: at W > 1 it splits time instead
+// (buildTimeAgg). Where engine.DB.TimeSplits cuts no split it runs as one
 // fragment over the merge of its input, which with the sort property is
 // the ordered merge, so it still streams. Over a begin-ordered input a
 // pre-aggregated sweep runs in its STREAMING form in every fragment;
 // otherwise each fragment materializes its partition on first pull and
 // runs the blocking sweep.
 func (e *executor) buildAgg(n engine.AggP, parent *engine.OpStats) (*pstream, error) {
-	dom := e.db.Domain()
 	st := parent.Child("Agg", "")
+	if splits := timeSplits(e.db, n, e.workers); len(splits) > 0 {
+		return e.buildTimeAgg(n, splits, st)
+	}
 	in, err := e.build(n.In, st)
 	if err != nil {
 		return nil, err
@@ -684,33 +707,51 @@ func (e *executor) buildAgg(n engine.AggP, parent *engine.OpStats) (*pstream, er
 		return nil, err
 	}
 	out, streams := place(e.db, n, e.workers, false, in.shape())
+	aggForm(st, n, streams)
+	parts := e.exchange(in, out.frags, cols.Of(keyIdx), streams, st)
+	hint := e.drainHints(out.frags, n.In)[0]
+	for i, part := range parts {
+		it, err := e.aggSweep(n, part, data, cols, schema, streams, e.db.Domain(), hint)
+		if err != nil {
+			// The constructor closed part; release the rest. Exchange
+			// goroutines are reaped by Exec's cancel path.
+			closeAll(parts[:i])
+			closeAll(parts[i+1:])
+			return nil, err
+		}
+		parts[i] = it
+	}
+	return e.finish("agg", &pstream{parts: parts, schema: schema}, st), nil
+}
+
+// aggForm records the form of an aggregation's sweeps (sweepForm),
+// marking a blocking pre-aggregated one.
+func aggForm(st *engine.OpStats, n engine.AggP, streams bool) {
 	sweepForm(st, streams)
 	if st != nil && !streams && n.PreAgg {
 		st.Detail += " pre-agg"
 	}
-	parts := e.exchange(in, out.frags, cols.Of(keyIdx), streams, st)
-	for i, part := range parts {
-		if streams {
-			it, err := engine.NewMappedStreamAggIter(part, data, cols, n.GroupBy, n.Aggs, dom)
-			if err != nil {
-				// The constructor closed part; release the rest. Exchange
-				// goroutines are reaped by Exec's cancel path.
-				closeAll(parts[:i])
-				closeAll(parts[i+1:])
-				return nil, err
-			}
-			parts[i] = e.govern(it)
-		} else {
-			// Column errors were ruled out above, so a failure here is
-			// either a failed partition drain or a genuine executor bug —
-			// both propagate through Err instead of yielding a silently
-			// empty partition.
-			parts[i] = newLazySweepIter(e.gov, schema, func(ts ...*engine.Table) (engine.RowIter, error) {
-				return engine.NewBlockAggIter(e.gov, ts[0], data, cols, n.GroupBy, n.Aggs, n.PreAgg, dom)
-			}, e.drainHints(out.frags, n.In), part)
+}
+
+// aggSweep is one fragment's aggregation sweep over part, with the gap
+// rows of a global aggregation spanning dom: the streaming form, or the
+// blocking one, which materializes part on first pull with room for
+// hint rows. On error part is closed.
+func (e *executor) aggSweep(n engine.AggP, part engine.RowIter, data tuple.Schema, cols engine.ColMap, schema tuple.Schema, streams bool, dom interval.Domain, hint int64) (engine.RowIter, error) {
+	if streams {
+		it, err := engine.NewMappedStreamAggIter(part, data, cols, n.GroupBy, n.Aggs, dom)
+		if err != nil {
+			return nil, err
 		}
+		return e.govern(it), nil
 	}
-	return e.finish("agg", &pstream{parts: parts, schema: schema}, st), nil
+	// Column errors were ruled out by the caller, so a failure here is
+	// either a failed partition drain or a genuine executor bug — both
+	// propagate through Err instead of yielding a silently empty
+	// partition.
+	return newLazySweepIter(e.gov, schema, func(ts ...*engine.Table) (engine.RowIter, error) {
+		return engine.NewBlockAggIter(e.gov, ts[0], data, cols, n.GroupBy, n.Aggs, n.PreAgg, dom)
+	}, []int64{hint}, part), nil
 }
 
 // buildDiff compiles snapshot-reducible difference. Both inputs are
@@ -851,7 +892,7 @@ func (e *executor) scanStream(n engine.ScanP, t *engine.Table, st *engine.OpStat
 	cur := new(scanCursor)
 	parts := make([]engine.RowIter, out.frags)
 	for i := range parts {
-		parts[i] = &morselTableIter{ctx: e.ctx, t: t, cur: cur, size: e.morsel}
+		parts[i] = &morselTableIter{ctx: e.ctx, t: t, cur: cur, frag: i, size: e.morsel}
 	}
 	s := &pstream{parts: parts, schema: t.Schema}
 	if out.ordered {

@@ -240,12 +240,14 @@ func TestScanPartitionOverProjectionAndPrunedWindow(t *testing.T) {
 // every streaming keyed exchange runs over scan sources.
 func checkScanSources(t *testing.T, st *engine.OpStats, what string) {
 	t.Helper()
-	var ops, scanParts, others int
+	var ops, scanParts, timeParts, others int
 	for _, c := range st.Children() {
 		switch {
 		case c.Label == "fragment":
 		case c.Label == "Exchange:scan-partition":
 			scanParts++
+		case c.Label == "Exchange:time-partition":
+			timeParts++
 		case c.Label == "Exchange:partition":
 			others++
 		case !strings.HasPrefix(c.Label, "Exchange:"):
@@ -253,7 +255,15 @@ func checkScanSources(t *testing.T, st *engine.OpStats, what string) {
 			checkScanSources(t, c, what)
 		}
 	}
-	if strings.HasPrefix(st.Detail, "streaming") && countChildren(st, "fragment") > 1 {
+	frags := countChildren(st, "fragment")
+	if timeParts > 0 {
+		// A time partition reads one windowed input per fragment, straight
+		// off its scan: no keyed exchange.
+		if timeParts != 1 || ops != frags || scanParts+others != 0 {
+			t.Fatalf("%s: time-partitioned %s ran %d inputs for %d fragments, %d time, %d scan and %d hash partitions",
+				what, st.Label, ops, frags, timeParts, scanParts, others)
+		}
+	} else if strings.HasPrefix(st.Detail, "streaming") && frags > 1 {
 		if scanParts != ops || others != 0 {
 			t.Fatalf("%s: streaming %s over %d inputs ran %d scan partitions and %d hash partitions",
 				what, st.Label, ops, scanParts, others)
@@ -326,6 +336,98 @@ func TestStreamingKeyedExchangesRunOverScanSources(t *testing.T) {
 				t.Fatalf("%s workers %d: %v", r.what, workers, err)
 			}
 			checkScanSources(t, col.RootOp(), r.what)
+		}
+	}
+}
+
+// opRows sums the rows every node labeled label recorded, on itself and
+// on its per-worker fragments.
+func opRows(st *engine.OpStats, label string) int64 {
+	var n int64
+	if st.Label == label {
+		n += st.Rows()
+		for _, c := range st.Children() {
+			if c.Label == "fragment" {
+				n += c.Rows()
+			}
+		}
+	}
+	for _, c := range st.Children() {
+		n += opRows(c, label)
+	}
+	return n
+}
+
+// partRows sums the part_rows of every node labeled label.
+func partRows(st *engine.OpStats, label string) int64 {
+	var n int64
+	if st.Label == label {
+		for _, r := range st.PartRows() {
+			n += r
+		}
+	}
+	for _, c := range st.Children() {
+		n += partRows(c, label)
+	}
+	return n
+}
+
+// When the chain under a streaming sweep holds only column maps,
+// filters and windows, the scan routes the partition: each fragment's
+// chain runs on its own rows, so the Filters' rows= and the Scans'
+// rows= summed over the fragments are the one-worker counts. A
+// computing projection keeps the partition on top of the chain, so
+// there every fragment scans the whole table. Either way part_rows
+// counts the rows that reach the sweeps, after the filter.
+func TestScanPartitionRoutesAtTheScan(t *testing.T) {
+	db := keyedSortedDB(3000, func(i int) int64 { return int64(i % 17) })
+	filter := func(in engine.Plan) engine.Plan {
+		return engine.FilterP{Pred: algebra.Gt(algebra.Col("v"), algebra.IntC(1)), In: in}
+	}
+	rename := func(in engine.Plan) engine.Plan {
+		return engine.ProjectP{Exprs: []algebra.NamedExpr{{Name: "v2", E: algebra.Col("v")}, {Name: "k2", E: algebra.Col("k")}}, In: in}
+	}
+	win := engine.WindowP{T: interval.New(100, 2500), In: engine.ScanP{Name: "r"}}
+	plans := map[string]struct {
+		p      engine.Plan
+		routed bool
+	}{
+		"coalesce-filter":     {engine.CoalesceP{In: filter(engine.ScanP{Name: "l"})}, true},
+		"coalesce-map-filter": {engine.CoalesceP{In: rename(filter(engine.ScanP{Name: "l"}))}, true},
+		"diff-filter-window":  {engine.DiffP{L: filter(engine.ScanP{Name: "l"}), R: filter(win)}, true},
+		"agg-filter":          {engine.AggP{GroupBy: []string{"k"}, Aggs: []algebra.AggSpec{{Fn: krel.CountStar, As: "n"}}, PreAgg: true, In: filter(engine.ScanP{Name: "l"})}, true},
+		"coalesce-computed":   {engine.CoalesceP{In: engine.ProjectP{Exprs: []algebra.NamedExpr{{Name: "h", E: algebra.Add(algebra.Col("k"), algebra.IntC(1))}}, In: filter(engine.ScanP{Name: "l"})}}, false},
+	}
+	for name, c := range plans {
+		counts := func(workers int) (filter, scan, parts int64, got *engine.Table) {
+			col := engine.NewCollector()
+			it, err := parallel.Exec(context.Background(), db, c.p, parallel.Options{Workers: workers, MorselSize: 16, Stats: col.Root.Child("result", "")})
+			if err != nil {
+				t.Fatalf("%s workers %d: %v", name, workers, err)
+			}
+			got = engine.Materialize(it)
+			it.Close()
+			return opRows(col.RootOp(), "Filter"), opRows(col.RootOp(), "Scan"), partRows(col.RootOp(), "Exchange:scan-partition"), got
+		}
+		filter1, scan1, _, want := counts(1)
+		if filter1 == 0 || filter1 == scan1 || want.Len() == 0 {
+			t.Fatalf("%s: vacuous at one worker", name)
+		}
+		for _, workers := range []int{2, 3, 4} {
+			filterW, scanW, parts, got := counts(workers)
+			if parts != filter1 {
+				t.Fatalf("%s workers %d: part_rows sum to %d, but %d rows pass the filters", name, workers, parts, filter1)
+			}
+			if !sameMultiset(sortedKeys(got), sortedKeys(want)) {
+				t.Fatalf("%s workers %d: diverges from one worker", name, workers)
+			}
+			wantFilter, wantScan := filter1, scan1
+			if !c.routed {
+				wantFilter, wantScan = int64(workers)*filter1, int64(workers)*scan1
+			}
+			if filterW != wantFilter || scanW != wantScan {
+				t.Fatalf("%s workers %d: Filter rows=%d, Scan rows=%d; want %d and %d", name, workers, filterW, scanW, wantFilter, wantScan)
+			}
 		}
 	}
 }

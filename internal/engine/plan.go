@@ -79,8 +79,8 @@ type CoalesceP struct{ In Plan }
 // row's validity interval is clipped to the window T, and rows not
 // overlapping T are dropped. Snapshot-reducibility (Thm 6.3/7.2) lets
 // the planner push every window of Options.Window from the plan root
-// toward the scans (package rewrite's pushdown.go documents the
-// per-operator rules). Clipping takes max(begin, T.Begin), which is
+// toward the scans (PushWindow; pushdown.go documents the per-operator
+// rules). Clipping takes max(begin, T.Begin), which is
 // non-decreasing for begin-sorted input, so WindowP preserves the
 // interval-endpoint sort property.
 //

@@ -1,16 +1,17 @@
-package rewrite
+package engine
 
 import (
 	"snapk/internal/algebra"
-	"snapk/internal/engine"
 	"snapk/internal/interval"
 )
 
-// This file is the planner's pushdown phase for the time window τ_T
-// (engine.WindowP): starting from the plan root, the window is moved
-// below every REWR operator the temporal algebra allows, so clipping
-// happens at (or near) the scans and every operator above processes
-// only the rows that can contribute to the windowed result.
+// This file is the pushdown of the time window τ_T (WindowP): starting
+// from a plan root, the window is moved below every REWR operator the
+// temporal algebra allows, so clipping happens at (or near) the scans
+// and every operator above processes only the rows that can contribute
+// to the windowed result. The planner pushes the user's window with it
+// (package rewrite), and the executor pushes the time ranges of a
+// time-partitioned global aggregation to its input's scans.
 //
 // # Legality conditions, per rule
 //
@@ -60,7 +61,7 @@ import (
 
 // periodCol reports whether name is one of the period attributes.
 func periodCol(name string) bool {
-	return name == engine.BeginCol || name == engine.EndCol
+	return name == BeginCol || name == EndCol
 }
 
 // dataOnly reports whether e references no period attribute — the
@@ -82,62 +83,67 @@ func blockingConjunct(e algebra.Expr) algebra.Expr {
 	return e
 }
 
-// pushWindow moves τ_T from above p as far toward the scans as the
-// legality rules above allow, returning the rewritten plan.
-func pushWindow(p engine.Plan, T interval.Interval, dec *Decisions) engine.Plan {
+// PushWindow moves τ_T from above p as far toward the scans as the
+// legality rules above allow, returning the rewritten plan. note, when
+// not nil, receives one line per window that has to stay above an
+// operator, and why.
+func PushWindow(p Plan, T interval.Interval, note func(format string, args ...any)) Plan {
+	if note == nil {
+		note = func(string, ...any) {}
+	}
 	switch n := p.(type) {
-	case engine.ScanP:
-		return engine.WindowP{T: T, In: n}
-	case engine.FilterP:
+	case ScanP:
+		return WindowP{T: T, In: n}
+	case FilterP:
 		if !dataOnly(n.Pred) {
-			dec.note("window stays above filter: conjunct %s reads period attributes", blockingConjunct(n.Pred))
-			return engine.WindowP{T: T, In: n}
+			note("window stays above filter: conjunct %s reads period attributes", blockingConjunct(n.Pred))
+			return WindowP{T: T, In: n}
 		}
-		n.In = pushWindow(n.In, T, dec)
+		n.In = PushWindow(n.In, T, note)
 		return n
-	case engine.ProjectP:
+	case ProjectP:
 		for _, ne := range n.Exprs {
 			if !dataOnly(ne.E) {
-				dec.note("window stays above project: expression %s reads period attributes", ne.E)
-				return engine.WindowP{T: T, In: n}
+				note("window stays above project: expression %s reads period attributes", ne.E)
+				return WindowP{T: T, In: n}
 			}
 		}
-		n.In = pushWindow(n.In, T, dec)
+		n.In = PushWindow(n.In, T, note)
 		return n
-	case engine.JoinP:
-		n.L = pushWindow(n.L, T, dec)
-		n.R = pushWindow(n.R, T, dec)
+	case JoinP:
+		n.L = PushWindow(n.L, T, note)
+		n.R = PushWindow(n.R, T, note)
 		return n
-	case engine.UnionP:
-		n.L = pushWindow(n.L, T, dec)
-		n.R = pushWindow(n.R, T, dec)
+	case UnionP:
+		n.L = PushWindow(n.L, T, note)
+		n.R = PushWindow(n.R, T, note)
 		return n
-	case engine.DiffP:
-		n.L = pushWindow(n.L, T, dec)
-		n.R = pushWindow(n.R, T, dec)
+	case DiffP:
+		n.L = PushWindow(n.L, T, note)
+		n.R = PushWindow(n.R, T, note)
 		return n
-	case engine.AggP:
+	case AggP:
 		if len(n.GroupBy) == 0 {
 			// Global aggregate: keep a window above (the gap rows span the
 			// whole domain) and push a copy below.
-			n.In = pushWindow(n.In, T, dec)
-			return engine.WindowP{T: T, In: n}
+			n.In = PushWindow(n.In, T, note)
+			return WindowP{T: T, In: n}
 		}
-		n.In = pushWindow(n.In, T, dec)
+		n.In = PushWindow(n.In, T, note)
 		return n
-	case engine.CoalesceP:
-		n.In = pushWindow(n.In, T, dec)
+	case CoalesceP:
+		n.In = PushWindow(n.In, T, note)
 		return n
-	case engine.WindowP:
+	case WindowP:
 		merged, ok := n.T.Intersect(T)
 		if !ok {
 			// Disjoint windows: nothing survives. The zero interval is the
 			// clip-everything window.
-			return engine.WindowP{In: n.In}
+			return WindowP{In: n.In}
 		}
-		return pushWindow(n.In, merged, dec)
+		return PushWindow(n.In, merged, note)
 	default:
 		// Unknown node: conservative — clip above it.
-		return engine.WindowP{T: T, In: p}
+		return WindowP{T: T, In: p}
 	}
 }

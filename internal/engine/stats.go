@@ -3,9 +3,13 @@ package engine
 import (
 	"math"
 	"math/bits"
+	"slices"
+	"sort"
 
 	"snapk/internal/algebra"
 	"snapk/internal/interval"
+	"snapk/internal/krel"
+	"snapk/internal/tuple"
 )
 
 // This file is the statistics side of the planner and executor: per-table
@@ -14,8 +18,9 @@ import (
 // next to the sortedness metadata, and the plan-wide cardinality
 // estimator built on them. Estimates drive the hash join's build side
 // and initial table size (DB.JoinStrategy) and annotate every EXPLAIN
-// node with est_rows. They are heuristics: useful for ordering
-// decisions, never for correctness.
+// node with est_rows; a begin-sorted table's begin quantiles place a
+// time partition's splits (DB.TimeSplits). They are heuristics: useful
+// for ordering decisions, never for correctness.
 
 // HistBuckets is the resolution of the per-table begin-endpoint
 // histogram: small enough to compute and cache cheaply, fine enough to
@@ -434,6 +439,104 @@ func (db *DB) windowSelectivity(T interval.Interval, in Plan) float64 {
 		return 0
 	}
 	return float64(distance(w.Begin, w.End)) / float64(size)
+}
+
+// TimeSplits returns the instants that cut the time domain into at most
+// w ranges holding equal shares of the row begins of the begin-sorted
+// stored table under global aggregation n: the split points of its time
+// partition, read off rows k·m/w of the m rows whose begins lie inside
+// the domain and every window on n's Filter/Project/Window chain. The
+// splits are strictly increasing and each has at least one of those
+// begins on either side, so a split that would coincide with another is
+// dropped: all begins equal means no split at all, and so does w < 2.
+//
+// There are no splits either — n runs as one sweep — when n groups, when
+// it is the naive aggregation (one row per elementary segment, whose
+// boundaries the splits would move), when its input reaches no
+// begin-sorted stored table through that chain, or when a sum or avg of
+// n may read a float (mayHoldFloat). A float sum is a running
+// sum whose rounding depends on every value added and retracted before,
+// so a fragment that starts fresh at a split could read another value
+// than one sweep over the whole domain; integer sums, counts, min and
+// max depend only on the rows open at an instant.
+func (db *DB) TimeSplits(n AggP, w int) []interval.Time {
+	if w < 2 || len(n.GroupBy) > 0 || !n.PreAgg {
+		return nil
+	}
+	t := db.baseTable(n.In)
+	if t == nil || len(t.Rows) == 0 || !t.BeginSorted() {
+		return nil
+	}
+	for _, a := range n.Aggs {
+		if (a.Fn == krel.Sum || a.Fn == krel.Avg) && db.mayHoldFloat(n.In, a.Arg) {
+			return nil
+		}
+	}
+	r := db.dom.All()
+	for p := n.In; len(Inputs(p)) == 1; p = Inputs(p)[0] {
+		if win, ok := p.(WindowP); ok {
+			if r, ok = r.Intersect(win.T); !ok {
+				return nil
+			}
+		}
+	}
+	return sortedSplits(t.Rows, r, w)
+}
+
+// mayHoldFloat reports whether column col of p's output may hold a
+// float: true unless col traces through Filter, Window and column-only
+// Project to a stored column in which no row holds one.
+func (db *DB) mayHoldFloat(p Plan, col string) bool {
+	for {
+		switch n := p.(type) {
+		case FilterP:
+			p = n.In
+		case WindowP:
+			p = n.In
+		case ProjectP:
+			i := slices.IndexFunc(n.Exprs, func(ne algebra.NamedExpr) bool { return ne.Name == col })
+			if i < 0 {
+				return true
+			}
+			ref, ok := n.Exprs[i].E.(algebra.ColRef)
+			if !ok {
+				return true
+			}
+			col, p = ref.Name, n.In
+		case ScanP:
+			t, err := db.Table(n.Name)
+			if err != nil {
+				return true
+			}
+			c := t.Schema.Index(col)
+			if c < 0 || c >= t.DataArity() {
+				return true
+			}
+			return slices.ContainsFunc(t.Rows, func(row tuple.Tuple) bool { return row[c].Kind() == tuple.KindFloat })
+		default:
+			return true
+		}
+	}
+}
+
+// sortedSplits reads the begin quantiles of the begin-sorted rows
+// beginning inside r: the begin of row k·n/w of those n rows.
+func sortedSplits(rows []tuple.Tuple, r interval.Interval, w int) []interval.Time {
+	i0 := sort.Search(len(rows), func(i int) bool { return rowInterval(rows[i]).Begin >= r.Begin })
+	i1 := sort.Search(len(rows), func(i int) bool { return rowInterval(rows[i]).Begin >= r.End })
+	n := i1 - i0
+	if n == 0 {
+		return nil
+	}
+	var splits []interval.Time
+	last := rowInterval(rows[i0]).Begin
+	for k := 1; k < w; k++ {
+		if s := rowInterval(rows[i0+k*n/w]).Begin; s > last {
+			splits = append(splits, s)
+			last = s
+		}
+	}
+	return splits
 }
 
 // baseStats walks through the row-preserving operators to the

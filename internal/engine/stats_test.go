@@ -118,7 +118,7 @@ func TestEndpointBoundsUsesMetadata(t *testing.T) {
 	if !ok || env != interval.New(0, 11) {
 		t.Fatalf("EndpointBounds = %v, %v; want [0, 11)", env, ok)
 	}
-	widened := clipRow(tb.Rows[0], interval.New(-50, 90))
+	widened := clipRow(new(rowArena), tb.Rows[0], interval.New(-50, 90))
 	tb.Rows[0] = widened // direct write, no invalidation
 	if env, _ := tb.EndpointBounds(); env != interval.New(0, 11) {
 		t.Fatalf("metadata miss: EndpointBounds rescanned, got %v", env)

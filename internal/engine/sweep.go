@@ -641,8 +641,11 @@ type sweepIter[S any, A accumulator[S]] struct {
 	closed     []int32  // groups retire left with no queued end
 	// args holds the argument values of the rows whose ends are queued,
 	// a slot each, so no input row is held; freed slots are reused.
+	// Without slots — no aggregate reads an argument, as count(*) — it
+	// holds one slot of NULLs that every row shares.
 	args     tuple.Tuple
 	freeArgs []int32
+	argSlots bool
 	// one-row lookahead per input, filled on the first pull
 	lRow, rRow                tuple.Tuple
 	lOk, rOk, primed, drained bool
@@ -725,7 +728,11 @@ func newSweepIter[S any, A accumulator[S]](k kernel[S, A], lKey, rKey []int, sch
 		r = CheckOrdered("streaming "+name+" right input", r)
 	}
 	it := &sweepIter[S, A]{kernel: k, groupTable: newGroupTable[changes[S]](len(lKey)), schema: schema, name: name,
-		l: l, r: r, lKey: lKey, rKey: rKey, lcur: batchCursor{in: l}, rcur: batchCursor{in: r}}
+		l: l, r: r, lKey: lKey, rKey: rKey, lcur: batchCursor{in: l}, rcur: batchCursor{in: r},
+		argSlots: slices.ContainsFunc(k.argIdx, func(c int) bool { return c >= 0 })}
+	if !it.argSlots {
+		it.args = make(tuple.Tuple, len(k.argIdx))
+	}
 	if it.global {
 		_, g, _ := it.find(nil, nil)
 		it.start(&g.p, it.dom.Min)
@@ -743,7 +750,7 @@ func (it *sweepIter[S, A]) slot(s int32) tuple.Tuple {
 
 // putArgs copies row's argument values into a free slot.
 func (it *sweepIter[S, A]) putArgs(row tuple.Tuple) int32 {
-	if len(it.argIdx) == 0 {
+	if !it.argSlots {
 		return 0
 	}
 	s := int32(len(it.args) / len(it.argIdx))
@@ -775,7 +782,7 @@ func (it *sweepIter[S, A]) retire(b interval.Time, last bool) {
 		}
 		g := it.at(e.group())
 		it.stepOpen(g, e.t, e.delta(), it.slot(e.slot))
-		if len(it.argIdx) > 0 {
+		if it.argSlots {
 			it.freeArgs = append(it.freeArgs, e.slot)
 		}
 		if g.open--; g.open == 0 && !it.global {

@@ -16,14 +16,14 @@ import (
 
 // clipRow returns row with its validity interval replaced by iv. When
 // the interval is unchanged the input row is returned as-is; otherwise a
-// fresh row is allocated — stored rows are immutable engine-wide, so the
-// clip must never write through the input's backing array.
-func clipRow(row tuple.Tuple, iv interval.Interval) tuple.Tuple {
+// fresh row is carved from a — stored rows are immutable engine-wide, so
+// the clip must never write through the input's backing array.
+func clipRow(a *rowArena, row tuple.Tuple, iv interval.Interval) tuple.Tuple {
 	n := len(row)
 	if row[n-2].AsInt() == iv.Begin && row[n-1].AsInt() == iv.End {
 		return row
 	}
-	out := make(tuple.Tuple, n)
+	out := a.row(n)
 	copy(out, row[:n-2])
 	out[n-2] = tuple.Int(iv.Begin)
 	out[n-1] = tuple.Int(iv.End)
@@ -38,12 +38,13 @@ func clipRow(row tuple.Tuple, iv interval.Interval) tuple.Tuple {
 // begin-sorted and the metadata records it.
 func ClipWindow(t *Table, T interval.Interval) *Table {
 	out := &Table{Schema: t.Schema}
+	var arena rowArena
 	for _, row := range t.Rows {
 		iv, ok := rowInterval(row).Intersect(T)
 		if !ok {
 			continue
 		}
-		out.Rows = append(out.Rows, clipRow(row, iv))
+		out.Rows = append(out.Rows, clipRow(&arena, row, iv))
 	}
 	if t.BeginSorted() {
 		out.meta.sorted = propTrue
@@ -55,11 +56,13 @@ func ClipWindow(t *Table, T interval.Interval) *Table {
 }
 
 // windowIter streams τ_T over its input — the pipelined form of
-// ClipWindow, shaped like filterIter.
+// ClipWindow, shaped like filterIter. The rows it clips are carved from
+// its arena: they share slabs but never alias, like a sweep's output.
 type windowIter struct {
-	in  RowIter
-	cur batchCursor
-	t   interval.Interval
+	in    RowIter
+	cur   batchCursor
+	t     interval.Interval
+	arena rowArena
 }
 
 // NewWindowIter returns the streaming form of τ_T over in. It takes
@@ -82,7 +85,7 @@ func (it *windowIter) NextBatch(out *RowBatch) bool {
 		}
 		for _, row := range rows {
 			if iv, over := rowInterval(row).Intersect(it.t); over {
-				out.Append(clipRow(row, iv))
+				out.Append(clipRow(&it.arena, row, iv))
 			}
 		}
 	}

@@ -201,3 +201,39 @@ func TestTablePrefix(t *testing.T) {
 		t.Fatal("an over-long prefix must return the table itself")
 	}
 }
+
+// TestWindowIterClipsFromAnArena: the streaming window carves the rows
+// it clips from slabs instead of allocating one per row, and never
+// writes a stored row.
+func TestWindowIterClipsFromAnArena(t *testing.T) {
+	tbl := NewTable(tuple.NewSchema("id", "x"))
+	for i := range int64(10000) {
+		tbl.Append(tuple.Tuple{tuple.Int(i), tuple.Int(-i)}, interval.New(i, 20000), 1)
+	}
+	T := interval.New(0, 15000) // every row ends past the window
+	b := NewRowBatch(DefaultBatchSize)
+	var clipped int
+	allocs := testing.AllocsPerRun(5, func() {
+		it := NewWindowIter(NewTableIter(tbl), T)
+		clipped = 0
+		for it.NextBatch(b) {
+			for _, row := range b.Rows {
+				if rowInterval(row).End == T.End {
+					clipped++
+				}
+			}
+		}
+		it.Close()
+	})
+	if clipped != tbl.Len() {
+		t.Fatalf("%d of %d rows clipped; the test is vacuous", clipped, tbl.Len())
+	}
+	if allocs >= 100 {
+		t.Fatalf("clipping %d rows allocated %.0f times, want < 100", tbl.Len(), allocs)
+	}
+	for _, row := range tbl.Rows {
+		if rowInterval(row).End != 20000 {
+			t.Fatalf("the window wrote a stored row: %v", row)
+		}
+	}
+}

@@ -284,8 +284,16 @@ func (a *AggState) AddValue(v tuple.Value, mult int64) {
 // QuantizeFloat rounds a float aggregate result onto a 1e-6 grid. Both
 // aggregation implementations (the hash-based AggState and the engine's
 // incremental sweep) quantize identically, so results are comparable as
-// values despite the differing floating-point summation orders.
-func QuantizeFloat(f float64) float64 { return math.Round(f*1e6) / 1e6 }
+// values despite the differing floating-point summation orders. A value
+// whose scaled form overflows (about 1.8e302 in magnitude and above) has
+// no fraction digits left to round and is returned unchanged.
+func QuantizeFloat(f float64) float64 {
+	scaled := f * 1e6
+	if math.IsInf(scaled, 0) {
+		return f
+	}
+	return math.Round(scaled) / 1e6
+}
 
 // Result returns the aggregate value. Empty inputs yield 0 for counts and
 // NULL for the other functions, matching SQL semantics — which is what

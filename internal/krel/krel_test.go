@@ -1,6 +1,7 @@
 package krel
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -274,5 +275,21 @@ func TestHomCommutesWithQueries(t *testing.T) {
 
 	if !viaHom.Equal(inB) {
 		t.Fatalf("h(Q(R)) != Q(h(R)):\n%v\n%v", viaHom, inB)
+	}
+}
+
+// QuantizeFloat leaves a value whose scaled form overflows unchanged
+// instead of rounding it to ±Inf; below that magnitude it rounds onto the
+// 1e-6 grid as before.
+func TestQuantizeFloatNearMaxFloat(t *testing.T) {
+	for _, f := range []float64{1e308, -1e308, math.MaxFloat64, -math.MaxFloat64, 1.8e302, -1.8e302} {
+		if got := QuantizeFloat(f); got != f {
+			t.Errorf("QuantizeFloat(%g) = %g, want it unchanged", f, got)
+		}
+	}
+	for f, want := range map[float64]float64{0.1234564: 0.123456, -2.5e-7: 0, 41.0000004: 41} {
+		if got := QuantizeFloat(f); got != want {
+			t.Errorf("QuantizeFloat(%g) = %g, want %g", f, got, want)
+		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 //	                       pruning), then the REWR reduction (rewrite.go)
 //	2. window placement  — moves the time window τ_T below the REWR
 //	                       operators where the temporal algebra allows
-//	                       (pushdown.go documents the per-rule legality
-//	                       conditions)
+//	                       (engine.PushWindow; internal/engine/pushdown.go
+//	                       documents the per-rule legality conditions)
 //
 // Both are unconditional: every query path plans through them, and the
 // per-snapshot oracle (package snapshot, behind DB.QueryAt) never does,
@@ -76,7 +76,7 @@ func planQuery(q algebra.Query, opt Options) (engine.Plan, *Decisions, error) {
 	// Phase 2: window placement. τ_T commutes with every REWR operator
 	// (Thm 6.3/7.2), so the window moves toward the scans.
 	if opt.Window.Valid() {
-		p = pushWindow(p, opt.Window, dec)
+		p = engine.PushWindow(p, opt.Window, dec.note)
 	}
 	return p, dec, nil
 }

@@ -1,6 +1,6 @@
 package rewrite
 
-// Internal tests for the pushdown phase's BLOCKING paths: predicates and
+// Internal tests for the window pushdown's BLOCKING paths: predicates and
 // projections that read the period attributes cannot legally commute
 // with the clip, so the window must stay above them. These plans cannot
 // be produced from the public algebra surface (queries address only data
@@ -27,7 +27,7 @@ func TestPushWindowBlockedByPeriodFilter(t *testing.T) {
 		In: engine.ScanP{Name: "t"},
 	}
 	dec := &Decisions{}
-	got := pushWindow(p, T, dec)
+	got := engine.PushWindow(p, T, dec.note)
 	w, ok := got.(engine.WindowP)
 	if !ok {
 		t.Fatalf("window must stay above the period filter, got %T: %s", got, got)
@@ -44,7 +44,7 @@ func TestPushWindowBlockedByPeriodFilter(t *testing.T) {
 		Pred: algebra.Eq(algebra.Col("k"), algebra.IntC(1)),
 		In:   engine.ScanP{Name: "t"},
 	}
-	got = pushWindow(dataP, T, &Decisions{})
+	got = engine.PushWindow(dataP, T, nil)
 	f, ok := got.(engine.FilterP)
 	if !ok {
 		t.Fatalf("data-only filter must stay on top, got %T", got)
@@ -64,7 +64,7 @@ func TestPushWindowBlockedByPeriodProjection(t *testing.T) {
 		In: engine.ScanP{Name: "t"},
 	}
 	dec := &Decisions{}
-	got := pushWindow(p, T, dec)
+	got := engine.PushWindow(p, T, dec.note)
 	if _, ok := got.(engine.WindowP); !ok {
 		t.Fatalf("window must stay above the period projection, got %T: %s", got, got)
 	}
@@ -78,12 +78,12 @@ func TestPushWindowBlockedByPeriodProjection(t *testing.T) {
 func TestPushWindowMerge(t *testing.T) {
 	inner := engine.WindowP{T: interval.New(5, 15), In: engine.ScanP{Name: "t"}}
 
-	got := pushWindow(inner, interval.New(10, 30), &Decisions{})
+	got := engine.PushWindow(inner, interval.New(10, 30), nil)
 	w, ok := got.(engine.WindowP)
 	if !ok || w.T != interval.New(10, 15) {
 		t.Fatalf("overlapping windows must merge to the intersection [10, 15): %s", got)
 	}
-	got = pushWindow(inner, interval.New(20, 30), &Decisions{})
+	got = engine.PushWindow(inner, interval.New(20, 30), nil)
 	w, ok = got.(engine.WindowP)
 	if !ok || w.T.Valid() {
 		t.Fatalf("disjoint windows must leave the zero (clip-everything) window: %s", got)

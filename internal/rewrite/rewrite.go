@@ -47,9 +47,8 @@ type Options struct {
 	// are intersected with the window; rows not overlapping it are
 	// dropped). The zero value — an invalid interval — means no
 	// restriction. The planner pushes the window toward the scans under
-	// the legality rules documented in pushdown.go, and the executor
-	// prunes every scan a window lands on by the table's endpoint
-	// envelope.
+	// the legality rules of engine.PushWindow, and the executor prunes
+	// every scan a window lands on by the table's endpoint envelope.
 	Window interval.Interval
 	// Parallelism is the number of fragments per partitioned operator
 	// (internal/engine/parallel). Values <= 1 run every stream as one

@@ -46,3 +46,40 @@ func TestNonFiniteFloatsAreRefused(t *testing.T) {
 		t.Fatalf("overflowing arithmetic: got %v, want NULLs", res)
 	}
 }
+
+// An aggregate of a float near the top of the float range is that float,
+// not ±Inf: the 1e-6 quantization of aggregate results leaves alone a
+// value whose scaled form overflows. (Overlapping rows whose running sum
+// overflows still read +Inf: that needs the exact sum of ROADMAP item
+// 11.)
+func TestHugeFloatAggregatesStayFinite(t *testing.T) {
+	for _, f := range []float64{1e308, -1e308} {
+		db := New(0, 10)
+		tb, err := db.CreateTable("t", "k", "v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Insert(2, 6, 1, f); err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.Query("SELECT sum(v) AS s, avg(v) AS a, min(v) AS lo, max(v) AS hi FROM t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, row := range res.Rows {
+			if row.Begin != 2 {
+				continue
+			}
+			found = true
+			for i, v := range row.Values {
+				if v != f {
+					t.Errorf("%g: aggregate %d is %v over [%d, %d), want %g", f, i, v, row.Begin, row.End, f)
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("%g: no result row over the inserted row's period: %v", f, res)
+		}
+	}
+}
