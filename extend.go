@@ -52,13 +52,11 @@ func (db *DB) QueryAt(sql string, t int64) ([][]any, error) {
 		return nil, err
 	}
 	var out [][]any
-	for _, e := range res.Timeslice(t).Entries() {
-		vals := make([]any, len(e.Tuple))
-		for i, v := range e.Tuple {
-			vals[i] = fromValue(v)
-		}
+	entries := res.Timeslice(t).Entries()
+	vals := boxRows(len(entries), func(i int) tuple.Tuple { return entries[i].Tuple })
+	for i, e := range entries {
 		for m := int64(0); m < e.Ann; m++ {
-			out = append(out, vals)
+			out = append(out, vals[i])
 		}
 	}
 	return out, nil
@@ -90,13 +88,11 @@ func (db *DB) QuerySet(sql string) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{Columns: append([]string{}, rel.Schema().Cols...)}
-	for _, e := range rel.Entries() {
-		vals := make([]any, len(e.Tuple))
-		for i, v := range e.Tuple {
-			vals[i] = fromValue(v)
-		}
+	entries := rel.Entries()
+	vals := boxRows(len(entries), func(i int) tuple.Tuple { return entries[i].Tuple })
+	for i, e := range entries {
 		for _, s := range e.Ann.Segs() {
-			res.Rows = append(res.Rows, Row{Values: vals, Begin: s.Iv.Begin, End: s.Iv.End})
+			res.Rows = append(res.Rows, Row{Values: vals[i], Begin: s.Iv.Begin, End: s.Iv.End})
 		}
 	}
 	return res, nil

@@ -158,8 +158,10 @@ func AsBatchIter(it RowIter, _ int) RowIter { return it }
 // batchCursor is the in-operator read side of the protocol: an
 // operator reads its one child through it, a batch at a time. The
 // cursor's batch is allocated on the first read with the capacity the
-// operator's consumer asked for, so the batch size a root drain picks
-// carries down the whole chain.
+// operator's consumer asked for, and again when a later read asks for
+// more, so the batch size a root drain picks carries down the whole
+// chain, and a small first batch (an exchange producer's) leaves no
+// small batches behind.
 type batchCursor struct {
 	in RowIter
 	b  RowBatch
@@ -168,7 +170,7 @@ type batchCursor struct {
 
 // refill reads the child's next batch into the cursor.
 func (c *batchCursor) refill(capacity int) bool {
-	if cap(c.b.Rows) == 0 {
+	if cap(c.b.Rows) < capacity {
 		c.b.Rows = make([]tuple.Tuple, 0, capacity)
 	}
 	c.i = 0

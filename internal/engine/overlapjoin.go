@@ -64,14 +64,18 @@ func drainRowsErr(it RowIter) ([]tuple.Tuple, error) {
 func (it *overlapJoinIter) Schema() tuple.Schema { return it.schema }
 
 // NextBatch runs the sweep until out is full or both inputs are swept.
-// A forward scan cut short by a full batch resumes on the next call.
+// A forward scan cut short by a full batch resumes on the next call. The
+// surviving pairs are staged in out and flushed to their output rows at
+// the end.
 func (it *overlapJoinIter) NextBatch(out *RowBatch) bool {
 	out.Reset()
 	limit := out.Cap()
 	for out.Len() < limit {
 		if !it.active {
 			if it.i >= len(it.l) || it.j >= len(it.r) {
-				break
+				it.pairs.flush(out)
+				it.pairs.release()
+				return out.Len() > 0
 			}
 			it.refL = rowInterval(it.l[it.i]).Begin <= rowInterval(it.r[it.j]).Begin
 			if it.refL {
@@ -92,9 +96,7 @@ func (it *overlapJoinIter) NextBatch(out *RowBatch) bool {
 				lrow, rrow = ref, other[it.k]
 			}
 			it.k++
-			if row, ok := it.pairs.compose(lrow, rrow); ok {
-				out.Append(row)
-			}
+			it.pairs.stage(out, lrow, rrow)
 		}
 		if it.k < len(other) && rowInterval(other[it.k]).Begin < end {
 			continue // batch full mid-scan
@@ -106,6 +108,7 @@ func (it *overlapJoinIter) NextBatch(out *RowBatch) bool {
 			it.j++
 		}
 	}
+	it.pairs.flush(out)
 	return out.Len() > 0
 }
 

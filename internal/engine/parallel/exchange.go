@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -273,12 +274,23 @@ func (e *executor) send(ctx context.Context, ch chan<- batch, b batch, st *engin
 	return sent
 }
 
+// firstBatchRows caps the rows of a producer's first transport batch:
+// the consumer's first row then waits for that many, not for a whole
+// morsel.
+const firstBatchRows = 16
+
 // drainInto pumps it into ch in morsel-sized batches until exhaustion or
 // cancellation of the exchange x. The input's operator chain fills each
 // transport batch, taken from x's free list, directly through
-// NextBatch. With st non-nil the producer's blocked time is recorded
-// (and each batch sent, when countBatch says the consumer side is not
-// already counting them).
+// NextBatch; the first is filled to firstBatchRows rows only, and sent
+// with its full capacity, so it returns to the free list whole. After
+// sending it the producer yields once: with every P running a producer,
+// the consumer its send woke would otherwise wait for a preemption, up
+// to 10 ms, before it takes the first rows (measured: agg-global's
+// first row at two workers 15 ms without the yield, 0.7 ms with it).
+// With st non-nil the producer's blocked time is recorded (and each
+// batch sent, when countBatch says the consumer side is not already
+// counting them).
 // A drain that ends because its input FAILED (rather than ended
 // naturally) reports the input's terminal error to the executor's
 // central error slot, per the error-carrying iterator protocol:
@@ -287,20 +299,31 @@ func (e *executor) send(ctx context.Context, ch chan<- batch, b batch, st *engin
 // error. A failed drain ends on the failing pull, so no rows of a
 // failed stream are sent after it.
 func (e *executor) drainInto(x *exchange, it engine.RowIter, ch chan<- batch, st *engine.OpStats, countBatch bool) {
-	for {
+	for first := true; ; first = false {
 		// One cancellation probe per batch: NextBatch can spin for a
 		// while on selective operators, and the send below only
 		// observes cancellation when it actually blocks.
 		if x.ctx.Err() != nil {
 			return
 		}
-		rb := engine.RowBatch{Rows: x.batch()}
+		b := x.batch()
+		rb := engine.RowBatch{Rows: b}
+		if first {
+			rb.Rows = b[:0:min(firstBatchRows, cap(b))]
+		}
 		if !it.NextBatch(&rb) {
 			e.fail(it.Err())
 			return
 		}
-		if !e.send(x.ctx, ch, batch(rb.Rows), st, countBatch) {
+		rows := rb.Rows
+		if &rows[0] == &b[:1][0] {
+			rows = b[:len(rows)] // whole again, for the free list
+		}
+		if !e.send(x.ctx, ch, rows, st, countBatch) {
 			return
+		}
+		if first {
+			runtime.Gosched()
 		}
 	}
 }
@@ -465,7 +488,7 @@ func (it *partIter) Schema() tuple.Schema { return it.in.Schema() }
 // a row of the partition.
 func (it *partIter) NextBatch(out *engine.RowBatch) bool {
 	out.Reset()
-	if it.buf.Rows == nil {
+	if cap(it.buf.Rows) < out.Cap() {
 		it.buf.Rows = make([]tuple.Tuple, 0, out.Cap())
 	}
 	for out.Len() == 0 {
@@ -488,7 +511,7 @@ func (it *partIter) Close() { it.in.Close() }
 
 // tallyIter counts the rows a partition's sweep reads on its exchange's
 // stats node, where no partIter does: above a chain that the scan
-// routes, and above a time fragment.
+// routes.
 type tallyIter struct {
 	engine.RowIter
 	st   *engine.OpStats

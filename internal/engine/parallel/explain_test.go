@@ -109,18 +109,10 @@ func countChildren(st *engine.OpStats, prefix string) int {
 
 // checkPlacementExecuted walks the explain and stats trees in lockstep
 // and asserts that each node's printed placement is what executed. Under
-// a time partition each fragment's input is the explain subtree with its
-// time range pushed toward the scans: inFragment says the walk is in one,
-// where a stats Window that explain has no node for is that range.
-func checkPlacementExecuted(t *testing.T, n *engine.ExplainNode, st *engine.OpStats, workers int, inFragment bool) {
+// a time partition each fragment's input is the explain subtree, run at
+// one worker.
+func checkPlacementExecuted(t *testing.T, n *engine.ExplainNode, st *engine.OpStats, workers int) {
 	t.Helper()
-	if got := explainOpLabel(n.Op); inFragment && st.Label == "Window" && got != "Window" {
-		ops := opStatsChildren(st)
-		if len(ops) != 1 {
-			t.Fatalf("%s: a fragment's time window has %d operator children", n.Op, len(ops))
-		}
-		st = ops[0]
-	}
 	if got := explainOpLabel(n.Op); got != st.Label {
 		t.Fatalf("explain/stats trees diverged: explain op %q vs stats label %q", n.Op, st.Label)
 	}
@@ -170,7 +162,7 @@ func checkPlacementExecuted(t *testing.T, n *engine.ExplainNode, st *engine.OpSt
 			t.Fatalf("%s: placement %q, but %d inputs ran for %d explained", n.Op, n.Placement, len(ops), len(n.Children))
 		}
 		for _, op := range ops {
-			checkPlacementExecuted(t, n.Children[0], op, 1, true)
+			checkPlacementExecuted(t, n.Children[0], op, 1)
 		}
 		return
 	}
@@ -178,7 +170,7 @@ func checkPlacementExecuted(t *testing.T, n *engine.ExplainNode, st *engine.OpSt
 		t.Fatalf("%s: explain has %d children, stats tree has %d operator children", n.Op, len(n.Children), len(ops))
 	}
 	for i := range n.Children {
-		checkPlacementExecuted(t, n.Children[i], ops[i], workers, inFragment)
+		checkPlacementExecuted(t, n.Children[i], ops[i], workers)
 	}
 }
 
@@ -199,7 +191,7 @@ func TestExplainPlacementIsExecutedPlacement(t *testing.T) {
 			if len(ops) != 1 {
 				t.Fatalf("workers=%d plan %v: expected one root operator node, got %d", workers, p, len(ops))
 			}
-			checkPlacementExecuted(t, n, ops[0], workers, false)
+			checkPlacementExecuted(t, n, ops[0], workers)
 		}
 	}
 }

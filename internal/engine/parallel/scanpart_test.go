@@ -257,8 +257,8 @@ func checkScanSources(t *testing.T, st *engine.OpStats, what string) {
 	}
 	frags := countChildren(st, "fragment")
 	if timeParts > 0 {
-		// A time partition reads one windowed input per fragment, straight
-		// off its scan: no keyed exchange.
+		// A time partition reads one input per fragment, straight off its
+		// scan: no keyed exchange.
 		if timeParts != 1 || ops != frags || scanParts+others != 0 {
 			t.Fatalf("%s: time-partitioned %s ran %d inputs for %d fragments, %d time, %d scan and %d hash partitions",
 				what, st.Label, ops, frags, timeParts, scanParts, others)

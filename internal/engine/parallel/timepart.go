@@ -3,7 +3,6 @@ package parallel
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 
 	"snapk/internal/engine"
@@ -17,12 +16,13 @@ import (
 // τ_T(Agg(In)) = τ_T(Agg(τ_T(In))), and the coalesced encoding is
 // unique. The aggregation therefore runs as W fragments over the time
 // ranges T_1 … T_W that the W − 1 splits cut (engine.DB.TimeSplits):
-// fragment i is the aggregation's input built at one worker with τ_{T_i}
-// pushed to its scans (engine.PushWindow), under a sweep whose gap rows
-// cover T_i only. The fragments run on the merge producers, and the
-// boundary merge (boundaryIter) joins the segments that meet at a split
-// with equal values — the one encoding one sweep over the whole domain
-// emits.
+// fragment i is the aggregation's input built at one worker, read
+// through a rangeIter that keeps the rows overlapping T_i, under a sweep
+// over the domain T_i, which folds each row over its part inside T_i and
+// emits gap rows over T_i only. No row is clipped, so none is copied.
+// The fragments run on the merge producers, and the boundary merge
+// (boundaryIter) joins the segments that meet at a split with equal
+// values — the one encoding one sweep over the whole domain emits.
 
 // timeSplits returns the split instants of plan node p run at the given
 // worker count: those of a global aggregation that engine.DB.TimeSplits
@@ -35,11 +35,10 @@ func timeSplits(db *engine.DB, p engine.Plan, workers int) []interval.Time {
 	return db.TimeSplits(n, workers)
 }
 
-// fragmentRange returns the time range of fragment i of a partition cut
-// at splits. The outer ranges are open-ended, so a row outside the
-// domain reaches the sweeps exactly as it does at one worker.
-func fragmentRange(splits []interval.Time, i int) interval.Interval {
-	T := interval.Interval{Begin: math.MinInt64, End: math.MaxInt64}
+// fragmentRange returns the time range of fragment i of a partition of
+// the domain dom cut at splits.
+func fragmentRange(dom interval.Domain, splits []interval.Time, i int) interval.Interval {
+	T := dom.All()
 	if i > 0 {
 		T.Begin = splits[i-1]
 	}
@@ -50,7 +49,7 @@ func fragmentRange(splits []interval.Time, i int) interval.Interval {
 }
 
 // buildTimeAgg compiles global aggregation n as a time partition cut at
-// splits, under its stats node st: the fragments' windowed inputs, an
+// splits, under its stats node st: the fragments' inputs, an
 // Exchange:time-partition node counting the rows each fragment's sweep
 // reads, one fragment node per sweep, and the boundary merge above them.
 func (e *executor) buildTimeAgg(n engine.AggP, splits []interval.Time, st *engine.OpStats) (*pstream, error) {
@@ -63,8 +62,8 @@ func (e *executor) buildTimeAgg(n engine.AggP, splits []interval.Time, st *engin
 			}
 		}
 	}
-	for i := range len(splits) + 1 {
-		in, err := e.buildAt(1, engine.PushWindow(n.In, fragmentRange(splits, i), nil), st)
+	for range len(splits) + 1 {
+		in, err := e.buildAt(1, n.In, st)
 		if err != nil {
 			closeIns()
 			return nil, err
@@ -81,18 +80,14 @@ func (e *executor) buildTimeAgg(n engine.AggP, splits []interval.Time, st *engin
 	// streams, and no blocking sweep needs a drain hint.
 	_, streams := place(e.db, n, 1, false, ins[0].shape())
 	aggForm(st, n, streams)
-	xst := st.Child("Exchange:time-partition", fmt.Sprintf("fanin=%d", len(ins)))
+	xst := st.Child("Exchange:time-partition", fmt.Sprintf("fanin=%d splits=%v", len(ins), splits))
 	xst.InitParts(len(ins))
 	parts := make([]engine.RowIter, len(ins))
 	for i, in := range ins {
-		T := fragmentRange(splits, i)
-		var part engine.RowIter = in.parts[0]
+		T := fragmentRange(dom, splits, i)
+		part := &rangeIter{in: in.parts[0], t: T, st: xst, part: i}
 		ins[i] = nil // the sweep owns part now, and closes it on error
-		if xst != nil {
-			part = &tallyIter{RowIter: part, st: xst, part: i}
-		}
-		it, err := e.aggSweep(n, part, data, in.cols, schema, streams,
-			interval.Domain{Min: max(T.Begin, dom.Min), Max: min(T.End, dom.Max)}, 0)
+		it, err := e.aggSweep(n, part, data, in.cols, schema, streams, interval.Domain{Min: T.Begin, Max: T.End}, 0)
 		if err != nil {
 			closeAll(parts[:i])
 			closeIns()
@@ -105,6 +100,47 @@ func (e *executor) buildTimeAgg(n engine.AggP, splits []interval.Time, st *engin
 	b := &boundaryIter{in: merged, e: e, splits: splits, rowBytes: engine.ApproxRowBytes(schema.Arity())}
 	return &pstream{parts: []engine.RowIter{b}, schema: schema}, nil
 }
+
+// rangeIter is the input of the fragment over range t: the rows of its
+// begin-sorted input that overlap t, unclipped, counted on the
+// Exchange:time-partition node st. It ends at the first row that begins
+// at or past t's end, so a fragment reads its input only up to there.
+type rangeIter struct {
+	in   engine.RowIter
+	t    interval.Interval
+	st   *engine.OpStats
+	part int
+	done bool
+}
+
+func (it *rangeIter) Schema() tuple.Schema { return it.in.Schema() }
+
+func (it *rangeIter) NextBatch(b *engine.RowBatch) bool {
+	for !it.done && it.in.NextBatch(b) {
+		kept := b.Rows[:0]
+		for _, row := range b.Rows {
+			n := len(row)
+			if row[n-2].AsInt() >= it.t.End {
+				it.done = true
+				break
+			}
+			if row[n-1].AsInt() > it.t.Begin {
+				//lint:ignore rowretain compacts the batch in place; the row passes on unmodified
+				kept = append(kept, row)
+			}
+		}
+		if b.Rows = kept; b.Len() > 0 {
+			it.st.AddPartRows(it.part, b.Len())
+			return true
+		}
+	}
+	b.Reset()
+	return false
+}
+
+func (it *rangeIter) Err() error { return it.in.Err() }
+
+func (it *rangeIter) Close() { it.in.Close() }
 
 // boundaryIter is the boundary merge of a time partition. Every row of
 // the merged fragments that neither begins nor ends at a split passes

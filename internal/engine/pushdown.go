@@ -10,8 +10,7 @@ import (
 // temporal algebra allows, so clipping happens at (or near) the scans
 // and every operator above processes only the rows that can contribute
 // to the windowed result. The planner pushes the user's window with it
-// (package rewrite), and the executor pushes the time ranges of a
-// time-partitioned global aggregation to its input's scans.
+// (package rewrite).
 //
 // # Legality conditions, per rule
 //

@@ -382,16 +382,33 @@ type JoinPrep struct {
 // pairComposer turns candidate (left, right) row pairs into join output
 // rows: the overlaps() condition of Fig 4, then the residual predicate,
 // then the output row with the intersected period. The residual runs on
-// a reusable scratch row, so only surviving pairs allocate — one
-// exactly-sized row each. A composer is single-goroutine state: every
-// join iterator owns its own.
+// a reusable scratch row, so a rejected pair allocates nothing. A
+// surviving pair is staged — its left row in the output batch, its
+// right row in rs — and at the end of the batch flush carves the batch's
+// output rows from one slab sized to them, rounded up to its allocation
+// size class; the rows that rounding leaves room for start the next
+// batch. A composer is single-goroutine state: every join iterator owns
+// its own, fresh from JoinPrep.composer, so no two iterators share a
+// scratch row, a staging slice or a slab. rs comes from pairStages on
+// the first staged pair and goes back at the end of the join's stream
+// (release), empty.
 type pairComposer struct {
 	lCols, rCols []int
 	lw           int
 	pick         []int
 	res          algebra.Compiled // nil: no residual
-	scratch      tuple.Tuple      // lA+rA data columns; never leaves compose
+	scratch      tuple.Tuple      // lA+rA data columns; never leaves stage
+	rs           []tuple.Tuple    // the staged pairs' right rows
+	free         tuple.Tuple      // the uncarved tail of the last slab
 }
+
+// pairStages is the free list of the composers' staging slices: most
+// joins emit a batch or less, and each would otherwise grow a slice of
+// its own. A list, not a sync.Pool, since a collection empties a pool.
+// Its 16 slots cover the joins of a few concurrent queries, one per join
+// fragment, and bound what an idle list keeps allocated to 16 batches
+// of row headers (96 KiB at DefaultBatchSize).
+var pairStages = make(chan []tuple.Tuple, 16)
 
 func (p *JoinPrep) composer() pairComposer {
 	c := pairComposer{lCols: p.lCols, rCols: p.rCols, lw: p.lw, pick: p.pick, res: p.res}
@@ -401,12 +418,12 @@ func (p *JoinPrep) composer() pairComposer {
 	return c
 }
 
-// compose returns the output row of one candidate pair, or false when
-// the periods do not overlap or the residual rejects the pair.
-func (c *pairComposer) compose(lrow, rrow tuple.Tuple) (tuple.Tuple, bool) {
-	iv, ok := rowInterval(lrow).Intersect(rowInterval(rrow))
-	if !ok {
-		return nil, false
+// stage adds a candidate pair to out, unless the periods do not overlap
+// or the residual rejects it. out must hold staged pairs only, until
+// flush turns them into output rows.
+func (c *pairComposer) stage(out *RowBatch, lrow, rrow tuple.Tuple) {
+	if !rowInterval(lrow).Overlaps(rowInterval(rrow)) {
+		return
 	}
 	if c.res != nil {
 		for j, k := range c.lCols {
@@ -416,21 +433,63 @@ func (c *pairComposer) compose(lrow, rrow tuple.Tuple) (tuple.Tuple, bool) {
 			c.scratch[len(c.lCols)+j] = rrow[k]
 		}
 		if !algebra.Truthy(c.res(c.scratch)) {
-			return nil, false
+			return
 		}
 	}
+	if c.rs == nil {
+		select {
+		case c.rs = <-pairStages:
+		default:
+			c.rs = make([]tuple.Tuple, 0, out.Cap())
+		}
+	}
+	out.Append(lrow)
+	//lint:ignore rowretain the right row is held only until flush, at the end of the same NextBatch
+	c.rs = append(c.rs, rrow)
+}
+
+// flush replaces the pairs staged in out with their output rows: at
+// most one allocation per batch.
+func (c *pairComposer) flush(out *RowBatch) {
+	rs := c.rs
 	n := len(c.pick)
-	out := make(tuple.Tuple, n+2)
-	for j, k := range c.pick {
-		if k < c.lw {
-			out[j] = lrow[k]
-		} else {
-			out[j] = rrow[k-c.lw]
+	w := n + 2
+	for i, rrow := range rs {
+		if len(c.free) < w {
+			c.free = slices.Grow(tuple.Tuple(nil), (len(rs)-i)*w)
+			c.free = c.free[:cap(c.free)]
 		}
+		row := c.free[:w:w]
+		c.free = c.free[w:]
+		lrow := out.Rows[i]
+		for j, k := range c.pick {
+			if k < c.lw {
+				row[j] = lrow[k]
+			} else {
+				row[j] = rrow[k-c.lw]
+			}
+		}
+		iv, _ := rowInterval(lrow).Intersect(rowInterval(rrow))
+		row[n] = tuple.Int(iv.Begin)
+		row[n+1] = tuple.Int(iv.End)
+		out.Rows[i] = row
 	}
-	out[n] = tuple.Int(iv.Begin)
-	out[n+1] = tuple.Int(iv.End)
-	return out, true
+	clear(rs)
+	c.rs = rs[:0]
+}
+
+// release returns the staging slice, flushed, to pairStages, unless the
+// list is full. The join calls it at the end of its stream, from
+// NextBatch: Close may run concurrently with a NextBatch, so it leaves
+// the slice alone.
+func (c *pairComposer) release() {
+	if c.rs != nil {
+		select {
+		case pairStages <- c.rs:
+		default:
+		}
+		c.rs = nil
+	}
 }
 
 // PrepareJoin analyses pred over the two data schemas (period attributes
@@ -702,25 +761,27 @@ func (it *hashJoinIter) Schema() tuple.Schema { return it.schema }
 // iterator hop on both sides of the probe is paid once per batch.
 func (it *hashJoinIter) NextBatch(out *RowBatch) bool {
 	out.Reset()
-	limit := out.Cap()
-	for out.Len() < limit {
-		row, ok := it.next(limit)
-		if !ok {
-			break
-		}
-		out.Append(row)
+	more := it.fill(out, out.Cap())
+	it.pairs.flush(out)
+	if !more {
+		it.pairs.release()
 	}
 	return out.Len() > 0
 }
 
-// next is the resumable probe loop: it returns the next output row,
-// pulling probe rows (capacity at a time) as buckets run out. A bucket
-// holds every build row whose key hashes alike; only those whose key
-// columns are SameKey to the probe row's pair with it.
-func (it *hashJoinIter) next(capacity int) (tuple.Tuple, bool) {
+// fill is the resumable probe loop: it stages surviving pairs in out
+// until out holds limit of them or the probe side is exhausted, pulling
+// probe rows (limit at a time) as buckets run out, and reports false in
+// the second case. A bucket holds every build row whose key hashes
+// alike; only those whose key columns are SameKey to the probe row's
+// pair with it.
+func (it *hashJoinIter) fill(out *RowBatch, limit int) bool {
 	for {
 	bucket:
 		for it.bi < len(it.bucket) {
+			if out.Len() == limit {
+				return true
+			}
 			brow := it.bucket[it.bi]
 			it.bi++
 			for j, c := range it.probeIdx {
@@ -734,13 +795,11 @@ func (it *hashJoinIter) next(capacity int) (tuple.Tuple, bool) {
 			if it.swapped {
 				lrow, rrow = brow, it.prow
 			}
-			if out, ok := it.pairs.compose(lrow, rrow); ok {
-				return out, true
-			}
+			it.pairs.stage(out, lrow, rrow)
 		}
-		prow, ok := it.cur.next(capacity)
+		prow, ok := it.cur.next(limit)
 		if !ok {
-			return nil, false
+			return false
 		}
 		if hasNullAt(prow, it.probeIdx) {
 			continue

@@ -864,6 +864,15 @@ func (it *sweepIter[S, A]) fill(capacity int) bool {
 			continue
 		}
 		iv := rowInterval(row)
+		if it.global {
+			// The global group spans the domain only, so a row folds over
+			// its part inside it: a time fragment's rows straddle its
+			// range without being clipped.
+			var inside bool
+			if iv, inside = iv.Intersect(it.dom.All()); !inside {
+				continue
+			}
+		}
 		it.retire(iv.Begin, false)
 		// The group representative is the first row seen in merge order;
 		// a value-equivalent row from the other side may have a different

@@ -236,17 +236,15 @@ func (db *DB) runSeq(q algebra.Query, mode rewrite.Mode) (*Result, error) {
 	return res, nil
 }
 
-// tableToResult boxes a materialized result, the native baselines'.
+// tableToResult boxes a materialized result, the native baselines', from
+// slabs sized to it.
 func tableToResult(t *engine.Table) *Result {
 	res := &Result{Columns: append([]string{}, t.DataSchema().Cols...)}
 	n := t.DataArity()
-	for _, row := range t.Rows {
-		vals := make([]any, n)
-		for i := 0; i < n; i++ {
-			vals[i] = fromValue(row[i])
-		}
+	vals := boxRows(len(t.Rows), func(i int) tuple.Tuple { return t.Rows[i][:n] })
+	for i, row := range t.Rows {
 		iv := t.Interval(row)
-		res.Rows = append(res.Rows, Row{Values: vals, Begin: iv.Begin, End: iv.End})
+		res.Rows = append(res.Rows, Row{Values: vals[i], Begin: iv.Begin, End: iv.End})
 	}
 	return res
 }

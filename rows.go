@@ -55,6 +55,9 @@ type Rows struct {
 	boxed bool
 	// vals is the uncarved tail of the slab Values cuts its slices from.
 	vals []any
+	// bx boxes the values Values and Scan into *any hand out, from slabs
+	// that reserve sizes to the rest of the batch.
+	bx boxer
 }
 
 // QueryRows evaluates a snapshot SQL query under the Seq approach and
@@ -191,13 +194,37 @@ func (r *Rows) Period() (begin, end int64) {
 	return r.cur[n-2].AsInt(), r.cur[n-1].AsInt()
 }
 
-// valuesSlab caps the []any slab Values carves at 32 KiB.
+// valuesSlab caps the []any slab Values carves at 32 KiB, and each of
+// the boxer's slabs at about as many slots.
 const valuesSlab = 2048
+
+// reserve makes room in the cursor's boxer for the current row's
+// values. When a slab is short of them it is replaced by one sized to
+// the rows of the batch from the current one on, whole rows until either
+// slab reaches valuesSlab slots: the slots they take, rounded up to the
+// slab's size class.
+func (r *Rows) reserve() {
+	n := len(r.cols)
+	if r.bx.fits(r.cur[:n]) {
+		return
+	}
+	var nums, strs int
+	for _, row := range r.b.Rows[r.bi-1:] {
+		a, b := slots(row[:n])
+		if nums, strs = nums+a, strs+b; nums >= valuesSlab || strs >= valuesSlab {
+			break
+		}
+	}
+	r.bx.grow(nums, strs)
+}
 
 // Values returns the data column values of the current row as Go values
 // (int64, float64, string, bool or nil), or nil when called without a
 // successful Next. Each call returns a fresh slice that the caller may
-// keep and modify: later Next and Values calls never change it.
+// keep and modify: later Next and Values calls never change it. The
+// values are boxed from slabs the cursor shares among many rows' values
+// (box.go), so a retained value keeps its slab alive, as a retained
+// slice keeps the slab it was cut from.
 func (r *Rows) Values() []any {
 	if r.cur == nil {
 		return nil
@@ -218,9 +245,8 @@ func (r *Rows) Values() []any {
 		copy(out, r.boxes)
 		return out
 	}
-	for i := range out {
-		out[i] = fromValue(r.cur[i])
-	}
+	r.reserve()
+	r.bx.boxRow(out, r.cur[:n])
 	if r.rep > 0 {
 		r.boxes = append(r.boxes[:0], out...)
 		r.boxed = true
@@ -250,19 +276,29 @@ func (r *Rows) Scan(dest ...any) error {
 		return fmt.Errorf("snapk: Scan expects %d destinations, got %d", len(r.cols), len(dest))
 	}
 	for i, d := range dest {
-		v := r.cur[i]
-		if err := scanValue(v, d); err != nil {
+		if p, ok := d.(*any); ok {
+			*p = r.boxCol(i)
+			continue
+		}
+		if err := scanValue(r.cur[i], d); err != nil {
 			return fmt.Errorf("snapk: column %s: %w", r.cols[i], err)
 		}
 	}
 	return nil
 }
 
-func scanValue(v tuple.Value, dest any) error {
-	if p, ok := dest.(*any); ok {
-		*p = fromValue(v)
-		return nil
+// boxCol returns column i of the current row boxed: the run's box when
+// Values has boxed the run, a fresh one otherwise.
+func (r *Rows) boxCol(i int) any {
+	if r.boxed {
+		return r.boxes[i]
 	}
+	r.reserve()
+	return r.bx.box(r.cur[i])
+}
+
+// scanValue scans v into a typed destination.
+func scanValue(v tuple.Value, dest any) error {
 	if v.IsNull() {
 		return fmt.Errorf("cannot scan NULL into %T (use *any)", dest)
 	}

@@ -227,20 +227,3 @@ func tupleValue(v any) (tuple.Value, error) {
 		return tuple.Value{}, fmt.Errorf("unsupported value type %T", v)
 	}
 }
-
-func fromValue(v tuple.Value) any {
-	switch v.Kind() {
-	case tuple.KindNull:
-		return nil
-	case tuple.KindInt:
-		return v.AsInt()
-	case tuple.KindFloat:
-		return v.AsFloat()
-	case tuple.KindString:
-		return v.AsString()
-	case tuple.KindBool:
-		return v.AsBool()
-	default:
-		return nil
-	}
-}
