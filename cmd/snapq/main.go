@@ -35,6 +35,7 @@ import (
 	"snapk/internal/obs"
 	"snapk/internal/rewrite"
 	"snapk/internal/sqlfe"
+	"snapk/internal/tuple"
 	"snapk/internal/workload"
 )
 
@@ -361,7 +362,9 @@ func streamOptions(ap harness.Approach) (rewrite.Options, error) {
 }
 
 // streamRows evaluates q through the streaming cursor path and prints
-// rows in pipeline arrival order, without materializing the result.
+// rows in pipeline arrival order, without materializing the result. Like
+// the snapk.Rows cursor it pulls engine.FirstBatchRows rows first, so
+// the first rows print before a whole batch is ready.
 func streamRows(db *engine.DB, q algebra.Query, opt rewrite.Options, limit int, w io.Writer) error {
 	it, err := rewrite.Stream(context.Background(), db, q, opt)
 	if err != nil {
@@ -370,8 +373,9 @@ func streamRows(db *engine.DB, q algebra.Query, opt rewrite.Options, limit int, 
 	defer it.Close()
 	fmt.Fprintf(w, "%s\n", it.Schema())
 	n := 0
-	b := engine.NewRowBatch(engine.DefaultBatchSize)
-	for it.NextBatch(b) {
+	rows := make([]tuple.Tuple, 0, engine.DefaultBatchSize)
+	b := engine.RowBatch{Rows: rows[:0:engine.FirstBatchRows]}
+	for it.NextBatch(&b) {
 		for _, row := range b.Rows {
 			if limit > 0 && n >= limit {
 				fmt.Fprintln(w, "... (more rows; raise -limit)")
@@ -380,6 +384,7 @@ func streamRows(db *engine.DB, q algebra.Query, opt rewrite.Options, limit int, 
 			fmt.Fprintf(w, "%v\n", row)
 			n++
 		}
+		b.Rows = rows
 	}
 	// A truncated stream must not print as a complete result.
 	if err := it.Err(); err != nil {

@@ -160,6 +160,50 @@ func TestArithmeticNonFiniteIsNull(t *testing.T) {
 	}
 }
 
+// Int +, − and × whose result does not fit in int64 yield NULL, as
+// division by zero does; the results next to the edges still fit.
+func TestArithmeticIntOverflowIsNull(t *testing.T) {
+	lo, hi := IntC(math.MinInt64), IntC(math.MaxInt64)
+	for name, e := range map[string]Expr{
+		"MaxInt64+1":      Add(hi, IntC(1)),
+		"1+MaxInt64":      Add(IntC(1), hi),
+		"MinInt64+-1":     Add(lo, IntC(-1)),
+		"MinInt64-1":      Sub(lo, IntC(1)),
+		"MaxInt64--1":     Sub(hi, IntC(-1)),
+		"0-MinInt64":      Sub(IntC(0), lo),
+		"MinInt64*-1":     Mul(lo, IntC(-1)),
+		"-1*MinInt64":     Mul(IntC(-1), lo),
+		"MaxInt64*2":      Mul(hi, IntC(2)),
+		"MinInt64*2":      Mul(lo, IntC(2)),
+		"MinInt64*MinInt": Mul(lo, lo),
+	} {
+		if got := evalOn(t, e, nil); !got.IsNull() {
+			t.Errorf("%s = %v, want NULL", name, got)
+		}
+	}
+	for name, c := range map[string]struct {
+		e    Expr
+		want int64
+	}{
+		"MaxInt64+0":   {Add(hi, IntC(0)), math.MaxInt64},
+		"MaxInt64+-1":  {Add(hi, IntC(-1)), math.MaxInt64 - 1},
+		"MinInt64+1":   {Add(lo, IntC(1)), math.MinInt64 + 1},
+		"MinInt64-0":   {Sub(lo, IntC(0)), math.MinInt64},
+		"-1-MaxInt64":  {Sub(IntC(-1), hi), math.MinInt64},
+		"MaxInt64*-1":  {Mul(hi, IntC(-1)), -math.MaxInt64},
+		"MinInt64*1":   {Mul(lo, IntC(1)), math.MinInt64},
+		"0*MinInt64":   {Mul(IntC(0), lo), 0},
+		"MinInt64*0":   {Mul(lo, IntC(0)), 0},
+		"2^31*2^31":    {Mul(IntC(1<<31), IntC(1<<31)), 1 << 62},
+		"-2^31*2^32":   {Mul(IntC(-1<<31), IntC(1<<32)), math.MinInt64},
+		"3037000499^2": {Mul(IntC(3037000499), IntC(3037000499)), 3037000499 * 3037000499},
+	} {
+		if got := evalOn(t, c.e, nil); got.IsNull() || got.Kind() != tuple.KindInt || got.AsInt() != c.want {
+			t.Errorf("%s = %v, want %d", name, got, c.want)
+		}
+	}
+}
+
 func TestAndOrEmpty(t *testing.T) {
 	tup := tuple.Tuple{tuple.Int(1), tuple.Int(2), tuple.String_("x")}
 	if got := evalOn(t, And(), tup); !got.AsBool() {

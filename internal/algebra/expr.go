@@ -300,17 +300,32 @@ func boolState(v tuple.Value) triBool {
 	return tvFalse
 }
 
+// arith evaluates an arithmetic operator over two non-NULL numbers. A
+// result with no value of its kind is NULL, as SQL's unknown: division
+// by zero, a float result that overflowed to ±Inf or is NaN, and an Int
+// +, − or × whose result does not fit in int64. Compiled has no error
+// path, and the engine and both models evaluate through this function,
+// so they agree on every such row.
 func arith(op BinOpKind, l, r tuple.Value) tuple.Value {
 	if l.Kind() == tuple.KindInt && r.Kind() == tuple.KindInt && op != OpDiv {
 		a, b := l.AsInt(), r.AsInt()
+		var c int64
+		var overflow bool
 		switch op {
 		case OpAdd:
-			return tuple.Int(a + b)
+			c = a + b
+			overflow = (a^c)&(b^c) < 0
 		case OpSub:
-			return tuple.Int(a - b)
+			c = a - b
+			overflow = (a^b)&(a^c) < 0
 		default:
-			return tuple.Int(a * b)
+			c = a * b
+			overflow = a != 0 && (c/a != b || (a == -1 && b == math.MinInt64))
 		}
+		if overflow {
+			return tuple.Null
+		}
+		return tuple.Int(c)
 	}
 	a, b := l.AsFloat(), r.AsFloat()
 	var f float64
@@ -327,9 +342,8 @@ func arith(op BinOpKind, l, r tuple.Value) tuple.Value {
 		}
 		f = a / b
 	}
-	// A result that overflowed to ±Inf, or Inf − Inf's NaN, is NULL like
-	// division by zero: tuple.Compare has no place for a NaN among the
-	// numbers.
+	// A non-finite result is NULL: tuple.Compare has no place for a NaN
+	// among the numbers.
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return tuple.Null
 	}

@@ -119,8 +119,19 @@ type RowBatch struct {
 // DefaultBatchSize is the row capacity used by root drains (cursor,
 // MaterializeErr) and by batches handed over with no backing yet: the
 // same default as the parallel executor's exchange batches, so one
-// knob governs both transports.
+// knob governs both transports. A consumer that waits for its first
+// row (the snapk.Rows cursor, snapq -stream, a merge producer's first
+// transport batch) asks for FirstBatchRows first and DefaultBatchSize
+// after.
 const DefaultBatchSize = 256
+
+// FirstBatchRows is the capacity of a first-row consumer's first pull:
+// the batch capacity carries down the operator chain, so a streaming
+// sweep hands out its first rows once that many of its runs are final,
+// not DefaultBatchSize. The pull fills a cut of the consumer's
+// DefaultBatchSize backing, so the small batch takes no backing of its
+// own.
+const FirstBatchRows = 16
 
 // NewRowBatch returns an empty batch with the given row capacity
 // (values < 1 select DefaultBatchSize).
@@ -156,23 +167,26 @@ func (b *RowBatch) Append(row tuple.Tuple) { b.Rows = append(b.Rows, row) }
 func AsBatchIter(it RowIter, _ int) RowIter { return it }
 
 // batchCursor is the in-operator read side of the protocol: an
-// operator reads its one child through it, a batch at a time. The
-// cursor's batch is allocated on the first read with the capacity the
-// operator's consumer asked for, and again when a later read asks for
-// more, so the batch size a root drain picks carries down the whole
-// chain, and a small first batch (an exchange producer's) leaves no
-// small batches behind.
+// operator reads its one child through it, a batch at a time, each
+// read with the capacity the operator's consumer asked for, so the
+// batch size a root drain picks carries down the whole chain. Every
+// read fills a cut of one backing of at least DefaultBatchSize rows,
+// allocated on the first read, so a small first batch (FirstBatchRows)
+// allocates nothing of its own and leaves no small batches behind.
 type batchCursor struct {
-	in RowIter
-	b  RowBatch
-	i  int
+	in   RowIter
+	b    RowBatch
+	i    int
+	rows []tuple.Tuple // the backing every read is cut from
 }
 
-// refill reads the child's next batch into the cursor.
+// refill reads the child's next batch, up to capacity rows, into the
+// cursor.
 func (c *batchCursor) refill(capacity int) bool {
-	if cap(c.b.Rows) < capacity {
-		c.b.Rows = make([]tuple.Tuple, 0, capacity)
+	if cap(c.rows) < capacity {
+		c.rows = make([]tuple.Tuple, 0, max(capacity, DefaultBatchSize))
 	}
+	c.b.Rows = c.rows[:0:capacity]
 	c.i = 0
 	return c.in.NextBatch(&c.b)
 }

@@ -274,20 +274,17 @@ func (e *executor) send(ctx context.Context, ch chan<- batch, b batch, st *engin
 	return sent
 }
 
-// firstBatchRows caps the rows of a producer's first transport batch:
-// the consumer's first row then waits for that many, not for a whole
-// morsel.
-const firstBatchRows = 16
-
 // drainInto pumps it into ch in morsel-sized batches until exhaustion or
 // cancellation of the exchange x. The input's operator chain fills each
 // transport batch, taken from x's free list, directly through
-// NextBatch; the first is filled to firstBatchRows rows only, and sent
-// with its full capacity, so it returns to the free list whole. After
-// sending it the producer yields once: with every P running a producer,
-// the consumer its send woke would otherwise wait for a preemption, up
-// to 10 ms, before it takes the first rows (measured: agg-global's
-// first row at two workers 15 ms without the yield, 0.7 ms with it).
+// NextBatch; the first is filled to engine.FirstBatchRows rows only, so
+// the consumer's first row waits for that many, not for a whole morsel,
+// and is sent with its full capacity, so it returns to the free list
+// whole. After sending it the producer yields once: with every P
+// running a producer, the consumer its send woke would otherwise wait
+// for a preemption, up to 10 ms, before it takes the first rows
+// (measured: agg-global's first row at two workers 15 ms without the
+// yield, 0.7 ms with it).
 // With st non-nil the producer's blocked time is recorded (and each
 // batch sent, when countBatch says the consumer side is not already
 // counting them).
@@ -309,7 +306,7 @@ func (e *executor) drainInto(x *exchange, it engine.RowIter, ch chan<- batch, st
 		b := x.batch()
 		rb := engine.RowBatch{Rows: b}
 		if first {
-			rb.Rows = b[:0:min(firstBatchRows, cap(b))]
+			rb.Rows = b[:0:min(engine.FirstBatchRows, cap(b))]
 		}
 		if !it.NextBatch(&rb) {
 			e.fail(it.Err())
@@ -477,6 +474,7 @@ func (e *executor) scanPartition(s *pstream, keyIdx []int, parent *engine.OpStat
 type partIter struct {
 	in          engine.RowIter
 	buf         engine.RowBatch
+	rows        []tuple.Tuple // the backing each buf is cut from
 	keyIdx      []int
 	part, parts int
 	st          *engine.OpStats
@@ -488,9 +486,10 @@ func (it *partIter) Schema() tuple.Schema { return it.in.Schema() }
 // a row of the partition.
 func (it *partIter) NextBatch(out *engine.RowBatch) bool {
 	out.Reset()
-	if cap(it.buf.Rows) < out.Cap() {
-		it.buf.Rows = make([]tuple.Tuple, 0, out.Cap())
+	if cap(it.rows) < out.Cap() {
+		it.rows = make([]tuple.Tuple, 0, max(out.Cap(), engine.DefaultBatchSize))
 	}
+	it.buf.Rows = it.rows[:0:out.Cap()]
 	for out.Len() == 0 {
 		if !it.in.NextBatch(&it.buf) {
 			return false

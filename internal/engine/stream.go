@@ -440,7 +440,7 @@ func (c *pairComposer) stage(out *RowBatch, lrow, rrow tuple.Tuple) {
 		select {
 		case c.rs = <-pairStages:
 		default:
-			c.rs = make([]tuple.Tuple, 0, out.Cap())
+			c.rs = make([]tuple.Tuple, 0, max(out.Cap(), DefaultBatchSize))
 		}
 	}
 	out.Append(lrow)

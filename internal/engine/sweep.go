@@ -835,8 +835,9 @@ func (it *sweepIter[S, A]) fill(capacity int) bool {
 		if !it.primed {
 			// The output holds about one batch of runs: retire emits a
 			// few per input row, and the end of input commits a batch of
-			// groups at a time.
-			it.out.rows = make([]tuple.Tuple, 0, capacity)
+			// groups at a time. A small first batch leaves it as large
+			// as the batches after it.
+			it.out.rows = make([]tuple.Tuple, 0, max(capacity, DefaultBatchSize))
 			it.lRow, it.lOk = it.pull(&it.lcur, nil, capacity)
 			if it.r != nil {
 				it.rRow, it.rOk = it.pull(&it.rcur, nil, capacity)

@@ -34,15 +34,19 @@ type Rows struct {
 	// increment per row, never a per-row atomic on the cursor hot path.
 	emitted int64
 	flushed bool
-	// Batch drain: the cursor pulls engine.DefaultBatchSize runs per
-	// engine.NextRuns call on the pipeline root and hands them out one
-	// row at a time — the only per-row iteration in the system. Row i of
-	// the batch stands for mult[i] rows (all 1 unless the root emits ℕ
-	// multiplicities as counts), and the cursor repeats the current row
-	// rep more times before it moves on. Row tuples are immutable once
-	// yielded, so the current row staying live across a refill is safe;
-	// only the batch's row slice is reused.
+	// Batch drain: the cursor pulls runs from the pipeline root with
+	// engine.NextRuns — engine.FirstBatchRows on the first pull, so the
+	// first row waits for no more than that many, then
+	// engine.DefaultBatchSize per pull — and hands them out one row at a
+	// time, the only per-row iteration in the system. Every pull fills a
+	// cut of one backing, rows. Row i of the batch stands for mult[i]
+	// rows (all 1 unless the root emits ℕ multiplicities as counts), and
+	// the cursor repeats the current row rep more times before it moves
+	// on. Row tuples are immutable once yielded, so the current row
+	// staying live across a refill is safe; only the batch's row slice
+	// is reused.
 	b    engine.RowBatch
+	rows []tuple.Tuple
 	mult []int64
 	bi   int
 	rep  int64
@@ -86,7 +90,8 @@ func newRows(ctx context.Context, it engine.RowIter) *Rows {
 		ctx:  ctx,
 		it:   it,
 		cols: append([]string{}, sch.Cols[:sch.Arity()-2]...),
-		b:    *engine.NewRowBatch(engine.DefaultBatchSize),
+		rows: make([]tuple.Tuple, 0, engine.DefaultBatchSize),
+		mult: make([]int64, 0, engine.DefaultBatchSize),
 	}
 }
 
@@ -125,7 +130,9 @@ func (r *Rows) Next() bool {
 const repeatCheck = 4096
 
 // next pulls the next result row — the current one again while its run
-// lasts — refilling the cursor batch when it is used up. The root checks
+// lasts — refilling the cursor batch when it is used up: with
+// FirstBatchRows runs before the first row, DefaultBatchSize after. The
+// root checks
 // the context on every pull, but a run repeats without one, so next
 // checks it every repeatCheck repeats: a cancel lets through at most that
 // many more rows of a run, and ends the stream with the context's error.
@@ -141,6 +148,11 @@ func (r *Rows) next() (tuple.Tuple, bool) {
 		return r.cur, true
 	}
 	if r.bi >= r.b.Len() {
+		n := engine.DefaultBatchSize
+		if r.emitted == 0 {
+			n = engine.FirstBatchRows
+		}
+		r.b.Rows = r.rows[:0:n]
 		if !engine.NextRuns(r.it, &r.b, &r.mult) {
 			return nil, false
 		}
