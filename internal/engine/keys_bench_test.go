@@ -197,6 +197,35 @@ func BenchmarkStreamAggGlobal(b *testing.B) {
 	b.ReportMetric(float64(in.Len()), "rows/op")
 }
 
+// TestStreamAggGlobalAllocatesPerBlock: a global count(*) over about
+// 60 k intervals open at once queues every end in one queue, whose
+// chunks come from blocks of tens of KiB, so the whole sweep makes
+// fewer than one allocation per 512 queued ends. A chunk per
+// allocation would make one per 32.
+func TestStreamAggGlobalAllocatesPerBlock(t *testing.T) {
+	in := manyGroupTable(60000, 400)
+	aggs := []algebra.AggSpec{{Fn: krel.CountStar, As: "c"}}
+	dom := interval.NewDomain(0, 400)
+	b := engine.NewRowBatch(engine.DefaultBatchSize)
+	var peak int64
+	allocs := testing.AllocsPerRun(3, func() {
+		it, err := engine.NewStreamAggIter(engine.NewTableIter(in), nil, aggs, dom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for it.NextBatch(b) {
+		}
+		peak = it.(engine.StateSizer).MaxState()
+		it.Close()
+	})
+	if peak < 50000 {
+		t.Fatalf("peak sweep state %d, want ≥ 50,000 open intervals", peak)
+	}
+	if limit := float64(peak) / 512; allocs > limit {
+		t.Fatalf("global count(*) with %d ends queued at its peak made %.0f allocations, want at most %.0f", peak, allocs, limit)
+	}
+}
+
 func BenchmarkStreamAggKeys(b *testing.B) {
 	in := benchTable(benchRows, 16)
 	aggs := []algebra.AggSpec{{Fn: krel.Sum, Arg: "v", As: "total"}}

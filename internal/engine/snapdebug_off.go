@@ -29,5 +29,5 @@ func checkRecycle[S any, A accumulator[S]](*sweepIter[S, A], int32) {}
 
 // checkMonotone is a no-op without the snapdebug build tag; with it, it
 // panics naming op when an end-event queue is pushed an end before its
-// last popped one.
+// last taken one.
 func checkMonotone(string, uint64, uint64) {}

@@ -243,10 +243,10 @@ func checkRecycle[S any, A accumulator[S]](it *sweepIter[S, A], i int32) {
 
 // checkMonotone asserts the monotone invariant of a streaming sweep's
 // end-event queue: an end of key k is pushed no earlier than the last
-// popped end. Otherwise the radix queue would pop it out of time order.
+// taken end. Otherwise the radix queue would take it out of time order.
 func checkMonotone(op string, k, last uint64) {
 	if k < last {
-		panic(fmt.Sprintf("engine: snapdebug: streaming %s queued an end at %d before the last popped end at %d",
+		panic(fmt.Sprintf("engine: snapdebug: streaming %s queued an end at %d before the last taken end at %d",
 			op, int64(k^1<<63), int64(last^1<<63)))
 	}
 }

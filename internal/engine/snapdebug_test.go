@@ -166,8 +166,8 @@ func TestCheckRecyclePanics(t *testing.T) {
 
 	it.events.push(endEvent{t: 5, ref: b << 1}, it.name)
 	mustPanic(t, []string{"recycled group", "end event queued"}, func() { checkRecycle(it, b) })
-	if _, ok := it.events.popBefore(6, false); !ok || it.events.Len() != 0 {
-		t.Fatal("the queued end was not popped")
+	if got := takeBefore(&it.events, 6, false); len(got) != 1 || it.events.Len() != 0 {
+		t.Fatal("the queued end was not taken")
 	}
 
 	gb.p.st.delta = 1
@@ -225,17 +225,17 @@ func TestCheckRecyclePanics(t *testing.T) {
 }
 
 // TestEndQueueMonotonePanics: the streaming sweep's end-event queue is a
-// monotone radix heap, so an end pushed before the last popped one
-// would pop out of time order. Under snapdebug the push panics naming
-// the operator; an end at exactly the last popped time is legal.
+// monotone radix heap, so an end pushed before the last taken one
+// would be taken out of time order. Under snapdebug the push panics
+// naming the operator; an end at exactly the last taken time is legal.
 func TestEndQueueMonotonePanics(t *testing.T) {
 	var q endQueue
 	q.push(endEvent{t: 5}, "difference")
-	if e, ok := q.popBefore(6, false); !ok || e.t != 5 {
-		t.Fatalf("popBefore(6) = %v, %v, want the end at 5", e, ok)
+	if got := takeBefore(&q, 6, false); len(got) != 1 || got[0].t != 5 {
+		t.Fatalf("take before 6 = %v, want the end at 5", got)
 	}
 	q.push(endEvent{t: 5}, "difference")
-	mustPanic(t, []string{"streaming difference", "before the last popped end at 5"}, func() {
+	mustPanic(t, []string{"streaming difference", "before the last taken end at 5"}, func() {
 		q.push(endEvent{t: 4}, "difference")
 	})
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -485,8 +484,10 @@ func (e endEvent) delta() int32 { return 2*(e.ref&1) - 1 }
 // math.MinInt64 and math.MaxInt64 order correctly.
 func queueKey(t interval.Time) uint64 { return uint64(t) ^ 1<<63 }
 
-// chunkEvents sizes the chunks a queue bucket is chained from: 2 KiB.
-const chunkEvents = 128
+// chunkEvents sizes the chunks a queue bucket is chained from: 520
+// bytes. Every instant pending in the exact level keeps a partly filled
+// chunk of its own, so a chunk is small.
+const chunkEvents = 32
 
 // eventChunk is one link of a bucket's chain, or of the free list. It
 // holds no pointer, so the collector never scans the queued events.
@@ -496,33 +497,60 @@ type eventChunk struct {
 	next int32 // the next chunk's reference, or 0
 }
 
+// The queue carves its chunks from blocks that double from one chunk up
+// to blockChunks, 32,760 bytes, so it allocates per block, not per
+// chunk. A chunk's reference is 1 + its block's index << blockBits + its
+// place in the block.
+const (
+	blockBits   = 6
+	blockChunks = 1<<blockBits - 1
+)
+
+// exactBuckets is the width of the queue's exact level: one bucket per
+// instant of the 256-instant block of the last taken key.
+const exactBuckets = 256
+
 // endQueue is the streaming driver's one end-event queue: a monotone
-// radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, JACM 1990). It is
-// monotone because the sweep is: every end pushed lies past its row's
-// begin b, and retire(b) pops only ends before b, so no push precedes
-// the last popped time. An event waits in bucket bits.Len64(key ^ last)
-// of its key and the last popped key; a pop that finds bucket 0 (the
-// keys equal to last) empty moves last to the least key of the least
-// non-empty bucket and redistributes only that bucket, each event to a
-// lower one. A bucket is a chain of chunks, newest first, referenced as
-// index+1 into chunks so the zero queue is empty; emptied chunks go to
-// the free list and are reused, so the queue holds about its peak
-// number of events.
+// radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, JACM 1990) whose lowest
+// level is a timing wheel of exact buckets (Varghese and Lauck, SOSP
+// 1987). It is monotone because the sweep is: every end pushed lies past
+// its row's begin b, and take(b) takes only ends before b, so no push
+// precedes the last taken time.
+//
+// An end whose key lies in the 256-key block of last, the last taken
+// key, waits in exact bucket byte(key) with the other ends of its
+// instant, and is never moved. Any other end waits in binary bucket
+// bits.Len64(key ^ last), 9–64, which a move of last within its block
+// does not change. A take that finds the exact level empty moves last to
+// the least key of the least non-empty binary bucket and redistributes
+// only that bucket, each end to the exact level or a lower binary
+// bucket. A bucket is a chain of chunks, newest first, referenced so
+// that the zero queue is empty; emptied chunks go to the free list and
+// are reused, so the queue holds about its peak number of events.
 type endQueue struct {
-	last   uint64     // the key of the last popped end
-	head   [65]int32  // each bucket's newest chunk, or 0 when empty
-	min    [65]uint64 // each non-empty bucket's least key (buckets 1–64)
-	used   uint64     // bit i−1 set: bucket i, of 1–64, is non-empty
-	chunks []*eventChunk
+	last   uint64                    // the key of the last taken end
+	exact  [exactBuckets]int32       // bucket j: the ends at key last&^255 | j
+	full   [exactBuckets / 64]uint64 // bit j set: exact bucket j is non-empty
+	bin    [65]int32                 // binary buckets 9–64: each one's newest chunk, or 0
+	min    [65]uint64                // each non-empty binary bucket's least key
+	used   uint64                    // bit i−1 set: binary bucket i is non-empty
+	blocks [][]eventChunk
 	free   int32 // the free list's first chunk, or 0
 	n      int
+	moves  int // events redistributed, for the tests that bound it
 }
 
 // Len returns the number of queued events.
 func (q *endQueue) Len() int { return q.n }
 
+// at returns chunk ref.
+func (q *endQueue) at(ref int32) *eventChunk {
+	r := ref - 1
+	return &q.blocks[r>>blockBits][r&(1<<blockBits-1)]
+}
+
 // push queues e; op names the operator for the snapdebug check that e
-// lies no earlier than the last popped end.
+// lies no earlier than the last taken end.
 func (q *endQueue) push(e endEvent, op string) {
 	k := queueKey(e.t)
 	checkMonotone(op, k, q.last)
@@ -533,90 +561,135 @@ func (q *endQueue) push(e endEvent, op string) {
 // put appends e, of key k, to its bucket, opening a chunk when the
 // bucket's newest one is full.
 func (q *endQueue) put(e endEvent, k uint64) {
-	i := bits.Len64(k ^ q.last)
-	if i > 0 {
+	var head *int32
+	if d := k ^ q.last; d < exactBuckets {
+		j := byte(k)
+		q.full[j>>6] |= 1 << (j & 63)
+		head = &q.exact[j]
+	} else {
+		i := bits.Len64(d)
 		if bit := uint64(1) << (i - 1); q.used&bit == 0 {
 			q.used |= bit
 			q.min[i] = k
 		} else {
 			q.min[i] = min(q.min[i], k)
 		}
+		head = &q.bin[i]
 	}
-	ref := q.head[i]
-	if ref == 0 || q.chunks[ref-1].n == chunkEvents {
+	ref := *head
+	if ref == 0 || q.at(ref).n == chunkEvents {
 		ref = q.chunk(ref)
-		q.head[i] = ref
+		*head = ref
 	}
-	c := q.chunks[ref-1]
+	c := q.at(ref)
 	c.ev[c.n] = e
 	c.n++
 }
 
-// chunk takes an empty chunk from the free list, or allocates one, and
+// chunk takes an empty chunk from the free list, or carves one, and
 // links it before next.
 func (q *endQueue) chunk(next int32) int32 {
 	ref := q.free
 	if ref == 0 {
-		q.chunks = append(q.chunks, new(eventChunk))
-		ref = int32(len(q.chunks))
+		ref = q.carve()
 	} else {
-		q.free = q.chunks[ref-1].next
+		q.free = q.at(ref).next
 	}
-	q.chunks[ref-1].next = next
+	q.at(ref).next = next
 	return ref
 }
 
-// release puts chunk ref, emptied, on the free list.
-func (q *endQueue) release(ref int32) {
-	c := q.chunks[ref-1]
-	c.n, c.next, q.free = 0, q.free, ref
+// carve cuts a chunk from the newest block, allocating the next block,
+// twice as large up to blockChunks, when that one is used up.
+func (q *endQueue) carve() int32 {
+	nb := len(q.blocks)
+	if nb == 0 || len(q.blocks[nb-1]) == cap(q.blocks[nb-1]) {
+		size := 1
+		if nb > 0 {
+			size = min(2*cap(q.blocks[nb-1]), blockChunks)
+		}
+		q.blocks = append(q.blocks, make([]eventChunk, 0, size))
+		nb++
+	}
+	blk := &q.blocks[nb-1]
+	*blk = (*blk)[:len(*blk)+1]
+	return int32((nb-1)<<blockBits|(len(*blk)-1)) + 1
 }
 
-// popBefore pops the least queued end if it lies before b, or if all is
-// set; ends at b or later stay queued. last moves only on a pop.
-func (q *endQueue) popBefore(b interval.Time, all bool) (endEvent, bool) {
-	if q.head[0] == 0 {
+// take removes every queued end of the least queued instant, if it lies
+// before b or all is set, and returns the first chunk of their chain, or
+// 0 when it takes nothing. The caller reads the chain's events, all at
+// that instant, and hands each chunk back through release. last moves
+// only on a take.
+func (q *endQueue) take(b interval.Time, all bool) int32 {
+	j, ok := q.leastExact()
+	if !ok {
 		if q.used == 0 {
-			return endEvent{}, false
+			return 0
 		}
 		i := bits.TrailingZeros64(q.used) + 1
 		if !all && q.min[i] >= queueKey(b) {
-			return endEvent{}, false
+			return 0
 		}
 		q.last = q.min[i]
-		ref := q.head[i]
-		q.head[i], q.used = 0, q.used&^(1<<(i-1))
+		ref := q.bin[i]
+		q.bin[i], q.used = 0, q.used&^(1<<(i-1))
 		for ref != 0 {
-			c := q.chunks[ref-1]
+			c := q.at(ref)
 			for _, e := range c.ev[:c.n] {
 				q.put(e, queueKey(e.t))
 			}
-			next := c.next
-			q.release(ref)
-			ref = next
+			q.moves += int(c.n)
+			ref = q.recycle(ref)
 		}
-	} else if !all && q.last >= queueKey(b) {
-		return endEvent{}, false
+		j = byte(q.last)
+	} else if k := q.last&^(exactBuckets-1) | uint64(j); all || k < queueKey(b) {
+		q.last = k
+	} else {
+		return 0
 	}
-	ref := q.head[0]
-	c := q.chunks[ref-1]
-	c.n--
-	e := c.ev[c.n]
-	if c.n == 0 {
-		q.head[0] = c.next
-		q.release(ref)
+	ref := q.exact[j]
+	q.exact[j] = 0
+	q.full[j>>6] &^= 1 << (j & 63)
+	return ref
+}
+
+// leastExact returns the least non-empty exact bucket. None lies before
+// byte(last), since the queue is monotone.
+func (q *endQueue) leastExact() (byte, bool) {
+	for w := byte(q.last) >> 6; w < exactBuckets/64; w++ {
+		if m := q.full[w]; m != 0 {
+			return w<<6 | byte(bits.TrailingZeros64(m)), true
+		}
 	}
-	q.n--
-	return e, true
+	return 0, false
+}
+
+// release hands back chunk ref of a taken chain, read, and returns the
+// chunk after it, or 0.
+func (q *endQueue) release(ref int32) int32 {
+	q.n -= int(q.at(ref).n)
+	return q.recycle(ref)
+}
+
+// recycle puts chunk ref, emptied, on the free list and returns the
+// chunk it was linked before.
+func (q *endQueue) recycle(ref int32) int32 {
+	c := q.at(ref)
+	next := c.next
+	c.n, c.next, q.free = 0, q.free, ref
+	return next
 }
 
 // each calls fn on every queued event, in no particular order.
 func (q *endQueue) each(fn func(endEvent)) {
-	for _, ref := range q.head {
-		for ; ref != 0; ref = q.chunks[ref-1].next {
-			c := q.chunks[ref-1]
-			for _, e := range c.ev[:c.n] {
-				fn(e)
+	for _, heads := range [][]int32{q.exact[:], q.bin[:]} {
+		for _, ref := range heads {
+			for ; ref != 0; ref = q.at(ref).next {
+				c := q.at(ref)
+				for _, e := range c.ev[:c.n] {
+					fn(e)
+				}
 			}
 		}
 	}
@@ -639,6 +712,7 @@ type sweepIter[S any, A accumulator[S]] struct {
 	lcur, rcur batchCursor
 	events     endQueue // the queued interval ends of every group
 	closed     []int32  // groups retire left with no queued end
+	ending     []uint64 // the groups left at end of input (endingKey)
 	// args holds the argument values of the rows whose ends are queued,
 	// a slot each, so no input row is held; freed slots are reused.
 	// Without slots — no aggregate reads an argument, as count(*) — it
@@ -763,48 +837,64 @@ func (it *sweepIter[S, A]) putArgs(row tuple.Tuple) int32 {
 	return s
 }
 
-// retire pops the queued ends before b in time order — all of them when
-// last is set, at end of input — folding each into its group's change
-// at that instant. The groups left with no queued end are evicted only
-// after the pop loop, which only folds: each then settles its last
-// change once and leaves the table. Ends at exactly b stay queued: a
-// begin at b from either input may still arrive, and its group must
-// still be in the table for the begin to fold into the same change.
-// At end of input the remaining groups are left in it.closed, sorted
-// into first-seen order, for fill to commit a batch at a time: repeated
-// runs stream identical row order, and the output never holds every
-// group's last runs at once.
+// retire folds the queued ends before b into their groups' changes, an
+// instant's ends at a time in time order — all of them when last is set,
+// at end of input. The groups left with no queued end are evicted only
+// after the fold, which only folds: each then settles its last change
+// once and leaves the table. Ends at exactly b stay queued: a begin at b
+// from either input may still arrive, and its group must still be in
+// the table for the begin to fold into the same change. At end of input
+// the remaining groups are left in it.ending, sorted into first-seen
+// order, for fill to commit a batch at a time: repeated runs stream
+// identical row order, and the output never holds every group's last
+// runs at once.
 func (it *sweepIter[S, A]) retire(b interval.Time, last bool) {
-	for {
-		e, ok := it.events.popBefore(b, last)
-		if !ok {
-			break
-		}
-		g := it.at(e.group())
-		it.stepOpen(g, e.t, e.delta(), it.slot(e.slot))
-		if it.argSlots {
-			it.freeArgs = append(it.freeArgs, e.slot)
-		}
-		if g.open--; g.open == 0 && !it.global {
-			it.closed = append(it.closed, e.group())
+	if last && !it.global {
+		it.ending = make([]uint64, 0, it.live)
+	}
+	for ref := it.events.take(b, last); ref != 0; ref = it.events.take(b, last) {
+		for ; ref != 0; ref = it.events.release(ref) {
+			c := it.events.at(ref)
+			for _, e := range c.ev[:c.n] {
+				i := e.group()
+				g := it.at(i)
+				it.stepOpen(g, e.t, e.delta(), it.slot(e.slot))
+				if it.argSlots {
+					it.freeArgs = append(it.freeArgs, e.slot)
+				}
+				if g.open--; g.open > 0 || it.global {
+					continue
+				}
+				if last {
+					it.ending = append(it.ending, endingKey(g.seq, i))
+				} else {
+					it.closed = append(it.closed, i)
+				}
+			}
 		}
 	}
 	if last {
-		slices.SortFunc(it.closed, func(a, b int32) int { return cmp.Compare(it.at(a).seq, it.at(b).seq) })
+		slices.Sort(it.ending)
 		return
 	}
-	it.commit(it.closed)
+	for _, i := range it.closed {
+		it.commit(i)
+	}
 	it.closed = it.closed[:0]
 }
 
-// commit settles each of the closed groups' last change and evicts it.
-func (it *sweepIter[S, A]) commit(closed []int32) {
-	for _, i := range closed {
-		g := it.at(i)
-		it.finish(&g.p, g.key)
-		it.remove(i)
-		checkRecycle(it, i)
-	}
+// endingKey packs a group's first-seen order above its index, so that
+// sorting the keys sorts the groups into first-seen order without
+// reading a group page per comparison. The order holds for the first
+// 2^33 groups a sweep sees.
+func endingKey(seq int, i int32) uint64 { return uint64(seq)<<31 | uint64(i) }
+
+// commit settles group i's last change and evicts it.
+func (it *sweepIter[S, A]) commit(i int32) {
+	g := it.at(i)
+	it.finish(&g.p, g.key)
+	it.remove(i)
+	checkRecycle(it, i)
 }
 
 // pull reads the next row of one input, checking that it begins no
@@ -824,12 +914,14 @@ func (it *sweepIter[S, A]) fill(capacity int) bool {
 	for !it.out.pending() {
 		it.out.reset()
 		if it.drained {
-			if len(it.closed) == 0 {
+			if len(it.ending) == 0 {
 				return false
 			}
-			n := min(len(it.closed), capacity)
-			it.commit(it.closed[:n])
-			it.closed = it.closed[n:]
+			n := min(len(it.ending), capacity)
+			for _, k := range it.ending[:n] {
+				it.commit(int32(k & (1<<31 - 1))) // endingKey's index
+			}
+			it.ending = it.ending[n:]
 			continue
 		}
 		if !it.primed {
@@ -878,8 +970,16 @@ func (it *sweepIter[S, A]) fill(capacity int) bool {
 		// The group representative is the first row seen in merge order;
 		// a value-equivalent row from the other side may have a different
 		// numeric kind (Int vs integral Float), which SameKey treats as
-		// the same value.
-		i, g, fresh := it.find(row, key)
+		// the same value. The global group is group 0, which newSweepIter
+		// opened.
+		var i int32
+		var g *group[changes[S]]
+		var fresh bool
+		if it.global {
+			g = it.at(0)
+		} else {
+			i, g, fresh = it.find(row, key)
+		}
 		if fresh {
 			it.start(&g.p, iv.Begin)
 		}

@@ -218,12 +218,15 @@ func (db *DB) evalAlgebra(q algebra.Query, ap Approach) (*Result, error) {
 // runSeq evaluates q with the Seq-family rewriting in mode and drains
 // its cursor into a Result: Rows takes the root's runs, boxes each run's
 // values once and carves every row's Values slice from a shared slab.
+// The Result waits for every row, so the cursor pulls full batches from
+// the first on.
 func (db *DB) runSeq(q algebra.Query, mode rewrite.Mode) (*Result, error) {
 	it, err := rewrite.Stream(context.Background(), db.eng, q, db.seqOptions(mode))
 	if err != nil {
 		return nil, err
 	}
 	rows := newRows(context.Background(), it)
+	rows.whole = true
 	defer rows.Close()
 	res := &Result{Columns: rows.Columns()}
 	for rows.Next() {

@@ -340,3 +340,41 @@ func TestRowsFirstBatchLimitsAndCancel(t *testing.T) {
 		}
 	}
 }
+
+// Query waits for every row, so its cursor pulls a full batch from the
+// first on: over runsRampDB's 200 runs it allocates less than the same
+// drain through a cursor that ramps, which pulls the root once more and
+// boxes FirstBatchRows runs into slabs of their own.
+func TestQueryPullsFullBatches(t *testing.T) {
+	const sql = `SELECT k FROM l EXCEPT ALL SELECT k FROM r`
+	for _, sorted := range []bool{true, false} {
+		db := runsRampDB(t, sorted)
+		// drain is Query's drain through a cursor that ramps unless whole
+		// is set.
+		drain := func(whole bool) float64 {
+			return testing.AllocsPerRun(5, func() {
+				rows := newRows(context.Background(), rampStream(context.Background(), t, db, sql, db.seqOptions(rewrite.ModeOptimized)))
+				rows.whole = whole
+				res := &Result{Columns: rows.Columns()}
+				for rows.Next() {
+					begin, end := rows.Period()
+					res.Rows = append(res.Rows, Row{Values: rows.Values(), Begin: begin, End: end})
+				}
+				rows.Close()
+				if len(res.Rows) != 389 {
+					t.Fatalf("sorted=%v: drained %d rows, want 389", sorted, len(res.Rows))
+				}
+			})
+		}
+		query := testing.AllocsPerRun(5, func() {
+			if res, err := db.Query(sql); err != nil || res.Len() != 389 {
+				t.Fatalf("sorted=%v: Query = %v, %v; want 389 rows", sorted, res, err)
+			}
+		})
+		full, ramped := drain(true), drain(false)
+		if full >= ramped || query >= ramped {
+			t.Fatalf("sorted=%v: Query made %.0f allocations; a drain pulling full batches makes %.0f, one that ramps %.0f",
+				sorted, query, full, ramped)
+		}
+	}
+}

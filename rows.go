@@ -29,16 +29,19 @@ type Rows struct {
 	err    error
 	closed bool
 	done   bool
+	// whole is set for a consumer that waits for the whole result: its
+	// first pull asks for engine.DefaultBatchSize runs too.
+	whole bool
 	// emitted counts rows delivered through this cursor, flushed to the
 	// process-wide registry once at end of stream / Close — a local
 	// increment per row, never a per-row atomic on the cursor hot path.
 	emitted int64
 	flushed bool
 	// Batch drain: the cursor pulls runs from the pipeline root with
-	// engine.NextRuns — engine.FirstBatchRows on the first pull, so the
-	// first row waits for no more than that many, then
-	// engine.DefaultBatchSize per pull — and hands them out one row at a
-	// time, the only per-row iteration in the system. Every pull fills a
+	// engine.NextRuns — engine.FirstBatchRows on the first pull unless
+	// whole is set, so the first row waits for no more than that many,
+	// then engine.DefaultBatchSize per pull — and hands them out one row
+	// at a time, the only per-row iteration in the system. Every pull fills a
 	// cut of one backing, rows. Row i of the batch stands for mult[i]
 	// rows (all 1 unless the root emits ℕ multiplicities as counts), and
 	// the cursor repeats the current row rep more times before it moves
@@ -131,11 +134,11 @@ const repeatCheck = 4096
 
 // next pulls the next result row — the current one again while its run
 // lasts — refilling the cursor batch when it is used up: with
-// FirstBatchRows runs before the first row, DefaultBatchSize after. The
-// root checks
-// the context on every pull, but a run repeats without one, so next
-// checks it every repeatCheck repeats: a cancel lets through at most that
-// many more rows of a run, and ends the stream with the context's error.
+// FirstBatchRows runs before the first row unless whole is set,
+// DefaultBatchSize after. The root checks the context on every pull, but
+// a run repeats without one, so next checks it every repeatCheck
+// repeats: a cancel lets through at most that many more rows of a run,
+// and ends the stream with the context's error.
 func (r *Rows) next() (tuple.Tuple, bool) {
 	if r.rep > 0 {
 		if r.unchecked++; r.unchecked == repeatCheck {
@@ -149,7 +152,7 @@ func (r *Rows) next() (tuple.Tuple, bool) {
 	}
 	if r.bi >= r.b.Len() {
 		n := engine.DefaultBatchSize
-		if r.emitted == 0 {
+		if r.emitted == 0 && !r.whole {
 			n = engine.FirstBatchRows
 		}
 		r.b.Rows = r.rows[:0:n]
