@@ -92,7 +92,7 @@ func RunRows(b *RowBatch, mult *[]int64) int64 {
 // cuts it this way.
 func CutRuns(b *RowBatch, mult *[]int64, keep int64) {
 	if mult == nil {
-		b.Rows = b.Rows[:keep]
+		b.cut(int(keep))
 		return
 	}
 	i := 0
@@ -100,7 +100,8 @@ func CutRuns(b *RowBatch, mult *[]int64, keep int64) {
 		(*mult)[i] = min((*mult)[i], keep)
 		keep -= (*mult)[i]
 	}
-	b.Rows, *mult = b.Rows[:i], (*mult)[:i]
+	b.cut(i)
+	*mult = (*mult)[:i]
 }
 
 // RowBatch is the unit of batch execution: a reusable slice of
@@ -114,6 +115,12 @@ type RowBatch struct {
 	// Append or append; consumers must treat it as invalid after the
 	// next NextBatch call.
 	Rows []tuple.Tuple
+	// Codes, when not empty, holds one dense key code per row of Rows
+	// (Table.KeyCodes): a scan whose streaming sweep groups by codes
+	// emits them, and the operators between the two — the filter, the
+	// window and the wrappers — keep them aligned with Rows. Empty
+	// everywhere else.
+	Codes []int32
 }
 
 // DefaultBatchSize is the row capacity used by root drains (cursor,
@@ -143,7 +150,15 @@ func NewRowBatch(capacity int) *RowBatch {
 }
 
 // Reset empties the batch for refilling, keeping its backing capacity.
-func (b *RowBatch) Reset() { b.Rows = b.Rows[:0] }
+func (b *RowBatch) Reset() { b.Rows, b.Codes = b.Rows[:0], b.Codes[:0] }
+
+// cut keeps the batch's first n rows and their codes.
+func (b *RowBatch) cut(n int) {
+	b.Rows = b.Rows[:n]
+	if len(b.Codes) > n {
+		b.Codes = b.Codes[:n]
+	}
+}
 
 // Len returns the number of rows currently in the batch.
 func (b *RowBatch) Len() int { return len(b.Rows) }
@@ -197,12 +212,23 @@ func (c *batchCursor) refill(capacity int) bool {
 // slice aliases the cursor's batch and is only valid until the next
 // refill; operators consume it before returning.
 func (c *batchCursor) nextChunk(capacity int) ([]tuple.Tuple, bool) {
+	rows, _, ok := c.nextCodedChunk(capacity)
+	return rows, ok
+}
+
+// nextCodedChunk is nextChunk with the rows' key codes, or nil codes
+// when the child emits none: the read of the operators that keep codes
+// aligned (the filter and the window).
+func (c *batchCursor) nextCodedChunk(capacity int) (rows []tuple.Tuple, codes []int32, ok bool) {
 	if c.i >= c.b.Len() && !c.refill(capacity) {
-		return nil, false
+		return nil, nil, false
 	}
-	rows := c.b.Rows[c.i:]
+	rows = c.b.Rows[c.i:]
+	if len(c.b.Codes) > 0 {
+		codes = c.b.Codes[c.i:]
+	}
 	c.i = c.b.Len()
-	return rows, true
+	return rows, codes, true
 }
 
 // next returns the child's next row, for operators whose own loop is
@@ -215,6 +241,10 @@ func (c *batchCursor) next(capacity int) (tuple.Tuple, bool) {
 	c.i++
 	return row, true
 }
+
+// code returns the key code of the row next returned last; the child
+// must emit codes.
+func (c *batchCursor) code() int32 { return c.b.Codes[c.i-1] }
 
 // slabValues caps one row slab at 32 KiB of tuple.Values (16 bytes
 // each): the largest small-object size class, so a slab of wide rows

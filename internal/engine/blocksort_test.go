@@ -93,12 +93,12 @@ func TestSortEvents(t *testing.T) {
 // the blocking driver must reproduce bit for bit.
 func comparatorRuns[S any, A accumulator[S]](s *blockSweep[S, A], inputs ...[]tuple.Tuple) sweepOut {
 	if s.global {
-		s.find(nil, nil)
+		s.find(nil, nil, 0)
 	}
 	base, sign := 0, int32(1)
 	for k, rows := range inputs {
 		for r, row := range rows {
-			_, g, _ := s.find(row, s.keys[k])
+			_, g, _ := s.find(row, s.keys[k], 0)
 			iv, id := rowInterval(row), int32(base+r)
 			g.p = append(g.p, blockEvent{iv.Begin, id, sign}, blockEvent{iv.End, id, -sign})
 		}

@@ -205,7 +205,10 @@ func ApproxRowBytes(arity int) int64 {
 // unit. The charge is topped up after every pull from in — the state
 // only grows while in works, and a sweep may do all of its work in the
 // one pull that returns its few output rows, or in the one that reports
-// end of stream — and released on Close. When in does not expose
+// end of stream — and released on Close. A sweep that also holds a
+// fixed-size index (IndexSizer) has its bytes charged before its first
+// pull, so a budget below the index fails the query before the sweep
+// runs; the index adds nothing to MaxState. When in does not expose
 // StateSizer (or gov is nil) the input is returned unchanged.
 func GovernState(in RowIter, gov *Governor, unitBytes int64) RowIter {
 	sz, ok := in.(StateSizer)
@@ -215,12 +218,21 @@ func GovernState(in RowIter, gov *Governor, unitBytes int64) RowIter {
 	return &govStateIter{in: in, sizer: sz, gov: gov, unit: unitBytes}
 }
 
+// IndexSizer is implemented by sweeps that hold a fixed-size index
+// beside their state — a coded sweep's code → group index: IndexBytes
+// reports its bytes.
+type IndexSizer interface {
+	IndexBytes() int64
+}
+
 type govStateIter struct {
 	in      RowIter
 	sizer   StateSizer
 	gov     *Governor
 	unit    int64
 	charged int64 // state units charged so far (monotone: MaxState is a peak)
+	index   int64 // the index bytes charged (IndexSizer), once indexed
+	indexed bool
 	err     error
 	closed  bool
 }
@@ -249,6 +261,13 @@ func (it *govStateIter) NextRuns(b *RowBatch, mult *[]int64) bool { return it.pu
 // pull runs one pull from in into b — as runs, when mult is not nil —
 // then tops up the charge; a breach discards what the pull delivered.
 func (it *govStateIter) pull(b *RowBatch, mult *[]int64) bool {
+	if !it.indexed {
+		it.indexed = true
+		if ix, ok := it.in.(IndexSizer); ok {
+			it.index = ix.IndexBytes()
+			it.err = it.gov.ChargeMem(it.index)
+		}
+	}
 	ok := false
 	if it.err == nil {
 		if mult == nil {
@@ -271,7 +290,7 @@ func (it *govStateIter) pull(b *RowBatch, mult *[]int64) bool {
 func (it *govStateIter) Close() {
 	if !it.closed {
 		it.closed = true
-		it.gov.ReleaseMem(it.charged * it.unit)
+		it.gov.ReleaseMem(it.charged*it.unit + it.index)
 	}
 	it.in.Close()
 }

@@ -2,7 +2,9 @@ package engine_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"snapk/internal/algebra"
@@ -99,6 +101,53 @@ func sameCounts(a, b map[string]int) bool {
 		}
 	}
 	return true
+}
+
+// respell returns a copy of t in which, by seed, some keys of column 0
+// are written another way that SameKey keys alike — an Int as the
+// integral Float, 0 as −0.0 — so the two group lookups, by hash and by
+// key code, meet mixed spellings of one key.
+func respell(t *engine.Table, seed int64) *engine.Table {
+	rng := rand.New(rand.NewSource(seed))
+	out := &engine.Table{Schema: t.Schema, Rows: make([]tuple.Tuple, len(t.Rows))}
+	for i, row := range t.Rows {
+		out.Rows[i] = row
+		if v := row[0]; v.Kind() == tuple.KindInt && rng.Intn(2) == 0 {
+			f := float64(v.AsInt())
+			if f == 0 {
+				f = math.Copysign(0, -1)
+			}
+			out.Rows[i] = append(tuple.Tuple{tuple.Float(f)}, row[1:]...)
+		}
+	}
+	return out
+}
+
+// runsOf drains it by NextRuns at an awkward capacity and returns its
+// runs in stream order, each as its row and count.
+func runsOf(t *testing.T, it engine.RowIter) []string {
+	t.Helper()
+	defer it.Close()
+	var out []string
+	b, mult := engine.NewRowBatch(3), []int64(nil)
+	for engine.NextRuns(it, b, &mult) {
+		for i, row := range b.Rows {
+			out = append(out, fmt.Sprintf("%v×%d", row, mult[i]))
+		}
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// sameRuns fails unless a sweep that hashes its keys and the same sweep
+// finding groups by key codes handed out identical runs, in one order.
+func sameRuns(t *testing.T, what string, hashed, coded []string) {
+	t.Helper()
+	if !slices.Equal(hashed, coded) {
+		t.Fatalf("%s: the coded sweep's runs differ from the hashed sweep's\nhashed: %v\ncoded:  %v", what, hashed, coded)
+	}
 }
 
 // decodeFuzzPair decodes 4-byte chunks of fuzz data into TWO interval
@@ -241,7 +290,7 @@ func FuzzStreamDiff(f *testing.F) {
 		rm, rcols := throughMap(rs, seed+1)
 		checkDrains(t, "streaming difference through maps", func() engine.RowIter {
 			return engine.CheckNoAlias("streaming difference through maps",
-				engine.NewStreamCountIter(ls.Schema, engine.NewTableIter(lm), lcols, engine.NewTableIter(rm), rcols))
+				engine.NewStreamCountIter(ls.Schema, engine.NewTableIter(lm), lcols, engine.NewTableIter(rm), rcols, 0))
 		}, oracle)
 		lm, lcols = throughMap(l, seed+2)
 		rm, rcols = throughMap(r, seed+3)
@@ -251,6 +300,39 @@ func FuzzStreamDiff(f *testing.F) {
 				t.Fatal(err)
 			}
 			return engine.CheckNoAlias("blocking difference through maps", it)
+		}, oracle)
+
+		// Both sides as filters of one sorted table (v, side), its keys
+		// respelled: the streaming difference hashing v and the one
+		// finding groups by v's key codes must hand out identical runs,
+		// and realize the monus.
+		both := &engine.Table{Schema: engine.PeriodSchema(tuple.NewSchema("v", "side"))}
+		for side, tbl := range []*engine.Table{ls, rs} {
+			for _, row := range tbl.Rows {
+				both.Rows = append(both.Rows, tuple.Tuple{row[0], tuple.Int(int64(side)), row[1], row[2]})
+			}
+		}
+		engine.SortRowsByEndpoints(both.Rows)
+		both = respell(both, seed+4)
+		key := []int{0}
+		diffOf := func(l, r engine.RowIter, codes int) engine.RowIter {
+			side := func(in engine.RowIter, s int64) engine.RowIter {
+				f, err := engine.NewFilterIter(in, both.Schema, nil, algebra.Eq(algebra.Col("side"), algebra.IntC(s)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+			return engine.CheckNoAlias("streaming difference of one table", engine.NewStreamCountIter(ls.Schema, side(l, 0), key, side(r, 1), key, codes))
+		}
+		hashed := runsOf(t, diffOf(engine.NewTableIter(both), engine.NewTableIter(both), 0))
+		lc, codes := engine.NewCodedTableIter(both, key)
+		rc, _ := engine.NewCodedTableIter(both, key)
+		sameRuns(t, "streaming difference of one table", hashed, runsOf(t, diffOf(lc, rc, codes)))
+		checkDrains(t, "coded streaming difference", func() engine.RowIter {
+			lc, codes := engine.NewCodedTableIter(both, key)
+			rc, _ := engine.NewCodedTableIter(both, key)
+			return diffOf(lc, rc, codes)
 		}, oracle)
 	})
 }
@@ -364,7 +446,7 @@ func FuzzCoalesce(f *testing.F) {
 		sm, scols := throughMap(sorted, seed)
 		checkDrains(t, "streaming coalesce through a map", func() engine.RowIter {
 			return engine.CheckNoAlias("streaming coalesce through a map",
-				engine.NewStreamCountIter(sorted.Schema, engine.NewTableIter(sm), scols, nil, nil))
+				engine.NewStreamCountIter(sorted.Schema, engine.NewTableIter(sm), scols, nil, nil, 0))
 		}, timePointCounts(tbl))
 		tm, tcols := throughMap(tbl, seed+1)
 		checkDrains(t, "blocking coalesce through a map", func() engine.RowIter {
@@ -374,6 +456,19 @@ func FuzzCoalesce(f *testing.F) {
 			}
 			return engine.CheckNoAlias("blocking coalesce through a map", it)
 		}, timePointCounts(tbl))
+
+		// The streaming coalesce hashing its key and the one finding
+		// groups by the table's key codes must hand out identical runs,
+		// over keys respelled and over the rows read through a map.
+		for _, in := range []struct {
+			tbl  *engine.Table
+			cols []int
+		}{{respell(sorted, seed+3), []int{0}}, {sm, scols}} {
+			hashed := runsOf(t, engine.NewStreamCountIter(sorted.Schema, engine.NewTableIter(in.tbl), in.cols, nil, nil, 0))
+			it, codes := engine.NewCodedTableIter(in.tbl, in.cols)
+			sameRuns(t, "streaming coalesce", hashed, runsOf(t, engine.CheckNoAlias("coded streaming coalesce",
+				engine.NewStreamCountIter(sorted.Schema, it, in.cols, nil, nil, codes))))
+		}
 
 		// The pre-aggregated split in both forms, grouped and global (the
 		// latter with neutral rows over gaps), must realize the
@@ -412,7 +507,7 @@ func FuzzCoalesce(f *testing.F) {
 			}
 			// Both drivers over the rows read through a column map.
 			inm, m := throughMap(in, seed+2)
-			mit, err := engine.NewMappedStreamAggIter(engine.NewTableIter(inm), in.DataSchema(), m, groupBy, aggs, fuzzDomain)
+			mit, err := engine.NewMappedStreamAggIter(engine.NewTableIter(inm), in.DataSchema(), m, groupBy, aggs, fuzzDomain, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -427,6 +522,23 @@ func FuzzCoalesce(f *testing.F) {
 					t.Fatalf("%s aggregation by %v through map %v diverges\ninput:\n%s\nwant:\n%s\ngot:\n%s", form, groupBy, m, in, wantAgg, got)
 				}
 			}
+			// The streaming aggregation hashing its grouping key and the
+			// one finding groups by the key codes of the respelled rows
+			// read through the map must hand out identical runs.
+			inr := respell(inm, seed+5)
+			aggOf := func(it engine.RowIter, codes int) engine.RowIter {
+				a, err := engine.NewMappedStreamAggIter(it, in.DataSchema(), m, groupBy, aggs, fuzzDomain, codes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return a
+			}
+			var key []int
+			if groupBy != nil {
+				key = m.Of([]int{0}) // v
+			}
+			cit, codes := engine.NewCodedTableIter(inr, key)
+			sameRuns(t, fmt.Sprintf("streaming aggregation by %v", groupBy), runsOf(t, aggOf(engine.NewTableIter(inr), 0)), runsOf(t, aggOf(cit, codes)))
 		}
 	})
 }

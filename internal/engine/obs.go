@@ -37,6 +37,7 @@ type OpStats struct {
 	state   atomic.Int64 // peak sweep state (StateSizer operators only)
 	batches atomic.Int64 // batches delivered (exchange: sent by producers)
 	waitNs  atomic.Int64 // exchange: producer time blocked on a full channel
+	codes   atomic.Int64 // the dense key codes a coded sweep finds groups by
 
 	// Label names the operator ("StreamCoalesce", "exchange:merge");
 	// Detail carries a static annotation ("streaming", "fanin=4"); Frag
@@ -126,6 +127,19 @@ func (st *OpStats) Span() func() {
 		st.endNs.Store(t1)
 	}
 }
+
+// SetKeyCodes records that the operator's streaming sweeps find groups
+// by n dense key codes (engine.Table.KeyCodes) instead of hashing.
+// Nil-safe.
+func (st *OpStats) SetKeyCodes(n int) {
+	if st != nil {
+		st.codes.Store(int64(n))
+	}
+}
+
+// KeyCodes returns the key codes SetKeyCodes recorded, 0 for a sweep
+// that hashes (and for every other operator).
+func (st *OpStats) KeyCodes() int64 { return st.codes.Load() }
 
 // Rows, Nexts, Time, MaxState, Batches and Wait read the counters; they
 // are meaningful once the query has been drained or closed.
@@ -311,6 +325,9 @@ func (st *OpStats) line() string {
 	if v := st.MaxState(); v > 0 {
 		fmt.Fprintf(&b, " max_state=%d", v)
 	}
+	if v := st.KeyCodes(); v > 0 {
+		fmt.Fprintf(&b, " key_codes=%d", v)
+	}
 	if v := st.Batches(); v > 0 {
 		fmt.Fprintf(&b, " batches=%d", v)
 	}
@@ -376,6 +393,9 @@ func (c *Collector) WriteTrace(w io.Writer) error {
 			}
 			if v := st.MaxState(); v > 0 {
 				args["max_state"] = v
+			}
+			if v := st.KeyCodes(); v > 0 {
+				args["key_codes"] = v
 			}
 			if v := st.Batches(); v > 0 {
 				args["batches"] = v

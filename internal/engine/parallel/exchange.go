@@ -85,12 +85,17 @@ func (x *exchange) recycle(b batch) {
 // makes it private before the first claim, and every fragment then
 // reads the whole table itself. When the partition routes at the scan,
 // route is its key (columns of a scanned row) and every fragment keeps
-// only the rows partOf maps to it.
+// only the rows partOf maps to it. src is the stored table the scan
+// reads, or a prefix of; when a coded sweep reads the scan, codes holds
+// src's key codes (codeKeys), and every fragment emits each row's code
+// beside it.
 type scanCursor struct {
 	next    atomic.Int64
 	private bool
 	route   []int
 	parts   int
+	src     *engine.Table
+	codes   []int32
 }
 
 // morselTableIter is the scan source: fragments claim morsels
@@ -134,7 +139,7 @@ func (it *morselTableIter) claim() bool {
 // NextBatch hands out the remainder of the claimed morsel (up to the
 // consumer's capacity) as one slice append, or, when the scan routes a
 // partition, the rows of that remainder in this fragment's partition,
-// reading on until one is.
+// reading on until one is; with their key codes when the scan has them.
 func (it *morselTableIter) NextBatch(b *engine.RowBatch) bool {
 	b.Reset()
 	for {
@@ -143,15 +148,23 @@ func (it *morselTableIter) NextBatch(b *engine.RowBatch) bool {
 		}
 		n := min(it.end-it.i, b.Cap())
 		rows := it.t.Rows[it.i : it.i+n]
-		it.i += n
 		c := it.cur
+		var codes []int32
+		if c.codes != nil {
+			codes = c.codes[it.i : it.i+n]
+		}
+		it.i += n
 		if c.route == nil {
 			b.Rows = append(b.Rows, rows...)
+			b.Codes = append(b.Codes, codes...)
 			return true
 		}
-		for _, row := range rows {
+		for j, row := range rows {
 			if partOf(row.HashKey(c.route), c.parts) == it.frag {
 				b.Append(row)
+				if codes != nil {
+					b.Codes = append(b.Codes, codes[j])
+				}
 			}
 		}
 		if b.Len() > 0 {

@@ -70,6 +70,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -492,7 +493,7 @@ func (e *executor) build(p engine.Plan, parent *engine.OpStats) (*pstream, error
 		if err != nil {
 			return nil, err
 		}
-		return e.scanStream(n, t, parent.Child("Scan", n.Name)), nil
+		return e.scanStream(n, t, t, parent.Child("Scan", n.Name)), nil
 	case engine.WindowP:
 		st := parent.Child("Window", n.T.String())
 		var in *pstream
@@ -506,12 +507,13 @@ func (e *executor) build(p engine.Plan, parent *engine.OpStats) (*pstream, error
 				return nil, err
 			}
 			hi, skip := engine.PruneWindowScan(t, n.T)
+			var pruned *engine.Table
 			if skip {
-				t = &engine.Table{Schema: t.Schema}
+				pruned = &engine.Table{Schema: t.Schema}
 			} else {
-				t = t.Prefix(hi)
+				pruned = t.Prefix(hi)
 			}
-			in = e.scanStream(scan, t, st.Child("Scan", scan.Name))
+			in = e.scanStream(scan, t, pruned, st.Child("Scan", scan.Name))
 		} else {
 			var err error
 			in, err = e.build(n.In, st)
@@ -654,10 +656,11 @@ func (e *executor) buildCoalesce(n engine.CoalesceP, parent *engine.OpStats) (*p
 	schema, keys := in.schema, in.keys()
 	out, streams := place(e.db, n, e.workers, false, in.shape())
 	sweepForm(st, streams)
+	codes := codeKeys(st, streams, [][]int{keys}, in)
 	parts := e.exchange(in, out.frags, keys, streams, st)
 	for i, part := range parts {
 		if streams {
-			parts[i] = e.govern(engine.NewStreamCountIter(schema, part, keys, nil, nil))
+			parts[i] = e.govern(engine.NewStreamCountIter(schema, part, keys, nil, nil, codes))
 		} else {
 			parts[i] = newLazySweepIter(e.gov, schema, func(ts ...*engine.Table) (engine.RowIter, error) {
 				return engine.NewBlockCountIter(e.gov, schema, ts[0], keys, nil, nil)
@@ -665,6 +668,44 @@ func (e *executor) buildCoalesce(n engine.CoalesceP, parent *engine.OpStats) (*p
 		}
 	}
 	return e.finish("coalesce", &pstream{parts: parts, schema: schema}, st), nil
+}
+
+// codeKeys decides whether a streaming sweep finds its groups by the
+// dense key codes of its table (engine.Table.KeyCodes) and returns their
+// number, or 0 when it hashes. It codes when every input is a chain over
+// a scan of one stored table with no computing projection in it — so its
+// rows are the scan's rows, clipped at most — and every input's key
+// columns keys[i] are the same data columns of those rows: the case in
+// which the scan partition routes at the scan. Then it sets the codes on
+// every input's scan, which emits them beside its rows, and records
+// their number on the sweep's node st. A blocking sweep, a computed
+// chain, a join's output, inputs over different tables or different
+// columns, and a global aggregation, which has no key, hash.
+func codeKeys(st *engine.OpStats, streams bool, keys [][]int, ins ...*pstream) int {
+	if !streams || len(keys[0]) == 0 {
+		return 0
+	}
+	var src *engine.Table
+	for i, s := range ins {
+		if s.scan == nil || s.computed || i > 0 && (s.scan.src != src || !slices.Equal(keys[i], keys[0])) {
+			return 0
+		}
+		src = s.scan.src
+	}
+	for _, c := range keys[0] {
+		if c >= src.DataArity() {
+			return 0 // a period column, which a window clips
+		}
+	}
+	codes, n, ok := src.KeyCodes(keys[0])
+	if !ok {
+		return 0
+	}
+	for _, s := range ins {
+		s.scan.codes = codes
+	}
+	st.SetKeyCodes(n)
+	return n
 }
 
 // drainHints returns, for each input plan of a blocking sweep, the rows
@@ -708,10 +749,11 @@ func (e *executor) buildAgg(n engine.AggP, parent *engine.OpStats) (*pstream, er
 	}
 	out, streams := place(e.db, n, e.workers, false, in.shape())
 	aggForm(st, n, streams)
+	codes := codeKeys(st, streams, [][]int{cols.Of(keyIdx)}, in)
 	parts := e.exchange(in, out.frags, cols.Of(keyIdx), streams, st)
 	hint := e.drainHints(out.frags, n.In)[0]
 	for i, part := range parts {
-		it, err := e.aggSweep(n, part, data, cols, schema, streams, e.db.Domain(), hint)
+		it, err := e.aggSweep(n, part, data, cols, schema, streams, e.db.Domain(), hint, codes)
 		if err != nil {
 			// The constructor closed part; release the rest. Exchange
 			// goroutines are reaped by Exec's cancel path.
@@ -734,12 +776,13 @@ func aggForm(st *engine.OpStats, n engine.AggP, streams bool) {
 }
 
 // aggSweep is one fragment's aggregation sweep over part, with the gap
-// rows of a global aggregation spanning dom: the streaming form, or the
-// blocking one, which materializes part on first pull with room for
-// hint rows. On error part is closed.
-func (e *executor) aggSweep(n engine.AggP, part engine.RowIter, data tuple.Schema, cols engine.ColMap, schema tuple.Schema, streams bool, dom interval.Domain, hint int64) (engine.RowIter, error) {
+// rows of a global aggregation spanning dom: the streaming form, coded
+// by codes key codes (codeKeys) or hashed at 0, or the blocking one,
+// which materializes part on first pull with room for hint rows. On
+// error part is closed.
+func (e *executor) aggSweep(n engine.AggP, part engine.RowIter, data tuple.Schema, cols engine.ColMap, schema tuple.Schema, streams bool, dom interval.Domain, hint int64, codes int) (engine.RowIter, error) {
 	if streams {
-		it, err := engine.NewMappedStreamAggIter(part, data, cols, n.GroupBy, n.Aggs, dom)
+		it, err := engine.NewMappedStreamAggIter(part, data, cols, n.GroupBy, n.Aggs, dom, codes)
 		if err != nil {
 			return nil, err
 		}
@@ -785,11 +828,12 @@ func (e *executor) buildDiff(n engine.DiffP, parent *engine.OpStats) (*pstream, 
 	schema, lKeys, rKeys := l.schema, l.keys(), r.keys()
 	out, streams := place(e.db, n, e.workers, false, l.shape(), r.shape())
 	sweepForm(st, streams)
+	codes := codeKeys(st, streams, [][]int{lKeys, rKeys}, l, r)
 	lp := e.exchange(l, out.frags, lKeys, streams, st)
 	rp := e.exchange(r, out.frags, rKeys, streams, st)
 	for i := range lp {
 		if streams {
-			lp[i] = e.govern(engine.NewStreamCountIter(schema, lp[i], lKeys, rp[i], rKeys))
+			lp[i] = e.govern(engine.NewStreamCountIter(schema, lp[i], lKeys, rp[i], rKeys, codes))
 		} else {
 			// Arity compatibility (checked above) is the only failure mode
 			// of the blocking difference; a failure here still propagates
@@ -883,13 +927,13 @@ func (e *executor) buildJoin(n engine.JoinP, parent *engine.OpStats, exprs []alg
 	return e.finish("join", &pstream{parts: parts, schema: prep.Schema()}, st), projected, nil
 }
 
-// scanStream builds the scan of a stored (or pruned-prefix) table: the
-// shared construction of the ScanP case and the zone-map-pruned windowed
-// scan. The stream's order is the stored table's (place), which a
-// pruned prefix keeps.
-func (e *executor) scanStream(n engine.ScanP, t *engine.Table, st *engine.OpStats) *pstream {
+// scanStream builds the scan of t, the stored table src or a pruned
+// prefix of it: the shared construction of the ScanP case and the
+// zone-map-pruned windowed scan. The stream's order is the stored
+// table's (place), which a pruned prefix keeps, and so are its key codes.
+func (e *executor) scanStream(n engine.ScanP, src, t *engine.Table, st *engine.OpStats) *pstream {
 	out, _ := place(e.db, n, e.workers, false)
-	cur := new(scanCursor)
+	cur := &scanCursor{src: src}
 	parts := make([]engine.RowIter, out.frags)
 	for i := range parts {
 		parts[i] = &morselTableIter{ctx: e.ctx, t: t, cur: cur, frag: i, size: e.morsel}

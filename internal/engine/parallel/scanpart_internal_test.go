@@ -18,7 +18,7 @@ func TestScanPartitionWithoutScanSourcesIsAnInternalError(t *testing.T) {
 	db := engine.NewDB(interval.NewDomain(0, 10))
 	tbl := db.CreateTable("t", tuple.NewSchema("k"))
 	e := &executor{ctx: context.Background(), db: db, workers: 2, morsel: 4}
-	s := e.scanStream(engine.ScanP{Name: "t"}, tbl, nil)
+	s := e.scanStream(engine.ScanP{Name: "t"}, tbl, tbl, nil)
 	s.scan = nil
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "scan source") {

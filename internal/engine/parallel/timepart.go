@@ -87,7 +87,7 @@ func (e *executor) buildTimeAgg(n engine.AggP, splits []interval.Time, st *engin
 		T := fragmentRange(dom, splits, i)
 		part := &rangeIter{in: in.parts[0], t: T, st: xst, part: i}
 		ins[i] = nil // the sweep owns part now, and closes it on error
-		it, err := e.aggSweep(n, part, data, in.cols, schema, streams, interval.Domain{Min: T.Begin, Max: T.End}, 0)
+		it, err := e.aggSweep(n, part, data, in.cols, schema, streams, interval.Domain{Min: T.Begin, Max: T.End}, 0, 0)
 		if err != nil {
 			closeAll(parts[:i])
 			closeIns()

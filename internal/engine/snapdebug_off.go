@@ -24,7 +24,8 @@ func CheckErrChecked(op string, in RowIter) RowIter { return in }
 
 // checkRecycle is a no-op without the snapdebug build tag; with it, it
 // panics when a streaming sweep's group is recycled with an end event
-// queued, accumulator state left over, or a link in its hash chain.
+// queued, accumulator state left over, or a link in its hash chain or
+// its code's slot.
 func checkRecycle[S any, A accumulator[S]](*sweepIter[S, A], int32) {}
 
 // checkMonotone is a no-op without the snapdebug build tag; with it, it

@@ -220,8 +220,8 @@ func (it *checkNoAliasIter) verify() {
 // its iterator's free list: no end event of it is queued (one would be
 // applied to whichever new group reuses the index), its accumulator
 // holds nothing (a count or delta, a live argument slot, an unemitted
-// segment), and it is unlinked from its hash chain (a lookup could
-// otherwise still find it).
+// segment), and it is unlinked from its hash chain or its code's slot (a
+// lookup could otherwise still find it).
 func checkRecycle[S any, A accumulator[S]](it *sweepIter[S, A], i int32) {
 	g := it.at(i)
 	it.events.each(func(e endEvent) {
@@ -231,6 +231,9 @@ func checkRecycle[S any, A accumulator[S]](it *sweepIter[S, A], i int32) {
 	})
 	if s := it.acc.unsettled(&g.p.st); s != "" {
 		panic(fmt.Sprintf("engine: snapdebug: streaming %s recycled group %d (%v) with %s", it.name, i, g.key, s))
+	}
+	if it.slotOf != nil && it.slotOf[g.hash] == i+1 {
+		panic(fmt.Sprintf("engine: snapdebug: streaming %s recycled group %d (%v) still in its code's slot", it.name, i, g.key))
 	}
 	head, ok := it.chains[g.hash]
 	for ok && head >= 0 {

@@ -161,8 +161,8 @@ func TestCheckRecyclePanics(t *testing.T) {
 	it := NewStreamCoalesceIter(NewTableIter(NewTable(tuple.NewSchema("a")))).(*countSweep)
 	defer it.Close()
 	it.hashMask = 0 // one chain: a and b collide
-	a, ga, _ := it.find(tuple.Tuple{tuple.Int(1)}, it.lKey)
-	b, gb, _ := it.find(tuple.Tuple{tuple.Int(2)}, it.lKey)
+	a, ga, _ := it.find(tuple.Tuple{tuple.Int(1)}, it.lKey, 0)
+	b, gb, _ := it.find(tuple.Tuple{tuple.Int(2)}, it.lKey, 0)
 
 	it.events.push(endEvent{t: 5, ref: b << 1}, it.name)
 	mustPanic(t, []string{"recycled group", "end event queued"}, func() { checkRecycle(it, b) })
@@ -189,10 +189,10 @@ func TestCheckRecyclePanics(t *testing.T) {
 	// Evicting a unlinks it from behind the chain head; b stays found,
 	// and key 1 is not: it comes back as a new group on a's index.
 	evict(a)
-	if i, g, fresh := it.find(tuple.Tuple{tuple.Int(2)}, it.lKey); fresh || i != b || g != gb {
+	if i, g, fresh := it.find(tuple.Tuple{tuple.Int(2)}, it.lKey, 0); fresh || i != b || g != gb {
 		t.Fatalf("lookup after unlinking the chain's tail = %d, want %d", i, b)
 	}
-	if i, _, fresh := it.find(tuple.Tuple{tuple.Int(1)}, it.lKey); !fresh || i != a {
+	if i, _, fresh := it.find(tuple.Tuple{tuple.Int(1)}, it.lKey, 0); !fresh || i != a {
 		t.Fatal("an evicted group is still found")
 	}
 	evict(a)
@@ -210,7 +210,7 @@ func TestCheckRecyclePanics(t *testing.T) {
 	}
 	defer raw.Close()
 	ag := raw.(*aggStream)
-	i, g, _ := ag.find(tuple.Tuple{tuple.Int(1), tuple.Int(7)}, ag.lKey)
+	i, g, _ := ag.find(tuple.Tuple{tuple.Int(1), tuple.Int(7)}, ag.lKey, 0)
 	ag.start(&g.p, 0)
 	ag.step(&g.p, g.key, 0, 1, tuple.Tuple{tuple.Int(7)})
 	ag.remove(i)

@@ -43,14 +43,29 @@ func rowInterval(row tuple.Tuple) interval.Interval {
 	return interval.Interval{Begin: row[n-2].AsInt(), End: row[n-1].AsInt()}
 }
 
-// tableIter streams the rows of a materialized table.
+// tableIter streams the rows of a materialized table, and their key
+// codes when codes is set.
 type tableIter struct {
-	t *Table
-	i int
+	t     *Table
+	i     int
+	codes []int32
 }
 
 // NewTableIter returns an iterator over the rows of t.
 func NewTableIter(t *Table) RowIter { return &tableIter{t: t} }
+
+// NewCodedTableIter returns an iterator over the rows of t that emits
+// each row's key code over the columns cols (Table.KeyCodes), and the
+// number of codes: the input of a streaming sweep that groups by cols
+// through that many codes. Where t has too many rows for codes it
+// returns NewTableIter(t) and 0, the number that makes a sweep hash.
+func NewCodedTableIter(t *Table, cols []int) (RowIter, int) {
+	codes, n, ok := t.KeyCodes(cols)
+	if !ok {
+		return NewTableIter(t), 0
+	}
+	return &tableIter{t: t, codes: codes}, n
+}
 
 func (it *tableIter) Schema() tuple.Schema { return it.t.Schema }
 
@@ -64,6 +79,9 @@ func (it *tableIter) NextBatch(b *RowBatch) bool {
 		return false
 	}
 	b.Rows = append(b.Rows, it.t.Rows[it.i:it.i+n]...)
+	if it.codes != nil {
+		b.Codes = append(b.Codes, it.codes[it.i:it.i+n]...)
+	}
 	it.i += n
 	return true
 }
@@ -179,19 +197,23 @@ func NewFilterIter(in RowIter, schema tuple.Schema, m ColMap, pred algebra.Expr)
 func (it *filterIter) Schema() tuple.Schema { return it.in.Schema() }
 
 // NextBatch filters whole child chunks with a plain range loop — per
-// row only the compiled predicate and a conditional append — and emits
+// row only the compiled predicate and a conditional append, of the row's
+// key code too when the child emits codes — and emits
 // as soon as one chunk yields any passing rows rather than blocking to
 // fill the batch (a ragged batch is legal anywhere in the stream).
 func (it *filterIter) NextBatch(out *RowBatch) bool {
 	out.Reset()
 	for out.Len() == 0 {
-		rows, ok := it.cur.nextChunk(out.Cap())
+		rows, codes, ok := it.cur.nextCodedChunk(out.Cap())
 		if !ok {
 			break
 		}
-		for _, row := range rows {
+		for j, row := range rows {
 			if algebra.Truthy(it.pred(row)) {
 				out.Append(row)
+				if codes != nil {
+					out.Codes = append(out.Codes, codes[j])
+				}
 			}
 		}
 	}

@@ -263,19 +263,19 @@ func TestStreamDiffForcedCollisions(t *testing.T) {
 		ml, lm := spread(rng, l, 3, 2)
 		mr, rm := spread(rng, r, 2, 0)
 		ma, am := spread(rng, a, 4, 3, 1)
-		co = NewStreamCountIter(l.Schema, NewTableIter(ml), lm, nil, nil)
+		co = NewStreamCountIter(l.Schema, NewTableIter(ml), lm, nil, nil, 0)
 		co.(*countSweep).hashMask = 0
 		check("streaming coalesce through a map", coalesce, &Table{Schema: l.Schema, Rows: drainRows(t, co, 8)}, Coalesce(l))
 		bc = newBlockSweep(countKernel(), lm)
 		bc.hashMask = 0
 		check("blocking coalesce through a map", coalesce, &Table{Schema: l.Schema, Rows: bc.run(ml.Rows)}, Coalesce(l))
-		di = NewStreamCountIter(l.Schema, NewTableIter(ml), lm, NewTableIter(mr), rm)
+		di = NewStreamCountIter(l.Schema, NewTableIter(ml), lm, NewTableIter(mr), rm, 0)
 		di.(*countSweep).hashMask = 0
 		check("streaming difference through two maps", diff, &Table{Schema: l.Schema, Rows: drainRows(t, di, 8)}, wantDiff)
 		bd = newBlockSweep(countKernel(), lm, rm)
 		bd.hashMask = 0
 		check("blocking difference through two maps", diff, &Table{Schema: l.Schema, Rows: bd.run(ml.Rows, mr.Rows)}, wantDiff)
-		ag, err = NewMappedStreamAggIter(NewTableIter(ma), a.DataSchema(), am, grouped.GroupBy, aggs, dom)
+		ag, err = NewMappedStreamAggIter(NewTableIter(ma), a.DataSchema(), am, grouped.GroupBy, aggs, dom, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

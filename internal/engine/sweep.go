@@ -34,10 +34,10 @@ const (
 // group is one entry of a group table; p is its driver's state.
 type group[P any] struct {
 	key  tuple.Tuple
-	hash uint64
-	seq  int   // first-seen order, for a deterministic end-of-input commit
-	next int32 // next group of the same hash chain, or -1
-	open int32 // the group's end events still queued (streaming driver)
+	hash uint64 // the key's hash, or its code in a coded table
+	seq  int    // first-seen order, for a deterministic end-of-input commit
+	next int32  // next group of the same hash chain, or -1
+	open int32  // the group's end events still queued (streaming driver)
 	p    P
 }
 
@@ -56,9 +56,16 @@ type groupPage[P any] struct {
 // fixed-size pages, addressed by int32 and recycled through a free list
 // of indexes, and each owns a copy of its key, so no group pins an input
 // slab.
+//
+// A coded table instead finds a row's group by the row's dense key code
+// (Table.KeyCodes), which equal keys share: slotOf maps each code to its
+// live group, with neither hash nor SameKey. A streaming sweep is coded
+// when every input is a scan of one table whose key columns are the
+// same stored columns, so that every row carries a code of one set.
 type groupTable[P any] struct {
 	width    int              // the key columns a group has
 	chains   map[uint64]int32 // group hash → first group of its chain
+	slotOf   []int32          // coded: code → its group's index + 1, or 0
 	pages    []*groupPage[P]
 	slots    int32   // groups handed out so far, live or free
 	free     []int32 // evicted groups, reused with their key buffers
@@ -67,7 +74,12 @@ type groupTable[P any] struct {
 	hashMask uint64 // all ones; tests clear bits to force collisions
 }
 
-func newGroupTable[P any](width int) groupTable[P] {
+// newGroupTable returns a group table of keys width columns wide, coded
+// by codes key codes, or hashed when codes is 0.
+func newGroupTable[P any](width, codes int) groupTable[P] {
+	if codes > 0 {
+		return groupTable[P]{width: width, slotOf: make([]int32, codes)}
+	}
 	return groupTable[P]{width: width, chains: make(map[uint64]int32), hashMask: ^uint64(0)}
 }
 
@@ -77,13 +89,20 @@ func (t *groupTable[P]) at(i int32) *group[P] {
 }
 
 // find returns the group whose key is, column by column, SameKey to
-// row's key columns idx, linking in a new one when there is none — on a
-// free index if there is one, with its own copy of the key; fresh
-// reports a new group, whose p still holds what a recycled group left
-// there. Without key columns — global aggregation — every row falls in
-// the one group of hash 0: HashKey(nil), like AppendKey(nil), means all
-// columns.
-func (t *groupTable[P]) find(row tuple.Tuple, idx []int) (i int32, g *group[P], fresh bool) {
+// row's key columns idx — in a coded table, the group of the row's key
+// code — linking in a new one when there is none; fresh reports a new
+// group, whose p still holds what a recycled group left there. Without
+// key columns — global aggregation — every row falls in the one group of
+// hash 0: HashKey(nil), like AppendKey(nil), means all columns.
+func (t *groupTable[P]) find(row tuple.Tuple, idx []int, code int32) (i int32, g *group[P], fresh bool) {
+	if t.slotOf != nil {
+		if s := t.slotOf[code]; s != 0 {
+			return s - 1, t.at(s - 1), false
+		}
+		i, g = t.add(row, idx, uint64(code))
+		t.slotOf[code] = i + 1
+		return i, g, true
+	}
 	var h uint64
 	if t.width > 0 {
 		h = row.HashKey(idx) & t.hashMask
@@ -102,6 +121,15 @@ chain:
 		}
 		return i, g, false
 	}
+	i, g = t.add(row, idx, h)
+	g.next = head
+	t.chains[h] = i
+	return i, g, true
+}
+
+// add takes a group for a new key — on a free index if there is one —
+// and gives it its own copy of row's key columns idx and hash h.
+func (t *groupTable[P]) add(row tuple.Tuple, idx []int, h uint64) (i int32, g *group[P]) {
 	i = t.slots
 	if n := len(t.free); n > 0 {
 		i, t.free = t.free[n-1], t.free[:n-1]
@@ -118,17 +146,19 @@ chain:
 	for _, c := range idx {
 		g.key = append(g.key, row[c])
 	}
-	g.hash, g.next, g.seq = h, head, t.nextSeq
-	t.chains[h] = i
+	g.hash, g.seq = h, t.nextSeq
 	t.nextSeq++
 	t.live++
-	return i, g, true
+	return i, g
 }
 
-// remove unlinks group i from its hash chain and frees its index.
+// remove unlinks group i from its hash chain, or clears its code's
+// slot, and frees its index.
 func (t *groupTable[P]) remove(i int32) {
 	g := t.at(i)
-	if head := t.chains[g.hash]; head != i {
+	if t.slotOf != nil {
+		t.slotOf[g.hash] = 0
+	} else if head := t.chains[g.hash]; head != i {
 		p := t.at(head)
 		for p.next != i {
 			p = t.at(p.next)
@@ -720,8 +750,10 @@ type sweepIter[S any, A accumulator[S]] struct {
 	args     tuple.Tuple
 	freeArgs []int32
 	argSlots bool
-	// one-row lookahead per input, filled on the first pull
+	// one-row lookahead per input, filled on the first pull, with the
+	// row's key code in a coded table
 	lRow, rRow                tuple.Tuple
+	lCode, rCode              int32
 	lOk, rOk, primed, drained bool
 	// peak sweep state, reported through MaxState.
 	maxGroups, maxOpen int
@@ -733,6 +765,10 @@ type sweepIter[S any, A accumulator[S]] struct {
 func (it *sweepIter[S, A]) MaxState() int64 {
 	return int64(it.maxGroups + it.maxOpen)
 }
+
+// IndexBytes reports the bytes of a coded sweep's code → group index, 4
+// per code, for the memory governor (IndexSizer).
+func (it *sweepIter[S, A]) IndexBytes() int64 { return 4 * int64(len(it.slotOf)) }
 
 // NewStreamDiffIter returns the streaming temporal difference l − r,
 // taking ownership of both inputs. Both must be ordered by ascending
@@ -746,14 +782,14 @@ func NewStreamDiffIter(l, r RowIter) (RowIter, error) {
 		return nil, fmt.Errorf("engine: difference-incompatible arities %d and %d", la, ra)
 	}
 	key := dataColumns(l.Schema().Arity() - 2)
-	return NewStreamCountIter(l.Schema(), l, key, r, key), nil
+	return NewStreamCountIter(l.Schema(), l, key, r, key, 0), nil
 }
 
 // NewStreamCoalesceIter returns the streaming coalesce over in, taking
 // ownership of it: the streaming difference with no right input. The
 // input must be ordered by ascending interval begin; violations panic.
 func NewStreamCoalesceIter(in RowIter) RowIter {
-	return NewStreamCountIter(in.Schema(), in, dataColumns(in.Schema().Arity()-2), nil, nil)
+	return NewStreamCountIter(in.Schema(), in, dataColumns(in.Schema().Arity()-2), nil, nil, 0)
 }
 
 // NewStreamCountIter returns the streaming count sweep of period schema
@@ -762,13 +798,16 @@ func NewStreamCoalesceIter(in RowIter) RowIter {
 // input's rows that hold schema's data columns, in order — all of them
 // for rows laid out as schema, a column map otherwise — so the two sides
 // may be read through different maps. Both inputs must be ordered by
-// ascending interval begin; violations panic.
-func NewStreamCountIter(schema tuple.Schema, l RowIter, lKey []int, r RowIter, rKey []int) RowIter {
+// ascending interval begin; violations panic. codes > 0 makes the sweep
+// coded: every input batch then carries each row's key code, one of
+// codes codes shared by equal keys of both inputs (RowBatch.Codes), and
+// the sweep finds groups by code; 0 makes it hash.
+func NewStreamCountIter(schema tuple.Schema, l RowIter, lKey []int, r RowIter, rKey []int, codes int) RowIter {
 	name := "coalesce"
 	if r != nil {
 		name = "difference"
 	}
-	return newSweepIter(countKernel(), lKey, rKey, schema, name, l, r)
+	return newSweepIter(countKernel(), lKey, rKey, codes, schema, name, l, r)
 }
 
 // NewStreamAggIter returns the streaming pre-aggregated split over in,
@@ -776,39 +815,44 @@ func NewStreamCountIter(schema tuple.Schema, l RowIter, lKey []int, r RowIter, r
 // interval begin; violations panic. On a prep error the child is
 // closed, matching the other constructors' contract.
 func NewStreamAggIter(in RowIter, groupBy []string, aggs []algebra.AggSpec, dom interval.Domain) (RowIter, error) {
-	return NewMappedStreamAggIter(in, dataSchema(in.Schema()), nil, groupBy, aggs, dom)
+	return NewMappedStreamAggIter(in, dataSchema(in.Schema()), nil, groupBy, aggs, dom, 0)
 }
 
 // NewMappedStreamAggIter is NewStreamAggIter over rows read through m
-// as the data schema data.
-func NewMappedStreamAggIter(in RowIter, data tuple.Schema, m ColMap, groupBy []string, aggs []algebra.AggSpec, dom interval.Domain) (RowIter, error) {
+// as the data schema data, coded by codes key codes of the grouping
+// columns as NewStreamCountIter is; a global aggregation has no key and
+// ignores them.
+func NewMappedStreamAggIter(in RowIter, data tuple.Schema, m ColMap, groupBy []string, aggs []algebra.AggSpec, dom interval.Domain, codes int) (RowIter, error) {
 	prep, err := prepareAggregate(data, groupBy, aggs)
 	if err != nil {
 		in.Close()
 		return nil, err
 	}
 	prep = prep.through(m)
-	return newSweepIter(aggKernel(prep, aggs, dom), prep.groupIdx, nil, prep.schema, "aggregation", in, nil), nil
+	return newSweepIter(aggKernel(prep, aggs, dom), prep.groupIdx, nil, codes, prep.schema, "aggregation", in, nil), nil
 }
 
 // dataSchema strips the period attributes from a period schema.
 func dataSchema(s tuple.Schema) tuple.Schema { return tuple.Schema{Cols: s.Cols[:s.Arity()-2]} }
 
-func newSweepIter[S any, A accumulator[S]](k kernel[S, A], lKey, rKey []int, schema tuple.Schema, name string, l, r RowIter) *sweepIter[S, A] {
+func newSweepIter[S any, A accumulator[S]](k kernel[S, A], lKey, rKey []int, codes int, schema tuple.Schema, name string, l, r RowIter) *sweepIter[S, A] {
+	if k.global {
+		codes = 0
+	}
 	if r == nil {
 		l = CheckOrdered("streaming "+name+" input", l)
 	} else {
 		l = CheckOrdered("streaming "+name+" left input", l)
 		r = CheckOrdered("streaming "+name+" right input", r)
 	}
-	it := &sweepIter[S, A]{kernel: k, groupTable: newGroupTable[changes[S]](len(lKey)), schema: schema, name: name,
+	it := &sweepIter[S, A]{kernel: k, groupTable: newGroupTable[changes[S]](len(lKey), codes), schema: schema, name: name,
 		l: l, r: r, lKey: lKey, rKey: rKey, lcur: batchCursor{in: l}, rcur: batchCursor{in: r},
 		argSlots: slices.ContainsFunc(k.argIdx, func(c int) bool { return c >= 0 })}
 	if !it.argSlots {
 		it.args = make(tuple.Tuple, len(k.argIdx))
 	}
 	if it.global {
-		_, g, _ := it.find(nil, nil)
+		_, g, _ := it.find(nil, nil, 0)
 		it.start(&g.p, it.dom.Min)
 	}
 	return it
@@ -897,14 +941,23 @@ func (it *sweepIter[S, A]) commit(i int32) {
 	checkRecycle(it, i)
 }
 
-// pull reads the next row of one input, checking that it begins no
-// earlier than prev.
-func (it *sweepIter[S, A]) pull(c *batchCursor, prev tuple.Tuple, capacity int) (tuple.Tuple, bool) {
-	row, ok := c.next(capacity)
-	if ok && prev != nil && rowInterval(row).Begin < rowInterval(prev).Begin {
+// pull reads the next row of one input, and its key code in a coded
+// table, checking that it begins no earlier than prev.
+func (it *sweepIter[S, A]) pull(c *batchCursor, prev tuple.Tuple, capacity int) (row tuple.Tuple, code int32, ok bool) {
+	row, ok = c.next(capacity)
+	if !ok {
+		return nil, 0, false
+	}
+	if prev != nil && rowInterval(row).Begin < rowInterval(prev).Begin {
 		panic(fmt.Sprintf("engine: streaming %s input not begin-sorted (begin %d after %d); planner must stream only over ordered input", it.name, rowInterval(row).Begin, rowInterval(prev).Begin))
 	}
-	return row, ok
+	if it.slotOf != nil {
+		if len(c.b.Codes) != c.b.Len() {
+			panic(fmt.Sprintf("engine: coded streaming %s read a batch of %d rows with %d key codes; the executor must code every row or none", it.name, c.b.Len(), len(c.b.Codes)))
+		}
+		code = c.code()
+	}
+	return row, code, true
 }
 
 // fill runs the merged sweep until the output holds a run not yet
@@ -930,9 +983,9 @@ func (it *sweepIter[S, A]) fill(capacity int) bool {
 			// groups at a time. A small first batch leaves it as large
 			// as the batches after it.
 			it.out.rows = make([]tuple.Tuple, 0, max(capacity, DefaultBatchSize))
-			it.lRow, it.lOk = it.pull(&it.lcur, nil, capacity)
+			it.lRow, it.lCode, it.lOk = it.pull(&it.lcur, nil, capacity)
 			if it.r != nil {
-				it.rRow, it.rOk = it.pull(&it.rcur, nil, capacity)
+				it.rRow, it.rCode, it.rOk = it.pull(&it.rcur, nil, capacity)
 			}
 			it.primed = true
 		}
@@ -940,14 +993,14 @@ func (it *sweepIter[S, A]) fill(capacity int) bool {
 		// for the result, since same-instant deltas fold into one event).
 		var row tuple.Tuple
 		var key []int
-		var sign int32
+		var sign, code int32
 		switch {
 		case it.lOk && (!it.rOk || rowInterval(it.lRow).Begin <= rowInterval(it.rRow).Begin):
-			row, key, sign = it.lRow, it.lKey, 1
-			it.lRow, it.lOk = it.pull(&it.lcur, row, capacity)
+			row, key, sign, code = it.lRow, it.lKey, 1, it.lCode
+			it.lRow, it.lCode, it.lOk = it.pull(&it.lcur, row, capacity)
 		case it.rOk:
-			row, key, sign = it.rRow, it.rKey, -1
-			it.rRow, it.rOk = it.pull(&it.rcur, row, capacity)
+			row, key, sign, code = it.rRow, it.rKey, -1, it.rCode
+			it.rRow, it.rCode, it.rOk = it.pull(&it.rcur, row, capacity)
 		default:
 			it.retire(0, true)
 			if it.global {
@@ -978,7 +1031,7 @@ func (it *sweepIter[S, A]) fill(capacity int) bool {
 		if it.global {
 			g = it.at(0)
 		} else {
-			i, g, fresh = it.find(row, key)
+			i, g, fresh = it.find(row, key, code)
 		}
 		if fresh {
 			it.start(&g.p, iv.Begin)
@@ -1073,7 +1126,7 @@ type blockSweep[S any, A accumulator[S]] struct {
 }
 
 func newBlockSweep[S any, A accumulator[S]](k kernel[S, A], keys ...[]int) *blockSweep[S, A] {
-	return &blockSweep[S, A]{kernel: k, groupTable: newGroupTable[[]blockEvent](len(keys[0])), keys: keys}
+	return &blockSweep[S, A]{kernel: k, groupTable: newGroupTable[[]blockEvent](len(keys[0]), 0), keys: keys}
 }
 
 // run sweeps the inputs, ungoverned, the first counting +1 and the
@@ -1099,14 +1152,14 @@ func (s *blockSweep[S, A]) runs(gov *Governor, inputs ...[]tuple.Tuple) (sweepOu
 		return sweepOut{}, err
 	}
 	if s.global {
-		s.find(nil, nil)
+		s.find(nil, nil, 0)
 	}
 	ev, gi := make([]blockEvent, 2*n), make([]int32, n)
 	base, sign := 0, int32(1)
 	for k, rows := range inputs {
 		for r, row := range rows {
 			id := base + r
-			gi[id], _, _ = s.find(row, s.keys[k])
+			gi[id], _, _ = s.find(row, s.keys[k], 0)
 			iv := rowInterval(row)
 			ev[2*id] = blockEvent{iv.Begin, int32(id), sign}
 			ev[2*id+1] = blockEvent{iv.End, int32(id), -sign}

@@ -89,6 +89,10 @@ type Table struct {
 	// Atomic so concurrent planners can share one table without locks;
 	// mutators drop it via Store(nil).
 	stats atomic.Pointer[TableStats]
+	// codes caches the dense key codes of the key column sets streaming
+	// sweeps have asked for (keycodes.go), held and dropped like stats;
+	// Sort and SortByEndpoints drop it too, since codes are per row.
+	codes atomic.Pointer[codeCache]
 }
 
 // NewTable returns an empty period relation for the given data schema.
@@ -135,7 +139,7 @@ func (t *Table) Append(data tuple.Tuple, iv interval.Interval, mult int64) {
 		}
 	}
 	t.meta.coalesced = propUnknown
-	t.stats.Store(nil)
+	t.dropCaches()
 	row := make(tuple.Tuple, 0, len(data)+2)
 	row = append(row, data...)
 	row = append(row, tuple.Int(iv.Begin), tuple.Int(iv.End))
@@ -153,7 +157,7 @@ func (t *Table) Append(data tuple.Tuple, iv interval.Interval, mult int64) {
 func (t *Table) SetRows(rows []tuple.Tuple) {
 	t.Rows = rows
 	t.meta = tableMeta{}
-	t.stats.Store(nil)
+	t.dropCaches()
 }
 
 // InvalidateMeta drops the cached physical-property metadata. Code that
@@ -162,7 +166,23 @@ func (t *Table) SetRows(rows []tuple.Tuple) {
 // table is used by the planner again.
 func (t *Table) InvalidateMeta() {
 	t.meta = tableMeta{}
-	t.stats.Store(nil)
+	t.dropCaches()
+}
+
+// dropCaches drops the cached statistics and key codes. Each is stored
+// only when set, so a load path appending row by row writes neither.
+func (t *Table) dropCaches() {
+	if t.stats.Load() != nil {
+		t.stats.Store(nil)
+	}
+	t.dropCodes()
+}
+
+// dropCodes drops the cached key codes.
+func (t *Table) dropCodes() {
+	if t.codes.Load() != nil {
+		t.codes.Store(nil)
+	}
 }
 
 // Len returns the number of rows (counting duplicates).
@@ -171,12 +191,14 @@ func (t *Table) Len() int { return len(t.Rows) }
 // Clone returns a shallow copy of the table (rows are shared; rows are
 // treated as immutable by all operators). Cached metadata is copied:
 // it describes the shared row slice. Cached statistics carry over too —
-// they are immutable once computed and describe the same multiset.
+// they are immutable once computed and describe the same multiset — and
+// so do cached key codes, since the copy keeps the row order.
 func (t *Table) Clone() *Table {
 	rows := make([]tuple.Tuple, len(t.Rows))
 	copy(rows, t.Rows)
 	out := &Table{Schema: t.Schema, Rows: rows, meta: t.meta}
 	out.stats.Store(t.stats.Load())
+	out.codes.Store(t.codes.Load())
 	return out
 }
 
@@ -185,8 +207,9 @@ func (t *Table) Clone() *Table {
 // the sweep operators' comparator (CompareEndpoints). Data-major order
 // is not begin order in general, so sortedness metadata drops to
 // unknown; coalescedness is a multiset property and survives the
-// permutation.
+// permutation. Key codes are per row, so they drop.
 func (t *Table) Sort() {
+	t.dropCodes()
 	n := t.DataArity()
 	sort.Slice(t.Rows, func(i, j int) bool {
 		a, b := t.Rows[i], t.Rows[j]
@@ -218,8 +241,9 @@ func (t *Table) BeginSorted() bool {
 
 // SortByEndpoints reorders the stored rows into (begin, end) endpoint
 // order, establishing the streaming sweep operators' input order (and
-// recording it in the metadata).
+// recording it in the metadata). Key codes are per row, so they drop.
 func (t *Table) SortByEndpoints() {
+	t.dropCodes()
 	SortRowsByEndpoints(t.Rows)
 	t.meta.sorted = propTrue
 	if n := len(t.Rows); n > 0 {

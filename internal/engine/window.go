@@ -75,17 +75,21 @@ func (it *windowIter) Schema() tuple.Schema { return it.in.Schema() }
 
 // NextBatch clips whole child chunks with a plain range loop, emitting
 // as soon as one chunk yields any surviving rows (a ragged batch is
-// legal anywhere in the stream).
+// legal anywhere in the stream). A clip keeps the data columns, so a
+// surviving row keeps its key code.
 func (it *windowIter) NextBatch(out *RowBatch) bool {
 	out.Reset()
 	for out.Len() == 0 {
-		rows, ok := it.cur.nextChunk(out.Cap())
+		rows, codes, ok := it.cur.nextCodedChunk(out.Cap())
 		if !ok {
 			break
 		}
-		for _, row := range rows {
+		for j, row := range rows {
 			if iv, over := rowInterval(row).Intersect(it.t); over {
 				out.Append(clipRow(&it.arena, row, iv))
+				if codes != nil {
+					out.Codes = append(out.Codes, codes[j])
+				}
 			}
 		}
 	}

@@ -166,3 +166,39 @@ func TestAggJoinSanity(t *testing.T) {
 		}
 	}
 }
+
+// TestUnsortedWorkloadsBuildNoKeyCodes runs the Employee and TPC-BiH
+// queries — Table 3's mix — at one and two workers over their unsorted
+// tables, where every sweep blocks, and checks that no table holds key
+// codes afterwards: only a streaming sweep over a scan asks for them.
+func TestUnsortedWorkloadsBuildNoKeyCodes(t *testing.T) {
+	for _, tc := range []struct {
+		db      *engine.DB
+		queries []workload.Query
+		tables  []string
+	}{
+		{smallEmployees(), workload.Employees(), []string{"departments", "employees", "titles", "salaries", "dept_emp", "dept_manager"}},
+		{smallTPCBiH(), workload.TPCH(), []string{"region", "nation", "customer", "supplier", "part", "partsupp", "orders", "lineitem"}},
+	} {
+		for _, wq := range tc.queries {
+			q, err := wq.Translate(tc.db)
+			if err != nil {
+				t.Fatalf("%s: %v", wq.ID, err)
+			}
+			for _, w := range []int{1, 2} {
+				if _, err := rewrite.Run(tc.db, q, rewrite.Options{Mode: rewrite.ModeOptimized, Parallelism: w}); err != nil {
+					t.Fatalf("%s at %d workers: %v", wq.ID, w, err)
+				}
+			}
+		}
+		for _, name := range tc.tables {
+			tbl, err := tc.db.Table(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, rows := tbl.SizeBytes(), int64(tbl.Len())*engine.ApproxRowBytes(tbl.Schema.Arity()); got != rows {
+				t.Fatalf("%s holds %d bytes of key codes after the queries", name, got-rows)
+			}
+		}
+	}
+}
