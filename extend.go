@@ -129,27 +129,60 @@ func (t *Table) Delete(begin, end int64, where string) (int, error) {
 		return 0, err
 	}
 	affected := 0
-	var kept []tuple.Tuple
+	w := splitWriter{sorted: t.tbl.BeginSorted()}
 	n := t.tbl.DataArity()
 	for _, row := range t.tbl.Rows {
 		data := row[:n]
 		riv := t.tbl.Interval(row)
 		if !algebra.Truthy(compiled(data)) || !riv.Overlaps(iv) {
-			kept = append(kept, row)
+			w.keep(row)
 			continue
 		}
 		affected++
 		// Keep the fragments of the row's period outside the deletion
 		// window.
 		if riv.Begin < iv.Begin {
-			kept = append(kept, periodRow(data, riv.Begin, iv.Begin))
+			w.keep(periodRow(data, riv.Begin, iv.Begin))
 		}
 		if iv.End < riv.End {
-			kept = append(kept, periodRow(data, iv.End, riv.End))
+			w.later(periodRow(data, iv.End, riv.End))
 		}
 	}
-	t.tbl.SetRows(kept) // bulk mutation: drops the cached sortedness metadata
+	w.set(t.tbl)
 	return affected, nil
+}
+
+// splitWriter collects the rows of a sequenced Delete or Update, which
+// keeps every row or splits it into fragments at the window's bounds. A
+// fragment that begins later than its row would unsort a begin-sorted
+// table where the row stood, so over one such table those fragments are
+// set apart and merged in by begin at the end (engine.Table.SetRowsMerging):
+// the table stays begin-sorted, and its sweeps stream.
+type splitWriter struct {
+	sorted      bool
+	rows, moved []tuple.Tuple
+}
+
+// keep adds a row, or a fragment that begins where its row did.
+func (w *splitWriter) keep(row tuple.Tuple) { w.rows = append(w.rows, row) }
+
+// later adds a fragment that may begin later than its row.
+func (w *splitWriter) later(frag tuple.Tuple) {
+	if w.sorted {
+		w.moved = append(w.moved, frag)
+		return
+	}
+	w.keep(frag)
+}
+
+// set stores the rows in tbl: a bulk mutation, which drops the cached
+// metadata, and records begin order where the table had it.
+func (w *splitWriter) set(tbl *engine.Table) {
+	if w.sorted {
+		tbl.SetRowsMerging(w.rows, w.moved)
+		return
+	}
+	tbl.SetRows(w.rows)
 }
 
 func periodRow(data tuple.Tuple, b, e int64) tuple.Tuple {
@@ -193,28 +226,28 @@ func (t *Table) Update(begin, end int64, column string, newValue any, where stri
 		return 0, err
 	}
 	affected := 0
-	var out []tuple.Tuple
+	w := splitWriter{sorted: t.tbl.BeginSorted()}
 	n := t.tbl.DataArity()
 	for _, row := range t.tbl.Rows {
 		data := row[:n]
 		riv := t.tbl.Interval(row)
 		inter, overlaps := riv.Intersect(iv)
 		if !algebra.Truthy(compiled(data)) || !overlaps {
-			out = append(out, row)
+			w.keep(row)
 			continue
 		}
 		affected++
 		if riv.Begin < inter.Begin {
-			out = append(out, periodRow(data, riv.Begin, inter.Begin))
+			w.keep(periodRow(data, riv.Begin, inter.Begin))
 		}
 		updated := data.Clone()
 		updated[colIdx] = val
-		out = append(out, periodRow(updated, inter.Begin, inter.End))
+		w.later(periodRow(updated, inter.Begin, inter.End))
 		if inter.End < riv.End {
-			out = append(out, periodRow(data, inter.End, riv.End))
+			w.later(periodRow(data, inter.End, riv.End))
 		}
 	}
-	t.tbl.SetRows(out) // bulk mutation: drops the cached sortedness metadata
+	w.set(t.tbl)
 	return affected, nil
 }
 

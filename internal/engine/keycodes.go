@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"snapk/internal/tuple"
 )
@@ -15,18 +16,48 @@ import (
 // codes of the groups open at one instant lie in a sliding window. A
 // sweep whose every input is a scan of the table, read through maps,
 // filters and windows, then finds a row's group by its code in a flat
-// index instead of hashing its key (groupTable.slotOf).
+// index instead of hashing its key (groupTable.slotOf). At W > 1 the
+// scan partition routes that sweep's rows by code as well, through a
+// code → fragment map balanced by rows (KeyParts), and hashes none.
 //
 // The codes are a function of the stored rows: a table caches them like
 // its statistics, in an atomic pointer to an immutable list, and every
 // mutator drops them — Sort and SortByEndpoints too, since a code
-// belongs to a row position.
+// belongs to a row position. A routing map hangs off its code set and
+// drops with it.
 
 // keyCodes is one key column set's codes over a table's stored rows.
 type keyCodes struct {
 	cols  []int
 	codes []int32 // per stored row
 	n     int     // distinct codes: every code lies in [0, n)
+	// parts caches the scan partition's routing maps over these codes
+	// (KeyParts), one per fragment count: an immutable list, like the
+	// table's list of code sets, so a writer drops it with the codes.
+	parts atomic.Pointer[partsCache]
+}
+
+// keyParts is a w-way routing map over one code set: frag[c] is the
+// fragment that keeps the rows of code c.
+type keyParts struct {
+	w    int
+	frag []uint8
+}
+
+// partsCache is the immutable list of a code set's routing maps.
+type partsCache []*keyParts
+
+// find returns the cached map of w fragments, or nil.
+func (c *partsCache) find(w int) []uint8 {
+	if c == nil {
+		return nil
+	}
+	for _, p := range *c {
+		if p.w == w {
+			return p.frag
+		}
+	}
+	return nil
 }
 
 // codeCache is the immutable list of a table's cached key codes.
@@ -52,14 +83,24 @@ func (c *codeCache) find(cols []int, rows int) *keyCodes {
 // the table holds more rows than int32 codes can number. The returned
 // slice is shared and must not be written.
 func (t *Table) KeyCodes(cols []int) (codes []int32, n int, ok bool) {
-	if len(t.Rows) > math.MaxInt32 {
+	kc := t.keyCodes(cols)
+	if kc == nil {
 		return nil, 0, false
+	}
+	return kc.codes, kc.n, true
+}
+
+// keyCodes returns the cached codes of cols, built on first use, or nil
+// when the table holds more rows than int32 codes can number.
+func (t *Table) keyCodes(cols []int) *keyCodes {
+	if len(t.Rows) > math.MaxInt32 {
+		return nil
 	}
 	var built *keyCodes
 	for {
 		old := t.codes.Load()
 		if kc := old.find(cols, len(t.Rows)); kc != nil {
-			return kc.codes, kc.n, true
+			return kc
 		}
 		if built == nil {
 			codes, n := buildKeyCodes(t.Rows, cols, ^uint64(0))
@@ -75,22 +116,96 @@ func (t *Table) KeyCodes(cols []int) (codes []int32, n int, ok bool) {
 		}
 		sets = append(sets, built)
 		if t.codes.CompareAndSwap(old, &sets) {
-			return built.codes, built.n, true
+			return built
+		}
+	}
+}
+
+// KeyParts returns the routing map of a w-way scan partition over the
+// key codes of cols (KeyCodes): frag[c] is the fragment that keeps the
+// rows of code c. Rows of one code, so of SameKey keys, meet in one
+// fragment, and the fragments hold about equal numbers of stored rows
+// (buildKeyParts). It builds the map on first use and caches it with the
+// codes, so it goes with them on the next write; concurrent callers may
+// both build, and both get the same map. It returns nil where the table
+// has no codes or w is beyond maxParts, and the scan hashes its rows
+// instead. The returned slice is shared and must not be written.
+func (t *Table) KeyParts(cols []int, w int) []uint8 {
+	kc := t.keyCodes(cols)
+	if kc == nil {
+		return nil
+	}
+	var built []uint8
+	for {
+		old := kc.parts.Load()
+		if frag := old.find(w); frag != nil {
+			return frag
+		}
+		if built == nil {
+			if built = buildKeyParts(kc.codes, kc.n, w); built == nil {
+				return nil
+			}
+		}
+		var maps partsCache
+		if old != nil {
+			maps = slices.Clip(*old)
+		}
+		maps = append(maps, &keyParts{w: w, frag: built})
+		if kc.parts.CompareAndSwap(old, &maps) {
+			return built
 		}
 	}
 }
 
 // SizeBytes approximates the memory the table holds: its rows, each
 // priced by ApproxRowBytes, and its cached key codes, 4 bytes per row
-// per key column set.
+// per key column set, with their routing maps, a byte per code each.
 func (t *Table) SizeBytes() int64 {
 	n := int64(len(t.Rows)) * ApproxRowBytes(t.Schema.Arity())
 	if c := t.codes.Load(); c != nil {
 		for _, kc := range *c {
 			n += 4 * int64(len(kc.codes))
+			if maps := kc.parts.Load(); maps != nil {
+				for _, p := range *maps {
+					n += int64(len(p.frag))
+				}
+			}
 		}
 	}
 	return n
+}
+
+// maxParts is the most fragments a routing map can name: one uint8 per
+// code.
+const maxParts = math.MaxUint8 + 1
+
+// buildKeyParts maps the n codes of codes onto w fragments, balanced by
+// rows: one counting pass finds each code's rows, then, in code order,
+// each code goes to the fragment with the fewest rows so far (the lower
+// index on a tie). A fragment's last code found it holding at most N/W
+// rows, so no fragment ends above N/W plus the rows of the largest code.
+// It returns nil when w is not in [1, maxParts].
+func buildKeyParts(codes []int32, n, w int) []uint8 {
+	if w < 1 || w > maxParts {
+		return nil
+	}
+	rows := make([]int32, n)
+	for _, c := range codes {
+		rows[c]++
+	}
+	load := make([]int64, w)
+	frag := make([]uint8, n)
+	for c, k := range rows {
+		f := 0
+		for g := 1; g < w; g++ {
+			if load[g] < load[f] {
+				f = g
+			}
+		}
+		frag[c] = uint8(f)
+		load[f] += int64(k)
+	}
+	return frag
 }
 
 // hashBits is how many of a key's top hash bits the build sorts by:

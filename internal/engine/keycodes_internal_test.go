@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -115,9 +116,32 @@ func codedTable(rng *rand.Rand, n int) *Table {
 	return tbl
 }
 
+// checkKeyParts checks a w-way routing map over codes, n codes: it names
+// a fragment in [0, w) for every code, and no fragment holds more rows
+// than N/W plus the rows of the largest code.
+func checkKeyParts(t *testing.T, what string, codes []int32, n, w int, frag []uint8) {
+	t.Helper()
+	if len(frag) != n {
+		t.Fatalf("%s: a map of %d codes for %d", what, len(frag), n)
+	}
+	rows, load := make([]int, n), make([]int, w)
+	for _, c := range codes {
+		if int(frag[c]) >= w {
+			t.Fatalf("%s: code %d maps to fragment %d of %d", what, c, frag[c], w)
+		}
+		rows[c]++
+		load[frag[c]]++
+	}
+	if limit := len(codes)/w + 1 + slices.Max(append(rows, 0)); slices.Max(load) > limit {
+		t.Fatalf("%s: fragment rows %v, more than %d", what, load, limit)
+	}
+}
+
 // TestKeyCodesCache checks the table's cache: the same codes for the
 // same columns, a set per column list, one copy through Clone, and none
-// after each writer; SizeBytes counts 4 bytes per row per cached set.
+// after each writer; the same for the routing maps, one per fragment
+// count, which go with their codes. SizeBytes counts 4 bytes per row per
+// cached set and a byte per code per map.
 func TestKeyCodesCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tbl := codedTable(rng, 200)
@@ -135,8 +159,26 @@ func TestKeyCodesCache(t *testing.T) {
 	if got, want := tbl.SizeBytes(), base+2*4*int64(tbl.Len()); got != want {
 		t.Fatalf("SizeBytes %d with two cached sets, want %d", got, want)
 	}
-	if c, _, _ := tbl.Clone().KeyCodes([]int{0}); &c[0] != &c1[0] {
+	f2 := tbl.KeyParts([]int{0}, 2)
+	checkKeyParts(t, "k, W=2", c1, n1, 2, f2)
+	if f := tbl.KeyParts([]int{0}, 2); &f[0] != &f2[0] {
+		t.Fatal("a second call built the routing map again")
+	}
+	// Every routed scan looks its map up once per query.
+	if a := testing.AllocsPerRun(10, func() { tbl.KeyParts([]int{0}, 2) }); a != 0 {
+		t.Fatalf("looking up a cached routing map made %.0f allocations", a)
+	}
+	f3 := tbl.KeyParts([]int{1, 0}, 3)
+	checkKeyParts(t, "v, k, W=3", c3, n3, 3, f3)
+	if got, want := tbl.SizeBytes(), base+2*4*int64(tbl.Len())+int64(n1+n3); got != want {
+		t.Fatalf("SizeBytes %d with two cached sets and their maps, want %d", got, want)
+	}
+	clone := tbl.Clone()
+	if c, _, _ := clone.KeyCodes([]int{0}); &c[0] != &c1[0] {
 		t.Fatal("a clone dropped its table's codes")
+	}
+	if f := clone.KeyParts([]int{0}, 2); &f[0] != &f2[0] {
+		t.Fatal("a clone dropped its table's routing map")
 	}
 	writes := []struct {
 		name string
@@ -149,7 +191,7 @@ func TestKeyCodesCache(t *testing.T) {
 		{"SortByEndpoints", func(t *Table) { t.SortByEndpoints() }},
 	}
 	for _, w := range writes {
-		tbl.KeyCodes([]int{0})
+		old := tbl.KeyParts([]int{0}, 2)
 		w.fn(tbl)
 		if tbl.codes.Load() != nil {
 			t.Fatalf("%s kept the cached codes", w.name)
@@ -159,7 +201,58 @@ func TestKeyCodesCache(t *testing.T) {
 		}
 		codes, n, _ := tbl.KeyCodes([]int{0})
 		checkKeyCodes(t, "after "+w.name, tbl.Rows, []int{0}, codes, n)
+		frag := tbl.KeyParts([]int{0}, 2)
+		if &frag[0] == &old[0] {
+			t.Fatalf("%s kept the routing map", w.name)
+		}
+		checkKeyParts(t, "after "+w.name, codes, n, 2, frag)
 	}
+}
+
+// TestKeyPartsRange builds routing maps over skewed codes at fragment
+// counts up to the most a map can name, and refuses one beyond: the scan
+// partition then hashes. SetParallelism has no cap, so the executor may
+// ask; the builder is called directly, and no fragment is started.
+func TestKeyPartsRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	codes := make([]int32, 5000)
+	for i := range codes {
+		// Code 0 takes about half the rows, codes 1–3 a tenth each, and
+		// the rest spread over 600 codes, numbered in first-seen order.
+		switch r := rng.Intn(10); {
+		case r < 5:
+			codes[i] = 0
+		case r < 8:
+			codes[i] = int32(r - 4)
+		default:
+			codes[i] = int32(4 + rng.Intn(600))
+		}
+	}
+	renumbered, n := buildKeyCodes(codeRows(codes), []int{0}, ^uint64(0))
+	for _, w := range []int{1, 2, 3, 4, 7, maxParts} {
+		checkKeyParts(t, fmt.Sprintf("W=%d", w), renumbered, n, w, buildKeyParts(renumbered, n, w))
+	}
+	if frag := buildKeyParts(renumbered, n, maxParts); int(slices.Max(frag)) != maxParts-1 {
+		t.Fatalf("a %d-way map over %d codes names fragments up to %d only", maxParts, n, slices.Max(frag))
+	}
+	for _, w := range []int{0, maxParts + 1, 1 << 20} {
+		if frag := buildKeyParts(renumbered, n, w); frag != nil {
+			t.Fatalf("W=%d: built a map of %d codes, want none", w, len(frag))
+		}
+	}
+	tbl := codedTable(rng, 100)
+	if frag := tbl.KeyParts([]int{0}, maxParts+1); frag != nil {
+		t.Fatalf("KeyParts at W=%d returned a map", maxParts+1)
+	}
+}
+
+// codeRows returns one-column rows holding codes, for buildKeyCodes.
+func codeRows(codes []int32) []tuple.Tuple {
+	rows := make([]tuple.Tuple, len(codes))
+	for i, c := range codes {
+		rows[i] = tuple.Tuple{tuple.Int(int64(c))}
+	}
+	return rows
 }
 
 // TestKeyCodesConcurrentBuild has two goroutines build one table's codes
@@ -191,6 +284,41 @@ func TestKeyCodesConcurrentBuild(t *testing.T) {
 		}
 		if c := tbl.codes.Load(); c == nil || len(*c) != distinct {
 			t.Fatalf("%v: the cache holds %v sets, want %d", sets, c, distinct)
+		}
+	}
+}
+
+// TestKeyPartsConcurrentBuild has two goroutines build one table's
+// routing map at once, for one fragment count and for two: each gets the
+// map its count builds, and the code set's cache ends holding each map
+// once. Run under -race.
+func TestKeyPartsConcurrentBuild(t *testing.T) {
+	for _, ws := range [][]int{{2, 2}, {2, 3}} {
+		tbl := codedTable(rand.New(rand.NewSource(6)), 500)
+		var wg sync.WaitGroup
+		got := make([][]uint8, len(ws))
+		for i, w := range ws {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = tbl.KeyParts([]int{0}, w)
+			}()
+		}
+		wg.Wait()
+		codes, n, _ := tbl.KeyCodes([]int{0})
+		for i, w := range ws {
+			if want := buildKeyParts(codes, n, w); !slices.Equal(got[i], want) {
+				t.Fatalf("W=%d: a concurrent build returned another map", w)
+			}
+			checkKeyParts(t, "concurrent", codes, n, w, got[i])
+		}
+		distinct := 1
+		if ws[0] != ws[1] {
+			distinct = 2
+		}
+		kc := (*tbl.codes.Load())[0]
+		if maps := kc.parts.Load(); maps == nil || len(*maps) != distinct {
+			t.Fatalf("%v: the cache holds %v maps, want %d", ws, maps, distinct)
 		}
 	}
 }

@@ -83,12 +83,13 @@ func (x *exchange) recycle(b batch) {
 // share: each fragment claims the next morsel off it, so the fragments
 // load-balance even when per-row costs are skewed. A scan partition
 // makes it private before the first claim, and every fragment then
-// reads the whole table itself. When the partition routes at the scan,
-// route is its key (columns of a scanned row) and every fragment keeps
-// only the rows partOf maps to it. src is the stored table the scan
-// reads, or a prefix of; when a coded sweep reads the scan, codes holds
-// src's key codes (codeKeys), and every fragment emits each row's code
-// beside it.
+// reads the whole table itself. src is the stored table the scan reads,
+// or a prefix of; when a coded sweep reads the scan, codes holds src's
+// key codes (codeKeys), and every fragment emits each row's code beside
+// it. When the partition routes at the scan, every fragment keeps only
+// its own rows: by fragOf, src's code → fragment map (Table.KeyParts),
+// when the scan has codes, so it touches no row it does not keep; else by
+// partOf over the hash of route, its key (columns of a scanned row).
 type scanCursor struct {
 	next    atomic.Int64
 	private bool
@@ -96,6 +97,7 @@ type scanCursor struct {
 	parts   int
 	src     *engine.Table
 	codes   []int32
+	fragOf  []uint8
 }
 
 // morselTableIter is the scan source: fragments claim morsels
@@ -154,22 +156,54 @@ func (it *morselTableIter) NextBatch(b *engine.RowBatch) bool {
 			codes = c.codes[it.i : it.i+n]
 		}
 		it.i += n
-		if c.route == nil {
+		switch {
+		case c.route == nil:
 			b.Rows = append(b.Rows, rows...)
 			b.Codes = append(b.Codes, codes...)
 			return true
-		}
-		for j, row := range rows {
-			if partOf(row.HashKey(c.route), c.parts) == it.frag {
-				b.Append(row)
-				if codes != nil {
-					b.Codes = append(b.Codes, codes[j])
+		case c.fragOf != nil:
+			routeCodes(b, rows, codes, c.fragOf, uint8(it.frag))
+		default:
+			for j, row := range rows {
+				if partOf(row.HashKey(c.route), c.parts) == it.frag {
+					b.Append(row)
+					if codes != nil {
+						b.Codes = append(b.Codes, codes[j])
+					}
 				}
 			}
 		}
 		if b.Len() > 0 {
 			return true
 		}
+	}
+}
+
+// routeRows is how many rows routeCodes selects at a time.
+const routeRows = 256
+
+// routeCodes appends to b the rows of rows, with their codes, whose code
+// frag maps to fragment f. It gathers the indexes of those rows with no
+// branch on the fragment, then copies them: over a scan a row's fragment
+// is as good as random, so a branch on it would be mispredicted for about
+// every other row (measured on fig5's 500 k rows at W = 2: 7.0 ms to
+// route both fragments with a branch, 2.8 ms without).
+func routeCodes(b *engine.RowBatch, rows []tuple.Tuple, codes []int32, frag []uint8, f uint8) {
+	var sel [routeRows]int32
+	for len(codes) > 0 {
+		n := min(len(codes), len(sel))
+		k := 0
+		for j, code := range codes[:n] {
+			sel[k] = int32(j)
+			if frag[code] == f {
+				k++
+			}
+		}
+		for _, j := range sel[:k] {
+			b.Rows = append(b.Rows, rows[j])
+			b.Codes = append(b.Codes, codes[j])
+		}
+		rows, codes = rows[n:], codes[n:]
 	}
 }
 
@@ -338,12 +372,13 @@ func (e *executor) drainInto(x *exchange, it engine.RowIter, ch chan<- batch, st
 	}
 }
 
-// partOf is the one partition function of the keyed exchanges: the
-// partition of w that a row whose key hashes (tuple.HashKey) to h
-// belongs to. It scales the hash's high 32 bits onto [0, w) with a
-// multiply and a shift instead of a division, since a scan partition
-// runs it on every scanned row; the sweeps' group tables index by the
-// low bits.
+// partOf is the partition function of the keyed exchanges over hashed
+// keys: the partition of w that a row whose key hashes (tuple.HashKey)
+// to h belongs to. It scales the hash's high 32 bits onto [0, w) with a
+// multiply and a shift instead of a division, since an uncoded scan
+// partition runs it on every scanned row; the sweeps' group tables
+// index by the low bits. A scan partition whose sweep is coded routes by
+// the table's code → fragment map instead (Table.KeyParts).
 func partOf(h uint64, w int) int { return int((h >> 32) * uint64(w) >> 32) }
 
 // hashPartition converts a stream — given as its physical sources, one
@@ -448,12 +483,18 @@ func (e *executor) hashPartition(srcs []engine.RowIter, keyIdx []int, parent *en
 // When the chain holds only column maps, filters and windows, its rows
 // keep the scan's layout and the key indexes a scanned row, so the scan
 // itself routes: each fragment's chain runs only on its partition's rows,
-// and a Scan's rows= sums to N over the fragments. A computing
-// projection in the chain changes the layout, so there the fragment's
-// chain runs on every scanned row and a partIter on top keeps the
-// partition: every fragment reads the whole table, and the Scan's rows=
-// sums to W × N. Either way part_rows counts the rows that reach each
-// sweep, after the chain.
+// and a Scan's rows= sums to N over the fragments. A coded sweep's scan
+// routes by code, through the table's code → fragment map, cached with
+// the codes and balanced by rows (Table.KeyParts): a fragment reads the
+// rows it keeps and the codes of the others, and hashes none. Every
+// input of a coded sweep carries the same code set, so the map sends a
+// key's rows of every input to one fragment. An uncoded scan hashes each
+// row's key (partOf). A computing projection in the chain changes the
+// layout, so there the fragment's chain runs on every scanned row and a
+// partIter on top hashes to keep the partition: every fragment reads the
+// whole table, and the Scan's rows= sums to W × N. Either way part_rows
+// counts the rows that reach each sweep, after the chain, and the
+// exchange's node names the routing, route=codes or route=hash.
 //
 // A stream without its scan source is an executor bug, not a case to
 // fall back from; the panic becomes buildSafe's query error.
@@ -462,11 +503,18 @@ func (e *executor) scanPartition(s *pstream, keyIdx []int, parent *engine.OpStat
 		panic("parallel: ordered keyed exchange over a stream with no scan source")
 	}
 	s.scan.private = true
-	st := parent.Child("Exchange:scan-partition", fmt.Sprintf("fanout=%d", e.workers))
-	st.InitParts(e.workers)
 	if !s.computed {
 		s.scan.route, s.scan.parts = keyIdx, e.workers
+		if s.scan.codes != nil {
+			s.scan.fragOf = s.scan.src.KeyParts(keyIdx, e.workers)
+		}
 	}
+	detail := "fanout=%d route=hash"
+	if s.scan.fragOf != nil {
+		detail = "fanout=%d route=codes"
+	}
+	st := parent.Child("Exchange:scan-partition", fmt.Sprintf(detail, e.workers))
+	st.InitParts(e.workers)
 	parts := make([]engine.RowIter, len(s.parts))
 	for i, part := range s.parts {
 		switch {

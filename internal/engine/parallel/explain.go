@@ -69,7 +69,7 @@ const (
 	exNone        exchangeKind = iota
 	exMerge                    // W fragments → 1 (order-preserving when the stream is ordered)
 	exRepartition              // 1 fragment → W, round-robin by batch
-	exHash                     // → W by key hash (order-preserving under a streaming sweep)
+	exHash                     // → W by key: its hash, or its code under a coded streaming sweep (order-preserving under a streaming sweep)
 )
 
 // exchangeFor decides which exchange carries a stream of have fragments

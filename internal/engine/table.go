@@ -160,6 +160,30 @@ func (t *Table) SetRows(rows []tuple.Tuple) {
 	t.dropCaches()
 }
 
+// SetRowsMerging is SetRows for a write that keeps a begin-sorted table
+// begin-sorted: rows, in begin order, merged with later, in any order.
+// It sorts later by endpoints and merges it in by begin, and records the
+// table as begin-sorted. A windowed update or delete splits a row into
+// fragments, and those that begin later than the row go to later, so the
+// write sorts only as many rows as it split, not the table.
+func (t *Table) SetRowsMerging(rows, later []tuple.Tuple) {
+	SortRowsByEndpoints(later)
+	out := make([]tuple.Tuple, 0, len(rows)+len(later))
+	for _, row := range rows {
+		n := 0
+		for n < len(later) && rowInterval(later[n]).Begin < rowInterval(row).Begin {
+			n++
+		}
+		out = append(append(out, later[:n]...), row)
+		later = later[n:]
+	}
+	t.SetRows(append(out, later...))
+	t.meta.sorted = propTrue
+	if n := len(t.Rows); n > 0 {
+		t.meta.lastBegin = rowInterval(t.Rows[n-1]).Begin
+	}
+}
+
 // InvalidateMeta drops the cached physical-property metadata. Code that
 // has written the exported Rows slice directly (rather than through
 // Append, Sort, SortByEndpoints or SetRows) must call it before the

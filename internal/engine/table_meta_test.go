@@ -120,6 +120,29 @@ func TestSetRowsInvalidates(t *testing.T) {
 	}
 }
 
+// SetRowsMerging merges rows that begin later into begin-sorted rows:
+// the table holds both, in begin order, and knows it without a rescan,
+// and it drops the cached key codes like every writer.
+func TestSetRowsMergingKeepsBeginOrder(t *testing.T) {
+	tb := metaTable(1, 2, 2, 6, 9)
+	tb.KeyCodes([]int{0})
+	later := metaTable(9, 0, 4, 2, 12).Rows
+	tb.SetRowsMerging(tb.Rows, later)
+	var got []int64
+	for _, row := range tb.Rows {
+		got = append(got, rowInterval(row).Begin)
+	}
+	if want := []int64{0, 1, 2, 2, 2, 4, 6, 9, 9, 12}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("merged begins %v, want %v", got, want)
+	}
+	if tb.meta.sorted != propTrue || tb.meta.lastBegin != 12 {
+		t.Fatalf("SetRowsMerging must record begin order, got state %d, last begin %d", tb.meta.sorted, tb.meta.lastBegin)
+	}
+	if tb.codes.Load() != nil {
+		t.Fatal("SetRowsMerging kept the cached key codes")
+	}
+}
+
 func TestCloneCopiesMetadata(t *testing.T) {
 	tb := metaTable(1, 2, 3)
 	c := tb.Clone()
